@@ -49,6 +49,7 @@ func TestRegistryPopulatedByRun(t *testing.T) {
 		"sim_batch_size", "sim_phase_prepare_seconds",
 		"sim_phase_decide_seconds", "sim_phase_commit_seconds",
 		"sim_delivery_time_seconds", "sim_postpone_delay_seconds",
+		"sim_collector_sample_seconds",
 	} {
 		if snap.Histograms[name].Count == 0 {
 			t.Errorf("histogram %s has no observations", name)

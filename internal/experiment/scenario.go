@@ -384,8 +384,10 @@ func (sc Scenario) coreConfig() core.Config {
 	}
 }
 
-// radioConfig assembles the channel configuration.
-func (sc Scenario) radioConfig() radio.Config {
+// radioConfig assembles the channel configuration. maxSpeed is the true bound
+// on peer speed that buildModels reports: the grid-staleness slack and the
+// collector's candidate bound are exact only if no peer outruns it.
+func (sc Scenario) radioConfig(maxSpeed float64) radio.Config {
 	cfg := radio.DefaultConfig()
 	cfg.Range = sc.TxRange
 	cfg.LossRate = sc.LossRate
@@ -394,7 +396,7 @@ func (sc Scenario) radioConfig() radio.Config {
 	if sc.MeasureEnergy {
 		cfg.Energy = radio.DefaultEnergy()
 	}
-	cfg.MaxSpeed = sc.SpeedMean + sc.SpeedDelta
+	cfg.MaxSpeed = maxSpeed
 	cfg.Shards = sc.Shards
 	return cfg
 }
@@ -402,17 +404,23 @@ func (sc Scenario) radioConfig() radio.Config {
 // buildModels constructs one mobility model per peer, either from an NS-2
 // movement script or by generating trajectories. Peers flagged as
 // pedestrians walk (Random Waypoint at walking speed) regardless of the
-// vehicular mobility model.
-func (sc Scenario) buildModels(rnd *rng.Stream, peds []bool, graph *roadnet.Graph) ([]mobility.Model, error) {
+// vehicular mobility model. The second result bounds every model's speed:
+// the largest MaxSpeed of the configs used, or a script's fastest leg.
+func (sc Scenario) buildModels(rnd *rng.Stream, peds []bool, graph *roadnet.Graph) ([]mobility.Model, float64, error) {
 	if sc.TraceFile != "" {
-		return sc.loadTraceModels()
+		models, err := sc.loadTraceModels()
+		if err != nil {
+			return nil, 0, err
+		}
+		vmax, err := mobility.MaxLegSpeed(models)
+		return models, vmax, err
 	}
 	field := geo.NewRect(sc.FieldW, sc.FieldH)
 	if sc.Mobility == RPGM {
 		// Group mobility correlates positions across peers, so it is built
 		// population-wide rather than per peer. Pedestrian flags do not
 		// apply: the group dynamic already models on-foot clusters.
-		return mobility.NewRPGMPopulation(sc.NumPeers, mobility.RPGMConfig{
+		cfg := mobility.RPGMConfig{
 			Field:       field,
 			GroupSize:   4,
 			GroupRadius: 50,
@@ -421,8 +429,11 @@ func (sc Scenario) buildModels(rnd *rng.Stream, peds []bool, graph *roadnet.Grap
 			MemberSpeed: 1.5,
 			Pause:       sc.Pause,
 			Horizon:     sc.SimTime,
-		}, rnd.Split("rpgm"))
+		}
+		models, err := mobility.NewRPGMPopulation(sc.NumPeers, cfg, rnd.Split("rpgm"))
+		return models, cfg.MaxSpeed(), err
 	}
+	vmax := 0.0
 	models := make([]mobility.Model, sc.NumPeers)
 	for i := range models {
 		s := rnd.SplitIndex("mobility", i)
@@ -432,44 +443,54 @@ func (sc Scenario) buildModels(rnd *rng.Stream, peds []bool, graph *roadnet.Grap
 		)
 		if peds != nil && peds[i] {
 			walk := sc.pedestrianSpeed()
-			m, err = mobility.NewRandomWaypoint(mobility.RandomWaypointConfig{
+			cfg := mobility.RandomWaypointConfig{
 				Field: field, SpeedMean: walk, SpeedDelta: 0.3 * walk,
 				Pause: sc.Pause, Horizon: sc.SimTime,
-			}, s)
+			}
+			vmax = math.Max(vmax, cfg.MaxSpeed())
+			m, err = mobility.NewRandomWaypoint(cfg, s)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			models[i] = m
 			continue
 		}
 		switch sc.Mobility {
 		case RandomWaypoint:
-			m, err = mobility.NewRandomWaypoint(mobility.RandomWaypointConfig{
+			cfg := mobility.RandomWaypointConfig{
 				Field: field, SpeedMean: sc.SpeedMean, SpeedDelta: sc.SpeedDelta,
 				Pause: sc.Pause, Horizon: sc.SimTime,
-			}, s)
+			}
+			vmax = math.Max(vmax, cfg.MaxSpeed())
+			m, err = mobility.NewRandomWaypoint(cfg, s)
 		case RandomWalk:
-			m, err = mobility.NewRandomWalk(mobility.RandomWalkConfig{
+			cfg := mobility.RandomWalkConfig{
 				Field: field, SpeedMean: sc.SpeedMean, SpeedDelta: sc.SpeedDelta,
 				Epoch: 30, Horizon: sc.SimTime,
-			}, s)
+			}
+			vmax = math.Max(vmax, cfg.MaxSpeed())
+			m, err = mobility.NewRandomWalk(cfg, s)
 		case Manhattan:
-			m, err = mobility.NewManhattan(mobility.ManhattanConfig{
+			cfg := mobility.ManhattanConfig{
 				Field: field, BlockSize: sc.BlockSize,
 				SpeedMean: sc.SpeedMean, SpeedDelta: sc.SpeedDelta, Horizon: sc.SimTime,
-			}, s)
+			}
+			vmax = math.Max(vmax, cfg.MaxSpeed())
+			m, err = mobility.NewManhattan(cfg, s)
 		case Road:
-			m, err = mobility.NewRoad(mobility.RoadConfig{
+			cfg := mobility.RoadConfig{
 				Graph: graph, SpeedMean: sc.SpeedMean, SpeedDelta: sc.SpeedDelta,
 				Pause: sc.Pause, Horizon: sc.SimTime,
-			}, s)
+			}
+			vmax = math.Max(vmax, cfg.MaxSpeed())
+			m, err = mobility.NewRoad(cfg, s)
 		}
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		models[i] = m
 	}
-	return models, nil
+	return models, vmax, nil
 }
 
 // loadTraceModels reads the scenario's NS-2 movement script.
@@ -560,7 +581,7 @@ func (sc Scenario) Build() (*Sim, error) {
 		return nil, err
 	}
 	peds := sc.pedestrianFlags(rnd.Split("devices"))
-	models, err := sc.buildModels(rnd.Split("models"), peds, graph)
+	models, maxSpeed, err := sc.buildModels(rnd.Split("models"), peds, graph)
 	if err != nil {
 		return nil, err
 	}
@@ -583,7 +604,7 @@ func (sc Scenario) Build() (*Sim, error) {
 	}
 	s := sim.New()
 	s.SetWorkers(sc.Workers)
-	net, err := core.New(s, sc.radioConfig(), models, cfg, rnd.Split("protocol"))
+	net, err := core.New(s, sc.radioConfig(maxSpeed), models, cfg, rnd.Split("protocol"))
 	if err != nil {
 		return nil, err
 	}

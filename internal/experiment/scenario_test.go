@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"testing/quick"
@@ -225,7 +226,7 @@ func TestScenarioFromNS2Trace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	models, err := sc.buildModels(rng.New(sc.Seed).Split("models"), nil, nil)
+	models, _, err := sc.buildModels(rng.New(sc.Seed).Split("models"), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,6 +254,63 @@ func TestScenarioFromNS2Trace(t *testing.T) {
 	}
 	if diff := res.DeliveryRate - direct.DeliveryRate; diff > 3 || diff < -3 {
 		t.Errorf("delivery rate diverged: %v vs %v", res.DeliveryRate, direct.DeliveryRate)
+	}
+}
+
+// TestNoPeerOutrunsTheChannelSpeedBound checks the number the radio's
+// staleness slack and the collector's candidate bound both lean on: whatever
+// moves the peers, no sampled second of any trajectory covers more than
+// Channel.MaxSpeed meters. RPGM members add their wander to the group's
+// speed, pedestrians can be configured faster than the vehicles, and a trace
+// file's speeds are in the script, not in the scenario.
+func TestNoPeerOutrunsTheChannelSpeedBound(t *testing.T) {
+	cases := map[string]func(*Scenario){
+		"fast pedestrians": func(sc *Scenario) { sc.PedestrianFraction, sc.PedestrianSpeed = 0.5, 20 },
+		"trace file": func(sc *Scenario) {
+			models, _, err := sc.buildModels(rng.New(sc.Seed).Split("models"), nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.TraceFile = filepath.Join(t.TempDir(), "move.ns2")
+			f, err := os.Create(sc.TraceFile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := mobility.ExportNS2(f, models); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			sc.SpeedMean, sc.SpeedDelta = 1, 0 // ignored, and wrong, once TraceFile is set
+		},
+	}
+	for _, kind := range MobilityKinds() {
+		kind := kind
+		cases[kind.String()] = func(sc *Scenario) { sc.Mobility = kind }
+	}
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			sc := quickScenario()
+			mutate(&sc)
+			sm, err := sc.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ch := sm.Net.Channel()
+			fastest := 0.0
+			for i := 0; i < ch.N(); i++ {
+				prev := ch.PositionAt(i, 0)
+				for at := 1.0; at <= sc.SimTime; at++ {
+					pos := ch.PositionAt(i, at)
+					fastest = math.Max(fastest, pos.Dist(prev))
+					prev = pos
+				}
+			}
+			if bound := ch.MaxSpeed(); fastest > bound*(1+1e-9) || fastest < bound/2 {
+				t.Errorf("fastest sampled second covers %.3f m, channel bound is %.3f m/s", fastest, bound)
+			}
+		})
 	}
 }
 

@@ -183,9 +183,9 @@ func (c *Collector) Coverage(id ads.ID) []CoveragePoint {
 func (c *Collector) coverAd(tr *adTrack, now, rt float64) float64 {
 	rc := c.roadCov
 	rc.BeginMark()
-	for i := range tr.received {
-		if tr.received[i] && c.ch.Online(i) {
-			rc.MarkAround(c.ch.PositionAt(i, now), c.ch.RangeOf(i))
+	for k, informed := range tr.received {
+		if i := tr.peer(k); informed && c.ch.Online(i) {
+			rc.MarkAround(c.ch.PositionOf(i), c.ch.RangeOf(i))
 		}
 	}
 	covered, target := rc.Fraction(tr.covDist, rt)

@@ -13,11 +13,24 @@
 // Between samples, entries into the (shrinking) advertising area are
 // detected exactly on the sampled chord via segment–circle intersection, so
 // fast peers cannot tunnel through the boundary unnoticed.
+//
+// A tick does not test every peer against every ad. A chord that touches the
+// circle of radius R_t ends within R_t + V_max·Δ of the origin (Δ the tick),
+// so only the peers the radio snapshot places that close are evaluated, and
+// an ad's ledger holds only the peers near enough at issue time to reach the
+// area, or to cover road inside it, before the life cycle ends. Both bounds
+// take V_max from radio.Config.MaxSpeed: entry detection is exact given that
+// no peer moves faster. A scenario must therefore configure the true bound of
+// its mobility models (experiment.Scenario derives it from them). The
+// collector reads the snapshot and never refreshes it, so attaching one
+// cannot change what a run computes (see radio.AppendSnapshotCandidates).
 package metrics
 
 import (
 	"fmt"
 	"math"
+	"slices"
+	"time"
 
 	"instantad/internal/ads"
 	"instantad/internal/core"
@@ -40,8 +53,8 @@ type Collector struct {
 	sampleEvery float64
 
 	tracked map[ads.ID]*adTrack
-	prevPos []geo.Point
-	prevT   float64
+	prevT   float64 // the previous sample tick: where this tick's chords start
+	cand    []int32 // candidate-query scratch, reused across ads and ticks
 
 	totalMessages uint64
 	totalBytes    uint64
@@ -64,7 +77,17 @@ type Collector struct {
 	obsExpirations *obs.Counter
 	obsDelivery    *obs.Histogram
 	obsPostpone    *obs.Histogram
+	obsSample      *obs.Histogram
 }
+
+// boundEps pads the two candidate bounds, in meters, so that rounding in the
+// bound itself can never exclude a peer moving at exactly MaxSpeed whose
+// chord ends tangent to the circle.
+const boundEps = 1e-6
+
+// ledgerRow and ledgerID are the bytes one peer costs in an adTrack's four
+// columns and in its id list.
+const ledgerRow, ledgerID = 18, 4
 
 // adTrack is the per-advertisement ledger.
 type adTrack struct {
@@ -73,6 +96,10 @@ type adTrack struct {
 	r, d     float64 // initial propagation parameters (life-cycle definition)
 	done     bool
 
+	// Four dense columns over the peers that can matter to this ad (see
+	// OnIssue). ids lists them in ascending order and slot k belongs to peer
+	// ids[k]; nil ids means every peer, slot k to peer k.
+	ids         []int32
 	entered     []bool
 	enterTime   []float64
 	received    []bool
@@ -90,6 +117,22 @@ type adTrack struct {
 	covPeak  float64
 }
 
+// slot returns peer's slot in the ledger columns, false if it has none.
+func (tr *adTrack) slot(peer int) (int, bool) {
+	if tr.ids == nil {
+		return peer, true
+	}
+	return slices.BinarySearch(tr.ids, int32(peer))
+}
+
+// peer returns the peer that slot k belongs to.
+func (tr *adTrack) peer(k int) int {
+	if tr.ids == nil {
+		return k
+	}
+	return int(tr.ids[k])
+}
+
 // NewCollector builds a collector sampling positions every sampleEvery
 // seconds (1 s if zero or negative). params must match the network's tuning
 // parameters so the ground-truth advertising radius R_t agrees with the
@@ -104,11 +147,7 @@ func NewCollector(s *sim.Simulator, ch *radio.Channel, params core.ProbParams, s
 		params:      params,
 		sampleEvery: sampleEvery,
 		tracked:     make(map[ads.ID]*adTrack),
-		prevPos:     make([]geo.Point, ch.N()),
 		perPeerTx:   make([]float64, ch.N()),
-	}
-	for i := range c.prevPos {
-		c.prevPos[i] = ch.PositionAt(i, 0)
 	}
 	s.Every(sampleEvery, sampleEvery, c.sample)
 	return c
@@ -119,7 +158,8 @@ func NewCollector(s *sim.Simulator, ch *radio.Channel, params core.ProbParams, s
 // counters, a tracked-ads gauge, and the paper's two distributional metrics
 // as histograms — delivery time (seconds from area entry to first receipt,
 // Section IV) and postponement delay (Formula 4, Optimization Mechanism 2).
-// Delivery-time buckets are observed in virtual seconds.
+// Delivery-time buckets are observed in virtual seconds. The one wall-clock
+// instrument is the collector's own cost: seconds per sample tick.
 func (c *Collector) InstrumentWith(reg *obs.Registry) {
 	c.obsMessages = reg.Counter("sim_messages_total",
 		"advertisement frames broadcast network-wide")
@@ -137,30 +177,49 @@ func (c *Collector) InstrumentWith(reg *obs.Registry) {
 	c.obsPostpone = reg.Histogram("sim_postpone_delay_seconds",
 		"virtual seconds each overhearing postponed a gossip (Formula 4)",
 		obs.ExpBuckets(0.125, 2, 12))
+	c.obsSample = reg.Histogram("sim_collector_sample_seconds",
+		"wall-clock time of one collector sample tick (area entries and road coverage of every live ad)",
+		obs.ExpBuckets(1e-6, 4, 12))
 	reg.GaugeFunc("sim_tracked_ads", "advertisements under measurement",
 		func() float64 { return float64(len(c.tracked)) })
 }
 
-// OnIssue starts tracking an ad: peers already inside the area count as
-// entered at issue time.
+// OnIssue starts tracking an ad at the current simulation time t: peers
+// already inside the area count as entered at issue time.
+//
+// The ledger keeps only peers within r + V_max·(d + tick) + the longest radio
+// range of the origin now. R_t never exceeds r and is 0 after d, a peer moves
+// at most V_max·d in that time, and the first chord sampled reaches back at
+// most one tick before t, so nobody else can enter the area or, once
+// informed, cover road inside it: their receipts change no report and are
+// dropped. Where that is most of the population the id list would cost more
+// than it saves, and the columns span every peer instead.
 func (c *Collector) OnIssue(issuer int, ad *ads.Advertisement, t float64) {
-	n := c.ch.N()
-	tr := &adTrack{
-		origin:      ad.Origin,
-		issuedAt:    t,
-		r:           ad.R,
-		d:           ad.D,
-		entered:     make([]bool, n),
-		enterTime:   make([]float64, n),
-		received:    make([]bool, n),
-		receiveTime: make([]float64, n),
+	tr := &adTrack{origin: ad.Origin, issuedAt: t, r: ad.R, d: ad.D}
+	reach := tr.r + c.ch.MaxSpeed()*(tr.d+c.sampleEvery) + c.ch.MaxRange() + boundEps
+	c.cand = c.ch.AppendSnapshotCandidates(c.cand[:0], tr.origin, reach)
+	near := c.cand[:0]
+	for _, i := range c.cand {
+		if c.ch.PositionAt(int(i), t).Dist2(tr.origin) <= reach*reach {
+			near = append(near, i)
+		}
 	}
+	n := c.ch.N()
+	if len(near)*(ledgerRow+ledgerID) < n*ledgerRow {
+		slices.Sort(near)
+		tr.ids = slices.Clone(near)
+		n = len(near)
+	}
+	tr.entered = make([]bool, n)
+	tr.enterTime = make([]float64, n)
+	tr.received = make([]bool, n)
+	tr.receiveTime = make([]float64, n)
 	rt := core.RadiusAt(c.params, tr.r, tr.d, 0)
 	circle := geo.Circle{C: tr.origin, R: rt}
-	for i := 0; i < n; i++ {
-		if circle.Contains(c.ch.PositionAt(i, t)) {
-			tr.entered[i] = true
-			tr.enterTime[i] = t
+	for k := range tr.entered {
+		if circle.Contains(c.ch.PositionAt(tr.peer(k), t)) {
+			tr.entered[k] = true
+			tr.enterTime[k] = t
 		}
 	}
 	if c.roadCov != nil {
@@ -189,15 +248,19 @@ func (c *Collector) OnBroadcast(peer int, id ads.ID, bytes int, t float64) {
 // OnFirstReceive records a peer's first contact with an ad.
 func (c *Collector) OnFirstReceive(peer int, ad *ads.Advertisement, t float64) {
 	tr, ok := c.tracked[ad.ID]
-	if !ok || tr.done || tr.received[peer] {
+	if !ok || tr.done {
 		return
 	}
-	tr.received[peer] = true
-	tr.receiveTime[peer] = t
+	k, ok := tr.slot(peer)
+	if !ok || tr.received[k] {
+		return
+	}
+	tr.received[k] = true
+	tr.receiveTime[k] = t
 	// Peers already inside the area have a measurable delivery time now;
 	// peers that receive before entering contribute a 0 on entry (sample).
-	if c.obsDelivery != nil && tr.entered[peer] {
-		c.obsDelivery.Observe(math.Max(0, t-tr.enterTime[peer]))
+	if c.obsDelivery != nil && tr.entered[k] {
+		c.obsDelivery.Observe(math.Max(0, t-tr.enterTime[k]))
 	}
 }
 
@@ -234,9 +297,17 @@ func (c *Collector) OnExpire(int, ads.ID, float64) {
 }
 
 // sample advances the area-crossing detector one step (and, when enabled,
-// the road-coverage measurer).
+// the road-coverage measurer). Each live ad tests only the not-yet-entered
+// ledger peers whose position now is within R_t plus one tick's travel of the
+// origin, found through the radio snapshot; nobody else's chord can touch the
+// circle.
 func (c *Collector) sample() {
+	var start time.Time
+	if c.obsSample != nil {
+		start = time.Now()
+	}
 	now := c.sim.Now()
+	travel := c.ch.MaxSpeed()*(now-c.prevT) + boundEps
 	maxCov := 0.0
 	for _, tr := range c.tracked {
 		if tr.done {
@@ -254,28 +325,35 @@ func (c *Collector) sample() {
 			}
 		}
 		circle := geo.Circle{C: tr.origin, R: rt}
-		for i := range tr.entered {
-			if tr.entered[i] {
+		reach := rt + travel
+		c.cand = c.ch.AppendSnapshotCandidates(c.cand[:0], tr.origin, reach)
+		for _, id := range c.cand {
+			i := int(id)
+			k, ok := tr.slot(i)
+			if !ok || tr.entered[k] {
 				continue
 			}
-			pos := c.ch.PositionAt(i, now)
-			if f, hit := geo.SegmentCircleHit(c.prevPos[i], pos, circle); hit {
-				tr.entered[i] = true
-				tr.enterTime[i] = c.prevT + f*(now-c.prevT)
+			pos := c.ch.PositionOf(i)
+			if pos.Dist2(tr.origin) > reach*reach {
+				continue
+			}
+			if f, hit := geo.SegmentCircleHit(c.ch.PositionAt(i, c.prevT), pos, circle); hit {
+				tr.entered[k] = true
+				tr.enterTime[k] = c.prevT + f*(now-c.prevT)
 				// Entering with the ad already in hand is the paper's
 				// zero-delivery-time case.
-				if c.obsDelivery != nil && tr.received[i] {
+				if c.obsDelivery != nil && tr.received[k] {
 					c.obsDelivery.Observe(0)
 				}
 			}
 		}
 	}
-	for i := range c.prevPos {
-		c.prevPos[i] = c.ch.PositionAt(i, now)
-	}
 	c.prevT = now
 	if c.roadCov != nil {
 		c.lastCoverage = maxCov
+	}
+	if c.obsSample != nil {
+		c.obsSample.Observe(time.Since(start).Seconds())
 	}
 }
 
@@ -312,15 +390,17 @@ func (c *Collector) Report(id ads.ID) (AdReport, error) {
 		return AdReport{}, fmt.Errorf("metrics: ad %v was never issued", id)
 	}
 	rep := AdReport{ID: id, Messages: tr.messages, Bytes: tr.bytes, RoadCoverage: tr.covPeak}
+	// Slots ascend by peer id, which keeps the float sum in stats.Summarize
+	// in the order it has always had.
 	var times []float64
-	for i := range tr.entered {
-		if !tr.entered[i] {
+	for k := range tr.entered {
+		if !tr.entered[k] {
 			continue
 		}
 		rep.PassedThrough++
-		if tr.received[i] {
+		if tr.received[k] {
 			rep.Delivered++
-			times = append(times, math.Max(0, tr.receiveTime[i]-tr.enterTime[i]))
+			times = append(times, math.Max(0, tr.receiveTime[k]-tr.enterTime[k]))
 		}
 	}
 	if rep.PassedThrough > 0 {

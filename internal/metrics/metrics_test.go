@@ -23,11 +23,18 @@ func coreConfig() core.Config {
 	}
 }
 
-// buildNet assembles sim+network+collector over the given models.
+// buildNet assembles sim+network+collector over the given models, none of
+// which may outrun the default channel's 15 m/s speed bound.
 func buildNet(t *testing.T, models []mobility.Model, cfg core.Config) (*sim.Simulator, *core.Network, *Collector) {
 	t.Helper()
+	return buildNetOn(t, radio.DefaultConfig(), models, cfg)
+}
+
+// buildNetOn is buildNet on a given channel configuration.
+func buildNetOn(t *testing.T, rcfg radio.Config, models []mobility.Model, cfg core.Config) (*sim.Simulator, *core.Network, *Collector) {
+	t.Helper()
 	s := sim.New()
-	n, err := core.New(s, radio.DefaultConfig(), models, cfg, rng.New(11))
+	n, err := core.New(s, rcfg, models, cfg, rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,20 +121,33 @@ func (m linear) Velocity(t float64) geo.Vec   { return m.v }
 
 func TestFastCrosserNotMissed(t *testing.T) {
 	// A peer crossing the area on a chord between two samples must still be
-	// detected (segment–circle intersection, not point sampling).
+	// detected (segment–circle intersection, not point sampling), and at the
+	// time it crossed, not at the sample after.
 	issuer := mobility.NewStatic(geo.Point{X: 0, Y: 0})
-	// Crosses the whole 1000 m diameter in 2 s (500 m/s — adversarial).
+	// Crosses the whole 1000 m diameter in 2 s (500 m/s — adversarial), and
+	// the channel is told so: entry detection is exact given MaxSpeed.
 	dash := linear{p: geo.Point{X: -2000, Y: 1}, v: geo.Vec{X: 500, Y: 0}}
 	models := []mobility.Model{issuer, dash}
 	cfg := coreConfig()
-	s, n, col := buildNet(t, models, cfg)
+	rcfg := radio.DefaultConfig()
+	rcfg.MaxSpeed = 500
+	s, n, col := buildNetOn(t, rcfg, models, cfg)
 	n.Start()
 	var issued *ads.Advertisement
 	s.Schedule(0, func() { issued, _ = n.IssueAd(0, core.AdSpec{R: 500, D: 60}) })
 	s.Run(100)
 	rep, _ := col.Report(issued.ID)
 	if rep.PassedThrough != 2 {
-		t.Errorf("fast crosser missed: PassedThrough = %d, want 2", rep.PassedThrough)
+		t.Fatalf("fast crosser missed: PassedThrough = %d, want 2", rep.PassedThrough)
+	}
+	// At t = 3 the dash is at x = −500, a whisker outside R_3; the chord
+	// sampled over (3, 4] meets the circle of radius R_4 at x = −√(R_4² − 1).
+	r4 := core.RadiusAt(cfg.Params, 500, 60, 4)
+	want := 3 + (500-math.Sqrt(r4*r4-1))/500
+	tr := col.tracked[issued.ID]
+	k, ok := tr.slot(1)
+	if !ok || !tr.entered[k] || math.Abs(tr.enterTime[k]-want) > 1e-9 {
+		t.Errorf("dash entered at %v (slot %v, entered %v), want %v", tr.enterTime[k], ok, tr.entered[k], want)
 	}
 	// It dashed through in ~2 s; it may or may not have been delivered, but
 	// it must be in the denominator, so the rate reflects the miss.

@@ -31,6 +31,16 @@ type Leg struct {
 	From, To [2]float64 // (x, y); a plain array keeps the wire format flat
 }
 
+// Speed returns the leg's constant speed: 0 for a pause or an instantaneous
+// leg.
+func (l Leg) Speed() float64 {
+	dur := l.T1 - l.T0
+	if dur <= 0 {
+		return 0
+	}
+	return math.Hypot(l.To[0]-l.From[0], l.To[1]-l.From[1]) / dur
+}
+
 // Legs exposes the trajectory's pieces for export and inspection.
 func (tr *trajectory) Legs() []Leg {
 	out := make([]Leg, len(tr.legs))
@@ -49,6 +59,23 @@ func (tr *trajectory) Legs() []Leg {
 // package implement it.
 type LegLister interface {
 	Legs() []Leg
+}
+
+// MaxLegSpeed returns the highest speed on any leg of the models'
+// trajectories: the true V_max of an imported script, whose speeds no
+// scenario parameter states. Models must implement LegLister.
+func MaxLegSpeed(models []Model) (float64, error) {
+	vmax := 0.0
+	for i, m := range models {
+		ll, ok := m.(LegLister)
+		if !ok {
+			return 0, fmt.Errorf("mobility: model %d (%T) has no legs to bound its speed by", i, m)
+		}
+		for _, l := range ll.Legs() {
+			vmax = math.Max(vmax, l.Speed())
+		}
+	}
+	return vmax, nil
 }
 
 // ExportNS2 writes the models as one NS-2 movement script; node i in the
@@ -73,16 +100,10 @@ func ExportNS2(w io.Writer, models []Model) error {
 		fmt.Fprintf(bw, "$node_(%d) set Y_ %.9f\n", i, first.From[1])
 		fmt.Fprintf(bw, "$node_(%d) set Z_ 0.000000\n", i)
 		for _, l := range legs {
-			if l.From == l.To {
+			speed := l.Speed()
+			if speed == 0 {
 				continue // pause: the gap before the next setdest encodes it
 			}
-			dur := l.T1 - l.T0
-			if dur <= 0 {
-				continue
-			}
-			dx := l.To[0] - l.From[0]
-			dy := l.To[1] - l.From[1]
-			speed := math.Hypot(dx, dy) / dur
 			fmt.Fprintf(bw, "$ns_ at %.9f \"$node_(%d) setdest %.9f %.9f %.9f\"\n",
 				l.T0, i, l.To[0], l.To[1], speed)
 		}

@@ -126,6 +126,14 @@ $node_(3) set Z_ 0.0
 	if v := m3.Velocity(10); v != (geo.Vec{}) {
 		t.Errorf("static node velocity %v", v)
 	}
+	// The script's fastest leg is the 10 m/s one; pauses and the parked node
+	// do not count.
+	if vmax, err := MaxLegSpeed([]Model{m0, m3}); err != nil || math.Abs(vmax-10) > 1e-9 {
+		t.Errorf("MaxLegSpeed = %v, %v; want 10", vmax, err)
+	}
+	if _, err := MaxLegSpeed([]Model{m0, foreignModel{}}); err == nil {
+		t.Error("MaxLegSpeed bounded a model without legs")
+	}
 }
 
 func TestParseErrors(t *testing.T) {

@@ -459,46 +459,69 @@ func (c *Channel) NodesWithin(center geo.Point, radius float64, exclude int) []i
 // variant the broadcast hot path uses. Results are ordered by snapshot cell
 // (x-major) and ascending node id within a cell.
 func (c *Channel) AppendNodesWithin(dst []int, center geo.Point, radius float64, exclude int) []int {
-	now := c.sim.Now()
-	if !c.gridBuilt || now-c.gridAt >= c.cfg.GridRefresh {
-		c.rebuildGrid()
-	}
-	// A node whose snapshot position was d away may now be up to
-	// d − slack …​ d + slack from where it was; search the snapshot out to
-	// radius + slack and confirm with exact positions.
-	slack := c.cfg.MaxSpeed * (now - c.gridAt)
-	reach := radius + slack
-	cs := c.gridCell
-	x0 := int(math.Floor((center.X - reach - c.gridMinX) / cs))
-	x1 := int(math.Floor((center.X + reach - c.gridMinX) / cs))
-	y0 := int(math.Floor((center.Y - reach - c.gridMinY) / cs))
-	y1 := int(math.Floor((center.Y + reach - c.gridMinY) / cs))
-	if x0 < 0 {
-		x0 = 0
-	}
-	if y0 < 0 {
-		y0 = 0
-	}
-	if x1 >= c.gridNX {
-		x1 = c.gridNX - 1
-	}
-	if y1 >= c.gridNY {
-		y1 = c.gridNY - 1
-	}
+	c.RefreshGrid()
+	x0, x1, y0, y1 := c.window(center, radius)
 	r2 := radius * radius
 	for cx := x0; cx <= x1; cx++ {
-		for cy := y0; cy <= y1; cy++ {
-			base := cx*c.gridNY + cy
-			for _, j32 := range c.cellNodes[c.cellStart[base]:c.cellStart[base+1]] {
-				j := int(j32)
-				if j == exclude || !c.Online(j) {
-					continue
-				}
-				if c.PositionOf(j).Dist2(center) <= r2 {
-					dst = append(dst, j)
-				}
+		for _, j32 := range c.column(cx, y0, y1) {
+			j := int(j32)
+			if j == exclude || !c.Online(j) {
+				continue
+			}
+			if c.PositionOf(j).Dist2(center) <= r2 {
+				dst = append(dst, j)
 			}
 		}
+	}
+	return dst
+}
+
+// window returns the snapshot's cell columns x0..x1 and rows y0..y1 that a
+// disc of the given radius around center can touch now. A node whose snapshot
+// position was d away may by now be anywhere in d ± slack, slack being
+// MaxSpeed times the snapshot's age, so the disc is widened by that much and
+// callers confirm candidates against exact positions. The window is clamped
+// to the grid; one that misses it has x0 > x1. It needs a built snapshot and
+// never rebuilds it.
+func (c *Channel) window(center geo.Point, radius float64) (x0, x1, y0, y1 int) {
+	reach := radius + c.cfg.MaxSpeed*(c.sim.Now()-c.gridAt)
+	cs := c.gridCell
+	x0 = max(int(math.Floor((center.X-reach-c.gridMinX)/cs)), 0)
+	x1 = min(int(math.Floor((center.X+reach-c.gridMinX)/cs)), c.gridNX-1)
+	y0 = max(int(math.Floor((center.Y-reach-c.gridMinY)/cs)), 0)
+	y1 = min(int(math.Floor((center.Y+reach-c.gridMinY)/cs)), c.gridNY-1)
+	if y0 > y1 {
+		x1 = x0 - 1
+	}
+	return x0, x1, y0, y1
+}
+
+// column returns the snapshot's node ids in cell column cx, rows y0..y1: the
+// CSR arena is x-major, so those cells are one contiguous run, ordered by
+// cell and ascending node id within a cell.
+func (c *Channel) column(cx, y0, y1 int) []int32 {
+	base := cx * c.gridNY
+	return c.cellNodes[c.cellStart[base+y0]:c.cellStart[base+y1+1]]
+}
+
+// AppendSnapshotCandidates appends every node, online or not, whose snapshot
+// cell a disc of the given radius around center can touch now (see window):
+// a superset of the nodes currently inside the disc, in no useful order and
+// unconfirmed against exact positions. It only reads the snapshot — a stale
+// one widens the window, it is never rebuilt, so an observer calling this
+// cannot move the snapshot instant and with it the receiver order that feeds
+// the channel's loss draws. Before the first snapshot every node is a
+// candidate.
+func (c *Channel) AppendSnapshotCandidates(dst []int32, center geo.Point, radius float64) []int32 {
+	if !c.gridBuilt {
+		for i := range c.models {
+			dst = append(dst, int32(i))
+		}
+		return dst
+	}
+	x0, x1, y0, y1 := c.window(center, radius)
+	for cx := x0; cx <= x1; cx++ {
+		dst = append(dst, c.column(cx, y0, y1)...)
 	}
 	return dst
 }
@@ -581,38 +604,16 @@ func (q *QueryScratch) AppendNodesWithin(dst []int, center geo.Point, radius flo
 	if !c.gridBuilt {
 		panic("radio: QueryScratch used before Channel.RefreshGrid")
 	}
-	now := c.sim.Now()
-	slack := c.cfg.MaxSpeed * (now - c.gridAt)
-	reach := radius + slack
-	cs := c.gridCell
-	x0 := int(math.Floor((center.X - reach - c.gridMinX) / cs))
-	x1 := int(math.Floor((center.X + reach - c.gridMinX) / cs))
-	y0 := int(math.Floor((center.Y - reach - c.gridMinY) / cs))
-	y1 := int(math.Floor((center.Y + reach - c.gridMinY) / cs))
-	if x0 < 0 {
-		x0 = 0
-	}
-	if y0 < 0 {
-		y0 = 0
-	}
-	if x1 >= c.gridNX {
-		x1 = c.gridNX - 1
-	}
-	if y1 >= c.gridNY {
-		y1 = c.gridNY - 1
-	}
+	x0, x1, y0, y1 := c.window(center, radius)
 	r2 := radius * radius
 	for cx := x0; cx <= x1; cx++ {
-		for cy := y0; cy <= y1; cy++ {
-			base := cx*c.gridNY + cy
-			for _, j32 := range c.cellNodes[c.cellStart[base]:c.cellStart[base+1]] {
-				j := int(j32)
-				if j == exclude || !c.Online(j) {
-					continue
-				}
-				if q.PositionOf(j).Dist2(center) <= r2 {
-					dst = append(dst, j)
-				}
+		for _, j32 := range c.column(cx, y0, y1) {
+			j := int(j32)
+			if j == exclude || !c.Online(j) {
+				continue
+			}
+			if q.PositionOf(j).Dist2(center) <= r2 {
+				dst = append(dst, j)
 			}
 		}
 	}
@@ -838,6 +839,15 @@ func (c *Channel) OverlapWith(i, j int) float64 {
 
 // Range returns the configured transmission range.
 func (c *Channel) Range() float64 { return c.cfg.Range }
+
+// MaxRange returns the largest transmission range of any node.
+func (c *Channel) MaxRange() float64 { return c.maxRange }
+
+// MaxSpeed returns the configured bound on node speed. Everything that
+// reasons from a snapshot or a sampled chord to "cannot have got there" leans
+// on it: the grid-staleness slack here, the collector's candidate bound in
+// internal/metrics.
+func (c *Channel) MaxSpeed() float64 { return c.cfg.MaxSpeed }
 
 // Utilization returns the fraction of the elapsed simulation time the
 // medium spent serializing advertisement frames (network-wide airtime over

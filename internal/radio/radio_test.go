@@ -294,6 +294,63 @@ func TestNeighborsExactWithMovingNodesAndStaleGrid(t *testing.T) {
 	s.Run(50)
 }
 
+// TestSnapshotCandidatesCoverTheDiscAndNeverRebuild drives the read-only
+// window walk observers use: at any snapshot age the candidates must include
+// every node now inside the disc, online or not, the walk must leave the
+// snapshot alone, and without a snapshot everyone is a candidate.
+func TestSnapshotCandidatesCoverTheDiscAndNeverRebuild(t *testing.T) {
+	const n, side, vmax = 400, 3000.0, 20.0
+	r := rng.New(8)
+	models := make([]mobility.Model, n)
+	for i := range models {
+		// Everyone moves at exactly MaxSpeed, in a random direction.
+		dir := geo.Vec{X: r.Range(-1, 1), Y: r.Range(-1, 1)}
+		models[i] = newLinear(geo.Point{X: r.Range(0, side), Y: r.Range(0, side)}, dir.Scale(vmax/dir.Len()))
+	}
+	s := sim.New()
+	cfg := DefaultConfig()
+	cfg.MaxSpeed = vmax
+	ch, err := New(s, cfg, models, func(int, Frame) {}, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ch.SetOnline(7, false); err != nil {
+		t.Fatal(err)
+	}
+	check := func(wantRebuilds uint64) {
+		now := s.Now()
+		for q := 0; q < 50; q++ {
+			// Centres on and well off the field; radii from a cell to the field.
+			center := geo.Point{X: r.Range(-side/2, 1.5*side), Y: r.Range(-side/2, 1.5*side)}
+			radius := r.Range(10, side)
+			in := make(map[int32]bool)
+			for _, j := range ch.AppendSnapshotCandidates(nil, center, radius) {
+				if in[j] {
+					t.Fatalf("t=%v: node %d listed twice", now, j)
+				}
+				in[j] = true
+			}
+			for j := 0; j < n; j++ {
+				if ch.PositionAt(j, now).Dist(center) <= radius && !in[int32(j)] {
+					t.Fatalf("t=%v: node %d is within %.0f m of %v but not a candidate", now, j, radius, center)
+				}
+			}
+		}
+		if got := ch.ShardStats().Rebuilds; got != wantRebuilds {
+			t.Fatalf("t=%v: %d rebuilds, want %d", now, got, wantRebuilds)
+		}
+	}
+	if got := len(ch.AppendSnapshotCandidates(nil, geo.Point{}, 1)); got != n {
+		t.Fatalf("%d candidates before any snapshot, want all %d", got, n)
+	}
+	check(0)
+	s.Schedule(1, ch.RefreshGrid)
+	for _, at := range []float64{1, 1.5, 2, 30, 200} { // fresh, in period, overdue, far overdue
+		s.Schedule(at, func() { check(1) })
+	}
+	s.Run(300)
+}
+
 // newLinear returns a model moving from p with constant velocity v forever.
 func newLinear(p geo.Point, v geo.Vec) mobility.Model {
 	return linearModel{p: p, v: v}
