@@ -43,6 +43,14 @@ func TestRunDeterminismRoadRSU(t *testing.T) {
 			sc.ChurnOnMean = 300
 			sc.ChurnOffMean = 60
 		}},
+		// Whole rounds on one slot, so the pool (not the inline path) decides
+		// next to the sequential backhaul round.
+		{"road-rsu-wide", func(sc *experiment.Scenario) {
+			sc.Protocol = core.GossipOpt1
+			sc.NumRSU = 4
+			sc.RSURange = 200
+			wideRounds(sc)
+		}},
 	}
 	grids := []struct {
 		shards, workers int
@@ -60,10 +68,12 @@ func TestRunDeterminismRoadRSU(t *testing.T) {
 			if want.Result.Coverage <= 0 {
 				t.Fatal("road run measured no coverage; fingerprint cannot discriminate")
 			}
+			checkPoolUse(t, ref, want)
 			for _, g := range grids {
 				sc := ref
 				sc.Shards, sc.Workers = g.shards, g.workers
 				got := runFingerprint(t, sc)
+				checkPoolUse(t, sc, got)
 				if !reflect.DeepEqual(want.Stats, got.Stats) {
 					t.Errorf("channel stats diverged between shards=1/workers=1 and shards=%d/workers=%d:\n  ref: %+v\n  got: %+v",
 						g.shards, g.workers, want.Stats, got.Stats)

@@ -51,6 +51,16 @@ func TestRunDeterminismAcrossShards(t *testing.T) {
 		{"async-k1-churn-impaired", func(sc *experiment.Scenario) { asyncImpaired(sc, 1) }},
 		{"async-k2-churn-impaired", func(sc *experiment.Scenario) { asyncImpaired(sc, 2) }},
 		{"async-k3-churn-impaired", func(sc *experiment.Scenario) { asyncImpaired(sc, 3) }},
+		// Whole rounds on one slot: the only cases here whose batches are wide
+		// enough to be shard-routed onto the pool instead of decided inline.
+		{"wide-optimized-gossiping", func(sc *experiment.Scenario) { sc.Protocol = core.GossipOpt; wideRounds(sc) }},
+		{"wide-gossiping-tile-crossings", func(sc *experiment.Scenario) {
+			sc.Protocol = core.Gossip
+			sc.Mobility = experiment.Manhattan
+			sc.SpeedMean = 25
+			sc.SpeedDelta = 5
+			wideRounds(sc)
+		}},
 	}
 	grids := []struct {
 		shards, workers int
@@ -64,10 +74,12 @@ func TestRunDeterminismAcrossShards(t *testing.T) {
 			tc.mut(&ref)
 			ref.Shards, ref.Workers = 1, 1
 			want := runFingerprint(t, ref)
+			checkPoolUse(t, ref, want)
 			for _, g := range grids {
 				sc := ref
 				sc.Shards, sc.Workers = g.shards, g.workers
 				got := runFingerprint(t, sc)
+				checkPoolUse(t, sc, got)
 				if !reflect.DeepEqual(want.Stats, got.Stats) {
 					t.Errorf("channel stats diverged between shards=1/workers=1 and shards=%d/workers=%d:\n  ref: %+v\n  got: %+v",
 						g.shards, g.workers, want.Stats, got.Stats)

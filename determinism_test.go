@@ -17,6 +17,39 @@ import (
 type fingerprint struct {
 	Result experiment.Result
 	Stats  radio.Stats
+	// PoolBatches counts the split-event batches the run decided on the
+	// worker pool (sim_batches_total − sim_batches_inline_total). It is not
+	// part of the determinism contract — the gates compare Result and Stats —
+	// but a workers/shards gate whose parallel leg reads 0 here compared the
+	// inline path with itself.
+	PoolBatches uint64
+}
+
+// wideRounds puts every peer's round (or entry timer) on one slot per round,
+// so batches are wide enough to leave the executor's inline path; at the
+// default 64 slots a batch of the default scenario holds about five events
+// and never reaches the pool. 300 peers suffice for the round-based variants
+// (one batch is every peer's round); under Optimization Mechanism 2
+// postponement spreads the entry timers over several rounds, so those cases
+// also raise the population until some slots are wide enough.
+func wideRounds(sc *experiment.Scenario) {
+	sc.RoundSlots = 1
+	if sc.Protocol == core.GossipOpt2 || sc.Protocol == core.GossipOpt {
+		sc.NumPeers = 2000
+	}
+}
+
+// checkPoolUse asserts which path decided: a sequential reference run never
+// uses the pool; the parallel leg of a wide-rounds case must.
+func checkPoolUse(t *testing.T, sc experiment.Scenario, fp fingerprint) {
+	t.Helper()
+	switch {
+	case sc.Workers == 1 && fp.PoolBatches != 0:
+		t.Errorf("workers=1 decided %d batches on the pool", fp.PoolBatches)
+	case sc.Workers > 1 && sc.RoundSlots == 1 && fp.PoolBatches == 0:
+		t.Errorf("workers=%d shards=%d: no batch reached the pool; the gate compared inline with inline",
+			sc.Workers, sc.Shards)
+	}
 }
 
 func runFingerprint(t *testing.T, sc experiment.Scenario) fingerprint {
@@ -50,8 +83,14 @@ func runFingerprint(t *testing.T, sc experiment.Scenario) fingerprint {
 			Evictions:    sm.Metrics.Evictions(),
 			Coverage:     rep.RoadCoverage,
 		},
-		Stats: sm.Net.Channel().Stats(),
+		Stats:       sm.Net.Channel().Stats(),
+		PoolBatches: poolBatches(sm),
 	}
+}
+
+func poolBatches(sm *experiment.Sim) uint64 {
+	c := sm.Registry.Snapshot().Counters
+	return c["sim_batches_total"] - c["sim_batches_inline_total"]
 }
 
 // TestRunDeterminism is the regression gate for the allocation-free hot
@@ -150,6 +189,19 @@ func TestRunDeterminismAcrossWorkers(t *testing.T) {
 		{"async-k1-churn-impaired", func(sc *experiment.Scenario) { asyncImpaired(sc, 1) }},
 		{"async-k2-churn-impaired", func(sc *experiment.Scenario) { asyncImpaired(sc, 2) }},
 		{"async-k3-churn-impaired", func(sc *experiment.Scenario) { asyncImpaired(sc, 3) }},
+		// The cases above decide every batch inline (≈ 5 events each). These
+		// put whole rounds on one slot so the pool itself is compared with the
+		// sequential path: a round-based variant, the per-entry timers, and the
+		// async family's scans.
+		{"wide-gossiping", func(sc *experiment.Scenario) { sc.Protocol = core.Gossip; wideRounds(sc) }},
+		{"wide-optimized-gossiping-impaired", func(sc *experiment.Scenario) {
+			sc.Protocol = core.GossipOpt
+			sc.Collisions = true
+			sc.LossRate = 0.1
+			sc.FadeZone = 20
+			wideRounds(sc)
+		}},
+		{"wide-async-k2-churn-impaired", func(sc *experiment.Scenario) { asyncImpaired(sc, 2); wideRounds(sc) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -160,6 +212,8 @@ func TestRunDeterminismAcrossWorkers(t *testing.T) {
 			par.Workers = many
 			a := runFingerprint(t, seq)
 			b := runFingerprint(t, par)
+			checkPoolUse(t, seq, a)
+			checkPoolUse(t, par, b)
 			if !reflect.DeepEqual(a.Stats, b.Stats) {
 				t.Errorf("channel stats diverged between workers=1 and workers=%d:\n  seq: %+v\n  par: %+v", many, a.Stats, b.Stats)
 			}

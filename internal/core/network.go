@@ -151,6 +151,9 @@ type Network struct {
 	// scratch holds one radio query context per decision-phase worker,
 	// grown lazily in batchPrepare.
 	scratch []*radio.QueryScratch
+	// rtMemo remembers Formula-2 radii for the overflow refresh (see
+	// radiusNow); nil until the first overflow.
+	rtMemo *radiusMemo
 
 	started bool
 }
@@ -388,28 +391,13 @@ func (n *Network) IssueAd(issuer int, spec AdSpec) (*ads.Advertisement, error) {
 		p.broadcastAd(e)
 		return ad, nil
 	}
-	if n.cfg.Protocol.isAsync() {
-		// Pairwise family: the ad enters the issuer's cache and spreads only
-		// through established exchanges — there is no broadcast primitive.
-		own := ad.Clone()
-		p.applyPopularity(own)
-		_, overflow := p.cache.Insert(own, p.forwardProb(own))
-		if overflow {
-			p.evictOne()
-		}
-		return ad, nil
+	// Self-deliver, and under the gossip variants spread once. The pairwise
+	// family has no broadcast primitive: its ads travel only over established
+	// exchanges.
+	e := p.admit(ad.Clone(), false)
+	if !n.cfg.Protocol.isAsync() {
+		p.broadcastAd(e)
 	}
-	// Gossip variants: self-deliver and spread once.
-	own := ad.Clone()
-	p.applyPopularity(own)
-	e, overflow := p.cache.Insert(own, p.forwardProb(own))
-	if n.cfg.Protocol.usesOpt2() {
-		p.armEntryTimer(e)
-	}
-	if overflow {
-		p.evictOne()
-	}
-	p.broadcastAd(e)
 	return ad, nil
 }
 
@@ -518,23 +506,63 @@ func (p *Peer) forwardProb(ad *ads.Advertisement) float64 {
 // forwardProbAt is forwardProb at an explicit position and time — pure, so
 // decision phases can call it with a scratch-queried position.
 func (p *Peer) forwardProbAt(ad *ads.Advertisement, pos geo.Point, now float64) float64 {
+	return p.forwardProbRt(ad, pos, RadiusAt(p.net.cfg.Params, ad.R, ad.D, ad.Age(now)))
+}
+
+// forwardProbRt is the peer-dependent half of forwardProbAt: the protocol's
+// probability at pos given the ad's current advertising radius rt.
+func (p *Peer) forwardProbRt(ad *ads.Advertisement, pos geo.Point, rt float64) float64 {
 	n := p.net
 	d := pos.Dist(ad.Origin)
-	age := ad.Age(now)
 	if p.isRSU {
 		// Infrastructure has no battery to save: a roadside unit inside the
 		// ad's current radius always relays, outside it never does. rng.Bool
 		// short-circuits 0 and 1 without consuming a draw, so RSU streams stay
 		// aligned with their mobile-peer counterparts.
-		if d <= RadiusAt(n.cfg.Params, ad.R, ad.D, age) {
+		if d <= rt {
 			return 1
 		}
 		return 0
 	}
 	if n.cfg.Protocol.usesOpt1() {
-		return ForwardProbOpt1(n.cfg.Params, d, ad.R, ad.D, age, n.cfg.DIS)
+		return forwardProbOpt1Rt(n.cfg.Params, d, ad.R, rt, n.cfg.DIS)
 	}
-	return ForwardProb(n.cfg.Params, d, ad.R, ad.D, age)
+	return forwardProbRt(n.cfg.Params, d, ad.R, rt)
+}
+
+// radiusMemo is a direct-mapped table of Formula-2 results, hashed on the ad
+// copy's (IssuedAt, R, D). R_t does not depend on the peer, and one frame
+// overflows many receivers' caches — holding copies of the same live ads — at
+// one instant.
+type radiusMemo [1 << radiusMemoBits]radiusEntry
+
+type radiusEntry struct{ issuedAt, r, d, now, rt float64 }
+
+const radiusMemoBits = 10
+
+func (m *radiusMemo) slot(ad *ads.Advertisement) *radiusEntry {
+	h := math.Float64bits(ad.IssuedAt) ^
+		math.Float64bits(ad.R)*0x9e3779b97f4a7c15 ^
+		math.Float64bits(ad.D)*0xbf58476d1ce4e5b9
+	return &m[h*0x94d049bb133111eb>>(64-radiusMemoBits)]
+}
+
+// radiusNow returns RadiusAt(Params, ad.R, ad.D, ad.Age(now)), memoised: a
+// hit needs exactly equal inputs and returns the float RadiusAt computed for
+// them, so the bits never differ. The table is unsynchronised — sequential
+// path only (delivery events, IssueAd, the RSU backhaul), never a decide —
+// and allocated on first use, so a run that never overflows a cache (every
+// Fig. 7 point) does not carry it.
+func (n *Network) radiusNow(ad *ads.Advertisement, now float64) float64 {
+	if n.rtMemo == nil {
+		n.rtMemo = new(radiusMemo)
+	}
+	m := n.rtMemo.slot(ad)
+	if m.issuedAt != ad.IssuedAt || m.r != ad.R || m.d != ad.D || m.now != now {
+		m.issuedAt, m.r, m.d, m.now = ad.IssuedAt, ad.R, ad.D, now
+		m.rt = RadiusAt(n.cfg.Params, ad.R, ad.D, ad.Age(now))
+	}
+	return m.rt
 }
 
 // broadcastAd transmits the entry's ad to all neighbors. The frame shares
@@ -593,7 +621,8 @@ func (p *Peer) handleGossip(f gossipFrame, from int) {
 	if ad.Expired(now) {
 		return // stale in-flight copy
 	}
-	p.markReceived(ad)
+	// A cached ad was marked received when admitted: a duplicate, the common
+	// case, needs the cache probe only.
 	if e := p.cache.Get(ad.ID); e != nil {
 		n.obs.OnDuplicate(p.id, ad.ID, now)
 		p.mergeDuplicate(e, ad)
@@ -602,34 +631,50 @@ func (p *Peer) handleGossip(f gossipFrame, from int) {
 		}
 		return
 	}
+	p.markReceived(ad)
 	// Copy-on-write: adopt the frame's immutable snapshot directly; clone
 	// only when this peer is about to mutate it (a popularity update now —
 	// later merges and enlargements go through Entry.Own).
-	own, shared := ad, true
 	if p.popularityMutates(ad) {
-		own, shared = ad.Clone(), false
+		p.admit(ad.Clone(), false)
+	} else {
+		p.admit(ad, true)
 	}
+}
+
+// admit is the one way an ad the peer does not hold enters its cache —
+// Algorithm 1's insert branch for radio receptions, IssueAd and the RSU
+// backhaul alike, after the caller's markReceived: popularity update, insert,
+// overflow eviction and, under Optimization Mechanism 2, the entry's timer.
+// own must be private to this peer unless shared is set. The timer is armed
+// after the eviction because the newcomer is often its own victim; evictOne
+// takes no event sequence number and arming takes one either way, so every
+// surviving event keeps its (time, seq) order. The returned entry may already
+// have been evicted.
+func (p *Peer) admit(own *ads.Advertisement, shared bool) *ads.Entry {
 	p.applyPopularity(own)
 	e, overflow := p.cache.Insert(own, p.forwardProb(own))
 	e.Shared = shared
-	if n.cfg.Protocol.usesOpt2() {
+	if overflow && p.evictOne() == e {
+		return e
+	}
+	if p.net.cfg.Protocol.usesOpt2() {
 		p.armEntryTimer(e)
 	}
-	if overflow {
-		p.evictOne()
-	}
+	return e
 }
 
 // mergeDuplicate folds a duplicate message copy into the cached entry: FM
 // sketches are OR-merged and enlarged propagation parameters adopted, the
 // duplicate-insensitive semantics Section III.E requires (see DESIGN.md).
-// When the duplicate would change nothing — the common case without the
-// popularity mechanism — the shared snapshot is kept as-is.
+// When the duplicate would change nothing — no larger R or D and no sketch
+// bit the cached copy lacks, the common case with or without the popularity
+// mechanism — the shared snapshot is kept as-is.
 func (p *Peer) mergeDuplicate(e *ads.Entry, in *ads.Advertisement) {
 	if in == e.Ad {
 		return // the cached snapshot itself came back around
 	}
-	mergeSketch := e.Ad.Sketch != nil && in.Sketch != nil
+	mergeSketch := e.Ad.Sketch != nil && in.Sketch != nil && !e.Ad.Sketch.Covers(in.Sketch)
 	if !mergeSketch && in.R <= e.Ad.R && in.D <= e.Ad.D {
 		return
 	}
@@ -647,12 +692,14 @@ func (p *Peer) mergeDuplicate(e *ads.Entry, in *ads.Advertisement) {
 	}
 }
 
-// evictOne applies the configured overflow policy. Under the paper's rule
-// every entry's probability is refreshed at the current position first
-// (Algorithm 1's overflow path).
-func (p *Peer) evictOne() {
+// evictOne applies the configured overflow policy and returns the evicted
+// entry (nil from an empty cache). Under the paper's rule every entry's
+// probability is refreshed at the current position first (Algorithm 1's
+// overflow path).
+func (p *Peer) evictOne() *ads.Entry {
+	n := p.net
 	var victim *ads.Entry
-	switch p.net.cfg.Eviction {
+	switch n.cfg.Eviction {
 	case EvictOldestFirst:
 		victim = p.cache.EvictOldest()
 	case EvictRandomEntry:
@@ -661,16 +708,18 @@ func (p *Peer) evictOne() {
 			victim = p.cache.Remove(entries[p.rnd.Intn(len(entries))].Ad.ID)
 		}
 	default: // EvictLowestProb
-		for _, e := range p.cache.Entries() {
-			e.Prob = p.forwardProb(e.Ad)
-		}
+		pos, now := p.Position(), n.sim.Now()
+		p.cache.ForEach(func(e *ads.Entry) {
+			e.Prob = p.forwardProbRt(e.Ad, pos, n.radiusNow(e.Ad, now))
+		})
 		victim = p.cache.EvictLowest()
 	}
 	if victim == nil {
-		return
+		return nil
 	}
 	p.cancelEntryTimer(victim)
-	p.net.obs.OnEvict(p.id, victim.Ad.ID, p.net.sim.Now())
+	n.obs.OnEvict(p.id, victim.Ad.ID, n.sim.Now())
+	return victim
 }
 
 // actKind is the outcome a decision phase recorded for one cache entry.

@@ -97,7 +97,13 @@ func RadiusAt(p ProbParams, r, d, age float64) float64 {
 // agree there), and decays geometrically outside — a dense distribution
 // inside the advertising area and a sparse one outside, as required.
 func ForwardProb(p ProbParams, dist, r, d, age float64) float64 {
-	rt := RadiusAt(p, r, d, age)
+	return forwardProbRt(p, dist, r, RadiusAt(p, r, d, age))
+}
+
+// forwardProbRt is Formula 1 given the Formula-2 radius rt = RadiusAt(p, r,
+// d, age). The radius depends on the ad and the instant but not on the peer,
+// so a caller refreshing many peers' entries at one instant computes it once.
+func forwardProbRt(p ProbParams, dist, r, rt float64) float64 {
 	if rt <= 0 {
 		return 0
 	}
@@ -124,12 +130,17 @@ func ForwardProb(p ProbParams, dist, r, d, age float64) float64 {
 // model degenerates to pure gossiping (Formula 1), matching the paper's
 // remark that the model "restores to pure gossiping" as DIS grows toward R.
 func ForwardProbOpt1(p ProbParams, dist, r, d, age, dis float64) float64 {
-	rt := RadiusAt(p, r, d, age)
+	return forwardProbOpt1Rt(p, dist, r, RadiusAt(p, r, d, age), dis)
+}
+
+// forwardProbOpt1Rt is Formula 3 given the Formula-2 radius rt (see
+// forwardProbRt).
+func forwardProbOpt1Rt(p ProbParams, dist, r, rt, dis float64) float64 {
 	if rt <= 0 {
 		return 0
 	}
 	if dis >= rt {
-		return ForwardProb(p, dist, r, d, age)
+		return forwardProbRt(p, dist, r, rt)
 	}
 	u := p.distUnit(r)
 	du := dist / u

@@ -125,15 +125,8 @@ func (n *Network) rsuBackhaul() {
 				continue
 			}
 			own := ad.Clone()
-			p.applyPopularity(own)
 			p.markReceived(own)
-			e, overflow := p.cache.Insert(own, p.forwardProb(own))
-			if n.cfg.Protocol.usesOpt2() {
-				p.armEntryTimer(e)
-			}
-			if overflow {
-				p.evictOne()
-			}
+			p.admit(own, false)
 			r.syncs++
 			if r.obsSyncs != nil {
 				r.obsSyncs.Inc()

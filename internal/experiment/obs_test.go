@@ -42,6 +42,11 @@ func TestRegistryPopulatedByRun(t *testing.T) {
 			t.Errorf("%s = 0, want > 0", name)
 		}
 	}
+	// Forty peers over 64 slots: no batch is wide enough for the pool, and
+	// the executor says so itself.
+	if in, all := snap.Counters["sim_batches_inline_total"], snap.Counters["sim_batches_total"]; in != all {
+		t.Errorf("sim_batches_inline_total = %d of %d batches, want all of them", in, all)
+	}
 	if got := snap.Gauges["sim_workers"]; got != 2 {
 		t.Errorf("sim_workers = %v, want 2", got)
 	}

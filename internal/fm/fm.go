@@ -163,6 +163,21 @@ func (s *Sketch) Merge(other *Sketch) error {
 	return nil
 }
 
+// Covers reports whether merging other into s would leave s unchanged: same
+// shape and seed, and every bit of other already set in s. It is false for a
+// nil or incompatible sketch (which Merge rejects).
+func (s *Sketch) Covers(other *Sketch) bool {
+	if other == nil || s.f != other.f || s.l != other.l || s.seed != other.seed {
+		return false
+	}
+	for i, w := range other.bm {
+		if w&^s.bm[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Clone returns an independent copy of s.
 func (s *Sketch) Clone() *Sketch {
 	c := New(s.f, s.l, s.seed)

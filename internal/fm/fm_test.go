@@ -119,6 +119,61 @@ func TestMergeIncompatible(t *testing.T) {
 	}
 }
 
+// TestCoversIffMergeChangesNothingProperty pins Covers to its meaning:
+// a.Covers(b) exactly when OR-ing b into a copy of a sets no new bit. Random
+// element sets make both outcomes common: ys drawn from xs is covered, an
+// unrelated ys almost never is.
+func TestCoversIffMergeChangesNothingProperty(t *testing.T) {
+	covered, uncovered := 0, 0
+	f := func(xs, ys []uint64, subset bool) bool {
+		a, b := New(4, 32, 5), New(4, 32, 5)
+		for _, x := range xs {
+			a.Add(x)
+		}
+		for i, y := range ys {
+			if subset && len(xs) > 0 {
+				y = xs[i%len(xs)]
+			}
+			b.Add(y)
+		}
+		merged := a.Clone()
+		if err := merged.Merge(b); err != nil {
+			return false
+		}
+		unchanged := merged.Equal(a)
+		if unchanged {
+			covered++
+		} else {
+			uncovered++
+		}
+		return a.Covers(b) == unchanged && a.Covers(a) && merged.Covers(a) && merged.Covers(b)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+	if covered == 0 || uncovered == 0 {
+		t.Errorf("one-sided sample: %d covered, %d not", covered, uncovered)
+	}
+}
+
+// TestCoversIncompatible: a sketch Merge would reject is never covered, even
+// when it is empty.
+func TestCoversIncompatible(t *testing.T) {
+	a := New(4, 32, 5)
+	a.Add(1)
+	for name, other := range map[string]*Sketch{
+		"different F": New(8, 32, 5), "different L": New(4, 16, 5),
+		"different seed": New(4, 32, 6), "nil": nil,
+	} {
+		if a.Covers(other) {
+			t.Errorf("Covers(%s) = true", name)
+		}
+	}
+	if !a.Covers(New(4, 32, 5)) {
+		t.Error("an empty compatible sketch is not covered")
+	}
+}
+
 func TestMergeCommutativeProperty(t *testing.T) {
 	f := func(xs, ys []uint64) bool {
 		a1 := New(4, 32, 5)

@@ -52,39 +52,55 @@ func TestRunStopFreezesClockInfinite(t *testing.T) {
 
 // TestScheduleSplitPhases checks the batch contract on a single instant:
 // the prepare hook runs once before any decide, every decide runs before
-// any commit, and commits run in scheduling order.
+// any commit, and commits run in scheduling order — for a batch small enough
+// to be decided inline and for one that reaches the worker pool.
 func TestScheduleSplitPhases(t *testing.T) {
-	s := New()
-	s.SetWorkers(4)
-	var log []string
-	s.SetBatchPrepare(func() { log = append(log, "prep") })
-	decided := make([]bool, 3)
-	for i := 0; i < 3; i++ {
-		i := i
-		s.ScheduleSplit(1, i, func(worker int) {
-			if worker < 0 || worker >= 4 {
-				t.Errorf("worker index %d out of range", worker)
-			}
-			decided[i] = true
-		}, func() {
-			if !decided[0] || !decided[1] || !decided[2] {
-				t.Error("commit ran before all decides completed")
-			}
-			log = append(log, string(rune('a'+i)))
-		})
-	}
-	s.RunAll()
-	want := []string{"prep", "a", "b", "c"}
-	if len(log) != len(want) {
-		t.Fatalf("log %v, want %v", log, want)
-	}
-	for i := range want {
-		if log[i] != want[i] {
-			t.Fatalf("log %v, want %v", log, want)
+	for _, n := range []int{3, poolBatchMin + 3} {
+		s := New()
+		s.SetWorkers(4)
+		preps := 0
+		s.SetBatchPrepare(func() { preps++ })
+		decided := make([]bool, n)
+		workersSeen := make([]int, n)
+		var log []int
+		for i := 0; i < n; i++ {
+			i := i
+			s.ScheduleSplit(1, i, func(worker int) {
+				if worker < 0 || worker >= 4 {
+					t.Errorf("worker index %d out of range", worker)
+				}
+				if preps != 1 {
+					t.Errorf("decide %d ran after %d prepares, want 1", i, preps)
+				}
+				decided[i], workersSeen[i] = true, worker
+			}, func() {
+				for j, ok := range decided {
+					if !ok {
+						t.Fatalf("n=%d: commit %d ran before decide %d", n, i, j)
+					}
+				}
+				log = append(log, i)
+			})
 		}
-	}
-	if s.Dispatched() != 3 {
-		t.Fatalf("dispatched = %d, want 3", s.Dispatched())
+		s.RunAll()
+		if len(log) != n {
+			t.Fatalf("n=%d: %d commits", n, len(log))
+		}
+		for i, got := range log {
+			if got != i {
+				t.Fatalf("n=%d: commit order diverges at %d: %d", n, i, got)
+			}
+		}
+		if s.Dispatched() != uint64(n) {
+			t.Fatalf("dispatched = %d, want %d", s.Dispatched(), n)
+		}
+		pooled := false
+		for _, w := range workersSeen {
+			pooled = pooled || w != 0
+		}
+		if want := n >= poolBatchMin; pooled != want {
+			t.Fatalf("n=%d: decided on the pool = %v, want %v", n, pooled, want)
+		}
 	}
 }
 
@@ -92,7 +108,7 @@ func TestScheduleSplitPhases(t *testing.T) {
 // decided in seq order — the guarantee that lets same-shard decides share
 // mutable state (e.g. one peer's RNG stream).
 func TestScheduleSplitShardAffinity(t *testing.T) {
-	const shards, perShard = 8, 20
+	const shards, perShard = 8, poolBatchMin/8 + 1 // one batch, wide enough for the pool
 	s := New()
 	s.SetWorkers(3)
 	order := make([][]int, shards)
@@ -127,6 +143,9 @@ func splitMix(s *Simulator, seed int64, t *testing.T) *[]int {
 	for round := 0; round < 40; round++ {
 		at := float64(rnd.Intn(20)) // coarse instants force multi-event batches
 		n := 1 + rnd.Intn(6)
+		if round%8 == 0 {
+			n += poolBatchMin // wide enough to leave the inline path
+		}
 		for i := 0; i < n; i++ {
 			tag++
 			id := tag
@@ -243,8 +262,9 @@ func TestShardMapPreservesSeqOrderWithinShard(t *testing.T) {
 	s := New()
 	s.SetWorkers(3)
 	s.SetShardMap(2, func(key int) int { return key / 4 })
+	const reps = poolBatchMin/8 + 1 // one batch, wide enough for the pool
 	var order [2][]int
-	for rep := 0; rep < 30; rep++ {
+	for rep := 0; rep < reps; rep++ {
 		for key := 0; key < 8; key++ {
 			sh, tag := key/4, rep*8+key
 			s.ScheduleSplit(1, key, func(int) {
@@ -254,8 +274,8 @@ func TestShardMapPreservesSeqOrderWithinShard(t *testing.T) {
 	}
 	s.RunAll()
 	for sh := range order {
-		if len(order[sh]) != 30*4 {
-			t.Fatalf("shard %d decided %d events, want %d", sh, len(order[sh]), 30*4)
+		if len(order[sh]) != reps*4 {
+			t.Fatalf("shard %d decided %d events, want %d", sh, len(order[sh]), reps*4)
 		}
 		for i := 1; i < len(order[sh]); i++ {
 			if order[sh][i] <= order[sh][i-1] {
@@ -276,8 +296,9 @@ func TestShardMapRemapsBetweenBatches(t *testing.T) {
 	var mu sync.Mutex
 	worker := map[[2]int]int{} // (batch, key) -> deciding worker
 	schedule := func(batch int, at float64) {
-		for key := 0; key < 2; key++ {
-			k := key
+		// Routing only exists on the pool: make each batch wide enough.
+		for i := 0; i < poolBatchMin; i++ {
+			k := i % 2
 			s.ScheduleSplit(at, k, func(w int) {
 				mu.Lock()
 				worker[[2]int{batch, k}] = w
@@ -306,8 +327,8 @@ func TestShardMapNilRestoresIdentity(t *testing.T) {
 	s.SetShardMap(0, nil)
 	var mu sync.Mutex
 	workers := map[int]int{}
-	for key := 0; key < 4; key++ {
-		k := key
+	for i := 0; i < poolBatchMin; i++ { // wide enough for the pool, where routing exists
+		k := i % 4
 		s.ScheduleSplit(1, k, func(w int) {
 			mu.Lock()
 			workers[k] = w

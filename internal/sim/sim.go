@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sync"
@@ -23,7 +22,7 @@ import (
 type Event struct {
 	time   float64
 	seq    uint64
-	index  int // heap index, -1 when not queued
+	index  int // queue slot, -1 when not queued
 	fn     func()
 	decide func(worker int) // decision half of a split event; nil for plain events
 	shard  int32            // worker-affinity key of a split event
@@ -40,32 +39,87 @@ func (e *Event) Cancelled() bool { return e.canned }
 // Pending reports whether the event is still in the queue awaiting dispatch.
 func (e *Event) Pending() bool { return e.index >= 0 && !e.canned }
 
-type eventHeap []*Event
+// heapArity is the event queue's branching factor. Four children per node
+// halve a binary heap's depth, and the extra comparisons of a sift-down read
+// adjacent slots.
+const heapArity = 4
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// eventQueue is a heapArity-ary min-heap on (time, seq) that keeps every
+// queued event's index equal to its slot. seq is unique, so (time, seq) is a
+// total order and the pop sequence does not depend on the heap's shape.
+type eventQueue []*Event
+
+func (e *Event) before(o *Event) bool {
+	if e.time != o.time {
+		return e.time < o.time
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// up sifts slot i toward the root until its parent is not after it.
+func (q eventQueue) up(i int) {
+	e := q[i]
+	for i > 0 {
+		parent := (i - 1) / heapArity
+		if !e.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		q[i].index = i
+		i = parent
+	}
+	q[i] = e
+	e.index = i
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
+
+// down sifts slot i toward the leaves until no child is before it.
+func (q eventQueue) down(i int) {
+	e := q[i]
+	for {
+		first := i*heapArity + 1
+		if first >= len(q) {
+			break
+		}
+		best := first
+		for c := first + 1; c < first+heapArity && c < len(q); c++ {
+			if q[c].before(q[best]) {
+				best = c
+			}
+		}
+		if !q[best].before(e) {
+			break
+		}
+		q[i] = q[best]
+		q[i].index = i
+		i = best
+	}
+	q[i] = e
+	e.index = i
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
+
+func (q *eventQueue) push(e *Event) {
+	*q = append(*q, e)
+	q.up(len(*q) - 1)
+}
+
+// remove takes the event in slot i out of the queue and returns it.
+func (q *eventQueue) remove(i int) *Event {
+	h := *q
+	e := h[i]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	h = h[:n]
+	*q = h
+	if i < n {
+		h[i] = last
+		if i > 0 && last.before(h[(i-1)/heapArity]) {
+			h.up(i)
+		} else {
+			h.down(i)
+		}
+	}
 	e.index = -1
-	*h = old[:n-1]
 	return e
 }
 
@@ -73,7 +127,7 @@ func (h *eventHeap) Pop() any {
 type Simulator struct {
 	now        float64
 	seq        uint64
-	queue      eventHeap
+	queue      eventQueue
 	dispatched uint64
 	stopped    bool
 	free       []*Event // recycled pooled events (see SchedulePooled)
@@ -104,6 +158,7 @@ type Simulator struct {
 type simInstruments struct {
 	events      *obs.Counter
 	batches     *obs.Counter
+	inline      *obs.Counter
 	batchSize   *obs.Histogram
 	prepareTime *obs.Histogram
 	decideTime  *obs.Histogram
@@ -137,6 +192,8 @@ func (s *Simulator) SetRegistry(reg *obs.Registry) {
 			"events executed by the simulator"),
 		batches: reg.Counter("sim_batches_total",
 			"split-event batches dispatched"),
+		inline: reg.Counter("sim_batches_inline_total",
+			"split-event batches decided on the dispatching goroutine: one worker, or too few events to be worth waking the pool"),
 		batchSize: reg.Histogram("sim_batch_size",
 			"split events per same-instant batch",
 			obs.ExpBuckets(1, 2, 14)),
@@ -180,16 +237,31 @@ func (s *Simulator) Pending() int { return len(s.queue) }
 // clamping would mask causality violations. Scheduling exactly at Now is
 // allowed and fires after the current event completes.
 func (s *Simulator) Schedule(at float64, fn func()) *Event {
+	s.checkTime("schedule", at)
+	e := &Event{time: at, fn: fn, index: -1}
+	s.enqueue(e)
+	return e
+}
+
+// checkTime panics unless at is a finite instant not before Now. Every entry
+// point that puts a key into the queue goes through it: a NaN compares false
+// against everything and would silently break heap order for all later
+// events.
+func (s *Simulator) checkTime(op string, at float64) {
 	if at < s.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, s.now))
+		panic(fmt.Sprintf("sim: %s at %v before now %v", op, at, s.now))
 	}
 	if math.IsNaN(at) || math.IsInf(at, 0) {
-		panic(fmt.Sprintf("sim: schedule at invalid time %v", at))
+		panic(fmt.Sprintf("sim: %s at invalid time %v", op, at))
 	}
-	e := &Event{time: at, seq: s.seq, fn: fn, index: -1}
+}
+
+// enqueue queues e at e.time behind everything already scheduled for that
+// instant (a fresh sequence number).
+func (s *Simulator) enqueue(e *Event) {
+	e.seq = s.seq
 	s.seq++
-	heap.Push(&s.queue, e)
-	return e
+	s.queue.push(e)
 }
 
 // After enqueues fn to run delay seconds from now. Negative delays panic.
@@ -204,12 +276,7 @@ func (s *Simulator) After(delay float64, fn func()) *Event {
 // any reference to it. Timing and FIFO tie-breaking are identical to
 // Schedule.
 func (s *Simulator) SchedulePooled(at float64, fn func()) {
-	if at < s.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, s.now))
-	}
-	if math.IsNaN(at) || math.IsInf(at, 0) {
-		panic(fmt.Sprintf("sim: schedule at invalid time %v", at))
-	}
+	s.checkTime("schedule", at)
 	var e *Event
 	if n := len(s.free); n > 0 {
 		e = s.free[n-1]
@@ -219,9 +286,7 @@ func (s *Simulator) SchedulePooled(at float64, fn func()) {
 	} else {
 		e = &Event{time: at, fn: fn, pooled: true}
 	}
-	e.seq = s.seq
-	s.seq++
-	heap.Push(&s.queue, e)
+	s.enqueue(e)
 }
 
 // ScheduleSplit enqueues a two-phase event at absolute time at. All split
@@ -243,21 +308,15 @@ func (s *Simulator) SchedulePooled(at float64, fn func()) {
 // tie-breaking, Cancel and Reschedule behave exactly as for Schedule; a
 // rescheduled split event keeps its decide/shard. shard must be ≥ 0.
 func (s *Simulator) ScheduleSplit(at float64, shard int, decide func(worker int), commit func()) *Event {
-	if at < s.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, s.now))
-	}
-	if math.IsNaN(at) || math.IsInf(at, 0) {
-		panic(fmt.Sprintf("sim: schedule at invalid time %v", at))
-	}
+	s.checkTime("schedule", at)
 	if shard < 0 {
 		panic(fmt.Sprintf("sim: split event with negative shard %d", shard))
 	}
 	if decide == nil || commit == nil {
 		panic("sim: split event with nil phase")
 	}
-	e := &Event{time: at, seq: s.seq, fn: commit, decide: decide, shard: int32(shard), index: -1}
-	s.seq++
-	heap.Push(&s.queue, e)
+	e := &Event{time: at, fn: commit, decide: decide, shard: int32(shard), index: -1}
+	s.enqueue(e)
 	return e
 }
 
@@ -364,25 +423,31 @@ func (s *Simulator) Cancel(e *Event) {
 	}
 	e.canned = true
 	if e.index >= 0 {
-		heap.Remove(&s.queue, e.index)
+		s.queue.remove(e.index)
 	}
 }
 
 // Reschedule moves a pending event to a new absolute time, preserving FIFO
 // order among same-time events by assigning a fresh sequence number. If the
-// event already fired or was cancelled, Reschedule schedules it anew.
+// event already fired or was cancelled, Reschedule schedules it anew. A
+// pending event is re-keyed where it sits and sifted once: the fresh seq is
+// the largest issued, so the key grew unless the instant moved earlier.
 func (s *Simulator) Reschedule(e *Event, at float64) {
-	if at < s.now {
-		panic(fmt.Sprintf("sim: reschedule at %v before now %v", at, s.now))
-	}
-	if e.index >= 0 && !e.canned {
-		heap.Remove(&s.queue, e.index)
-	}
+	s.checkTime("reschedule", at)
 	e.canned = false
-	e.time = at
-	e.seq = s.seq
+	if e.index < 0 {
+		e.time = at
+		s.enqueue(e)
+		return
+	}
+	earlier := at < e.time
+	e.time, e.seq = at, s.seq
 	s.seq++
-	heap.Push(&s.queue, e)
+	if earlier {
+		s.queue.up(e.index)
+	} else {
+		s.queue.down(e.index)
+	}
 }
 
 // Stop makes the current Run invocation return after the event being
@@ -409,7 +474,7 @@ func (s *Simulator) Run(until float64) {
 			s.runBatch()
 			continue
 		}
-		heap.Pop(&s.queue)
+		s.queue.remove(0)
 		s.now = next.time
 		s.dispatched++
 		if s.ins != nil {
@@ -427,16 +492,26 @@ func (s *Simulator) Run(until float64) {
 	}
 }
 
+// poolBatchMin is the smallest split-event batch handed to the worker pool;
+// anything smaller is decided on the dispatching goroutine. Waking the pool
+// costs a bucketing pass, a channel send per worker and a WaitGroup wait —
+// tens of microseconds — against 1–2 µs per decide, so a small batch finishes
+// inline before the workers have woken. BenchmarkBatchDispatch measures both
+// sides by batch size; docs/PERFORMANCE.md records the crossover. Which
+// goroutine decides never changes a result (see ScheduleSplit).
+const poolBatchMin = 256
+
 // runBatch dispatches the maximal run of split events at the head of the
-// queue sharing one instant: prepare hook, parallel (or sequential) decision
-// phase, then commits in seq order. Plain events interleaved at the same
-// instant bound the batch on both sides, preserving global seq order.
+// queue sharing one instant: prepare hook, decision phase (inline, or on the
+// pool from poolBatchMin events up), then commits in seq order. Plain events
+// interleaved at the same instant bound the batch on both sides, preserving
+// global seq order.
 func (s *Simulator) runBatch() {
 	t := s.queue[0].time
 	s.now = t
 	s.batch = s.batch[:0]
 	for len(s.queue) > 0 && s.queue[0].decide != nil && s.queue[0].time == t {
-		s.batch = append(s.batch, heap.Pop(&s.queue).(*Event))
+		s.batch = append(s.batch, s.queue.remove(0))
 	}
 	ins := s.ins
 	var mark time.Time
@@ -454,20 +529,13 @@ func (s *Simulator) runBatch() {
 		ins.prepareTime.Observe(now.Sub(mark).Seconds())
 		mark = now
 	}
-	parallel := s.workers > 1 && len(s.batch) > 1
+	parallel := s.workers > 1 && len(s.batch) >= poolBatchMin
 	if parallel {
-		s.ensurePool()
-		s.bucketBatch()
-		s.poolWG.Add(len(s.pool))
-		for _, ch := range s.pool {
-			ch <- struct{}{}
-		}
-		s.poolWG.Wait()
+		s.decideOnPool()
 	} else {
-		for _, e := range s.batch {
-			if !e.canned {
-				e.decide(0)
-			}
+		s.decideInline()
+		if ins != nil {
+			ins.inline.Inc()
 		}
 	}
 	if ins != nil {
@@ -514,6 +582,28 @@ func (s *Simulator) runBatch() {
 		ins.commitTime.Observe(time.Since(mark).Seconds())
 		ins.events.Add(uint64(committed))
 	}
+}
+
+// decideInline runs the current batch's decides in seq order on the calling
+// goroutine, as worker 0.
+func (s *Simulator) decideInline() {
+	for _, e := range s.batch {
+		if !e.canned {
+			e.decide(0)
+		}
+	}
+}
+
+// decideOnPool fans the current batch's decides out to the worker pool and
+// waits for all of them.
+func (s *Simulator) decideOnPool() {
+	s.ensurePool()
+	s.bucketBatch()
+	s.poolWG.Add(len(s.pool))
+	for _, ch := range s.pool {
+		ch <- struct{}{}
+	}
+	s.poolWG.Wait()
 }
 
 // ensurePool brings the persistent decide-phase worker pool to the

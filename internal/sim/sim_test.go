@@ -261,17 +261,6 @@ func TestManyEventsStress(t *testing.T) {
 	}
 }
 
-func BenchmarkScheduleDispatch(b *testing.B) {
-	s := New()
-	for i := 0; i < b.N; i++ {
-		s.Schedule(s.Now()+float64(i%16), func() {})
-		if s.Pending() > 1024 {
-			s.Run(s.Now() + 16)
-		}
-	}
-	s.RunAll()
-}
-
 func TestRandomScheduleOrderingProperty(t *testing.T) {
 	// Random schedules (including same-time clusters and nested scheduling)
 	// always dispatch in (time, insertion) order.
