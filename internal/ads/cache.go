@@ -33,6 +33,10 @@ type Entry struct {
 	pos int
 }
 
+// Cached reports whether the entry is still in the cache that created it.
+// A removed entry stays removed: re-inserting its ad makes a new Entry.
+func (e *Entry) Cached() bool { return e.pos >= 0 }
+
 // Own returns the entry's ad for mutation, first replacing a shared
 // copy-on-write snapshot with a private clone. Callers that only read the
 // ad should use e.Ad directly.

@@ -826,12 +826,11 @@ func (p *Peer) gossipCommit() {
 // rounded up to the slot grid (Optimized Gossiping-2 gives every cache
 // entry its own time handler; slotting makes coinciding timers batchable).
 func (p *Peer) armEntryTimer(e *ads.Entry) {
-	id := e.Ad.ID
 	n := p.net
 	e.Slot = n.slotAfter(n.sim.Now() + n.cfg.RoundTime)
 	e.ScheduledAt = float64(e.Slot) * n.slotW
 	e.Timer = n.sim.ScheduleSplit(e.ScheduledAt, p.id,
-		func(worker int) { p.entryDecide(id, worker) },
+		func(worker int) { p.entryDecide(e, worker) },
 		func() { p.entryCommit() })
 }
 
@@ -844,11 +843,12 @@ func (p *Peer) cancelEntryTimer(e *ads.Entry) {
 
 // entryDecide is Algorithm 4's decision phase for one entry timer. Several
 // timers of one peer may share a slot; shard affinity runs their decides in
-// seq order on one worker, so the FIFO lines up with the commit order.
-func (p *Peer) entryDecide(id ads.ID, worker int) {
-	e := p.cache.Get(id)
-	if e == nil {
-		p.pendActs = append(p.pendActs, entryAct{id: id, kind: actGone})
+// seq order on one worker, so the FIFO lines up with the commit order. The
+// timer belongs to the entry, not to the ad's ID: a copy of the ad admitted
+// again after this entry left the cache has a timer of its own.
+func (p *Peer) entryDecide(e *ads.Entry, worker int) {
+	if !e.Cached() {
+		p.pendActs = append(p.pendActs, entryAct{id: e.Ad.ID, kind: actGone})
 		return
 	}
 	p.decideEntry(e, p.net.scratch[worker], p.net.sim.Now())

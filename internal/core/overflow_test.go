@@ -295,6 +295,40 @@ func TestOpt2OneTimerPerCachedEntry(t *testing.T) {
 	if s.Pending() != 0 {
 		t.Fatalf("%d events left after every ad expired", s.Pending())
 	}
+
+	// Evict, then admit the same ID again: the timer belongs to the entry,
+	// so the evicted entry's decide must find itself gone rather than find
+	// the new entry under its old ID.
+	p := n.peers[0]
+	adAt := func(seq uint32, x, d float64) *ads.Advertisement {
+		return &ads.Advertisement{ID: ads.ID{Issuer: 7, Seq: seq}, Origin: geo.Point{X: x}, IssuedAt: s.Now(), R: 500, D: d}
+	}
+	// Under the annulus rule an ad centred on the peer ranks lowest.
+	low := adAt(0, 0, 100)
+	p.handleGossip(gossipFrame{ad: low}, 1)
+	old := p.cache.Get(low.ID)
+	for seq := uint32(1); seq <= 3; seq++ { // three short-lived ads out in the annulus push it out
+		p.handleGossip(gossipFrame{ad: adAt(seq, 450, 10)}, 1)
+	}
+	if old.Cached() || p.cache.Get(low.ID) != nil || old.Timer.(*sim.Event).Pending() {
+		t.Fatal("the lowest-ranked ad was not evicted with its timer")
+	}
+	s.Run(s.Now() + 15) // the others expire and leave room
+	p.handleGossip(gossipFrame{ad: low}, 1)
+	fresh := p.cache.Get(low.ID)
+	if fresh == nil || fresh == old || !fresh.Cached() {
+		t.Fatal("the evicted ad was not admitted again as a new entry")
+	}
+	checkOneTimerPerEntry(t, s, n)
+	was := *fresh
+	p.entryDecide(old, 0)
+	if act := p.commitAct(); act.kind != actGone || act.e != nil {
+		t.Fatalf("the evicted entry's timer decided %+v, want actGone", act)
+	}
+	if *fresh != was {
+		t.Fatalf("the evicted entry's timer changed the new entry: %+v, was %+v", *fresh, was)
+	}
+	checkOneTimerPerEntry(t, s, n)
 }
 
 // TestNewcomerEvictedGetsNoTimer: when the arriving ad is itself the lowest

@@ -8,8 +8,10 @@
 //
 // All models precompute a piecewise-linear trajectory up to a time horizon,
 // so Position and Velocity are exact analytic queries at any instant — there
-// is no tick quantization, and querying is O(log legs) (O(1) for the common
-// forward scan, see cursor note below).
+// is no tick quantization, and querying is O(log legs). A caller that asks
+// about the same node at many nearby instants can fetch the constant-velocity
+// Piece in force once (PieceSource) and evaluate that instead: it answers
+// bit for bit what Position and Velocity would.
 package mobility
 
 import (
@@ -26,7 +28,8 @@ import (
 // construction.
 type Model interface {
 	// Position returns the node position at time t. Times before 0 return the
-	// initial position; times beyond the horizon return the final position.
+	// initial position; times at or beyond the trajectory's end return the
+	// final position.
 	Position(t float64) geo.Point
 	// Velocity returns the instantaneous velocity at time t (zero while
 	// pausing, before 0, and beyond the horizon).
@@ -45,6 +48,34 @@ func (l leg) velocity() geo.Vec {
 		return geo.Vec{}
 	}
 	return l.to.Sub(l.from).Scale(1 / dt)
+}
+
+// Piece is one constant-velocity stretch of a model's motion: for every t
+// with T0 <= t < T1, At(t) and Vel are bit for bit what the model's Position
+// and Velocity return. Coordinates are therefore monotone in t across a
+// piece, rounding included: t ↦ (t−T0)/(T1−T0) ↦ From + (To−From)·f is a
+// chain of monotone floating-point steps. The zero Piece covers no instant.
+type Piece struct {
+	T0, T1   float64
+	From, To geo.Point
+	Vel      geo.Vec
+}
+
+// Covers reports whether the piece answers for time t.
+func (p *Piece) Covers(t float64) bool { return t >= p.T0 && t < p.T1 }
+
+// At returns the position at a time the piece covers.
+func (p *Piece) At(t float64) geo.Point {
+	return p.From.Lerp(p.To, (t-p.T0)/(p.T1-p.T0))
+}
+
+// PieceSource is implemented by models whose motion is piecewise linear.
+// PieceAt returns the piece covering t, or one that does not cover t when
+// the model has none there (before a trajectory's first leg, from its end
+// on) or ever (an RPGM member clamps the sum of two trajectories to the
+// field): such instants are answered by Position and Velocity alone.
+type PieceSource interface {
+	PieceAt(t float64) Piece
 }
 
 // trajectory is the shared piecewise-linear implementation behind every
@@ -67,8 +98,11 @@ func (tr *trajectory) Position(t float64) geo.Point {
 	if len(tr.legs) == 0 {
 		return geo.Point{}
 	}
+	// Strictly before: at t == first.t0 the leg's own expression yields
+	// first.from, and a leg then answers for all of [t0, t1), which is the
+	// interval PieceAt promises.
 	first := tr.legs[0]
-	if t <= first.t0 {
+	if t < first.t0 {
 		return first.from
 	}
 	last := tr.legs[len(tr.legs)-1]
@@ -81,6 +115,20 @@ func (tr *trajectory) Position(t float64) geo.Point {
 	}
 	f := (t - l.t0) / (l.t1 - l.t0)
 	return l.from.Lerp(l.to, f)
+}
+
+// PieceAt implements PieceSource: the leg locate picks for t, as long as t
+// lies inside it. Legs are appended end to start, so they neither overlap
+// nor leave the gaps for which locate would pick the following leg.
+func (tr *trajectory) PieceAt(t float64) Piece {
+	if len(tr.legs) == 0 || t >= tr.legs[len(tr.legs)-1].t1 {
+		return Piece{}
+	}
+	l := tr.legs[tr.locate(t)]
+	if t < l.t0 {
+		return Piece{}
+	}
+	return Piece{T0: l.t0, T1: l.t1, From: l.from, To: l.to, Vel: l.velocity()}
 }
 
 // Velocity implements Model.

@@ -55,8 +55,9 @@ func (tr *trajectory) Legs() []Leg {
 }
 
 // LegLister is implemented by models whose trajectory is piecewise linear
-// and can therefore be exported losslessly. All models constructed by this
-// package implement it.
+// and can therefore be exported losslessly: every model constructed by this
+// package except RPGM members, whose position is the clamped sum of two
+// trajectories.
 type LegLister interface {
 	Legs() []Leg
 }

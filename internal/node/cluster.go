@@ -187,6 +187,12 @@ func (c *Cluster) TotalStats() Stats {
 
 // ChainConfigs is a convenience for the canonical demo topology: n nodes in
 // a line, spacing meters apart, with the given radio range and round time.
+//
+// Optimization Mechanism 2 is off. It postpones a relay's per-entry timer by
+// at least a round every time the relay overhears the ad, which presumes the
+// overheard copy also reaches the peers downstream. On a static multi-hop
+// chain it does not: the relay hears the issuer every round, never fires, and
+// nothing beyond the issuer's range is ever served.
 func ChainConfigs(n int, spacing, radioRange float64, round time.Duration) []Config {
 	cfgs := make([]Config, n)
 	for i := range cfgs {
@@ -198,7 +204,7 @@ func ChainConfigs(n int, spacing, radioRange float64, round time.Duration) []Con
 			Beta:      0.5,
 			RoundTime: round,
 			CacheK:    10,
-			Opt2:      true,
+			Opt2:      false,
 			Seed:      uint64(i) + 1,
 		}
 	}

@@ -108,3 +108,46 @@ func BenchmarkQueryScratchSharded(b *testing.B) {
 		buf = q.AppendNodesWithin(buf[:0], center, 125, -1)
 	}
 }
+
+// BenchmarkRefreshGridSteady measures one grid refresh of a city-sized
+// population (the benchmark's city_scale: 30 000 Random Waypoint peers on a
+// 15 km field, 125 m cells, two stripes, one refresh per simulated second)
+// once the first full rebuild is behind it: the cost the kinetic refresh
+// exists to cut, and a path that must not allocate (the CI alloc guard greps
+// this benchmark's allocs/op).
+func BenchmarkRefreshGridSteady(b *testing.B) {
+	const n = 30000
+	field := geo.NewRect(15000, 15000)
+	models := make([]mobility.Model, n)
+	r := rng.New(42)
+	for i := range models {
+		m, err := mobility.NewRandomWaypoint(mobility.RandomWaypointConfig{
+			Field: field, SpeedMean: 10, SpeedDelta: 5, Pause: 10, Horizon: 1e4}, r.SplitIndex("node", i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		models[i] = m
+	}
+	cfg := DefaultConfig()
+	cfg.Range = 125
+	cfg.Shards = 2
+	s := sim.New()
+	ch, err := New(s, cfg, models, func(int, Frame) {}, rng.New(7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	at, fire := 0.0, ch.RefreshGrid
+	refresh := func() {
+		s.SchedulePooled(at, fire)
+		s.RunAll()
+		at += cfg.GridRefresh
+	}
+	for k := 0; k < 30; k++ { // past the first rebuild and the certificates it hands out all at once
+		refresh()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		refresh()
+	}
+}

@@ -19,14 +19,15 @@
 // The broadcast→deliver pipeline is allocation-free in steady state: the
 // grid is a reusable CSR-style bucket array, neighbor queries append into a
 // caller-provided scratch slice, each broadcast schedules a single pooled
-// simulator event carrying the surviving receiver list, and mobility models
-// are evaluated at most once per node per simulation instant via a position
-// memo.
+// simulator event carrying the surviving receiver list, and a position is
+// read off the node's constant-velocity piece (one dense table, written
+// only by a grid refresh) rather than by searching its mobility model.
 package radio
 
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"instantad/internal/geo"
 	"instantad/internal/mobility"
@@ -65,12 +66,11 @@ type Config struct {
 	// MaxSpeed bounds node speed; it sizes the grid-staleness slack.
 	MaxSpeed float64
 	// Shards splits the field into that many vertical tile stripes, each
-	// owning a contiguous block of grid-cell columns over the shared CSR
-	// arena (see shard.go). The snapshot is then rebuilt in parallel, one
-	// goroutine per stripe writing its disjoint window, each stripe padded
-	// by a halo ring wide enough to cover a protocol-range query. Queries
-	// and results are bit-identical for any value: sharding changes where
-	// work runs, never what it computes. 0 and 1 both mean unsharded.
+	// owning a contiguous block of grid-cell columns of the one snapshot
+	// (see shard.go) and padded by a halo ring wide enough to cover a
+	// protocol-range query. Queries and results are bit-identical for any
+	// value: sharding changes where work runs, never what it computes.
+	// 0 and 1 both mean unsharded.
 	Shards int
 }
 
@@ -162,41 +162,37 @@ type Channel struct {
 	gridBuilt          bool
 	gridCell           float64 // effective cell edge of this snapshot
 	gridMinX, gridMinY float64 // grid origin, aligned to gridCell multiples
+	gridLX, gridLY     int32   // the origin in lattice coordinates: gridMin / gridCell
 	gridNX, gridNY     int
 	cellStart          []int32 // len gridNX*gridNY+1; bucket bounds in cellNodes
 	cellNodes          []int32 // node ids bucketed by cell, ascending per cell
-	snapPos            []geo.Point
 
-	// Per-instant position memo: each mobility model is evaluated at most
-	// once per simulation instant, however many queries hit it.
-	memoTime float64
-	memoGen  uint64
-	posGen   []uint64
-	posMemo  []geo.Point
+	// What a refresh keeps per node, so that the next one costs what moved
+	// (see rebuildGrid): the constant-velocity piece in force, which every
+	// position query reads and only a refresh writes, and the snapshot cell
+	// with the instant up to which it is proven. steady says the geometry in
+	// force permits skipping proven nodes at all.
+	pieces []mobility.Piece
+	cells  []nodeCell
+	steady bool
 
 	// Broadcast scratch and the pooled per-frame delivery batches.
 	nbrScratch []int
 	batchFree  []*deliveryBatch
 
-	// Per-receiver in-flight receptions, used by the collision model.
+	// Per-receiver in-flight receptions; nil without the collision model.
 	inflight [][]*reception
 	recFree  []*reception
 
 	// Spatial sharding of the grid into tile stripes (see shard.go). All
-	// buffers are reused across rebuilds; shardOf/shardPrev swap roles each
-	// rebuild so tile crossings can be counted without copying.
-	shards      int       // configured stripe count (≥ 1)
-	stripes     []stripe  // per-stripe windows and occupancy of the last rebuild
-	stripeOfCx  []int32   // owning stripe per cell column of the last rebuild
-	cellOf      []int32   // snapshot cell index per node
-	shardOf     []int32   // owning stripe per node; nil while unsharded/unbuilt
-	shardPrev   []int32   // previous rebuild's assignment (migration detection)
-	stripeNodes [][]int32 // per-stripe node ids, ascending
-	blockBB     [][4]float64
-	blockMig    []uint64
-	outbox      []uint64 // per-(src stripe, dst stripe) delivery counts
-	shardStats  ShardStats
-	ins         *radioInstruments
+	// buffers are reused across rebuilds.
+	shards     int      // configured stripe count (≥ 1)
+	stripes    []stripe // per-stripe windows over the geometry in force
+	stripeOfCx []int32  // owning stripe per cell column of that geometry
+	shardOf    []int32  // owning stripe per node; nil while unsharded/unbuilt
+	outbox     []uint64 // per-(src stripe, dst stripe) delivery counts
+	shardStats ShardStats
+	ins        *radioInstruments
 
 	// Energy accounting (see energy.go).
 	energyTx, energyRx float64
@@ -240,17 +236,16 @@ func New(s *sim.Simulator, cfg Config, models []mobility.Model, deliver DeliverF
 		maxRange: cfg.Range,
 		cellSize: cfg.Range,
 		shards:   cfg.Shards,
-		memoGen:  1,
-		posGen:   make([]uint64, len(models)),
-		posMemo:  make([]geo.Point, len(models)),
-		snapPos:  make([]geo.Point, len(models)),
-		inflight: make([][]*reception, len(models)),
+		pieces:   make([]mobility.Piece, len(models)),
 	}
 	if c.shards < 1 {
 		c.shards = 1
 	}
 	if c.shards > 1 {
 		c.outbox = make([]uint64, c.shards*c.shards)
+	}
+	if cfg.Collisions {
+		c.inflight = make([][]*reception, len(models))
 	}
 	if cfg.Energy.Enabled {
 		c.energyPerNode = make([]float64, len(models))
@@ -320,118 +315,271 @@ func (c *Channel) N() int { return len(c.models) }
 func (c *Channel) Stats() Stats { return c.stats }
 
 // PositionOf returns node i's exact position at the current simulation time.
-// Repeated queries within one simulation instant are served from a memo, so
-// each mobility model is evaluated at most once per instant.
-func (c *Channel) PositionOf(i int) geo.Point {
-	now := c.sim.Now()
-	if now != c.memoTime {
-		c.memoTime = now
-		c.memoGen++
+func (c *Channel) PositionOf(i int) geo.Point { return c.PositionAt(i, c.sim.Now()) }
+
+// PositionAt returns node i's exact position at an arbitrary time: off the
+// node's piece when that covers t, which is the model's own expression on the
+// model's own operands, else from the model. It reads and never writes, so
+// any number of goroutines may ask while no refresh runs.
+func (c *Channel) PositionAt(i int, t float64) geo.Point {
+	if pc := &c.pieces[i]; pc.Covers(t) {
+		return pc.At(t)
 	}
-	if c.posGen[i] == c.memoGen {
-		return c.posMemo[i]
-	}
-	p := c.models[i].Position(now)
-	c.posMemo[i] = p
-	c.posGen[i] = c.memoGen
-	return p
+	return c.models[i].Position(t)
 }
 
 // VelocityOf returns node i's exact velocity at the current simulation time.
 func (c *Channel) VelocityOf(i int) geo.Vec {
-	return c.models[i].Velocity(c.sim.Now())
-}
-
-// PositionAt returns node i's exact position at an arbitrary time.
-func (c *Channel) PositionAt(i int, t float64) geo.Point {
-	return c.models[i].Position(t)
+	now := c.sim.Now()
+	if pc := &c.pieces[i]; pc.Covers(now) {
+		return pc.Vel
+	}
+	return c.models[i].Velocity(now)
 }
 
 // maxGridCells bounds the dense cell array. Fields vastly larger than the
 // population (e.g. far-flung trace files) double the effective cell size
 // until the array fits, trading a wider candidate window for bounded memory.
+// The budget is per stripe: a sharded channel keeps finer cells on such
+// fields (see GridCellSize).
 const maxGridCells = 1 << 20
 
-// rebuildUnsharded rebuilds the CSR snapshot sequentially: a counting sort
+// nodeCell is the snapshot's view of one node: the cell tuple its position
+// maps to, and until when that is proven.
+type nodeCell struct {
+	cellTuple
+	// until is the last instant of the certificate "same tuple": a refresh at
+	// or before it need not look at the node. Anything below the refresh
+	// instant means due.
+	until float64
+}
+
+// cellTuple is every integer a rebuild derives from a position p: the lattice
+// coordinates floor(p/cell), whose minima fix the grid origin, and the dense
+// cell int((p−origin)/cell), whose maxima fix the grid's extent. (The two
+// agree up to rounding; the snapshot is defined by both, so both are kept.)
+type cellTuple struct {
+	lx, ly int32
+	cx, cy int32
+}
+
+// latticeInt converts a cell coordinate, saturating: a node absurdly far out
+// must read as outside every box, not wrap around into it.
+func latticeInt(f float64) int32 {
+	return int32(max(math.MinInt32, min(int64(f), math.MaxInt32)))
+}
+
+func (c *Channel) tupleOf(p geo.Point) cellTuple {
+	cs := c.gridCell
+	return cellTuple{
+		lx: latticeInt(math.Floor(p.X / cs)),
+		ly: latticeInt(math.Floor(p.Y / cs)),
+		cx: latticeInt((p.X - c.gridMinX) / cs),
+		cy: latticeInt((p.Y - c.gridMinY) / cs),
+	}
+}
+
+// rebuildGrid brings the CSR snapshot to the current instant: a counting sort
 // of node ids into dense cells over the bounding box of the current
-// positions. All buffers are reused, so a rebuild is allocation-free after
-// the first. Sharded channels rebuild through rebuildSharded (shard.go)
-// instead, which produces an identical snapshot in parallel stripes.
-func (c *Channel) rebuildUnsharded() {
+// positions, the same arrays whichever way it gets there. All buffers are
+// reused, so a rebuild is allocation-free after the first.
+//
+// It is a kinetic refresh. A node keeps its cell tuple with a certificate
+// "same tuple until t" (see reevaluate), and a refresh evaluates only the nodes
+// whose certificate has run out. If every one of them is still inside the box
+// and the extreme rows and columns are still occupied, the geometry a rebuild
+// from scratch would choose is the one in force, every cached tuple is the
+// one it would compute, and the sort runs from the cache. Otherwise — a node
+// left the box, an edge emptied, the first call, or a field so sparse that
+// the cell was doubled (steady is false) — the geometry is chosen afresh and
+// the same pass runs with every node due.
+func (c *Channel) rebuildGrid() {
+	var start time.Time
+	if c.ins != nil {
+		start = time.Now()
+	}
 	now := c.sim.Now()
+	due, inForce := 0, false
+	if c.steady {
+		due, inForce = c.countCells(now)
+	}
+	if !inForce {
+		c.chooseGeometry(now)
+		due, _ = c.countCells(now)
+	}
+	ncells := c.gridNX * c.gridNY
+	for i := 1; i <= ncells; i++ {
+		c.cellStart[i] += c.cellStart[i-1]
+	}
+	// cellStart[cell+1] counted the bucket, so after the prefix sum
+	// cellStart[cell] is where it begins; place with that as the running
+	// cursor (ascending node id within each cell, matching the insertion
+	// order of the old map grid) and, when tiled, note whose stripe changed.
+	var migrations uint64
+	for i := range c.cells {
+		nc := &c.cells[i]
+		cell := int(nc.cx)*c.gridNY + int(nc.cy)
+		c.cellNodes[c.cellStart[cell]] = int32(i)
+		c.cellStart[cell]++
+		if c.shards > 1 {
+			if s := c.stripeOfCx[nc.cx]; c.shardOf[i] != s {
+				c.shardOf[i] = s
+				migrations++
+			}
+		}
+	}
+	// Each cursor has advanced to its bucket's end == the next bucket's
+	// start; shift right to restore start offsets.
+	copy(c.cellStart[1:], c.cellStart[:ncells])
+	c.cellStart[0] = 0
+	if !c.gridBuilt {
+		migrations = 0 // the first assignment moves nobody
+	}
+	c.gridAt = now
+	c.gridBuilt = true
+
+	c.shardStats.Rebuilds++
+	if c.shards > 1 {
+		c.accountStripes(migrations)
+	}
+	if c.ins != nil {
+		c.ins.rebuilds.Inc()
+		c.ins.reevaluated.Add(uint64(due))
+		c.ins.rebuildSec.Observe(time.Since(start).Seconds())
+	}
+}
+
+// chooseGeometry picks cell size, origin and extent from every node's
+// position at now, sizes the arrays for them, and marks every node due.
+func (c *Channel) chooseGeometry(now float64) {
+	n := len(c.models)
+	if c.cells == nil {
+		c.cells = make([]nodeCell, n)
+		c.cellNodes = make([]int32, n)
+	}
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	for i, m := range c.models {
-		p := m.Position(now)
-		c.snapPos[i] = p
-		minX, minY = math.Min(minX, p.X), math.Min(minY, p.Y)
-		maxX, maxY = math.Max(maxX, p.X), math.Max(maxY, p.Y)
+	for i := range c.cells {
+		p, _ := c.pieceAt(i, now)
+		minX, minY = min(minX, p.X), min(minY, p.Y)
+		maxX, maxY = max(maxX, p.X), max(maxY, p.Y)
+		c.cells[i].until = math.Inf(-1)
 	}
 	// Align the origin to cell-size multiples so bucket boundaries are
 	// independent of the bounding box (queries then visit nodes in the same
 	// order regardless of how the population drifts).
 	cs := c.cellSize
+	var lx, ly float64
 	var nx, ny int
 	for {
-		ox := cs * math.Floor(minX/cs)
-		oy := cs * math.Floor(minY/cs)
-		nx = int(math.Floor((maxX-ox)/cs)) + 1
-		ny = int(math.Floor((maxY-oy)/cs)) + 1
-		if nx*ny <= maxGridCells || nx*ny <= 4*len(c.models) {
-			c.gridMinX, c.gridMinY = ox, oy
+		lx, ly = math.Floor(minX/cs), math.Floor(minY/cs)
+		nx = int(math.Floor((maxX-cs*lx)/cs)) + 1
+		ny = int(math.Floor((maxY-cs*ly)/cs)) + 1
+		if nx*ny <= maxGridCells*c.shards || nx*ny <= 4*n {
 			break
 		}
 		cs *= 2
 	}
 	c.gridCell = cs
+	c.gridMinX, c.gridMinY = cs*lx, cs*ly
+	c.gridLX, c.gridLY = latticeInt(lx), latticeInt(ly)
 	c.gridNX, c.gridNY = nx, ny
+	// Certificates compare int32 lattice coordinates against this origin, so
+	// they are only good where those cannot saturate.
+	const far = 1 << 30
+	c.steady = cs == c.cellSize && math.Abs(lx) < far && math.Abs(ly) < far
 	ncells := nx * ny
 	if cap(c.cellStart) < ncells+1 {
 		c.cellStart = make([]int32, ncells+1)
 	}
 	c.cellStart = c.cellStart[:ncells+1]
-	for i := range c.cellStart {
-		c.cellStart[i] = 0
+	if c.shards > 1 {
+		c.tileStripes()
 	}
-	if cap(c.cellNodes) < len(c.models) {
-		c.cellNodes = make([]int32, len(c.models))
-	}
-	c.cellNodes = c.cellNodes[:len(c.models)]
-	// Counting sort: count per cell, prefix-sum, then place (ascending node
-	// id within each cell, matching the insertion order of the old map grid).
-	for i := range c.models {
-		c.cellStart[c.cellIndex(c.snapPos[i])+1]++
-	}
-	for i := 1; i < len(c.cellStart); i++ {
-		c.cellStart[i] += c.cellStart[i-1]
-	}
-	// cellStart now holds end offsets shifted by one slot; fill backwards
-	// from the running cursor in cellStart[cell] which starts at each
-	// bucket's beginning.
-	for i := range c.models {
-		cell := c.cellIndex(c.snapPos[i])
-		c.cellNodes[c.cellStart[cell]] = int32(i)
-		c.cellStart[cell]++
-	}
-	// Each cellStart[cell] has advanced to the bucket's end == start of the
-	// next bucket; shift right to restore start offsets.
-	copy(c.cellStart[1:], c.cellStart[:ncells])
-	c.cellStart[0] = 0
-	c.gridAt = now
-	c.gridBuilt = true
 }
 
-// cellIndex maps a snapshot position to its dense cell index (x-major).
-func (c *Channel) cellIndex(p geo.Point) int {
-	cx := int((p.X - c.gridMinX) / c.gridCell)
-	cy := int((p.Y - c.gridMinY) / c.gridCell)
-	if cx >= c.gridNX {
-		cx = c.gridNX - 1
+// countCells evaluates every due node and counts all nodes into cellStart
+// (cellStart[cell+1] holds cell's population on return). inForce reports
+// whether the geometry in force is the one these positions would choose; when
+// it is not, the counts are void.
+func (c *Channel) countCells(now float64) (due int, inForce bool) {
+	clear(c.cellStart)
+	nx, ny := int32(c.gridNX), int32(c.gridNY)
+	minLX, minLY := int32(math.MaxInt32), int32(math.MaxInt32)
+	maxCX, maxCY := int32(-1), int32(-1)
+	for i := range c.cells {
+		nc := &c.cells[i]
+		if nc.until < now {
+			due++
+			c.reevaluate(i, nc, now)
+			if uint32(nc.cx) >= uint32(nx) || uint32(nc.cy) >= uint32(ny) {
+				return due, false
+			}
+		}
+		minLX, minLY = min(minLX, nc.lx), min(minLY, nc.ly)
+		maxCX, maxCY = max(maxCX, nc.cx), max(maxCY, nc.cy)
+		c.cellStart[int(nc.cx)*int(ny)+int(nc.cy)+1]++
 	}
-	if cy >= c.gridNY {
-		cy = c.gridNY - 1
+	return due, minLX == c.gridLX && minLY == c.gridLY && maxCX == nx-1 && maxCY == ny-1
+}
+
+// pieceAt returns node i's position at now and the piece that gave it,
+// first replacing a piece that no longer covers now; nil when the model has
+// none there. Only a refresh may call it: it is the one writer of the table.
+func (c *Channel) pieceAt(i int, now float64) (geo.Point, *mobility.Piece) {
+	pc := &c.pieces[i]
+	if !pc.Covers(now) {
+		if src, ok := c.models[i].(mobility.PieceSource); ok {
+			*pc = src.PieceAt(now)
+		}
+		if !pc.Covers(now) {
+			return c.models[i].Position(now), nil
+		}
 	}
-	return cx*c.gridNY + cy
+	return pc.At(now), pc
+}
+
+// reevaluate recomputes node i's cell tuple at now and certifies it for as
+// long as it can show. Every floating-point step from t to a coordinate on a
+// piece (mobility.Piece) and from a coordinate to a tuple component (divide
+// by a positive constant, subtract a constant, floor, truncate, saturate) is
+// monotone, so a tuple that is equal at both ends of [now, th] on one piece
+// is that tuple on all of it: no tolerance enters, and a badly aimed th costs
+// time, never correctness. th is aimed a hair short of where the piece's
+// velocity says the node leaves its lattice cell (the estimate is good to
+// rounding, so the crossing instant itself lands on the far side half the
+// time), kept inside the piece, and halved a few times if the tuple there
+// differs all the same. A node without a piece (an RPGM member) is due at
+// every refresh, as is everyone while the snapshot is not steady.
+func (c *Channel) reevaluate(i int, nc *nodeCell, now float64) {
+	p, pc := c.pieceAt(i, now)
+	nc.cellTuple = c.tupleOf(p)
+	nc.until = now
+	if pc == nil || !c.steady {
+		return
+	}
+	cs := c.gridCell
+	dt := min(exitAfter(p.X, pc.Vel.X, float64(nc.lx)*cs, cs), exitAfter(p.Y, pc.Vel.Y, float64(nc.ly)*cs, cs))
+	dt *= 1 - 1.0/(1<<20)
+	last := math.Nextafter(pc.T1, math.Inf(-1))
+	for try := 0; try < 3 && dt > 0; try++ {
+		if th := min(now+dt, last); c.tupleOf(pc.At(th)) == nc.cellTuple {
+			nc.until = th
+			return
+		}
+		dt /= 2
+	}
+}
+
+// exitAfter estimates how long x, moving at v, stays inside [lo, lo+size).
+func exitAfter(x, v, lo, size float64) float64 {
+	switch {
+	case v > 0:
+		return (lo + size - x) / v
+	case v < 0:
+		return (lo - x) / v
+	}
+	return math.Inf(1)
 }
 
 // NeighborsOf returns every node j ≠ i within node i's transmission range at
@@ -460,6 +608,12 @@ func (c *Channel) NodesWithin(center geo.Point, radius float64, exclude int) []i
 // (x-major) and ascending node id within a cell.
 func (c *Channel) AppendNodesWithin(dst []int, center geo.Point, radius float64, exclude int) []int {
 	c.RefreshGrid()
+	return c.appendWithin(dst, center, radius, exclude)
+}
+
+// appendWithin is the query against the snapshot as it stands: read-only.
+func (c *Channel) appendWithin(dst []int, center geo.Point, radius float64, exclude int) []int {
+	now := c.sim.Now()
 	x0, x1, y0, y1 := c.window(center, radius)
 	r2 := radius * radius
 	for cx := x0; cx <= x1; cx++ {
@@ -468,7 +622,7 @@ func (c *Channel) AppendNodesWithin(dst []int, center geo.Point, radius float64,
 			if j == exclude || !c.Online(j) {
 				continue
 			}
-			if c.PositionOf(j).Dist2(center) <= r2 {
+			if c.PositionAt(j, now).Dist2(center) <= r2 {
 				dst = append(dst, j)
 			}
 		}
@@ -541,55 +695,28 @@ func (c *Channel) RefreshGrid() {
 	}
 }
 
-// QueryScratch is a per-worker read-only view of the channel for parallel
-// decision phases. The channel's own query path memoizes positions in shared
-// buffers (PositionOf mutates the memo), so concurrent queries need private
-// scratch: each QueryScratch carries its own per-instant position memo and
-// reads the grid snapshot without ever rebuilding it.
+// QueryScratch is a worker's read-only view of the channel for parallel
+// decision phases: the same queries, bit for bit, except that it never
+// rebuilds the grid. Position queries read the piece table and the models,
+// neither of which anything but a refresh writes, so the view carries no
+// state of its own.
 //
 // Concurrency contract: any number of QueryScratch values may query
 // concurrently with each other, provided nothing mutates the channel
 // (no Broadcast, SetOnline, SetNodeRange or grid rebuild) until they are
 // done, and Channel.RefreshGrid was called at the current instant first.
-// A QueryScratch must not itself be shared between goroutines.
 type QueryScratch struct {
-	c        *Channel
-	memoTime float64
-	memoGen  uint64
-	posGen   []uint64
-	posMemo  []geo.Point
+	c *Channel
 }
 
-// NewQueryScratch returns a scratch query context for this channel.
-func (c *Channel) NewQueryScratch() *QueryScratch {
-	return &QueryScratch{
-		c:       c,
-		memoGen: 1,
-		posGen:  make([]uint64, len(c.models)),
-		posMemo: make([]geo.Point, len(c.models)),
-	}
-}
+// NewQueryScratch returns a read-only query view of this channel.
+func (c *Channel) NewQueryScratch() *QueryScratch { return &QueryScratch{c: c} }
 
-// PositionOf returns node i's exact position at the current simulation time,
-// memoized per instant in this scratch (the concurrent-safe analogue of
-// Channel.PositionOf).
-func (q *QueryScratch) PositionOf(i int) geo.Point {
-	now := q.c.sim.Now()
-	if now != q.memoTime {
-		q.memoTime = now
-		q.memoGen++
-	}
-	if q.posGen[i] == q.memoGen {
-		return q.posMemo[i]
-	}
-	p := q.c.models[i].Position(now)
-	q.posMemo[i] = p
-	q.posGen[i] = q.memoGen
-	return p
-}
+// PositionOf returns node i's exact position at the current simulation time.
+func (q *QueryScratch) PositionOf(i int) geo.Point { return q.c.PositionOf(i) }
 
 // AppendNeighborsOf appends node i's neighbors to dst, like
-// Channel.AppendNeighborsOf but touching only this scratch's memo.
+// Channel.AppendNeighborsOf against the existing snapshot.
 func (q *QueryScratch) AppendNeighborsOf(dst []int, i int) []int {
 	return q.AppendNodesWithin(dst, q.PositionOf(i), q.c.RangeOf(i), i)
 }
@@ -600,24 +727,10 @@ func (q *QueryScratch) AppendNeighborsOf(dst []int, i int) []int {
 // caller must have called RefreshGrid at this instant. It panics if no
 // snapshot exists yet.
 func (q *QueryScratch) AppendNodesWithin(dst []int, center geo.Point, radius float64, exclude int) []int {
-	c := q.c
-	if !c.gridBuilt {
+	if !q.c.gridBuilt {
 		panic("radio: QueryScratch used before Channel.RefreshGrid")
 	}
-	x0, x1, y0, y1 := c.window(center, radius)
-	r2 := radius * radius
-	for cx := x0; cx <= x1; cx++ {
-		for _, j32 := range c.column(cx, y0, y1) {
-			j := int(j32)
-			if j == exclude || !c.Online(j) {
-				continue
-			}
-			if q.PositionOf(j).Dist2(center) <= r2 {
-				dst = append(dst, j)
-			}
-		}
-	}
-	return dst
+	return q.c.appendWithin(dst, center, radius, exclude)
 }
 
 // airtime returns the serialization delay for a frame of the given size.

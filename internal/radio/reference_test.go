@@ -1,0 +1,368 @@
+package radio
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"strings"
+	"testing"
+
+	"instantad/internal/geo"
+	"instantad/internal/mobility"
+	"instantad/internal/obs"
+	"instantad/internal/rng"
+	"instantad/internal/roadnet"
+	"instantad/internal/sim"
+)
+
+// refGrid is the reference the channel's refresh is tested against: the full
+// rebuild it used to be. Every call evaluates every model through Position,
+// takes the bounding box, chooses the geometry, and counting-sorts positions
+// it keeps in a column of their own; stripes, owners, migrations and halo are
+// derived the way the striped build derived them. It caches nothing between
+// calls but the previous owners, is slow and obviously right, and the
+// channel's snapshot must equal it to the last element after every refresh.
+type refGrid struct {
+	models   []mobility.Model
+	cellSize float64
+	shards   int
+	haloDist float64 // maxRange + 2·MaxSpeed·GridRefresh
+
+	cell         float64
+	minX, minY   float64
+	nx, ny       int
+	cellStart    []int32
+	cellNodes    []int32
+	effective    int
+	shardOf      []int32 // nil while unsharded or unbuilt
+	rebuilds     uint64
+	migrations   uint64
+	haloMirrored uint64
+}
+
+func newRefGrid(cfg Config, models []mobility.Model) *refGrid {
+	return &refGrid{
+		models:   models,
+		cellSize: cfg.Range,
+		shards:   max(cfg.Shards, 1),
+		haloDist: cfg.Range + 2*cfg.MaxSpeed*cfg.GridRefresh,
+	}
+}
+
+func (g *refGrid) cellIndex(p geo.Point) int {
+	cx := int((p.X - g.minX) / g.cell)
+	cy := int((p.Y - g.minY) / g.cell)
+	if cx >= g.nx {
+		cx = g.nx - 1
+	}
+	if cy >= g.ny {
+		cy = g.ny - 1
+	}
+	return cx*g.ny + cy
+}
+
+func (g *refGrid) rebuild(now float64) {
+	n := len(g.models)
+	pos := make([]geo.Point, n)
+	minX, minY := math.Inf(1), math.Inf(1)
+	maxX, maxY := math.Inf(-1), math.Inf(-1)
+	for i, m := range g.models {
+		p := m.Position(now)
+		pos[i] = p
+		minX, minY = math.Min(minX, p.X), math.Min(minY, p.Y)
+		maxX, maxY = math.Max(maxX, p.X), math.Max(maxY, p.Y)
+	}
+	cs := g.cellSize
+	for {
+		ox := cs * math.Floor(minX/cs)
+		oy := cs * math.Floor(minY/cs)
+		g.nx = int(math.Floor((maxX-ox)/cs)) + 1
+		g.ny = int(math.Floor((maxY-oy)/cs)) + 1
+		if g.nx*g.ny <= maxGridCells*g.shards || g.nx*g.ny <= 4*n {
+			g.minX, g.minY = ox, oy
+			break
+		}
+		cs *= 2
+	}
+	g.cell = cs
+	ncells := g.nx * g.ny
+	g.cellStart = make([]int32, ncells+1)
+	g.cellNodes = make([]int32, n)
+	for i := range pos {
+		g.cellStart[g.cellIndex(pos[i])+1]++
+	}
+	for i := 1; i < len(g.cellStart); i++ {
+		g.cellStart[i] += g.cellStart[i-1]
+	}
+	cursor := slices.Clone(g.cellStart)
+	for i := range pos {
+		cell := g.cellIndex(pos[i])
+		g.cellNodes[cursor[cell]] = int32(i)
+		cursor[cell]++
+	}
+	g.rebuilds++
+	g.effective = 1
+	if g.shards == 1 {
+		return
+	}
+
+	ks := min(g.shards, g.nx)
+	g.effective = ks
+	hc := int(math.Ceil(g.haloDist / cs))
+	stripeOfCx := make([]int32, g.nx)
+	for s := 0; s < ks; s++ {
+		cx0, cx1 := s*g.nx/ks, (s+1)*g.nx/ks
+		for cx := cx0; cx < cx1; cx++ {
+			stripeOfCx[cx] = int32(s)
+		}
+		colPop := func(cx int) uint64 {
+			return uint64(g.cellStart[(cx+1)*g.ny] - g.cellStart[cx*g.ny])
+		}
+		for cx := max(cx0-hc, 0); cx < cx0; cx++ {
+			g.haloMirrored += colPop(cx)
+		}
+		for cx := cx1; cx < min(cx1+hc, g.nx); cx++ {
+			g.haloMirrored += colPop(cx)
+		}
+	}
+	cur := make([]int32, n)
+	for i := range pos {
+		cur[i] = stripeOfCx[g.cellIndex(pos[i])/g.ny]
+		if g.shardOf != nil && g.shardOf[i] != cur[i] {
+			g.migrations++
+		}
+	}
+	g.shardOf = cur
+}
+
+// diff reports the first difference between the channel's snapshot and the
+// reference's, or "".
+func (g *refGrid) diff(c *Channel) string {
+	if c.gridCell != g.cell || c.gridMinX != g.minX || c.gridMinY != g.minY || c.gridNX != g.nx || c.gridNY != g.ny {
+		return fmt.Sprintf("geometry (cell %v, origin %v,%v, %d×%d), want (cell %v, origin %v,%v, %d×%d)",
+			c.gridCell, c.gridMinX, c.gridMinY, c.gridNX, c.gridNY, g.cell, g.minX, g.minY, g.nx, g.ny)
+	}
+	if !slices.Equal(c.cellStart, g.cellStart) {
+		return "cellStart differs"
+	}
+	if !slices.Equal(c.cellNodes, g.cellNodes) {
+		return "cellNodes differs"
+	}
+	if c.EffectiveShards() != g.effective {
+		return fmt.Sprintf("effective shards %d, want %d", c.EffectiveShards(), g.effective)
+	}
+	for i := range g.models {
+		want := 0
+		if g.shardOf != nil {
+			want = int(g.shardOf[i])
+		}
+		if c.ShardOf(i) != want {
+			return fmt.Sprintf("ShardOf(%d) = %d, want %d", i, c.ShardOf(i), want)
+		}
+	}
+	want := ShardStats{Rebuilds: g.rebuilds, Migrations: g.migrations, HaloMirrored: g.haloMirrored}
+	if got := c.ShardStats(); got != want {
+		return fmt.Sprintf("ShardStats %+v, want %+v", got, want)
+	}
+	return ""
+}
+
+// refPopulation is one row of the reference test: a population and what is
+// expected of the refresh over it.
+type refPopulation struct {
+	name    string
+	models  []mobility.Model
+	txRange float64 // Config.Range
+	vmax    float64
+	// steady: from the second refresh on, fewer than a quarter of the nodes
+	// are evaluated per refresh (peers at ≤ 15 m/s take ≥ 8 s to cross a
+	// cell). Populations that are due every time by design say false.
+	steady bool
+	// fullAgain: at least one refresh after the first must have fallen back
+	// to evaluating everyone (geometry change, or a doubled cell).
+	fullAgain bool
+}
+
+func must[T any](t *testing.T) func(T, error) T {
+	return func(v T, err error) T {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+}
+
+func refPopulations(t *testing.T) []refPopulation {
+	const (
+		n       = 240
+		horizon = 400.0
+	)
+	field := geo.NewRect(3000, 3000)
+	model := must[mobility.Model](t)
+	each := func(mk func(s *rng.Stream) mobility.Model) []mobility.Model {
+		r := rng.New(17)
+		out := make([]mobility.Model, n)
+		for i := range out {
+			out[i] = mk(r.SplitIndex("node", i))
+		}
+		return out
+	}
+	waypoint := each(func(s *rng.Stream) mobility.Model {
+		return model(mobility.NewRandomWaypoint(mobility.RandomWaypointConfig{
+			Field: field, SpeedMean: 10, SpeedDelta: 5, Pause: 2, Horizon: horizon}, s))
+	})
+	walk := each(func(s *rng.Stream) mobility.Model {
+		return model(mobility.NewRandomWalk(mobility.RandomWalkConfig{
+			Field: field, SpeedMean: 10, SpeedDelta: 5, Epoch: 30, Horizon: horizon}, s))
+	})
+	manhattan := each(func(s *rng.Stream) mobility.Model {
+		return model(mobility.NewManhattan(mobility.ManhattanConfig{
+			Field: field, BlockSize: 200, SpeedMean: 10, SpeedDelta: 5, Horizon: horizon}, s))
+	})
+	rpgm := must[[]mobility.Model](t)(mobility.NewRPGMPopulation(n, mobility.RPGMConfig{
+		Field: field, GroupSize: 6, GroupRadius: 60, SpeedMean: 8, SpeedDelta: 4,
+		MemberSpeed: 2, Pause: 1, Horizon: horizon}, rng.New(23)))
+	graph := must[*roadnet.Graph](t)(roadnet.Grid(8, 8, 400))
+	road := each(func(s *rng.Stream) mobility.Model {
+		return model(mobility.NewRoad(mobility.RoadConfig{
+			Graph: graph, SpeedMean: 10, SpeedDelta: 5, Pause: 3, Horizon: horizon}, s))
+	})
+	static := each(func(s *rng.Stream) mobility.Model {
+		return mobility.NewStatic(geo.Point{X: s.Range(0, 3000), Y: s.Range(0, 3000)})
+	})
+
+	// An NS-2 script around the origin, so the grid origin is negative and
+	// not a multiple the positive quadrant would produce. Node 0 then walks
+	// out of everyone's bounding box, stays out, and comes back: the box
+	// grows and shrinks under a snapshot that otherwise barely changes.
+	var script strings.Builder
+	r := rng.New(29)
+	const traceN = 60
+	for i := 0; i < traceN; i++ {
+		x, y := r.Range(-900, 400), r.Range(-700, 600)
+		fmt.Fprintf(&script, "$node_(%d) set X_ %.3f\n$node_(%d) set Y_ %.3f\n$node_(%d) set Z_ 0\n", i, x, i, y, i)
+		at := r.Range(0, 20)
+		for k := 0; k < 4 && i > 0; k++ {
+			nx, ny := r.Range(-900, 400), r.Range(-700, 600)
+			speed := r.Range(5, 15)
+			fmt.Fprintf(&script, "$ns_ at %.3f \"$node_(%d) setdest %.3f %.3f %.3f\"\n", at, i, nx, ny, speed)
+			at += math.Hypot(nx-x, ny-y)/speed + r.Range(0, 10)
+			x, y = nx, ny
+		}
+	}
+	fmt.Fprintf(&script, "$ns_ at 30.0 \"$node_(0) setdest -2000.0 -1500.0 15.0\"\n")
+	fmt.Fprintf(&script, "$ns_ at 240.0 \"$node_(0) setdest 0.0 0.0 15.0\"\n")
+	byID := must[map[int]mobility.Model](t)(mobility.ParseNS2(strings.NewReader(script.String())))
+	trace := make([]mobility.Model, traceN)
+	for i := range trace {
+		trace[i] = byID[i]
+	}
+
+	// Two hundred kilometres at a 50 m range is 16 M cells for 40 nodes: the
+	// cell doubles until the array fits, and such a snapshot is never steady.
+	sparse := make([]mobility.Model, 40)
+	for i := range sparse {
+		sparse[i] = model(mobility.NewRandomWaypoint(mobility.RandomWaypointConfig{
+			Field: geo.NewRect(200e3, 200e3), SpeedMean: 10, SpeedDelta: 5, Horizon: horizon},
+			rng.New(31).SplitIndex("node", i)))
+	}
+
+	return []refPopulation{
+		{name: "random-waypoint", models: waypoint, txRange: 250, vmax: 15, steady: true},
+		// A walker reflecting off the field's far edge stands on it for an
+		// instant, and the grid grows a column for as long as one does.
+		{name: "random-walk", models: walk, txRange: 250, vmax: 15, steady: true, fullAgain: true},
+		{name: "manhattan", models: manhattan, txRange: 250, vmax: 15, steady: true},
+		{name: "road", models: road, txRange: 250, vmax: 15, steady: true},
+		{name: "static", models: static, txRange: 250, vmax: 0, steady: true},
+		{name: "rpgm", models: rpgm, txRange: 250, vmax: 14},
+		{name: "ns2-trace-leaves-box", models: trace, txRange: 250, vmax: 15, fullAgain: true},
+		{name: "sparse-doubled-cell", models: sparse, txRange: 50, vmax: 15, fullAgain: true},
+	}
+}
+
+// TestRefreshMatchesFullRebuild is the refresh's oracle: over 320 simulated
+// seconds of every mobility family, at irregular instants, unsharded and
+// tiled, the kinetic refresh must leave exactly the snapshot, owners and
+// counters the full rebuild computes from scratch, and every position and
+// velocity query must return the model's own bits. The evaluation counter
+// shows the refresh is what it claims: everyone once, then only who moved.
+func TestRefreshMatchesFullRebuild(t *testing.T) {
+	for _, pop := range refPopulations(t) {
+		for _, shards := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/shards=%d", pop.name, shards), func(t *testing.T) {
+				cfg := DefaultConfig()
+				cfg.Range = pop.txRange
+				cfg.MaxSpeed = pop.vmax
+				cfg.Shards = shards
+				s := sim.New()
+				ch, err := New(s, cfg, pop.models, func(int, Frame) {}, rng.New(1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				reg := obs.NewRegistry()
+				ch.InstrumentWith(reg)
+				evaluated := reg.Counter("radio_grid_nodes_reevaluated_total", "")
+				ref := newRefGrid(cfg, pop.models)
+				n := len(pop.models)
+
+				var refreshes, full int
+				step := func() {
+					now := s.Now()
+					before := evaluated.Value()
+					ch.RefreshGrid()
+					if ch.gridAt != now {
+						return // not stale yet: nothing to compare
+					}
+					ref.rebuild(now)
+					if d := ref.diff(ch); d != "" {
+						t.Fatalf("t=%v: %s", now, d)
+					}
+					if doubled := ch.GridCellSize() != cfg.Range; doubled != (pop.name == "sparse-doubled-cell") {
+						t.Fatalf("t=%v: cell %v at range %v", now, ch.GridCellSize(), cfg.Range)
+					}
+					for i, m := range pop.models {
+						for _, at := range []float64{now, now - 0.7, now + 0.4} {
+							if got, want := ch.PositionAt(i, at), m.Position(at); got != want {
+								t.Fatalf("t=%v: PositionAt(%d, %v) = %v, want %v", now, i, at, got, want)
+							}
+						}
+						if got, want := ch.VelocityOf(i), m.Velocity(now); got != want {
+							t.Fatalf("t=%v: VelocityOf(%d) = %v, want %v", now, i, got, want)
+						}
+					}
+					did := int(evaluated.Value() - before)
+					switch {
+					case refreshes == 0 && did != n:
+						t.Fatalf("first refresh evaluated %d of %d nodes", did, n)
+					case did == n:
+						full++
+					case pop.steady && did >= n/4:
+						t.Fatalf("t=%v: refresh evaluated %d of %d nodes, want < %d", now, did, n, n/4)
+					}
+					refreshes++
+				}
+				// Irregular instants: a refresh fires only when the snapshot
+				// is GridRefresh old, so steps of 0.3–1.9 s give ages of 1–2.8 s.
+				r := rng.New(41)
+				for at := 0.0; at < 320; at += r.Range(0.3, 1.9) {
+					s.Schedule(at, step)
+				}
+				s.RunAll()
+				if refreshes < 150 {
+					t.Fatalf("only %d refreshes compared", refreshes)
+				}
+				if pop.steady && !pop.fullAgain && full != 1 {
+					t.Errorf("%d of %d refreshes evaluated everyone, want only the first", full, refreshes)
+				}
+				if pop.fullAgain && full < 2 {
+					t.Errorf("no refresh after the first fell back to evaluating everyone")
+				}
+				if pop.name == "rpgm" && full != refreshes {
+					t.Errorf("%d of %d refreshes evaluated every RPGM member, want all", full, refreshes)
+				}
+			})
+		}
+	}
+}

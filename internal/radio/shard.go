@@ -3,14 +3,13 @@
 // A sharded channel (Config.Shards > 1) splits the dense cell lattice into
 // vertical stripes of contiguous cell columns. Because the CSR layout is
 // x-major, one stripe's cells — and its slice of the cellNodes arena — form
-// one contiguous block, so the snapshot can be rebuilt by one goroutine per
-// stripe writing a disjoint window of the same shared arrays the unsharded
-// build fills. The arrays, the cell geometry and the per-cell node order are
-// bit-identical to the unsharded build (the grid origin is aligned to
-// cell-size multiples, node ids ascend within every cell), which is what
-// makes shards=K bit-identical to shards=1: queries walk the same cells in
-// the same order and therefore feed the channel's shared RNG stream the same
-// candidate sequences.
+// one contiguous block of the one snapshot every channel builds (rebuildGrid,
+// sequential; a goroutine-per-stripe build measured slower than none and is
+// gone). Tiling is therefore bookkeeping derived from that snapshot and never
+// an input to it, which is what makes shards=K bit-identical to shards=1:
+// queries walk the same cells in the same order and feed the channel's shared
+// RNG stream the same candidate sequences. The one thing the stripe count
+// does decide is the dense-array budget on huge sparse fields (GridCellSize).
 //
 // Each stripe is padded by a halo ring of cell columns wide enough to cover
 // a protocol-range neighbor query issued from an owned node, with both the
@@ -33,8 +32,6 @@ package radio
 
 import (
 	"math"
-	"sync"
-	"time"
 
 	"instantad/internal/obs"
 )
@@ -44,8 +41,6 @@ import (
 type stripe struct {
 	cx0, cx1 int // owned cell-column range [cx0, cx1)
 	hx0, hx1 int // owned range padded by the halo ring, clamped to the grid
-	owned    int // nodes bucketed into owned columns at the last rebuild
-	halo     int // nodes in the halo ring (owned by neighboring stripes)
 }
 
 // ShardStats counts sharding activity since the channel was created. All of
@@ -61,13 +56,14 @@ type ShardStats struct {
 // radioInstruments are the channel's registry instruments (see
 // InstrumentWith). nil when uninstrumented.
 type radioInstruments struct {
-	rebuilds   *obs.Counter
-	rebuildSec *obs.Histogram
-	migrations *obs.Counter
-	halo       *obs.Counter
-	cross      *obs.Counter
-	shardsG    *obs.Gauge
-	skew       *obs.Gauge
+	rebuilds    *obs.Counter
+	reevaluated *obs.Counter
+	rebuildSec  *obs.Histogram
+	migrations  *obs.Counter
+	halo        *obs.Counter
+	cross       *obs.Counter
+	shardsG     *obs.Gauge
+	skew        *obs.Gauge
 }
 
 // InstrumentWith attaches radio_* metrics to reg: rebuild counters and
@@ -83,6 +79,8 @@ func (c *Channel) InstrumentWith(reg *obs.Registry) {
 	c.ins = &radioInstruments{
 		rebuilds: reg.Counter("radio_grid_rebuilds_total",
 			"spatial grid snapshot rebuilds"),
+		reevaluated: reg.Counter("radio_grid_nodes_reevaluated_total",
+			"nodes whose position a grid rebuild evaluated (the rest were certified to be in their cell still)"),
 		rebuildSec: reg.Histogram("radio_grid_rebuild_seconds",
 			"wall-clock time of one grid snapshot rebuild",
 			obs.ExpBuckets(1e-6, 4, 12)),
@@ -150,113 +148,20 @@ func (c *Channel) GridCellSize() float64 {
 	return c.gridCell
 }
 
-// rebuildGrid rebuilds the CSR snapshot, dispatching to the parallel
-// striped build when the channel is sharded. Both paths produce the same
-// arrays bit-for-bit.
-func (c *Channel) rebuildGrid() {
-	var start time.Time
-	if c.ins != nil {
-		start = time.Now()
-	}
-	if c.shards > 1 {
-		c.rebuildSharded()
-	} else {
-		c.rebuildUnsharded()
-	}
-	c.shardStats.Rebuilds++
-	if c.ins != nil {
-		c.ins.rebuilds.Inc()
-		c.ins.rebuildSec.Observe(time.Since(start).Seconds())
-	}
-}
-
-// rebuildSharded is the parallel striped rebuild. Every phase either writes
-// disjoint per-goroutine windows or runs sequentially, and every numeric
-// result (bounding box, cell geometry, bucket contents and order) is
-// independent of how the work was partitioned, so the snapshot is identical
-// to rebuildUnsharded's — except for the per-stripe cell budget, which only
-// diverges on fields larger than maxGridCells cells (see GridCellSize).
-func (c *Channel) rebuildSharded() {
-	now := c.sim.Now()
-	n := len(c.models)
-	k := c.shards
-
-	// Phase 1 — snapshot positions in parallel index blocks, reducing
-	// per-block bounding boxes. Min/max are exact operations, so the merge
-	// order cannot perturb the result.
-	nb := k
-	if nb > n {
-		nb = n
-	}
-	if cap(c.blockBB) < nb {
-		c.blockBB = make([][4]float64, nb)
-		c.blockMig = make([]uint64, nb)
-	}
-	c.blockBB = c.blockBB[:nb]
-	c.blockMig = c.blockMig[:nb]
-	var wg sync.WaitGroup
-	for b := 0; b < nb; b++ {
-		lo, hi := b*n/nb, (b+1)*n/nb
-		wg.Add(1)
-		go func(b, lo, hi int) {
-			defer wg.Done()
-			minX, minY := math.Inf(1), math.Inf(1)
-			maxX, maxY := math.Inf(-1), math.Inf(-1)
-			for i := lo; i < hi; i++ {
-				p := c.models[i].Position(now)
-				c.snapPos[i] = p
-				minX, minY = math.Min(minX, p.X), math.Min(minY, p.Y)
-				maxX, maxY = math.Max(maxX, p.X), math.Max(maxY, p.Y)
-			}
-			c.blockBB[b] = [4]float64{minX, minY, maxX, maxY}
-		}(b, lo, hi)
-	}
-	wg.Wait()
-	minX, minY := math.Inf(1), math.Inf(1)
-	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	for _, bb := range c.blockBB {
-		minX, minY = math.Min(minX, bb[0]), math.Min(minY, bb[1])
-		maxX, maxY = math.Max(maxX, bb[2]), math.Max(maxY, bb[3])
-	}
-
-	// Cell-size selection with the per-stripe budget: each stripe may spend
-	// up to maxGridCells cells, so huge sparse fields keep their resolution
-	// when sharded instead of silently doubling every stripe's cell size.
-	cs := c.cellSize
-	var nx, ny int
-	for {
-		ox := cs * math.Floor(minX/cs)
-		oy := cs * math.Floor(minY/cs)
-		nx = int(math.Floor((maxX-ox)/cs)) + 1
-		ny = int(math.Floor((maxY-oy)/cs)) + 1
-		if nx*ny <= maxGridCells*k || nx*ny <= 4*n {
-			c.gridMinX, c.gridMinY = ox, oy
-			break
-		}
-		cs *= 2
-	}
-	c.gridCell = cs
-	c.gridNX, c.gridNY = nx, ny
-	ncells := nx * ny
-
-	// Tile the columns into ks contiguous non-empty stripes (ks collapses
-	// toward nx on narrow grids) and pad each with a halo ring covering a
-	// protocol-range query whose endpoints drift up to MaxSpeed·GridRefresh
-	// between the snapshot and the staleness deadline.
-	ks := k
-	if ks > nx {
-		ks = nx
-	}
-	hc := int(math.Ceil((c.maxRange + 2*c.cfg.MaxSpeed*c.cfg.GridRefresh) / cs))
+// tileStripes tiles the grid's columns into ks contiguous non-empty stripes
+// (ks collapses toward the column count on narrow grids) and pads each with a
+// halo ring covering a protocol-range query whose endpoints drift up to
+// MaxSpeed·GridRefresh between the snapshot and the staleness deadline. It
+// depends on the geometry alone, so it runs when that is chosen.
+func (c *Channel) tileStripes() {
+	nx := c.gridNX
+	ks := min(c.shards, nx)
+	hc := int(math.Ceil((c.maxRange + 2*c.cfg.MaxSpeed*c.cfg.GridRefresh) / c.gridCell))
 	c.stripes = c.stripes[:0]
 	for s := 0; s < ks; s++ {
 		st := stripe{cx0: s * nx / ks, cx1: (s + 1) * nx / ks}
-		if st.hx0 = st.cx0 - hc; st.hx0 < 0 {
-			st.hx0 = 0
-		}
-		if st.hx1 = st.cx1 + hc; st.hx1 > nx {
-			st.hx1 = nx
-		}
+		st.hx0 = max(st.cx0-hc, 0)
+		st.hx1 = min(st.cx1+hc, nx)
 		c.stripes = append(c.stripes, st)
 	}
 	if cap(c.stripeOfCx) < nx {
@@ -268,130 +173,31 @@ func (c *Channel) rebuildSharded() {
 			c.stripeOfCx[cx] = int32(s)
 		}
 	}
+	if c.shardOf == nil {
+		c.shardOf = make([]int32, len(c.models))
+	}
+}
 
-	// Phase 2 — cell and stripe assignment in parallel blocks; tile
-	// crossings are counted against the previous rebuild's assignment.
-	// shardOf/shardPrev swap roles so the previous array stays readable
-	// while the new one is written.
-	if c.cellOf == nil {
-		c.cellOf = make([]int32, n)
+// accountStripes derives halo and occupancy from the finished snapshot and
+// books them with the migrations the rebuild counted.
+func (c *Channel) accountStripes(migrations uint64) {
+	ny := c.gridNY
+	colPop := func(cx0, cx1 int) int {
+		return int(c.cellStart[cx1*ny] - c.cellStart[cx0*ny])
 	}
-	prev := c.shardOf // nil before the first rebuild
-	cur := c.shardPrev
-	if cur == nil {
-		cur = make([]int32, n)
-	}
-	for b := 0; b < nb; b++ {
-		lo, hi := b*n/nb, (b+1)*n/nb
-		wg.Add(1)
-		go func(b, lo, hi int) {
-			defer wg.Done()
-			var mig uint64
-			for i := lo; i < hi; i++ {
-				cell := int32(c.cellIndex(c.snapPos[i]))
-				c.cellOf[i] = cell
-				s := c.stripeOfCx[int(cell)/ny]
-				cur[i] = s
-				if prev != nil && prev[i] != s {
-					mig++
-				}
-			}
-			c.blockMig[b] = mig
-		}(b, lo, hi)
-	}
-	wg.Wait()
-	c.shardOf, c.shardPrev = cur, prev
-
-	// Gather each stripe's nodes in ascending id (one sequential pass) so
-	// the striped counting sort below places ids within every cell in
-	// exactly the order the unsharded sort would.
-	for len(c.stripeNodes) < ks {
-		c.stripeNodes = append(c.stripeNodes, nil)
-	}
-	for s := 0; s < ks; s++ {
-		c.stripeNodes[s] = c.stripeNodes[s][:0]
-	}
-	for i := 0; i < n; i++ {
-		s := c.shardOf[i]
-		c.stripeNodes[s] = append(c.stripeNodes[s], int32(i))
-	}
-
-	// Phase 3 — counting sort into the shared CSR arena, parallel per
-	// stripe. A stripe's cells form one contiguous x-major block, so the
-	// count and placement passes touch disjoint ranges of cellStart and
-	// cellNodes; only the prefix sum and the final cursor shift are global.
-	if cap(c.cellStart) < ncells+1 {
-		c.cellStart = make([]int32, ncells+1)
-	}
-	c.cellStart = c.cellStart[:ncells+1]
-	for i := range c.cellStart {
-		c.cellStart[i] = 0
-	}
-	if cap(c.cellNodes) < n {
-		c.cellNodes = make([]int32, n)
-	}
-	c.cellNodes = c.cellNodes[:n]
-	for s := 0; s < ks; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for _, i := range c.stripeNodes[s] {
-				c.cellStart[c.cellOf[i]+1]++
-			}
-		}(s)
-	}
-	wg.Wait()
-	for i := 1; i < len(c.cellStart); i++ {
-		c.cellStart[i] += c.cellStart[i-1]
-	}
-	for s := 0; s < ks; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for _, i := range c.stripeNodes[s] {
-				cell := c.cellOf[i]
-				c.cellNodes[c.cellStart[cell]] = i
-				c.cellStart[cell]++
-			}
-		}(s)
-	}
-	wg.Wait()
-	copy(c.cellStart[1:], c.cellStart[:ncells])
-	c.cellStart[0] = 0
-	c.gridAt = now
-	c.gridBuilt = true
-
-	// Halo and occupancy accounting, derived from the finished snapshot.
-	var migrations, halo uint64
-	for _, m := range c.blockMig {
-		migrations += m
-	}
-	colPop := func(cx int) int {
-		return int(c.cellStart[(cx+1)*ny] - c.cellStart[cx*ny])
-	}
+	var halo uint64
 	maxOwned := 0
-	for s := range c.stripes {
-		st := &c.stripes[s]
-		st.owned = len(c.stripeNodes[s])
-		st.halo = 0
-		for cx := st.hx0; cx < st.cx0; cx++ {
-			st.halo += colPop(cx)
-		}
-		for cx := st.cx1; cx < st.hx1; cx++ {
-			st.halo += colPop(cx)
-		}
-		halo += uint64(st.halo)
-		if st.owned > maxOwned {
-			maxOwned = st.owned
-		}
+	for _, st := range c.stripes {
+		halo += uint64(colPop(st.hx0, st.cx0) + colPop(st.cx1, st.hx1))
+		maxOwned = max(maxOwned, colPop(st.cx0, st.cx1))
 	}
 	c.shardStats.Migrations += migrations
 	c.shardStats.HaloMirrored += halo
 	if c.ins != nil {
 		c.ins.migrations.Add(migrations)
 		c.ins.halo.Add(halo)
-		c.ins.shardsG.Set(float64(ks))
-		if mean := float64(n) / float64(ks); mean > 0 {
+		c.ins.shardsG.Set(float64(len(c.stripes)))
+		if mean := float64(len(c.models)) / float64(len(c.stripes)); mean > 0 {
 			c.ins.skew.Set(float64(maxOwned) / mean)
 		}
 	}
