@@ -40,10 +40,11 @@ type FleetConfig struct {
 	// Seed drives placement jitter, the medium's loss stream and per-node
 	// forwarding coins. Zero means 1.
 	Seed uint64
-	// BeaconInterval, when positive, turns on HELLO beacons on top of the
-	// static geometric wiring (neighbor tables, position refresh). Zero —
-	// the default — keeps the fleet silent between gossip rounds, which is
-	// what lets 10^4 nodes fit in one process.
+	// Beacon, when positive, is the nodes' BeaconInterval: HELLO beacons on
+	// top of the static geometric wiring (neighbor tables, position
+	// refresh). Zero — the default — keeps the fleet silent between gossip
+	// rounds: an idle node then costs its 12 KB of state and two parked
+	// goroutines, so 10^4 nodes boot into about 0.12 GB.
 	Beacon time.Duration
 	// Probes caps the per-ad delivery probe set. Zero means 32.
 	Probes int

@@ -1,0 +1,66 @@
+package campaign
+
+import (
+	"runtime"
+	"testing"
+	"time"
+)
+
+// footprintConfig is the fleet shape the repository benchmark's live_fleet
+// workload boots, at the given size.
+func footprintConfig(nodes int) FleetConfig {
+	return FleetConfig{
+		Nodes: nodes, Spacing: 150, Range: 230,
+		RoundTime: 100 * time.Millisecond, Seed: 1,
+	}
+}
+
+// heapAfterGC returns the live heap once garbage is gone.
+func heapAfterGC() int64 {
+	runtime.GC()
+	runtime.GC() // the first cycle's finalizers and sweep debt
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// TestFleetNodeFootprint guards what an idle fleet node retains. A node that
+// has received nothing holds its registry, its maps and its peer list —
+// 12 KB when this test was written. It held 236 KB while memnet pre-sized a
+// 4096-slot channel per endpoint and every read loop kept a 64 KB buffer; the
+// next pre-sized per-node buffer should fail here, not wait for a benchmark.
+func TestFleetNodeFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's runtime inflates the heap")
+	}
+	const nodes, limit = 500, 32 << 10
+	before := heapAfterGC()
+	fl, err := NewFleet(footprintConfig(nodes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	perNode := (heapAfterGC() - before) / nodes
+	t.Logf("idle heap per node: %d bytes", perNode)
+	if perNode >= limit {
+		t.Errorf("an idle fleet node retains %d bytes, limit %d", perNode, limit)
+	}
+	if st := fl.MediumStats(); st.MaxQueue != 0 || st.Delivered != 0 {
+		t.Errorf("the fleet was not idle while measured: %+v", st)
+	}
+}
+
+// BenchmarkFleetBoot times NewFleet + Close of a 1000-node fleet; with
+// -benchmem it also prints what a boot allocates.
+func BenchmarkFleetBoot(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		fl, err := NewFleet(footprintConfig(1000))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := fl.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

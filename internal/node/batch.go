@@ -68,24 +68,24 @@ func appendHeader(out []byte, magic byte, sender uint32, vals []float64) []byte 
 }
 
 // decodeHeader parses the shared prefix, validating magic, version and
-// finite kinematics. It returns the sender and the float fields.
-func decodeHeader(data []byte, magic byte, nvals int) (uint32, []float64, error) {
+// finite kinematics. It returns the sender and the first nvals (≤ 4) float
+// fields.
+func decodeHeader(data []byte, magic byte, nvals int) (sender uint32, vals [4]float64, err error) {
 	fixed := 6 + 8*nvals
 	if len(data) < fixed {
-		return 0, nil, errors.New("node: frame too short")
+		return 0, vals, errors.New("node: frame too short")
 	}
 	if data[0] != magic {
-		return 0, nil, errors.New("node: bad magic")
+		return 0, vals, errors.New("node: bad magic")
 	}
 	if data[1] != batchVersion {
-		return 0, nil, fmt.Errorf("node: unsupported version %d", data[1])
+		return 0, vals, fmt.Errorf("node: unsupported version %d", data[1])
 	}
-	sender := binary.LittleEndian.Uint32(data[2:6])
-	vals := make([]float64, nvals)
-	for i := range vals {
+	sender = binary.LittleEndian.Uint32(data[2:6])
+	for i := 0; i < nvals; i++ {
 		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[6+8*i:]))
 		if math.IsNaN(vals[i]) || math.IsInf(vals[i], 0) {
-			return 0, nil, errors.New("node: non-finite kinematics")
+			return 0, vals, errors.New("node: non-finite kinematics")
 		}
 	}
 	return sender, vals, nil

@@ -1,9 +1,10 @@
 // Package memnet is a deterministic in-process datagram network for
 // many-node live-protocol tests: a shared Switchboard hands out endpoints
 // satisfying the node layer's PacketConn interface, and Transport() adapts
-// the switchboard itself to node.Transport — so 50–200 real Node instances
-// can run in one test binary with no OS sockets, no ports, and no kernel
-// buffering nondeterminism.
+// the switchboard itself to node.Transport — so anything from a two-node test
+// to a 10^4-node campaign.Fleet runs in one process with no OS sockets, no
+// ports, and no kernel buffering nondeterminism. An idle endpoint costs a few
+// hundred bytes: its receive queue starts empty and grows with its backlog.
 //
 // The switchboard models the physical medium, not a router: datagrams are
 // delivered whole or not at all, loss is drawn from one seeded stream,
@@ -56,8 +57,9 @@ type Config struct {
 	// between endpoints whose last-beaconed positions are farther apart
 	// than Range are dropped by the medium.
 	Range float64
-	// QueueLen is the per-endpoint receive buffer in datagrams; a full
-	// buffer drops like a full kernel socket buffer. Zero means 4096.
+	// QueueLen is the most datagrams an endpoint's receive queue holds; a
+	// full queue drops like a full kernel socket buffer. The queue starts
+	// empty and doubles on demand up to this bound. Zero means 4096.
 	QueueLen int
 }
 
@@ -86,6 +88,7 @@ type Stats struct {
 	OutOfRange     uint64 `json:"out_of_range"`    // dropped by the range partition
 	NoEndpoint     uint64 `json:"no_endpoint"`     // destination not (or no longer) listening
 	QueueOverflow  uint64 `json:"queue_overflow"`  // receiver buffer full
+	MaxQueue       uint64 `json:"max_queue"`       // deepest backlog any endpoint reached
 }
 
 // Switchboard is the shared in-memory medium.
@@ -95,7 +98,7 @@ type Switchboard struct {
 	mu    sync.Mutex
 	rnd   *rng.Stream
 	eps   map[string]*Conn
-	pos   map[string]geo.Point // endpoint addr → last beaconed position
+	pos   map[string]geo.Point // positions pre-seeded for addresses not yet bound
 	next  int
 	stats Stats
 }
@@ -144,8 +147,12 @@ func (s *Switchboard) Listen(addr string) (*Conn, error) {
 	c := &Conn{
 		sb:   s,
 		addr: addr,
-		ch:   make(chan packet, s.cfg.QueueLen),
+		wake: make(chan struct{}, 1),
 		done: make(chan struct{}),
+	}
+	if p, ok := s.pos[addr]; ok {
+		c.pos, c.placed = p, true
+		delete(s.pos, addr)
 	}
 	s.eps[addr] = c
 	return c, nil
@@ -183,6 +190,9 @@ func (s *Switchboard) Stats() Stats {
 func (s *Switchboard) Position(addr string) (geo.Point, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if c := s.eps[addr]; c != nil {
+		return c.pos, c.placed
+	}
 	p, ok := s.pos[addr]
 	return p, ok
 }
@@ -194,6 +204,10 @@ func (s *Switchboard) Position(addr string) (geo.Point, bool) {
 func (s *Switchboard) SetPosition(addr string, p geo.Point) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if c := s.eps[addr]; c != nil {
+		c.pos, c.placed = p, true
+		return
+	}
 	s.pos[addr] = p
 }
 
@@ -215,22 +229,71 @@ type packet struct {
 type Conn struct {
 	sb   *Switchboard
 	addr string
-	ch   chan packet
+	// wake holds at most one token: "the queue went from empty to non-empty,
+	// or a read left datagrams behind". It is only ever sent to with no lock
+	// held. done is closed by Close and releases every blocked reader.
+	wake chan struct{}
 	done chan struct{}
-	once sync.Once
+
+	// Guarded by sb.mu. The receive queue is a ring: count datagrams starting
+	// at ring[head], wrapping. It is nil until the first datagram arrives and
+	// doubles when full, never beyond Config.QueueLen.
+	pos    geo.Point // last position set or snooped; meaningful when placed
+	placed bool
+	closed bool
+	ring   []packet
+	head   int
+	count  int
 }
+
+// minRing is the first allocation of a receive ring, in datagrams.
+const minRing = 4
 
 // LocalAddr returns the endpoint's bound address.
 func (c *Conn) LocalAddr() string { return c.addr }
 
-// ReadFrom blocks until a datagram arrives or the conn closes, mirroring a
-// UDP socket: a datagram longer than b is truncated.
-func (c *Conn) ReadFrom(b []byte) (int, string, error) {
+// signal leaves the wake token for a reader. Callers hold no lock.
+func (c *Conn) signal() {
 	select {
-	case p := <-c.ch:
-		return copy(b, p.data), p.from, nil
-	case <-c.done:
-		return 0, "", net.ErrClosed
+	case c.wake <- struct{}{}:
+	default:
+	}
+}
+
+// ReadFrom blocks until a datagram arrives or the conn closes. The returned
+// slice is the private copy WriteTo made, so it stays intact after the next
+// call — more than the PacketConn contract asks. A closed conn always
+// reports net.ErrClosed: what was still queued went with the Close, as on a
+// closed UDP socket.
+func (c *Conn) ReadFrom() ([]byte, string, error) {
+	s := c.sb
+	for {
+		s.mu.Lock()
+		if c.closed {
+			s.mu.Unlock()
+			return nil, "", net.ErrClosed
+		}
+		if c.count > 0 {
+			p := c.ring[c.head]
+			c.ring[c.head] = packet{} // the reader owns the bytes now
+			if c.head++; c.head == len(c.ring) {
+				c.head = 0
+			}
+			c.count--
+			more := c.count > 0
+			s.mu.Unlock()
+			if more {
+				// The push that made the queue non-empty left one token and
+				// this read consumed it; another reader may be asleep.
+				c.signal()
+			}
+			return p.data, p.from, nil
+		}
+		s.mu.Unlock()
+		select {
+		case <-c.wake:
+		case <-c.done:
+		}
 	}
 }
 
@@ -238,95 +301,149 @@ func (c *Conn) ReadFrom(b []byte) (int, string, error) {
 // nobody succeeds silently; only local faults (closed conn, oversized
 // payload, unroutable address) error.
 func (c *Conn) WriteTo(b []byte, to string) (int, error) {
-	select {
-	case <-c.done:
-		return 0, net.ErrClosed
-	default:
-	}
 	if len(b) > maxPayload {
 		return 0, fmt.Errorf("memnet: message of %d bytes too long", len(b))
 	}
 	if !strings.HasPrefix(to, addrPrefix) {
 		return 0, fmt.Errorf("memnet: bad destination %q", to)
 	}
-	s := c.sb
-	s.mu.Lock()
 	// The medium learns geometry by listening to the traffic it carries:
 	// every beacon — and every self-describing ad-layer frame (envelope,
 	// batch, digest, pull) — stamps its sender's endpoint with the claimed
 	// position.
+	var claimed geo.Point
+	var claims bool
 	if len(b) > 0 && b[0] == discovery.BeaconMagic {
 		if bc, err := discovery.DecodeBeacon(b); err == nil {
-			s.pos[c.addr] = bc.Pos
+			claimed, claims = bc.Pos, true
 		}
-	} else if p, ok := wire.SenderPos(b); ok {
-		s.pos[c.addr] = p
+	} else {
+		claimed, claims = wire.SenderPos(b)
+	}
+	// The receiver's private copy is made before the lock: an allocation can
+	// stall on the garbage collector, and the lock is the whole medium's.
+	p := packet{data: append([]byte(nil), b...), from: c.addr}
+
+	s := c.sb
+	s.mu.Lock()
+	if c.closed {
+		s.mu.Unlock()
+		return 0, net.ErrClosed
+	}
+	if claims {
+		c.pos, c.placed = claimed, true
 	}
 	if s.cfg.Loss > 0 && s.rnd.Bool(s.cfg.Loss) {
 		s.stats.Lost++
 		s.mu.Unlock()
 		return len(b), nil
 	}
-	if s.cfg.Range > 0 {
-		sp, sok := s.pos[c.addr]
-		dp, dok := s.pos[to]
-		if sok && dok && sp.Dist(dp) > s.cfg.Range {
+	dst := s.eps[to]
+	if s.cfg.Range > 0 && c.placed {
+		var dp geo.Point
+		var dok bool
+		if dst != nil {
+			dp, dok = dst.pos, dst.placed
+		} else {
+			dp, dok = s.pos[to]
+		}
+		if dok && c.pos.Dist(dp) > s.cfg.Range {
 			s.stats.OutOfRange++
 			s.mu.Unlock()
 			return len(b), nil
 		}
 	}
-	dst, ok := s.eps[to]
-	if !ok {
+	if dst == nil {
 		s.stats.NoEndpoint++
 		s.mu.Unlock()
 		return len(b), nil
 	}
-	s.mu.Unlock()
-
-	p := packet{data: append([]byte(nil), b...), from: c.addr}
-	if c.sb.cfg.Latency > 0 {
-		time.AfterFunc(c.sb.cfg.Latency, func() { c.sb.deliver(to, dst, p) })
+	if s.cfg.Latency > 0 {
+		s.mu.Unlock()
+		time.AfterFunc(s.cfg.Latency, func() {
+			s.mu.Lock()
+			s.pushAndUnlock(dst, p)
+		})
 		return len(b), nil
 	}
-	c.sb.deliver(to, dst, p)
+	s.pushAndUnlock(dst, p)
 	return len(b), nil
 }
 
-// deliver enqueues the packet unless the destination has since closed or its
-// buffer is full.
-func (s *Switchboard) deliver(to string, dst *Conn, p packet) {
-	s.mu.Lock()
-	if s.eps[to] != dst { // closed (or closed and rebound) since routing
-		s.stats.NoEndpoint++
-		s.mu.Unlock()
-		return
-	}
-	select {
-	case dst.ch <- p:
-		s.stats.Delivered++
-		s.stats.DeliveredBytes += uint64(len(p.data))
-		if uint64(len(p.data)) > s.stats.MaxDatagram {
-			s.stats.MaxDatagram = uint64(len(p.data))
-		}
-	default:
-		s.stats.QueueOverflow++
-	}
+// pushAndUnlock queues p for dst, releases s.mu, which the caller holds, and
+// then — never under the lock — wakes dst's reader if the queue was empty.
+func (s *Switchboard) pushAndUnlock(dst *Conn, p packet) {
+	wake := s.pushLocked(dst, p)
 	s.mu.Unlock()
+	if wake {
+		dst.signal()
+	}
+}
+
+// pushLocked appends p to dst's receive queue unless dst closed while the
+// datagram was in flight (the Latency path; a closed conn is never bound
+// again, a rebind is a new Conn) or its queue is full. It reports whether
+// the queue went from empty to non-empty, in which case the caller signals
+// dst after releasing s.mu.
+func (s *Switchboard) pushLocked(dst *Conn, p packet) (wake bool) {
+	if dst.closed {
+		s.stats.NoEndpoint++
+		return false
+	}
+	if dst.count == s.cfg.QueueLen {
+		s.stats.QueueOverflow++
+		return false
+	}
+	if dst.count == len(dst.ring) {
+		dst.grow(s.cfg.QueueLen)
+	}
+	tail := dst.head + dst.count
+	if tail >= len(dst.ring) {
+		tail -= len(dst.ring)
+	}
+	dst.ring[tail] = p
+	dst.count++
+	s.stats.Delivered++
+	s.stats.DeliveredBytes += uint64(len(p.data))
+	if uint64(len(p.data)) > s.stats.MaxDatagram {
+		s.stats.MaxDatagram = uint64(len(p.data))
+	}
+	if uint64(dst.count) > s.stats.MaxQueue {
+		s.stats.MaxQueue = uint64(dst.count)
+	}
+	return dst.count == 1
+}
+
+// grow doubles a full ring (bounded by limit), unwrapping it so the queue
+// starts at slot 0 of the new one.
+func (c *Conn) grow(limit int) {
+	size := 2 * len(c.ring)
+	if size < minRing {
+		size = minRing
+	}
+	if size > limit {
+		size = limit
+	}
+	ring := make([]packet, size)
+	n := copy(ring, c.ring[c.head:])
+	copy(ring[n:], c.ring[:c.head])
+	c.ring, c.head = ring, 0
 }
 
 // Close unbinds the endpoint; blocked and future reads return net.ErrClosed,
-// and in-flight datagrams toward it are dropped like packets to a dead port.
+// and datagrams queued for or in flight toward it are dropped like packets
+// to a dead port.
 func (c *Conn) Close() error {
-	c.once.Do(func() {
-		s := c.sb
-		s.mu.Lock()
-		if s.eps[c.addr] == c {
-			delete(s.eps, c.addr)
-			delete(s.pos, c.addr)
-		}
+	s := c.sb
+	s.mu.Lock()
+	if c.closed {
 		s.mu.Unlock()
-		close(c.done)
-	})
+		return nil
+	}
+	c.closed = true
+	c.ring, c.head, c.count = nil, 0, 0
+	delete(s.eps, c.addr)
+	s.mu.Unlock()
+	close(c.done)
 	return nil
 }

@@ -3,8 +3,10 @@ package node
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"instantad/internal/ads"
@@ -190,7 +192,7 @@ func (c Config) validate() error {
 }
 
 // peerState is one datagram destination plus its send-health bookkeeping.
-// All fields are guarded by Node.mu.
+// The health fields are guarded by Node.mu; key never changes.
 type peerState struct {
 	key string // canonical addr string: the identity, the wire destination
 
@@ -200,9 +202,12 @@ type peerState struct {
 	backoffUntil time.Time
 	nextBackoff  time.Duration
 	inBackoff    bool // tripped and not yet succeeded again (event edge)
-	detached     bool // removed from the peer set; in-flight sends must not
-	// mutate its health or trip backoff — the entry is dead, only snapshots
-	// taken before the removal still hold it.
+
+	// detached is set (under Node.mu) when the peer leaves the peer set;
+	// in-flight sends must not mutate its health or trip backoff — the entry
+	// is dead, only snapshots taken before the removal still hold it. Atomic
+	// so sendTo can refuse a dead entry without taking the node lock.
+	detached atomic.Bool
 }
 
 // PeerHealth is a point-in-time snapshot of one peer's send health.
@@ -245,13 +250,18 @@ type Node struct {
 	mu        sync.Mutex
 	cache     *ads.Cache
 	seen      map[ads.ID]float64 // ad ID → protocol-time expiry of that ad
-	nextPrune float64            // protocol time of the next seen-set sweep
+	nextPrune float64            // protocol time of the next seen-set and serve-block sweep
 	peers     []*peerState
 	peerIndex map[string]*peerState // canonical key → entry of peers
 	interests map[string]bool
 	rnd       *rng.Stream
 	nextSeq   uint32
 	epoch     time.Time // protocol time zero: ages are seconds since epoch
+
+	// nextExpiry is a protocol time no cached ad expires before: fireDue
+	// skips the cache's expiry sweep while the clock is below it. Guarded by
+	// mu.
+	nextExpiry float64
 
 	// Wire-layer round state, guarded by mu.
 	nextDigest  float64              // protocol time of the next digest send
@@ -461,6 +471,7 @@ func New(cfg Config) (*Node, error) {
 		cache:          ads.NewCache(cfg.CacheK),
 		seen:           make(map[ads.ID]float64),
 		served:         make(map[string]time.Time),
+		nextExpiry:     math.Inf(1),
 		peerIndex:      make(map[string]*peerState),
 		interests:      make(map[string]bool, len(cfg.Interests)),
 		rnd:            rng.New(cfg.Seed),
@@ -638,7 +649,7 @@ func (n *Node) RemovePeer(addr string) bool {
 	}
 	// Mark the entry detached under the same lock that removes it: send
 	// paths holding a pre-removal snapshot must stop mutating its health.
-	p.detached = true
+	p.detached.Store(true)
 	delete(n.peerIndex, key)
 	kept := n.peers[:0]
 	for _, q := range n.peers {
@@ -788,11 +799,7 @@ func (n *Node) Issue(spec core.AdSpec) (*ads.Advertisement, error) {
 	n.markSeenLocked(ad)
 	own := ad.Clone()
 	n.applyPopularityLocked(own)
-	e, overflow := n.cache.Insert(own, n.forwardProbLocked(own, pos))
-	e.ScheduledAt = n.now() + n.cfg.RoundTime.Seconds()
-	if overflow {
-		n.evictLocked()
-	}
+	n.admitLocked(own, pos, n.now())
 	// Clone before releasing the lock: the cached entry (own) may be
 	// mutated by handle merging duplicates the moment mu drops, and
 	// broadcast reads the ad outside the lock. fireDue clones for the same
@@ -819,7 +826,9 @@ func (n *Node) markSeenLocked(ad *ads.Advertisement) {
 // An ID is swept the first sweep after its expiry — straggler duplicates of
 // a just-expired ad are dropped by the expiry check either way, so keeping
 // them a grace round (as an earlier revision did) only misreported them as
-// live. Callers hold n.mu.
+// live. Lapsed serve blocks go in the same sweep: servedBlocked ignores them
+// anyway, so once a round is often enough to bound the map. Callers hold
+// n.mu.
 func (n *Node) pruneSeenLocked(now float64) {
 	if now < n.nextPrune {
 		return
@@ -829,6 +838,12 @@ func (n *Node) pruneSeenLocked(now float64) {
 		if exp < now {
 			delete(n.seen, id)
 			n.ctr.seenPruned.Add(1)
+		}
+	}
+	wall := time.Now()
+	for addr, until := range n.served {
+		if !until.After(wall) {
+			delete(n.served, addr)
 		}
 	}
 }
@@ -921,9 +936,9 @@ func (n *Node) forwardProbLocked(ad *ads.Advertisement, pos geo.Point) float64 {
 // evictLocked refreshes probabilities and drops the lowest entry.
 func (n *Node) evictLocked() {
 	pos, _ := n.cfg.Position(time.Now())
-	for _, e := range n.cache.Entries() {
+	n.cache.ForEach(func(e *ads.Entry) {
 		e.Prob = n.forwardProbLocked(e.Ad, pos)
-	}
+	})
 	n.cache.EvictLowest()
 }
 
@@ -934,10 +949,9 @@ func (n *Node) evictLocked() {
 // so a persistent socket fault cannot hot-spin a core or flood the log.
 func (n *Node) readLoop() {
 	defer n.wg.Done()
-	buf := make([]byte, maxDatagram)
 	var backoff time.Duration
 	for {
-		nb, from, err := n.conn.ReadFrom(buf)
+		data, from, err := n.conn.ReadFrom()
 		if err != nil {
 			if n.closed() || errors.Is(err, net.ErrClosed) {
 				return
@@ -960,8 +974,7 @@ func (n *Node) readLoop() {
 			continue
 		}
 		backoff = 0
-		data := buf[:nb]
-		if nb == 0 {
+		if len(data) == 0 {
 			n.ctr.malformed.Add(1)
 			continue
 		}
@@ -999,7 +1012,7 @@ func (n *Node) handle(env *envelope) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.integrateAdLocked(env.Pos, pos, vel, env.Ad)
+	n.integrateAdLocked(n.now(), env.Pos, pos, vel, env.Ad)
 }
 
 // handleBatch decodes a multi-ad batch frame, applies the virtual radio once
@@ -1020,17 +1033,17 @@ func (n *Node) handleBatch(data []byte) {
 	n.recvBatch.Observe(float64(len(f.Ads)))
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	now := n.now()
 	for _, ad := range f.Ads {
-		n.integrateAdLocked(f.Pos, pos, vel, ad)
+		n.integrateAdLocked(now, f.Pos, pos, vel, ad)
 	}
 }
 
-// integrateAdLocked is the paper's receive algorithm for one ad heard from a
-// sender at srcPos: expiry check, dedup-set mark, duplicate merge (R/D/
-// sketch, Opt2 postponement), or cache admission. Callers hold n.mu and have
-// already applied the virtual radio.
-func (n *Node) integrateAdLocked(srcPos geo.Point, pos geo.Point, vel geo.Vec, ad *ads.Advertisement) {
-	now := n.now()
+// integrateAdLocked is the paper's receive algorithm for one ad heard at
+// protocol time now from a sender at srcPos: expiry check, dedup-set mark,
+// duplicate merge (R/D/sketch, Opt2 postponement), or cache admission.
+// Callers hold n.mu and have already applied the virtual radio.
+func (n *Node) integrateAdLocked(now float64, srcPos geo.Point, pos geo.Point, vel geo.Vec, ad *ads.Advertisement) {
 	if ad.Expired(now) {
 		n.ctr.expired.Add(1)
 		return
@@ -1059,11 +1072,46 @@ func (n *Node) integrateAdLocked(srcPos geo.Point, pos geo.Point, vel geo.Vec, a
 	}
 	own := ad.Clone()
 	n.applyPopularityLocked(own)
+	n.admitLocked(own, pos, now)
+}
+
+// admitLocked caches a new ad: first gossip one round from now, the expiry
+// bound lowered to cover it, and — on overflow — the paper's eviction.
+// Callers hold n.mu.
+func (n *Node) admitLocked(own *ads.Advertisement, pos geo.Point, now float64) {
 	e, overflow := n.cache.Insert(own, n.forwardProbLocked(own, pos))
 	e.ScheduledAt = now + n.cfg.RoundTime.Seconds()
+	if b := expiryBound(own); b < n.nextExpiry {
+		n.nextExpiry = b
+	}
 	if overflow {
 		n.evictLocked()
 	}
+}
+
+// expiryBound returns a protocol time before which ad cannot be Expired:
+// IssuedAt + D less a slack that dwarfs the rounding by which that sum and
+// Expired's own now − IssuedAt > D can disagree. IssuedAt is fixed and D only
+// grows (duplicate merge, Enlarge), so a bound taken once stays a lower
+// bound — at worst a sweep starts early, and Expired still decides.
+func expiryBound(ad *ads.Advertisement) float64 {
+	return ad.IssuedAt + ad.D - 1e-9*(1+math.Abs(ad.IssuedAt)+ad.D)
+}
+
+// expireLocked drops expired ads from the cache — they just vanish. The
+// walk is skipped while no cached ad can have expired; each walk recomputes
+// that bound from what stays. Callers hold n.mu.
+func (n *Node) expireLocked(now float64) {
+	if now < n.nextExpiry {
+		return
+	}
+	n.cache.RemoveExpired(now)
+	n.nextExpiry = math.Inf(1)
+	n.cache.ForEach(func(e *ads.Entry) {
+		if b := expiryBound(e.Ad); b < n.nextExpiry {
+			n.nextExpiry = b
+		}
+	})
 }
 
 // handleDigest answers a neighbor's cache digest: any advertised ID we have
@@ -1181,16 +1229,6 @@ func (n *Node) servedBlocked(addr string, now time.Time) bool {
 	return ok && until.After(now)
 }
 
-// pruneServedLocked drops expired serve blocks, keeping the map bounded by
-// the recently-served peer set. Callers hold n.mu.
-func (n *Node) pruneServedLocked(now time.Time) {
-	for addr, until := range n.served {
-		if !until.After(now) {
-			delete(n.served, addr)
-		}
-	}
-}
-
 // takeBudget claims nb bytes of the per-round send budget, rolling the
 // window on the protocol clock. Unlimited (roundBytes == 0) always grants.
 func (n *Node) takeBudget(nb int) bool {
@@ -1262,7 +1300,7 @@ func (n *Node) handleBeacon(data []byte, from string) {
 		n.event("neighbor_addr_changed", key, b.ID, prevAddr)
 		n.mu.Lock()
 		if old := n.peerIndex[prevAddr]; old != nil {
-			old.detached = true
+			old.detached.Store(true)
 			delete(n.peerIndex, prevAddr)
 			kept := n.peers[:0]
 			for _, p := range n.peers {
@@ -1459,19 +1497,18 @@ func (n *Node) fireDue() {
 	var digest []ads.ID
 	n.mu.Lock()
 	now := n.now()
-	n.cache.RemoveExpired(now) // expired ads just vanish
+	n.expireLocked(now)
 	n.pruneSeenLocked(now)
-	n.pruneServedLocked(time.Now())
-	for _, e := range n.cache.Entries() {
+	n.cache.ForEach(func(e *ads.Entry) {
 		if e.ScheduledAt > now {
-			continue
+			return
 		}
 		e.Prob = n.forwardProbLocked(e.Ad, pos)
 		if n.rnd.Bool(e.Prob) {
 			toSend = append(toSend, e.Ad.Clone())
 		}
 		e.ScheduledAt = now + n.cfg.RoundTime.Seconds()
-	}
+	})
 	if n.digestEvery > 0 && now >= n.nextDigest && n.cache.Len() > 0 {
 		n.nextDigest = now + float64(n.digestEvery)*n.cfg.RoundTime.Seconds()
 		// A digest frame honors the batch soft cap too: when the cache holds
@@ -1625,10 +1662,7 @@ func (n *Node) sendToAddr(data []byte, addr string) bool {
 // what a success counts as (ad sent, beacon sent, relay) is the caller's
 // business.
 func (n *Node) sendTo(data []byte, p *peerState) bool {
-	n.mu.Lock()
-	detached := p.detached
-	n.mu.Unlock()
-	if detached {
+	if p.detached.Load() {
 		// The peer was removed after this snapshot was taken; its entry is
 		// dead and must not accumulate health or trip backoff.
 		return false
@@ -1649,7 +1683,7 @@ func (n *Node) sendTo(data []byte, p *peerState) bool {
 // timed exponential backoff once the consecutive-failure limit is reached.
 func (n *Node) peerSendFailed(p *peerState, err error) {
 	n.mu.Lock()
-	if p.detached {
+	if p.detached.Load() {
 		// Removed mid-send: the failure already hit the global counter, but
 		// a dead entry's health and backoff stay frozen.
 		n.mu.Unlock()
@@ -1687,7 +1721,7 @@ func (n *Node) peerSendFailed(p *peerState, err error) {
 // success after a backoff window is the recovery edge, worth an event.
 func (n *Node) peerSendOK(p *peerState) {
 	n.mu.Lock()
-	if p.detached {
+	if p.detached.Load() {
 		n.mu.Unlock()
 		return
 	}

@@ -30,13 +30,18 @@ func newFakeConn() *fakeConn {
 	return &fakeConn{reads: make(chan readResult, 32), closed: make(chan struct{})}
 }
 
-func (c *fakeConn) ReadFrom(b []byte) (int, string, error) {
+func (c *fakeConn) ReadFrom() ([]byte, string, error) {
 	select {
 	case r := <-c.reads:
-		return copy(b, r.data), "127.0.0.1:1", r.err
+		return r.data, "127.0.0.1:1", r.err
 	case <-c.closed:
-		return 0, "", net.ErrClosed
+		return nil, "", net.ErrClosed
 	}
+}
+
+// inject queues one datagram for the reader, copying it as a socket would.
+func (c *fakeConn) inject(b []byte) {
+	c.reads <- readResult{data: append([]byte(nil), b...)}
 }
 
 func (c *fakeConn) WriteTo(b []byte, to string) (int, error) { return len(b), nil }
@@ -90,7 +95,7 @@ func TestReadLoopTransientBackoff(t *testing.T) {
 	for i := 0; i < bursts; i++ {
 		fc.reads <- readResult{err: transient}
 	}
-	fc.reads <- readResult{data: validDatagram(t, 42)}
+	fc.inject(validDatagram(t, 42))
 	start := time.Now()
 	n.Start()
 	if !waitFor(t, 3*time.Second, func() bool { return n.Stats().Received == 1 }) {
@@ -112,7 +117,7 @@ func TestReadLoopBackoffResets(t *testing.T) {
 	transient := errors.New("transient")
 	fc.reads <- readResult{err: transient}
 	fc.reads <- readResult{err: transient}
-	fc.reads <- readResult{data: validDatagram(t, 42)}
+	fc.inject(validDatagram(t, 42))
 	n.Start()
 	if !waitFor(t, 3*time.Second, func() bool { return n.Stats().Received == 1 }) {
 		t.Fatal("first valid datagram never processed")
@@ -121,7 +126,7 @@ func TestReadLoopBackoffResets(t *testing.T) {
 	// doubling it would still be ≤ max (40ms) — mostly this asserts the
 	// loop keeps serving traffic interleaved with faults.
 	fc.reads <- readResult{err: transient}
-	fc.reads <- readResult{data: validDatagram(t, 43)}
+	fc.inject(validDatagram(t, 43))
 	if !waitFor(t, 3*time.Second, func() bool { return n.Stats().Received == 2 }) {
 		t.Fatal("valid datagram after second fault never processed")
 	}
@@ -137,7 +142,7 @@ func TestReadLoopFatalClosed(t *testing.T) {
 	n.Start()
 	fc.reads <- readResult{err: net.ErrClosed}
 	// The loop exited: a queued read result stays unconsumed.
-	fc.reads <- readResult{data: validDatagram(t, 42)}
+	fc.inject(validDatagram(t, 42))
 	time.Sleep(150 * time.Millisecond)
 	if len(fc.reads) != 1 {
 		t.Error("read loop kept reading after a closed-socket error")

@@ -11,11 +11,18 @@ import (
 	"sync"
 )
 
+// recvBufLen sizes a UDP conn's receive buffer: above the 65507-byte payload
+// bound, so no datagram is ever truncated.
+const recvBufLen = 64 * 1024
+
 // PacketConn is the datagram socket a node runs on.
 type PacketConn interface {
-	// ReadFrom blocks for the next datagram, reporting the source address.
-	// A closed conn returns an error satisfying errors.Is(err, net.ErrClosed).
-	ReadFrom(b []byte) (n int, from string, err error)
+	// ReadFrom blocks for the next datagram and hands it over together with
+	// its source address. The slice belongs to the conn and is valid until
+	// the next ReadFrom on it, so a conn has one reader at a time and a
+	// caller that keeps the bytes copies them. A closed conn returns an
+	// error satisfying errors.Is(err, net.ErrClosed).
+	ReadFrom() (data []byte, from string, err error)
 	// WriteTo sends one datagram toward the address.
 	WriteTo(b []byte, to string) (int, error)
 	Close() error
@@ -44,7 +51,11 @@ func (UDP) Listen(addr string) (PacketConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &udpPacketConn{conn: conn, dests: make(map[string]*net.UDPAddr)}, nil
+	return &udpPacketConn{
+		conn:  conn,
+		buf:   make([]byte, recvBufLen),
+		dests: make(map[string]*net.UDPAddr),
+	}, nil
 }
 
 // Resolve canonicalizes addr via DNS/literal resolution.
@@ -61,17 +72,20 @@ func (UDP) Resolve(addr string) (string, error) {
 // hot send path costs one map hit, not a resolver call.
 type udpPacketConn struct {
 	conn *net.UDPConn
+	// buf is the one receive buffer: filled by the single reader, handed
+	// out by ReadFrom.
+	buf []byte
 
 	mu    sync.Mutex
 	dests map[string]*net.UDPAddr
 }
 
-func (c *udpPacketConn) ReadFrom(b []byte) (int, string, error) {
-	n, addr, err := c.conn.ReadFromUDP(b)
+func (c *udpPacketConn) ReadFrom() ([]byte, string, error) {
+	n, addr, err := c.conn.ReadFromUDP(c.buf)
 	if err != nil {
-		return n, "", err
+		return nil, "", err
 	}
-	return n, addr.String(), nil
+	return c.buf[:n], addr.String(), nil
 }
 
 func (c *udpPacketConn) WriteTo(b []byte, to string) (int, error) {
