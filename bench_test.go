@@ -84,9 +84,12 @@ func BenchmarkFig5Opt1Probability(b *testing.B) {
 }
 
 // BenchmarkFig7NetworkSize reproduces Figure 7(a–c): the three metrics per
-// protocol at a sparse, the crossover, and a dense network size.
+// protocol at a sparse, the crossover, and a dense network size. It covers the
+// two comparator families as well, so its rows are the 21 simulations one rep
+// of the repository benchmark's fig7_sweep runs; with -benchmem they are the
+// per-series split of that workload's time and allocation.
 func BenchmarkFig7NetworkSize(b *testing.B) {
-	for _, proto := range instantad.Protocols() {
+	for _, proto := range instantad.AllProtocols() {
 		for _, n := range []int{100, 300, 1000} {
 			b.Run(fmt.Sprintf("%v/N=%d", proto, n), func(b *testing.B) {
 				sc := benchBase()

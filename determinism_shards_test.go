@@ -51,6 +51,7 @@ func TestRunDeterminismAcrossShards(t *testing.T) {
 		{"async-k1-churn-impaired", func(sc *experiment.Scenario) { asyncImpaired(sc, 1) }},
 		{"async-k2-churn-impaired", func(sc *experiment.Scenario) { asyncImpaired(sc, 2) }},
 		{"async-k3-churn-impaired", func(sc *experiment.Scenario) { asyncImpaired(sc, 3) }},
+		{"relevance-exchange-churn-impaired", relevanceImpaired},
 		// Whole rounds on one slot: the only cases here whose batches are wide
 		// enough to be shard-routed onto the pool instead of decided inline.
 		{"wide-optimized-gossiping", func(sc *experiment.Scenario) { sc.Protocol = core.GossipOpt; wideRounds(sc) }},

@@ -1,6 +1,8 @@
 package instantad_test
 
 import (
+	"hash/fnv"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"instantad/internal/experiment"
 	"instantad/internal/geo"
 	"instantad/internal/radio"
+	"instantad/internal/trace"
 )
 
 // fingerprint is everything a run exposes that the determinism contract
@@ -140,17 +143,29 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
-// asyncImpaired switches a scenario to the asynchronous pairwise protocol
-// at the given exchange bound under the impaired channel + churn mix the
+// impaired puts a scenario under the impaired channel + churn mix the
 // round-based cases use.
-func asyncImpaired(sc *experiment.Scenario, k int) {
-	sc.Protocol = core.AsyncGossip
-	sc.AsyncK = k
+func impaired(sc *experiment.Scenario) {
 	sc.Collisions = true
 	sc.LossRate = 0.1
 	sc.FadeZone = 20
 	sc.ChurnOnMean = 300
 	sc.ChurnOffMean = 60
+}
+
+// asyncImpaired switches a scenario to the asynchronous pairwise protocol
+// at the given exchange bound under the impaired mix.
+func asyncImpaired(sc *experiment.Scenario, k int) {
+	sc.Protocol = core.AsyncGossip
+	sc.AsyncK = k
+	impaired(sc)
+}
+
+// relevanceImpaired is the Relevance Exchange comparator under the impaired
+// mix.
+func relevanceImpaired(sc *experiment.Scenario) {
+	sc.Protocol = core.RelevanceExchange
+	impaired(sc)
 }
 
 // TestRunDeterminismAcrossWorkers is the parallel executor's equivalence
@@ -189,6 +204,9 @@ func TestRunDeterminismAcrossWorkers(t *testing.T) {
 		{"async-k1-churn-impaired", func(sc *experiment.Scenario) { asyncImpaired(sc, 1) }},
 		{"async-k2-churn-impaired", func(sc *experiment.Scenario) { asyncImpaired(sc, 2) }},
 		{"async-k3-churn-impaired", func(sc *experiment.Scenario) { asyncImpaired(sc, 3) }},
+		// The Relevance Exchange comparator's rounds are plain events that share
+		// Network-owned scratch; churn exercises its offline rounds.
+		{"relevance-exchange-churn-impaired", relevanceImpaired},
 		// The cases above decide every batch inline (≈ 5 events each). These
 		// put whole rounds on one slot so the pool itself is compared with the
 		// sequential path: a round-based variant, the per-entry timers, and the
@@ -235,5 +253,93 @@ func TestRunDeterminismAcrossSeeds(t *testing.T) {
 	b := runFingerprint(t, sc)
 	if reflect.DeepEqual(a, b) {
 		t.Fatal("fingerprints identical across different seeds; determinism test cannot discriminate")
+	}
+}
+
+// goldenPrint is what the comparator goldens pin: the events dispatched, the
+// channel's counters, the frames broadcast, the bits of the two simulated
+// averages, and an FNV-1a hash of the run's whole internal/trace stream —
+// every observer callback in order, with its peer, ad, size, instant and
+// position.
+type goldenPrint struct {
+	events             uint64
+	stats              radio.Stats
+	messages           uint64
+	rateBits, timeBits uint64
+	trace              uint64
+}
+
+func runGolden(t *testing.T, sc experiment.Scenario) goldenPrint {
+	t.Helper()
+	sm, err := sc.Build()
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	sum := fnv.New64a()
+	rec := trace.NewRecorder(sum, sm.Net.Channel())
+	sm.Observe(rec)
+	center := geo.Point{X: sc.FieldW / 2, Y: sc.FieldH / 2}
+	h := sm.ScheduleAd(sc.IssueTime, center, core.AdSpec{
+		R: sc.R, D: sc.D, Category: sc.Category, Text: "determinism probe",
+	})
+	sm.Engine.Run(sc.SimTime)
+	if h.Err != nil {
+		t.Fatalf("issue: %v", h.Err)
+	}
+	if err := rec.Flush(); err != nil {
+		t.Fatalf("trace: %v", err)
+	}
+	rep, err := sm.Metrics.Report(h.Ad.ID)
+	if err != nil {
+		t.Fatalf("report: %v", err)
+	}
+	return goldenPrint{
+		events:   sm.Engine.Dispatched(),
+		stats:    sm.Net.Channel().Stats(),
+		messages: rep.Messages,
+		rateBits: math.Float64bits(rep.DeliveryRate),
+		timeBits: math.Float64bits(rep.DeliveryTimes.Mean),
+		trace:    sum.Sum64(),
+	}
+}
+
+// TestComparatorGoldens pins runs of the two comparator families to what they
+// produced before their round loops stopped allocating (values taken at
+// 97a4775). Relevance Exchange had no golden at all; its encounter test,
+// refresh/expiry order and broadcast order all feed the channel's shared
+// stream, so any reordering moves these. The async case runs the impaired
+// channel with churn, where frames are lost, receivers go offline in flight
+// and slots time out: a recycled frame reaching a second receiver, or a
+// re-armed timer reclaiming the wrong connection, would move it, and the
+// trace hash shows that every observer was told the same things in the same
+// order.
+func TestComparatorGoldens(t *testing.T) {
+	short := func(mut func(*experiment.Scenario)) experiment.Scenario {
+		sc := experiment.DefaultScenario()
+		sc.SimTime = 300
+		sc.D = 120
+		mut(&sc)
+		return sc
+	}
+	golden := []struct {
+		name string
+		sc   experiment.Scenario
+		want goldenPrint
+	}{
+		{"relevance-exchange/N=100", short(func(sc *experiment.Scenario) {
+			sc.Protocol, sc.NumPeers = core.RelevanceExchange, 100
+		}), goldenPrint{6921, radio.Stats{Broadcasts: 620, Deliveries: 2323, BytesSent: 47740, AirtimeSec: 0.19096000000000135},
+			620, 0x405630e61cc39873, 0x40357c074fb34a1a, 0x65daa8043c656463}},
+		{"relevance-exchange/N=300", short(func(sc *experiment.Scenario) {
+			sc.Protocol, sc.NumPeers = core.RelevanceExchange, 300
+		}), goldenPrint{22195, radio.Stats{Broadcasts: 3894, Deliveries: 44097, BytesSent: 299838, AirtimeSec: 1.1993519999999247},
+			3894, 0x4058b594d653594d, 0x400f2f2bcb758e09, 0xb090e764fc72667c}},
+		{"async-k2-churn-impaired", short(func(sc *experiment.Scenario) { asyncImpaired(sc, 2) }), goldenPrint{52681, radio.Stats{Broadcasts: 32582, Deliveries: 26782, Lost: 3267, Faded: 2526, Collided: 2, BytesSent: 669845, AirtimeSec: 2.679380000001062},
+			1929, 0x40548aea2ba8aea3, 0x40439769ec3fe874, 0xa057150a50ec0786}},
+	}
+	for _, g := range golden {
+		if got := runGolden(t, g.sc); got != g.want {
+			t.Errorf("%s: run moved off its golden:\n  got  %#v\n  want %#v", g.name, got, g.want)
+		}
 	}
 }

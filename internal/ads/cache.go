@@ -2,6 +2,7 @@ package ads
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -56,25 +57,27 @@ func (e *Entry) Own() *Advertisement {
 // Iteration is in insertion order, deterministically. Removal is
 // O(1)-amortized: each entry remembers its slot in the order slice, removal
 // leaves a nil tombstone there, and the slice is compacted (preserving
-// relative order) once tombstones outnumber live entries.
+// relative order) once tombstones outnumber live entries — never while a
+// ForEach is walking it.
 type Cache struct {
-	k       int
+	k       int32
+	walks   int32 // ForEach calls in progress; compaction waits for 0
 	entries map[ID]*Entry
 	order   []*Entry // insertion order; nil slots are tombstones
 	scratch []*Entry // reusable RemoveExpired result buffer
 }
 
 // NewCache returns an empty cache that holds at most k ads. It panics if
-// k < 1.
+// k < 1 (or beyond int32, which no cache reaches).
 func NewCache(k int) *Cache {
-	if k < 1 {
-		panic(fmt.Sprintf("ads: cache capacity %d < 1", k))
+	if k < 1 || k > math.MaxInt32 {
+		panic(fmt.Sprintf("ads: cache capacity %d outside [1, %d]", k, math.MaxInt32))
 	}
-	return &Cache{k: k, entries: make(map[ID]*Entry, k+1)}
+	return &Cache{k: int32(k), entries: make(map[ID]*Entry, k+1)}
 }
 
 // K returns the configured capacity.
-func (c *Cache) K() int { return c.k }
+func (c *Cache) K() int { return int(c.k) }
 
 // Len returns the number of cached ads. It can transiently be K+1 between an
 // Insert and the follow-up EvictLowest (the paper refreshes probabilities
@@ -98,7 +101,7 @@ func (c *Cache) Insert(ad *Advertisement, prob float64) (e *Entry, overflow bool
 	e = &Entry{Ad: ad, Prob: prob, pos: len(c.order)}
 	c.entries[ad.ID] = e
 	c.order = append(c.order, e)
-	return e, len(c.entries) > c.k
+	return e, len(c.entries) > int(c.k)
 }
 
 // unlink detaches e from the map and leaves a tombstone in order. The caller
@@ -114,7 +117,7 @@ func (c *Cache) unlink(e *Entry) {
 // outnumber the live entries (plus slack for tiny caches), keeping removal
 // O(1) amortized and iteration O(live).
 func (c *Cache) maybeCompact() {
-	if len(c.order)-len(c.entries) <= len(c.entries)+4 {
+	if c.walks > 0 || len(c.order)-len(c.entries) <= len(c.entries)+4 {
 		return
 	}
 	w := 0
@@ -187,14 +190,19 @@ func (c *Cache) Entries() []*Entry {
 }
 
 // ForEach calls fn for every cached entry in insertion order without
-// allocating — the hot-path alternative to Entries. fn must not insert or
-// remove entries (mutating Prob/ScheduledAt in place is fine).
+// allocating — the hot-path alternative to Entries. fn may mutate
+// Prob/ScheduledAt in place and may remove entries, the one it was handed or
+// any other: a removed entry not yet visited is skipped, and the order slice
+// is compacted only once the outermost ForEach returns. fn must not insert.
 func (c *Cache) ForEach(fn func(*Entry)) {
+	c.walks++
 	for _, e := range c.order {
 		if e != nil {
 			fn(e)
 		}
 	}
+	c.walks--
+	c.maybeCompact()
 }
 
 // IDs returns the cached ad IDs sorted for stable test output.

@@ -193,3 +193,79 @@ func TestEvictOldest(t *testing.T) {
 		t.Error("EvictOldest on empty cache returned entry")
 	}
 }
+
+// TestForEachToleratesRemoval walks caches while the callback removes entries
+// — the visited one, earlier ones and ones not yet reached, in numbers that
+// would trigger compaction mid-walk — against the obvious reference: iterate a
+// copy of the entry list, skipping what has been removed by then.
+func TestForEachToleratesRemoval(t *testing.T) {
+	f := func(seed uint32, sizeRaw uint8) bool {
+		size := int(sizeRaw%40) + 1
+		c := NewCache(size)
+		for i := 0; i < size; i++ {
+			c.Insert(adWith(1, uint32(i)), 0)
+		}
+		// Leave tombstones behind before the walk, too.
+		for i := 0; i < size; i += 5 {
+			c.Remove(ID{Issuer: 1, Seq: uint32(i)})
+		}
+		x := seed
+		next := func(n int) int { // xorshift: the removal plan, replayed twice
+			x ^= x << 13
+			x ^= x >> 17
+			x ^= x << 5
+			return int(x % uint32(n))
+		}
+		type step struct{ self, other int }
+		plan := make([]step, size)
+		for i := range plan {
+			plan[i] = step{next(3), next(size)}
+		}
+		var want []uint32
+		removed := map[uint32]bool{}
+		for _, e := range c.Entries() {
+			seq := e.Ad.ID.Seq
+			if removed[seq] {
+				continue
+			}
+			want = append(want, seq)
+			if plan[seq].self == 0 {
+				removed[seq] = true
+			}
+			removed[uint32(plan[seq].other)] = true
+		}
+		var got []uint32
+		c.ForEach(func(e *Entry) {
+			seq := e.Ad.ID.Seq
+			got = append(got, seq)
+			if plan[seq].self == 0 {
+				c.Remove(e.Ad.ID)
+			}
+			c.Remove(ID{Issuer: 1, Seq: uint32(plan[seq].other)})
+			// A nested walk must not compact under the outer one either.
+			c.ForEach(func(*Entry) {})
+		})
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		// What is left is intact, in order, and compaction caught up.
+		left := c.Entries()
+		if len(left) != c.Len() || len(c.order)-c.Len() > c.Len()+4 || c.walks != 0 {
+			return false
+		}
+		for i, e := range left {
+			if removed[e.Ad.ID.Seq] || c.order[e.pos] != e || (i > 0 && left[i-1].Ad.ID.Seq >= e.Ad.ID.Seq) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}

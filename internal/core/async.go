@@ -40,19 +40,31 @@ const (
 	asyncTransfer
 )
 
-// asyncFrame is the payload of every pairwise-family message.
+// asyncFrame is the payload of every pairwise-family message. Frames travel
+// by pointer and are recycled: sendAsync takes one from Network.asyncFree and
+// deliver puts it back when its single receiver's handleAsync returns, so
+// nothing may keep the frame or its ads slice past that call. A frame the
+// channel drops is never delivered, hence never reused: the collector has it.
 type asyncFrame struct {
 	kind asyncKind
 	conn uint64 // connection id: proposer index << 32 | proposer-local sequence
 	ads  []*ads.Advertisement
 }
 
+// carriesAds reports whether frames of this kind carry the sender's sampled
+// ads.
+func (k asyncKind) carriesAds() bool { return k == asyncAccept || k == asyncTransfer }
+
 // asyncHeaderBytes models the fixed wire overhead of an async frame: kind +
 // flags (4), connection id (8), ad count (4).
 const asyncHeaderBytes = 16
 
-// asyncConn is one live connection slot: a pending proposal on the proposer
-// side, or a granted exchange awaiting its transfer on the responder side.
+// asyncConn is one connection slot: a pending proposal on the proposer side,
+// or a granted exchange awaiting its transfer on the responder side. A peer
+// makes a slot the first time it needs one more and reuses it afterwards; the
+// slot owns its reclaim timer, whose callback is bound to the slot, not to a
+// connection id — it reclaims whatever connection the slot holds when it
+// fires, and closeConn cancels it before the slot can be handed out again.
 type asyncConn struct {
 	id       uint64
 	peer     int
@@ -66,8 +78,10 @@ type asyncPeerState struct {
 	// slot is its integer position on that grid.
 	scanEv *sim.Event
 	slot   int64
-	// conns are the occupied connection slots, ≤ Config.AsyncK, in open order.
-	conns []asyncConn
+	// conns are the occupied connection slots, ≤ Config.AsyncK, in open order;
+	// idle are the released ones awaiting reuse.
+	conns []*asyncConn
+	idle  []*asyncConn
 	// nextConn numbers this peer's proposals for connection ids.
 	nextConn uint32
 	// Decide-phase scratch, applied by the matching commit: the next-scan
@@ -96,8 +110,8 @@ func (p *Peer) startAsync() {
 
 // connectedTo reports whether a connection slot already involves peer j.
 func (st *asyncPeerState) connectedTo(j int) bool {
-	for i := range st.conns {
-		if st.conns[i].peer == j {
+	for _, c := range st.conns {
+		if c.peer == j {
 			return true
 		}
 	}
@@ -148,19 +162,36 @@ func (p *Peer) asyncCommit() {
 	if ao := n.asyncObs; ao != nil {
 		ao.proposals.Inc()
 	}
-	p.sendAsync(asyncPropose, id, nil, st.target)
+	p.sendAsync(asyncPropose, id, st.target)
 }
 
-// openConn occupies a connection slot and arms its reclaim timeout.
+// openConn occupies a connection slot and arms its reclaim timeout. Re-arming
+// an idle slot's fired or cancelled timer enqueues it with a fresh sequence
+// number, exactly as scheduling a new event does, so the event order does not
+// depend on whether the slot is new.
 func (p *Peer) openConn(id uint64, peer int, proposer bool) {
 	n := p.net
 	st := p.async
-	c := asyncConn{id: id, peer: peer, proposer: proposer}
-	c.timer = n.sim.After(n.cfg.AsyncTimeout, func() { p.asyncTimeout(id) })
+	var c *asyncConn
+	if k := len(st.idle); k > 0 {
+		c = st.idle[k-1]
+		st.idle = st.idle[:k-1]
+		n.sim.Reschedule(c.timer, n.sim.Now()+n.cfg.AsyncTimeout)
+	} else {
+		c = new(asyncConn)
+		c.timer = n.sim.After(n.cfg.AsyncTimeout, func() { p.asyncTimeout(c) })
+	}
+	c.id, c.peer, c.proposer = id, peer, proposer
 	st.conns = append(st.conns, c)
 	if ao := n.asyncObs; ao != nil {
 		ao.concurrent.Observe(float64(len(st.conns)))
 	}
+}
+
+// release takes the slot at conns[i] out of service.
+func (st *asyncPeerState) release(i int) {
+	st.idle = append(st.idle, st.conns[i])
+	st.conns = append(st.conns[:i], st.conns[i+1:]...)
 }
 
 // closeConn releases the slot holding connection id, cancelling its timeout.
@@ -168,86 +199,98 @@ func (p *Peer) openConn(id uint64, peer int, proposer bool) {
 // reclaimed it, so the arriving frame is a straggler).
 func (p *Peer) closeConn(id uint64) bool {
 	st := p.async
-	for i := range st.conns {
-		if st.conns[i].id != id {
-			continue
+	for i, c := range st.conns {
+		if c.id == id {
+			p.net.sim.Cancel(c.timer)
+			st.release(i)
+			return true
 		}
-		p.net.sim.Cancel(st.conns[i].timer)
-		st.conns = append(st.conns[:i], st.conns[i+1:]...)
-		return true
 	}
 	return false
 }
 
-// asyncTimeout reclaims a connection slot whose handshake never completed —
-// a proposal to an offline or out-of-range peer, a lost reply, or a transfer
-// dropped by the channel.
-func (p *Peer) asyncTimeout(id uint64) {
+// asyncTimeout is slot c's timer firing: the handshake it holds never
+// completed — a proposal to an offline or out-of-range peer, a lost reply, or
+// a transfer dropped by the channel. A pending timer means an occupied slot
+// (closeConn cancels before it releases).
+func (p *Peer) asyncTimeout(c *asyncConn) {
 	st := p.async
 	for i := range st.conns {
-		if st.conns[i].id != id {
-			continue
+		if st.conns[i] == c {
+			st.release(i)
+			if ao := p.net.asyncObs; ao != nil {
+				ao.timeouts.Inc()
+			}
+			return
 		}
-		st.conns = append(st.conns[:i], st.conns[i+1:]...)
-		if ao := p.net.asyncObs; ao != nil {
-			ao.timeouts.Inc()
-		}
-		return
 	}
 }
 
-// sendAsync transmits one pairwise frame to a single receiver. Ad-bearing
-// frames account one OnBroadcast per carried ad — the same unit a round
-// protocol's broadcast counts — plus the frame's fixed header on the wire.
-func (p *Peer) sendAsync(kind asyncKind, conn uint64, payload []*ads.Advertisement, to int) {
+// sendAsync transmits one pairwise frame to a single receiver; accept and
+// transfer frames carry the ads sampleAds draws now. Ad-bearing frames account
+// one OnBroadcast per carried ad — the same unit a round protocol's broadcast
+// counts — plus the frame's fixed header on the wire.
+func (p *Peer) sendAsync(kind asyncKind, conn uint64, to int) {
 	n := p.net
+	var f *asyncFrame
+	if k := len(n.asyncFree); k > 0 {
+		f = n.asyncFree[k-1]
+		n.asyncFree = n.asyncFree[:k-1]
+	} else {
+		f = new(asyncFrame)
+	}
+	f.kind, f.conn = kind, conn
+	if kind.carriesAds() {
+		p.sampleAds(f)
+	}
 	if !n.ch.Online(p.id) {
 		return
 	}
 	now := n.sim.Now()
 	bytes := asyncHeaderBytes
-	for _, ad := range payload {
-		bytes += ad.WireSize()
-		n.obs.OnBroadcast(p.id, ad.ID, ad.WireSize(), now)
+	for _, ad := range f.ads {
+		size := ad.WireSize()
+		bytes += size
+		n.obs.OnBroadcast(p.id, ad.ID, size, now)
 	}
-	if ao := n.asyncObs; ao != nil && (kind == asyncAccept || kind == asyncTransfer) {
+	if ao := n.asyncObs; ao != nil && kind.carriesAds() {
 		ao.bytes.Observe(float64(bytes))
 	}
 	st := p.async
 	st.one[0] = to
-	n.ch.BroadcastTo(radio.Frame{
-		From:    p.id,
-		Payload: asyncFrame{kind: kind, conn: conn, ads: payload},
-		Bytes:   bytes,
-	}, st.one[:])
+	n.ch.BroadcastTo(radio.Frame{From: p.id, Payload: f, Bytes: bytes}, st.one[:])
+}
+
+// recycleAsync returns a delivered frame to the free list, dropping its ad
+// references so an idle frame pins nothing.
+func (n *Network) recycleAsync(f *asyncFrame) {
+	clear(f.ads)
+	f.ads = f.ads[:0]
+	n.asyncFree = append(n.asyncFree, f)
 }
 
 // sampleAds walks the cache applying the paper's forwarding rule per
 // exchange: expired entries are dropped, every survivor's probability is
-// refreshed at the current position, and each is included in the outgoing
-// payload with probability P(d,t). Included snapshots are marked Shared so
-// later local mutations copy first (the same copy-on-write contract as
+// refreshed at the current position, and each is appended to the frame's ad
+// list with probability P(d,t). Included snapshots are marked Shared so later
+// local mutations copy first (the same copy-on-write contract as
 // broadcastAd).
-func (p *Peer) sampleAds() []*ads.Advertisement {
+func (p *Peer) sampleAds(f *asyncFrame) {
 	n := p.net
 	now := n.sim.Now()
-	var out []*ads.Advertisement
-	entries := p.cache.Entries()
-	for i := 0; i < len(entries); i++ {
-		e := entries[i]
+	p.cache.ForEach(func(e *ads.Entry) {
 		if e.Ad.Expired(now) {
 			p.cache.Remove(e.Ad.ID)
 			n.obs.OnExpire(p.id, e.Ad.ID, now)
-			continue
+			return
 		}
 		e.Prob = p.forwardProb(e.Ad)
 		if !p.rnd.Bool(e.Prob) {
-			continue
+			return
 		}
 		e.Shared = true
-		out = append(out, e.Ad)
-	}
-	return out
+		f.ads = append(f.ads, e.Ad)
+	})
 }
 
 // receiveAds absorbs an exchange payload through the regular gossip insert
@@ -261,7 +304,7 @@ func (p *Peer) receiveAds(list []*ads.Advertisement, from int) {
 
 // handleAsync routes one arriving pairwise frame. Delivery events run
 // sequentially, so handshake state changes here need no decide/commit split.
-func (p *Peer) handleAsync(f asyncFrame, from int) {
+func (p *Peer) handleAsync(f *asyncFrame, from int) {
 	n := p.net
 	st := p.async
 	switch f.kind {
@@ -270,11 +313,11 @@ func (p *Peer) handleAsync(f asyncFrame, from int) {
 			if ao := n.asyncObs; ao != nil {
 				ao.busy.Inc()
 			}
-			p.sendAsync(asyncBusy, f.conn, nil, from)
+			p.sendAsync(asyncBusy, f.conn, from)
 			return
 		}
 		p.openConn(f.conn, from, false)
-		p.sendAsync(asyncAccept, f.conn, p.sampleAds(), from)
+		p.sendAsync(asyncAccept, f.conn, from)
 	case asyncAccept:
 		// A straggler accept (our proposal already timed out) still carries
 		// usable data — absorb it — but the handshake is dead: no transfer,
@@ -287,7 +330,7 @@ func (p *Peer) handleAsync(f asyncFrame, from int) {
 		if ao := n.asyncObs; ao != nil {
 			ao.exchanges.Inc()
 		}
-		p.sendAsync(asyncTransfer, f.conn, p.sampleAds(), from)
+		p.sendAsync(asyncTransfer, f.conn, from)
 	case asyncBusy:
 		p.closeConn(f.conn)
 	case asyncTransfer:

@@ -141,6 +141,8 @@ type Network struct {
 	// asyncObs holds the pairwise-family connection instruments, nil until
 	// InstrumentWith runs under AsyncGossip (see async.go).
 	asyncObs *asyncInstruments
+	// asyncFree holds the pairwise frames awaiting reuse (see asyncFrame).
+	asyncFree []*asyncFrame
 
 	// slotW is the round-phase slot width RoundTime/RoundSlots. Round and
 	// entry-timer instants are always recomputed as slot·slotW from integer
@@ -151,6 +153,12 @@ type Network struct {
 	// scratch holds one radio query context per decision-phase worker,
 	// grown lazily in batchPrepare.
 	scratch []*radio.QueryScratch
+	// nbrScratch, seenStamp and stamp serve the Relevance Exchange rounds (see
+	// senseEncounter): the shared neighbour-query buffer, one mark per peer,
+	// and the value the current call marks with.
+	nbrScratch []int
+	seenStamp  []uint32
+	stamp      uint32
 	// rtMemo remembers Formula-2 radii for the overflow refresh (see
 	// radiusNow); nil until the first overflow.
 	rtMemo *radiusMemo
@@ -413,8 +421,9 @@ func (n *Network) deliver(to int, f radio.Frame) {
 		}
 	case floodFrame:
 		p.handleFlood(payload)
-	case asyncFrame:
+	case *asyncFrame:
 		p.handleAsync(payload, f.From)
+		n.recycleAsync(payload)
 	default:
 		panic(fmt.Sprintf("core: unknown frame payload %T", f.Payload))
 	}
@@ -651,9 +660,17 @@ func (p *Peer) handleGossip(f gossipFrame, from int) {
 // takes no event sequence number and arming takes one either way, so every
 // surviving event keeps its (time, seq) order. The returned entry may already
 // have been evicted.
+//
+// An insert into a full cache under EvictLowestProb is ranked by evictOne,
+// which refreshes every entry's probability, the newcomer's included, at this
+// same position and instant: evaluating it here as well would be thrown away.
 func (p *Peer) admit(own *ads.Advertisement, shared bool) *ads.Entry {
 	p.applyPopularity(own)
-	e, overflow := p.cache.Insert(own, p.forwardProb(own))
+	prob := 0.0
+	if p.cache.Len() < p.cache.K() || p.net.cfg.Eviction != EvictLowestProb {
+		prob = p.forwardProb(own)
+	}
+	e, overflow := p.cache.Insert(own, prob)
 	e.Shared = shared
 	if overflow && p.evictOne() == e {
 		return e
@@ -703,9 +720,15 @@ func (p *Peer) evictOne() *ads.Entry {
 	case EvictOldestFirst:
 		victim = p.cache.EvictOldest()
 	case EvictRandomEntry:
-		entries := p.cache.Entries()
-		if len(entries) > 0 {
-			victim = p.cache.Remove(entries[p.rnd.Intn(len(entries))].Ad.ID)
+		if k := p.cache.Len(); k > 0 {
+			k = p.rnd.Intn(k) // the k-th entry in insertion order
+			p.cache.ForEach(func(e *ads.Entry) {
+				if k == 0 {
+					victim = e
+				}
+				k--
+			})
+			p.cache.Remove(victim.Ad.ID)
 		}
 	default: // EvictLowestProb
 		pos, now := p.Position(), n.sim.Now()

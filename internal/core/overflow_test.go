@@ -143,6 +143,7 @@ func TestOverflowRefreshMatchesReference(t *testing.T) {
 					D:        5 + rnd.Float64()*200,
 				}
 			}
+			newcomerIn, newcomerOut := 0, 0
 			for _, now := range []float64{40, 40.5, 97} {
 				s.Run(now)
 				hitsBefore := 0
@@ -150,33 +151,62 @@ func TestOverflowRefreshMatchesReference(t *testing.T) {
 					p := n.peers[pi]
 					// Two caches with the same k+1 entries: this peer's draw of
 					// the live ads, every third copy enlarged as Formula 7 would.
+					// The last one enters got the way a reception does, through
+					// admit, which ranks it by the overflow refresh alone.
 					got, want := ads.NewCache(cfg.CacheK), ads.NewCache(cfg.CacheK)
-					for _, i := range rnd.Perm(live)[:cfg.CacheK+1] {
+					p.cache = got
+					var all []*ads.Entry
+					var newcomer *ads.Entry
+					for k, i := range rnd.Perm(live)[:cfg.CacheK+1] {
 						ad := pool[i]
 						if rnd.Intn(3) == 0 {
 							ad = ad.Clone()
 							ad.R += 50 / math.Log2(float64(2+rnd.Intn(9)))
 							ad.D += 10 / math.Log2(float64(2+rnd.Intn(9)))
 						}
-						got.Insert(ad, -1)
 						want.Insert(ad, -1)
-					}
-					if n.rtMemo != nil {
-						for _, e := range got.Entries() {
-							m := n.rtMemo.slot(e.Ad)
-							if m.issuedAt == e.Ad.IssuedAt && m.r == e.Ad.R && m.d == e.Ad.D && m.now == now {
-								hitsBefore++
+						if k < cfg.CacheK {
+							e, _ := got.Insert(ad, -1)
+							all = append(all, e)
+							continue
+						}
+						if n.rtMemo != nil {
+							for _, e := range want.Entries() {
+								m := n.rtMemo.slot(e.Ad)
+								if m.issuedAt == e.Ad.IssuedAt && m.r == e.Ad.R && m.d == e.Ad.D && m.now == now {
+									hitsBefore++
+								}
 							}
 						}
+						newcomer = p.admit(ad, true)
+						p.cancelEntryTimer(newcomer) // this test runs no rounds
+						all = append(all, newcomer)
 					}
-					p.cache = got
-					victim := p.evictOne()
 					wantVictim := p.refEvictLowest(want)
+					var victim *ads.Entry
+					for _, e := range all {
+						if !e.Cached() {
+							if victim != nil {
+								t.Fatalf("t=%v peer %d: admit evicted both %v and %v", now, pi, victim.Ad.ID, e.Ad.ID)
+							}
+							victim = e
+						}
+					}
 					if victim == nil || victim.Ad.ID != wantVictim.Ad.ID {
 						t.Fatalf("t=%v peer %d: evicted %v, reference evicts %v", now, pi, victim, wantVictim.Ad.ID)
 					}
 					if math.Float64bits(victim.Prob) != math.Float64bits(wantVictim.Prob) {
 						t.Fatalf("t=%v peer %d: victim prob %v, reference %v", now, pi, victim.Prob, wantVictim.Prob)
+					}
+					if victim == newcomer {
+						newcomerOut++
+					} else {
+						// A surviving newcomer carries the refreshed value, as if
+						// admit had evaluated it itself.
+						newcomerIn++
+						if ref := p.refForwardProb(newcomer.Ad); math.Float64bits(newcomer.Prob) != math.Float64bits(ref) {
+							t.Fatalf("t=%v peer %d: surviving newcomer P=%v, reference %v", now, pi, newcomer.Prob, ref)
+						}
 					}
 					ge, we := got.Entries(), want.Entries()
 					for k := range we {
@@ -190,6 +220,10 @@ func TestOverflowRefreshMatchesReference(t *testing.T) {
 				if hitsBefore == 0 {
 					t.Errorf("t=%v: no refresh found its radius memoised: the memo path went untested", now)
 				}
+			}
+			if newcomerIn == 0 || newcomerOut == 0 {
+				t.Errorf("newcomer survived %d times and was its own victim %d times: one went untested",
+					newcomerIn, newcomerOut)
 			}
 		})
 	}

@@ -32,9 +32,13 @@ func Relevance(ad *ads.Advertisement, dist, now float64) float64 {
 	return ageFactor * distFactor
 }
 
-// relevancePeerState is the per-peer state of the comparator protocol.
+// relevancePeerState is the per-peer state of the comparator protocol: the
+// ids sensed in range at the previous round, in query order. Its capacity
+// follows the largest neighbourhood the peer has had, with a quarter of
+// headroom so that a peer outgrows it two or three times in a run, not at
+// every new record.
 type relevancePeerState struct {
-	lastNeighbors map[int]bool
+	last []int32
 }
 
 // startRelevance arms the encounter detector: every round the peer samples
@@ -43,40 +47,72 @@ type relevancePeerState struct {
 // cached resource. The per-round trigger bounds traffic at cache-size
 // frames per round per peer.
 func (p *Peer) startRelevance() {
-	p.relevance = &relevancePeerState{lastNeighbors: make(map[int]bool)}
-	offset := p.rnd.Range(0, p.net.cfg.RoundTime)
-	p.ticker = p.net.sim.Every(offset, p.net.cfg.RoundTime, p.relevanceRound)
+	n := p.net
+	p.relevance = &relevancePeerState{}
+	if n.seenStamp == nil {
+		n.seenStamp = make([]uint32, len(n.peers))
+	}
+	offset := p.rnd.Range(0, n.cfg.RoundTime)
+	p.ticker = n.sim.Every(offset, n.cfg.RoundTime, p.relevanceRound)
+}
+
+// senseEncounter samples the neighbourhood into the network's query scratch,
+// reports whether it holds a peer that was not there at the previous round,
+// and remembers it for the next. Membership is a stamp pass: last round's ids
+// are marked in Network.seenStamp with a value no earlier call used, then the
+// new list is scanned for an unmarked id — nothing is cleared between calls,
+// and the answer is an OR over the new list, so neither list's order matters.
+// Rounds are plain events, so one scratch and one stamp table serve every
+// peer.
+func (p *Peer) senseEncounter() bool {
+	n := p.net
+	st := p.relevance
+	n.nbrScratch = n.ch.AppendNeighborsOf(n.nbrScratch[:0], p.id)
+	n.stamp++
+	if n.stamp == 0 { // wrapped: stale marks could now collide
+		clear(n.seenStamp)
+		n.stamp = 1
+	}
+	for _, j := range st.last {
+		n.seenStamp[j] = n.stamp
+	}
+	if k := len(n.nbrScratch); cap(st.last) < k {
+		st.last = make([]int32, k, k+k/4+4)
+	}
+	st.last = st.last[:len(n.nbrScratch)]
+	encountered := false
+	for i, j := range n.nbrScratch {
+		if n.seenStamp[j] != n.stamp {
+			encountered = true
+		}
+		st.last[i] = int32(j)
+	}
+	return encountered
 }
 
 // relevanceRound runs one encounter-detection cycle.
 func (p *Peer) relevanceRound() {
-	now := p.net.sim.Now()
-	neighbors := p.net.ch.NeighborsOf(p.id)
-	cur := make(map[int]bool, len(neighbors))
-	encountered := false
-	for _, j := range neighbors {
-		cur[j] = true
-		if !p.relevance.lastNeighbors[j] {
-			encountered = true
-		}
-	}
-	p.relevance.lastNeighbors = cur
+	p.relevanceExchange(p.senseEncounter())
+}
 
-	// Refresh relevance and drop dead resources regardless of encounters.
+// relevanceExchange is the round after the sensing: refresh relevance and
+// drop dead resources regardless of encounters, then, on an encounter,
+// broadcast what is left — to the neighbours senseEncounter just left in the
+// network's scratch, which are the receivers a broadcast at this instant
+// would query for again.
+func (p *Peer) relevanceExchange(encountered bool) {
+	n := p.net
+	now := n.sim.Now()
 	pos := p.Position()
-	for _, e := range p.cache.Entries() {
-		rel := Relevance(e.Ad, pos.Dist(e.Ad.Origin), now)
-		e.Prob = rel
-		if rel == 0 {
+	p.cache.ForEach(func(e *ads.Entry) {
+		e.Prob = Relevance(e.Ad, pos.Dist(e.Ad.Origin), now)
+		if e.Prob == 0 {
 			p.cache.Remove(e.Ad.ID)
-			p.net.obs.OnExpire(p.id, e.Ad.ID, now)
+			n.obs.OnExpire(p.id, e.Ad.ID, now)
 		}
-	}
-	if !encountered {
-		return
-	}
-	for _, e := range p.cache.Entries() {
-		p.broadcastAd(e)
+	})
+	if encountered {
+		p.cache.ForEach(func(e *ads.Entry) { p.broadcastAdTo(e, n.nbrScratch) })
 	}
 }
 
@@ -92,11 +128,13 @@ func (p *Peer) handleRelevance(f gossipFrame) {
 	if rel == 0 {
 		return // dead on arrival
 	}
-	p.markReceived(ad)
+	// A cached resource was marked received when it was inserted: a duplicate,
+	// the common case, needs the cache probe only.
 	if p.cache.Get(ad.ID) != nil {
 		n.obs.OnDuplicate(p.id, ad.ID, now)
 		return
 	}
+	p.markReceived(ad)
 	// The comparator never mutates cached resources (relevance is recomputed
 	// from immutable fields), so the frame snapshot is adopted copy-on-write.
 	e, overflow := p.cache.Insert(ad, rel)
@@ -105,9 +143,9 @@ func (p *Peer) handleRelevance(f gossipFrame) {
 		// Entries' Prob fields were refreshed each round; refresh again at
 		// the current position for an exact comparison.
 		pos := p.Position()
-		for _, e := range p.cache.Entries() {
+		p.cache.ForEach(func(e *ads.Entry) {
 			e.Prob = Relevance(e.Ad, pos.Dist(e.Ad.Origin), now)
-		}
+		})
 		victim := p.cache.EvictLowest()
 		if victim != nil {
 			n.obs.OnEvict(p.id, victim.Ad.ID, now)

@@ -110,13 +110,13 @@ func (n *Network) rsuBackhaul() {
 	}
 	r.live = r.live[:0]
 	for _, id := range r.ids {
-		for _, e := range n.peers[id].cache.Entries() {
+		n.peers[id].cache.ForEach(func(e *ads.Entry) {
 			if r.seen[e.Ad.ID] || e.Ad.Expired(now) {
-				continue
+				return
 			}
 			r.seen[e.Ad.ID] = true
 			r.live = append(r.live, e.Ad)
-		}
+		})
 	}
 	for _, ad := range r.live {
 		for _, id := range r.ids {
