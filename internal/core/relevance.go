@@ -64,10 +64,17 @@ func (p *Peer) startRelevance() {
 // and the answer is an OR over the new list, so neither list's order matters.
 // Rounds are plain events, so one scratch and one stamp table serve every
 // peer.
+//
+// A powered-down radio senses nobody: its round records an empty
+// neighbourhood, so whoever is in range when it powers back up is an
+// encounter, even the peers it sat beside all along.
 func (p *Peer) senseEncounter() bool {
 	n := p.net
 	st := p.relevance
-	n.nbrScratch = n.ch.AppendNeighborsOf(n.nbrScratch[:0], p.id)
+	n.nbrScratch = n.nbrScratch[:0]
+	if n.ch.Online(p.id) {
+		n.nbrScratch = n.ch.AppendNeighborsOf(n.nbrScratch, p.id)
+	}
 	n.stamp++
 	if n.stamp == 0 { // wrapped: stale marks could now collide
 		clear(n.seenStamp)

@@ -176,3 +176,68 @@ func TestParseRelevanceExchangeName(t *testing.T) {
 		t.Error("AllProtocols should add exactly the comparator and the async family")
 	}
 }
+
+// TestRelevanceOfflineRoundSensesNobody is the churn regression test: a peer
+// that powers down for a round beside an unchanged neighbourhood must, once
+// back on, treat that neighbourhood as an encounter and re-advertise. Its
+// offline rounds used to record the neighbours it could not hear, so it came
+// back to "nobody new" and stayed silent. Offline rounds still refresh and
+// expire the cache.
+func TestRelevanceOfflineRoundSensesNobody(t *testing.T) {
+	cfg := testConfig(RelevanceExchange)
+	pts := []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}
+	s, n := staticNet(t, cfg, pts)
+	log := &eventLog{}
+	n.SetObserver(log)
+	n.Start()
+	s.Schedule(1, func() {
+		if _, err := n.IssueAd(0, AdSpec{R: 500, D: 300}); err != nil {
+			t.Error(err)
+		}
+		if _, err := n.IssueAd(0, AdSpec{R: 500, D: 30}); err != nil {
+			t.Error(err)
+		}
+	})
+	// Both peers have met and gone quiet well before t = 20.
+	s.Run(20)
+	quiet := log.count("broadcast")
+	s.Run(25)
+	if got := log.count("broadcast"); got != quiet {
+		t.Fatalf("a static pair still broadcasts after meeting: %d then %d", quiet, got)
+	}
+	// Peer 0 is off for two whole rounds (RoundTime 5), across the short ad's
+	// expiry at t = 31, then on again; peer 1 never moved.
+	if err := n.SetPeerOnline(0, false); err != nil {
+		t.Fatal(err)
+	}
+	s.Run(36)
+	if got := log.count("broadcast"); got != quiet {
+		t.Errorf("a powered-down peer broadcast (%d frames)", got-quiet)
+	}
+	if log.count("expire") == 0 || n.peers[0].cache.Len() != 1 {
+		t.Errorf("offline rounds did not expire the short ad: %d expiries, %d cached",
+			log.count("expire"), n.peers[0].cache.Len())
+	}
+	if err := n.SetPeerOnline(0, true); err != nil {
+		t.Fatal(err)
+	}
+	s.Run(42)
+	var from0, from1 int
+	for _, e := range log.events {
+		if e.kind == "broadcast" && e.t > 36 {
+			if e.peer == 0 {
+				from0++
+			} else {
+				from1++
+			}
+		}
+	}
+	if from0 == 0 {
+		t.Error("back beside the same neighbour, the peer detected no encounter and did not re-advertise")
+	}
+	// Peer 1 saw peer 0 vanish from and return to its neighbourhood: an
+	// encounter on its side too, as before the fix.
+	if from1 == 0 {
+		t.Error("the neighbour did not treat the returning peer as an encounter")
+	}
+}
