@@ -10,6 +10,7 @@ import (
 	"instantad/internal/core"
 	"instantad/internal/experiment"
 	"instantad/internal/geo"
+	"instantad/internal/metrics"
 	"instantad/internal/radio"
 	"instantad/internal/trace"
 )
@@ -55,11 +56,17 @@ func checkPoolUse(t *testing.T, sc experiment.Scenario, fp fingerprint) {
 	}
 }
 
-func runFingerprint(t *testing.T, sc experiment.Scenario) fingerprint {
+// runProbe builds sc, lets attach (if any) hook observers onto the built
+// simulation, issues the scenario's one ad at the field centre, runs to
+// SimTime and returns the simulation with the ad's report.
+func runProbe(t *testing.T, sc experiment.Scenario, attach func(*experiment.Sim)) (*experiment.Sim, metrics.AdReport) {
 	t.Helper()
 	sm, err := sc.Build()
 	if err != nil {
 		t.Fatalf("build: %v", err)
+	}
+	if attach != nil {
+		attach(sm)
 	}
 	center := geo.Point{X: sc.FieldW / 2, Y: sc.FieldH / 2}
 	h := sm.ScheduleAd(sc.IssueTime, center, core.AdSpec{
@@ -73,6 +80,12 @@ func runFingerprint(t *testing.T, sc experiment.Scenario) fingerprint {
 	if err != nil {
 		t.Fatalf("report: %v", err)
 	}
+	return sm, rep
+}
+
+func runFingerprint(t *testing.T, sc experiment.Scenario) fingerprint {
+	t.Helper()
+	sm, rep := runProbe(t, sc, nil)
 	return fingerprint{
 		Result: experiment.Result{
 			Report:       rep,
@@ -271,27 +284,14 @@ type goldenPrint struct {
 
 func runGolden(t *testing.T, sc experiment.Scenario) goldenPrint {
 	t.Helper()
-	sm, err := sc.Build()
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
 	sum := fnv.New64a()
-	rec := trace.NewRecorder(sum, sm.Net.Channel())
-	sm.Observe(rec)
-	center := geo.Point{X: sc.FieldW / 2, Y: sc.FieldH / 2}
-	h := sm.ScheduleAd(sc.IssueTime, center, core.AdSpec{
-		R: sc.R, D: sc.D, Category: sc.Category, Text: "determinism probe",
+	var rec *trace.Recorder
+	sm, rep := runProbe(t, sc, func(sm *experiment.Sim) {
+		rec = trace.NewRecorder(sum, sm.Net.Channel())
+		sm.Observe(rec)
 	})
-	sm.Engine.Run(sc.SimTime)
-	if h.Err != nil {
-		t.Fatalf("issue: %v", h.Err)
-	}
 	if err := rec.Flush(); err != nil {
 		t.Fatalf("trace: %v", err)
-	}
-	rep, err := sm.Metrics.Report(h.Ad.ID)
-	if err != nil {
-		t.Fatalf("report: %v", err)
 	}
 	return goldenPrint{
 		events:   sm.Engine.Dispatched(),

@@ -60,6 +60,8 @@ func (e *Entry) Own() *Advertisement {
 // relative order) once tombstones outnumber live entries — never while a
 // ForEach is walking it.
 type Cache struct {
+	// k and walks share a word: every peer has a cache, and the struct stays
+	// in the 64-byte size class.
 	k       int32
 	walks   int32 // ForEach calls in progress; compaction waits for 0
 	entries map[ID]*Entry

@@ -724,11 +724,10 @@ func (p *Peer) evictOne() *ads.Entry {
 			k = p.rnd.Intn(k) // the k-th entry in insertion order
 			p.cache.ForEach(func(e *ads.Entry) {
 				if k == 0 {
-					victim = e
+					victim = p.cache.Remove(e.Ad.ID)
 				}
 				k--
 			})
-			p.cache.Remove(victim.Ad.ID)
 		}
 	default: // EvictLowestProb
 		pos, now := p.Position(), n.sim.Now()
