@@ -143,8 +143,8 @@ func (c PopularityConfig) validate() error {
 	if c.F < 1 || c.L < 1 || c.L > 64 {
 		return fmt.Errorf("core: popularity sketch shape %d×%d invalid", c.F, c.L)
 	}
-	if c.RInc < 0 || c.DInc < 0 || c.RMax < 0 || c.DMax < 0 {
-		return fmt.Errorf("core: negative popularity increment or cap")
+	if !(finiteNonNeg(c.RInc) && finiteNonNeg(c.DInc) && finiteNonNeg(c.RMax) && finiteNonNeg(c.DMax)) {
+		return fmt.Errorf("core: popularity increment or cap not finite and non-negative")
 	}
 	return nil
 }
@@ -255,17 +255,17 @@ func (c Config) Validate() error {
 	if err := c.Params.Validate(); err != nil {
 		return err
 	}
-	if c.RoundTime <= 0 {
-		return fmt.Errorf("core: non-positive round time %v", c.RoundTime)
+	if !(c.RoundTime > 0 && finiteNonNeg(c.RoundTime)) {
+		return fmt.Errorf("core: round time %v not positive and finite", c.RoundTime)
 	}
 	if c.RoundSlots < 0 {
 		return fmt.Errorf("core: negative round slots %d", c.RoundSlots)
 	}
-	if c.Protocol.usesOpt1() && c.DIS <= 0 {
+	if c.Protocol.usesOpt1() && !(c.DIS > 0) {
 		return fmt.Errorf("core: %v requires positive DIS", c.Protocol)
 	}
-	if c.DIS < 0 {
-		return fmt.Errorf("core: negative DIS %v", c.DIS)
+	if !finiteNonNeg(c.DIS) {
+		return fmt.Errorf("core: DIS %v not finite and non-negative", c.DIS)
 	}
 	if c.CacheK < 1 {
 		return fmt.Errorf("core: cache capacity %d < 1", c.CacheK)
@@ -276,11 +276,11 @@ func (c Config) Validate() error {
 	if c.AsyncK < 0 {
 		return fmt.Errorf("core: negative async exchange bound %d", c.AsyncK)
 	}
-	if c.AsyncMeanDelay < 0 {
-		return fmt.Errorf("core: negative async mean delay %v", c.AsyncMeanDelay)
+	if !finiteNonNeg(c.AsyncMeanDelay) {
+		return fmt.Errorf("core: async mean delay %v not finite and non-negative", c.AsyncMeanDelay)
 	}
-	if c.AsyncTimeout < 0 {
-		return fmt.Errorf("core: negative async timeout %v", c.AsyncTimeout)
+	if !finiteNonNeg(c.AsyncTimeout) {
+		return fmt.Errorf("core: async timeout %v not finite and non-negative", c.AsyncTimeout)
 	}
 	return c.Popularity.validate()
 }

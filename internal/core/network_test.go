@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"instantad/internal/ads"
@@ -100,6 +101,51 @@ func TestConfigValidation(t *testing.T) {
 		mutate(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
+		}
+	}
+}
+
+// TestValidateRejectsNonFinite: every comparison with NaN is false, so a guard
+// written `x <= 0 || x >= 1` accepts it. Each float field is tried with NaN
+// and both infinities.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	fields := map[string]func(*Config) *float64{
+		"Alpha":          func(c *Config) *float64 { return &c.Params.Alpha },
+		"Beta":           func(c *Config) *float64 { return &c.Params.Beta },
+		"DistUnit":       func(c *Config) *float64 { return &c.Params.DistUnit },
+		"TimeUnit":       func(c *Config) *float64 { return &c.Params.TimeUnit },
+		"RoundTime":      func(c *Config) *float64 { return &c.RoundTime },
+		"DIS":            func(c *Config) *float64 { return &c.DIS },
+		"AsyncMeanDelay": func(c *Config) *float64 { return &c.AsyncMeanDelay },
+		"AsyncTimeout":   func(c *Config) *float64 { return &c.AsyncTimeout },
+		"RInc":           func(c *Config) *float64 { return &c.Popularity.RInc },
+		"DInc":           func(c *Config) *float64 { return &c.Popularity.DInc },
+		"RMax":           func(c *Config) *float64 { return &c.Popularity.RMax },
+		"DMax":           func(c *Config) *float64 { return &c.Popularity.DMax },
+	}
+	for name, field := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for _, proto := range []Protocol{Gossip, GossipOpt} {
+				c := testConfig(proto)
+				c.Popularity = PopularityConfig{Enabled: true, F: 4, L: 16}
+				if err := c.Validate(); err != nil {
+					t.Fatalf("base config rejected: %v", err)
+				}
+				*field(&c) = v
+				if err := c.Validate(); err == nil {
+					t.Errorf("%v: %s = %v accepted", proto, name, v)
+				}
+			}
+		}
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for i, p := range []ProbParams{
+			{Alpha: v, Beta: 0.5}, {Alpha: 0.5, Beta: v},
+			{Alpha: 0.5, Beta: 0.5, DistUnit: v}, {Alpha: 0.5, Beta: 0.5, TimeUnit: v},
+		} {
+			if err := p.Validate(); err == nil {
+				t.Errorf("ProbParams case %d with %v accepted", i, v)
+			}
 		}
 	}
 }

@@ -40,20 +40,24 @@ type ProbParams struct {
 
 // Validate checks the parameters are inside their domains.
 func (p ProbParams) Validate() error {
-	if p.Alpha <= 0 || p.Alpha >= 1 {
+	if !(p.Alpha > 0 && p.Alpha < 1) {
 		return fmt.Errorf("core: alpha %v outside (0,1)", p.Alpha)
 	}
-	if p.Beta <= 0 || p.Beta >= 1 {
+	if !(p.Beta > 0 && p.Beta < 1) {
 		return fmt.Errorf("core: beta %v outside (0,1)", p.Beta)
 	}
-	if p.DistUnit < 0 {
-		return fmt.Errorf("core: dist unit %v must be non-negative (0 = auto R/10)", p.DistUnit)
+	if !finiteNonNeg(p.DistUnit) {
+		return fmt.Errorf("core: dist unit %v must be finite and non-negative (0 = auto R/10)", p.DistUnit)
 	}
-	if p.TimeUnit < 0 {
-		return fmt.Errorf("core: time unit %v must be non-negative (0 = auto D/10)", p.TimeUnit)
+	if !finiteNonNeg(p.TimeUnit) {
+		return fmt.Errorf("core: time unit %v must be finite and non-negative (0 = auto D/10)", p.TimeUnit)
 	}
 	return nil
 }
+
+// finiteNonNeg reports x ∈ [0, +Inf). The guards are written in the positive
+// form because every comparison with NaN is false: `x < 0` lets NaN through.
+func finiteNonNeg(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // distUnit resolves the distance unit for an ad with base radius r.
 func (p ProbParams) distUnit(r float64) float64 {
