@@ -7,13 +7,17 @@ import (
 )
 
 // Entry is one cached advertisement together with its protocol bookkeeping:
-// the most recently refreshed forwarding probability (the cache's eviction
-// key) and, under Optimized Gossiping-2, the per-entry next scheduled gossip
-// time and its timer handle.
+// the forwarding probability its owner last wrote (EvictLowest's key) and,
+// under Optimized Gossiping-2, the per-entry next scheduled gossip time and
+// its timer handle.
 type Entry struct {
 	Ad *Advertisement
-	// Prob is the forwarding probability computed at the owner's position at
-	// the last refresh. Eviction drops the entry with the smallest Prob.
+	// Prob is the forwarding probability at the owner's position when the
+	// owner last wrote it: at Insert, at each gossip round, and — for every
+	// entry at once — just before EvictLowest, which drops the smallest. In
+	// between it is stale: an owner that can name an overflow's victim without
+	// that refresh (the simulator's core usually can) leaves the survivors'
+	// values as they were.
 	Prob float64
 	// ScheduledAt is the per-entry next gossip time under Optimized
 	// Gossiping-2 (every entry gossips together each round otherwise).
@@ -83,7 +87,8 @@ func (c *Cache) K() int { return int(c.k) }
 
 // Len returns the number of cached ads. It can transiently be K+1 between an
 // Insert and the follow-up EvictLowest (the paper refreshes probabilities
-// before choosing the victim, and refresh is the protocol's job).
+// before choosing the victim, and refresh is the protocol's job; a protocol
+// that already knows the victim removes it first and never exceeds K).
 func (c *Cache) Len() int { return len(c.entries) }
 
 // Get returns the entry for id, or nil when absent.

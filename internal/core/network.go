@@ -7,6 +7,7 @@ import (
 	"instantad/internal/ads"
 	"instantad/internal/geo"
 	"instantad/internal/mobility"
+	"instantad/internal/obs"
 	"instantad/internal/radio"
 	"instantad/internal/rng"
 	"instantad/internal/sim"
@@ -159,9 +160,9 @@ type Network struct {
 	nbrScratch []int
 	seenStamp  []uint32
 	stamp      uint32
-	// rtMemo remembers Formula-2 radii for the overflow refresh (see
-	// radiusNow); nil until the first overflow.
-	rtMemo *radiusMemo
+	// rank scores cache entries for rankOverflow; the counters tell its verdicts.
+	rank                                      scorer
+	overflows, overflowDropped, overflowExact *obs.Counter
 
 	started bool
 }
@@ -193,11 +194,13 @@ func New(s *sim.Simulator, radioCfg radio.Config, models []mobility.Model, cfg C
 		}
 	}
 	n := &Network{
-		cfg:   cfg,
-		sim:   s,
-		obs:   BaseObserver{},
-		rnd:   rnd,
-		slotW: cfg.RoundTime / float64(cfg.RoundSlots),
+		cfg:       cfg,
+		sim:       s,
+		obs:       BaseObserver{},
+		rnd:       rnd,
+		slotW:     cfg.RoundTime / float64(cfg.RoundSlots),
+		rank:      newScorer(cfg),
+		overflows: new(obs.Counter), overflowDropped: new(obs.Counter), overflowExact: new(obs.Counter),
 	}
 	ch, err := radio.New(s, radioCfg, models, n.deliver, rnd.Split("radio"))
 	if err != nil {
@@ -402,8 +405,12 @@ func (n *Network) IssueAd(issuer int, spec AdSpec) (*ads.Advertisement, error) {
 	// Self-deliver, and under the gossip variants spread once. The pairwise
 	// family has no broadcast primitive: its ads travel only over established
 	// exchanges.
-	e := p.admit(ad.Clone(), false)
+	own := ad.Clone()
+	e := p.admit(own, false)
 	if !n.cfg.Protocol.isAsync() {
+		if e == nil { // the issuer's full cache ranked its own ad lowest: it is still sent once
+			e = &ads.Entry{Ad: own}
+		}
 		p.broadcastAd(e)
 	}
 	return ad, nil
@@ -515,13 +522,8 @@ func (p *Peer) forwardProb(ad *ads.Advertisement) float64 {
 // forwardProbAt is forwardProb at an explicit position and time — pure, so
 // decision phases can call it with a scratch-queried position.
 func (p *Peer) forwardProbAt(ad *ads.Advertisement, pos geo.Point, now float64) float64 {
-	return p.forwardProbRt(ad, pos, RadiusAt(p.net.cfg.Params, ad.R, ad.D, ad.Age(now)))
-}
-
-// forwardProbRt is the peer-dependent half of forwardProbAt: the protocol's
-// probability at pos given the ad's current advertising radius rt.
-func (p *Peer) forwardProbRt(ad *ads.Advertisement, pos geo.Point, rt float64) float64 {
 	n := p.net
+	rt := RadiusAt(n.cfg.Params, ad.R, ad.D, ad.Age(now))
 	d := pos.Dist(ad.Origin)
 	if p.isRSU {
 		// Infrastructure has no battery to save: a roadside unit inside the
@@ -537,41 +539,6 @@ func (p *Peer) forwardProbRt(ad *ads.Advertisement, pos geo.Point, rt float64) f
 		return forwardProbOpt1Rt(n.cfg.Params, d, ad.R, rt, n.cfg.DIS)
 	}
 	return forwardProbRt(n.cfg.Params, d, ad.R, rt)
-}
-
-// radiusMemo is a direct-mapped table of Formula-2 results, hashed on the ad
-// copy's (IssuedAt, R, D). R_t does not depend on the peer, and one frame
-// overflows many receivers' caches — holding copies of the same live ads — at
-// one instant.
-type radiusMemo [1 << radiusMemoBits]radiusEntry
-
-type radiusEntry struct{ issuedAt, r, d, now, rt float64 }
-
-const radiusMemoBits = 10
-
-func (m *radiusMemo) slot(ad *ads.Advertisement) *radiusEntry {
-	h := math.Float64bits(ad.IssuedAt) ^
-		math.Float64bits(ad.R)*0x9e3779b97f4a7c15 ^
-		math.Float64bits(ad.D)*0xbf58476d1ce4e5b9
-	return &m[h*0x94d049bb133111eb>>(64-radiusMemoBits)]
-}
-
-// radiusNow returns RadiusAt(Params, ad.R, ad.D, ad.Age(now)), memoised: a
-// hit needs exactly equal inputs and returns the float RadiusAt computed for
-// them, so the bits never differ. The table is unsynchronised — sequential
-// path only (delivery events, IssueAd, the RSU backhaul), never a decide —
-// and allocated on first use, so a run that never overflows a cache (every
-// Fig. 7 point) does not carry it.
-func (n *Network) radiusNow(ad *ads.Advertisement, now float64) float64 {
-	if n.rtMemo == nil {
-		n.rtMemo = new(radiusMemo)
-	}
-	m := n.rtMemo.slot(ad)
-	if m.issuedAt != ad.IssuedAt || m.r != ad.R || m.d != ad.D || m.now != now {
-		m.issuedAt, m.r, m.d, m.now = ad.IssuedAt, ad.R, ad.D, now
-		m.rt = RadiusAt(n.cfg.Params, ad.R, ad.D, ad.Age(now))
-	}
-	return m.rt
 }
 
 // broadcastAd transmits the entry's ad to all neighbors. The frame shares
@@ -655,30 +622,62 @@ func (p *Peer) handleGossip(f gossipFrame, from int) {
 // Algorithm 1's insert branch for radio receptions, IssueAd and the RSU
 // backhaul alike, after the caller's markReceived: popularity update, insert,
 // overflow eviction and, under Optimization Mechanism 2, the entry's timer.
-// own must be private to this peer unless shared is set. The timer is armed
-// after the eviction because the newcomer is often its own victim; evictOne
-// takes no event sequence number and arming takes one either way, so every
-// surviving event keeps its (time, seq) order. The returned entry may already
-// have been evicted.
-//
-// An insert into a full cache under EvictLowestProb is ranked by evictOne,
-// which refreshes every entry's probability, the newcomer's included, at this
-// same position and instant: evaluating it here as well would be thrown away.
+// own must be private to this peer unless shared is set. nil means the
+// newcomer was its own victim: no timer then, and evicting takes no event
+// sequence number, so surviving events keep their (time, seq) order. The tail
+// is Algorithm 1 as written; rankOverflow first tries to name its victim
+// without the refresh, and a doomed newcomer, the common case, never enters.
 func (p *Peer) admit(own *ads.Advertisement, shared bool) *ads.Entry {
 	p.applyPopularity(own)
-	prob := 0.0
-	if p.cache.Len() < p.cache.K() || p.net.cfg.Eviction != EvictLowestProb {
+	n := p.net
+	prob, certain := 0.0, false
+	if p.cache.Len() >= p.cache.K() && n.cfg.Eviction == EvictLowestProb {
+		n.overflows.Inc()
+		var victim *ads.Entry
+		if victim, prob, certain = p.rankOverflow(own); !certain {
+			n.overflowExact.Inc()
+		} else if victim != nil {
+			p.cache.Remove(victim.Ad.ID)
+			p.cancelEntryTimer(victim)
+			n.obs.OnEvict(p.id, victim.Ad.ID, n.sim.Now())
+		} else {
+			n.overflowDropped.Inc()
+			n.obs.OnEvict(p.id, own.ID, n.sim.Now())
+			return nil
+		}
+	}
+	if !certain {
 		prob = p.forwardProb(own)
 	}
 	e, overflow := p.cache.Insert(own, prob)
 	e.Shared = shared
 	if overflow && p.evictOne() == e {
-		return e
+		return nil
 	}
-	if p.net.cfg.Protocol.usesOpt2() {
+	if n.cfg.Protocol.usesOpt2() {
 		p.armEntryTimer(e)
 	}
 	return e
+}
+
+// rankOverflow names from scores the entry Algorithm 1 would evict once own
+// joined the full cache, nil for own itself whose score is s, and reports
+// whether that is certain: none is NaN and the lowest is an exact zero — the
+// first in cache order loses, as in Cache.EvictLowest — or scoreMargin (10³ ×
+// a score's error) below the runner-up. An RSU's 1/0 rule ties: never certain.
+func (p *Peer) rankOverflow(own *ads.Advertisement) (victim *ads.Entry, s float64, certain bool) {
+	pos, now := p.Position(), p.net.sim.Now()
+	lo, next := math.Inf(1), math.Inf(1) // the two lowest scores; a NaN sticks in lo
+	rank := func(ad *ads.Advertisement, e *ads.Entry) {
+		if s = p.net.rank.score(pos.Dist(ad.Origin), ad.R, ad.D, ad.Age(now)); s < lo || s != s {
+			lo, next, victim = s, lo, e
+		} else if s < next {
+			next = s
+		}
+	}
+	p.cache.ForEach(func(e *ads.Entry) { rank(e.Ad, e) })
+	rank(own, nil) // last, as the last in cache order
+	return victim, s, !p.isRSU && (lo == 0 || next > lo*(1+scoreMargin))
 }
 
 // mergeDuplicate folds a duplicate message copy into the cached entry: FM
@@ -709,10 +708,9 @@ func (p *Peer) mergeDuplicate(e *ads.Entry, in *ads.Advertisement) {
 	}
 }
 
-// evictOne applies the configured overflow policy and returns the evicted
-// entry (nil from an empty cache). Under the paper's rule every entry's
-// probability is refreshed at the current position first (Algorithm 1's
-// overflow path).
+// evictOne applies the configured overflow policy to a cache holding k+1
+// entries and returns the evicted one. Under the paper's rule every entry's
+// probability is first refreshed at the current position, as Algorithm 1 says.
 func (p *Peer) evictOne() *ads.Entry {
 	n := p.net
 	var victim *ads.Entry
@@ -720,24 +718,16 @@ func (p *Peer) evictOne() *ads.Entry {
 	case EvictOldestFirst:
 		victim = p.cache.EvictOldest()
 	case EvictRandomEntry:
-		if k := p.cache.Len(); k > 0 {
-			k = p.rnd.Intn(k) // the k-th entry in insertion order
-			p.cache.ForEach(func(e *ads.Entry) {
-				if k == 0 {
-					victim = p.cache.Remove(e.Ad.ID)
-				}
-				k--
-			})
-		}
-	default: // EvictLowestProb
-		pos, now := p.Position(), n.sim.Now()
+		k := p.rnd.Intn(p.cache.Len()) // the k-th entry in insertion order
 		p.cache.ForEach(func(e *ads.Entry) {
-			e.Prob = p.forwardProbRt(e.Ad, pos, n.radiusNow(e.Ad, now))
+			if k == 0 {
+				victim = p.cache.Remove(e.Ad.ID)
+			}
+			k--
 		})
+	default: // EvictLowestProb
+		p.cache.ForEach(func(e *ads.Entry) { e.Prob = p.forwardProb(e.Ad) })
 		victim = p.cache.EvictLowest()
-	}
-	if victim == nil {
-		return nil
 	}
 	p.cancelEntryTimer(victim)
 	n.obs.OnEvict(p.id, victim.Ad.ID, n.sim.Now())

@@ -4,19 +4,21 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"instantad/internal/ads"
 	"instantad/internal/geo"
 	"instantad/internal/mobility"
+	"instantad/internal/radio"
 	"instantad/internal/rng"
 	"instantad/internal/sim"
 )
 
-// The reference below is the overflow path as it stood before it was split
-// into per-call work (position, clock), per-ad work (Formula 2, memoised) and
-// per-entry work (Formulas 1/3): Formula bodies and all, so the differential
-// test compares two independent computations.
+// The reference below is Algorithm 1's overflow path as written — insert,
+// refresh every entry's P(d,t) with its own copy of the Formula bodies, drop
+// the lowest — so the differential tests compare two independent
+// computations: admit's ranking from scores against this.
 
 func refForwardProb(p ProbParams, dist, r, d, age float64) float64 {
 	rt := RadiusAt(p, r, d, age)
@@ -100,13 +102,54 @@ func overflowCases() []overflowCase {
 	return cases
 }
 
+// checkOverflow admits newcomer to peer p holding exactly held (a full cache)
+// and checks everything the overflow can be seen to do against the reference:
+// the victim, the surviving ids in cache order, and the one OnEvict. It
+// reports whether the newcomer was its own victim and whether the victim
+// took the exact path (the scores certified nothing).
+func checkOverflow(t *testing.T, n *Network, p *Peer, held []*ads.Advertisement, newcomer *ads.Advertisement) (dropped, exact bool) {
+	t.Helper()
+	got, want := ads.NewCache(n.cfg.CacheK), ads.NewCache(n.cfg.CacheK)
+	for _, ad := range held {
+		got.Insert(ad, -1)
+		want.Insert(ad, -1)
+	}
+	want.Insert(newcomer, -1)
+	wantVictim := p.refEvictLowest(want).Ad.ID
+
+	log := &eventLog{}
+	n.SetObserver(log)
+	p.cache = got
+	exactBefore := n.overflowExact.Value()
+	now := n.sim.Now()
+	e := p.admit(newcomer, true)
+	if e != nil {
+		p.cancelEntryTimer(e) // these tests run no rounds
+	}
+	if dropped = got.Get(newcomer.ID) == nil; dropped != (e == nil) {
+		t.Fatalf("admit returned %v for a newcomer with dropped = %v", e, dropped)
+	}
+	if len(log.events) != 1 || log.events[0] != (protoEvent{"evict", p.id, wantVictim, now}) {
+		t.Fatalf("peer %d t=%v: events %+v, reference evicts %v", p.id, now, log.events, wantVictim)
+	}
+	ge, we := got.Entries(), want.Entries()
+	if len(ge) != len(we) {
+		t.Fatalf("peer %d t=%v: %d entries left, reference %d", p.id, now, len(ge), len(we))
+	}
+	for k := range we {
+		if ge[k].Ad != we[k].Ad {
+			t.Fatalf("peer %d t=%v entry %d: %v, reference %v", p.id, now, k, ge[k].Ad.ID, we[k].Ad.ID)
+		}
+	}
+	return dropped, n.overflowExact.Value() > exactBefore
+}
+
 // TestOverflowRefreshMatchesReference is the differential test for the
 // overflow path: on generated caches — every gossip variant, auto and explicit
 // units, roadside units' 1/0 rule, copies of one ad whose R and D differ the
 // way popularity enlargement leaves them, expired and not-yet-aged ads, moving
-// and static peers — the victim and the bits of every refreshed Entry.Prob
-// equal the reference's. All peers overflow at one instant, so the radius
-// memo is hit; the same ads come back at a second instant, so it must miss.
+// and static peers — the victim, the survivors in order and the eviction the
+// observer hears equal the reference's.
 func TestOverflowRefreshMatchesReference(t *testing.T) {
 	for _, tc := range overflowCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -128,9 +171,6 @@ func TestOverflowRefreshMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n.rtMemo != nil {
-				t.Fatal("radius memo allocated before any overflow")
-			}
 			// The live ads: origins across the field, issue times before and
 			// after the instants below, some short-lived enough to be expired.
 			pool := make([]*ads.Advertisement, live)
@@ -143,115 +183,193 @@ func TestOverflowRefreshMatchesReference(t *testing.T) {
 					D:        5 + rnd.Float64()*200,
 				}
 			}
-			newcomerIn, newcomerOut := 0, 0
+			newcomerIn, newcomerOut, certified := 0, 0, 0
 			for _, now := range []float64{40, 40.5, 97} {
 				s.Run(now)
-				hitsBefore := 0
-				for pi := 0; pi < peers; pi++ {
-					p := n.peers[pi]
-					// Two caches with the same k+1 entries: this peer's draw of
-					// the live ads, every third copy enlarged as Formula 7 would.
-					// The last one enters got the way a reception does, through
-					// admit, which ranks it by the overflow refresh alone.
-					got, want := ads.NewCache(cfg.CacheK), ads.NewCache(cfg.CacheK)
-					p.cache = got
-					var all []*ads.Entry
-					var newcomer *ads.Entry
-					for k, i := range rnd.Perm(live)[:cfg.CacheK+1] {
+				for _, p := range n.peers {
+					// This peer's draw of k+1 live ads, every third copy enlarged
+					// as Formula 7 would; the last arrives the way a reception does.
+					var draw []*ads.Advertisement
+					for _, i := range rnd.Perm(live)[:cfg.CacheK+1] {
 						ad := pool[i]
 						if rnd.Intn(3) == 0 {
 							ad = ad.Clone()
 							ad.R += 50 / math.Log2(float64(2+rnd.Intn(9)))
 							ad.D += 10 / math.Log2(float64(2+rnd.Intn(9)))
 						}
-						want.Insert(ad, -1)
-						if k < cfg.CacheK {
-							e, _ := got.Insert(ad, -1)
-							all = append(all, e)
-							continue
-						}
-						if n.rtMemo != nil {
-							for _, e := range want.Entries() {
-								m := n.rtMemo.slot(e.Ad)
-								if m.issuedAt == e.Ad.IssuedAt && m.r == e.Ad.R && m.d == e.Ad.D && m.now == now {
-									hitsBefore++
-								}
-							}
-						}
-						newcomer = p.admit(ad, true)
-						p.cancelEntryTimer(newcomer) // this test runs no rounds
-						all = append(all, newcomer)
+						draw = append(draw, ad)
 					}
-					wantVictim := p.refEvictLowest(want)
-					var victim *ads.Entry
-					for _, e := range all {
-						if !e.Cached() {
-							if victim != nil {
-								t.Fatalf("t=%v peer %d: admit evicted both %v and %v", now, pi, victim.Ad.ID, e.Ad.ID)
-							}
-							victim = e
-						}
-					}
-					if victim == nil || victim.Ad.ID != wantVictim.Ad.ID {
-						t.Fatalf("t=%v peer %d: evicted %v, reference evicts %v", now, pi, victim, wantVictim.Ad.ID)
-					}
-					if math.Float64bits(victim.Prob) != math.Float64bits(wantVictim.Prob) {
-						t.Fatalf("t=%v peer %d: victim prob %v, reference %v", now, pi, victim.Prob, wantVictim.Prob)
-					}
-					if victim == newcomer {
+					dropped, exact := checkOverflow(t, n, p, draw[:cfg.CacheK], draw[cfg.CacheK])
+					if dropped {
 						newcomerOut++
 					} else {
-						// A surviving newcomer carries the refreshed value, as if
-						// admit had evaluated it itself.
 						newcomerIn++
-						if ref := p.refForwardProb(newcomer.Ad); math.Float64bits(newcomer.Prob) != math.Float64bits(ref) {
-							t.Fatalf("t=%v peer %d: surviving newcomer P=%v, reference %v", now, pi, newcomer.Prob, ref)
-						}
 					}
-					ge, we := got.Entries(), want.Entries()
-					for k := range we {
-						if ge[k].Ad.ID != we[k].Ad.ID || math.Float64bits(ge[k].Prob) != math.Float64bits(we[k].Prob) {
-							t.Fatalf("t=%v peer %d entry %d: %v P=%v (bits %x), reference %v P=%v (bits %x)",
-								now, pi, k, ge[k].Ad.ID, ge[k].Prob, math.Float64bits(ge[k].Prob),
-								we[k].Ad.ID, we[k].Prob, math.Float64bits(we[k].Prob))
-						}
+					if !exact {
+						certified++
 					}
-				}
-				if hitsBefore == 0 {
-					t.Errorf("t=%v: no refresh found its radius memoised: the memo path went untested", now)
+					if p.isRSU && !exact {
+						t.Fatalf("t=%v: roadside unit %d ranked its overflow from scores", now, p.id)
+					}
 				}
 			}
-			if newcomerIn == 0 || newcomerOut == 0 {
-				t.Errorf("newcomer survived %d times and was its own victim %d times: one went untested",
-					newcomerIn, newcomerOut)
+			if newcomerIn == 0 || newcomerOut == 0 || certified < 2*peers {
+				t.Errorf("newcomer survived %d times, was its own victim %d times, %d overflows certified: a path went untested",
+					newcomerIn, newcomerOut, certified)
 			}
 		})
 	}
 }
 
-// TestRadiusMemoMissesOnAnyChangedInput pins the memo's exactness: a lookup
-// hits only for the very (IssuedAt, R, D, now) it stored; changing any one of
-// them returns what RadiusAt returns for the new inputs.
-func TestRadiusMemoMissesOnAnyChangedInput(t *testing.T) {
-	_, n := staticNet(t, testConfig(GossipOpt), []geo.Point{{}})
-	base := ads.Advertisement{IssuedAt: 3, R: 500, D: 120}
-	variants := []struct {
-		ad  ads.Advertisement
-		now float64
+// TestOverflowAdversarialCaches puts one static peer at the origin in front
+// of the caches the certificate exists for — ties, near-ties, the branch
+// boundaries of Formulas 1/3, the jump at age = D, underflow — and checks the
+// victim against the reference, and that the cases no score can decide are
+// decided by Formulas 1–3. Ad origins lie on the x axis, so an ad's distance
+// is its |x| exactly.
+func TestOverflowAdversarialCaches(t *testing.T) {
+	const now = 50.0
+	type adAt struct{ x, issuedAt, r, d float64 }
+	fresh := func(x float64) adAt { return adAt{x, 0, 500, 100} }
+	base := testConfig(GossipOpt)
+	rt := RadiusAt(base.Params, 500, 100, now)
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		ads    []adAt // the cache in order, then the newcomer
+		exact  bool   // the certificate must fail
 	}{
-		{base, 50}, {base, 50}, {base, 50.25},
-		{ads.Advertisement{IssuedAt: 3.5, R: 500, D: 120}, 50},
-		{ads.Advertisement{IssuedAt: 3, R: 550, D: 120}, 50},
-		{ads.Advertisement{IssuedAt: 3, R: 500, D: 130}, 50},
-		{base, 200}, // expired: radius 0
-		{base, 50},
+		{"bit-equal pair, the older loses", nil,
+			[]adAt{fresh(300), fresh(900), fresh(900), fresh(400)}, true},
+		{"bit-equal newcomer, the cached copy loses", nil,
+			[]adAt{fresh(300), fresh(400), fresh(900), fresh(900)}, true},
+		{"a pair one ulp of distance apart", nil,
+			[]adAt{fresh(300), fresh(math.Nextafter(900, 1000)), fresh(900), fresh(400)}, true},
+		{"at d = R_t and d = R_t - DIS exactly", nil,
+			[]adAt{fresh(rt), fresh(rt - base.DIS), fresh(rt - 10), fresh(rt - 60)}, false},
+		{"just either side of d = R_t", nil,
+			[]adAt{fresh(math.Nextafter(rt, 0)), fresh(math.Nextafter(rt, 1e9)), fresh(rt - 10), fresh(rt)}, true},
+		{"DIS >= R_t: Formula 3 is Formula 1", func(c *Config) { c.DIS = 2000 },
+			[]adAt{fresh(0), fresh(200), fresh(600), fresh(450)}, false},
+		{"plain gossip", func(c *Config) { c.Protocol = Gossip },
+			[]adAt{fresh(0), fresh(200), fresh(600), fresh(450)}, false},
+		{"age within the guard band of D", nil,
+			[]adAt{fresh(300), {200, now - 100 + 1e-10, 500, 100}, fresh(900), fresh(400)}, true},
+		{"age = D exactly", nil,
+			[]adAt{fresh(300), {200, now - 100, 500, 100}, fresh(900), fresh(400)}, true},
+		{"one expired ad among live ones", nil,
+			[]adAt{fresh(300), {200, 0, 500, 20}, fresh(900), fresh(400)}, false},
+		{"all expired: the first in order loses", nil,
+			[]adAt{{300, 0, 500, 20}, {900, 0, 500, 30}, {100, 0, 500, 10}, {400, 0, 500, 40}}, false},
+		{"DistUnit = 1: far ads underflow", func(c *Config) { c.Params.DistUnit = 1 },
+			[]adAt{fresh(300), fresh(2500), fresh(2600), fresh(400)}, true},
+		{"DistUnit = 0.1: the exponent is ill-conditioned in R_t", func(c *Config) { c.Params.DistUnit = 0.1 },
+			[]adAt{fresh(rt + 1), fresh(rt + 2), fresh(rt + 3), fresh(rt + 4)}, true},
+		{"alpha beyond the budget", func(c *Config) { c.Params.Alpha = 0.995 },
+			[]adAt{fresh(0), fresh(200), fresh(600), fresh(450)}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base
+			cfg.CacheK = len(tc.ads) - 1
+			if tc.mutate != nil {
+				tc.mutate(&cfg)
+			}
+			s, n := staticNet(t, cfg, []geo.Point{{}})
+			s.Run(now)
+			var all []*ads.Advertisement
+			for i, a := range tc.ads {
+				all = append(all, &ads.Advertisement{
+					ID: ads.ID{Issuer: 3, Seq: uint32(i)}, Origin: geo.Point{X: a.x},
+					IssuedAt: a.issuedAt, R: a.r, D: a.d,
+				})
+			}
+			if _, exact := checkOverflow(t, n, n.peers[0], all[:cfg.CacheK], all[cfg.CacheK]); exact != tc.exact {
+				t.Errorf("exact path taken = %v, want %v", exact, tc.exact)
+			}
+		})
 	}
-	for i, v := range variants {
-		got := n.radiusNow(&v.ad, v.now)
-		want := RadiusAt(n.cfg.Params, v.ad.R, v.ad.D, v.ad.Age(v.now))
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("lookup %d: radiusNow = %v, RadiusAt = %v", i, got, want)
+}
+
+// evictionLog records every eviction in order and counts everything else.
+type evictionLog struct {
+	BaseObserver
+	evicts []protoEvent
+	others int
+}
+
+func (l *evictionLog) OnEvict(p int, id ads.ID, t float64) {
+	l.evicts = append(l.evicts, protoEvent{"evict", p, id, t})
+}
+func (l *evictionLog) OnBroadcast(int, ads.ID, int, float64)           { l.others++ }
+func (l *evictionLog) OnFirstReceive(int, *ads.Advertisement, float64) { l.others++ }
+func (l *evictionLog) OnDuplicate(int, ads.ID, float64)                { l.others++ }
+func (l *evictionLog) OnExpire(int, ads.ID, float64)                   { l.others++ }
+
+// TestOverflowRankingMatchesExactInMobileRun runs a storm — waypoint peers,
+// small caches, overlapping ads that popularity enlarges copy by copy — twice:
+// as shipped, and with the scorer poisoned so that no overflow is ever
+// certified and every one is Algorithm 1 as written. One victim chosen
+// differently would change who holds what from then on; the two runs must
+// agree on every eviction in order, over 10⁵ of them between plain and
+// optimized gossiping, nearly all decided from scores in the first run.
+func TestOverflowRankingMatchesExactInMobileRun(t *testing.T) {
+	total := 0
+	for _, tc := range []struct {
+		proto  Protocol
+		numAds int
+	}{{Gossip, 30}, {GossipOpt, 400}} {
+		proto, numAds := tc.proto, tc.numAds
+		run := func(poison bool) (*evictionLog, *Network, radio.Stats, uint64) {
+			cfg := testConfig(proto)
+			cfg.CacheK = 4
+			cfg.Popularity = PopularityConfig{Enabled: true, F: 8, L: 32, SketchSeed: 9, RInc: 50, DInc: 10, RMax: 800, DMax: 240}
+			s, n := waypointNet(t, cfg, 300, 900, 125, 400, 21)
+			if poison {
+				n.rank.lnAlpha = math.NaN()
+			}
+			for i, p := range n.peers {
+				p.SetInterests([]string{"fuel", "food", "books"}[i%3])
+			}
+			log := &evictionLog{}
+			n.SetObserver(log)
+			n.Start()
+			for i := 0; i < numAds; i++ {
+				i := i
+				s.Schedule(1+100*float64(i)/float64(numAds), func() {
+					spec := AdSpec{R: 300 + 50*float64(i%5), D: 60 + 20*float64(i%4), Category: []string{"fuel", "food", "books", "toys"}[i%4]}
+					if _, err := n.IssueAd((i*37)%n.NumPeers(), spec); err != nil {
+						t.Error(err)
+					}
+				})
+			}
+			s.Run(300)
+			return log, n, n.ch.Stats(), s.Dispatched()
 		}
+		got, n, gotStats, gotEvents := run(false)
+		want, exactNet, wantStats, wantEvents := run(true)
+		overflows, dropped, exact := n.overflows.Value(), n.overflowDropped.Value(), n.overflowExact.Value()
+		t.Logf("%v: %d overflows, %d newcomers dropped, %d ranked exactly", proto, overflows, dropped, exact)
+		if all := exactNet.overflowExact.Value(); all != overflows || uint64(len(want.evicts)) != overflows {
+			t.Fatalf("%v: the poisoned run ranked %d of its %d evictions exactly, the other run overflowed %d times",
+				proto, all, len(want.evicts), overflows)
+		}
+		for i := range want.evicts {
+			if i >= len(got.evicts) || got.evicts[i] != want.evicts[i] {
+				t.Fatalf("%v eviction %d: %+v, exact %+v", proto, i, got.evicts[i:][:1], want.evicts[i])
+			}
+		}
+		if len(got.evicts) != len(want.evicts) || got.others != want.others || gotStats != wantStats || gotEvents != wantEvents {
+			t.Errorf("%v: %d evictions, %d other events, %+v, %d dispatched; exact %d, %d, %+v, %d", proto,
+				len(got.evicts), got.others, gotStats, gotEvents, len(want.evicts), want.others, wantStats, wantEvents)
+		}
+		if dropped == 0 || dropped == overflows || exact*100 > overflows {
+			t.Errorf("%v: %d overflows, %d dropped, %d exact: a path went untested or the scores decide too little",
+				proto, overflows, dropped, exact)
+		}
+		total += len(want.evicts)
+	}
+	if total < 100_000 {
+		t.Errorf("%d overflows compared, want at least 100000", total)
 	}
 }
 
@@ -365,9 +483,16 @@ func TestOpt2OneTimerPerCachedEntry(t *testing.T) {
 	checkOneTimerPerEntry(t, s, n)
 }
 
+// simSeq reads the simulator's next event sequence number (unexported: no
+// caller but this test has a use for it).
+func simSeq(s *sim.Simulator) uint64 {
+	return reflect.ValueOf(s).Elem().FieldByName("seq").Uint()
+}
+
 // TestNewcomerEvictedGetsNoTimer: when the arriving ad is itself the lowest
-// P(d,t) in the overflowing cache it is evicted before a timer is built for
-// it — the queue does not move, and the ad still counts as received.
+// P(d,t) it never enters the cache — no entry, no timer, no event sequence
+// number taken, the queue does not move — and still counts as received and
+// as one eviction.
 func TestNewcomerEvictedGetsNoTimer(t *testing.T) {
 	s, n := isolatedOpt2Net(t, 3)
 	obs := newCountingObserver()
@@ -379,40 +504,47 @@ func TestNewcomerEvictedGetsNoTimer(t *testing.T) {
 		}}, 1)
 	}
 	checkOneTimerPerEntry(t, s, n)
-	pending := s.Pending()
+	pending, seq := s.Pending(), simSeq(s)
 	far := &ads.Advertisement{ID: ads.ID{Issuer: 9, Seq: 99}, Origin: geo.Point{X: 3000}, R: 500, D: 100}
 	p.handleGossip(gossipFrame{ad: far}, 1)
-	if p.cache.Get(far.ID) != nil {
+	if p.cache.Get(far.ID) != nil || p.cache.Len() != 3 {
 		t.Fatal("the far ad displaced a nearer one")
 	}
-	if s.Pending() != pending {
-		t.Fatalf("queue went from %d to %d events for an ad that was never kept", pending, s.Pending())
+	if s.Pending() != pending || simSeq(s) != seq {
+		t.Fatalf("queue went from %d to %d events and sequence number %d to %d for an ad that was never kept",
+			pending, s.Pending(), seq, simSeq(s))
 	}
 	if !p.HasReceived(far.ID) || obs.evicts != 1 {
 		t.Fatalf("received=%v evicts=%d, want true and 1", p.HasReceived(far.ID), obs.evicts)
 	}
+	if d, x := n.overflowDropped.Value(), n.overflowExact.Value(); d != 1 || x != 0 {
+		t.Fatalf("%d newcomers dropped, %d overflows ranked exactly, want 1 and 0", d, x)
+	}
 	checkOneTimerPerEntry(t, s, n)
 }
 
-// BenchmarkReceiveOverflow measures Algorithm 1's overflow branch end to end:
-// a peer whose k = 10 cache is full hears a new ad, refreshes all eleven
-// probabilities, evicts the lowest and (Optimization Mechanism 2) arms the
-// survivor's timer.
+// BenchmarkReceiveOverflow measures Algorithm 1's overflow branch end to end
+// on a peer whose k = 10 cache is full. dropped: the arriving ad, from far
+// away, ranks lowest and is gone again — the common case, which must not
+// allocate; every arrival is the same frame snapshot, which the cache never
+// holds. admitted: each ad is issued a little nearer than every one before it,
+// so it outranks the whole cache, replaces the lowest entry and (Optimization
+// Mechanism 2) gets a timer.
 func BenchmarkReceiveOverflow(b *testing.B) {
 	const poolSize = 4096
-	rnd := rand.New(rand.NewSource(1))
+	at := geo.Point{X: 750, Y: 750}
 	pool := make([]*ads.Advertisement, poolSize)
-	for i := range pool {
+	for i := range pool { // 1400 m out down to the annulus: P rises all the way
 		pool[i] = &ads.Advertisement{
 			ID:     ads.ID{Issuer: 1, Seq: uint32(i)},
-			Origin: geo.Point{X: rnd.Float64() * 1500, Y: rnd.Float64() * 1500},
+			Origin: geo.Point{X: at.X + 1400 - 0.25*float64(i), Y: at.Y},
 			R:      500, D: 120,
 		}
 	}
 	var p *Peer
 	reset := func() { // a fresh peer: its received set must not grow with b.N
 		s := sim.New()
-		models := []mobility.Model{mobility.NewStatic(geo.Point{X: 750, Y: 750}), mobility.NewStatic(geo.Point{X: 800, Y: 750})}
+		models := []mobility.Model{mobility.NewStatic(at), mobility.NewStatic(geo.Point{X: 800, Y: 750})}
 		n, err := New(s, testRadio(), models, testConfig(GossipOpt), rng.New(1))
 		if err != nil {
 			b.Fatal(err)
@@ -420,18 +552,36 @@ func BenchmarkReceiveOverflow(b *testing.B) {
 		n.Start()
 		s.Run(10)
 		p = n.peers[0]
-	}
-	const fresh = poolSize - 10 // new ads per peer lifetime: an ID never comes twice
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if i%fresh == 0 {
-			b.StopTimer()
-			reset()
-			for _, ad := range pool[:10] {
-				p.handleGossip(gossipFrame{ad: ad}, 1)
-			}
-			b.StartTimer()
+		for _, ad := range pool[:10] {
+			p.handleGossip(gossipFrame{ad: ad}, 1)
 		}
-		p.handleGossip(gossipFrame{ad: pool[10+i%fresh]}, 1)
 	}
+	b.Run("dropped", func(b *testing.B) {
+		reset()
+		far := &ads.Advertisement{ID: ads.ID{Issuer: 2}, Origin: geo.Point{X: 9000, Y: 9000}, R: 500, D: 120}
+		p.handleGossip(gossipFrame{ad: far}, 1) // marked received here, once
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.handleGossip(gossipFrame{ad: far}, 1)
+		}
+		if got := p.net.overflowDropped.Value(); got != uint64(b.N)+1 {
+			b.Fatalf("%d of %d arrivals dropped", got, b.N+1)
+		}
+	})
+	b.Run("admitted", func(b *testing.B) {
+		const fresh = poolSize - 10 // new ads per peer lifetime: an ID never comes twice
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if i%fresh == 0 {
+				b.StopTimer()
+				reset()
+				b.StartTimer()
+			}
+			p.handleGossip(gossipFrame{ad: pool[10+i%fresh]}, 1)
+			if p.cache.Get(pool[10+i%fresh].ID) == nil {
+				b.Fatalf("arrival %d was not admitted", i)
+			}
+		}
+	})
 }

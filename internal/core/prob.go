@@ -55,8 +55,7 @@ func (p ProbParams) Validate() error {
 	return nil
 }
 
-// finiteNonNeg reports x ∈ [0, +Inf). The guards are written in the positive
-// form because every comparison with NaN is false: `x < 0` lets NaN through.
+// finiteNonNeg reports x ∈ [0, +Inf); NaN fails it, as it would not `x < 0`.
 func finiteNonNeg(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // distUnit resolves the distance unit for an ad with base radius r.
@@ -158,6 +157,50 @@ func forwardProbOpt1Rt(p ProbParams, dist, r, rt, dis float64) float64 {
 	default:
 		return (1 - math.Pow(p.Alpha, disu+1)) * math.Pow(p.Alpha, rtu-disu-du)
 	}
+}
+
+// scorer evaluates Formulas 2 and 1/3 with exp(y·ln α) for math.Pow(α, y) to
+// rank cache entries at an overflow (rankOverflow); no forwarding coin is
+// flipped on it. dis = +Inf widens Formula 3's annulus to Formula 1's disk.
+type scorer struct {
+	ProbParams
+	lnAlpha, lnBeta, dis float64
+}
+
+func newScorer(cfg Config) scorer {
+	s := scorer{cfg.Params, math.Log(cfg.Params.Alpha), math.Log(cfg.Params.Beta), math.Inf(1)}
+	if cfg.Protocol.usesOpt1() {
+		s.dis = cfg.DIS
+	}
+	return s
+}
+
+const scoreGuard, scoreMargin = 1e-9, 1e-9 // see score and rankOverflow
+
+// score is within 1e-12 relative of ForwardProb or ForwardProbOpt1, exactly 0
+// for an expired ad as they are, and NaN where that bound fails: R_t/R within
+// scoreGuard of 0, where rounding it off turns a positive P into 0; α near 1,
+// where 1 − α^y cancels; an exponent ill-conditioned in R_t; a result near the
+// denormal range. docs/PERFORMANCE.md, "Overflow ranking", has the budget.
+func (s *scorer) score(dist, r, d, age float64) float64 {
+	if age > d {
+		return 0
+	}
+	zb, u := (d-age)/s.timeUnit(d)*s.lnBeta, s.distUnit(r)
+	rt := (1 - math.Exp(zb)) * r
+	du, rtu, p := dist/u, rt/u, 0.0
+	if dist > rt {
+		p = (1 - s.Alpha) * math.Exp((du-rtu)*s.lnAlpha)
+	} else if dist >= rt-s.dis {
+		p = 1 - math.Exp((rtu+1-du)*s.lnAlpha)
+	} else {
+		disu := s.dis / u
+		p = (1 - math.Exp((disu+1)*s.lnAlpha)) * math.Exp((rtu-disu-du)*s.lnAlpha)
+	}
+	if zb > -scoreGuard || s.Alpha > 0.99 || r*-s.lnAlpha > 1e3*u || !(p >= 1e-300) {
+		return math.NaN()
+	}
+	return p
 }
 
 // PostponeInterval implements Formula 4's increment: the amount of time a

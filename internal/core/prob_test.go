@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -263,6 +264,76 @@ func TestOpt1ReducesExpectedMessages(t *testing.T) {
 	if opt >= pure*0.8 {
 		t.Errorf("opt mass %v not well below pure mass %v", opt, pure)
 	}
+}
+
+// TestScoreWithinBudgetOfExactProperty: wherever the scorer answers, its answer
+// is within 1e-12 relative of Formulas 2 and 1/3 as math.Pow evaluates them —
+// three orders inside scoreMargin — and an exact 0 only where they are exactly
+// 0. Over a million random draws of every input, and each of the first
+// hundred thousand moved onto every branch boundary and one ulp either side.
+func TestScoreWithinBudgetOfExactProperty(t *testing.T) {
+	rnd := rand.New(rand.NewSource(1))
+	var worst float64
+	answered, refused := 0, 0
+	check := func(cfg Config, dist, r, d, age float64) {
+		want := ForwardProb(cfg.Params, dist, r, d, age)
+		if cfg.Protocol.usesOpt1() {
+			want = ForwardProbOpt1(cfg.Params, dist, r, d, age, cfg.DIS)
+		}
+		sc := newScorer(cfg)
+		got := sc.score(dist, r, d, age)
+		if got != got {
+			refused++
+			return
+		}
+		answered++
+		rel := math.Abs(got-want) / want
+		if got == 0 || want == 0 {
+			rel = math.Abs(got - want) // both, or neither
+		}
+		if !(rel <= 1e-12) {
+			t.Fatalf("%+v dist=%v r=%v d=%v age=%v: score %v, exact %v (rel %.3g)", cfg, dist, r, d, age, got, want, rel)
+		}
+		worst = math.Max(worst, rel)
+	}
+	around := func(x float64) []float64 {
+		return []float64{math.Nextafter(x, math.Inf(-1)), x, math.Nextafter(x, math.Inf(1))}
+	}
+	for i := 0; i < 1_000_000; i++ {
+		cfg := Config{Protocol: Gossip, Params: ProbParams{
+			Alpha: 0.01 + 0.98*rnd.Float64(), Beta: 0.01 + 0.98*rnd.Float64(),
+		}}
+		r, d := 50+1950*rnd.Float64(), 5+1995*rnd.Float64()
+		if rnd.Intn(2) == 0 {
+			cfg.Params.DistUnit, cfg.Params.TimeUnit = 1+199*rnd.Float64(), 1+199*rnd.Float64()
+		}
+		if rnd.Intn(2) == 0 {
+			cfg.Protocol, cfg.DIS = GossipOpt1, 1.5*r*rnd.Float64()
+		}
+		age, dist := 1.1*d*rnd.Float64(), 3*r*rnd.Float64()
+		check(cfg, dist, r, d, age)
+		if i >= 100_000 {
+			continue
+		}
+		rt := RadiusAt(cfg.Params, r, d, age)
+		for _, dist := range append(append(around(rt), around(rt-cfg.DIS)...), 0) {
+			check(cfg, dist, r, d, age)
+		}
+		if cfg.Protocol.usesOpt1() { // DIS = R_t: where Formula 3 becomes Formula 1
+			for _, dis := range around(rt) {
+				cfg.DIS = dis
+				check(cfg, dist, r, d, age)
+				check(cfg, 0, r, d, age)
+			}
+		}
+		for _, age := range append(around(d), 0, d*(1-1e-7)) {
+			check(cfg, dist, r, d, age)
+		}
+	}
+	if answered < 1_500_000 || refused == 0 {
+		t.Errorf("%d answers and %d refusals: one side went untested", answered, refused)
+	}
+	t.Logf("%d answers (%d refusals), worst relative difference %.3g", answered, refused, worst)
 }
 
 func TestPostponeInterval(t *testing.T) {

@@ -5,7 +5,10 @@ import (
 	"testing"
 
 	"instantad/internal/core"
+	"instantad/internal/geo"
 	"instantad/internal/obs"
+	"instantad/internal/rng"
+	"instantad/internal/workload"
 )
 
 // TestRegistryPopulatedByRun asserts the tentpole wiring end to end: one
@@ -74,6 +77,47 @@ func TestRegistryPopulatedByRun(t *testing.T) {
 	}
 	if fams["sim_delivery_time_seconds"].Type != "histogram" {
 		t.Errorf("sim_delivery_time_seconds family = %+v", fams["sim_delivery_time_seconds"])
+	}
+}
+
+// TestOverflowCountersOnStorm runs a storm-shaped scenario — the benchmark's
+// ad_storm at a fifth of its size: overlapping ads in the central half of the
+// field, small caches, popularity sketches on — and reads the overflow
+// shortcut's hit rate off the registry: nearly every overflow is decided from
+// scores, and in a good half of them the arriving ad is the one that loses.
+func TestOverflowCountersOnStorm(t *testing.T) {
+	rnd := rng.New(7)
+	sc := DefaultScenario()
+	sc.NumPeers = 200
+	sc.FieldW, sc.FieldH = 700, 700
+	sc.CacheK = 5
+	sc.D = 120
+	sc.Popularity = core.PopularityConfig{Enabled: true, F: 8, L: 32, SketchSeed: 3, RInc: 50, DInc: 10, RMax: 800, DMax: 240}
+	const numAds = 60
+	gap := sc.RoundTime / 8
+	sc.SimTime = sc.IssueTime + numAds*gap + sc.D + 30
+	sm, err := sc.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	workload.AssignInterests(sm.Net, workload.InterestConfig{Skew: 0.8}, rnd.Split("interests"))
+	for i := 0; i < numAds; i++ {
+		at := geo.Point{X: rnd.Range(sc.FieldW/4, 3*sc.FieldW/4), Y: rnd.Range(sc.FieldH/4, 3*sc.FieldH/4)}
+		sm.ScheduleAd(sc.IssueTime+float64(i)*gap, at, workload.RandomSpec(rnd, i, sc.R, sc.D, 0.8))
+	}
+	sm.Engine.Run(sc.SimTime)
+
+	c := sm.Registry.Snapshot().Counters
+	total, dropped, exact := c["core_overflow_total"], c["core_overflow_newcomer_dropped_total"], c["core_overflow_exact_total"]
+	t.Logf("%d overflows, %d newcomers dropped, %d ranked by Formulas 1-3; %d evictions", total, dropped, exact, c["sim_evictions_total"])
+	if total < 10_000 || total != c["sim_evictions_total"] {
+		t.Fatalf("core_overflow_total = %d with %d evictions: want at least 10000, and one eviction each", total, c["sim_evictions_total"])
+	}
+	if exact*1000 >= total {
+		t.Errorf("core_overflow_exact_total = %d of %d overflows, want under 1 in 1000", exact, total)
+	}
+	if share := float64(dropped) / float64(total); share <= 0.3 || share >= 0.9 {
+		t.Errorf("core_overflow_newcomer_dropped_total = %d of %d overflows (%.2f), want between 0.3 and 0.9", dropped, total, share)
 	}
 }
 
