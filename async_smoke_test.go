@@ -1,30 +1,19 @@
 package instantad_test
 
 import (
-	"runtime"
 	"testing"
 
-	"instantad/internal/core"
 	"instantad/internal/experiment"
 )
 
-// TestAsyncChurnSmoke drives the asynchronous pairwise protocol through the
-// full parallel engine — oversubscribed workers, a sharded field, collisions,
-// losses and churn — as the race-detector gate for the async hot path: scan
-// decides on shard-affine workers, handshake deliveries and timeout reclaims
-// in sequential commits. Run under -race in CI.
+// TestAsyncChurnSmoke drives the asynchronous pairwise protocol through
+// collisions, losses and churn the way the front-ends do, via Scenario.Run:
+// scan decides, handshake deliveries and timeout reclaims must add up to a
+// run that delivers. CI runs it under -race.
 func TestAsyncChurnSmoke(t *testing.T) {
 	sc := experiment.DefaultScenario()
-	sc.Protocol = core.AsyncGossip
-	sc.AsyncK = 2
-	sc.Collisions = true
-	sc.LossRate = 0.1
-	sc.FadeZone = 20
-	sc.ChurnOnMean = 300
-	sc.ChurnOffMean = 60
+	asyncImpaired(&sc, 2)
 	sc.SimTime = 300
-	sc.Workers = runtime.GOMAXPROCS(0) + 2
-	sc.Shards = 4
 	res, err := sc.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,6 @@ package instantad_test
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 	"time"
 
@@ -98,23 +97,6 @@ func BenchmarkFig7NetworkSize(b *testing.B) {
 				runAndReport(b, sc)
 			})
 		}
-	}
-}
-
-// BenchmarkFig7Workers runs the Figure 7 dense point (Optimized Gossiping,
-// N = 1000) at several decision-phase worker counts. Results are
-// bit-identical across the sweep — the executor's contract — so ns/op is
-// the only axis that moves; on a multi-core host the parallel rows show the
-// round-decision speedup, on a single core they show the batching overhead.
-func BenchmarkFig7Workers(b *testing.B) {
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			sc := benchBase()
-			sc.Protocol = instantad.GossipOpt
-			sc.NumPeers = 1000
-			sc.Workers = w
-			runAndReport(b, sc)
-		})
 	}
 }
 
@@ -578,46 +560,17 @@ func BenchmarkPopularityEndToEnd(b *testing.B) {
 	b.Run("ranking-off", func(b *testing.B) { runAndReport(b, off) })
 }
 
-// scaleScenario returns a density-preserving blow-up of the canonical
-// scenario: the field side grows with sqrt(N/300), so peer density — and
-// with it per-broadcast receiver counts and round-decision cost per peer —
-// stays at the paper's Table II level while N grows by orders of magnitude.
-// This is the Fig. 7-style shape the sharded engine targets.
-func scaleScenario(n int) instantad.Scenario {
+// BenchmarkScale100k is the N = 10⁵ completion gate: one Fig. 7-style life
+// cycle at a hundred thousand peers. The paper's sweeps stop at N = 1000;
+// this runs the same protocol two orders of magnitude up, on a field whose
+// side grows with sqrt(N/300) so peer density — and with it per-broadcast
+// receiver counts and per-peer round cost — stays at the paper's Table II
+// level, and reports the usual delivery metrics alongside ns/op.
+func BenchmarkScale100k(b *testing.B) {
+	const n = 100_000
 	sc := benchBase()
 	sc.NumPeers = n
 	side := 1500 * math.Sqrt(float64(n)/300)
 	sc.FieldW, sc.FieldH = side, side
-	return sc
-}
-
-// BenchmarkShardMatrix is the shards × workers sweep behind BENCH_shard.json
-// (scripts/bench.sh): the N = 10⁴ density-preserving scenario at every
-// stripe/worker combination. Results are bit-identical across the whole
-// matrix — the sharding contract — so ns/op is the only axis that moves. On
-// a multicore host the sharded rows show the parallel grid-rebuild and
-// stripe-local decide speedup; on a single core they bound the overhead the
-// tile bookkeeping adds.
-func BenchmarkShardMatrix(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		for _, workers := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(b *testing.B) {
-				sc := scaleScenario(10_000)
-				sc.Shards = shards
-				sc.Workers = workers
-				runAndReport(b, sc)
-			})
-		}
-	}
-}
-
-// BenchmarkScale100k is the N = 10⁵ completion gate: one Fig. 7-style life
-// cycle at a hundred thousand peers on the sharded engine. The paper's
-// sweeps stop at N = 1000; this runs the same protocol two orders of
-// magnitude up and reports the usual delivery metrics alongside ns/op.
-func BenchmarkScale100k(b *testing.B) {
-	sc := scaleScenario(100_000)
-	sc.Shards = 8
-	sc.Workers = runtime.GOMAXPROCS(0)
 	runAndReport(b, sc)
 }

@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"instantad"
 	"instantad/internal/atomicfile"
@@ -61,10 +60,9 @@ func main() {
 		compare    = flag.Bool("compare", false, "run every protocol on identical trajectories and tabulate")
 		jsonOut    = flag.Bool("json", false, "emit the result as JSON")
 		metricsOut = flag.String("metrics-out", "", "write the run's metrics-registry snapshot as JSON to this file at exit")
+		seed       = flag.Uint64("seed", 1, "base random seed")
 	)
-	eng := cli.EngineFlags()
 	flag.Parse()
-	eng.Check("adsim")
 
 	sc := instantad.DefaultScenario()
 	if *cfgFile != "" {
@@ -138,15 +136,7 @@ func main() {
 	override("sim-time", func() { sc.SimTime = *simTime })
 	override("loss", func() { sc.LossRate = *lossRate })
 	override("collisions", func() { sc.Collisions = *collisions })
-	override("seed", func() { sc.Seed = eng.Seed })
-	override("workers", func() { sc.Workers = eng.Workers })
-	override("shards", func() { sc.Shards = eng.Shards })
-	// Default-on parallelism: a config file may pin Workers, but when nothing
-	// chose a value the simulator uses every core — safe because results are
-	// bit-identical for any worker count.
-	if sc.Workers == 0 {
-		sc.Workers = runtime.GOMAXPROCS(0)
-	}
+	override("seed", func() { sc.Seed = *seed })
 
 	if *saveConfig != "" {
 		if err := config.Save(*saveConfig, sc); err != nil {

@@ -30,10 +30,9 @@ func main() {
 		skew   = flag.Float64("skew", 0.8, "category Zipf skew")
 		percat = flag.Bool("per-category", false, "print per-category breakdown at the last rate")
 		metOut = flag.String("metrics-out", "", "write the last rate's metrics-registry snapshot as JSON to this file at exit")
+		seed   = flag.Uint64("seed", 1, "base random seed")
 	)
-	eng := cli.EngineFlags()
 	flag.Parse()
-	eng.Check("campaign")
 
 	apm, err := cli.Floats(*rates, true)
 	if err != nil {
@@ -43,9 +42,7 @@ func main() {
 	sc := instantad.DefaultScenario()
 	sc.NumPeers = *peers
 	sc.CacheK = *cacheK
-	sc.Seed = eng.Seed
-	sc.Workers = eng.Workers
-	sc.Shards = eng.Shards
+	sc.Seed = *seed
 	sc.SimTime = 60 + *window + *life + 60
 
 	base := instantad.CampaignConfig{

@@ -63,10 +63,9 @@ func main() {
 		maxDef     = flag.Float64("max-deferred", 0, "admission: max fleet budget-deferred sends/s (<=0 disables)")
 		metOut     = flag.String("metrics-out", "", "write a final metrics-registry snapshot as JSON to this file at exit")
 		verbose    = flag.Bool("v", false, "log control-plane events")
+		seed       = flag.Uint64("seed", 1, "base random seed")
 	)
-	eng := cli.EngineFlags()
 	flag.Parse()
-	eng.Check("campaignd")
 	if *nodes <= 0 {
 		cli.Usage("campaignd", "-nodes %d must be > 0", *nodes)
 	}
@@ -92,7 +91,7 @@ func main() {
 		DigestEvery:  dig,
 		RoundBytes:   *roundBytes,
 		Loss:         *loss,
-		Seed:         eng.Seed,
+		Seed:         *seed,
 		Beacon:       *beacon,
 		Probes:       *probes,
 	})

@@ -40,10 +40,9 @@ func main() {
 		rsuCounts  = flag.String("rsu", "", "comma-separated RSU counts for the rsu figure (default 0,2,4,8)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
+		seed       = flag.Uint64("seed", 1, "base random seed")
 	)
-	eng := cli.EngineFlags()
 	flag.Parse()
-	eng.Check("figures")
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -82,7 +81,7 @@ func main() {
 	}
 
 	base := instantad.DefaultScenario()
-	base.Seed = eng.Seed
+	base.Seed = *seed
 	opts := instantad.RunOpts{Reps: *reps, Base: base}
 	if !*quiet {
 		opts.Progress = func(format string, args ...any) {
@@ -98,15 +97,6 @@ func main() {
 			opts.Reps = 1
 		}
 	}
-	// Thread the worker count through the base scenario every sweep point
-	// starts from (materializing the default base first so RunOpts still
-	// sees it as explicitly set).
-	if opts.Base.NumPeers == 0 {
-		opts.Base = instantad.DefaultScenario()
-	}
-	opts.Base.Workers = eng.Workers
-	opts.Base.Shards = eng.Shards
-
 	show := func(f instantad.Figure, err error) {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)

@@ -10,10 +10,8 @@
 package cli
 
 import (
-	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 )
@@ -86,35 +84,4 @@ func FatalIf(tool string, err error) {
 func Usage(tool, format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "%s: %s\n", tool, fmt.Sprintf(format, args...))
 	os.Exit(2)
-}
-
-// Engine is the flag trio every simulation-driving command registers: the
-// base RNG seed and the worker/shard parallelism knobs (both bit-identical
-// to 1, so defaults are safe anywhere).
-type Engine struct {
-	Seed    uint64
-	Workers int
-	Shards  int
-}
-
-// EngineFlags registers -seed, -workers and -shards on the default flag set
-// with the repo-standard help strings and defaults.
-func EngineFlags() *Engine {
-	e := &Engine{}
-	flag.Uint64Var(&e.Seed, "seed", 1, "base random seed")
-	flag.IntVar(&e.Workers, "workers", runtime.GOMAXPROCS(0),
-		"parallel round-decision workers per simulation (bit-identical to 1)")
-	flag.IntVar(&e.Shards, "shards", 1,
-		"spatial tile stripes for the radio grid (bit-identical to 1)")
-	return e
-}
-
-// Check validates the trio after flag.Parse, exiting 2 on a bad value.
-func (e *Engine) Check(tool string) {
-	if e.Shards < 0 {
-		Usage(tool, "-shards %d must be >= 0", e.Shards)
-	}
-	if e.Workers < 0 {
-		Usage(tool, "-workers %d must be >= 0", e.Workers)
-	}
 }

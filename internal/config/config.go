@@ -77,8 +77,11 @@ type scenarioJSON struct {
 	SimTime     float64 `json:"sim_time"`
 	SampleEvery float64 `json:"sample_every,omitempty"`
 	Seed        uint64  `json:"seed"`
-	Workers     int     `json:"workers,omitempty"`
-	Shards      int     `json:"shards,omitempty"`
+	// Decode-only: the scenario fields are deprecated and ignored, but files
+	// saved before that carry the keys and the decoder rejects unknown ones.
+	// Encode leaves both zero, so they are never written.
+	Workers int `json:"workers,omitempty"`
+	Shards  int `json:"shards,omitempty"`
 }
 
 type popularityJSON struct {
@@ -136,8 +139,6 @@ func Encode(w io.Writer, sc experiment.Scenario) error {
 		SimTime:            sc.SimTime,
 		SampleEvery:        sc.SampleEvery,
 		Seed:               sc.Seed,
-		Workers:            sc.Workers,
-		Shards:             sc.Shards,
 	}
 	if sc.Popularity.Enabled {
 		j.Popularity = &popularityJSON{

@@ -3,6 +3,7 @@ package config
 import (
 	"bytes"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -18,8 +19,6 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 	sc.Collisions = true
 	sc.DIS = 200
 	sc.IssueAt.X, sc.IssueAt.Y = 100, 200
-	sc.Workers = 6
-	sc.Shards = 4
 	sc.Popularity = core.PopularityConfig{
 		Enabled: true, F: 4, L: 16, SketchSeed: 9, RInc: 50, DInc: 20, RMax: 900, DMax: 500,
 	}
@@ -119,10 +118,9 @@ func TestLoadedScenarioRuns(t *testing.T) {
 	}
 }
 
-// TestShardsWorkersOmittedStayDefault pins backward compatibility: files
-// written before the workers/shards fields existed decode with both at 0
-// (meaning "pick the default"), and the zero values are omitted on encode so
-// new files stay loadable by older builds.
+// TestShardsWorkersOmittedStayDefault pins that a saved file carries neither
+// a workers nor a shards key, and that a file without them decodes to the
+// scenario that was saved.
 func TestShardsWorkersOmittedStayDefault(t *testing.T) {
 	sc := experiment.DefaultScenario()
 	var buf bytes.Buffer
@@ -136,8 +134,8 @@ func TestShardsWorkersOmittedStayDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Workers != 0 || got.Shards != 0 {
-		t.Fatalf("defaults decoded as workers=%d shards=%d, want 0/0", got.Workers, got.Shards)
+	if got != sc {
+		t.Fatalf("decoded %+v, want %+v", got, sc)
 	}
 }
 
@@ -287,19 +285,65 @@ func TestDecodeRejectsNegativeAsyncK(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsNegativeShards checks validation runs on decoded files.
-func TestDecodeRejectsNegativeShards(t *testing.T) {
-	sc := experiment.DefaultScenario()
-	sc.Shards = 2
+// withEngineKeys returns sc's encoding with the two keys files saved by older
+// builds carry, set to the given literals.
+func withEngineKeys(t *testing.T, sc experiment.Scenario, workers, shards string) string {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := Encode(&buf, sc); err != nil {
 		t.Fatal(err)
 	}
-	bad := strings.Replace(buf.String(), `"shards": 2`, `"shards": -2`, 1)
-	if !strings.Contains(bad, `"shards": -2`) {
-		t.Fatal("fixture did not contain a shards field to corrupt")
-	}
-	if _, err := Decode(strings.NewReader(bad)); err == nil {
+	s := buf.String()
+	brace := strings.LastIndex(s, "}")
+	return strings.TrimRight(s[:brace], " \n") +
+		",\n  \"workers\": " + workers + ",\n  \"shards\": " + shards + "\n}\n"
+}
+
+// TestDecodeRejectsNegativeShards checks validation runs on decoded files,
+// the deprecated keys included.
+func TestDecodeRejectsNegativeShards(t *testing.T) {
+	sc := experiment.DefaultScenario()
+	if _, err := Decode(strings.NewReader(withEngineKeys(t, sc, "2", "-2"))); err == nil {
 		t.Error("negative shards accepted")
+	}
+	if _, err := Decode(strings.NewReader(withEngineKeys(t, sc, "-1", "2"))); err == nil {
+		t.Error("negative workers accepted")
+	}
+}
+
+// TestLegacyEngineKeysLoadRunAndDrop is the compatibility contract for files
+// adsim saved while it wrote the host's core count into them: such a file
+// still loads, runs exactly what the same file without the keys runs, and
+// saves back without them — whatever the loaded scenario holds, so a saved
+// file no longer depends on the host that saved it.
+func TestLegacyEngineKeysLoadRunAndDrop(t *testing.T) {
+	sc := experiment.DefaultScenario()
+	sc.NumPeers = 60
+	sc.D = 100
+	sc.SimTime = 250
+	legacy, err := Decode(strings.NewReader(withEngineKeys(t, sc, "8", "4")))
+	if err != nil {
+		t.Fatalf("file with workers/shards keys refused: %v", err)
+	}
+	want, err := sc.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := legacy.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Report, want.Report) || got.Bytes != want.Bytes {
+		t.Errorf("legacy keys changed the run:\n got  %+v\n want %+v", got.Report, want.Report)
+	}
+	var buf bytes.Buffer
+	if err := Encode(&buf, legacy); err != nil {
+		t.Fatal(err)
+	}
+	if s := buf.String(); strings.Contains(s, "\"workers\"") || strings.Contains(s, "\"shards\"") {
+		t.Errorf("re-saved file still carries the engine keys: %s", s)
+	}
+	if again, err := Decode(&buf); err != nil || again != sc {
+		t.Errorf("re-saved file decodes to %+v (%v), want the scenario without the keys", again, err)
 	}
 }

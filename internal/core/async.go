@@ -11,13 +11,12 @@ package core
 // its own sampled ads. Unanswered proposals and half-open exchanges release
 // their connection slot after Config.AsyncTimeout.
 //
-// Determinism under the parallel executor follows the same two-phase
-// contract as the round protocols: scan decisions run on shard-affine
-// workers and touch only per-peer streams, peer-owned buffers and the
-// read-only grid snapshot; every send, cache mutation and shared-stream draw
-// happens in the sequential commit phase or in plain (sequential) delivery
-// events. Scan instants land on the RoundSlots grid purely so coinciding
-// timers batch — there is no shared round instant.
+// Scans follow the same two-phase contract as the round protocols: scan
+// decisions touch only per-peer streams, peer-owned buffers and the grid
+// snapshot; every send, cache mutation and shared-stream draw happens in the
+// commit phase or in plain delivery events. Scan instants land on the
+// RoundSlots grid purely so coinciding timers batch — there is no shared
+// round instant.
 
 import (
 	"instantad/internal/ads"
@@ -104,7 +103,7 @@ func (p *Peer) startAsync() {
 	st := &asyncPeerState{target: -1}
 	p.async = st
 	st.slot = n.slotAfter(p.rnd.Range(0, n.cfg.AsyncMeanDelay))
-	st.scanEv = n.sim.ScheduleSplit(float64(st.slot)*n.slotW, p.id,
+	st.scanEv = n.sim.ScheduleSplit(float64(st.slot)*n.slotW,
 		p.asyncDecide, p.asyncCommit)
 }
 
@@ -123,7 +122,7 @@ func (st *asyncPeerState) connectedTo(j int) bool {
 // state) and, when a slot is free and the radio is on, choose a uniform
 // neighbor to propose to. Reads only peer-owned state and the batch's fixed
 // grid snapshot; the send happens in asyncCommit.
-func (p *Peer) asyncDecide(worker int) {
+func (p *Peer) asyncDecide() {
 	n := p.net
 	st := p.async
 	st.delay = p.rnd.Exp(1 / n.cfg.AsyncMeanDelay)
@@ -131,7 +130,7 @@ func (p *Peer) asyncDecide(worker int) {
 	if len(st.conns) >= n.cfg.AsyncK || !n.ch.Online(p.id) {
 		return
 	}
-	st.cand = n.scratch[worker].AppendNeighborsOf(st.cand[:0], p.id)
+	st.cand = n.ch.AppendNeighborsOf(st.cand[:0], p.id)
 	w := 0
 	for _, j := range st.cand {
 		if !st.connectedTo(j) {
@@ -302,8 +301,8 @@ func (p *Peer) receiveAds(list []*ads.Advertisement, from int) {
 	}
 }
 
-// handleAsync routes one arriving pairwise frame. Delivery events run
-// sequentially, so handshake state changes here need no decide/commit split.
+// handleAsync routes one arriving pairwise frame. Delivery events are plain
+// events, so handshake state changes here need no decide/commit split.
 func (p *Peer) handleAsync(f *asyncFrame, from int) {
 	n := p.net
 	st := p.async

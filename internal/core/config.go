@@ -213,10 +213,13 @@ type Config struct {
 	// RoundSlots quantizes each round into this many equal phase slots:
 	// per-peer round offsets and Optimized Gossiping-2 entry timers land on
 	// the grid k·RoundTime/RoundSlots instead of arbitrary real offsets.
-	// Quantization lets same-slot timers share one bit-identical simulation
-	// instant, which is what makes round events batchable by the parallel
-	// executor. Zero selects DefaultRoundSlots; with the default 64 slots the
-	// phase granularity is well under the channel's jitter, so dissemination
+	// Same-slot timers share one bit-identical simulation instant and are
+	// dispatched as one batch (sim.ScheduleSplit): all of them decide against
+	// the state before any of them commits, and the grid refreshes once per
+	// batch. The slot count is therefore part of a run's definition — it
+	// fixes which peers share an instant — and every fingerprint depends on
+	// it. Zero selects DefaultRoundSlots; with the default 64 slots the phase
+	// granularity is well under the channel's jitter, so dissemination
 	// statistics are unaffected.
 	RoundSlots int
 	// CacheK is the Store & Forward cache capacity per peer.

@@ -151,9 +151,6 @@ type Network struct {
 	// meant for the same slot lands on a bit-identical instant — the
 	// precondition for batching them.
 	slotW float64
-	// scratch holds one radio query context per decision-phase worker,
-	// grown lazily in batchPrepare.
-	scratch []*radio.QueryScratch
 	// nbrScratch, seenStamp and stamp serve the Relevance Exchange rounds (see
 	// senseEncounter): the shared neighbour-query buffer, one mark per peer,
 	// and the value the current call marks with.
@@ -207,14 +204,10 @@ func New(s *sim.Simulator, radioCfg radio.Config, models []mobility.Model, cfg C
 		return nil, err
 	}
 	n.ch = ch
-	s.SetBatchPrepare(n.batchPrepare)
-	if ch.ShardCount() > 1 {
-		// Route each peer's round decides to its tile stripe's worker. The
-		// executor consults the map after batchPrepare (which refreshes the
-		// grid), so a peer that crossed a tile boundary is re-routed at the
-		// same batch its stripe assignment changes.
-		s.SetShardMap(ch.ShardCount(), ch.ShardOf)
-	}
+	// Refresh the channel's spatial snapshot before each split-event batch's
+	// decision phase, so the snapshot instant — and the candidate order it
+	// fixes — is the batch's, not that of whichever decide queries first.
+	s.SetBatchPrepare(ch.RefreshGrid)
 	n.peers = make([]*Peer, len(models))
 	for i := range models {
 		n.peers[i] = &Peer{
@@ -234,17 +227,6 @@ func New(s *sim.Simulator, radioCfg radio.Config, models []mobility.Model, cfg C
 		}
 	}
 	return n, nil
-}
-
-// batchPrepare runs sequentially before every split-event batch's decision
-// phase: it brings the channel's spatial snapshot current (so concurrent
-// decides query one fixed grid and the snapshot does not depend on the
-// worker count) and sizes the per-worker query scratch.
-func (n *Network) batchPrepare() {
-	n.ch.RefreshGrid()
-	for len(n.scratch) < n.sim.Workers() {
-		n.scratch = append(n.scratch, n.ch.NewQueryScratch())
-	}
 }
 
 // slotAfter returns the first slot index whose instant is ≥ t. The guard
@@ -333,7 +315,7 @@ func (n *Network) Start() {
 			p := p
 			p.roundSlot = int64(p.rnd.Intn(n.cfg.RoundSlots))
 			p.roundEv = n.sim.ScheduleSplit(float64(p.roundSlot)*n.slotW,
-				p.id, p.gossipDecide, p.gossipCommit)
+				p.gossipDecide, p.gossipCommit)
 		}
 	}
 	// The RSU backhaul syncs once per round under the gossip variants and the
@@ -455,11 +437,10 @@ type Peer struct {
 	roundEv   *sim.Event
 	roundSlot int64
 
-	// pendActs is the FIFO of decisions taken in the current batch's parallel
-	// phase, awaiting sequential commit; actHead is the next act to commit
-	// and pendRecv the arena that actSend receiver lists slice into. All
-	// three are owned by this peer's shard: the executor runs every decide
-	// of one peer on one worker, in order, and all commits sequentially.
+	// pendActs is the FIFO of decisions taken in the current batch's decision
+	// phase, awaiting commit; actHead is the next act to commit and pendRecv
+	// the arena that actSend receiver lists slice into. Decides and commits
+	// both run in seq order, so the FIFO lines up.
 	pendActs []entryAct
 	actHead  int
 	pendRecv []int
@@ -520,7 +501,7 @@ func (p *Peer) forwardProb(ad *ads.Advertisement) float64 {
 }
 
 // forwardProbAt is forwardProb at an explicit position and time — pure, so
-// decision phases can call it with a scratch-queried position.
+// decision phases can call it.
 func (p *Peer) forwardProbAt(ad *ads.Advertisement, pos geo.Point, now float64) float64 {
 	n := p.net
 	rt := RadiusAt(n.cfg.Params, ad.R, ad.D, ad.Age(now))
@@ -559,7 +540,7 @@ func (p *Peer) broadcastAd(e *ads.Entry) {
 }
 
 // broadcastAdTo is broadcastAd against a receiver list computed in the
-// decision phase, for commits whose neighbor query already ran in parallel.
+// decision phase, for commits whose neighbor query already ran there.
 func (p *Peer) broadcastAdTo(e *ads.Entry, recv []int) {
 	if !p.net.ch.Online(p.id) {
 		return
@@ -750,8 +731,8 @@ const (
 	actSend
 )
 
-// entryAct is one entry's gossip decision, taken in the parallel decision
-// phase and applied by the sequential commit phase.
+// entryAct is one entry's gossip decision, taken in the batch's decision
+// phase and applied by its commit phase.
 type entryAct struct {
 	e      *ads.Entry
 	id     ads.ID
@@ -761,25 +742,26 @@ type entryAct struct {
 }
 
 // decideEntry evaluates Algorithm 2/4's per-entry round step without side
-// effects on shared state: expiry check, probability refresh at the
-// scratch-queried position, the forwarding coin flip from this peer's own
-// RNG stream, and — on a send — the neighbor query, into peer-owned
-// buffers. The matching mutations happen later in commitAct.
-func (p *Peer) decideEntry(e *ads.Entry, qs *radio.QueryScratch, now float64) {
+// effects on shared state: expiry check, probability refresh at the peer's
+// position, the forwarding coin flip from this peer's own RNG stream, and —
+// on a send — the neighbor query, into peer-owned buffers. The matching
+// mutations happen later in commitAct.
+func (p *Peer) decideEntry(e *ads.Entry, now float64) {
 	act := entryAct{e: e, id: e.Ad.ID}
 	if e.Ad.Expired(now) {
 		act.kind = actExpire
 		p.pendActs = append(p.pendActs, act)
 		return
 	}
-	act.prob = p.forwardProbAt(e.Ad, qs.PositionOf(p.id), now)
+	ch := p.net.ch
+	act.prob = p.forwardProbAt(e.Ad, ch.PositionOf(p.id), now)
 	// The coin flip comes first so the peer's stream consumption does not
 	// depend on its online state, mirroring the sequential round's
 	// draw-then-try-to-send order.
-	if p.rnd.Bool(act.prob) && p.net.ch.Online(p.id) {
+	if p.rnd.Bool(act.prob) && ch.Online(p.id) {
 		act.kind = actSend
 		act.r0 = int32(len(p.pendRecv))
-		p.pendRecv = qs.AppendNeighborsOf(p.pendRecv, p.id)
+		p.pendRecv = ch.AppendNeighborsOf(p.pendRecv, p.id)
 		act.r1 = int32(len(p.pendRecv))
 	} else {
 		act.kind = actKeep
@@ -813,13 +795,10 @@ func (p *Peer) commitAct() entryAct {
 
 // gossipDecide is Algorithm 2's decision phase: one pass over the cache
 // recording, per entry, whether it expires, keeps quiet or broadcasts — and
-// to whom. It runs on a decision-phase worker; everything it touches is
-// owned by this peer's shard or read-only.
-func (p *Peer) gossipDecide(worker int) {
-	n := p.net
-	qs := n.scratch[worker]
-	now := n.sim.Now()
-	p.cache.ForEach(func(e *ads.Entry) { p.decideEntry(e, qs, now) })
+// to whom. It writes only this peer's pending-act buffers and RNG stream.
+func (p *Peer) gossipDecide() {
+	now := p.net.sim.Now()
+	p.cache.ForEach(func(e *ads.Entry) { p.decideEntry(e, now) })
 }
 
 // gossipCommit applies the round's decisions in cache order and reschedules
@@ -841,9 +820,8 @@ func (p *Peer) armEntryTimer(e *ads.Entry) {
 	n := p.net
 	e.Slot = n.slotAfter(n.sim.Now() + n.cfg.RoundTime)
 	e.ScheduledAt = float64(e.Slot) * n.slotW
-	e.Timer = n.sim.ScheduleSplit(e.ScheduledAt, p.id,
-		func(worker int) { p.entryDecide(e, worker) },
-		func() { p.entryCommit() })
+	e.Timer = n.sim.ScheduleSplit(e.ScheduledAt,
+		func() { p.entryDecide(e) }, p.entryCommit)
 }
 
 // cancelEntryTimer cancels an evicted/expired entry's pending timer.
@@ -854,16 +832,16 @@ func (p *Peer) cancelEntryTimer(e *ads.Entry) {
 }
 
 // entryDecide is Algorithm 4's decision phase for one entry timer. Several
-// timers of one peer may share a slot; shard affinity runs their decides in
-// seq order on one worker, so the FIFO lines up with the commit order. The
+// timers of one peer may share a slot; their decides run in seq order, so the
+// FIFO lines up with the commit order. The
 // timer belongs to the entry, not to the ad's ID: a copy of the ad admitted
 // again after this entry left the cache has a timer of its own.
-func (p *Peer) entryDecide(e *ads.Entry, worker int) {
+func (p *Peer) entryDecide(e *ads.Entry) {
 	if !e.Cached() {
 		p.pendActs = append(p.pendActs, entryAct{id: e.Ad.ID, kind: actGone})
 		return
 	}
-	p.decideEntry(e, p.net.scratch[worker], p.net.sim.Now())
+	p.decideEntry(e, p.net.sim.Now())
 }
 
 // entryCommit applies one entry timer's decision and, when the entry

@@ -473,7 +473,7 @@ func TestOpt2OneTimerPerCachedEntry(t *testing.T) {
 	}
 	checkOneTimerPerEntry(t, s, n)
 	was := *fresh
-	p.entryDecide(old, 0)
+	p.entryDecide(old)
 	if act := p.commitAct(); act.kind != actGone || act.e != nil {
 		t.Fatalf("the evicted entry's timer decided %+v, want actGone", act)
 	}

@@ -22,7 +22,6 @@ func TestRegistryPopulatedByRun(t *testing.T) {
 	sc.FieldW, sc.FieldH = 500, 500
 	sc.SimTime = 200
 	sc.Protocol = core.GossipOpt // Opt2 half exercises the postpone path
-	sc.Workers = 2
 
 	sm, err := sc.Build()
 	if err != nil {
@@ -40,22 +39,38 @@ func TestRegistryPopulatedByRun(t *testing.T) {
 	for _, name := range []string{
 		"sim_messages_total", "sim_bytes_total",
 		"sim_batches_total", "sim_events_dispatched_total",
+		"radio_grid_rebuilds_total",
 	} {
 		if snap.Counters[name] == 0 {
 			t.Errorf("%s = 0, want > 0", name)
 		}
 	}
-	// Forty peers over 64 slots: no batch is wide enough for the pool, and
-	// the executor says so itself.
-	if in, all := snap.Counters["sim_batches_inline_total"], snap.Counters["sim_batches_total"]; in != all {
-		t.Errorf("sim_batches_inline_total = %d of %d batches, want all of them", in, all)
+	// The instruments of the deleted intra-run parallel engine are gone, by
+	// family. (bench/ still reads sim_worker_utilization, and reads 0 from its
+	// absence, until it drops that row.)
+	gone := []string{"sim_worker", "sim_shard_", "sim_batches_inline_total",
+		"radio_shard", "radio_halo_", "radio_cross_shard_"}
+	var sb strings.Builder
+	if err := sm.Registry.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
 	}
-	if got := snap.Gauges["sim_workers"]; got != 2 {
-		t.Errorf("sim_workers = %v, want 2", got)
+	families, err := obs.ParsePrometheus(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v", err)
 	}
+	for name := range families {
+		for _, prefix := range gone {
+			if strings.HasPrefix(name, prefix) {
+				t.Errorf("registry still carries %s", name)
+			}
+		}
+	}
+	// Everything else bench/simrun.go reads is observed: the counters above
+	// and these histograms.
 	for _, name := range []string{
 		"sim_batch_size", "sim_phase_prepare_seconds",
 		"sim_phase_decide_seconds", "sim_phase_commit_seconds",
+		"radio_grid_rebuild_seconds",
 		"sim_delivery_time_seconds", "sim_postpone_delay_seconds",
 		"sim_collector_sample_seconds",
 	} {
@@ -64,19 +79,11 @@ func TestRegistryPopulatedByRun(t *testing.T) {
 		}
 	}
 
-	var sb strings.Builder
-	if err := sm.Registry.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
+	if families["sim_messages_total"].Type != "counter" {
+		t.Errorf("sim_messages_total family = %+v", families["sim_messages_total"])
 	}
-	fams, err := obs.ParsePrometheus(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatalf("exposition does not parse: %v", err)
-	}
-	if fams["sim_messages_total"].Type != "counter" {
-		t.Errorf("sim_messages_total family = %+v", fams["sim_messages_total"])
-	}
-	if fams["sim_delivery_time_seconds"].Type != "histogram" {
-		t.Errorf("sim_delivery_time_seconds family = %+v", fams["sim_delivery_time_seconds"])
+	if families["sim_delivery_time_seconds"].Type != "histogram" {
+		t.Errorf("sim_delivery_time_seconds family = %+v", families["sim_delivery_time_seconds"])
 	}
 }
 

@@ -163,16 +163,16 @@ type Scenario struct {
 	SimTime     float64
 	SampleEvery float64
 	Seed        uint64
-	// Workers sets the simulator's decision-phase parallelism for gossip
-	// round batches. Any value ≥ 1 produces bit-identical results to 1 —
-	// the two-phase executor only parallelizes the read-only decision half
-	// of each round (see docs/PERFORMANCE.md). Zero means 1 (sequential).
+	// Workers is validated and otherwise unused.
+	//
+	// Deprecated: ignored. Workers and Shards set the worker and tile-stripe
+	// counts of an intra-run parallel engine that measured no gain and is
+	// gone (see docs/PERFORMANCE.md); the fields remain until bench/ stops
+	// setting them. Parallelism lives across runs: RunReplicated.
 	Workers int
-	// Shards sets the radio channel's spatial tile-stripe count. Any value
-	// ≥ 1 produces bit-identical results to 1 — sharding parallelizes the
-	// grid snapshot rebuild and gives round decides tile locality without
-	// touching query semantics or event order (see docs/PERFORMANCE.md).
-	// Zero means 1 (unsharded).
+	// Shards is validated and otherwise unused.
+	//
+	// Deprecated: ignored, like Workers.
 	Shards int
 	// RoundSlots overrides the per-round phase quantization
 	// (core.Config.RoundSlots); zero selects the default 64.
@@ -291,8 +291,8 @@ func (sc Scenario) Validate() error {
 	if sc.Workers < 0 {
 		return fmt.Errorf("experiment: negative workers %d", sc.Workers)
 	}
-	if sc.Shards < 0 {
-		return fmt.Errorf("experiment: negative shards %d", sc.Shards)
+	if sc.Shards < 0 || sc.Shards > 4096 {
+		return fmt.Errorf("experiment: shards %d outside [0, 4096]", sc.Shards)
 	}
 	if sc.RoundSlots < 0 {
 		return fmt.Errorf("experiment: negative round slots %d", sc.RoundSlots)
@@ -397,7 +397,6 @@ func (sc Scenario) radioConfig(maxSpeed float64) radio.Config {
 		cfg.Energy = radio.DefaultEnergy()
 	}
 	cfg.MaxSpeed = maxSpeed
-	cfg.Shards = sc.Shards
 	return cfg
 }
 
@@ -603,7 +602,6 @@ func (sc Scenario) Build() (*Sim, error) {
 		}
 	}
 	s := sim.New()
-	s.SetWorkers(sc.Workers)
 	net, err := core.New(s, sc.radioConfig(maxSpeed), models, cfg, rnd.Split("protocol"))
 	if err != nil {
 		return nil, err

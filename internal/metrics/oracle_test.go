@@ -20,26 +20,25 @@ import (
 // and the full-sweep reference observe the same generated runs, and every
 // AdReport field, every coverage point and the delivery-time histogram must
 // agree bit for bit. The runs cross every mobility model with a small field
-// (every ad's ledger spans all peers) and a large one (compact ledgers), and
-// rotate through sample cadences, shard counts, churn, an issuer going
-// offline, popularity enlargement, mixed radio ranges and roadside units.
+// (every ad's ledger spans all peers) and a large one (compact ledgers), twice
+// each, and rotate through sample cadences, churn, an issuer going offline,
+// popularity enlargement, mixed radio ranges and roadside units.
 func TestCollectorMatchesReference(t *testing.T) {
 	cadences := []float64{0.5, 1, 3}
 	variant := 0
 	for _, kind := range experiment.MobilityKinds() {
 		for _, side := range []float64{1500, 5000} {
-			for _, shards := range []int{1, 3} {
+			for second := range 2 {
 				v := variant
 				variant++
 				sc := experiment.DefaultScenario()
-				sc.Name = fmt.Sprintf("%v/side=%v/shards=%d", kind, side, shards)
+				sc.Name = fmt.Sprintf("%v/side=%v/variant=%d", kind, side, v)
 				sc.Mobility = kind
 				sc.FieldW, sc.FieldH = side, side
 				sc.NumPeers = int(200 * side / 1500)
 				sc.BlockSize = 250
 				sc.SimTime = 130
 				sc.Seed = 100 + uint64(v)
-				sc.Shards, sc.Workers = shards, shards
 				sc.SampleEvery = cadences[v%len(cadences)]
 				if v%2 == 1 {
 					sc.ChurnOnMean, sc.ChurnOffMean = 40, 15
@@ -55,7 +54,7 @@ func TestCollectorMatchesReference(t *testing.T) {
 				}
 				if kind == experiment.Road {
 					sc.NumRSU = 5
-					if shards > 1 {
+					if second == 1 {
 						sc.RSURange = 300 // longer than any peer's: the ledger must allow for it
 					}
 				}

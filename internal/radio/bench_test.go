@@ -67,8 +67,9 @@ func BenchmarkBroadcastDenseCollisions(b *testing.B) {
 // BenchmarkNodesWithin measures the raw spatial query against the grid
 // snapshot (exact re-filter included). The Alloc variant is the convenience
 // API returning a fresh slice; the Scratch variant appends into a reused
-// buffer, which is what the broadcast hot path uses and must stay at zero
-// allocations.
+// buffer, and Neighbors is the same through AppendNeighborsOf, the call the
+// broadcast hot path and every round's decide make: both must stay at zero
+// allocations (the CI alloc guard greps their allocs/op).
 func BenchmarkNodesWithin(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Range = 125
@@ -87,31 +88,18 @@ func BenchmarkNodesWithin(b *testing.B) {
 			buf = ch.AppendNodesWithin(buf[:0], center, 125, -1)
 		}
 	})
-}
-
-// BenchmarkQueryScratchSharded guards the shard-local query scratch path:
-// stripe-parallel decides query through QueryScratch against a sharded
-// snapshot, and that path must stay allocation-free (the CI alloc guard
-// greps this benchmark's allocs/op).
-func BenchmarkQueryScratchSharded(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Range = 125
-	cfg.Shards = 8
-	_, ch := denseChannel(b, cfg)
-	ch.RefreshGrid()
-	q := ch.NewQueryScratch()
-	center := geo.Point{X: 750, Y: 750}
-	var buf []int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = q.AppendNodesWithin(buf[:0], center, 125, -1)
-	}
+	b.Run("Neighbors", func(b *testing.B) {
+		var buf []int
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf = ch.AppendNeighborsOf(buf[:0], i%ch.N())
+		}
+	})
 }
 
 // BenchmarkRefreshGridSteady measures one grid refresh of a city-sized
 // population (the benchmark's city_scale: 30 000 Random Waypoint peers on a
-// 15 km field, 125 m cells, two stripes, one refresh per simulated second)
+// 15 km field, 125 m cells, one refresh per simulated second)
 // once the first full rebuild is behind it: the cost the kinetic refresh
 // exists to cut, and a path that must not allocate (the CI alloc guard greps
 // this benchmark's allocs/op).
@@ -130,7 +118,6 @@ func BenchmarkRefreshGridSteady(b *testing.B) {
 	}
 	cfg := DefaultConfig()
 	cfg.Range = 125
-	cfg.Shards = 2
 	s := sim.New()
 	ch, err := New(s, cfg, models, func(int, Frame) {}, rng.New(7))
 	if err != nil {

@@ -31,6 +31,7 @@ import (
 
 	"instantad/internal/geo"
 	"instantad/internal/mobility"
+	"instantad/internal/obs"
 	"instantad/internal/rng"
 	"instantad/internal/sim"
 )
@@ -65,12 +66,10 @@ type Config struct {
 	GridRefresh float64
 	// MaxSpeed bounds node speed; it sizes the grid-staleness slack.
 	MaxSpeed float64
-	// Shards splits the field into that many vertical tile stripes, each
-	// owning a contiguous block of grid-cell columns of the one snapshot
-	// (see shard.go) and padded by a halo ring wide enough to cover a
-	// protocol-range query. Queries and results are bit-identical for any
-	// value: sharding changes where work runs, never what it computes.
-	// 0 and 1 both mean unsharded.
+	// Shards is validated and otherwise unused.
+	//
+	// Deprecated: ignored. It selected the tile-stripe count of an engine
+	// that is gone; the field remains until bench/ stops setting it.
 	Shards int
 }
 
@@ -184,15 +183,7 @@ type Channel struct {
 	inflight [][]*reception
 	recFree  []*reception
 
-	// Spatial sharding of the grid into tile stripes (see shard.go). All
-	// buffers are reused across rebuilds.
-	shards     int      // configured stripe count (≥ 1)
-	stripes    []stripe // per-stripe windows over the geometry in force
-	stripeOfCx []int32  // owning stripe per cell column of that geometry
-	shardOf    []int32  // owning stripe per node; nil while unsharded/unbuilt
-	outbox     []uint64 // per-(src stripe, dst stripe) delivery counts
-	shardStats ShardStats
-	ins        *radioInstruments
+	ins *radioInstruments // nil when uninstrumented (see InstrumentWith)
 
 	// Energy accounting (see energy.go).
 	energyTx, energyRx float64
@@ -235,14 +226,7 @@ func New(s *sim.Simulator, cfg Config, models []mobility.Model, deliver DeliverF
 		rnd:      rnd,
 		maxRange: cfg.Range,
 		cellSize: cfg.Range,
-		shards:   cfg.Shards,
 		pieces:   make([]mobility.Piece, len(models)),
-	}
-	if c.shards < 1 {
-		c.shards = 1
-	}
-	if c.shards > 1 {
-		c.outbox = make([]uint64, c.shards*c.shards)
 	}
 	if cfg.Collisions {
 		c.inflight = make([][]*reception, len(models))
@@ -319,8 +303,7 @@ func (c *Channel) PositionOf(i int) geo.Point { return c.PositionAt(i, c.sim.Now
 
 // PositionAt returns node i's exact position at an arbitrary time: off the
 // node's piece when that covers t, which is the model's own expression on the
-// model's own operands, else from the model. It reads and never writes, so
-// any number of goroutines may ask while no refresh runs.
+// model's own operands, else from the model. It reads and never writes.
 func (c *Channel) PositionAt(i int, t float64) geo.Point {
 	if pc := &c.pieces[i]; pc.Covers(t) {
 		return pc.At(t)
@@ -339,9 +322,8 @@ func (c *Channel) VelocityOf(i int) geo.Vec {
 
 // maxGridCells bounds the dense cell array. Fields vastly larger than the
 // population (e.g. far-flung trace files) double the effective cell size
-// until the array fits, trading a wider candidate window for bounded memory.
-// The budget is per stripe: a sharded channel keeps finer cells on such
-// fields (see GridCellSize).
+// until the array fits, trading a wider candidate window for bounded memory
+// (see GridCellSize).
 const maxGridCells = 1 << 20
 
 // nodeCell is the snapshot's view of one node: the cell tuple its position
@@ -414,34 +396,20 @@ func (c *Channel) rebuildGrid() {
 	// cellStart[cell+1] counted the bucket, so after the prefix sum
 	// cellStart[cell] is where it begins; place with that as the running
 	// cursor (ascending node id within each cell, matching the insertion
-	// order of the old map grid) and, when tiled, note whose stripe changed.
-	var migrations uint64
+	// order of the old map grid).
 	for i := range c.cells {
 		nc := &c.cells[i]
 		cell := int(nc.cx)*c.gridNY + int(nc.cy)
 		c.cellNodes[c.cellStart[cell]] = int32(i)
 		c.cellStart[cell]++
-		if c.shards > 1 {
-			if s := c.stripeOfCx[nc.cx]; c.shardOf[i] != s {
-				c.shardOf[i] = s
-				migrations++
-			}
-		}
 	}
 	// Each cursor has advanced to its bucket's end == the next bucket's
 	// start; shift right to restore start offsets.
 	copy(c.cellStart[1:], c.cellStart[:ncells])
 	c.cellStart[0] = 0
-	if !c.gridBuilt {
-		migrations = 0 // the first assignment moves nobody
-	}
 	c.gridAt = now
 	c.gridBuilt = true
 
-	c.shardStats.Rebuilds++
-	if c.shards > 1 {
-		c.accountStripes(migrations)
-	}
 	if c.ins != nil {
 		c.ins.rebuilds.Inc()
 		c.ins.reevaluated.Add(uint64(due))
@@ -475,7 +443,7 @@ func (c *Channel) chooseGeometry(now float64) {
 		lx, ly = math.Floor(minX/cs), math.Floor(minY/cs)
 		nx = int(math.Floor((maxX-cs*lx)/cs)) + 1
 		ny = int(math.Floor((maxY-cs*ly)/cs)) + 1
-		if nx*ny <= maxGridCells*c.shards || nx*ny <= 4*n {
+		if nx*ny <= maxGridCells || nx*ny <= 4*n {
 			break
 		}
 		cs *= 2
@@ -493,9 +461,6 @@ func (c *Channel) chooseGeometry(now float64) {
 		c.cellStart = make([]int32, ncells+1)
 	}
 	c.cellStart = c.cellStart[:ncells+1]
-	if c.shards > 1 {
-		c.tileStripes()
-	}
 }
 
 // countCells evaluates every due node and counts all nodes into cellStart
@@ -681,13 +646,10 @@ func (c *Channel) AppendSnapshotCandidates(dst []int32, center geo.Point, radius
 }
 
 // RefreshGrid rebuilds the spatial snapshot if it is stale, using exactly
-// the staleness rule queries apply. Call it from a single goroutine (e.g.
-// the simulator's batch-prepare hook) before issuing concurrent QueryScratch
-// queries: the scratch query path never rebuilds, so the snapshot must be
-// brought current while the channel is quiescent. Refreshing here rather
-// than lazily inside a query also pins the snapshot — and therefore the
-// candidate iteration order feeding the channel's shared RNG draws — to the
-// batch boundary, independent of which query happens to run first.
+// the staleness rule queries apply. The simulator's batch-prepare hook calls
+// it, which pins the snapshot — and therefore the candidate iteration order
+// feeding the channel's shared RNG draws — to the batch boundary, independent
+// of which query happens to run first.
 func (c *Channel) RefreshGrid() {
 	now := c.sim.Now()
 	if !c.gridBuilt || now-c.gridAt >= c.cfg.GridRefresh {
@@ -695,42 +657,40 @@ func (c *Channel) RefreshGrid() {
 	}
 }
 
-// QueryScratch is a worker's read-only view of the channel for parallel
-// decision phases: the same queries, bit for bit, except that it never
-// rebuilds the grid. Position queries read the piece table and the models,
-// neither of which anything but a refresh writes, so the view carries no
-// state of its own.
-//
-// Concurrency contract: any number of QueryScratch values may query
-// concurrently with each other, provided nothing mutates the channel
-// (no Broadcast, SetOnline, SetNodeRange or grid rebuild) until they are
-// done, and Channel.RefreshGrid was called at the current instant first.
-type QueryScratch struct {
-	c *Channel
-}
-
-// NewQueryScratch returns a read-only query view of this channel.
-func (c *Channel) NewQueryScratch() *QueryScratch { return &QueryScratch{c: c} }
-
-// PositionOf returns node i's exact position at the current simulation time.
-func (q *QueryScratch) PositionOf(i int) geo.Point { return q.c.PositionOf(i) }
-
-// AppendNeighborsOf appends node i's neighbors to dst, like
-// Channel.AppendNeighborsOf against the existing snapshot.
-func (q *QueryScratch) AppendNeighborsOf(dst []int, i int) []int {
-	return q.AppendNodesWithin(dst, q.PositionOf(i), q.c.RangeOf(i), i)
-}
-
-// AppendNodesWithin is Channel.AppendNodesWithin against the existing grid
-// snapshot: identical candidate order and exact results (the staleness slack
-// covers motion since the snapshot), but it never rebuilds the grid — the
-// caller must have called RefreshGrid at this instant. It panics if no
-// snapshot exists yet.
-func (q *QueryScratch) AppendNodesWithin(dst []int, center geo.Point, radius float64, exclude int) []int {
-	if !q.c.gridBuilt {
-		panic("radio: QueryScratch used before Channel.RefreshGrid")
+// GridCellSize returns the effective cell edge of the current snapshot
+// (0 before the first rebuild): the transmission range, doubled on huge sparse
+// fields until the dense array fits maxGridCells.
+func (c *Channel) GridCellSize() float64 {
+	if !c.gridBuilt {
+		return 0
 	}
-	return q.c.appendWithin(dst, center, radius, exclude)
+	return c.gridCell
+}
+
+// radioInstruments are the channel's registry instruments.
+type radioInstruments struct {
+	rebuilds    *obs.Counter
+	reevaluated *obs.Counter
+	rebuildSec  *obs.Histogram
+}
+
+// InstrumentWith attaches radio_* metrics to reg: grid rebuild counts and
+// wall-clock timings. Pass nil to detach. Instruments never influence event
+// order; instrumented and bare runs stay bit-identical.
+func (c *Channel) InstrumentWith(reg *obs.Registry) {
+	if reg == nil {
+		c.ins = nil
+		return
+	}
+	c.ins = &radioInstruments{
+		rebuilds: reg.Counter("radio_grid_rebuilds_total",
+			"spatial grid snapshot rebuilds"),
+		reevaluated: reg.Counter("radio_grid_nodes_reevaluated_total",
+			"nodes whose position a grid rebuild evaluated (the rest were certified to be in their cell still)"),
+		rebuildSec: reg.Histogram("radio_grid_rebuild_seconds",
+			"wall-clock time of one grid snapshot rebuild",
+			obs.ExpBuckets(1e-6, 4, 12)),
+	}
 }
 
 // airtime returns the serialization delay for a frame of the given size.
@@ -759,11 +719,11 @@ func (c *Channel) Broadcast(f Frame) {
 
 // BroadcastTo transmits f to a pre-computed receiver list instead of querying
 // neighbors at transmit time — the commit-phase half of a broadcast whose
-// neighbor query already ran in a parallel decision phase (via
-// QueryScratch.AppendNeighborsOf at this same instant). recv must hold the
-// nodes in range of the sender, in channel query order; the channel applies
-// the same jitter, loss, fade and collision treatment as Broadcast, drawing
-// from the shared stream in the same order.
+// neighbor query already ran in its batch's decision phase (AppendNeighborsOf
+// at this same instant). recv must hold the nodes in range of the sender, in
+// channel query order; the channel applies the same jitter, loss, fade and
+// collision treatment as Broadcast, drawing from the shared stream in the
+// same order.
 func (c *Channel) BroadcastTo(f Frame, recv []int) {
 	if f.From < 0 || f.From >= len(c.models) {
 		panic(fmt.Sprintf("radio: broadcast from unknown node %d", f.From))
@@ -795,14 +755,6 @@ func (c *Channel) transmit(f Frame, recv []int) {
 	if c.cfg.FadeZone > 0 {
 		senderPos = c.PositionOf(f.From)
 	}
-	// Outbox accounting for sharded channels: every routed (frame, receiver)
-	// pair is tallied per (source stripe, destination stripe). Observational
-	// only — the event queue itself stays global, so commit order is (time,
-	// seq) regardless of the tiling.
-	srcShard := -1
-	if c.outbox != nil && c.shardOf != nil {
-		srcShard = int(c.shardOf[f.From])
-	}
 	b := c.getBatch()
 	b.f = f
 	for _, j := range recv {
@@ -832,16 +784,6 @@ func (c *Channel) transmit(f Frame, recv []int) {
 				continue
 			}
 			b.recs = append(b.recs, rec)
-		}
-		if srcShard >= 0 {
-			dst := int(c.shardOf[j])
-			c.outbox[srcShard*c.shards+dst]++
-			if dst != srcShard {
-				c.shardStats.CrossDeliveries++
-				if c.ins != nil {
-					c.ins.cross.Inc()
-				}
-			}
 		}
 		b.recv = append(b.recv, j)
 	}

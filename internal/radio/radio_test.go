@@ -7,6 +7,7 @@ import (
 
 	"instantad/internal/geo"
 	"instantad/internal/mobility"
+	"instantad/internal/obs"
 	"instantad/internal/rng"
 	"instantad/internal/sim"
 )
@@ -317,6 +318,9 @@ func TestSnapshotCandidatesCoverTheDiscAndNeverRebuild(t *testing.T) {
 	if err := ch.SetOnline(7, false); err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
+	ch.InstrumentWith(reg)
+	rebuilds := reg.Counter("radio_grid_rebuilds_total", "")
 	check := func(wantRebuilds uint64) {
 		now := s.Now()
 		for q := 0; q < 50; q++ {
@@ -336,7 +340,7 @@ func TestSnapshotCandidatesCoverTheDiscAndNeverRebuild(t *testing.T) {
 				}
 			}
 		}
-		if got := ch.ShardStats().Rebuilds; got != wantRebuilds {
+		if got := rebuilds.Value(); got != wantRebuilds {
 			t.Fatalf("t=%v: %d rebuilds, want %d", now, got, wantRebuilds)
 		}
 	}

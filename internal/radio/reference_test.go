@@ -18,35 +18,23 @@ import (
 // refGrid is the reference the channel's refresh is tested against: the full
 // rebuild it used to be. Every call evaluates every model through Position,
 // takes the bounding box, chooses the geometry, and counting-sorts positions
-// it keeps in a column of their own; stripes, owners, migrations and halo are
-// derived the way the striped build derived them. It caches nothing between
-// calls but the previous owners, is slow and obviously right, and the
-// channel's snapshot must equal it to the last element after every refresh.
+// it keeps in a column of their own. It caches nothing between calls, is slow
+// and obviously right, and the channel's snapshot must equal it to the last
+// element after every refresh.
 type refGrid struct {
 	models   []mobility.Model
 	cellSize float64
-	shards   int
-	haloDist float64 // maxRange + 2·MaxSpeed·GridRefresh
 
-	cell         float64
-	minX, minY   float64
-	nx, ny       int
-	cellStart    []int32
-	cellNodes    []int32
-	effective    int
-	shardOf      []int32 // nil while unsharded or unbuilt
-	rebuilds     uint64
-	migrations   uint64
-	haloMirrored uint64
+	cell       float64
+	minX, minY float64
+	nx, ny     int
+	cellStart  []int32
+	cellNodes  []int32
+	rebuilds   uint64
 }
 
 func newRefGrid(cfg Config, models []mobility.Model) *refGrid {
-	return &refGrid{
-		models:   models,
-		cellSize: cfg.Range,
-		shards:   max(cfg.Shards, 1),
-		haloDist: cfg.Range + 2*cfg.MaxSpeed*cfg.GridRefresh,
-	}
+	return &refGrid{models: models, cellSize: cfg.Range}
 }
 
 func (g *refGrid) cellIndex(p geo.Point) int {
@@ -78,7 +66,7 @@ func (g *refGrid) rebuild(now float64) {
 		oy := cs * math.Floor(minY/cs)
 		g.nx = int(math.Floor((maxX-ox)/cs)) + 1
 		g.ny = int(math.Floor((maxY-oy)/cs)) + 1
-		if g.nx*g.ny <= maxGridCells*g.shards || g.nx*g.ny <= 4*n {
+		if g.nx*g.ny <= maxGridCells || g.nx*g.ny <= 4*n {
 			g.minX, g.minY = ox, oy
 			break
 		}
@@ -101,43 +89,11 @@ func (g *refGrid) rebuild(now float64) {
 		cursor[cell]++
 	}
 	g.rebuilds++
-	g.effective = 1
-	if g.shards == 1 {
-		return
-	}
-
-	ks := min(g.shards, g.nx)
-	g.effective = ks
-	hc := int(math.Ceil(g.haloDist / cs))
-	stripeOfCx := make([]int32, g.nx)
-	for s := 0; s < ks; s++ {
-		cx0, cx1 := s*g.nx/ks, (s+1)*g.nx/ks
-		for cx := cx0; cx < cx1; cx++ {
-			stripeOfCx[cx] = int32(s)
-		}
-		colPop := func(cx int) uint64 {
-			return uint64(g.cellStart[(cx+1)*g.ny] - g.cellStart[cx*g.ny])
-		}
-		for cx := max(cx0-hc, 0); cx < cx0; cx++ {
-			g.haloMirrored += colPop(cx)
-		}
-		for cx := cx1; cx < min(cx1+hc, g.nx); cx++ {
-			g.haloMirrored += colPop(cx)
-		}
-	}
-	cur := make([]int32, n)
-	for i := range pos {
-		cur[i] = stripeOfCx[g.cellIndex(pos[i])/g.ny]
-		if g.shardOf != nil && g.shardOf[i] != cur[i] {
-			g.migrations++
-		}
-	}
-	g.shardOf = cur
 }
 
-// diff reports the first difference between the channel's snapshot and the
-// reference's, or "".
-func (g *refGrid) diff(c *Channel) string {
+// diff reports the first difference between the channel's snapshot (and its
+// count of rebuilds) and the reference's, or "".
+func (g *refGrid) diff(c *Channel, rebuilds uint64) string {
 	if c.gridCell != g.cell || c.gridMinX != g.minX || c.gridMinY != g.minY || c.gridNX != g.nx || c.gridNY != g.ny {
 		return fmt.Sprintf("geometry (cell %v, origin %v,%v, %d×%d), want (cell %v, origin %v,%v, %d×%d)",
 			c.gridCell, c.gridMinX, c.gridMinY, c.gridNX, c.gridNY, g.cell, g.minX, g.minY, g.nx, g.ny)
@@ -148,21 +104,8 @@ func (g *refGrid) diff(c *Channel) string {
 	if !slices.Equal(c.cellNodes, g.cellNodes) {
 		return "cellNodes differs"
 	}
-	if c.EffectiveShards() != g.effective {
-		return fmt.Sprintf("effective shards %d, want %d", c.EffectiveShards(), g.effective)
-	}
-	for i := range g.models {
-		want := 0
-		if g.shardOf != nil {
-			want = int(g.shardOf[i])
-		}
-		if c.ShardOf(i) != want {
-			return fmt.Sprintf("ShardOf(%d) = %d, want %d", i, c.ShardOf(i), want)
-		}
-	}
-	want := ShardStats{Rebuilds: g.rebuilds, Migrations: g.migrations, HaloMirrored: g.haloMirrored}
-	if got := c.ShardStats(); got != want {
-		return fmt.Sprintf("ShardStats %+v, want %+v", got, want)
+	if rebuilds != g.rebuilds {
+		return fmt.Sprintf("radio_grid_rebuilds_total %d, want %d", rebuilds, g.rebuilds)
 	}
 	return ""
 }
@@ -283,86 +226,84 @@ func refPopulations(t *testing.T) []refPopulation {
 }
 
 // TestRefreshMatchesFullRebuild is the refresh's oracle: over 320 simulated
-// seconds of every mobility family, at irregular instants, unsharded and
-// tiled, the kinetic refresh must leave exactly the snapshot, owners and
-// counters the full rebuild computes from scratch, and every position and
-// velocity query must return the model's own bits. The evaluation counter
+// seconds of every mobility family, at irregular instants, the kinetic
+// refresh must leave exactly the snapshot and rebuild count the full rebuild
+// computes from scratch, and every position and velocity query must return
+// the model's own bits. The evaluation counter
 // shows the refresh is what it claims: everyone once, then only who moved.
 func TestRefreshMatchesFullRebuild(t *testing.T) {
 	for _, pop := range refPopulations(t) {
-		for _, shards := range []int{1, 3} {
-			t.Run(fmt.Sprintf("%s/shards=%d", pop.name, shards), func(t *testing.T) {
-				cfg := DefaultConfig()
-				cfg.Range = pop.txRange
-				cfg.MaxSpeed = pop.vmax
-				cfg.Shards = shards
-				s := sim.New()
-				ch, err := New(s, cfg, pop.models, func(int, Frame) {}, rng.New(1))
-				if err != nil {
-					t.Fatal(err)
-				}
-				reg := obs.NewRegistry()
-				ch.InstrumentWith(reg)
-				evaluated := reg.Counter("radio_grid_nodes_reevaluated_total", "")
-				ref := newRefGrid(cfg, pop.models)
-				n := len(pop.models)
+		t.Run(pop.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Range = pop.txRange
+			cfg.MaxSpeed = pop.vmax
+			s := sim.New()
+			ch, err := New(s, cfg, pop.models, func(int, Frame) {}, rng.New(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			ch.InstrumentWith(reg)
+			evaluated := reg.Counter("radio_grid_nodes_reevaluated_total", "")
+			rebuilds := reg.Counter("radio_grid_rebuilds_total", "")
+			ref := newRefGrid(cfg, pop.models)
+			n := len(pop.models)
 
-				var refreshes, full int
-				step := func() {
-					now := s.Now()
-					before := evaluated.Value()
-					ch.RefreshGrid()
-					if ch.gridAt != now {
-						return // not stale yet: nothing to compare
-					}
-					ref.rebuild(now)
-					if d := ref.diff(ch); d != "" {
-						t.Fatalf("t=%v: %s", now, d)
-					}
-					if doubled := ch.GridCellSize() != cfg.Range; doubled != (pop.name == "sparse-doubled-cell") {
-						t.Fatalf("t=%v: cell %v at range %v", now, ch.GridCellSize(), cfg.Range)
-					}
-					for i, m := range pop.models {
-						for _, at := range []float64{now, now - 0.7, now + 0.4} {
-							if got, want := ch.PositionAt(i, at), m.Position(at); got != want {
-								t.Fatalf("t=%v: PositionAt(%d, %v) = %v, want %v", now, i, at, got, want)
-							}
-						}
-						if got, want := ch.VelocityOf(i), m.Velocity(now); got != want {
-							t.Fatalf("t=%v: VelocityOf(%d) = %v, want %v", now, i, got, want)
+			var refreshes, full int
+			step := func() {
+				now := s.Now()
+				before := evaluated.Value()
+				ch.RefreshGrid()
+				if ch.gridAt != now {
+					return // not stale yet: nothing to compare
+				}
+				ref.rebuild(now)
+				if d := ref.diff(ch, rebuilds.Value()); d != "" {
+					t.Fatalf("t=%v: %s", now, d)
+				}
+				if doubled := ch.GridCellSize() != cfg.Range; doubled != (pop.name == "sparse-doubled-cell") {
+					t.Fatalf("t=%v: cell %v at range %v", now, ch.GridCellSize(), cfg.Range)
+				}
+				for i, m := range pop.models {
+					for _, at := range []float64{now, now - 0.7, now + 0.4} {
+						if got, want := ch.PositionAt(i, at), m.Position(at); got != want {
+							t.Fatalf("t=%v: PositionAt(%d, %v) = %v, want %v", now, i, at, got, want)
 						}
 					}
-					did := int(evaluated.Value() - before)
-					switch {
-					case refreshes == 0 && did != n:
-						t.Fatalf("first refresh evaluated %d of %d nodes", did, n)
-					case did == n:
-						full++
-					case pop.steady && did >= n/4:
-						t.Fatalf("t=%v: refresh evaluated %d of %d nodes, want < %d", now, did, n, n/4)
+					if got, want := ch.VelocityOf(i), m.Velocity(now); got != want {
+						t.Fatalf("t=%v: VelocityOf(%d) = %v, want %v", now, i, got, want)
 					}
-					refreshes++
 				}
-				// Irregular instants: a refresh fires only when the snapshot
-				// is GridRefresh old, so steps of 0.3–1.9 s give ages of 1–2.8 s.
-				r := rng.New(41)
-				for at := 0.0; at < 320; at += r.Range(0.3, 1.9) {
-					s.Schedule(at, step)
+				did := int(evaluated.Value() - before)
+				switch {
+				case refreshes == 0 && did != n:
+					t.Fatalf("first refresh evaluated %d of %d nodes", did, n)
+				case did == n:
+					full++
+				case pop.steady && did >= n/4:
+					t.Fatalf("t=%v: refresh evaluated %d of %d nodes, want < %d", now, did, n, n/4)
 				}
-				s.RunAll()
-				if refreshes < 150 {
-					t.Fatalf("only %d refreshes compared", refreshes)
-				}
-				if pop.steady && !pop.fullAgain && full != 1 {
-					t.Errorf("%d of %d refreshes evaluated everyone, want only the first", full, refreshes)
-				}
-				if pop.fullAgain && full < 2 {
-					t.Errorf("no refresh after the first fell back to evaluating everyone")
-				}
-				if pop.name == "rpgm" && full != refreshes {
-					t.Errorf("%d of %d refreshes evaluated every RPGM member, want all", full, refreshes)
-				}
-			})
-		}
+				refreshes++
+			}
+			// Irregular instants: a refresh fires only when the snapshot
+			// is GridRefresh old, so steps of 0.3–1.9 s give ages of 1–2.8 s.
+			r := rng.New(41)
+			for at := 0.0; at < 320; at += r.Range(0.3, 1.9) {
+				s.Schedule(at, step)
+			}
+			s.RunAll()
+			if refreshes < 150 {
+				t.Fatalf("only %d refreshes compared", refreshes)
+			}
+			if pop.steady && !pop.fullAgain && full != 1 {
+				t.Errorf("%d of %d refreshes evaluated everyone, want only the first", full, refreshes)
+			}
+			if pop.fullAgain && full < 2 {
+				t.Errorf("no refresh after the first fell back to evaluating everyone")
+			}
+			if pop.name == "rpgm" && full != refreshes {
+				t.Errorf("%d of %d refreshes evaluated every RPGM member, want all", full, refreshes)
+			}
+		})
 	}
 }

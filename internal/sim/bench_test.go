@@ -1,11 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"math"
-	"runtime"
-	"testing"
-)
+import "testing"
 
 // BenchmarkSimScheduleCancel measures the schedule→cancel churn pattern the
 // protocols generate (per-entry timers armed and torn down constantly).
@@ -75,45 +70,5 @@ func BenchmarkRescheduleDeep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := events[next()%depth]
 		s.Reschedule(e, e.Time()+float64(1+next()%8))
-	}
-}
-
-var decideSink float64
-
-// BenchmarkBatchDispatch is the evidence for poolBatchMin: one decision
-// phase, inline on the dispatching goroutine against fanned out to a
-// GOMAXPROCS-wide pool, by batch size. The decide body costs what
-// core's decideEntry does (1–2 µs: a few math.Pow and a neighbor query). ns/op
-// is per batch; the crossover is where pool drops below inline.
-func BenchmarkBatchDispatch(b *testing.B) {
-	decide := func(int) {
-		x := 0.5
-		for k := 0; k < 24; k++ {
-			x = math.Pow(0.7, 1+x)
-		}
-		if x < 0 { // never: keeps the loop alive without a store the workers would race on
-			decideSink = x
-		}
-	}
-	for _, size := range []int{8, 32, 64, 128, 256, 512, 1024, 2048} {
-		for _, mode := range []string{"inline", "pool"} {
-			b.Run(fmt.Sprintf("%s/size=%d", mode, size), func(b *testing.B) {
-				s := New()
-				s.SetWorkers(runtime.GOMAXPROCS(0))
-				for i := 0; i < size; i++ {
-					s.batch = append(s.batch, &Event{decide: decide, shard: int32(i), index: -1})
-				}
-				run := s.decideInline
-				if mode == "pool" {
-					run = s.decideOnPool
-					defer s.closePool()
-				}
-				run() // start the pool outside the timed region
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					run()
-				}
-			})
-		}
 	}
 }

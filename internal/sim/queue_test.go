@@ -41,8 +41,8 @@ func (m *queueModel) schedule(at float64) {
 		m.s.SchedulePooled(at, func() { m.fired(id) })
 	default:
 		m.recs[id].split = true
-		m.recs[id].ev = m.s.ScheduleSplit(at, m.rnd.Intn(4),
-			func(int) { m.recs[id].decides++ },
+		m.recs[id].ev = m.s.ScheduleSplit(at,
+			func() { m.recs[id].decides++ },
 			func() {
 				m.inBatch = true
 				m.fired(id)
@@ -166,9 +166,6 @@ func (m *queueModel) check() {
 func TestQueueMatchesSortedReference(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		m := &queueModel{t: t, s: New(), rnd: rand.New(rand.NewSource(seed)), budget: 600}
-		if seed%2 == 0 {
-			m.s.SetWorkers(3)
-		}
 		for round := 0; round < 40; round++ {
 			for k := m.rnd.Intn(12); k > 0; k-- {
 				m.randomOp()

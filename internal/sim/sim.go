@@ -11,7 +11,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"instantad/internal/obs"
@@ -24,8 +23,7 @@ type Event struct {
 	seq    uint64
 	index  int // queue slot, -1 when not queued
 	fn     func()
-	decide func(worker int) // decision half of a split event; nil for plain events
-	shard  int32            // worker-affinity key of a split event
+	decide func() // decision half of a split event; nil for plain events
 	canned bool
 	pooled bool // recycled into the free list after dispatch
 }
@@ -133,42 +131,24 @@ type Simulator struct {
 	free       []*Event // recycled pooled events (see SchedulePooled)
 
 	// Same-instant batch dispatch for split events (see ScheduleSplit).
-	workers int             // decision-phase parallelism; 0/1 means sequential
-	prepare func()          // sequential hook before each batch's decision phase
-	batch   []*Event        // the split events of the batch being dispatched
-	pool    []chan struct{} // worker wake channels; nil when no pool is live
-	poolWG  sync.WaitGroup
-
-	// Spatial shard routing (see SetShardMap). shardMap translates an
-	// event's shard key into a dynamic shard id; workQ holds the per-worker
-	// event buckets of the batch being dispatched.
-	shardMap   func(key int) int
-	numShards  int
-	workQ      [][]*Event
-	shardItems []int // per-shard event counts of the current batch (instrumented only)
+	prepare func()   // hook before each batch's decision phase
+	batch   []*Event // the split events of the batch being dispatched
 
 	// Observability (see SetRegistry). ins is nil when uninstrumented; all
 	// measurements are wall-clock side channels that never influence event
 	// order, so instrumented and bare runs stay bit-identical.
-	ins        *simInstruments
-	workerBusy []time.Duration // per-worker decide time of the current batch
+	ins *simInstruments
 }
 
 // simInstruments are the executor's registry instruments.
 type simInstruments struct {
 	events      *obs.Counter
 	batches     *obs.Counter
-	inline      *obs.Counter
 	batchSize   *obs.Histogram
 	prepareTime *obs.Histogram
 	decideTime  *obs.Histogram
 	commitTime  *obs.Histogram
-	workersG    *obs.Gauge
-	utilization *obs.Gauge
-	utilMin     *obs.Gauge
 	pending     *obs.Gauge
-	shardSkew   *obs.Gauge
-	shardItems  *obs.Histogram
 }
 
 // New returns an empty simulator with the clock at 0.
@@ -178,13 +158,12 @@ func New() *Simulator {
 
 // SetRegistry instruments the executor with sim_* metrics: dispatched-event
 // and batch counters, batch-size and per-phase wall-clock histograms, and
-// worker-count/utilization gauges. Pass nil to detach. Instruments observe
-// real elapsed time, never virtual time, and have no effect on dispatch
-// order — results stay bit-identical with or without them.
+// the queue-depth gauge. Pass nil to detach. Instruments observe real elapsed
+// time, never virtual time, and have no effect on dispatch order — results
+// stay bit-identical with or without them.
 func (s *Simulator) SetRegistry(reg *obs.Registry) {
 	if reg == nil {
 		s.ins = nil
-		s.workerBusy = nil
 		return
 	}
 	s.ins = &simInstruments{
@@ -192,35 +171,21 @@ func (s *Simulator) SetRegistry(reg *obs.Registry) {
 			"events executed by the simulator"),
 		batches: reg.Counter("sim_batches_total",
 			"split-event batches dispatched"),
-		inline: reg.Counter("sim_batches_inline_total",
-			"split-event batches decided on the dispatching goroutine: one worker, or too few events to be worth waking the pool"),
 		batchSize: reg.Histogram("sim_batch_size",
 			"split events per same-instant batch",
 			obs.ExpBuckets(1, 2, 14)),
 		prepareTime: reg.Histogram("sim_phase_prepare_seconds",
-			"wall-clock time of the sequential batch-prepare hook",
+			"wall-clock time of the batch-prepare hook",
 			obs.ExpBuckets(1e-7, 4, 12)),
 		decideTime: reg.Histogram("sim_phase_decide_seconds",
-			"wall-clock time of the (possibly parallel) decision phase",
+			"wall-clock time of the decision phase",
 			obs.ExpBuckets(1e-7, 4, 12)),
 		commitTime: reg.Histogram("sim_phase_commit_seconds",
-			"wall-clock time of the sequential commit phase",
+			"wall-clock time of the commit phase",
 			obs.ExpBuckets(1e-7, 4, 12)),
-		workersG: reg.Gauge("sim_workers",
-			"configured decision-phase parallelism"),
-		utilization: reg.Gauge("sim_worker_utilization",
-			"busy fraction of the worker pool over the last parallel decide phase"),
-		utilMin: reg.Gauge("sim_worker_utilization_min",
-			"busy fraction of the least-loaded worker over the last parallel decide phase"),
 		pending: reg.Gauge("sim_pending_events",
 			"events queued at the last batch boundary"),
-		shardSkew: reg.Gauge("sim_shard_skew",
-			"max/mean per-shard event ratio of the last shard-routed batch (1 = balanced)"),
-		shardItems: reg.Histogram("sim_shard_batch_items",
-			"split events routed to one shard in one batch",
-			obs.ExpBuckets(1, 2, 14)),
 	}
-	s.ins.workersG.Set(float64(s.Workers()))
 }
 
 // Now returns the current virtual time in seconds.
@@ -291,129 +256,30 @@ func (s *Simulator) SchedulePooled(at float64, fn func()) {
 
 // ScheduleSplit enqueues a two-phase event at absolute time at. All split
 // events that share an instant are dispatched as one batch: first every
-// event's decide callback runs (possibly on parallel workers — see
-// SetWorkers), then every commit callback runs sequentially in scheduling
-// (seq) order. The contract that makes workers=N bit-identical to workers=1:
+// event's decide callback runs, in scheduling (seq) order, then every commit
+// callback, in the same order. So a decide sees the state as it stood before
+// any commit of its batch: decide records what the event will do (into state
+// the event's owner keeps), commit applies it — every mutation other batch
+// members can see, and every draw from a shared RNG stream, belongs there.
 //
-//   - decide must only read state shared with other batch members, and may
-//     write only state owned by its shard (its own RNG stream, its own
-//     pending-action buffers);
-//   - all mutation of shared state — and every draw from a shared RNG
-//     stream — belongs in commit;
-//   - events with equal shard values are decided in seq order by a single
-//     worker, so same-shard decides may share mutable per-shard state.
-//
-// decide receives the index of the worker running it (0 ≤ worker <
-// Workers()), usable to index per-worker scratch. Time validation, FIFO
-// tie-breaking, Cancel and Reschedule behave exactly as for Schedule; a
-// rescheduled split event keeps its decide/shard. shard must be ≥ 0.
-func (s *Simulator) ScheduleSplit(at float64, shard int, decide func(worker int), commit func()) *Event {
+// Time validation, FIFO tie-breaking, Cancel and Reschedule behave exactly as
+// for Schedule; a rescheduled split event keeps its decide.
+func (s *Simulator) ScheduleSplit(at float64, decide, commit func()) *Event {
 	s.checkTime("schedule", at)
-	if shard < 0 {
-		panic(fmt.Sprintf("sim: split event with negative shard %d", shard))
-	}
 	if decide == nil || commit == nil {
 		panic("sim: split event with nil phase")
 	}
-	e := &Event{time: at, fn: commit, decide: decide, shard: int32(shard), index: -1}
+	e := &Event{time: at, fn: commit, decide: decide, index: -1}
 	s.enqueue(e)
 	return e
 }
 
-// SetWorkers sets the decision-phase parallelism for split-event batches.
-// Values below 1 are clamped to 1 (sequential). Any value produces
-// bit-identical results; workers only changes which goroutine evaluates each
-// decide. Call it between Run invocations or from an event callback — the
-// worker pool is (re)built at the next batch and torn down when Run returns.
-func (s *Simulator) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.workers = n
-	if s.ins != nil {
-		s.ins.workersG.Set(float64(n))
-	}
-}
-
-// Workers returns the configured decision-phase parallelism (≥ 1).
-func (s *Simulator) Workers() int {
-	if s.workers < 1 {
-		return 1
-	}
-	return s.workers
-}
-
-// SetBatchPrepare installs a hook that runs sequentially at the start of
-// every split-event batch, before any decide. Use it to bring shared
-// read-mostly structures up to date (e.g. rebuild a spatial index) while the
-// simulator is quiescent, so the parallel decision phase sees one consistent
-// snapshot. A nil fn removes the hook.
+// SetBatchPrepare installs a hook that runs at the start of every
+// split-event batch, before any decide. Use it to bring structures the
+// decides read up to date (e.g. refresh a spatial index) at the batch's
+// instant, whichever decide would have touched them first. A nil fn removes
+// the hook.
 func (s *Simulator) SetBatchPrepare(fn func()) { s.prepare = fn }
-
-// SetShardMap installs a dynamic translation from split-event shard keys to
-// shard ids in [0, numShards). When set, a batch's decides are routed to
-// worker fn(key) % Workers() instead of key % Workers(), and fn is consulted
-// afresh at every batch — after the prepare hook has run — so a spatial map
-// that reassigns keys between batches (peer migration across tiles) takes
-// effect at the next batch boundary. fn must be pure during a batch: the
-// executor calls it once per event, sequentially, before any decide runs.
-// Events mapping to the same shard id keep the same-worker, seq-order
-// guarantee documented on ScheduleSplit. A nil fn restores identity routing.
-func (s *Simulator) SetShardMap(numShards int, fn func(key int) int) {
-	if fn == nil || numShards < 1 {
-		s.shardMap, s.numShards = nil, 0
-		return
-	}
-	s.shardMap, s.numShards = fn, numShards
-}
-
-// bucketBatch distributes the current batch's events into per-worker queues
-// in batch (= seq) order, applying the shard map when installed. Runs
-// sequentially after prepare, before the workers wake. When instrumented and
-// shard-routed, it also tallies per-shard batch sizes and the skew gauge so
-// imbalance is visible per shard instead of averaged away.
-func (s *Simulator) bucketBatch() {
-	nw := len(s.pool)
-	for len(s.workQ) < nw {
-		s.workQ = append(s.workQ, nil)
-	}
-	for w := 0; w < nw; w++ {
-		s.workQ[w] = s.workQ[w][:0]
-	}
-	tally := s.ins != nil && s.shardMap != nil && s.numShards > 0
-	if tally {
-		for len(s.shardItems) < s.numShards {
-			s.shardItems = append(s.shardItems, 0)
-		}
-		for i := 0; i < s.numShards; i++ {
-			s.shardItems[i] = 0
-		}
-	}
-	for _, e := range s.batch {
-		k := int(e.shard)
-		if s.shardMap != nil {
-			k = s.shardMap(k)
-		}
-		s.workQ[k%nw] = append(s.workQ[k%nw], e)
-		if tally {
-			s.shardItems[k%s.numShards]++
-		}
-	}
-	if tally {
-		maxItems := 0
-		for i := 0; i < s.numShards; i++ {
-			if s.shardItems[i] > 0 {
-				s.ins.shardItems.Observe(float64(s.shardItems[i]))
-			}
-			if s.shardItems[i] > maxItems {
-				maxItems = s.shardItems[i]
-			}
-		}
-		if mean := float64(len(s.batch)) / float64(s.numShards); mean > 0 {
-			s.ins.shardSkew.Set(float64(maxItems) / mean)
-		}
-	}
-}
 
 // Cancel removes a pending event from the queue. Cancelling an event that has
 // already fired, or cancelling twice, is a no-op.
@@ -464,7 +330,6 @@ func (s *Simulator) Stop() { s.stopped = true }
 // until.
 func (s *Simulator) Run(until float64) {
 	s.stopped = false
-	defer s.closePool()
 	for len(s.queue) > 0 && !s.stopped {
 		next := s.queue[0]
 		if next.time > until {
@@ -492,20 +357,10 @@ func (s *Simulator) Run(until float64) {
 	}
 }
 
-// poolBatchMin is the smallest split-event batch handed to the worker pool;
-// anything smaller is decided on the dispatching goroutine. Waking the pool
-// costs a bucketing pass, a channel send per worker and a WaitGroup wait —
-// tens of microseconds — against 1–2 µs per decide, so a small batch finishes
-// inline before the workers have woken. BenchmarkBatchDispatch measures both
-// sides by batch size; docs/PERFORMANCE.md records the crossover. Which
-// goroutine decides never changes a result (see ScheduleSplit).
-const poolBatchMin = 256
-
 // runBatch dispatches the maximal run of split events at the head of the
-// queue sharing one instant: prepare hook, decision phase (inline, or on the
-// pool from poolBatchMin events up), then commits in seq order. Plain events
-// interleaved at the same instant bound the batch on both sides, preserving
-// global seq order.
+// queue sharing one instant: prepare hook, decides in seq order, then commits
+// in seq order. Plain events interleaved at the same instant bound the batch
+// on both sides, preserving global seq order.
 func (s *Simulator) runBatch() {
 	t := s.queue[0].time
 	s.now = t
@@ -529,39 +384,14 @@ func (s *Simulator) runBatch() {
 		ins.prepareTime.Observe(now.Sub(mark).Seconds())
 		mark = now
 	}
-	parallel := s.workers > 1 && len(s.batch) >= poolBatchMin
-	if parallel {
-		s.decideOnPool()
-	} else {
-		s.decideInline()
-		if ins != nil {
-			ins.inline.Inc()
+	for _, e := range s.batch {
+		if !e.canned {
+			e.decide()
 		}
 	}
 	if ins != nil {
 		now := time.Now()
-		wall := now.Sub(mark)
-		ins.decideTime.Observe(wall.Seconds())
-		if parallel && wall > 0 {
-			// Utilization: total busy worker time over the pool's capacity
-			// for this phase. 1.0 means no worker ever idled. The mean hides
-			// imbalance, so the least-loaded worker's fraction is published
-			// alongside it — with spatial sharding, a low minimum means some
-			// tile's worker sat idle while another's ran hot.
-			var busy time.Duration
-			minBusy := s.workerBusy[0]
-			for _, d := range s.workerBusy {
-				busy += d
-				if d < minBusy {
-					minBusy = d
-				}
-			}
-			ins.utilization.Set(float64(busy) / (float64(len(s.pool)) * float64(wall)))
-			ins.utilMin.Set(float64(minBusy) / float64(wall))
-		} else {
-			ins.utilization.Set(1)
-			ins.utilMin.Set(1)
-		}
+		ins.decideTime.Observe(now.Sub(mark).Seconds())
 		mark = now
 	}
 	committed := 0
@@ -582,79 +412,6 @@ func (s *Simulator) runBatch() {
 		ins.commitTime.Observe(time.Since(mark).Seconds())
 		ins.events.Add(uint64(committed))
 	}
-}
-
-// decideInline runs the current batch's decides in seq order on the calling
-// goroutine, as worker 0.
-func (s *Simulator) decideInline() {
-	for _, e := range s.batch {
-		if !e.canned {
-			e.decide(0)
-		}
-	}
-}
-
-// decideOnPool fans the current batch's decides out to the worker pool and
-// waits for all of them.
-func (s *Simulator) decideOnPool() {
-	s.ensurePool()
-	s.bucketBatch()
-	s.poolWG.Add(len(s.pool))
-	for _, ch := range s.pool {
-		ch <- struct{}{}
-	}
-	s.poolWG.Wait()
-}
-
-// ensurePool brings the persistent decide-phase worker pool to the
-// configured size. Workers block on their wake channel between batches; the
-// channel send publishes the batch slice and the wait-group closes the
-// happens-before edge back to the commit phase, so batch state needs no
-// other synchronization.
-func (s *Simulator) ensurePool() {
-	if len(s.pool) == s.workers {
-		return
-	}
-	s.closePool()
-	s.pool = make([]chan struct{}, s.workers)
-	s.workerBusy = make([]time.Duration, s.workers)
-	for w := range s.pool {
-		ch := make(chan struct{})
-		s.pool[w] = ch
-		go func(w int) {
-			for range ch {
-				// Busy-time tracking (worker w writes only index w; the
-				// WaitGroup publishes it back to the dispatcher). Timed only
-				// when instrumented to keep the bare path clock-free.
-				timed := s.ins != nil
-				var start time.Time
-				if timed {
-					start = time.Now()
-				}
-				for _, e := range s.workQ[w] {
-					// Shard-affine assignment: bucketBatch routed equal
-					// (mapped) shards to the same worker, in batch (= seq)
-					// order.
-					if !e.canned {
-						e.decide(w)
-					}
-				}
-				if timed {
-					s.workerBusy[w] = time.Since(start)
-				}
-				s.poolWG.Done()
-			}
-		}(w)
-	}
-}
-
-// closePool tears the worker pool down; the goroutines exit when their wake
-// channels close.
-func (s *Simulator) closePool() {
-	for _, ch := range s.pool {
-		close(ch)
-	}
-	s.pool = nil
 }
 
 // RunAll dispatches every queued event (including those scheduled while

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -329,5 +330,246 @@ func TestRandomCancelConsistencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRunStopFreezesClock is the regression test for the Stop clock bug:
+// Run used to set now = until even when Stop() ended the run early,
+// contradicting the documented "clock finishes at min(until, last event
+// time)" contract.
+func TestRunStopFreezesClock(t *testing.T) {
+	s := New()
+	lateFired := false
+	s.Schedule(3, func() { s.Stop() })
+	s.Schedule(7, func() { lateFired = true })
+	s.Run(100)
+	if got := s.Now(); got != 3 {
+		t.Fatalf("clock after Stop = %v, want 3 (the stopped event's time)", got)
+	}
+	if lateFired {
+		t.Fatal("event past the Stop point dispatched in the stopped run")
+	}
+	if s.Pending() != 1 {
+		t.Fatalf("pending after Stop = %d, want 1", s.Pending())
+	}
+	// A later Run resumes from the frozen clock and completes normally,
+	// including the drain-to-until behavior.
+	s.Run(100)
+	if !lateFired {
+		t.Fatal("resumed run skipped the remaining event")
+	}
+	if got := s.Now(); got != 100 {
+		t.Fatalf("clock after resumed run = %v, want 100", got)
+	}
+}
+
+// TestRunStopFreezesClockInfinite checks the RunAll flavor: a stop during
+// RunAll must leave the clock at the stopping event, not at +Inf (that was
+// already true — the +Inf guard — but pin it alongside the finite case).
+func TestRunStopFreezesClockInfinite(t *testing.T) {
+	s := New()
+	s.Schedule(5, func() { s.Stop() })
+	s.RunAll()
+	if got := s.Now(); got != 5 {
+		t.Fatalf("clock after Stop in RunAll = %v, want 5", got)
+	}
+}
+
+// TestRunDrainStillAdvancesClock guards the other half of the Run contract
+// after the Stop fix: with no Stop, a drained queue still advances the
+// clock to until (and never to +Inf).
+func TestRunDrainStillAdvancesClock(t *testing.T) {
+	s := New()
+	s.Schedule(2, func() {})
+	s.Run(10)
+	if s.Now() != 10 {
+		t.Fatalf("now = %v, want 10", s.Now())
+	}
+	s.Schedule(11, func() {})
+	s.RunAll()
+	if math.IsInf(s.Now(), 1) {
+		t.Fatal("RunAll left the clock at +Inf")
+	}
+	if s.Now() != 11 {
+		t.Fatalf("now = %v, want 11", s.Now())
+	}
+}
+
+// TestScheduleSplitPhases checks the batch contract on a single instant, for
+// a narrow batch and a wide one: the prepare hook runs once before any
+// decide, every decide runs before any commit, and decides and commits each
+// run in scheduling order.
+func TestScheduleSplitPhases(t *testing.T) {
+	for _, n := range []int{3, 300} {
+		s := New()
+		preps := 0
+		s.SetBatchPrepare(func() { preps++ })
+		var decided, committed []int
+		for i := 0; i < n; i++ {
+			i := i
+			s.ScheduleSplit(1, func() {
+				if preps != 1 {
+					t.Errorf("decide %d ran after %d prepares, want 1", i, preps)
+				}
+				if len(committed) != 0 {
+					t.Errorf("n=%d: decide %d ran after commit %d", n, i, committed[0])
+				}
+				decided = append(decided, i)
+			}, func() {
+				if len(decided) != n {
+					t.Fatalf("n=%d: commit %d ran after %d decides", n, i, len(decided))
+				}
+				committed = append(committed, i)
+			})
+		}
+		s.RunAll()
+		if len(committed) != n {
+			t.Fatalf("n=%d: %d commits", n, len(committed))
+		}
+		for i := range committed {
+			if decided[i] != i || committed[i] != i {
+				t.Fatalf("n=%d: order diverges at %d: decided %d, committed %d", n, i, decided[i], committed[i])
+			}
+		}
+		if s.Dispatched() != uint64(n) {
+			t.Fatalf("dispatched = %d, want %d", s.Dispatched(), n)
+		}
+	}
+}
+
+// splitMix schedules a deterministic pseudo-random mix of events on s, each
+// appending its tag to a commit log, and returns the log. With split set, two
+// thirds of them are split events, which verify their own decide ran first;
+// without, those are plain events doing the same work in one callback.
+func splitMix(s *Simulator, seed int64, split bool, t *testing.T) *[]int {
+	rnd := rand.New(rand.NewSource(seed))
+	log := new([]int)
+	tag := 0
+	for round := 0; round < 40; round++ {
+		at := float64(rnd.Intn(20)) // coarse instants force multi-event batches
+		n := 1 + rnd.Intn(6)
+		if round%8 == 0 {
+			n += 256 // some wide batches
+		}
+		for i := 0; i < n; i++ {
+			tag++
+			id := tag
+			if rnd.Intn(3) == 0 || !split {
+				s.Schedule(at, func() { *log = append(*log, id) })
+				continue
+			}
+			decided := false
+			s.ScheduleSplit(at, func() { decided = true }, func() {
+				if !decided {
+					t.Errorf("split event %d committed before its decide", id)
+				}
+				*log = append(*log, id)
+			})
+		}
+	}
+	return log
+}
+
+// TestBatchMatchesSequential is the sim-level equivalence property: batching
+// changes when decides run, never the order anything commits in. The same
+// schedule produces identical Now(), Dispatched() and commit order whether
+// two thirds of its events are split or all of them are plain Schedule
+// events.
+func TestBatchMatchesSequential(t *testing.T) {
+	for _, seed := range []int64{1, 2, 42} {
+		ref := New()
+		refLog := splitMix(ref, seed, false, t)
+		ref.Run(1000)
+
+		bat := New()
+		batLog := splitMix(bat, seed, true, t)
+		bat.Run(1000)
+
+		if ref.Now() != bat.Now() {
+			t.Fatalf("seed %d: Now %v (plain) != %v (split)", seed, ref.Now(), bat.Now())
+		}
+		if ref.Dispatched() != bat.Dispatched() {
+			t.Fatalf("seed %d: Dispatched %d (plain) != %d (split)", seed, ref.Dispatched(), bat.Dispatched())
+		}
+		if len(*refLog) != len(*batLog) {
+			t.Fatalf("seed %d: commit log lengths %d vs %d", seed, len(*refLog), len(*batLog))
+		}
+		for i := range *refLog {
+			if (*refLog)[i] != (*batLog)[i] {
+				t.Fatalf("seed %d: commit order diverges at %d: %d vs %d",
+					seed, i, (*refLog)[i], (*batLog)[i])
+			}
+		}
+	}
+}
+
+// TestSplitRescheduleCancel exercises timer surgery on split events: a
+// rescheduled split event keeps both phases; a cancelled one fires neither.
+func TestSplitRescheduleCancel(t *testing.T) {
+	s := New()
+	var decides, commits int
+	e := s.ScheduleSplit(1, func() { decides++ }, func() { commits++ })
+	s.Reschedule(e, 5)
+	dead := s.ScheduleSplit(5, func() { t.Error("cancelled decide ran") },
+		func() { t.Error("cancelled commit ran") })
+	s.Cancel(dead)
+	s.RunAll()
+	if decides != 1 || commits != 1 {
+		t.Fatalf("decides=%d commits=%d, want 1/1", decides, commits)
+	}
+	if s.Now() != 5 {
+		t.Fatalf("now = %v, want 5", s.Now())
+	}
+}
+
+// TestSplitBatchBoundary pins down that a plain event with a seq number
+// between two same-instant split events splits the batch without reordering
+// commits — global dispatch order is always (time, seq).
+func TestSplitBatchBoundary(t *testing.T) {
+	s := New()
+	var log []int
+	s.ScheduleSplit(1, func() {}, func() { log = append(log, 1) })
+	s.Schedule(1, func() { log = append(log, 2) })
+	s.ScheduleSplit(1, func() {}, func() { log = append(log, 3) })
+	s.RunAll()
+	if len(log) != 3 || log[0] != 1 || log[1] != 2 || log[2] != 3 {
+		t.Fatalf("dispatch order %v, want [1 2 3]", log)
+	}
+}
+
+// TestBatchRescheduleOfLaterMemberWins is the regression test for the
+// in-batch double-fire: when a commit reschedules a *different* split event
+// that belongs to the same in-flight batch, the event is back in the queue
+// for its new instant — but the commit loop used to dispatch the stale batch
+// copy as well, firing the event at both the old and the new time. The
+// reschedule must win: exactly one commit, at the new instant.
+func TestBatchRescheduleOfLaterMemberWins(t *testing.T) {
+	s := New()
+	var bEv *Event
+	var bTimes []float64
+	s.ScheduleSplit(1, func() {}, func() { s.Reschedule(bEv, 2) })
+	bEv = s.ScheduleSplit(1, func() {}, func() { bTimes = append(bTimes, s.Now()) })
+	s.Run(10)
+	if len(bTimes) != 1 || bTimes[0] != 2 {
+		t.Fatalf("rescheduled batch member committed at %v, want exactly once at t=2", bTimes)
+	}
+}
+
+// TestBatchRescheduleToSameInstant pins the degenerate flavor: rescheduling
+// a later batch member to the *current* instant moves it to a fresh batch at
+// the same time (new seq) rather than committing it twice. The event's
+// decide legitimately reruns in the new batch; its commit must not.
+func TestBatchRescheduleToSameInstant(t *testing.T) {
+	s := New()
+	var bEv *Event
+	commits, decides := 0, 0
+	s.ScheduleSplit(1, func() {}, func() { s.Reschedule(bEv, 1) })
+	bEv = s.ScheduleSplit(1, func() { decides++ }, func() { commits++ })
+	s.Run(10)
+	if commits != 1 {
+		t.Fatalf("same-instant rescheduled member committed %d times, want 1", commits)
+	}
+	if decides != 2 {
+		t.Fatalf("same-instant rescheduled member decided %d times, want 2 (once per batch)", decides)
 	}
 }

@@ -1,11 +1,9 @@
 #!/bin/sh
 # bench.sh — run the hot-path microbenchmarks plus the end-to-end Fig. 7
 # N=1000 sweep and write the results to BENCH_hotpath.json at the repo root,
-# then the sequential-vs-parallel executor comparison to BENCH_parallel.json,
-# then the shards × workers matrix at N=10^4 (plus the N=10^5 completion run)
-# to BENCH_shard.json, then the live-node wire-layer soak (batched vs
-# unbatched datagram/byte bill per delivered ad, digest hit rate, mean ads
-# per batch) to BENCH_node.json, then the async pairwise spread comparison
+# then the live-node wire-layer soak (batched vs unbatched datagram/byte bill
+# per delivered ad, digest hit rate, mean ads per batch) to BENCH_node.json,
+# then the async pairwise spread comparison
 # (broadcast gossip vs Async k=1..3: delivery, messages, spread time) to
 # BENCH_async.json, then the control-plane ingest soak (live fleet at
 # N=10^3/10^4 under offered loads of 2 and 16 ads/s through the admission
@@ -19,29 +17,21 @@
 # The JSON schema is one object per benchmark:
 #   {"name": ..., "ns_per_op": ..., "bytes_per_op": ..., "allocs_per_op": ...}
 # (end-to-end entries omit the allocation columns — the harness does not
-# report them for sub-benchmarks that emit custom metrics only.)
-# BENCH_parallel.json adds "ncpu" and per-row "speedup_vs_workers_1" so the
-# numbers are interpretable on any host: on a single-core runner the sweep
-# measures batching overhead, not speedup (see docs/PERFORMANCE.md).
-# BENCH_shard.json follows the same convention with "speedup_vs_1x1" against
-# the shards=1/workers=1 row.
+# report them for sub-benchmarks that emit custom metrics only.) The other
+# files add "ncpu", so the numbers name the host they came from.
 set -eu
 
 cd "$(dirname "$0")/.."
 BENCHTIME="${BENCHTIME:-2s}"
 OUT="BENCH_hotpath.json"
-PAROUT="BENCH_parallel.json"
-SHARDOUT="BENCH_shard.json"
 NODEOUT="BENCH_node.json"
 ASYNCOUT="BENCH_async.json"
 CAMPOUT="BENCH_campaign.json"
 TMP="$(mktemp)"
-PARTMP="$(mktemp)"
-SHARDTMP="$(mktemp)"
 NODETMP="$(mktemp)"
 ASYNCTMP="$(mktemp)"
 CAMPTMP="$(mktemp)"
-trap 'rm -f "$TMP" "$PARTMP" "$SHARDTMP" "$NODETMP" "$ASYNCTMP" "$CAMPTMP"' EXIT
+trap 'rm -f "$TMP" "$NODETMP" "$ASYNCTMP" "$CAMPTMP"' EXIT
 
 echo "==> micro: internal/radio + internal/sim (-benchtime $BENCHTIME)" >&2
 go test -run '^$' -bench 'BenchmarkBroadcastDense$|BenchmarkBroadcastDenseCollisions$|BenchmarkNodesWithin' \
@@ -75,63 +65,7 @@ END { print "\n]" }
 
 echo "==> wrote $OUT" >&2
 
-echo "==> parallel executor: BenchmarkFig7Workers N=1000 (-benchtime 5x)" >&2
-go test -run '^$' -bench 'BenchmarkFig7Workers' -benchtime 5x . | tee "$PARTMP" >&2
-
 NCPU="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
-awk -v ncpu="$NCPU" '
-BEGIN { print "{" ; print "  \"ncpu\": " ncpu "," ; print "  \"runs\": [" ; n = 0 }
-/^BenchmarkFig7Workers/ {
-    name = $1
-    sub(/-[0-9]+$/, "", name)
-    ns = ""
-    for (i = 2; i < NF; i++) if ($(i+1) == "ns/op") ns = $i
-    if (ns == "") next
-    if (name ~ /workers=1$/) base = ns
-    if (n++) print ","
-    line = "    {\"name\": \"" name "\", \"ns_per_op\": " ns
-    if (base != "" && ns + 0 > 0)
-        line = line sprintf(", \"speedup_vs_workers_1\": %.3f", base / ns)
-    printf "%s}", line
-}
-END { print "\n  ]" ; print "}" }
-' "$PARTMP" > "$PAROUT"
-
-echo "==> wrote $PAROUT" >&2
-
-echo "==> sharded engine: BenchmarkShardMatrix N=10^4 (-benchtime 3x) + BenchmarkScale100k (1x)" >&2
-go test -run '^$' -bench 'BenchmarkShardMatrix' -benchtime 3x . | tee "$SHARDTMP" >&2
-go test -run '^$' -bench 'BenchmarkScale100k$' -benchtime 1x . | tee -a "$SHARDTMP" >&2
-
-awk -v ncpu="$NCPU" '
-BEGIN { print "{" ; print "  \"ncpu\": " ncpu "," ; print "  \"matrix\": [" ; n = 0 ; scale = "" }
-/^BenchmarkShardMatrix/ {
-    name = $1
-    sub(/-[0-9]+$/, "", name)
-    ns = ""
-    for (i = 2; i < NF; i++) if ($(i+1) == "ns/op") ns = $i
-    if (ns == "") next
-    if (name ~ /shards=1\/workers=1$/) base = ns
-    if (n++) print ","
-    line = "    {\"name\": \"" name "\", \"ns_per_op\": " ns
-    if (base != "" && ns + 0 > 0)
-        line = line sprintf(", \"speedup_vs_1x1\": %.3f", base / ns)
-    printf "%s}", line
-}
-/^BenchmarkScale100k/ {
-    for (i = 2; i < NF; i++) if ($(i+1) == "ns/op") scale = $i
-}
-END {
-    print "\n  ],"
-    if (scale != "")
-        print "  \"scale_run\": {\"name\": \"BenchmarkScale100k\", \"peers\": 100000, \"shards\": 8, \"ns_per_op\": " scale "}"
-    else
-        print "  \"scale_run\": null"
-    print "}"
-}
-' "$SHARDTMP" > "$SHARDOUT"
-
-echo "==> wrote $SHARDOUT" >&2
 
 echo "==> live-node wire layer: BenchmarkMemnetSoak batched vs unbatched (-benchtime 1x)" >&2
 go test -run '^$' -bench 'BenchmarkMemnetSoak' -benchtime 1x ./internal/node/ | tee "$NODETMP" >&2
