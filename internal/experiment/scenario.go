@@ -240,19 +240,49 @@ func (sc Scenario) issueAt() geo.Point {
 	return geo.Point{X: sc.FieldW / 2, Y: sc.FieldH / 2}
 }
 
-// Validate checks the scenario parameters.
+// Validate checks the scenario parameters. Every guard states the accepted
+// range, because every comparison with NaN is false: a guard written `x <= 0`
+// lets NaN through, to a run that panics building its grid or silently
+// ignores the value. Fields checked further when the run is built (mobility
+// and protocol parameters) must at least be finite here.
 func (sc Scenario) Validate() error {
-	if sc.FieldW <= 0 || sc.FieldH <= 0 {
-		return fmt.Errorf("experiment: empty field %vx%v", sc.FieldW, sc.FieldH)
+	if !(finitePos(sc.FieldW) && finitePos(sc.FieldH)) {
+		return fmt.Errorf("experiment: field %vx%v not positive and finite", sc.FieldW, sc.FieldH)
 	}
 	if sc.NumPeers < 1 {
 		return fmt.Errorf("experiment: %d peers", sc.NumPeers)
 	}
-	if sc.SimTime <= sc.IssueTime {
-		return fmt.Errorf("experiment: sim time %v not beyond issue time %v", sc.SimTime, sc.IssueTime)
+	if !(finite(sc.IssueTime) && sc.SimTime > sc.IssueTime && finite(sc.SimTime)) {
+		return fmt.Errorf("experiment: sim time %v not finite and beyond issue time %v", sc.SimTime, sc.IssueTime)
 	}
-	if sc.R <= 0 || sc.D <= 0 {
+	if !(finitePos(sc.R) && finitePos(sc.D)) {
 		return fmt.Errorf("experiment: bad ad parameters R=%v D=%v", sc.R, sc.D)
+	}
+	if !finitePos(sc.TxRange) {
+		return fmt.Errorf("experiment: transmission range %v not positive and finite", sc.TxRange)
+	}
+	if !(sc.LossRate >= 0 && sc.LossRate < 1) {
+		return fmt.Errorf("experiment: loss rate %v outside [0,1)", sc.LossRate)
+	}
+	if !(sc.FadeZone >= 0 && sc.FadeZone < sc.TxRange) {
+		return fmt.Errorf("experiment: fade zone %v outside [0, range)", sc.FadeZone)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"SpeedMean", sc.SpeedMean}, {"SpeedDelta", sc.SpeedDelta}, {"Pause", sc.Pause},
+		{"BlockSize", sc.BlockSize}, {"PedestrianSpeed", sc.PedestrianSpeed},
+		{"PedestrianRange", sc.PedestrianRange}, {"Alpha", sc.Alpha}, {"Beta", sc.Beta},
+		{"DistUnit", sc.DistUnit}, {"TimeUnit", sc.TimeUnit}, {"RoundTime", sc.RoundTime},
+		{"DIS", sc.DIS}, {"IssueAt.X", sc.IssueAt.X}, {"IssueAt.Y", sc.IssueAt.Y},
+		{"SampleEvery", sc.SampleEvery}, {"Popularity.RInc", sc.Popularity.RInc},
+		{"Popularity.DInc", sc.Popularity.DInc}, {"Popularity.RMax", sc.Popularity.RMax},
+		{"Popularity.DMax", sc.Popularity.DMax},
+	} {
+		if !finite(f.v) {
+			return fmt.Errorf("experiment: %s %v not finite", f.name, f.v)
+		}
 	}
 	switch sc.Mobility {
 	case RandomWaypoint, RandomWalk, Manhattan, RPGM, Road:
@@ -262,8 +292,8 @@ func (sc Scenario) Validate() error {
 	if sc.NumRSU < 0 {
 		return fmt.Errorf("experiment: negative RSU count %d", sc.NumRSU)
 	}
-	if sc.RSURange < 0 {
-		return fmt.Errorf("experiment: negative RSU range %v", sc.RSURange)
+	if !finiteNonNeg(sc.RSURange) {
+		return fmt.Errorf("experiment: RSU range %v not finite and non-negative", sc.RSURange)
 	}
 	if sc.Mobility != Road {
 		if sc.RoadFile != "" {
@@ -276,17 +306,17 @@ func (sc Scenario) Validate() error {
 	if _, err := roadnet.ParsePlacement(sc.RSUPlacement); err != nil {
 		return err
 	}
-	if sc.PedestrianFraction < 0 || sc.PedestrianFraction > 1 {
+	if !(sc.PedestrianFraction >= 0 && sc.PedestrianFraction <= 1) {
 		return fmt.Errorf("experiment: pedestrian fraction %v outside [0,1]", sc.PedestrianFraction)
 	}
-	if sc.IssuerOfflineAfter < 0 {
-		return fmt.Errorf("experiment: negative issuer-offline delay %v", sc.IssuerOfflineAfter)
+	if !finiteNonNeg(sc.IssuerOfflineAfter) {
+		return fmt.Errorf("experiment: issuer-offline delay %v not finite and non-negative", sc.IssuerOfflineAfter)
+	}
+	if !(finiteNonNeg(sc.ChurnOnMean) && finiteNonNeg(sc.ChurnOffMean)) {
+		return fmt.Errorf("experiment: churn means %v, %v not finite and non-negative", sc.ChurnOnMean, sc.ChurnOffMean)
 	}
 	if (sc.ChurnOnMean > 0) != (sc.ChurnOffMean > 0) {
 		return fmt.Errorf("experiment: churn needs both on and off means")
-	}
-	if sc.ChurnOnMean < 0 || sc.ChurnOffMean < 0 {
-		return fmt.Errorf("experiment: negative churn mean")
 	}
 	if sc.Workers < 0 {
 		return fmt.Errorf("experiment: negative workers %d", sc.Workers)
@@ -300,11 +330,17 @@ func (sc Scenario) Validate() error {
 	if sc.AsyncK < 0 {
 		return fmt.Errorf("experiment: negative async exchange bound %d", sc.AsyncK)
 	}
-	if sc.AsyncMeanDelay < 0 || sc.AsyncTimeout < 0 {
-		return fmt.Errorf("experiment: negative async timing (delay %v, timeout %v)", sc.AsyncMeanDelay, sc.AsyncTimeout)
+	if !(finiteNonNeg(sc.AsyncMeanDelay) && finiteNonNeg(sc.AsyncTimeout)) {
+		return fmt.Errorf("experiment: async timing (delay %v, timeout %v) not finite and non-negative", sc.AsyncMeanDelay, sc.AsyncTimeout)
 	}
 	return nil
 }
+
+// finite reports x ∈ (−Inf, +Inf); finiteNonNeg and finitePos narrow it to
+// [0, +Inf) and (0, +Inf).
+func finite(x float64) bool       { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+func finiteNonNeg(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
+func finitePos(x float64) bool    { return x > 0 && !math.IsInf(x, 1) }
 
 // rsuRange resolves the roadside units' transmission range.
 func (sc Scenario) rsuRange() float64 {

@@ -5,6 +5,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing/quick"
 
 	"instantad/internal/mobility"
@@ -48,6 +50,43 @@ func TestScenarioValidation(t *testing.T) {
 			t.Errorf("mutation %d accepted", i)
 		}
 	}
+}
+
+// TestValidateRejectsNonFinite: every comparison with NaN is false, so a guard
+// written `x <= 0` accepts it (TxRange = NaN used to validate and then panic
+// in the grid rebuild). Every float field, nested ones included, is tried
+// with NaN and both infinities.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	fields := floatFields(reflect.TypeOf(Scenario{}), nil)
+	if len(fields) < 35 {
+		t.Fatalf("found %d float fields, want every one of Scenario's", len(fields))
+	}
+	for _, idx := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			sc := DefaultScenario()
+			f := reflect.ValueOf(&sc).Elem().FieldByIndex(idx)
+			f.SetFloat(v)
+			if err := sc.Validate(); err == nil {
+				t.Errorf("%s = %v accepted", reflect.TypeOf(sc).FieldByIndex(idx).Name, v)
+			}
+		}
+	}
+}
+
+// floatFields returns the index path of every float64 field of struct type
+// typ, descending into struct-typed fields.
+func floatFields(typ reflect.Type, prefix []int) [][]int {
+	var out [][]int
+	for i := 0; i < typ.NumField(); i++ {
+		idx := append(slices.Clone(prefix), i)
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Float64:
+			out = append(out, idx)
+		case reflect.Struct:
+			out = append(out, floatFields(f.Type, idx)...)
+		}
+	}
+	return out
 }
 
 func TestDISDefaultsToQuarterR(t *testing.T) {

@@ -34,8 +34,8 @@ func (e EnergyConfig) validate() error {
 	if !e.Enabled {
 		return nil
 	}
-	if e.TxBaseJ < 0 || e.TxPerByteJ < 0 || e.RxBaseJ < 0 || e.RxPerByteJ < 0 {
-		return fmt.Errorf("radio: negative energy cost")
+	if !(finiteNonNeg(e.TxBaseJ) && finiteNonNeg(e.TxPerByteJ) && finiteNonNeg(e.RxBaseJ) && finiteNonNeg(e.RxPerByteJ)) {
+		return fmt.Errorf("radio: energy cost not finite and non-negative")
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package radio
 
 import (
+	"math"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -52,6 +54,50 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(s, DefaultConfig(), nil, del, rng.New(1)); err == nil {
 		t.Error("no nodes accepted")
+	}
+}
+
+// TestValidateRejectsNonFinite: every comparison with NaN is false, so a guard
+// written `x <= 0` accepts it (Range = NaN used to validate and then panic in
+// the grid rebuild). Every float field, the energy costs included, is tried
+// with NaN and both infinities, and so is SetNodeRange.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	base := DefaultConfig()
+	base.Energy = DefaultEnergy()
+	base.FadeZone = 10
+	if err := base.validate(); err != nil {
+		t.Fatalf("base config rejected: %v", err)
+	}
+	var tried int
+	var try func(v reflect.Value, name string)
+	try = func(v reflect.Value, name string) {
+		for i := 0; i < v.NumField(); i++ {
+			f, fname := v.Field(i), name+v.Type().Field(i).Name
+			switch f.Kind() {
+			case reflect.Struct:
+				try(f, fname+".")
+			case reflect.Float64:
+				tried++
+				for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+					old := f.Float()
+					f.SetFloat(bad)
+					if err := base.validate(); err == nil {
+						t.Errorf("%s = %v accepted", fname, bad)
+					}
+					f.SetFloat(old)
+				}
+			}
+		}
+	}
+	try(reflect.ValueOf(&base).Elem(), "")
+	if tried != 12 {
+		t.Errorf("tried %d float fields, want all 12 of Config and EnergyConfig", tried)
+	}
+	_, ch := staticChannel(t, DefaultConfig(), []geo.Point{{}}, nil)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := ch.SetNodeRange(0, bad); err == nil {
+			t.Errorf("SetNodeRange(0, %v) accepted", bad)
+		}
 	}
 }
 
