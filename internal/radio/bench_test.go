@@ -67,9 +67,10 @@ func BenchmarkBroadcastDenseCollisions(b *testing.B) {
 // BenchmarkNodesWithin measures the raw spatial query against the grid
 // snapshot (exact re-filter included). The Alloc variant is the convenience
 // API returning a fresh slice; the Scratch variant appends into a reused
-// buffer, and Neighbors is the same through AppendNeighborsOf, the call the
-// broadcast hot path and every round's decide make: both must stay at zero
-// allocations (the CI alloc guard greps their allocs/op).
+// buffer, Neighbors is the same through AppendNeighborsOf, the call the
+// broadcast hot path and every round's decide make, and Mobile (below) is
+// Neighbors on moving peers: all three must stay at zero allocations (the CI
+// alloc guard greps their allocs/op).
 func BenchmarkNodesWithin(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Range = 125
@@ -95,6 +96,53 @@ func BenchmarkNodesWithin(b *testing.B) {
 			buf = ch.AppendNeighborsOf(buf[:0], i%ch.N())
 		}
 	})
+	// Mobile has the shape of fig7_sweep's queries: 1000 Random Waypoint
+	// peers on the canonical field, each query a peer's own at an instant no
+	// other query shares, the snapshot refreshed once a simulated second, so
+	// candidates are read off the piece table at every snapshot age.
+	b.Run("Mobile", func(b *testing.B) {
+		s, ch := mobileChannel(b, cfg)
+		var buf []int
+		at := 0.0
+		query := func(i int) {
+			at += 0.0137
+			s.Run(at)
+			buf = ch.AppendNeighborsOf(buf[:0], i*7919%ch.N())
+		}
+		for i := 0; i < 2000; i++ { // past the first rebuild and the scratch growth
+			query(i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			query(i)
+		}
+	})
+}
+
+// mobileChannel is denseChannel's population on the move: 1000 Random
+// Waypoint peers at 10 ± 5 m/s with 10 s pauses on the canonical 1500 m
+// field, their trajectories long enough for any benchmark run.
+func mobileChannel(b *testing.B, cfg Config) (*sim.Simulator, *Channel) {
+	b.Helper()
+	const n = 1000
+	r := rng.New(42)
+	models := make([]mobility.Model, n)
+	for i := range models {
+		m, err := mobility.NewRandomWaypoint(mobility.RandomWaypointConfig{
+			Field: geo.NewRect(1500, 1500), SpeedMean: 10, SpeedDelta: 5, Pause: 10, Horizon: 2e4},
+			r.SplitIndex("node", i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		models[i] = m
+	}
+	s := sim.New()
+	ch, err := New(s, cfg, models, func(int, Frame) {}, rng.New(7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s, ch
 }
 
 // BenchmarkRefreshGridSteady measures one grid refresh of a city-sized

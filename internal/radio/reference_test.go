@@ -225,6 +225,134 @@ func refPopulations(t *testing.T) []refPopulation {
 	}
 }
 
+// refAppendWithin is the reference the query kernel (appendWithin) is tested
+// against: the loop it replaced, one conditional append per candidate with
+// the position through PositionAt. It reads the same snapshot, so kernel and
+// reference must agree to the id and the order.
+func refAppendWithin(c *Channel, dst []int, center geo.Point, radius float64, exclude int) []int {
+	now := c.sim.Now()
+	x0, x1, y0, y1 := c.window(center, radius)
+	r2 := radius * radius
+	for cx := x0; cx <= x1; cx++ {
+		for _, j32 := range c.column(cx, y0, y1) {
+			j := int(j32)
+			if j == exclude || !c.Online(j) {
+				continue
+			}
+			if c.PositionAt(j, now).Dist2(center) <= r2 {
+				dst = append(dst, j)
+			}
+		}
+	}
+	return dst
+}
+
+// TestQueryMatchesReference is the query kernel's oracle. Over every mobility
+// family of the refresh test, at irregular instants anywhere up to
+// GridRefresh after a snapshot, with radios powering off and on and every
+// fifth node a short-range handset, each query must return exactly the
+// reference's ids in the reference's order after an untouched dst prefix —
+// for neighbour queries and for discs of any radius and centre, excluding
+// nobody, the querying node, or an id that is not there. The reference is
+// itself checked against every model's own position, and the NS-2 trace must
+// have queried nodes whose leg ended after the snapshot (the model path).
+func TestQueryMatchesReference(t *testing.T) {
+	prefix := []int{-3, -2, -1}
+	check := func(t *testing.T, ch *Channel, models []mobility.Model, center geo.Point, radius float64, exclude int) {
+		t.Helper()
+		got := ch.AppendNodesWithin(slices.Clone(prefix), center, radius, exclude)
+		want := refAppendWithin(ch, slices.Clone(prefix), center, radius, exclude)
+		if !slices.Equal(got, want) {
+			t.Fatalf("t=%v: query (%v, %v, exclude %d) = %v, want %v", ch.sim.Now(), center, radius, exclude, got, want)
+		}
+		var brute []int
+		for j, m := range models {
+			if j != exclude && ch.Online(j) && m.Position(ch.sim.Now()).Dist2(center) <= radius*radius {
+				brute = append(brute, j)
+			}
+		}
+		ids := slices.Clone(want[len(prefix):])
+		if slices.Sort(ids); !slices.Equal(ids, brute) {
+			t.Fatalf("t=%v: reference %v, models say %v", ch.sim.Now(), ids, brute)
+		}
+	}
+
+	for _, pop := range refPopulations(t) {
+		t.Run(pop.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Range = pop.txRange
+			cfg.MaxSpeed = pop.vmax
+			s := sim.New()
+			ch, err := New(s, cfg, pop.models, func(int, Frame) {}, rng.New(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := len(pop.models)
+			for i := 0; i < n; i += 5 {
+				if err := ch.SetNodeRange(i, 0.4*cfg.Range); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r := rng.New(43)
+			var queries, legEnded int
+			step := func() {
+				if err := ch.SetOnline(r.Intn(n), r.Bool(0.6)); err != nil {
+					t.Fatal(err)
+				}
+				for k := 0; k < 6; k++ {
+					i := r.Intn(n)
+					exclude := [...]int{-1, i, n}[k%3]
+					check(t, ch, pop.models, ch.PositionOf(i), ch.RangeOf(i), exclude)
+					center := ch.PositionOf(i).Add(geo.Vec{X: r.Range(-300, 300), Y: r.Range(-300, 300)})
+					check(t, ch, pop.models, center, r.Range(0, 2*cfg.Range), exclude)
+					got := ch.AppendNeighborsOf(slices.Clone(prefix), i)
+					if want := refAppendWithin(ch, slices.Clone(prefix), ch.PositionOf(i), ch.RangeOf(i), i); !slices.Equal(got, want) {
+						t.Fatalf("t=%v: AppendNeighborsOf(%d) = %v, want %v", s.Now(), i, got, want)
+					}
+					queries += 3
+				}
+				for j := range ch.pieces {
+					if pc := &ch.pieces[j]; pc.T1 > ch.gridAt && pc.T1 <= s.Now() {
+						legEnded++
+					}
+				}
+			}
+			// Steps of 0.05–0.6 s: a query lands at every age of the
+			// snapshot, which only a query GridRefresh after it replaces.
+			for at := 0.0; at < 320; at += r.Range(0.05, 0.6) {
+				s.Schedule(at, step)
+			}
+			s.RunAll()
+			if queries < 5000 {
+				t.Fatalf("only %d queries compared", queries)
+			}
+			if pop.name == "ns2-trace-leaves-box" && legEnded == 0 {
+				t.Errorf("no node's leg ended between a snapshot and a query: the model path went untested")
+			}
+		})
+	}
+
+	// A node exactly on the circle is in range: Dist2 == r² is a hit.
+	t.Run("on-the-circle", func(t *testing.T) {
+		pts := []geo.Point{{X: 0, Y: 0}, {X: 3, Y: 4}, {X: -5, Y: 0}, {X: 0, Y: math.Nextafter(5, 6)}, {X: 4, Y: -3}}
+		models := make([]mobility.Model, len(pts))
+		for i, p := range pts {
+			models[i] = mobility.NewStatic(p)
+		}
+		ch, err := New(sim.New(), DefaultConfig(), models, func(int, Frame) {}, rng.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, exclude := range []int{-1, 0, len(pts)} {
+			check(t, ch, models, geo.Point{}, 5, exclude)
+		}
+		got := ch.AppendNodesWithin(nil, geo.Point{}, 5, -1)
+		if slices.Sort(got); !slices.Equal(got, []int{0, 1, 2, 4}) {
+			t.Fatalf("disc of radius 5 = %v, want [0 1 2 4]", got)
+		}
+	})
+}
+
 // TestRefreshMatchesFullRebuild is the refresh's oracle: over 320 simulated
 // seconds of every mobility family, at irregular instants, the kinetic
 // refresh must leave exactly the snapshot and rebuild count the full rebuild
