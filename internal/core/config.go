@@ -57,6 +57,16 @@ func (p Protocol) String() string {
 	}
 }
 
+// MarshalText writes the protocol's name, so it travels by name in JSON and
+// flags.
+func (p Protocol) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+// UnmarshalText parses a name written by MarshalText.
+func (p *Protocol) UnmarshalText(b []byte) (err error) {
+	*p, err = ParseProtocol(string(b))
+	return err
+}
+
 // Protocols lists the paper's protocols, in the order its figures plot them.
 // The related-work comparator is excluded; see AllProtocols.
 func Protocols() []Protocol {
@@ -103,24 +113,29 @@ func (p Protocol) isGossip() bool {
 func (p Protocol) isAsync() bool { return p == AsyncGossip }
 
 // PopularityConfig parameterizes the interest-ranking mechanism
-// (Section III.E). The zero value disables it.
+// (Section III.E). The zero value disables it. The struct tags name the
+// fields in a scenario file's "popularity" object, whose presence is what
+// sets Enabled (see experiment.Scenario).
 type PopularityConfig struct {
 	// Enabled turns the mechanism on.
-	Enabled bool
+	Enabled bool `json:"-"`
 	// F is the number of independent FM sketches per ad; L is each sketch's
 	// length in bits. The paper suggests small fixed sizes (we default to
 	// 8×32 when zero).
-	F, L int
+	F int `json:"f,omitempty" doc:"FM sketches per ad (0 = 8)"`
+	L int `json:"l,omitempty" doc:"bits per FM sketch (0 = 32)"`
 	// SketchSeed selects the hash family shared by all peers.
-	SketchSeed uint64
+	SketchSeed uint64 `json:"sketch_seed,omitempty" doc:"hash family shared by all peers"`
 	// RInc and DInc are the base enlargement increments of Formula 7: on a
 	// rank increase the ad grows by RInc/log₂(rank+1) meters and
 	// DInc/log₂(rank+1) seconds.
-	RInc, DInc float64
+	RInc float64 `json:"r_inc,omitempty" unit:"m" doc:"radius increment per rank step (Formula 7)"`
+	DInc float64 `json:"d_inc,omitempty" unit:"s" doc:"duration increment per rank step (Formula 7)"`
 	// RMax and DMax cap the enlarged radius and duration ("these two
 	// parameters can not be increased infinitely"). Zero means 4× the ad's
 	// initial value.
-	RMax, DMax float64
+	RMax float64 `json:"r_max,omitempty" unit:"m" doc:"cap on the enlarged radius (0 = 4×R)"`
+	DMax float64 `json:"d_max,omitempty" unit:"s" doc:"cap on the enlarged duration (0 = 4×D)"`
 }
 
 func (c PopularityConfig) withDefaults() PopularityConfig {
@@ -178,6 +193,16 @@ func (e EvictionPolicy) String() string {
 		return "random"
 	}
 	return fmt.Sprintf("EvictionPolicy(%d)", int(e))
+}
+
+// MarshalText writes the policy's name, so it travels by name in JSON and
+// flags.
+func (e EvictionPolicy) MarshalText() ([]byte, error) { return []byte(e.String()), nil }
+
+// UnmarshalText parses a name written by MarshalText.
+func (e *EvictionPolicy) UnmarshalText(b []byte) (err error) {
+	*e, err = ParseEviction(string(b))
+	return err
 }
 
 // EvictionPolicies lists every cache-overflow rule, the paper's default
