@@ -3,6 +3,7 @@ package campaign
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -11,6 +12,34 @@ import (
 
 	"instantad/internal/core"
 )
+
+func TestFleetConfigValidation(t *testing.T) {
+	bad := []FleetConfig{
+		{Nodes: 0},
+		{Nodes: 4, Spacing: -1},
+		{Nodes: 4, Spacing: math.NaN()},
+		{Nodes: 4, Spacing: math.Inf(1)},
+		{Nodes: 4, Spacing: math.Inf(-1)},
+		{Nodes: 4, Range: -1},
+		{Nodes: 4, Range: math.NaN()},
+		{Nodes: 4, Range: math.Inf(1)},
+		{Nodes: 4, Range: math.Inf(-1)},
+		{Nodes: 4, Loss: -0.1},
+		{Nodes: 4, Loss: 1.1},
+		{Nodes: 4, Loss: math.NaN()},
+		{Nodes: 4, Loss: math.Inf(1)},
+		{Nodes: 4, Loss: math.Inf(-1)},
+	}
+	for i, cfg := range bad {
+		if err := cfg.norm(); err == nil {
+			t.Errorf("config %d (%+v) accepted", i, cfg)
+		}
+	}
+	good := FleetConfig{Nodes: 4}
+	if err := good.norm(); err != nil {
+		t.Errorf("defaults rejected: %v", err)
+	}
+}
 
 func TestFleetWiringAndInject(t *testing.T) {
 	fl, err := NewFleet(FleetConfig{

@@ -2,6 +2,7 @@ package memnet
 
 import (
 	"errors"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -24,8 +25,14 @@ func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Loss: -0.1},
 		{Loss: 1.1},
+		{Loss: math.NaN()},
+		{Loss: math.Inf(1)},
+		{Loss: math.Inf(-1)},
 		{Latency: -time.Second},
 		{Range: -1},
+		{Range: math.NaN()},
+		{Range: math.Inf(1)},
+		{Range: math.Inf(-1)},
 		{QueueLen: -1},
 	}
 	for i, cfg := range bad {
