@@ -12,9 +12,9 @@
 //
 //	adnode -listen 127.0.0.1:7001 -peers 127.0.0.1:7002,127.0.0.1:7003
 //
-// Wire layer: each gossip round's firing ads are coalesced into multi-ad
-// batch frames under an MTU-aware soft cap (-batch-cap; negative reverts to
-// one envelope per ad). With -digest N the node also sends its cached ad-ID
+// Wire layer: every ad travels in batch frames — an issued ad as a batch of
+// one, each gossip round's firing ads coalesced under an MTU-aware soft cap
+// (-batch-cap, 512–65507 bytes). With -digest N the node also sends its cached ad-ID
 // digest every N rounds and answers pull requests for missing IDs, with a
 // per-peer serve block window (-block) and an optional per-round byte
 // budget (-round-bytes) rate-limiting hot neighborhoods.
@@ -70,7 +70,7 @@ func main() {
 		cacheK    = flag.Int("cache", 10, "cache capacity")
 		dis       = flag.Float64("dis", 0, "annulus width (enables mechanism 1)")
 		opt2      = flag.Bool("opt2", true, "enable overhearing postponement")
-		batchCap  = flag.Int("batch-cap", 0, "batch frame soft cap, bytes (0 = 1400 default, negative disables batching)")
+		batchCap  = flag.Int("batch-cap", 0, "batch frame soft cap, bytes, 512-65507 (0 = 1400 default)")
 		digest    = flag.Int("digest", 0, "send a cache digest every N gossip rounds (0 = off)")
 		block     = flag.Duration("block", 0, "per-peer serve block window after answering a pull (default 4×round when digests are on)")
 		roundB    = flag.Int("round-bytes", 0, "per-round byte budget for batches, digests and pull serves (0 = unlimited)")

@@ -49,7 +49,7 @@ func main() {
 		radio      = flag.Float64("range", 220, "radio range, m")
 		round      = flag.Duration("round", 200*time.Millisecond, "gossip round time")
 		cacheK     = flag.Int("cache", 16, "per-node cache capacity")
-		batchCap   = flag.Int("batch-cap", 0, "batch frame soft cap, bytes (0 = default, <0 = no batching)")
+		batchCap   = flag.Int("batch-cap", 0, "batch frame soft cap, bytes, 512-65507 (0 = 1400 default)")
 		digest     = flag.Int("digest", 4, "digest anti-entropy every N rounds (<=0 disables)")
 		roundBytes = flag.Int("round-bytes", 0, "per-node per-round byte budget (0 = unlimited)")
 		loss       = flag.Float64("loss", 0, "medium datagram loss probability")

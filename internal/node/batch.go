@@ -11,13 +11,13 @@ import (
 	"instantad/internal/node/wire"
 )
 
-// The high-throughput wire layer: instead of one ad per datagram, a gossip
-// round packs every firing ad into batch frames under an MTU-aware soft cap
-// (SNIPPETS.md snippet 1's ADVERT_CAPACITY-below-MTU shape), and a periodic
-// digest/pull exchange lets converged neighborhoods trade 8-byte ad IDs
-// instead of full payloads. All three frame families share the envelope's
-// header prefix (magic, version, sender, position) so the virtual radio and
-// any snooping medium treat them uniformly.
+// The wire layer: every ad travels in a batch frame — Issue's announcement
+// as a batch of one, a gossip round's firing ads packed under an MTU-aware
+// soft cap (SNIPPETS.md snippet 1's ADVERT_CAPACITY-below-MTU shape), pull
+// serves likewise — and a periodic digest/pull exchange lets converged
+// neighborhoods trade 8-byte ad IDs instead of full payloads. All three
+// frame families share one header prefix (magic, version, sender, position)
+// so the virtual radio and any snooping medium treat them uniformly.
 
 const (
 	batchMagic   = wire.BatchMagic
@@ -25,9 +25,8 @@ const (
 	pullMagic    = wire.PullMagic
 	batchVersion = 1
 
-	// batchHeaderLen is magic+version+sender(4)+pos(16)+vel(16) — identical
-	// to the envelope header by construction.
-	batchHeaderLen = envHeaderLen
+	// batchHeaderLen is magic+version+sender(4)+pos(16)+vel(16).
+	batchHeaderLen = 2 + 4 + 32
 	// idHeaderLen is magic+version+sender(4)+pos(16): digest and pull
 	// frames carry no velocity (nothing schedules on it).
 	idHeaderLen = 2 + 4 + 16

@@ -29,7 +29,7 @@ import (
 
 const (
 	// BeaconMagic is the first byte of every HELLO beacon datagram. It is
-	// distinct from the ad-envelope magic so the two message types share one
+	// distinct from the ad-layer frame magics so beacons and ads share one
 	// socket: receivers dispatch on the leading byte.
 	BeaconMagic = 0xAB
 	// BeaconVersion is the current beacon wire version.

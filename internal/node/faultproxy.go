@@ -7,8 +7,12 @@ import (
 	"sync"
 	"time"
 
+	"instantad/internal/node/discovery"
 	"instantad/internal/rng"
 )
+
+// maxDatagram sizes the proxy's receive buffer.
+const maxDatagram = 64 * 1024
 
 // FaultConfig parameterizes one FaultProxy link. Each field is an
 // independent per-datagram probability in [0, 1]; a datagram can be
@@ -31,9 +35,9 @@ type FaultConfig struct {
 	// datagram (a random cut point, at least one byte).
 	Truncate float64
 	// Garbage is the probability of injecting a random junk datagram;
-	// roughly half the junk starts with a real frame magic (envelope,
-	// batch, digest, or pull) so it penetrates one decoder layer before
-	// failing.
+	// roughly half the junk starts with one of the read loop's frame magics
+	// (beacon, batch, digest, or pull) so it penetrates one decoder layer
+	// before failing.
 	Garbage float64
 	// Seed makes the fault pattern reproducible.
 	Seed uint64
@@ -170,8 +174,8 @@ func (p *FaultProxy) relay(data []byte) {
 			junk[i] = byte(p.rnd.Uint32())
 		}
 		if p.rnd.Bool(0.5) && len(junk) >= 2 {
-			magics := [...]byte{envMagic, batchMagic, digestMagic, pullMagic}
-			junk[0], junk[1] = magics[p.rnd.Intn(len(magics))], envVersion
+			magics := [...]byte{discovery.BeaconMagic, batchMagic, digestMagic, pullMagic}
+			junk[0], junk[1] = magics[p.rnd.Intn(len(magics))], batchVersion
 		}
 		p.stats.Garbage++
 		p.mu.Unlock()

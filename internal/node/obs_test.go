@@ -3,6 +3,7 @@ package node
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -12,9 +13,9 @@ import (
 	"instantad/internal/obs"
 )
 
-// TestStatsRegistryEquivalence is the back-compat check for the registry
-// refactor: on a four-node soak-shaped cluster, every Stats field must read
-// back exactly the registry instrument that now backs it.
+// TestStatsRegistryEquivalence walks Stats' tag rows on a four-node
+// soak-shaped cluster: every field, counter or gauge, must read back exactly
+// the registry instrument its row names.
 func TestStatsRegistryEquivalence(t *testing.T) {
 	nodes := cluster(t, []geo.Point{
 		{X: 0}, {X: 200}, {X: 400}, {X: 600},
@@ -38,39 +39,21 @@ func TestStatsRegistryEquivalence(t *testing.T) {
 	for i, n := range nodes {
 		st := n.Stats()
 		snap := n.Registry().Snapshot()
-		want := map[string]uint64{
-			"node_sent_total":              st.Sent,
-			"node_broadcasts_total":        st.Broadcasts,
-			"node_received_total":          st.Received,
-			"node_out_of_range_total":      st.OutOfRange,
-			"node_malformed_total":         st.Malformed,
-			"node_duplicates_total":        st.Duplicates,
-			"node_expired_total":           st.Expired,
-			"node_read_errors_total":       st.ReadErrors,
-			"node_send_errors_total":       st.SendErrors,
-			"node_seen_pruned_total":       st.SeenPruned,
-			"node_peer_backoffs_total":     st.PeerBackoffs,
-			"node_beacons_sent_total":      st.BeaconsSent,
-			"node_beacons_recv_total":      st.BeaconsRecv,
-			"node_beacon_relays_total":     st.BeaconRelays,
-			"node_neighbors_expired_total": st.NeighborsExpired,
-			"node_epoch_skew_total":        st.EpochSkew,
-		}
-		for name, v := range want {
-			if got, ok := snap.Counters[name]; !ok || got != v {
-				t.Errorf("node %d: %s = %d, Stats says %d", i, name, got, v)
+		sv := reflect.ValueOf(st)
+		for j, r := range statRows {
+			want := sv.Field(j).Uint()
+			if r.gauge != nil {
+				if g, ok := snap.Gauges[r.metric]; !ok || uint64(g) != want {
+					t.Errorf("node %d: gauge %s = %v, Stats says %d", i, r.metric, g, want)
+				}
+			} else if got, ok := snap.Counters[r.metric]; !ok || got != want {
+				t.Errorf("node %d: %s = %d, Stats says %d", i, r.metric, got, want)
 			}
-		}
-		if g := snap.Gauges["node_seen_live"]; uint64(g) != st.SeenLive {
-			t.Errorf("node %d: node_seen_live = %v, Stats says %d", i, g, st.SeenLive)
-		}
-		if g := snap.Gauges["node_peers_live"]; uint64(g) != st.PeersLive {
-			t.Errorf("node %d: node_peers_live = %v, Stats says %d", i, g, st.PeersLive)
 		}
 		if st.Received > 0 {
 			hs, ok := snap.Histograms["node_receive_latency_seconds"]
 			if !ok || hs.Count == 0 {
-				t.Errorf("node %d received %d envelopes but the latency histogram is empty", i, st.Received)
+				t.Errorf("node %d received %d ads but the latency histogram is empty", i, st.Received)
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"instantad/internal/node/memnet"
+	"instantad/internal/node/wire"
 )
 
 // connHarness is one PacketConn under the read-contract test: the receiving
@@ -94,7 +95,7 @@ func TestPacketConnReadContract(t *testing.T) {
 				t.Fatalf("third read %q", got)
 			}
 
-			big := make([]byte, maxPayload)
+			big := make([]byte, wire.MaxPayload)
 			for i := range big {
 				big[i] = byte(i * 7)
 			}

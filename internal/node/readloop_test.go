@@ -70,18 +70,13 @@ func newFakeNode(t *testing.T, id uint32) (*Node, *fakeConn) {
 	return n, fc
 }
 
-// validDatagram encodes one in-range envelope toward the node.
+// validDatagram encodes one in-range batch of one ad toward the node.
 func validDatagram(t *testing.T, issuer uint32) []byte {
 	t.Helper()
-	env := &envelope{Sender: issuer, Pos: geo.Point{X: 10}, Ad: &ads.Advertisement{
+	return batchDatagram(t, issuer, geo.Point{X: 10}, &ads.Advertisement{
 		ID: ads.ID{Issuer: issuer, Seq: 0}, Origin: geo.Point{X: 10},
 		IssuedAt: 0, R: 400, D: 9000, Category: "petrol",
-	}}
-	data, err := env.encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
+	})
 }
 
 // TestReadLoopTransientBackoff scripts a burst of transient read errors

@@ -157,7 +157,7 @@ func TestSoakUnderFaultInjection(t *testing.T) {
 			t.Errorf("node %d still holds %d seen IDs after the drain", i, st.SeenLive)
 		}
 		if i > 0 && st.SeenPruned == 0 && st.Received > 0 {
-			t.Errorf("node %d never pruned despite receiving %d envelopes", i, st.Received)
+			t.Errorf("node %d never pruned despite receiving %d ads", i, st.Received)
 		}
 	}
 	// Garbage and truncation must have hit the malformed path somewhere.

@@ -23,11 +23,9 @@ const (
 	// so encoders refuse to build them and transports refuse to carry them.
 	MaxPayload = 65507
 
-	// EnvelopeMagic leads a legacy single-ad envelope (sender kinematics +
-	// one ad).
-	EnvelopeMagic = 0xAE
-	// BatchMagic leads a multi-ad batch frame (sender kinematics + 1..n
-	// length-prefixed ads packed under an MTU-aware soft cap).
+	// BatchMagic leads a batch frame, the one frame that carries ads
+	// (sender kinematics + 1..n length-prefixed ads packed under an
+	// MTU-aware soft cap).
 	BatchMagic = 0xB1
 	// DigestMagic leads a cache digest: the sender's live ad-ID list, sent
 	// once per digest round so converged neighbors stop re-hearing payloads.
@@ -38,15 +36,15 @@ const (
 
 	// senderPosOff is where the sender's position sits in every ad-layer
 	// frame: magic(1) + version(1) + sender id(4), then X and Y as little-
-	// endian float64s. Envelope, batch, digest and pull all share this
-	// prefix by construction.
+	// endian float64s. Batch, digest and pull all share this prefix by
+	// construction.
 	senderPosOff = 6
 	// version 1 is the only wire version of every ad-layer frame so far.
 	version = 1
 )
 
 // SenderPos extracts the claimed sender position from an ad-layer frame
-// (envelope, batch, digest, or pull). It reports false for other frame
+// (batch, digest, or pull). It reports false for other frame
 // families, truncated headers, unknown versions, and non-finite coordinates
 // — a snooping medium must never learn a position it could not trust.
 func SenderPos(b []byte) (geo.Point, bool) {
@@ -54,7 +52,7 @@ func SenderPos(b []byte) (geo.Point, bool) {
 		return geo.Point{}, false
 	}
 	switch b[0] {
-	case EnvelopeMagic, BatchMagic, DigestMagic, PullMagic:
+	case BatchMagic, DigestMagic, PullMagic:
 	default:
 		return geo.Point{}, false
 	}

@@ -9,14 +9,16 @@ import (
 	"instantad/internal/core"
 	"instantad/internal/geo"
 	"instantad/internal/node/memnet"
+	"instantad/internal/node/wire"
 )
 
 // TestConfigValidationWireLayer extends the validation matrix to the
 // batching and anti-entropy knobs.
 func TestConfigValidationWireLayer(t *testing.T) {
 	mutations := []func(*Config){
+		func(c *Config) { c.BatchSoftCap = -1 },
 		func(c *Config) { c.BatchSoftCap = minBatchSoftCap - 1 },
-		func(c *Config) { c.BatchSoftCap = maxPayload + 1 },
+		func(c *Config) { c.BatchSoftCap = wire.MaxPayload + 1 },
 		func(c *Config) { c.DigestEvery = -1 },
 		func(c *Config) { c.BlockWindow = -time.Second },
 		func(c *Config) { c.RoundBytes = -1 },
@@ -27,17 +29,6 @@ func TestConfigValidationWireLayer(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
-	}
-	// A negative soft cap is not an error: it disables batching.
-	cfg := testConfig(0, geo.Point{})
-	cfg.BatchSoftCap = -1
-	n, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	if n.batchCap != 0 {
-		t.Errorf("negative soft cap resolved to %d, want 0 (disabled)", n.batchCap)
 	}
 }
 
@@ -88,8 +79,8 @@ func TestPruneSweepsAtExpiry(t *testing.T) {
 	if ok {
 		t.Error("expired ID survived the first sweep past its expiry")
 	}
-	if n.ctr.seenPruned.Value() != 1 {
-		t.Errorf("seenPruned = %d, want 1", n.ctr.seenPruned.Value())
+	if n.ctr.SeenPruned.Value() != 1 {
+		t.Errorf("seenPruned = %d, want 1", n.ctr.SeenPruned.Value())
 	}
 }
 
@@ -125,7 +116,7 @@ func TestDetachedPeerHealthFrozen(t *testing.T) {
 	if p.sent != 0 || p.failures != 0 || p.consecFails != 0 || p.inBackoff {
 		t.Errorf("detached peer health mutated: %+v", p)
 	}
-	if n.ctr.peerBackoffs.Value() != 0 {
+	if n.ctr.PeerBackoffs.Value() != 0 {
 		t.Error("detached peer tripped backoff")
 	}
 }
@@ -137,8 +128,8 @@ type timeoutErr struct{}
 func (*timeoutErr) Error() string { return "synthetic send failure" }
 
 // TestRemovePeerDuringBroadcastRace churns peer membership while the node
-// broadcasts — under -race this proves sends and removal cannot mutate a
-// peerState unsynchronized (the bug this PR's detached flag fixes).
+// gossips — under -race this proves sends and removal cannot mutate a
+// peerState unsynchronized (the bug the detached flag fixes).
 func TestRemovePeerDuringBroadcastRace(t *testing.T) {
 	n, err := New(testConfig(1, geo.Point{}))
 	if err != nil {
@@ -165,14 +156,13 @@ func TestRemovePeerDuringBroadcastRace(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 300; i++ {
-		n.broadcast(ad)
 		n.gossipOut([]*ads.Advertisement{ad.Clone()})
 	}
 	close(done)
 	wg.Wait()
 }
 
-// TestBatchedGossipDelivery checks the tentpole end to end over real UDP:
+// TestBatchedGossipDelivery checks the wire layer end to end over real UDP:
 // with batching at its default soft cap, a multi-ad cache converges across
 // nodes and the round gossip actually travels as multi-ad batch frames.
 func TestBatchedGossipDelivery(t *testing.T) {
@@ -185,8 +175,8 @@ func TestBatchedGossipDelivery(t *testing.T) {
 		}
 		issued = append(issued, ad.ID)
 	}
-	// Convergence alone can ride Issue's immediate legacy envelopes; wait
-	// until the round gossip has demonstrably travelled as batch frames too.
+	// Convergence alone can ride Issue's batches of one; wait until the
+	// round gossip has demonstrably packed several ads into one frame too.
 	if !waitFor(t, 3*time.Second, func() bool {
 		for _, n := range nodes[1:] {
 			for _, id := range issued {
@@ -195,7 +185,7 @@ func TestBatchedGossipDelivery(t *testing.T) {
 				}
 			}
 		}
-		return nodes[0].Stats().BatchesSent > 0 && nodes[1].Stats().BatchesRecv > 0
+		return nodes[0].batchAds.Sum() > float64(nodes[0].batchAds.Count()) && nodes[1].Stats().BatchesRecv > 0
 	}) {
 		t.Fatalf("no batched convergence; stats: %+v / %+v", nodes[0].Stats(), nodes[1].Stats())
 	}
@@ -230,7 +220,7 @@ func memnetPair(t *testing.T) (a, b *Node) {
 }
 
 // peerUp meshes the pair after any setup issuing, so Issue's immediate
-// broadcast cannot leak frames into the other node's queue.
+// announcement cannot leak frames into the other node's queue.
 func peerUp(t *testing.T, a, b *Node) {
 	t.Helper()
 	if err := a.AddPeer(b.Addr()); err != nil {
@@ -249,6 +239,58 @@ func readFrame(t *testing.T, n *Node) ([]byte, string) {
 		t.Fatal(err)
 	}
 	return append([]byte(nil), data...), from
+}
+
+// TestIssueAnnouncesOneAdBatch pins the one ad frame: Issue's announcement
+// is a batch of one, counted like a gossip round's, and a datagram in the
+// retired single-ad envelope format (0xAE) is merely malformed.
+func TestIssueAnnouncesOneAdBatch(t *testing.T) {
+	a, b := memnetPair(t)
+	peerUp(t, a, b)
+	before := a.Stats()
+	ad, err := a.Issue(core.AdSpec{R: 500, D: 3600, Category: "petrol", Text: "one"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, from := readFrame(t, b)
+	if frame[0] != batchMagic || frame[batchHeaderLen] != 1 {
+		t.Fatalf("first datagram leads 0x%02X with count %d, want 0x%02X with 1",
+			frame[0], frame[batchHeaderLen], batchMagic)
+	}
+	f, err := decodeBatch(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Ads[0].ID != ad.ID {
+		t.Errorf("announced %v, issued %v", f.Ads[0].ID, ad.ID)
+	}
+	after := a.Stats()
+	for name, d := range map[string]uint64{
+		"Sent":        after.Sent - before.Sent,
+		"Broadcasts":  after.Broadcasts - before.Broadcasts,
+		"BatchesSent": after.BatchesSent - before.BatchesSent,
+	} {
+		if d != 1 {
+			t.Errorf("issuer %s rose by %d, want 1", name, d)
+		}
+	}
+
+	// The same ad as the old envelope: the batch's header, then the bare ad.
+	adBytes, err := ad.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := append([]byte{0xAE}, frame[1:batchHeaderLen]...)
+	legacy = append(legacy, adBytes...)
+	want := b.Stats()
+	want.Malformed++
+	b.dispatch(legacy, from)
+	if got := b.Stats(); got != want {
+		t.Errorf("0xAE datagram moved more than Malformed:\ngot  %+v\nwant %+v", got, want)
+	}
+	if b.Has(ad.ID) {
+		t.Error("0xAE datagram delivered its ad")
+	}
 }
 
 // TestDigestPullServesMissingAds drives the anti-entropy exchange

@@ -1,8 +1,8 @@
 #!/bin/sh
 # bench.sh — run the hot-path microbenchmarks plus the end-to-end Fig. 7
 # N=1000 sweep and write the results to BENCH_hotpath.json at the repo root,
-# then the live-node wire-layer soak (batched vs unbatched datagram/byte bill
-# per delivered ad, digest hit rate, mean ads per batch) to BENCH_node.json,
+# then the live-node wire-layer soak (datagram/byte bill per delivered ad,
+# digest hit rate, mean ads per batch) to BENCH_node.json,
 # then the async pairwise spread comparison
 # (broadcast gossip vs Async k=1..3: delivery, messages, spread time) to
 # BENCH_async.json, then the control-plane ingest soak (live fleet at
@@ -67,7 +67,7 @@ echo "==> wrote $OUT" >&2
 
 NCPU="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
 
-echo "==> live-node wire layer: BenchmarkMemnetSoak batched vs unbatched (-benchtime 1x)" >&2
+echo "==> live-node wire layer: BenchmarkMemnetSoak (-benchtime 1x)" >&2
 go test -run '^$' -bench 'BenchmarkMemnetSoak' -benchtime 1x ./internal/node/ | tee "$NODETMP" >&2
 
 awk -v ncpu="$NCPU" '
@@ -84,24 +84,15 @@ BEGIN { print "{" ; print "  \"ncpu\": " ncpu "," ; print "  \"runs\": [" ; n = 
         if ($(i+1) == "ads/batch")    apb = $i
     }
     if (ns == "") next
-    if (name ~ /mode=unbatched$/) ubase = dpa
     if (n++) print ","
     line = "    {\"name\": \"" name "\", \"ns_per_op\": " ns
     if (dpa != "") line = line ", \"datagrams_per_ad\": " dpa
     if (bpa != "") line = line ", \"bytes_per_ad\": " bpa
     if (hit != "") line = line ", \"digest_hit_rate\": " hit
     if (apb != "") line = line ", \"ads_per_batch\": " apb
-    if (name ~ /mode=batched$/ && dpa != "") bdpa = dpa
     printf "%s}", line
 }
-END {
-    print "\n  ],"
-    if (bdpa != "" && ubase != "" && bdpa + 0 > 0)
-        printf "  \"datagram_reduction\": %.3f\n", ubase / bdpa
-    else
-        print "  \"datagram_reduction\": null"
-    print "}"
-}
+END { print "\n  ]" ; print "}" }
 ' "$NODETMP" > "$NODEOUT"
 
 echo "==> wrote $NODEOUT" >&2
