@@ -103,8 +103,7 @@ func (p *Peer) startAsync() {
 	st := &asyncPeerState{target: -1}
 	p.async = st
 	st.slot = n.slotAfter(p.rnd.Range(0, n.cfg.AsyncMeanDelay))
-	st.scanEv = n.sim.ScheduleSplit(float64(st.slot)*n.slotW,
-		p.asyncDecide, p.asyncCommit)
+	st.scanEv = n.sim.ScheduleSlot(st.slot, p.asyncDecide, p.asyncCommit)
 }
 
 // connectedTo reports whether a connection slot already involves peer j.
@@ -151,7 +150,7 @@ func (p *Peer) asyncCommit() {
 	n := p.net
 	st := p.async
 	st.slot += n.slotsFor(st.delay)
-	n.sim.Reschedule(st.scanEv, float64(st.slot)*n.slotW)
+	n.sim.RescheduleSlot(st.scanEv, st.slot)
 	if st.target < 0 || len(st.conns) >= n.cfg.AsyncK {
 		return
 	}

@@ -239,7 +239,7 @@ type Config struct {
 	// per-peer round offsets and Optimized Gossiping-2 entry timers land on
 	// the grid k·RoundTime/RoundSlots instead of arbitrary real offsets.
 	// Same-slot timers share one bit-identical simulation instant and are
-	// dispatched as one batch (sim.ScheduleSplit): all of them decide against
+	// dispatched as one batch (sim.ScheduleSlot): all of them decide against
 	// the state before any of them commits, and the grid refreshes once per
 	// batch. The slot count is therefore part of a run's definition — it
 	// fixes which peers share an instant — and every fingerprint depends on

@@ -145,11 +145,11 @@ type Network struct {
 	// asyncFree holds the pairwise frames awaiting reuse (see asyncFrame).
 	asyncFree []*asyncFrame
 
-	// slotW is the round-phase slot width RoundTime/RoundSlots. Round and
-	// entry-timer instants are always recomputed as slot·slotW from integer
-	// slot counters, never accumulated in floating point, so every event
-	// meant for the same slot lands on a bit-identical instant — the
-	// precondition for batching them.
+	// slotW is the round-phase slot width RoundTime/RoundSlots, the
+	// simulator's slot width. Round and entry timers are scheduled by integer
+	// slot (sim.ScheduleSlot), whose instant is always slot·slotW, never
+	// accumulated in floating point, so every event meant for the same slot
+	// lands on a bit-identical instant — the precondition for batching them.
 	slotW float64
 	// nbrScratch, seenStamp and stamp serve the Relevance Exchange rounds (see
 	// senseEncounter): the shared neighbour-query buffer, one mark per peer,
@@ -204,6 +204,7 @@ func New(s *sim.Simulator, radioCfg radio.Config, models []mobility.Model, cfg C
 		return nil, err
 	}
 	n.ch = ch
+	s.SetSlotWidth(n.slotW)
 	// Refresh the channel's spatial snapshot before each split-event batch's
 	// decision phase, so the snapshot instant — and the candidate order it
 	// fixes — is the batch's, not that of whichever decide queries first.
@@ -314,8 +315,7 @@ func (n *Network) Start() {
 		for _, p := range n.peers {
 			p := p
 			p.roundSlot = int64(p.rnd.Intn(n.cfg.RoundSlots))
-			p.roundEv = n.sim.ScheduleSplit(float64(p.roundSlot)*n.slotW,
-				p.gossipDecide, p.gossipCommit)
+			p.roundEv = n.sim.ScheduleSlot(p.roundSlot, p.gossipDecide, p.gossipCommit)
 		}
 	}
 	// The RSU backhaul syncs once per round under the gossip variants and the
@@ -810,7 +810,7 @@ func (p *Peer) gossipCommit() {
 	}
 	n := p.net
 	p.roundSlot += int64(n.cfg.RoundSlots)
-	n.sim.Reschedule(p.roundEv, float64(p.roundSlot)*n.slotW)
+	n.sim.RescheduleSlot(p.roundEv, p.roundSlot)
 }
 
 // armEntryTimer schedules an entry's first gossip one round from now,
@@ -820,8 +820,7 @@ func (p *Peer) armEntryTimer(e *ads.Entry) {
 	n := p.net
 	e.Slot = n.slotAfter(n.sim.Now() + n.cfg.RoundTime)
 	e.ScheduledAt = float64(e.Slot) * n.slotW
-	e.Timer = n.sim.ScheduleSplit(e.ScheduledAt,
-		func() { p.entryDecide(e) }, p.entryCommit)
+	e.Timer = n.sim.ScheduleSlot(e.Slot, func() { p.entryDecide(e) }, p.entryCommit)
 }
 
 // cancelEntryTimer cancels an evicted/expired entry's pending timer.
@@ -857,7 +856,7 @@ func (p *Peer) entryCommit() {
 	e.Slot += int64(n.cfg.RoundSlots)
 	e.ScheduledAt = float64(e.Slot) * n.slotW
 	if ev, ok := e.Timer.(*sim.Event); ok {
-		n.sim.Reschedule(ev, e.ScheduledAt)
+		n.sim.RescheduleSlot(ev, e.Slot)
 	}
 }
 
@@ -879,7 +878,7 @@ func (p *Peer) postpone(e *ads.Entry, from int) {
 	e.Slot += slots
 	e.ScheduledAt = float64(e.Slot) * n.slotW
 	if ev, ok := e.Timer.(*sim.Event); ok {
-		n.sim.Reschedule(ev, e.ScheduledAt)
+		n.sim.RescheduleSlot(ev, e.Slot)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"instantad/internal/obs"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -402,12 +404,13 @@ func TestRunDrainStillAdvancesClock(t *testing.T) {
 func TestScheduleSplitPhases(t *testing.T) {
 	for _, n := range []int{3, 300} {
 		s := New()
+		s.SetSlotWidth(1)
 		preps := 0
 		s.SetBatchPrepare(func() { preps++ })
 		var decided, committed []int
 		for i := 0; i < n; i++ {
 			i := i
-			s.ScheduleSplit(1, func() {
+			s.ScheduleSlot(1, func() {
 				if preps != 1 {
 					t.Errorf("decide %d ran after %d prepares, want 1", i, preps)
 				}
@@ -446,7 +449,7 @@ func splitMix(s *Simulator, seed int64, split bool, t *testing.T) *[]int {
 	log := new([]int)
 	tag := 0
 	for round := 0; round < 40; round++ {
-		at := float64(rnd.Intn(20)) // coarse instants force multi-event batches
+		slot := int64(rnd.Intn(20)) // coarse instants force multi-event batches
 		n := 1 + rnd.Intn(6)
 		if round%8 == 0 {
 			n += 256 // some wide batches
@@ -455,11 +458,11 @@ func splitMix(s *Simulator, seed int64, split bool, t *testing.T) *[]int {
 			tag++
 			id := tag
 			if rnd.Intn(3) == 0 || !split {
-				s.Schedule(at, func() { *log = append(*log, id) })
+				s.Schedule(float64(slot), func() { *log = append(*log, id) })
 				continue
 			}
 			decided := false
-			s.ScheduleSplit(at, func() { decided = true }, func() {
+			s.ScheduleSlot(slot, func() { decided = true }, func() {
 				if !decided {
 					t.Errorf("split event %d committed before its decide", id)
 				}
@@ -482,6 +485,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 		ref.Run(1000)
 
 		bat := New()
+		bat.SetSlotWidth(1)
 		batLog := splitMix(bat, seed, true, t)
 		bat.Run(1000)
 
@@ -507,10 +511,11 @@ func TestBatchMatchesSequential(t *testing.T) {
 // rescheduled split event keeps both phases; a cancelled one fires neither.
 func TestSplitRescheduleCancel(t *testing.T) {
 	s := New()
+	s.SetSlotWidth(1)
 	var decides, commits int
-	e := s.ScheduleSplit(1, func() { decides++ }, func() { commits++ })
-	s.Reschedule(e, 5)
-	dead := s.ScheduleSplit(5, func() { t.Error("cancelled decide ran") },
+	e := s.ScheduleSlot(1, func() { decides++ }, func() { commits++ })
+	s.RescheduleSlot(e, 5)
+	dead := s.ScheduleSlot(5, func() { t.Error("cancelled decide ran") },
 		func() { t.Error("cancelled commit ran") })
 	s.Cancel(dead)
 	s.RunAll()
@@ -527,10 +532,11 @@ func TestSplitRescheduleCancel(t *testing.T) {
 // commits — global dispatch order is always (time, seq).
 func TestSplitBatchBoundary(t *testing.T) {
 	s := New()
+	s.SetSlotWidth(1)
 	var log []int
-	s.ScheduleSplit(1, func() {}, func() { log = append(log, 1) })
+	s.ScheduleSlot(1, func() {}, func() { log = append(log, 1) })
 	s.Schedule(1, func() { log = append(log, 2) })
-	s.ScheduleSplit(1, func() {}, func() { log = append(log, 3) })
+	s.ScheduleSlot(1, func() {}, func() { log = append(log, 3) })
 	s.RunAll()
 	if len(log) != 3 || log[0] != 1 || log[1] != 2 || log[2] != 3 {
 		t.Fatalf("dispatch order %v, want [1 2 3]", log)
@@ -545,10 +551,11 @@ func TestSplitBatchBoundary(t *testing.T) {
 // reschedule must win: exactly one commit, at the new instant.
 func TestBatchRescheduleOfLaterMemberWins(t *testing.T) {
 	s := New()
+	s.SetSlotWidth(1)
 	var bEv *Event
 	var bTimes []float64
-	s.ScheduleSplit(1, func() {}, func() { s.Reschedule(bEv, 2) })
-	bEv = s.ScheduleSplit(1, func() {}, func() { bTimes = append(bTimes, s.Now()) })
+	s.ScheduleSlot(1, func() {}, func() { s.RescheduleSlot(bEv, 2) })
+	bEv = s.ScheduleSlot(1, func() {}, func() { bTimes = append(bTimes, s.Now()) })
 	s.Run(10)
 	if len(bTimes) != 1 || bTimes[0] != 2 {
 		t.Fatalf("rescheduled batch member committed at %v, want exactly once at t=2", bTimes)
@@ -561,15 +568,40 @@ func TestBatchRescheduleOfLaterMemberWins(t *testing.T) {
 // decide legitimately reruns in the new batch; its commit must not.
 func TestBatchRescheduleToSameInstant(t *testing.T) {
 	s := New()
+	s.SetSlotWidth(1)
 	var bEv *Event
 	commits, decides := 0, 0
-	s.ScheduleSplit(1, func() {}, func() { s.Reschedule(bEv, 1) })
-	bEv = s.ScheduleSplit(1, func() { decides++ }, func() { commits++ })
+	s.ScheduleSlot(1, func() {}, func() { s.RescheduleSlot(bEv, 1) })
+	bEv = s.ScheduleSlot(1, func() { decides++ }, func() { commits++ })
 	s.Run(10)
 	if commits != 1 {
 		t.Fatalf("same-instant rescheduled member committed %d times, want 1", commits)
 	}
 	if decides != 2 {
 		t.Fatalf("same-instant rescheduled member decided %d times, want 2 (once per batch)", decides)
+	}
+}
+
+// TestPendingCountsEveryStructure checks that Pending() and the
+// sim_pending_events gauge count events wherever they wait: in the heap (a
+// pooled event, a handle event, a slot past the calendar's horizon) and in
+// the calendar.
+func TestPendingCountsEveryStructure(t *testing.T) {
+	s := New()
+	s.SetSlotWidth(1)
+	reg := obs.NewRegistry()
+	s.SetRegistry(reg)
+	nop := func() {}
+	s.SchedulePooled(3, nop)            // heap
+	s.Schedule(4, nop)                  // heap
+	s.ScheduleSlot(1, nop, nop)         // calendar: the batch Run(1) takes
+	s.ScheduleSlot(5, nop, nop)         // calendar
+	s.ScheduleSlot(calRing+5, nop, nop) // heap: past the horizon
+	if len(s.queue) != 3 || s.calN != 2 || s.Pending() != 5 {
+		t.Fatalf("heap %d, calendar %d, Pending() %d; want 3, 2 and 5", len(s.queue), s.calN, s.Pending())
+	}
+	s.Run(1)
+	if got := reg.Gauge("sim_pending_events", "").Value(); got != 4 || s.Pending() != 4 {
+		t.Fatalf("after the batch at 1: gauge %v, Pending() %d; want 4 and 4", got, s.Pending())
 	}
 }
