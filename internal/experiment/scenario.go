@@ -652,13 +652,13 @@ func (sm *Sim) Trace(w io.Writer) *trace.Recorder {
 }
 
 // ScheduleAd arranges for the peer nearest to `at` (at issue time) to issue
-// the given ad at time t. The returned handle carries the issued ad — or the
-// issue error — once the simulation passes t.
+// the given ad at time t — the paper issues from a fixed location, so the
+// nearest device plays the shop employee. The returned handle carries the
+// issued ad — or the issue error — once the simulation passes t.
 func (sm *Sim) ScheduleAd(t float64, at geo.Point, spec core.AdSpec) *AdHandle {
 	h := &AdHandle{}
 	sm.Engine.Schedule(t, func() {
-		issuer := nearestPeer(sm.Net, at)
-		h.Ad, h.Err = sm.Net.IssueAd(issuer, spec)
+		h.Ad, h.Err = sm.Net.IssueAd(sm.Net.Channel().NearestNode(at), spec)
 	})
 	return h
 }
@@ -716,18 +716,6 @@ func (sc Scenario) Run() (Result, error) {
 		Evictions:    sm.Metrics.Evictions(),
 		Coverage:     rep.RoadCoverage,
 	}, nil
-}
-
-// nearestPeer returns the peer currently closest to p — the paper issues
-// from a fixed location, so the nearest device plays the shop employee.
-func nearestPeer(net *core.Network, p geo.Point) int {
-	best, bestD := 0, math.Inf(1)
-	for i := 0; i < net.NumPeers(); i++ {
-		if d := net.Peer(i).Position().Dist2(p); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best
 }
 
 // Aggregate is the cross-seed summary of a replicated scenario.

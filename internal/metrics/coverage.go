@@ -183,11 +183,11 @@ func (c *Collector) Coverage(id ads.ID) []CoveragePoint {
 func (c *Collector) coverAd(tr *adTrack, now, rt float64) float64 {
 	rc := c.roadCov
 	rc.BeginMark()
-	for k, informed := range tr.received {
-		if i := tr.peer(k); informed && c.ch.Online(i) {
+	tr.each(func(k, i int) {
+		if tr.received[k] && c.ch.Online(i) {
 			rc.MarkAround(c.ch.PositionOf(i), c.ch.RangeOf(i))
 		}
-	}
+	})
 	covered, target := rc.Fraction(tr.covDist, rt)
 	frac := 0.0
 	if target > 0 {

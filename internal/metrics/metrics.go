@@ -29,7 +29,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 	"time"
 
 	"instantad/internal/ads"
@@ -85,10 +85,6 @@ type Collector struct {
 // chord ends tangent to the circle.
 const boundEps = 1e-6
 
-// ledgerRow and ledgerID are the bytes one peer costs in an adTrack's four
-// columns and in its id list.
-const ledgerRow, ledgerID = 18, 4
-
 // adTrack is the per-advertisement ledger.
 type adTrack struct {
 	origin   geo.Point
@@ -96,17 +92,17 @@ type adTrack struct {
 	r, d     float64 // initial propagation parameters (life-cycle definition)
 	done     bool
 
-	// Four dense columns over the peers that can matter to this ad (see
-	// OnIssue). ids lists them in ascending order and slot k belongs to peer
-	// ids[k]; nil ids means every peer, slot k to peer k.
-	ids         []int32
-	entered     []bool
-	enterTime   []float64
-	received    []bool
-	receiveTime []float64
+	// member is the N-bit set of the peers that can matter to this ad (see
+	// OnIssue), pending the members that have not entered the area yet. A
+	// member's slot in the three columns is its rank among the members (see
+	// slot), so slots ascend by peer id.
+	member, pending []uint64
+	base            []int32 // base[w] counts the members in the words before member[w]
+	enterTime       []float64
+	received        []bool
+	receiveTime     []float64
 
-	messages uint64
-	bytes    uint64
+	messages, bytes uint64
 
 	// Road-coverage state, populated only when the collector has a measurer:
 	// covDist caches each road sample point's distance to the ad origin,
@@ -117,28 +113,32 @@ type adTrack struct {
 	covPeak  float64
 }
 
-// slot returns peer's slot in the ledger columns, false if it has none.
-func (tr *adTrack) slot(peer int) (int, bool) {
-	if tr.ids == nil {
-		return peer, true
-	}
-	return slices.BinarySearch(tr.ids, int32(peer))
+// has reports whether peer i is in the bit set s.
+func has(s []uint64, i int) bool { return s[i>>6]&(1<<(i&63)) != 0 }
+
+// slot returns member i's slot in the columns: the members before its word,
+// plus those below it in its word.
+func (tr *adTrack) slot(i int) int {
+	return int(tr.base[i>>6]) + bits.OnesCount64(tr.member[i>>6]&(1<<(i&63)-1))
 }
 
-// peer returns the peer that slot k belongs to.
-func (tr *adTrack) peer(k int) int {
-	if tr.ids == nil {
-		return k
+// each calls f with every member's slot and peer id, in ascending order.
+func (tr *adTrack) each(f func(k, i int)) {
+	k := 0
+	for w, m := range tr.member {
+		for ; m != 0; m &= m - 1 {
+			f(k, w<<6|bits.TrailingZeros64(m))
+			k++
+		}
 	}
-	return int(tr.ids[k])
 }
 
 // NewCollector builds a collector sampling positions every sampleEvery
-// seconds (1 s if zero or negative). params must match the network's tuning
-// parameters so the ground-truth advertising radius R_t agrees with the
+// seconds (1 s unless positive and finite). params must match the network's
+// tuning parameters so the ground-truth advertising radius R_t agrees with the
 // protocol's.
 func NewCollector(s *sim.Simulator, ch *radio.Channel, params core.ProbParams, sampleEvery float64) *Collector {
-	if sampleEvery <= 0 {
+	if !(sampleEvery > 0 && sampleEvery <= math.MaxFloat64) {
 		sampleEvery = 1
 	}
 	c := &Collector{
@@ -192,36 +192,36 @@ func (c *Collector) InstrumentWith(reg *obs.Registry) {
 // at most V_max·d in that time, and the first chord sampled reaches back at
 // most one tick before t, so nobody else can enter the area or, once
 // informed, cover road inside it: their receipts change no report and are
-// dropped. Where that is most of the population the id list would cost more
-// than it saves, and the columns span every peer instead.
+// dropped.
 func (c *Collector) OnIssue(issuer int, ad *ads.Advertisement, t float64) {
 	tr := &adTrack{origin: ad.Origin, issuedAt: t, r: ad.R, d: ad.D}
 	reach := tr.r + c.ch.MaxSpeed()*(tr.d+c.sampleEvery) + c.ch.MaxRange() + boundEps
+	circle := geo.Circle{C: tr.origin, R: core.RadiusAt(c.params, tr.r, tr.d, 0)}
+	words := (c.ch.N() + 63) / 64
+	tr.member, tr.pending, tr.base = make([]uint64, words), make([]uint64, words), make([]int32, words)
 	c.cand = c.ch.AppendSnapshotCandidates(c.cand[:0], tr.origin, reach)
-	near := c.cand[:0]
 	for _, i := range c.cand {
-		if c.ch.PositionAt(int(i), t).Dist2(tr.origin) <= reach*reach {
-			near = append(near, i)
+		p := c.ch.PositionAt(int(i), t)
+		if p.Dist2(tr.origin) <= reach*reach {
+			tr.member[i>>6] |= 1 << (i & 63)
+			if !circle.Contains(p) {
+				tr.pending[i>>6] |= 1 << (i & 63)
+			}
 		}
 	}
-	n := c.ch.N()
-	if len(near)*(ledgerRow+ledgerID) < n*ledgerRow {
-		slices.Sort(near)
-		tr.ids = slices.Clone(near)
-		n = len(near)
+	members := 0
+	for w, m := range tr.member {
+		tr.base[w] = int32(members)
+		members += bits.OnesCount64(m)
 	}
-	tr.entered = make([]bool, n)
-	tr.enterTime = make([]float64, n)
-	tr.received = make([]bool, n)
-	tr.receiveTime = make([]float64, n)
-	rt := core.RadiusAt(c.params, tr.r, tr.d, 0)
-	circle := geo.Circle{C: tr.origin, R: rt}
-	for k := range tr.entered {
-		if circle.Contains(c.ch.PositionAt(tr.peer(k), t)) {
-			tr.entered[k] = true
+	tr.enterTime = make([]float64, members)
+	tr.received = make([]bool, members)
+	tr.receiveTime = make([]float64, members)
+	tr.each(func(k, i int) {
+		if !has(tr.pending, i) {
 			tr.enterTime[k] = t
 		}
-	}
+	})
 	if c.roadCov != nil {
 		tr.covDist = c.roadCov.DistancesFrom(tr.origin)
 	}
@@ -248,18 +248,18 @@ func (c *Collector) OnBroadcast(peer int, id ads.ID, bytes int, t float64) {
 // OnFirstReceive records a peer's first contact with an ad.
 func (c *Collector) OnFirstReceive(peer int, ad *ads.Advertisement, t float64) {
 	tr, ok := c.tracked[ad.ID]
-	if !ok || tr.done {
+	if !ok || tr.done || !has(tr.member, peer) {
 		return
 	}
-	k, ok := tr.slot(peer)
-	if !ok || tr.received[k] {
+	k := tr.slot(peer)
+	if tr.received[k] {
 		return
 	}
 	tr.received[k] = true
 	tr.receiveTime[k] = t
 	// Peers already inside the area have a measurable delivery time now;
 	// peers that receive before entering contribute a 0 on entry (sample).
-	if c.obsDelivery != nil && tr.entered[k] {
+	if c.obsDelivery != nil && !has(tr.pending, peer) {
 		c.obsDelivery.Observe(math.Max(0, t-tr.enterTime[k]))
 	}
 }
@@ -297,10 +297,9 @@ func (c *Collector) OnExpire(int, ads.ID, float64) {
 }
 
 // sample advances the area-crossing detector one step (and, when enabled,
-// the road-coverage measurer). Each live ad tests only the not-yet-entered
-// ledger peers whose position now is within R_t plus one tick's travel of the
-// origin, found through the radio snapshot; nobody else's chord can touch the
-// circle.
+// the road-coverage measurer). Each live ad tests only the pending members
+// whose position now is within R_t plus one tick's travel of the origin, found
+// through the radio snapshot; nobody else's chord can touch the circle.
 func (c *Collector) sample() {
 	var start time.Time
 	if c.obsSample != nil {
@@ -329,8 +328,7 @@ func (c *Collector) sample() {
 		c.cand = c.ch.AppendSnapshotCandidates(c.cand[:0], tr.origin, reach)
 		for _, id := range c.cand {
 			i := int(id)
-			k, ok := tr.slot(i)
-			if !ok || tr.entered[k] {
+			if !has(tr.pending, i) {
 				continue
 			}
 			pos := c.ch.PositionOf(i)
@@ -338,7 +336,8 @@ func (c *Collector) sample() {
 				continue
 			}
 			if f, hit := geo.SegmentCircleHit(c.ch.PositionAt(i, c.prevT), pos, circle); hit {
-				tr.entered[k] = true
+				tr.pending[i>>6] &^= 1 << (i & 63)
+				k := tr.slot(i)
 				tr.enterTime[k] = c.prevT + f*(now-c.prevT)
 				// Entering with the ad already in hand is the paper's
 				// zero-delivery-time case.
@@ -393,16 +392,16 @@ func (c *Collector) Report(id ads.ID) (AdReport, error) {
 	// Slots ascend by peer id, which keeps the float sum in stats.Summarize
 	// in the order it has always had.
 	var times []float64
-	for k := range tr.entered {
-		if !tr.entered[k] {
-			continue
+	tr.each(func(k, i int) {
+		if has(tr.pending, i) {
+			return
 		}
 		rep.PassedThrough++
 		if tr.received[k] {
 			rep.Delivered++
 			times = append(times, math.Max(0, tr.receiveTime[k]-tr.enterTime[k]))
 		}
-	}
+	})
 	if rep.PassedThrough > 0 {
 		rep.DeliveryRate = 100 * float64(rep.Delivered) / float64(rep.PassedThrough)
 	}

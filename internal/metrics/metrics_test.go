@@ -2,7 +2,9 @@ package metrics
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"instantad/internal/ads"
@@ -145,9 +147,11 @@ func TestFastCrosserNotMissed(t *testing.T) {
 	r4 := core.RadiusAt(cfg.Params, 500, 60, 4)
 	want := 3 + (500-math.Sqrt(r4*r4-1))/500
 	tr := col.tracked[issued.ID]
-	k, ok := tr.slot(1)
-	if !ok || !tr.entered[k] || math.Abs(tr.enterTime[k]-want) > 1e-9 {
-		t.Errorf("dash entered at %v (slot %v, entered %v), want %v", tr.enterTime[k], ok, tr.entered[k], want)
+	if !has(tr.member, 1) || has(tr.pending, 1) {
+		t.Fatalf("dash is a member %v, has entered %v; want both", has(tr.member, 1), !has(tr.pending, 1))
+	}
+	if got := tr.enterTime[tr.slot(1)]; math.Abs(got-want) > 1e-9 {
+		t.Errorf("dash entered at %v, want %v", got, want)
 	}
 	// It dashed through in ~2 s; it may or may not have been delivered, but
 	// it must be in the denominator, so the rate reflects the miss.
@@ -272,16 +276,98 @@ func TestPerAdIsolation(t *testing.T) {
 	}
 }
 
+// TestSampleEveryDefault: a cadence that is not positive and finite falls
+// back to 1 s, and the collector then ticks once a second.
 func TestSampleEveryDefault(t *testing.T) {
-	models := []mobility.Model{mobility.NewStatic(geo.Point{})}
-	s := sim.New()
-	n, err := core.New(s, radio.DefaultConfig(), models, coreConfig(), rng.New(1))
-	if err != nil {
-		t.Fatal(err)
+	for _, every := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		t.Run(fmt.Sprint(every), func(t *testing.T) {
+			models := []mobility.Model{mobility.NewStatic(geo.Point{})}
+			s := sim.New()
+			n, err := core.New(s, radio.DefaultConfig(), models, coreConfig(), rng.New(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			col := NewCollector(s, n.Channel(), coreConfig().Params, every)
+			if col.sampleEvery != 1 {
+				t.Errorf("sampleEvery = %v, want 1", col.sampleEvery)
+			}
+			s.Run(3.5)
+			if col.prevT != 3 {
+				t.Errorf("last tick at %v, want 3", col.prevT)
+			}
+		})
 	}
-	col := NewCollector(s, n.Channel(), coreConfig().Params, 0)
-	if col.sampleEvery != 1 {
-		t.Errorf("default sampleEvery = %v, want 1", col.sampleEvery)
+}
+
+// TestLedgerRanks pins the rank layout at the word boundaries of the member
+// set: peers 0, 63, 64, 65 and N−1 are members (those below N), the rest are
+// parked far away, and N runs over one word, a word and a bit, and a partial
+// third word. Every member's slot must be its rank, the even-ranked ones
+// (inside the area) enter at issue, and receipts land in the right slots and
+// nowhere else. An ad nobody can reach has an empty ledger that drops every
+// receipt.
+func TestLedgerRanks(t *testing.T) {
+	origin := geo.Point{X: 5000, Y: 5000}
+	for _, n := range []int{1, 64, 65, 130} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			var members []int
+			for _, i := range []int{0, 63, 64, 65, n - 1} {
+				if i < n && !slices.Contains(members, i) {
+					members = append(members, i)
+				}
+			}
+			models := make([]mobility.Model, n)
+			for i := range models {
+				models[i] = mobility.NewStatic(geo.Point{X: float64(i)})
+			}
+			for k, i := range members {
+				// Inside the 300 m area on even ranks, 400 m out on odd ones.
+				models[i] = mobility.NewStatic(origin.Add(geo.Vec{X: 100 + 300*float64(k%2), Y: float64(k)}))
+			}
+			s := sim.New()
+			ch, err := radio.New(s, radio.DefaultConfig(), models, func(int, radio.Frame) {}, rng.New(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			col := NewCollector(s, ch, coreConfig().Params, 1)
+			ad := &ads.Advertisement{ID: ads.ID{Seq: 1}, Origin: origin, R: 300, D: 60}
+			col.OnIssue(0, ad, 0)
+			for i := 0; i < n; i++ {
+				col.OnFirstReceive(i, ad, 1+float64(i))
+			}
+			tr := col.tracked[ad.ID]
+			var walked []int
+			tr.each(func(k, i int) {
+				if k != len(walked) || tr.slot(i) != k {
+					t.Errorf("member %d: walked as slot %d, slot() %d, want %d", i, k, tr.slot(i), len(walked))
+				}
+				walked = append(walked, i)
+				if entered := !has(tr.pending, i); entered != (k%2 == 0) {
+					t.Errorf("member %d (rank %d): entered %v at issue", i, k, entered)
+				}
+				if !tr.received[k] || tr.receiveTime[k] != 1+float64(i) {
+					t.Errorf("member %d: received %v at %v, want at %v", i, tr.received[k], tr.receiveTime[k], 1+float64(i))
+				}
+			})
+			if !slices.Equal(walked, members) || len(tr.received) != len(members) {
+				t.Fatalf("members %v in %d slots, want %v", walked, len(tr.received), members)
+			}
+			if rep, _ := col.Report(ad.ID); rep.PassedThrough != (len(members)+1)/2 || rep.Delivered != rep.PassedThrough {
+				t.Errorf("report %d/%d, want every one of the %d entrants delivered", rep.Delivered, rep.PassedThrough, (len(members)+1)/2)
+			}
+
+			far := &ads.Advertisement{ID: ads.ID{Seq: 2}, Origin: geo.Point{X: -1e5}, R: 300, D: 60}
+			col.OnIssue(0, far, 0)
+			for i := 0; i < n; i++ {
+				col.OnFirstReceive(i, far, 2)
+			}
+			if tr := col.tracked[far.ID]; slices.ContainsFunc(tr.member, func(w uint64) bool { return w != 0 }) || len(tr.received) != 0 {
+				t.Errorf("far ad: member words %x, %d slots; want an empty ledger", tr.member, len(tr.received))
+			}
+			if rep, _ := col.Report(far.ID); rep.PassedThrough != 0 || rep.Delivered != 0 {
+				t.Errorf("far ad: report %d/%d, want 0/0", rep.Delivered, rep.PassedThrough)
+			}
+		})
 	}
 }
 

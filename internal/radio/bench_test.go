@@ -145,13 +145,11 @@ func mobileChannel(b *testing.B, cfg Config) (*sim.Simulator, *Channel) {
 	return s, ch
 }
 
-// BenchmarkRefreshGridSteady measures one grid refresh of a city-sized
-// population (the benchmark's city_scale: 30 000 Random Waypoint peers on a
-// 15 km field, 125 m cells, one refresh per simulated second)
-// once the first full rebuild is behind it: the cost the kinetic refresh
-// exists to cut, and a path that must not allocate (the CI alloc guard greps
-// this benchmark's allocs/op).
-func BenchmarkRefreshGridSteady(b *testing.B) {
+// cityChannel builds the benchmark's city_scale population: 30 000 Random
+// Waypoint peers at 10 ± 5 m/s with 10 s pauses on a 15 km field, 125 m
+// cells.
+func cityChannel(b *testing.B) (*sim.Simulator, *Channel, Config) {
+	b.Helper()
 	const n = 30000
 	field := geo.NewRect(15000, 15000)
 	models := make([]mobility.Model, n)
@@ -171,6 +169,38 @@ func BenchmarkRefreshGridSteady(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return s, ch, cfg
+}
+
+// BenchmarkNearestNode measures the issuer search at city scale: the node
+// nearest a point anywhere on the field, under a snapshot half a second old.
+// It must not allocate (the CI alloc guard greps its allocs/op).
+func BenchmarkNearestNode(b *testing.B) {
+	s, ch, _ := cityChannel(b)
+	ch.RefreshGrid()
+	s.Run(0.5)
+	r := rng.New(3)
+	pts := make([]geo.Point, 64)
+	for i := range pts {
+		pts[i] = geo.Point{X: r.Range(0, 15000), Y: r.Range(0, 15000)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nearestSink = ch.NearestNode(pts[i%len(pts)])
+	}
+}
+
+// nearestSink keeps BenchmarkNearestNode's call from being optimized away.
+var nearestSink int
+
+// BenchmarkRefreshGridSteady measures one grid refresh of the city_scale
+// population (cityChannel), one refresh per simulated second, once the first
+// full rebuild is behind it: the cost the kinetic refresh exists to cut, and a
+// path that must not allocate (the CI alloc guard greps this benchmark's
+// allocs/op).
+func BenchmarkRefreshGridSteady(b *testing.B) {
+	s, ch, cfg := cityChannel(b)
 	at, fire := 0.0, ch.RefreshGrid
 	refresh := func() {
 		s.SchedulePooled(at, fire)

@@ -680,6 +680,37 @@ func (c *Channel) AppendSnapshotCandidates(dst []int32, center geo.Point, radius
 	return dst
 }
 
+// NearestNode returns the node closest to p now, online or not, the lowest id
+// among equals. It walks AppendSnapshotCandidates' window for a radius of one
+// cell, doubling the radius until the nearest node in the window is within it,
+// so that nobody outside can be as near, or until the window spans the grid.
+// Like that window it only reads the snapshot; before the first one, or for a
+// p no window holds, every node is scanned.
+func (c *Channel) NearestNode(p geo.Point) int {
+	now := c.sim.Now()
+	best, bestD := 0, math.Inf(1)
+	consider := func(j int) {
+		if d := c.PositionAt(j, now).Dist2(p); d < bestD || d == bestD && j < best {
+			best, bestD = j, d
+		}
+	}
+	for r := c.gridCell; c.gridBuilt && !math.IsInf(r, 1); r *= 2 {
+		x0, x1, y0, y1 := c.window(p, r)
+		for cx := x0; cx <= x1; cx++ {
+			for _, j := range c.column(cx, y0, y1) {
+				consider(int(j))
+			}
+		}
+		if bestD <= r*r || x0 == 0 && x1 == c.gridNX-1 && y0 == 0 && y1 == c.gridNY-1 {
+			return best
+		}
+	}
+	for j := range c.models {
+		consider(j)
+	}
+	return best
+}
+
 // RefreshGrid rebuilds the spatial snapshot if it is stale, using exactly
 // the staleness rule queries apply. The simulator's batch-prepare hook calls
 // it, which pins the snapshot — and therefore the candidate iteration order

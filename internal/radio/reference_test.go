@@ -353,6 +353,127 @@ func TestQueryMatchesReference(t *testing.T) {
 	})
 }
 
+// refNearest is the reference NearestNode is tested against: the scan it
+// replaced, every node in id order, the first strictly nearer one kept.
+func refNearest(c *Channel, p geo.Point) int {
+	best, bestD := 0, math.Inf(1)
+	for i := 0; i < c.N(); i++ {
+		if d := c.PositionOf(i).Dist2(p); d < bestD {
+			best, bestD = i, d
+		}
+	}
+	return best
+}
+
+// TestNearestNodeMatchesScan is NearestNode's oracle. Over every mobility
+// family of the refresh test, with radios powering off and on, it must name
+// the scan's node for points near a node, anywhere on the field and far
+// outside it: before the first snapshot, at every age of a refreshed one, and
+// under one left 90 s stale. It must never rebuild the snapshot. Static rows
+// pin exact ties, which go to the lowest id wherever the window meets them,
+// and a channel of one node.
+func TestNearestNodeMatchesScan(t *testing.T) {
+	far := []geo.Point{{X: 1e6, Y: -3e6}, {X: -4e4, Y: 1500}, {X: 1e300, Y: 1e300}, {X: math.Inf(1)}, {X: math.NaN()}}
+	check := func(t *testing.T, ch *Channel, p geo.Point) {
+		t.Helper()
+		at, built := ch.gridAt, ch.gridBuilt
+		if got, want := ch.NearestNode(p), refNearest(ch, p); got != want {
+			t.Fatalf("t=%v: NearestNode(%v) = %d, want %d", ch.sim.Now(), p, got, want)
+		}
+		if ch.gridAt != at || ch.gridBuilt != built {
+			t.Fatalf("t=%v: NearestNode(%v) rebuilt the snapshot", ch.sim.Now(), p)
+		}
+	}
+	for _, pop := range refPopulations(t) {
+		t.Run(pop.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Range = pop.txRange
+			cfg.MaxSpeed = pop.vmax
+			s := sim.New()
+			ch, err := New(s, cfg, pop.models, func(int, Frame) {}, rng.New(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := len(pop.models)
+			r := rng.New(47)
+			queries := 0
+			step := func() {
+				if s.Now() > 0 && s.Now() < 200 {
+					ch.RefreshGrid() // then none: the snapshot ages up to 90 s
+				}
+				if err := ch.SetOnline(r.Intn(n), r.Bool(0.6)); err != nil {
+					t.Fatal(err)
+				}
+				for k := 0; k < 8; k++ {
+					near := ch.PositionOf(r.Intn(n)).Add(geo.Vec{X: r.Range(-40, 40), Y: r.Range(-40, 40)})
+					check(t, ch, near)
+					check(t, ch, geo.Point{X: r.Range(-1000, 4000), Y: r.Range(-1000, 4000)})
+					queries += 2
+				}
+				for _, p := range far {
+					check(t, ch, p)
+				}
+			}
+			for at := 0.0; at < 290; at += r.Range(0.3, 1.9) {
+				s.Schedule(at, step)
+			}
+			s.RunAll()
+			if !ch.gridBuilt || s.Now()-ch.gridAt < 89 {
+				t.Fatalf("last query %v s after the snapshot, want one 90 s stale", s.Now()-ch.gridAt)
+			}
+			if queries < 2000 {
+				t.Fatalf("only %d queries compared", queries)
+			}
+		})
+	}
+
+	static := func(t *testing.T, pts ...geo.Point) *Channel {
+		models := make([]mobility.Model, len(pts))
+		for i, p := range pts {
+			models[i] = mobility.NewStatic(p)
+		}
+		ch, err := New(sim.New(), DefaultConfig(), models, func(int, Frame) {}, rng.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ch
+	}
+	t.Run("ties", func(t *testing.T) {
+		// Nodes 1–5 are 10 m from the origin, a cell corner: node 4 at −x
+		// is visited before 1 at +x, and 2 and 5 share one point. Nodes 6
+		// and 0 are as far from (1950, −550), and 6's cell comes first.
+		ch := static(t,
+			geo.Point{X: 3000, Y: -2000}, geo.Point{X: 10}, geo.Point{X: 6, Y: 8}, geo.Point{Y: -10},
+			geo.Point{X: -10}, geo.Point{X: 6, Y: 8}, geo.Point{X: 900, Y: 900})
+		pts := []geo.Point{{}, {X: 6, Y: 8}, {X: 8.5, Y: 8.5}, {X: 0, Y: -0.001}, {X: 1950, Y: -550}}
+		wants := []int{1, 2, 2, 3, 0}
+		for _, at := range []float64{-1, 0} {
+			if at == 0 {
+				ch.RefreshGrid()
+			}
+			for k, p := range pts {
+				check(t, ch, p)
+				if got := ch.NearestNode(p); got != wants[k] {
+					t.Errorf("snapshot %v: NearestNode(%v) = %d, want %d", at == 0, p, got, wants[k])
+				}
+			}
+			for _, i := range []int{1, 2} { // offline nodes stay eligible
+				_ = ch.SetOnline(i, false)
+				check(t, ch, pts[0])
+			}
+			_ = ch.SetOnline(1, true)
+			_ = ch.SetOnline(2, true)
+		}
+	})
+	t.Run("one-node", func(t *testing.T) {
+		ch := static(t, geo.Point{X: 40, Y: -7})
+		ch.RefreshGrid()
+		for _, p := range append(far, geo.Point{}, geo.Point{X: 40, Y: -7}) {
+			check(t, ch, p)
+		}
+	})
+}
+
 // TestRefreshMatchesFullRebuild is the refresh's oracle: over 320 simulated
 // seconds of every mobility family, at irregular instants, the kinetic
 // refresh must leave exactly the snapshot and rebuild count the full rebuild
