@@ -92,14 +92,17 @@ func (a *Advertisement) MatchesAny(interests map[string]bool) bool {
 
 // Validate checks structural invariants before encoding or injecting an ad.
 func (a *Advertisement) Validate() error {
-	if a.R <= 0 {
-		return fmt.Errorf("ads: non-positive radius %v", a.R)
+	if !(a.R > 0 && a.R <= math.MaxFloat64) {
+		return fmt.Errorf("ads: radius %v not finite and positive", a.R)
 	}
-	if a.D <= 0 {
-		return fmt.Errorf("ads: non-positive duration %v", a.D)
+	if !(a.D > 0 && a.D <= math.MaxFloat64) {
+		return fmt.Errorf("ads: duration %v not finite and positive", a.D)
 	}
-	if a.IssuedAt < 0 {
-		return fmt.Errorf("ads: negative issue time %v", a.IssuedAt)
+	if !(a.IssuedAt >= 0 && a.IssuedAt <= math.MaxFloat64) {
+		return fmt.Errorf("ads: issue time %v not finite and non-negative", a.IssuedAt)
+	}
+	if !(math.Abs(a.Origin.X) <= math.MaxFloat64 && math.Abs(a.Origin.Y) <= math.MaxFloat64) {
+		return fmt.Errorf("ads: origin %v not finite", a.Origin)
 	}
 	if len(a.Category) > 255 {
 		return errors.New("ads: category longer than 255 bytes")

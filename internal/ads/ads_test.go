@@ -1,6 +1,8 @@
 package ads
 
 import (
+	"encoding/binary"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -70,6 +72,40 @@ func TestValidate(t *testing.T) {
 	}
 	if err := sampleAd().Validate(); err != nil {
 		t.Errorf("valid ad rejected: %v", err)
+	}
+}
+
+// TestValidateRejectsNonFinite sets each float field to NaN and to either
+// infinity, and patches a valid frame's D (offset 42) to +Inf: Validate and
+// Decode must refuse them all. An ad whose D is +Inf or NaN never expires, so
+// a live node that took one would gossip it forever.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	fields := map[string]func(*Advertisement) *float64{
+		"R":        func(a *Advertisement) *float64 { return &a.R },
+		"D":        func(a *Advertisement) *float64 { return &a.D },
+		"IssuedAt": func(a *Advertisement) *float64 { return &a.IssuedAt },
+		"Origin.X": func(a *Advertisement) *float64 { return &a.Origin.X },
+		"Origin.Y": func(a *Advertisement) *float64 { return &a.Origin.Y },
+	}
+	for name, field := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			a := sampleAd()
+			*field(a) = v
+			if err := a.Validate(); err == nil {
+				t.Errorf("%s = %v accepted", name, v)
+			}
+		}
+	}
+	data, err := sampleAd().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := math.Float64frombits(binary.LittleEndian.Uint64(data[42:])); d != sampleAd().D {
+		t.Fatalf("offset 42 holds %v, not D", d)
+	}
+	binary.LittleEndian.PutUint64(data[42:], math.Float64bits(math.Inf(1)))
+	if ad, err := Decode(data); err == nil {
+		t.Errorf("Decode accepted a frame with D = %v", ad.D)
 	}
 }
 

@@ -117,36 +117,6 @@ func TestEntriesInsertionOrder(t *testing.T) {
 	}
 }
 
-func TestIDsSorted(t *testing.T) {
-	c := NewCache(5)
-	c.Insert(adWith(2, 1), 0.1)
-	c.Insert(adWith(1, 2), 0.1)
-	c.Insert(adWith(1, 1), 0.1)
-	ids := c.IDs()
-	want := []ID{{1, 1}, {1, 2}, {2, 1}}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("IDs = %v, want %v", ids, want)
-		}
-	}
-}
-
-func TestRemoveExpired(t *testing.T) {
-	c := NewCache(5)
-	fresh := adWith(1, 1) // D = 1800
-	old := adWith(1, 2)
-	old.D = 10
-	c.Insert(fresh, 0.5)
-	c.Insert(old, 0.5)
-	removed := c.RemoveExpired(100)
-	if len(removed) != 1 || removed[0].Ad.ID != (ID{1, 2}) {
-		t.Fatalf("removed %v, want just ad-1/2", removed)
-	}
-	if c.Len() != 1 || c.Get(fresh.ID) == nil {
-		t.Error("fresh ad should remain")
-	}
-}
-
 func TestCacheNeverExceedsKPlusOneProperty(t *testing.T) {
 	// Driving the cache the way protocols do (insert, then evict on
 	// overflow) keeps Len ≤ k at rest.
@@ -194,76 +164,51 @@ func TestEvictOldest(t *testing.T) {
 	}
 }
 
-// TestForEachToleratesRemoval walks caches while the callback removes entries
-// — the visited one, earlier ones and ones not yet reached, in numbers that
-// would trigger compaction mid-walk — against the obvious reference: iterate a
-// copy of the entry list, skipping what has been removed by then.
+// TestForEachToleratesRemoval walks caches while the callback removes the
+// entry it was handed on a random plan — none, some, all of them, the first or
+// the last — and checks that each entry is visited once, in insertion order,
+// that a removed one reads as not Cached, and that exactly the kept ones are
+// left, in order.
 func TestForEachToleratesRemoval(t *testing.T) {
-	f := func(seed uint32, sizeRaw uint8) bool {
+	f := func(drop uint64, sizeRaw uint8) bool {
 		size := int(sizeRaw%40) + 1
 		c := NewCache(size)
 		for i := 0; i < size; i++ {
 			c.Insert(adWith(1, uint32(i)), 0)
 		}
-		// Leave tombstones behind before the walk, too.
-		for i := 0; i < size; i += 5 {
-			c.Remove(ID{Issuer: 1, Seq: uint32(i)})
-		}
-		x := seed
-		next := func(n int) int { // xorshift: the removal plan, replayed twice
-			x ^= x << 13
-			x ^= x >> 17
-			x ^= x << 5
-			return int(x % uint32(n))
-		}
-		type step struct{ self, other int }
-		plan := make([]step, size)
-		for i := range plan {
-			plan[i] = step{next(3), next(size)}
-		}
-		var want []uint32
-		removed := map[uint32]bool{}
-		for _, e := range c.Entries() {
-			seq := e.Ad.ID.Seq
-			if removed[seq] {
-				continue
-			}
-			want = append(want, seq)
-			if plan[seq].self == 0 {
-				removed[seq] = true
-			}
-			removed[uint32(plan[seq].other)] = true
-		}
-		var got []uint32
+		var visited, kept []uint32
+		ok := true
 		c.ForEach(func(e *Entry) {
 			seq := e.Ad.ID.Seq
-			got = append(got, seq)
-			if plan[seq].self == 0 {
-				c.Remove(e.Ad.ID)
+			visited = append(visited, seq)
+			if drop>>seq&1 == 0 {
+				kept = append(kept, seq)
+				return
 			}
-			c.Remove(ID{Issuer: 1, Seq: uint32(plan[seq].other)})
-			// A nested walk must not compact under the outer one either.
-			c.ForEach(func(*Entry) {})
+			if c.Remove(e.Ad.ID) != e || e.Cached() {
+				ok = false
+			}
+			c.ForEach(func(*Entry) {}) // a nested read-only walk is fine
 		})
-		if len(got) != len(want) {
+		if !ok || len(visited) != size || c.Len() != len(kept) {
 			return false
 		}
-		for i := range want {
-			if got[i] != want[i] {
+		for i, seq := range visited {
+			if seq != uint32(i) {
 				return false
 			}
 		}
-		// What is left is intact, in order, and compaction caught up.
-		left := c.Entries()
-		if len(left) != c.Len() || len(c.order)-c.Len() > c.Len()+4 || c.walks != 0 {
-			return false
-		}
-		for i, e := range left {
-			if removed[e.Ad.ID.Seq] || c.order[e.pos] != e || (i > 0 && left[i-1].Ad.ID.Seq >= e.Ad.ID.Seq) {
+		for i, e := range c.Entries() {
+			if e.Ad.ID.Seq != kept[i] || !e.Cached() {
 				return false
 			}
 		}
 		return true
+	}
+	for _, drop := range []uint64{0, ^uint64(0), 1, 1 << 39, 0x5555555555} {
+		if !f(drop, 39) {
+			t.Errorf("drop plan %#x on 40 entries failed", drop)
+		}
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

@@ -913,17 +913,17 @@ func expiryBound(ad *ads.Advertisement) float64 {
 	return ad.IssuedAt + ad.D - 1e-9*(1+math.Abs(ad.IssuedAt)+ad.D)
 }
 
-// expireLocked drops expired ads from the cache — they just vanish. The
-// walk is skipped while no cached ad can have expired; each walk recomputes
-// that bound from what stays. Callers hold n.mu.
+// expireLocked drops expired ads (they just vanish) and bounds the next expiry
+// by what stays, skipping the walk until then. Callers hold n.mu.
 func (n *Node) expireLocked(now float64) {
 	if now < n.nextExpiry {
 		return
 	}
-	n.cache.RemoveExpired(now)
 	n.nextExpiry = math.Inf(1)
 	n.cache.ForEach(func(e *ads.Entry) {
-		if b := expiryBound(e.Ad); b < n.nextExpiry {
+		if e.Ad.Expired(now) {
+			n.cache.Remove(e.Ad.ID)
+		} else if b := expiryBound(e.Ad); b < n.nextExpiry {
 			n.nextExpiry = b
 		}
 	})
