@@ -167,20 +167,54 @@ type RandomWaypointConfig struct {
 }
 
 func (c RandomWaypointConfig) validate() error {
-	if c.Field.W() <= 0 || c.Field.H() <= 0 {
-		return fmt.Errorf("mobility: empty field %+v", c.Field)
+	if err := checkField(c.Field); err != nil {
+		return err
 	}
-	if c.SpeedMean <= 0 {
-		return fmt.Errorf("mobility: non-positive mean speed %v", c.SpeedMean)
+	if err := checkSpeed(c.SpeedMean, c.SpeedDelta); err != nil {
+		return err
 	}
-	if c.SpeedDelta < 0 || c.SpeedDelta >= c.SpeedMean {
-		return fmt.Errorf("mobility: speed delta %v outside [0, mean)", c.SpeedDelta)
+	return checkPauseHorizon(c.Pause, c.Horizon)
+}
+
+// finite reports whether every x is a number other than ±Inf.
+func finite(xs ...float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
 	}
-	if c.Pause < 0 {
-		return fmt.Errorf("mobility: negative pause %v", c.Pause)
+	return true
+}
+
+// The checks below are written in positive form — accept only what is
+// finite and in range — so NaN, which fails every comparison, is rejected
+// rather than waved through; a NaN or infinite horizon would never end a
+// trajectory builder's loop.
+
+// checkField accepts a rectangle with finite corners and positive, finite
+// width and height.
+func checkField(r geo.Rect) error {
+	if !(finite(r.Min.X, r.Min.Y, r.Max.X, r.Max.Y, r.W(), r.H()) && r.W() > 0 && r.H() > 0) {
+		return fmt.Errorf("mobility: field %+v is not a finite, non-empty rectangle", r)
 	}
-	if c.Horizon <= 0 {
-		return fmt.Errorf("mobility: non-positive horizon %v", c.Horizon)
+	return nil
+}
+
+// checkSpeed accepts a finite speed range mean ± delta with 0 ≤ delta < mean.
+func checkSpeed(mean, delta float64) error {
+	if !(finite(mean, delta) && mean > 0 && delta >= 0 && delta < mean) {
+		return fmt.Errorf("mobility: speed %v±%v, want finite with 0 ≤ delta < mean", mean, delta)
+	}
+	return nil
+}
+
+// checkPauseHorizon accepts a finite pause ≥ 0 and a finite horizon > 0.
+func checkPauseHorizon(pause, horizon float64) error {
+	if !(finite(pause) && pause >= 0) {
+		return fmt.Errorf("mobility: pause %v, want finite and ≥ 0", pause)
+	}
+	if !(finite(horizon) && horizon > 0) {
+		return fmt.Errorf("mobility: horizon %v, want finite and > 0", horizon)
 	}
 	return nil
 }
@@ -236,16 +270,16 @@ type RandomWalkConfig struct {
 }
 
 func (c RandomWalkConfig) validate() error {
-	if c.Field.W() <= 0 || c.Field.H() <= 0 {
-		return fmt.Errorf("mobility: empty field %+v", c.Field)
+	if err := checkField(c.Field); err != nil {
+		return err
 	}
-	if c.SpeedMean <= 0 || c.SpeedDelta < 0 || c.SpeedDelta >= c.SpeedMean {
-		return fmt.Errorf("mobility: bad speed %v±%v", c.SpeedMean, c.SpeedDelta)
+	if err := checkSpeed(c.SpeedMean, c.SpeedDelta); err != nil {
+		return err
 	}
-	if c.Epoch <= 0 || c.Horizon <= 0 {
-		return fmt.Errorf("mobility: non-positive epoch/horizon")
+	if !(finite(c.Epoch) && c.Epoch > 0) {
+		return fmt.Errorf("mobility: epoch %v, want finite and > 0", c.Epoch)
 	}
-	return nil
+	return checkPauseHorizon(0, c.Horizon)
 }
 
 // MaxSpeed returns the largest speed the model can produce.
@@ -335,19 +369,16 @@ type ManhattanConfig struct {
 }
 
 func (c ManhattanConfig) validate() error {
-	if c.Field.W() <= 0 || c.Field.H() <= 0 {
-		return fmt.Errorf("mobility: empty field %+v", c.Field)
+	if err := checkField(c.Field); err != nil {
+		return err
 	}
-	if c.BlockSize <= 0 || c.BlockSize > c.Field.W() || c.BlockSize > c.Field.H() {
+	if !(c.BlockSize > 0 && c.BlockSize <= c.Field.W() && c.BlockSize <= c.Field.H()) {
 		return fmt.Errorf("mobility: block size %v outside field", c.BlockSize)
 	}
-	if c.SpeedMean <= 0 || c.SpeedDelta < 0 || c.SpeedDelta >= c.SpeedMean {
-		return fmt.Errorf("mobility: bad speed %v±%v", c.SpeedMean, c.SpeedDelta)
+	if err := checkSpeed(c.SpeedMean, c.SpeedDelta); err != nil {
+		return err
 	}
-	if c.Horizon <= 0 {
-		return fmt.Errorf("mobility: non-positive horizon")
-	}
-	return nil
+	return checkPauseHorizon(0, c.Horizon)
 }
 
 // MaxSpeed returns the largest speed the model can produce.

@@ -28,16 +28,10 @@ func (c RoadConfig) validate() error {
 		return fmt.Errorf("mobility: road graph too small (%d intersections, %d roads)",
 			c.Graph.N(), c.Graph.M())
 	}
-	if c.SpeedMean <= 0 || c.SpeedDelta < 0 || c.SpeedDelta >= c.SpeedMean {
-		return fmt.Errorf("mobility: bad speed %v±%v", c.SpeedMean, c.SpeedDelta)
+	if err := checkSpeed(c.SpeedMean, c.SpeedDelta); err != nil {
+		return err
 	}
-	if c.Pause < 0 {
-		return fmt.Errorf("mobility: negative pause %v", c.Pause)
-	}
-	if c.Horizon <= 0 {
-		return fmt.Errorf("mobility: non-positive horizon %v", c.Horizon)
-	}
-	return nil
+	return checkPauseHorizon(c.Pause, c.Horizon)
 }
 
 // MaxSpeed returns the largest speed the model can produce.

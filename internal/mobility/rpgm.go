@@ -31,25 +31,22 @@ type RPGMConfig struct {
 }
 
 func (c RPGMConfig) validate() error {
-	if c.Field.W() <= 0 || c.Field.H() <= 0 {
-		return fmt.Errorf("mobility: empty field %+v", c.Field)
+	if err := checkField(c.Field); err != nil {
+		return err
 	}
 	if c.GroupSize < 1 {
 		return fmt.Errorf("mobility: group size %d < 1", c.GroupSize)
 	}
-	if c.GroupRadius <= 0 {
-		return fmt.Errorf("mobility: non-positive group radius %v", c.GroupRadius)
+	if !(finite(c.GroupRadius) && c.GroupRadius > 0) {
+		return fmt.Errorf("mobility: group radius %v, want finite and > 0", c.GroupRadius)
 	}
-	if c.SpeedMean <= 0 || c.SpeedDelta < 0 || c.SpeedDelta >= c.SpeedMean {
-		return fmt.Errorf("mobility: bad reference speed %v±%v", c.SpeedMean, c.SpeedDelta)
+	if err := checkSpeed(c.SpeedMean, c.SpeedDelta); err != nil {
+		return fmt.Errorf("%w (group reference)", err)
 	}
-	if c.MemberSpeed <= 0 {
-		return fmt.Errorf("mobility: non-positive member speed %v", c.MemberSpeed)
+	if !(finite(c.MemberSpeed) && c.MemberSpeed > 0) {
+		return fmt.Errorf("mobility: member speed %v, want finite and > 0", c.MemberSpeed)
 	}
-	if c.Pause < 0 || c.Horizon <= 0 {
-		return fmt.Errorf("mobility: bad pause/horizon")
-	}
-	return nil
+	return checkPauseHorizon(c.Pause, c.Horizon)
 }
 
 // MaxSpeed returns the largest speed a member can reach: reference plus
