@@ -8,7 +8,7 @@ import (
 
 // TestAsyncChurnSmoke drives the asynchronous pairwise protocol through
 // collisions, losses and churn the way the front-ends do, via Scenario.Run:
-// scan decides, handshake deliveries and timeout reclaims must add up to a
+// scans, handshake deliveries and timeout reclaims must add up to a
 // run that delivers. CI runs it under -race.
 func TestAsyncChurnSmoke(t *testing.T) {
 	sc := experiment.DefaultScenario()

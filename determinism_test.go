@@ -23,9 +23,8 @@ type fingerprint struct {
 }
 
 // wideRounds puts every peer's round (or entry timer) on one slot per round,
-// so a batch is hundreds of events wide — every decide of a round reads the
-// state before any commit of it — where the default 64 slots make batches of
-// about five. 300 peers suffice for the round-based variants (one batch is
+// so a batch is hundreds of events wide — one grid refresh, then every round
+// in seq order — where the default 64 slots make batches of about five. 300 peers suffice for the round-based variants (one batch is
 // every peer's round); under Optimization Mechanism 2 postponement spreads
 // the entry timers over several rounds, so those cases also raise the
 // population until some slots are as wide.
@@ -229,8 +228,8 @@ func runGolden(t *testing.T, sc experiment.Scenario) goldenPrint {
 // counts (a case those two shared is one row) and on the road/RSU family —
 // and TestAsyncChurnSmoke's scenario, taken before that engine was deleted
 // and unchanged by its deletion. What they hold now is the batch dispatch
-// itself: prepare, every decide, every commit. The wide rows put a whole
-// round (300–2 000 events) in one batch.
+// itself: one prepare, then every slot event in seq order. The wide rows put
+// a whole round (300–2 000 events) in one batch.
 func TestEngineGoldens(t *testing.T) {
 	short := func(mut func(*experiment.Scenario)) experiment.Scenario {
 		sc := experiment.DefaultScenario()

@@ -11,12 +11,9 @@ package core
 // its own sampled ads. Unanswered proposals and half-open exchanges release
 // their connection slot after Config.AsyncTimeout.
 //
-// Scans follow the same two-phase contract as the round protocols: scan
-// decisions touch only per-peer streams, peer-owned buffers and the grid
-// snapshot; every send, cache mutation and shared-stream draw happens in the
-// commit phase or in plain delivery events. Scan instants land on the
-// RoundSlots grid purely so coinciding timers batch — there is no shared
-// round instant.
+// A scan is a slot event like a gossip round: it reads the batch's grid
+// snapshot, so coinciding scans share one refresh. Scan instants land on the
+// RoundSlots grid purely for that — there is no shared round instant.
 
 import (
 	"instantad/internal/ads"
@@ -73,8 +70,8 @@ type asyncConn struct {
 
 // asyncPeerState is the per-peer connection manager.
 type asyncPeerState struct {
-	// scanEv is the peer's wake-up timer (a split event on the slot grid);
-	// slot is its integer position on that grid.
+	// scanEv is the peer's wake-up timer (a slot event); slot is its integer
+	// position on the slot grid.
 	scanEv *sim.Event
 	slot   int64
 	// conns are the occupied connection slots, ≤ Config.AsyncK, in open order;
@@ -83,10 +80,6 @@ type asyncPeerState struct {
 	idle  []*asyncConn
 	// nextConn numbers this peer's proposals for connection ids.
 	nextConn uint32
-	// Decide-phase scratch, applied by the matching commit: the next-scan
-	// delay and the chosen proposal target (-1 = none).
-	delay  float64
-	target int
 	// cand is the reusable neighbor-candidate buffer and one the reusable
 	// single-receiver list (the channel reads, never retains, receiver
 	// slices).
@@ -100,10 +93,10 @@ type asyncPeerState struct {
 // structure — the slot grid is retained purely as batching granularity.
 func (p *Peer) startAsync() {
 	n := p.net
-	st := &asyncPeerState{target: -1}
+	st := &asyncPeerState{}
 	p.async = st
 	st.slot = n.slotAfter(p.rnd.Range(0, n.cfg.AsyncMeanDelay))
-	st.scanEv = n.sim.ScheduleSlot(st.slot, p.asyncDecide, p.asyncCommit)
+	st.scanEv = n.sim.ScheduleSlot(st.slot, p.asyncScan)
 }
 
 // connectedTo reports whether a connection slot already involves peer j.
@@ -116,16 +109,16 @@ func (st *asyncPeerState) connectedTo(j int) bool {
 	return false
 }
 
-// asyncDecide is the scan timer's decision phase: draw the next inter-scan
-// gap (always, so stream consumption does not depend on online or connection
-// state) and, when a slot is free and the radio is on, choose a uniform
-// neighbor to propose to. Reads only peer-owned state and the batch's fixed
-// grid snapshot; the send happens in asyncCommit.
-func (p *Peer) asyncDecide() {
+// asyncScan is the peer's wake-up: draw the next inter-scan gap (always, so
+// stream consumption does not depend on online or connection state) and
+// reschedule a clamped whole number of slots ahead; then, when a connection
+// slot is free and the radio is on, propose to a uniformly chosen neighbor
+// not already connected.
+func (p *Peer) asyncScan() {
 	n := p.net
 	st := p.async
-	st.delay = p.rnd.Exp(1 / n.cfg.AsyncMeanDelay)
-	st.target = -1
+	st.slot += n.slotsFor(p.rnd.Exp(1 / n.cfg.AsyncMeanDelay))
+	n.sim.RescheduleSlot(st.scanEv, st.slot)
 	if len(st.conns) >= n.cfg.AsyncK || !n.ch.Online(p.id) {
 		return
 	}
@@ -140,27 +133,14 @@ func (p *Peer) asyncDecide() {
 	if w == 0 {
 		return
 	}
-	st.target = st.cand[p.rnd.Intn(w)]
-}
-
-// asyncCommit applies the scan decision: reschedule the wake-up timer a
-// clamped whole number of slots ahead, then open the proposed connection (if
-// any) and transmit the proposal with the channel's shared-stream draws.
-func (p *Peer) asyncCommit() {
-	n := p.net
-	st := p.async
-	st.slot += n.slotsFor(st.delay)
-	n.sim.RescheduleSlot(st.scanEv, st.slot)
-	if st.target < 0 || len(st.conns) >= n.cfg.AsyncK {
-		return
-	}
+	target := st.cand[p.rnd.Intn(w)]
 	id := uint64(uint32(p.id))<<32 | uint64(st.nextConn)
 	st.nextConn++
-	p.openConn(id, st.target, true)
+	p.openConn(id, target, true)
 	if ao := n.asyncObs; ao != nil {
 		ao.proposals.Inc()
 	}
-	p.sendAsync(asyncPropose, id, st.target)
+	p.sendAsync(asyncPropose, id, target)
 }
 
 // openConn occupies a connection slot and arms its reclaim timeout. Re-arming
@@ -300,8 +280,7 @@ func (p *Peer) receiveAds(list []*ads.Advertisement, from int) {
 	}
 }
 
-// handleAsync routes one arriving pairwise frame. Delivery events are plain
-// events, so handshake state changes here need no decide/commit split.
+// handleAsync routes one arriving pairwise frame.
 func (p *Peer) handleAsync(f *asyncFrame, from int) {
 	n := p.net
 	st := p.async

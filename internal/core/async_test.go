@@ -231,7 +231,7 @@ func idleAsyncNet(t *testing.T, k int, rcfg radio.Config) (*sim.Simulator, *Netw
 	reg := obs.NewRegistry()
 	n.InstrumentWith(reg)
 	for _, p := range n.peers {
-		p.async = &asyncPeerState{target: -1}
+		p.async = &asyncPeerState{}
 	}
 	return s, n, reg
 }

@@ -239,9 +239,8 @@ type Config struct {
 	// per-peer round offsets and Optimized Gossiping-2 entry timers land on
 	// the grid k·RoundTime/RoundSlots instead of arbitrary real offsets.
 	// Same-slot timers share one bit-identical simulation instant and are
-	// dispatched as one batch (sim.ScheduleSlot): all of them decide against
-	// the state before any of them commits, and the grid refreshes once per
-	// batch. The slot count is therefore part of a run's definition — it
+	// dispatched as one batch (sim.ScheduleSlot): the grid refreshes once,
+	// then each timer runs in scheduling order. The slot count is therefore part of a run's definition — it
 	// fixes which peers share an instant — and every fingerprint depends on
 	// it. Zero selects DefaultRoundSlots; with the default 64 slots the phase
 	// granularity is well under the channel's jitter, so dissemination

@@ -205,9 +205,10 @@ func New(s *sim.Simulator, radioCfg radio.Config, models []mobility.Model, cfg C
 	}
 	n.ch = ch
 	s.SetSlotWidth(n.slotW)
-	// Refresh the channel's spatial snapshot before each split-event batch's
-	// decision phase, so the snapshot instant — and the candidate order it
-	// fixes — is the batch's, not that of whichever decide queries first.
+	// Refresh the channel's spatial snapshot once before each slot-event
+	// batch, so the snapshot instant — and the receiver order it fixes, which
+	// feeds the channel's random draws — is the batch's, whatever its events
+	// query. The goldens move without it.
 	s.SetBatchPrepare(ch.RefreshGrid)
 	n.peers = make([]*Peer, len(models))
 	for i := range models {
@@ -244,9 +245,7 @@ func (n *Network) slotAfter(t float64) int64 {
 // grid, never fewer than one. Ceil alone maps a delay smaller than the
 // float64 granularity of the grid — in particular an exact zero, which
 // uniform draws can produce — to zero slots, which would reschedule a timer
-// at its current instant; the executor dispatches same-instant split events
-// as one batch, so a zero-slot reschedule re-fires the timer in the very
-// batch that armed it.
+// at its current instant and re-fire it before the clock moves.
 func (n *Network) slotsFor(delay float64) int64 {
 	slots := int64(math.Ceil(delay / n.slotW))
 	if slots < 1 {
@@ -315,7 +314,7 @@ func (n *Network) Start() {
 		for _, p := range n.peers {
 			p := p
 			p.roundSlot = int64(p.rnd.Intn(n.cfg.RoundSlots))
-			p.roundEv = n.sim.ScheduleSlot(p.roundSlot, p.gossipDecide, p.gossipCommit)
+			p.roundEv = n.sim.ScheduleSlot(p.roundSlot, p.gossipRound)
 		}
 	}
 	// The RSU backhaul syncs once per round under the gossip variants and the
@@ -431,19 +430,11 @@ type Peer struct {
 	// isRSU marks fixed roadside-unit peers (see rsu.go).
 	isRSU bool
 
-	// roundEv and roundSlot drive the round-based gossip variants: one split
+	// roundEv and roundSlot drive the round-based gossip variants: one slot
 	// event per peer, rescheduled a whole round (RoundSlots slots) ahead
-	// after each commit.
+	// after each round.
 	roundEv   *sim.Event
 	roundSlot int64
-
-	// pendActs is the FIFO of decisions taken in the current batch's decision
-	// phase, awaiting commit; actHead is the next act to commit and pendRecv
-	// the arena that actSend receiver lists slice into. Decides and commits
-	// both run in seq order, so the FIFO lines up.
-	pendActs []entryAct
-	actHead  int
-	pendRecv []int
 
 	// received marks ads this peer has ever heard (delivery bookkeeping).
 	received map[ads.ID]bool
@@ -500,8 +491,8 @@ func (p *Peer) forwardProb(ad *ads.Advertisement) float64 {
 	return p.forwardProbAt(ad, p.Position(), p.net.sim.Now())
 }
 
-// forwardProbAt is forwardProb at an explicit position and time — pure, so
-// decision phases can call it.
+// forwardProbAt is forwardProb at an explicit position and time; it reads
+// and never writes.
 func (p *Peer) forwardProbAt(ad *ads.Advertisement, pos geo.Point, now float64) float64 {
 	n := p.net
 	rt := RadiusAt(n.cfg.Params, ad.R, ad.D, ad.Age(now))
@@ -539,8 +530,8 @@ func (p *Peer) broadcastAd(e *ads.Entry) {
 	p.net.ch.Broadcast(radio.Frame{From: p.id, Payload: gossipFrame{ad: snap}, Bytes: bytes})
 }
 
-// broadcastAdTo is broadcastAd against a receiver list computed in the
-// decision phase, for commits whose neighbor query already ran there.
+// broadcastAdTo is broadcastAd to a receiver list the caller already queried
+// at this instant, so the neighbor query does not run twice.
 func (p *Peer) broadcastAdTo(e *ads.Entry, recv []int) {
 	if !p.net.ch.Online(p.id) {
 		return
@@ -715,100 +706,32 @@ func (p *Peer) evictOne() *ads.Entry {
 	return victim
 }
 
-// actKind is the outcome a decision phase recorded for one cache entry.
-type actKind uint8
-
-const (
-	// actGone marks a decide whose entry vanished — a placeholder so the
-	// decide/commit FIFO stays aligned; commit skips it.
-	actGone actKind = iota
-	// actExpire removes the entry and fires OnExpire at commit.
-	actExpire
-	// actKeep refreshes the entry's probability without broadcasting.
-	actKeep
-	// actSend refreshes the probability and broadcasts to the receiver list
-	// pendRecv[r0:r1] captured at decide time.
-	actSend
-)
-
-// entryAct is one entry's gossip decision, taken in the batch's decision
-// phase and applied by its commit phase.
-type entryAct struct {
-	e      *ads.Entry
-	id     ads.ID
-	prob   float64
-	r0, r1 int32 // actSend receiver range in Peer.pendRecv
-	kind   actKind
-}
-
-// decideEntry evaluates Algorithm 2/4's per-entry round step without side
-// effects on shared state: expiry check, probability refresh at the peer's
-// position, the forwarding coin flip from this peer's own RNG stream, and —
-// on a send — the neighbor query, into peer-owned buffers. The matching
-// mutations happen later in commitAct.
-func (p *Peer) decideEntry(e *ads.Entry, now float64) {
-	act := entryAct{e: e, id: e.Ad.ID}
+// gossipEntry is one entry's step of Algorithm 2's round and Algorithm 4's
+// time handler, decision and effect in one pass: an expired entry leaves the
+// cache; a live one has P(d,t) refreshed at the peer's position and is
+// broadcast with that probability. The coin is flipped before broadcastAd
+// checks the radio, so the peer's stream consumption does not depend on its
+// online state. It reports whether the entry is still cached.
+func (p *Peer) gossipEntry(e *ads.Entry, now float64) bool {
 	if e.Ad.Expired(now) {
-		act.kind = actExpire
-		p.pendActs = append(p.pendActs, act)
-		return
+		p.cache.Remove(e.Ad.ID)
+		p.net.obs.OnExpire(p.id, e.Ad.ID, now)
+		return false
 	}
-	ch := p.net.ch
-	act.prob = p.forwardProbAt(e.Ad, ch.PositionOf(p.id), now)
-	// The coin flip comes first so the peer's stream consumption does not
-	// depend on its online state, mirroring the sequential round's
-	// draw-then-try-to-send order.
-	if p.rnd.Bool(act.prob) && ch.Online(p.id) {
-		act.kind = actSend
-		act.r0 = int32(len(p.pendRecv))
-		p.pendRecv = ch.AppendNeighborsOf(p.pendRecv, p.id)
-		act.r1 = int32(len(p.pendRecv))
-	} else {
-		act.kind = actKeep
+	e.Prob = p.forwardProbAt(e.Ad, p.Position(), now)
+	if p.rnd.Bool(e.Prob) {
+		p.broadcastAd(e)
 	}
-	p.pendActs = append(p.pendActs, act)
+	return true
 }
 
-// commitAct applies the oldest pending decision: cache mutation, observer
-// callbacks and the broadcast with its shared-stream jitter/impairment
-// draws. Once the FIFO drains the buffers reset for the next batch.
-func (p *Peer) commitAct() entryAct {
-	act := p.pendActs[p.actHead]
-	p.actHead++
-	switch act.kind {
-	case actExpire:
-		p.cache.Remove(act.id)
-		p.net.obs.OnExpire(p.id, act.id, p.net.sim.Now())
-	case actKeep:
-		act.e.Prob = act.prob
-	case actSend:
-		act.e.Prob = act.prob
-		p.broadcastAdTo(act.e, p.pendRecv[act.r0:act.r1])
-	}
-	if p.actHead == len(p.pendActs) {
-		p.actHead = 0
-		p.pendActs = p.pendActs[:0]
-		p.pendRecv = p.pendRecv[:0]
-	}
-	return act
-}
-
-// gossipDecide is Algorithm 2's decision phase: one pass over the cache
-// recording, per entry, whether it expires, keeps quiet or broadcasts — and
-// to whom. It writes only this peer's pending-act buffers and RNG stream.
-func (p *Peer) gossipDecide() {
-	now := p.net.sim.Now()
-	p.cache.ForEach(func(e *ads.Entry) { p.decideEntry(e, now) })
-}
-
-// gossipCommit applies the round's decisions in cache order and reschedules
-// the peer's next round a whole round (RoundSlots slots) ahead on the slot
-// grid.
-func (p *Peer) gossipCommit() {
-	for p.actHead < len(p.pendActs) {
-		p.commitAct()
-	}
+// gossipRound is Algorithm 2: one gossip step per cached entry, in cache
+// order, then the peer's next round a whole round (RoundSlots slots) ahead on
+// the slot grid.
+func (p *Peer) gossipRound() {
 	n := p.net
+	now := n.sim.Now()
+	p.cache.ForEach(func(e *ads.Entry) { p.gossipEntry(e, now) })
 	p.roundSlot += int64(n.cfg.RoundSlots)
 	n.sim.RescheduleSlot(p.roundEv, p.roundSlot)
 }
@@ -820,7 +743,7 @@ func (p *Peer) armEntryTimer(e *ads.Entry) {
 	n := p.net
 	e.Slot = n.slotAfter(n.sim.Now() + n.cfg.RoundTime)
 	e.ScheduledAt = float64(e.Slot) * n.slotW
-	e.Timer = n.sim.ScheduleSlot(e.Slot, func() { p.entryDecide(e) }, p.entryCommit)
+	e.Timer = n.sim.ScheduleSlot(e.Slot, func() { p.entryRound(e) })
 }
 
 // cancelEntryTimer cancels an evicted/expired entry's pending timer.
@@ -830,29 +753,16 @@ func (p *Peer) cancelEntryTimer(e *ads.Entry) {
 	}
 }
 
-// entryDecide is Algorithm 4's decision phase for one entry timer. Several
-// timers of one peer may share a slot; their decides run in seq order, so the
-// FIFO lines up with the commit order. The
-// timer belongs to the entry, not to the ad's ID: a copy of the ad admitted
-// again after this entry left the cache has a timer of its own.
-func (p *Peer) entryDecide(e *ads.Entry) {
-	if !e.Cached() {
-		p.pendActs = append(p.pendActs, entryAct{id: e.Ad.ID, kind: actGone})
-		return
-	}
-	p.decideEntry(e, p.net.sim.Now())
-}
-
-// entryCommit applies one entry timer's decision and, when the entry
-// survives, reschedules it one round of slots later (Algorithm 4's
-// "reschedule at t+Δt").
-func (p *Peer) entryCommit() {
-	act := p.commitAct()
-	if act.kind != actKeep && act.kind != actSend {
-		return
-	}
+// entryRound is Algorithm 4's time handler for one entry timer: the entry's
+// gossip step and, when the entry survives, its reschedule one round of
+// slots later ("reschedule at t+Δt"). The timer belongs to the entry, not to
+// the ad's ID: a copy of the ad admitted again after this entry left the
+// cache has a timer of its own, and this one does nothing.
+func (p *Peer) entryRound(e *ads.Entry) {
 	n := p.net
-	e := act.e
+	if !e.Cached() || !p.gossipEntry(e, n.sim.Now()) {
+		return
+	}
 	e.Slot += int64(n.cfg.RoundSlots)
 	e.ScheduledAt = float64(e.Slot) * n.slotW
 	if ev, ok := e.Timer.(*sim.Event); ok {

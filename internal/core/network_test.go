@@ -671,3 +671,51 @@ func TestMultiObserverFanOutAllEvents(t *testing.T) {
 	base.OnExpire(1, ad.ID, 5)
 	base.OnEvict(1, ad.ID, 6)
 }
+
+// BenchmarkGossipRound is the paper's own round (Algorithm 2) for one peer in
+// steady state: peer 0 holds k = 10 long-lived ads from issuers at different
+// distances, and eight static neighbours already cache all ten, so every
+// frame they hear is a duplicate. Start is not called: peer 0's round is the
+// only slot event, and an operation is one RoundTime of the simulation — the
+// prepare hook, ten expiry checks, P(d,t) refreshes and coin flips, the
+// broadcasts that win and their deliveries. It must not allocate.
+func BenchmarkGossipRound(b *testing.B) {
+	pts := []geo.Point{{}}
+	for i := 0; i < 8; i++ {
+		a := 2 * math.Pi * float64(i) / 8
+		pts = append(pts, geo.Point{X: 40 * math.Cos(a), Y: 40 * math.Sin(a)})
+	}
+	models := make([]mobility.Model, len(pts))
+	for i, pt := range pts {
+		models[i] = mobility.NewStatic(pt)
+	}
+	s := sim.New()
+	cfg := testConfig(Gossip)
+	n, err := New(s, testRadio(), models, cfg, rng.New(42))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < cfg.CacheK; i++ {
+		if _, err := n.IssueAd(i%len(pts), AdSpec{R: 40, D: 1e9}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	s.Run(1)
+	for _, p := range n.peers {
+		if p.cache.Len() != cfg.CacheK {
+			b.Fatalf("peer %d holds %d ads after the warm-up, want %d", p.id, p.cache.Len(), cfg.CacheK)
+		}
+	}
+	p := n.peers[0]
+	p.roundSlot = n.slotAfter(s.Now())
+	p.roundEv = s.ScheduleSlot(p.roundSlot, p.gossipRound)
+	s.Run(s.Now() + 10*cfg.RoundTime) // warm the delivery pools
+	sent := n.ch.Stats().Broadcasts
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Run(s.Now() + cfg.RoundTime)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(n.ch.Stats().Broadcasts-sent)/float64(b.N), "broadcasts/op")
+}

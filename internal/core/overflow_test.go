@@ -449,8 +449,8 @@ func TestOpt2OneTimerPerCachedEntry(t *testing.T) {
 	}
 
 	// Evict, then admit the same ID again: the timer belongs to the entry,
-	// so the evicted entry's decide must find itself gone rather than find
-	// the new entry under its old ID.
+	// so the evicted entry's round must find itself gone rather than find
+	// the new entry under its old ID, and do nothing.
 	p := n.peers[0]
 	adAt := func(seq uint32, x, d float64) *ads.Advertisement {
 		return &ads.Advertisement{ID: ads.ID{Issuer: 7, Seq: seq}, Origin: geo.Point{X: x}, IssuedAt: s.Now(), R: 500, D: d}
@@ -472,10 +472,10 @@ func TestOpt2OneTimerPerCachedEntry(t *testing.T) {
 		t.Fatal("the evicted ad was not admitted again as a new entry")
 	}
 	checkOneTimerPerEntry(t, s, n)
-	was := *fresh
-	p.entryDecide(old)
-	if act := p.commitAct(); act.kind != actGone || act.e != nil {
-		t.Fatalf("the evicted entry's timer decided %+v, want actGone", act)
+	was, seq, draws := *fresh, simSeq(s), *p.rnd
+	p.entryRound(old)
+	if simSeq(s) != seq || *p.rnd != draws {
+		t.Fatal("the evicted entry's timer took an event sequence number or a draw")
 	}
 	if *fresh != was {
 		t.Fatalf("the evicted entry's timer changed the new entry: %+v, was %+v", *fresh, was)

@@ -45,11 +45,12 @@ func TestRegistryPopulatedByRun(t *testing.T) {
 			t.Errorf("%s = 0, want > 0", name)
 		}
 	}
-	// The instruments of the deleted intra-run parallel engine are gone, by
-	// family. (bench/ still reads sim_worker_utilization, and reads 0 from its
-	// absence, until it drops that row.)
+	// The instruments of the deleted intra-run parallel engine and of the
+	// deleted decide/commit split are gone, by family. (bench/ still reads
+	// sim_worker_utilization and sim_phase_commit_seconds, and reads 0 from
+	// their absence, until it drops those rows.)
 	gone := []string{"sim_worker", "sim_shard_", "sim_batches_inline_total",
-		"radio_shard", "radio_halo_", "radio_cross_shard_"}
+		"radio_shard", "radio_halo_", "radio_cross_shard_", "sim_phase_commit_seconds"}
 	var sb strings.Builder
 	if err := sm.Registry.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -68,8 +69,7 @@ func TestRegistryPopulatedByRun(t *testing.T) {
 	// Everything else bench/simrun.go reads is observed: the counters above
 	// and these histograms.
 	for _, name := range []string{
-		"sim_batch_size", "sim_phase_prepare_seconds",
-		"sim_phase_decide_seconds", "sim_phase_commit_seconds",
+		"sim_batch_size", "sim_phase_prepare_seconds", "sim_phase_decide_seconds",
 		"radio_grid_rebuild_seconds",
 		"sim_delivery_time_seconds", "sim_postpone_delay_seconds",
 		"sim_collector_sample_seconds",

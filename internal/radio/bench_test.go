@@ -68,7 +68,7 @@ func BenchmarkBroadcastDenseCollisions(b *testing.B) {
 // snapshot (exact re-filter included). The Alloc variant is the convenience
 // API returning a fresh slice; the Scratch variant appends into a reused
 // buffer, Neighbors is the same through AppendNeighborsOf, the call the
-// broadcast hot path and every round's decide make, and Mobile (below) is
+// broadcast hot path and every async scan make, and Mobile (below) is
 // Neighbors on moving peers: all three must stay at zero allocations (the CI
 // alloc guard greps their allocs/op).
 func BenchmarkNodesWithin(b *testing.B) {

@@ -784,12 +784,11 @@ func (c *Channel) Broadcast(f Frame) {
 }
 
 // BroadcastTo transmits f to a pre-computed receiver list instead of querying
-// neighbors at transmit time — the commit-phase half of a broadcast whose
-// neighbor query already ran in its batch's decision phase (AppendNeighborsOf
-// at this same instant). recv must hold the nodes in range of the sender, in
-// channel query order; the channel applies the same jitter, loss, fade and
-// collision treatment as Broadcast, drawing from the shared stream in the
-// same order.
+// neighbors at transmit time — for a sender that already ran the query
+// (AppendNeighborsOf at this same instant) or addresses one receiver. recv
+// must hold nodes in range of the sender, in channel query order; the channel
+// applies the same jitter, loss, fade and collision treatment as Broadcast,
+// drawing from the shared stream in the same order.
 func (c *Channel) BroadcastTo(f Frame, recv []int) {
 	if f.From < 0 || f.From >= len(c.models) {
 		panic(fmt.Sprintf("radio: broadcast from unknown node %d", f.From))

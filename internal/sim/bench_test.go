@@ -74,7 +74,7 @@ func BenchmarkRescheduleDeep(b *testing.B) {
 }
 
 // BenchmarkSlotRound measures the gossip round on the slot calendar: 1 000
-// round events on 64 slots, each committed and rescheduled one round ahead,
+// round events on 64 slots, each run and rescheduled one round ahead,
 // the way every peer's round timer runs. One op is one round. It must not
 // allocate.
 func BenchmarkSlotRound(b *testing.B) {
@@ -83,11 +83,10 @@ func BenchmarkSlotRound(b *testing.B) {
 	s.SetSlotWidth(1.0 / slots)
 	events := make([]*Event, peers)
 	next := make([]int64, peers)
-	nop := func() {}
 	for i := range events {
 		i := i
 		next[i] = int64(i % slots)
-		events[i] = s.ScheduleSlot(next[i], nop, func() {
+		events[i] = s.ScheduleSlot(next[i], func() {
 			next[i] += slots
 			s.RescheduleSlot(events[i], next[i])
 		})
@@ -124,7 +123,7 @@ func BenchmarkRescheduleSlotDeep(b *testing.B) {
 	}
 	for i := range events {
 		slots[i] = int64(next() % calRing)
-		events[i] = s.ScheduleSlot(slots[i], fn, fn)
+		events[i] = s.ScheduleSlot(slots[i], fn)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

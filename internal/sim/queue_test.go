@@ -21,13 +21,13 @@ type queueModel struct {
 	s   *Simulator
 	rnd *rand.Rand
 
-	seq     int // mirrors the simulator's: one per schedule or reschedule
-	recs    []modelRec
-	budget  int  // events the callbacks may still create
-	inBatch bool // a commit is running: batch members are popped but pending
+	seq    int // mirrors the simulator's: one per schedule or reschedule
+	recs   []modelRec
+	budget int // events the callbacks may still create
 
-	last  *modelRec // the event fired last, for the same-instant count
-	paths *modelPaths
+	last    *modelRec // the event fired last, for the same-instant count
+	running *modelRec // the event whose callback is running, nil outside Run
+	paths   *modelPaths
 }
 
 type modelRec struct {
@@ -35,8 +35,7 @@ type modelRec struct {
 	time    float64
 	seq     int
 	pending bool
-	split   bool
-	decides int
+	slot    bool
 }
 
 // modelPaths counts how often the operations reached each path of the
@@ -44,7 +43,7 @@ type modelRec struct {
 type modelPaths struct {
 	withinBucket, acrossBuckets int // RescheduleSlot of a bucketed event
 	pastHorizon, behindCursor   int // slot events the heap took
-	cancelInBatch               int // a popped, not yet committed batch member
+	cancelInBatch               int // a later member of the running batch
 	sameInstant                 int // a slot and a plain event dispatched at one instant
 }
 
@@ -80,14 +79,8 @@ func (m *queueModel) schedule() {
 	default:
 		slot := m.randomSlot()
 		m.recs[id].time = float64(slot) * modelSlotW
-		m.recs[id].split = true
-		m.recs[id].ev = m.s.ScheduleSlot(slot,
-			func() { m.recs[id].decides++ },
-			func() {
-				m.inBatch = true
-				m.fired(id)
-				m.inBatch = false
-			})
+		m.recs[id].slot = true
+		m.recs[id].ev = m.s.ScheduleSlot(slot, func() { m.fired(id) })
 		m.sawSlot(m.recs[id].ev, slot)
 	}
 }
@@ -124,18 +117,17 @@ func (m *queueModel) fired(id int) {
 	if m.s.Now() != rec.time {
 		m.t.Fatalf("event %d fired at %v, scheduled for %v", id, m.s.Now(), rec.time)
 	}
-	if rec.split && rec.decides == 0 {
-		m.t.Fatalf("split event %d committed without a decide", id)
-	}
-	if l := m.last; l != nil && l.time == rec.time && l.split != rec.split {
+	if l := m.last; l != nil && l.time == rec.time && l.slot != rec.slot {
 		m.paths.sameInstant++
 	}
-	m.last = rec
-	rec.pending, rec.decides = false, 0
+	m.last, m.running = rec, rec
+	rec.pending = false
+	m.check()
 	for k := m.rnd.Intn(3); k > 0; k-- {
 		m.randomOp()
+		m.check()
 	}
-	m.check()
+	m.running = nil
 }
 
 // randomOp schedules, cancels or reschedules (earlier, later, to the same
@@ -157,7 +149,7 @@ func (m *queueModel) randomOp() {
 		return // pooled: no handle to operate on
 	}
 	if op == 1 {
-		if m.inBatch && rec.pending && rec.ev.index == notQueued {
+		if r := m.running; r != nil && r.slot && rec.slot && rec.pending && rec.time == r.time {
 			m.paths.cancelInBatch++
 		}
 		m.s.Cancel(rec.ev)
@@ -170,7 +162,7 @@ func (m *queueModel) randomOp() {
 	if !rec.pending {
 		m.budget--
 	}
-	if rec.split == (m.rnd.Intn(4) != 0) {
+	if rec.slot == (m.rnd.Intn(4) != 0) {
 		m.rescheduleSlot(rec)
 	} else {
 		m.reschedule(rec)
@@ -271,22 +263,21 @@ func (m *queueModel) check() {
 			m.t.Fatalf("event %d: index %d, but it is in no bucket", id, i)
 		case !r.pending && i != notQueued:
 			m.t.Fatalf("event %d is not pending but has index %d", id, i)
-		case r.pending && !m.inBatch && i == notQueued:
+		case r.pending && i == notQueued:
 			m.t.Fatalf("event %d is pending but not queued", id)
 		case r.ev.Pending() != (i != notQueued):
 			m.t.Fatalf("event %d: Pending() = %v with index %d", id, r.ev.Pending(), i)
 		}
 	}
-	// Inside a commit the batch's later members are pending but popped.
-	if !m.inBatch && s.Pending() != pending {
+	if s.Pending() != pending {
 		m.t.Fatalf("Pending() = %d, reference has %d", s.Pending(), pending)
 	}
 }
 
 // TestQueueMatchesSortedReference is the queue's model test: whatever mix of
 // Schedule, SchedulePooled, ScheduleSlot, Cancel, Reschedule and
-// RescheduleSlot runs — from outside the loop, from plain callbacks and from
-// commits — events fire in ascending (time, seq), each once, across the heap
+// RescheduleSlot runs — from outside the loop and from plain and slot
+// callbacks — events fire in ascending (time, seq), each once, across the heap
 // and the calendar, and the bookkeeping of both stays exact.
 func TestQueueMatchesSortedReference(t *testing.T) {
 	paths := new(modelPaths)
@@ -391,8 +382,8 @@ func TestInvalidArgumentPanics(t *testing.T) {
 			s.SetSlotWidth(1) // the same width again is fine
 			s.SetSlotWidth(2)
 		}},
-		{"ScheduleSlot without a width", func(s *Simulator) { s.ScheduleSlot(1, nop, nop) }},
-		{"ScheduleSlot nil decide", func(s *Simulator) { s.SetSlotWidth(1); s.ScheduleSlot(1, nil, nop) }},
+		{"ScheduleSlot without a width", func(s *Simulator) { s.ScheduleSlot(1, nop) }},
+		{"ScheduleSlot nil callback", func(s *Simulator) { s.SetSlotWidth(1); s.ScheduleSlot(1, nil) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := New()

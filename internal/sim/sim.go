@@ -28,10 +28,10 @@ type Event struct {
 	seq        uint64
 	index      int // heap slot when ≥ 0
 	fn         func()
-	decide     func() // decision half of a split event; nil for plain events
 	next, prev *Event // bucket links
 	canned     bool
 	pooled     bool // recycled into the free list after dispatch
+	slot       bool // a ScheduleSlot event: dispatched in same-instant batches
 }
 
 // Event.index below zero: not queued, or inBucket - b in calendar bucket b.
@@ -181,9 +181,7 @@ type Simulator struct {
 	calN  int
 	cal   [calRing]fifo
 
-	// Same-instant batch dispatch for split events (see ScheduleSlot).
-	prepare func()   // hook before each batch's decision phase
-	batch   []*Event // the split events of the batch being dispatched
+	prepare func() // hook before each slot-event batch (see SetBatchPrepare)
 
 	// Observability (see SetRegistry), nil when uninstrumented: wall-clock
 	// side channels that never influence event order.
@@ -192,17 +190,17 @@ type Simulator struct {
 
 // simInstruments are the executor's registry instruments.
 type simInstruments struct {
-	events, batches                                *obs.Counter
-	batchSize, prepareTime, decideTime, commitTime *obs.Histogram
-	pending                                        *obs.Gauge
+	events, batches                  *obs.Counter
+	batchSize, prepareTime, slotTime *obs.Histogram
+	pending                          *obs.Gauge
 }
 
 // New returns an empty simulator with the clock at 0.
 func New() *Simulator { return &Simulator{} }
 
 // SetRegistry instruments the executor with sim_* metrics: event and batch
-// counters, batch-size and per-phase wall-clock histograms, and the queue
-// depth. Pass nil to detach. Results stay bit-identical either way.
+// counters, batch-size and wall-clock histograms, and the queue depth. Pass
+// nil to detach. Results stay bit-identical either way.
 func (s *Simulator) SetRegistry(reg *obs.Registry) {
 	if reg == nil {
 		s.ins = nil
@@ -211,13 +209,13 @@ func (s *Simulator) SetRegistry(reg *obs.Registry) {
 	phase := obs.ExpBuckets(1e-7, 4, 12)
 	s.ins = &simInstruments{
 		events:  reg.Counter("sim_events_dispatched_total", "events executed by the simulator"),
-		batches: reg.Counter("sim_batches_total", "split-event batches dispatched"),
-		batchSize: reg.Histogram("sim_batch_size", "split events per same-instant batch",
+		batches: reg.Counter("sim_batches_total", "slot-event batches dispatched"),
+		batchSize: reg.Histogram("sim_batch_size", "slot events per same-instant batch",
 			obs.ExpBuckets(1, 2, 14)),
 		prepareTime: reg.Histogram("sim_phase_prepare_seconds", "wall-clock time of the batch-prepare hook", phase),
-		decideTime:  reg.Histogram("sim_phase_decide_seconds", "wall-clock time of the decision phase", phase),
-		commitTime:  reg.Histogram("sim_phase_commit_seconds", "wall-clock time of the commit phase", phase),
-		pending:     reg.Gauge("sim_pending_events", "events queued at the last batch boundary"),
+		// The name is older than one-callback slot events; the benchmark reads it.
+		slotTime: reg.Histogram("sim_phase_decide_seconds", "wall-clock time of a batch's slot events", phase),
+		pending:  reg.Gauge("sim_pending_events", "events queued at the end of the last batch"),
 	}
 }
 
@@ -294,22 +292,17 @@ func (s *Simulator) SetSlotWidth(w float64) {
 	s.slotW = w
 }
 
-// ScheduleSlot enqueues a two-phase event at slot's instant (see
-// SetSlotWidth). All split events that share an instant are dispatched as one
-// batch: first every event's decide callback runs, in scheduling (seq) order,
-// then every commit callback, in the same order. So a decide sees the state
-// as it stood before any commit of its batch: decide records what the event
-// will do (into state the event's owner keeps), commit applies it — every
-// mutation other batch members can see, and every draw from a shared RNG
-// stream, belongs there.
-//
-// Time validation, FIFO tie-breaking and Cancel behave exactly as for
-// Schedule; RescheduleSlot moves the event and keeps its decide.
-func (s *Simulator) ScheduleSlot(slot int64, decide, commit func()) *Event {
-	if decide == nil || commit == nil {
-		panic("sim: split event with nil phase")
+// ScheduleSlot enqueues fn at slot's instant (see SetSlotWidth). The slot
+// events that share an instant run as one batch: the prepare hook (see
+// SetBatchPrepare) once, then each event in scheduling (seq) order, exactly
+// as plain events would run. Time validation, FIFO tie-breaking, Cancel and
+// Stop behave as for Schedule; RescheduleSlot moves the event, and it stays a
+// slot event wherever it is moved.
+func (s *Simulator) ScheduleSlot(slot int64, fn func()) *Event {
+	if fn == nil {
+		panic("sim: slot event with nil callback")
 	}
-	e := &Event{fn: commit, decide: decide, index: notQueued}
+	e := &Event{fn: fn, slot: true, index: notQueued}
 	s.RescheduleSlot(e, slot)
 	return e
 }
@@ -384,9 +377,10 @@ func (s *Simulator) head(limit float64) *Event {
 	}
 }
 
-// SetBatchPrepare installs a hook that runs at the start of every split-event
-// batch, before any decide, to bring what the decides read up to date (e.g.
-// refresh a spatial index) at the batch's instant. A nil fn removes it.
+// SetBatchPrepare installs a hook that runs once at the start of every
+// slot-event batch, before its first event, to bring what the events read up
+// to date (e.g. refresh a spatial index) at the batch's instant. A nil fn
+// removes it.
 func (s *Simulator) SetBatchPrepare(fn func()) { s.prepare = fn }
 
 // Cancel removes a pending event from the queue. Cancelling an event that has
@@ -410,9 +404,7 @@ func (s *Simulator) Reschedule(e *Event, at float64) {
 	s.enqueue(e)
 }
 
-// Stop makes the current Run return after the event being dispatched. Inside
-// a split-event batch, the batch's remaining commits still run (they share
-// one instant) and Run returns at the batch boundary.
+// Stop makes the current Run return after the event being dispatched.
 func (s *Simulator) Stop() { s.stopped = true }
 
 // Run dispatches events in time order until the queue empties or the next
@@ -430,7 +422,7 @@ func (s *Simulator) Run(until float64) {
 		if next == nil || next.time > until {
 			break
 		}
-		if next.decide != nil {
+		if next.slot {
 			s.runBatch(next)
 			continue
 		}
@@ -452,24 +444,17 @@ func (s *Simulator) Run(until float64) {
 	}
 }
 
-// runBatch dispatches the maximal run of split heads that starts at first and
-// shares its instant, from the heap and the calendar alike: prepare hook,
-// decides in seq order, then commits in seq order. Plain events at the same
-// instant bound the batch on both sides, preserving global seq order.
+// runBatch dispatches the slot events at first's instant, first included:
+// the prepare hook once, then each event as it reaches the head, in seq order.
+// One that an earlier event cancelled or moved is simply no longer there. A
+// plain event at the same instant, or Stop, ends the batch, so the global
+// dispatch order stays (time, seq).
 func (s *Simulator) runBatch(first *Event) {
 	t := first.time
 	s.now = t
-	s.batch = s.batch[:0]
-	for e := first; e != nil && e.decide != nil && e.time == t; e = s.head(t) {
-		s.unlink(e)
-		s.batch = append(s.batch, e)
-	}
 	ins := s.ins
 	var mark time.Time
 	if ins != nil {
-		ins.batches.Inc()
-		ins.batchSize.Observe(float64(len(s.batch)))
-		ins.pending.Set(float64(s.Pending()))
 		mark = time.Now()
 	}
 	if s.prepare != nil {
@@ -480,31 +465,19 @@ func (s *Simulator) runBatch(first *Event) {
 		ins.prepareTime.Observe(now.Sub(mark).Seconds())
 		mark = now
 	}
-	for _, e := range s.batch {
-		if !e.canned {
-			e.decide()
-		}
-	}
-	if ins != nil {
-		now := time.Now()
-		ins.decideTime.Observe(now.Sub(mark).Seconds())
-		mark = now
-	}
-	committed := 0
-	for _, e := range s.batch {
-		if e.canned || e.index != notQueued {
-			// Cancelled mid-batch, or an earlier commit put this member back
-			// in the queue. The reschedule wins: committing the stale batch
-			// copy too would fire the event at the old and the new instant.
-			continue
-		}
+	n := 0
+	for e := first; e != nil && e.slot && e.time == t && !s.stopped; e = s.head(t) {
+		s.unlink(e)
 		s.dispatched++
-		committed++
+		n++
 		e.fn()
 	}
 	if ins != nil {
-		ins.commitTime.Observe(time.Since(mark).Seconds())
-		ins.events.Add(uint64(committed))
+		ins.slotTime.Observe(time.Since(mark).Seconds())
+		ins.batches.Inc()
+		ins.batchSize.Observe(float64(n))
+		ins.events.Add(uint64(n))
+		ins.pending.Set(float64(s.Pending()))
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -397,54 +398,56 @@ func TestRunDrainStillAdvancesClock(t *testing.T) {
 	}
 }
 
-// TestScheduleSplitPhases checks the batch contract on a single instant, for
-// a narrow batch and a wide one: the prepare hook runs once before any
-// decide, every decide runs before any commit, and decides and commits each
-// run in scheduling order.
-func TestScheduleSplitPhases(t *testing.T) {
+// TestBatchContract checks the batch contract on a single instant, for a
+// narrow batch and a wide one: the prepare hook runs once, before the first
+// event, and the events run in scheduling (seq) order. Stop from inside the
+// batch returns after that event, as it does for plain events; the next Run
+// resumes the rest as a new batch, behind a fresh prepare.
+func TestBatchContract(t *testing.T) {
 	for _, n := range []int{3, 300} {
 		s := New()
 		s.SetSlotWidth(1)
 		preps := 0
 		s.SetBatchPrepare(func() { preps++ })
-		var decided, committed []int
+		var ran []int
+		stopAt := n / 2
 		for i := 0; i < n; i++ {
 			i := i
 			s.ScheduleSlot(1, func() {
-				if preps != 1 {
-					t.Errorf("decide %d ran after %d prepares, want 1", i, preps)
+				want := 1 // the resumed batch has its own prepare
+				if i > stopAt {
+					want = 2
 				}
-				if len(committed) != 0 {
-					t.Errorf("n=%d: decide %d ran after commit %d", n, i, committed[0])
+				if preps != want {
+					t.Errorf("n=%d: event %d ran after %d prepares, want %d", n, i, preps, want)
 				}
-				decided = append(decided, i)
-			}, func() {
-				if len(decided) != n {
-					t.Fatalf("n=%d: commit %d ran after %d decides", n, i, len(decided))
+				ran = append(ran, i)
+				if i == stopAt {
+					s.Stop()
 				}
-				committed = append(committed, i)
 			})
 		}
 		s.RunAll()
-		if len(committed) != n {
-			t.Fatalf("n=%d: %d commits", n, len(committed))
+		if len(ran) != stopAt+1 || s.Pending() != n-stopAt-1 || s.Now() != 1 {
+			t.Fatalf("n=%d: Stop at event %d left %d run, %d pending, now %v", n, stopAt, len(ran), s.Pending(), s.Now())
 		}
-		for i := range committed {
-			if decided[i] != i || committed[i] != i {
-				t.Fatalf("n=%d: order diverges at %d: decided %d, committed %d", n, i, decided[i], committed[i])
+		s.RunAll()
+		if len(ran) != n || preps != 2 || s.Dispatched() != uint64(n) {
+			t.Fatalf("n=%d: %d events ran after %d prepares, dispatched %d", n, len(ran), preps, s.Dispatched())
+		}
+		for i, id := range ran {
+			if id != i {
+				t.Fatalf("n=%d: order diverges at %d: event %d ran", n, i, id)
 			}
-		}
-		if s.Dispatched() != uint64(n) {
-			t.Fatalf("dispatched = %d, want %d", s.Dispatched(), n)
 		}
 	}
 }
 
-// splitMix schedules a deterministic pseudo-random mix of events on s, each
-// appending its tag to a commit log, and returns the log. With split set, two
-// thirds of them are split events, which verify their own decide ran first;
-// without, those are plain events doing the same work in one callback.
-func splitMix(s *Simulator, seed int64, split bool, t *testing.T) *[]int {
+// slotMix schedules a deterministic pseudo-random mix of events on s, each
+// appending its tag to a log, and returns the log. With slots set, two thirds
+// of them are slot events; without, those are plain events at the same
+// instants.
+func slotMix(s *Simulator, seed int64, slots bool) *[]int {
 	rnd := rand.New(rand.NewSource(seed))
 	log := new([]int)
 	tag := 0
@@ -457,128 +460,87 @@ func splitMix(s *Simulator, seed int64, split bool, t *testing.T) *[]int {
 		for i := 0; i < n; i++ {
 			tag++
 			id := tag
-			if rnd.Intn(3) == 0 || !split {
-				s.Schedule(float64(slot), func() { *log = append(*log, id) })
-				continue
+			fn := func() { *log = append(*log, id) }
+			if rnd.Intn(3) == 0 || !slots {
+				s.Schedule(float64(slot), fn)
+			} else {
+				s.ScheduleSlot(slot, fn)
 			}
-			decided := false
-			s.ScheduleSlot(slot, func() { decided = true }, func() {
-				if !decided {
-					t.Errorf("split event %d committed before its decide", id)
-				}
-				*log = append(*log, id)
-			})
 		}
 	}
 	return log
 }
 
 // TestBatchMatchesSequential is the sim-level equivalence property: batching
-// changes when decides run, never the order anything commits in. The same
-// schedule produces identical Now(), Dispatched() and commit order whether
-// two thirds of its events are split or all of them are plain Schedule
-// events.
+// never changes the order anything runs in. The same schedule produces
+// identical Now(), Dispatched() and run order whether two thirds of its
+// events are slot events or all of them are plain Schedule events.
 func TestBatchMatchesSequential(t *testing.T) {
 	for _, seed := range []int64{1, 2, 42} {
 		ref := New()
-		refLog := splitMix(ref, seed, false, t)
+		refLog := slotMix(ref, seed, false)
 		ref.Run(1000)
 
 		bat := New()
 		bat.SetSlotWidth(1)
-		batLog := splitMix(bat, seed, true, t)
+		batLog := slotMix(bat, seed, true)
 		bat.Run(1000)
 
 		if ref.Now() != bat.Now() {
-			t.Fatalf("seed %d: Now %v (plain) != %v (split)", seed, ref.Now(), bat.Now())
+			t.Fatalf("seed %d: Now %v (plain) != %v (slot)", seed, ref.Now(), bat.Now())
 		}
 		if ref.Dispatched() != bat.Dispatched() {
-			t.Fatalf("seed %d: Dispatched %d (plain) != %d (split)", seed, ref.Dispatched(), bat.Dispatched())
+			t.Fatalf("seed %d: Dispatched %d (plain) != %d (slot)", seed, ref.Dispatched(), bat.Dispatched())
 		}
-		if len(*refLog) != len(*batLog) {
-			t.Fatalf("seed %d: commit log lengths %d vs %d", seed, len(*refLog), len(*batLog))
+		if !slices.Equal(*refLog, *batLog) {
+			t.Fatalf("seed %d: run order %v (plain) != %v (slot)", seed, *refLog, *batLog)
 		}
-		for i := range *refLog {
-			if (*refLog)[i] != (*batLog)[i] {
-				t.Fatalf("seed %d: commit order diverges at %d: %d vs %d",
-					seed, i, (*refLog)[i], (*batLog)[i])
-			}
-		}
-	}
-}
-
-// TestSplitRescheduleCancel exercises timer surgery on split events: a
-// rescheduled split event keeps both phases; a cancelled one fires neither.
-func TestSplitRescheduleCancel(t *testing.T) {
-	s := New()
-	s.SetSlotWidth(1)
-	var decides, commits int
-	e := s.ScheduleSlot(1, func() { decides++ }, func() { commits++ })
-	s.RescheduleSlot(e, 5)
-	dead := s.ScheduleSlot(5, func() { t.Error("cancelled decide ran") },
-		func() { t.Error("cancelled commit ran") })
-	s.Cancel(dead)
-	s.RunAll()
-	if decides != 1 || commits != 1 {
-		t.Fatalf("decides=%d commits=%d, want 1/1", decides, commits)
-	}
-	if s.Now() != 5 {
-		t.Fatalf("now = %v, want 5", s.Now())
 	}
 }
 
 // TestSplitBatchBoundary pins down that a plain event with a seq number
-// between two same-instant split events splits the batch without reordering
-// commits — global dispatch order is always (time, seq).
+// between two same-instant slot events splits the batch without reordering
+// anything — global dispatch order is always (time, seq).
 func TestSplitBatchBoundary(t *testing.T) {
 	s := New()
 	s.SetSlotWidth(1)
 	var log []int
-	s.ScheduleSlot(1, func() {}, func() { log = append(log, 1) })
+	s.ScheduleSlot(1, func() { log = append(log, 1) })
 	s.Schedule(1, func() { log = append(log, 2) })
-	s.ScheduleSlot(1, func() {}, func() { log = append(log, 3) })
+	s.ScheduleSlot(1, func() { log = append(log, 3) })
 	s.RunAll()
-	if len(log) != 3 || log[0] != 1 || log[1] != 2 || log[2] != 3 {
+	if !slices.Equal(log, []int{1, 2, 3}) {
 		t.Fatalf("dispatch order %v, want [1 2 3]", log)
 	}
 }
 
-// TestBatchRescheduleOfLaterMemberWins is the regression test for the
-// in-batch double-fire: when a commit reschedules a *different* split event
-// that belongs to the same in-flight batch, the event is back in the queue
-// for its new instant — but the commit loop used to dispatch the stale batch
-// copy as well, firing the event at both the old and the new time. The
-// reschedule must win: exactly one commit, at the new instant.
-func TestBatchRescheduleOfLaterMemberWins(t *testing.T) {
-	s := New()
-	s.SetSlotWidth(1)
-	var bEv *Event
-	var bTimes []float64
-	s.ScheduleSlot(1, func() {}, func() { s.RescheduleSlot(bEv, 2) })
-	bEv = s.ScheduleSlot(1, func() {}, func() { bTimes = append(bTimes, s.Now()) })
-	s.Run(10)
-	if len(bTimes) != 1 || bTimes[0] != 2 {
-		t.Fatalf("rescheduled batch member committed at %v, want exactly once at t=2", bTimes)
-	}
-}
-
-// TestBatchRescheduleToSameInstant pins the degenerate flavor: rescheduling
-// a later batch member to the *current* instant moves it to a fresh batch at
-// the same time (new seq) rather than committing it twice. The event's
-// decide legitimately reruns in the new batch; its commit must not.
-func TestBatchRescheduleToSameInstant(t *testing.T) {
-	s := New()
-	s.SetSlotWidth(1)
-	var bEv *Event
-	commits, decides := 0, 0
-	s.ScheduleSlot(1, func() {}, func() { s.RescheduleSlot(bEv, 1) })
-	bEv = s.ScheduleSlot(1, func() { decides++ }, func() { commits++ })
-	s.Run(10)
-	if commits != 1 {
-		t.Fatalf("same-instant rescheduled member committed %d times, want 1", commits)
-	}
-	if decides != 2 {
-		t.Fatalf("same-instant rescheduled member decided %d times, want 2 (once per batch)", decides)
+// TestBatchRescheduleCancel is timer surgery on a later member of the batch
+// being dispatched, from inside an earlier one: a rescheduled event fires
+// once, at its new instant — the same instant included — and a cancelled one
+// never fires.
+func TestBatchRescheduleCancel(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		op    func(s *Simulator, e *Event)
+		fires []float64
+	}{
+		{"reschedule to a later slot", func(s *Simulator, e *Event) { s.RescheduleSlot(e, 2) }, []float64{2}},
+		{"reschedule to the same slot", func(s *Simulator, e *Event) { s.RescheduleSlot(e, 1) }, []float64{1}},
+		{"reschedule off the grid", func(s *Simulator, e *Event) { s.Reschedule(e, 1.5) }, []float64{1.5}},
+		{"cancel", func(s *Simulator, e *Event) { s.Cancel(e) }, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New()
+			s.SetSlotWidth(1)
+			var later *Event
+			var fires []float64
+			s.ScheduleSlot(1, func() { tc.op(s, later) })
+			later = s.ScheduleSlot(1, func() { fires = append(fires, s.Now()) })
+			s.Run(10)
+			if !slices.Equal(fires, tc.fires) || s.Dispatched() != uint64(1+len(tc.fires)) {
+				t.Fatalf("the later member fired at %v (%d dispatched), want %v", fires, s.Dispatched(), tc.fires)
+			}
+		})
 	}
 }
 
@@ -592,11 +554,11 @@ func TestPendingCountsEveryStructure(t *testing.T) {
 	reg := obs.NewRegistry()
 	s.SetRegistry(reg)
 	nop := func() {}
-	s.SchedulePooled(3, nop)            // heap
-	s.Schedule(4, nop)                  // heap
-	s.ScheduleSlot(1, nop, nop)         // calendar: the batch Run(1) takes
-	s.ScheduleSlot(5, nop, nop)         // calendar
-	s.ScheduleSlot(calRing+5, nop, nop) // heap: past the horizon
+	s.SchedulePooled(3, nop)       // heap
+	s.Schedule(4, nop)             // heap
+	s.ScheduleSlot(1, nop)         // calendar: the batch Run(1) takes
+	s.ScheduleSlot(5, nop)         // calendar
+	s.ScheduleSlot(calRing+5, nop) // heap: past the horizon
 	if len(s.queue) != 3 || s.calN != 2 || s.Pending() != 5 {
 		t.Fatalf("heap %d, calendar %d, Pending() %d; want 3, 2 and 5", len(s.queue), s.calN, s.Pending())
 	}
