@@ -13,6 +13,7 @@ package campaign
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -41,19 +42,28 @@ type Config struct {
 	Interests workload.InterestConfig
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. Every guard accepts only finite,
+// in-range values, so NaN and ±Inf fail it: an infinite ArrivalRate makes
+// every inter-arrival draw 0 and the arrival loop never ends, and a NaN skew
+// makes every Zipf draw the last category.
 func (c Config) Validate() error {
-	if c.ArrivalRate <= 0 {
-		return fmt.Errorf("campaign: non-positive arrival rate %v", c.ArrivalRate)
+	if !(c.ArrivalRate > 0 && c.ArrivalRate < math.Inf(1)) {
+		return fmt.Errorf("campaign: arrival rate %v must be finite and > 0", c.ArrivalRate)
 	}
-	if c.End <= c.Start || c.Start < 0 {
+	if !(c.Start >= 0 && c.Start < c.End && c.End < math.Inf(1)) {
 		return fmt.Errorf("campaign: bad injection window [%v, %v]", c.Start, c.End)
 	}
-	if c.R <= 0 || c.D <= 0 {
+	if !(c.R > 0 && c.R < math.Inf(1) && c.D > 0 && c.D < math.Inf(1)) {
 		return fmt.Errorf("campaign: bad ad parameters R=%v D=%v", c.R, c.D)
 	}
-	if c.RJitter < 0 || c.RJitter >= c.R || c.DJitter < 0 || c.DJitter >= c.D {
+	if !(c.RJitter >= 0 && c.RJitter < c.R && c.DJitter >= 0 && c.DJitter < c.D) {
 		return fmt.Errorf("campaign: jitter outside [0, value)")
+	}
+	if !(c.CategorySkew >= 0 && c.CategorySkew < math.Inf(1)) {
+		return fmt.Errorf("campaign: category skew %v must be finite and >= 0", c.CategorySkew)
+	}
+	if !(c.Interests.Skew >= 0 && c.Interests.Skew < math.Inf(1)) {
+		return fmt.Errorf("campaign: interest skew %v must be finite and >= 0", c.Interests.Skew)
 	}
 	return nil
 }

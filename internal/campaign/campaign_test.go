@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"instantad/internal/experiment"
@@ -166,4 +168,53 @@ func TestFigCapacity(t *testing.T) {
 	if _, err := FigCapacity(sc, base, nil); err == nil {
 		t.Error("empty sweep accepted")
 	}
+}
+
+// floatPaths returns the index path of every float64 field reachable from a
+// struct type through nested struct fields, with a dotted name for each.
+func floatPaths(t reflect.Type, prefix string, index []int) (names []string, paths [][]int) {
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		at := append(append([]int(nil), index...), i)
+		switch f.Type.Kind() {
+		case reflect.Float64:
+			names = append(names, prefix+f.Name)
+			paths = append(paths, at)
+		case reflect.Struct:
+			n, p := floatPaths(f.Type, prefix+f.Name+".", at)
+			names = append(names, n...)
+			paths = append(paths, p...)
+		}
+	}
+	return names, paths
+}
+
+// TestValidateRejectsNonFinite is the regression test for the negative-form
+// guards NaN and ±Inf slipped through: an infinite ArrivalRate validated and
+// then never ended the arrival loop (every Exp draw is 0), and a NaN skew
+// validated and sent every Zipf draw to the last category. Every float64
+// field of Config (Interests.Skew included) and of Spec (the Area's center
+// included) is set to NaN, +Inf and −Inf in turn on an otherwise valid
+// value; Validate must reject each one.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	rows := 0
+	for _, good := range []interface{ Validate() error }{testConfig(), validSpec("ok")} {
+		typ := reflect.TypeOf(good)
+		if err := good.Validate(); err != nil {
+			t.Fatalf("%s: the valid base is rejected: %v", typ.Name(), err)
+		}
+		names, paths := floatPaths(typ, "", nil)
+		for i, path := range paths {
+			for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				v := reflect.New(typ).Elem()
+				v.Set(reflect.ValueOf(good))
+				v.FieldByIndex(path).SetFloat(bad)
+				if err := v.Interface().(interface{ Validate() error }).Validate(); err == nil {
+					t.Errorf("%s.%s = %v validates", typ.Name(), names[i], bad)
+				}
+				rows++
+			}
+		}
+	}
+	t.Logf("%d non-finite rows", rows)
 }

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"math"
 
 	"instantad/internal/geo"
 )
@@ -48,7 +49,8 @@ type Spec struct {
 const maxNameLen = 64
 
 // Validate checks the spec the way the HTTP layer reports it: one message
-// per first violation, phrased for the issuer.
+// per first violation, phrased for the issuer. The float guards accept only
+// finite, in-range values, so NaN and ±Inf fail them.
 func (s Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("campaign: empty name")
@@ -56,20 +58,23 @@ func (s Spec) Validate() error {
 	if len(s.Name) > maxNameLen {
 		return fmt.Errorf("campaign: name longer than %d bytes", maxNameLen)
 	}
-	if s.Area.Radius <= 0 {
-		return fmt.Errorf("campaign: area radius %v must be > 0", s.Area.Radius)
+	if !(math.Abs(s.Area.X) < math.Inf(1) && math.Abs(s.Area.Y) < math.Inf(1)) {
+		return fmt.Errorf("campaign: area center (%v, %v) must be finite", s.Area.X, s.Area.Y)
 	}
-	if s.Duration <= 0 {
-		return fmt.Errorf("campaign: ad duration %v must be > 0", s.Duration)
+	if !(s.Area.Radius > 0 && s.Area.Radius < math.Inf(1)) {
+		return fmt.Errorf("campaign: area radius %v must be finite and > 0", s.Area.Radius)
 	}
-	if s.RatePerMin <= 0 {
-		return fmt.Errorf("campaign: rate %v ads/min must be > 0", s.RatePerMin)
+	if !(s.Duration > 0 && s.Duration < math.Inf(1)) {
+		return fmt.Errorf("campaign: ad duration %v must be finite and > 0", s.Duration)
+	}
+	if !(s.RatePerMin > 0 && s.RatePerMin < math.Inf(1)) {
+		return fmt.Errorf("campaign: rate %v ads/min must be finite and > 0", s.RatePerMin)
 	}
 	if s.Budget < 0 {
 		return fmt.Errorf("campaign: negative budget %d", s.Budget)
 	}
-	if s.Window < 0 {
-		return fmt.Errorf("campaign: negative window %v", s.Window)
+	if !(s.Window >= 0 && s.Window < math.Inf(1)) {
+		return fmt.Errorf("campaign: window %v must be finite and >= 0", s.Window)
 	}
 	if s.Window == 0 && s.Budget == 0 {
 		return fmt.Errorf("campaign: unbounded campaign — set a window, a budget, or both")

@@ -22,6 +22,11 @@ func TestFloats(t *testing.T) {
 	if _, err := Floats("1,-2", true); err == nil {
 		t.Fatal("want error for non-positive item with positive=true")
 	}
+	for _, bad := range []string{"1,NaN", "Inf", "-Inf,2", "+Inf"} {
+		if _, err := Floats(bad, false); err == nil {
+			t.Errorf("Floats(%q) accepted a non-finite value", bad)
+		}
+	}
 	if got, err := Floats("0,-3", false); err != nil || len(got) != 2 {
 		t.Fatalf("Floats(positive=false) = %v, %v", got, err)
 	}
