@@ -215,43 +215,6 @@ func BenchmarkFMSketchAccuracy(b *testing.B) {
 	}
 }
 
-// BenchmarkSketchComparison contrasts the paper's FM sketches with the
-// modern HyperLogLog at comparable wire sizes: relative error per byte for
-// the rank-estimation job.
-func BenchmarkSketchComparison(b *testing.B) {
-	const n = 5000
-	b.Run("FM-8x32/42B", func(b *testing.B) {
-		var errSum float64
-		for i := 0; i < b.N; i++ {
-			sk := instantad.NewSketch(8, 32, uint64(i))
-			for j := 0; j < n; j++ {
-				sk.Add(uint64(j)*2654435761 + uint64(i))
-			}
-			errSum += relErr(sk.Estimate(), n)
-		}
-		b.ReportMetric(errSum/float64(b.N), "relerr_%")
-	})
-	b.Run("HLL-p6/73B", func(b *testing.B) {
-		var errSum float64
-		for i := 0; i < b.N; i++ {
-			h := instantad.NewHLL(6, uint64(i))
-			for j := 0; j < n; j++ {
-				h.Add(uint64(j)*2654435761 + uint64(i))
-			}
-			errSum += relErr(h.Estimate(), n)
-		}
-		b.ReportMetric(errSum/float64(b.N), "relerr_%")
-	})
-}
-
-func relErr(est float64, n int) float64 {
-	rel := (est - float64(n)) / float64(n)
-	if rel < 0 {
-		rel = -rel
-	}
-	return 100 * rel
-}
-
 // BenchmarkAblationRadioImpairments measures Optimized Gossiping with the
 // NS-2-fidelity knobs the default pipeline turns off: per-link loss and
 // receiver-side collisions (DESIGN.md, "Design choices worth ablating").

@@ -22,10 +22,10 @@
 // Observability: every -stats interval the daemon prints a one-line JSON
 // snapshot of its counters, per-peer send health and neighbor table, and it
 // prints a final snapshot on SIGINT/SIGTERM. With -http the same snapshot
-// is published at /debug/vars via expvar and the node's instrument registry
-// is served in the Prometheus text format at /metrics. With -events the
-// node's lifecycle trace (peer/neighbor/backoff transitions) streams to a
-// JSONL file.
+// is served under the "adnode" key of the expvar document at /debug/vars,
+// and the node's instrument registry in the Prometheus text format at
+// /metrics. With -events the node's lifecycle trace (peer/neighbor/backoff
+// transitions) streams to a JSONL file.
 //
 // Demo mode — a five-node chain on loopback in one process, showing a real
 // multi-hop delivery end to end:
@@ -34,10 +34,14 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"expvar"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -52,42 +56,62 @@ import (
 )
 
 func main() {
-	var (
-		demo      = flag.Bool("demo", false, "run a five-node loopback demo and exit")
-		id        = flag.Uint("id", 1, "node identity")
-		listen    = flag.String("listen", "127.0.0.1:0", "UDP listen address")
-		peers     = flag.String("peers", "", "comma-separated static peer addresses")
-		beacon    = flag.Duration("beacon", 0, "HELLO beacon interval (0 = static peers only)")
-		ttl       = flag.Duration("ttl", 0, "neighbor TTL (default 3×beacon interval)")
-		seeds     = flag.String("seeds", "", "comma-separated bootstrap contacts for discovery")
-		advertise = flag.String("advertise", "", "address put in beacons (default: bound address; set when binding a wildcard)")
-		x         = flag.Float64("x", 0, "virtual position x, meters")
-		y         = flag.Float64("y", 0, "virtual position y, meters")
-		rng       = flag.Float64("range", 250, "virtual radio range, meters (0 = overlay)")
-		alpha     = flag.Float64("alpha", 0.5, "probability parameter α")
-		beta      = flag.Float64("beta", 0.5, "decay parameter β")
-		round     = flag.Duration("round", 5*time.Second, "gossip round Δt")
-		cacheK    = flag.Int("cache", 10, "cache capacity")
-		dis       = flag.Float64("dis", 0, "annulus width (enables mechanism 1)")
-		opt2      = flag.Bool("opt2", true, "enable overhearing postponement")
-		batchCap  = flag.Int("batch-cap", 0, "batch frame soft cap, bytes, 512-65507 (0 = 1400 default)")
-		digest    = flag.Int("digest", 0, "send a cache digest every N gossip rounds (0 = off)")
-		block     = flag.Duration("block", 0, "per-peer serve block window after answering a pull (default 4×round when digests are on)")
-		roundB    = flag.Int("round-bytes", 0, "per-round byte budget for batches, digests and pull serves (0 = unlimited)")
-		issue     = flag.String("issue", "", "issue an ad with this text after startup")
-		adR       = flag.Float64("R", 500, "issued ad radius, m")
-		adD       = flag.Float64("D", 180, "issued ad duration, s")
-		adCat     = flag.String("category", "petrol", "issued ad category")
-		statsInt  = flag.Duration("stats", 10*time.Second, "interval between JSON stats snapshots (0 = quiet)")
-		httpAddr  = flag.String("http", "", "serve expvar at /debug/vars and Prometheus text at /metrics on this address (e.g. 127.0.0.1:8500)")
-		eventsOut = flag.String("events", "", "write the node lifecycle event trace (JSONL) to this file")
-		verbose   = flag.Bool("v", false, "log protocol events")
-	)
-	flag.Parse()
+	ctx, _ := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is adnode on the given arguments and streams: the demo, or the daemon
+// until ctx is done. It returns the exit code: 2 for a bad invocation (flags
+// or the node and ad they make), 1 for a failure while running.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("adnode", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		demo      = fs.Bool("demo", false, "run a five-node loopback demo and exit")
+		id        = fs.Uint("id", 1, "node identity")
+		listen    = fs.String("listen", "127.0.0.1:0", "UDP listen address")
+		peers     = fs.String("peers", "", "comma-separated static peer addresses")
+		beacon    = fs.Duration("beacon", 0, "HELLO beacon interval (0 = static peers only)")
+		ttl       = fs.Duration("ttl", 0, "neighbor TTL (default 3×beacon interval)")
+		seeds     = fs.String("seeds", "", "comma-separated bootstrap contacts for discovery")
+		advertise = fs.String("advertise", "", "address put in beacons (default: bound address; set when binding a wildcard)")
+		x         = fs.Float64("x", 0, "virtual position x, meters")
+		y         = fs.Float64("y", 0, "virtual position y, meters")
+		rng       = fs.Float64("range", 250, "virtual radio range, meters (0 = overlay)")
+		alpha     = fs.Float64("alpha", 0.5, "probability parameter α")
+		beta      = fs.Float64("beta", 0.5, "decay parameter β")
+		round     = fs.Duration("round", 5*time.Second, "gossip round Δt")
+		cacheK    = fs.Int("cache", 10, "cache capacity")
+		dis       = fs.Float64("dis", 0, "annulus width (enables mechanism 1)")
+		opt2      = fs.Bool("opt2", true, "enable overhearing postponement")
+		batchCap  = fs.Int("batch-cap", 0, "batch frame soft cap, bytes, 512-65507 (0 = 1400 default)")
+		digest    = fs.Int("digest", 0, "send a cache digest every N gossip rounds (0 = off)")
+		block     = fs.Duration("block", 0, "per-peer serve block window after answering a pull (default 4×round when digests are on)")
+		roundB    = fs.Int("round-bytes", 0, "per-round byte budget for batches, digests and pull serves (0 = unlimited)")
+		issue     = fs.String("issue", "", "issue an ad with this text after startup")
+		adR       = fs.Float64("R", 500, "issued ad radius, m")
+		adD       = fs.Float64("D", 180, "issued ad duration, s")
+		adCat     = fs.String("category", "petrol", "issued ad category")
+		statsInt  = fs.Duration("stats", 10*time.Second, "interval between JSON stats snapshots (0 = quiet)")
+		httpAddr  = fs.String("http", "", "serve expvar at /debug/vars and Prometheus text at /metrics on this address (e.g. 127.0.0.1:8500)")
+		eventsOut = fs.String("events", "", "write the node lifecycle event trace (JSONL) to this file")
+		verbose   = fs.Bool("v", false, "log protocol events")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "adnode: %v\n", err)
+		return code
+	}
 	if *demo {
-		runDemo()
-		return
+		if err := runDemo(stdout); err != nil {
+			return fail(1, err)
+		}
+		return 0
 	}
 
 	cfg := node.Config{
@@ -109,58 +133,68 @@ func main() {
 		DigestEvery:    *digest,
 		BlockWindow:    *block,
 		RoundBytes:     *roundB,
+		Peers:          cli.Strings(*peers),
+		Seeds:          cli.Strings(*seeds),
 	}
-	cfg.Peers = cli.Strings(*peers)
-	cfg.Seeds = cli.Strings(*seeds)
 	if *verbose {
 		cfg.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "node: "+format+"\n", args...)
+			fmt.Fprintf(stderr, "node: "+format+"\n", args...)
 		}
 	}
-	var events *node.EventRecorder
 	if *eventsOut != "" {
 		f, err := os.Create(*eventsOut)
-		cli.FatalIf("adnode", err)
+		if err != nil {
+			return fail(1, err)
+		}
 		defer f.Close()
-		events = node.NewEventRecorder(f)
+		events := node.NewEventRecorder(f)
 		cfg.Events = events
 		defer func() {
 			if err := events.Flush(); err != nil {
-				fmt.Fprintf(os.Stderr, "adnode: events: %v\n", err)
+				fmt.Fprintf(stderr, "adnode: events: %v\n", err)
 			}
 		}()
 	}
 	n, err := node.New(cfg)
-	cli.FatalIf("adnode", err)
+	if err != nil {
+		var opErr *net.OpError // a socket that will not bind; else a bad config
+		if errors.As(err, &opErr) {
+			return fail(1, err)
+		}
+		return fail(2, err)
+	}
 	defer n.Close()
 	n.Start()
-	fmt.Printf("node %d listening on %s at (%.0f, %.0f), range %.0f m\n",
+	fmt.Fprintf(stdout, "node %d listening on %s at (%.0f, %.0f), range %.0f m\n",
 		*id, n.Addr(), *x, *y, *rng)
 	if *beacon > 0 {
-		fmt.Printf("discovery on: beaconing every %v, neighbor TTL %v, %d seed(s)\n",
+		fmt.Fprintf(stdout, "discovery on: beaconing every %v, neighbor TTL %v, %d seed(s)\n",
 			*beacon, *ttl, len(cfg.Seeds))
 	}
 
-	expvar.Publish("adnode", expvar.Func(func() any { return snapshotOf(n, uint32(*id)) }))
-	http.Handle("/metrics", n.Registry().Handler())
 	if *httpAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*httpAddr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "adnode: http: %v\n", err)
-			}
-		}()
-		fmt.Printf("expvar stats at http://%s/debug/vars, Prometheus text at http://%s/metrics\n",
-			*httpAddr, *httpAddr)
+		ln, err := net.Listen("tcp", *httpAddr)
+		if err != nil {
+			return fail(1, err)
+		}
+		mux := http.NewServeMux()
+		mux.Handle("/metrics", n.Registry().Handler())
+		mux.HandleFunc("/debug/vars", debugVars(n, uint32(*id)))
+		hs := &http.Server{Handler: mux}
+		go hs.Serve(ln)
+		defer hs.Close()
+		fmt.Fprintf(stdout, "expvar stats at http://%s/debug/vars, Prometheus text at http://%s/metrics\n",
+			ln.Addr(), ln.Addr())
 	}
 
 	if *issue != "" {
 		ad, err := n.Issue(core.AdSpec{R: *adR, D: *adD, Category: *adCat, Text: *issue})
-		cli.FatalIf("adnode", err)
-		fmt.Printf("issued %v: %q (R=%.0f m, D=%.0f s)\n", ad.ID, ad.Text, ad.R, ad.D)
+		if err != nil {
+			return fail(2, err)
+		}
+		fmt.Fprintf(stdout, "issued %v: %q (R=%.0f m, D=%.0f s)\n", ad.ID, ad.Text, ad.R, ad.D)
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	var tick <-chan time.Time
 	if *statsInt > 0 {
 		ticker := time.NewTicker(*statsInt)
@@ -169,11 +203,11 @@ func main() {
 	}
 	for {
 		select {
-		case <-sig:
-			dumpStats(n, uint32(*id))
-			return
+		case <-ctx.Done():
+			dumpStats(stdout, stderr, n, uint32(*id))
+			return 0
 		case <-tick:
-			dumpStats(n, uint32(*id))
+			dumpStats(stdout, stderr, n, uint32(*id))
 		}
 	}
 }
@@ -203,27 +237,41 @@ func snapshotOf(n *node.Node, id uint32) snapshot {
 	}
 }
 
-func dumpStats(n *node.Node, id uint32) {
+func dumpStats(stdout, stderr io.Writer, n *node.Node, id uint32) {
 	out, err := json.Marshal(snapshotOf(n, id))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "adnode: stats: %v\n", err)
+		fmt.Fprintf(stderr, "adnode: stats: %v\n", err)
 		return
 	}
-	fmt.Println(string(out))
+	fmt.Fprintln(stdout, string(out))
+}
+
+// debugVars serves expvar's /debug/vars document with the node's snapshot
+// added under "adnode". It reads expvar's process-wide variables but
+// publishes none, so one process can run several nodes.
+func debugVars(n *node.Node, id uint32) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		vars := map[string]any{"adnode": snapshotOf(n, id)}
+		expvar.Do(func(kv expvar.KeyValue) { vars[kv.Key] = json.RawMessage(kv.Value.String()) })
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		json.NewEncoder(w).Encode(vars)
+	}
 }
 
 // runDemo spins a five-node chain, issues an ad at one end and reports when
 // the far end receives it over real UDP hops.
-func runDemo() {
+func runDemo(stdout io.Writer) error {
 	const spacing = 200.0 // meters between chain neighbors; range 250 m
-	fmt.Println("five-node chain on loopback, 200 m spacing, 250 m radio range")
+	fmt.Fprintln(stdout, "five-node chain on loopback, 200 m spacing, 250 m radio range")
 	cluster, err := node.NewCluster(node.ChainConfigs(5, spacing, 250, 100*time.Millisecond))
-	cli.FatalIf("adnode", err)
+	if err != nil {
+		return err
+	}
 	defer cluster.Close()
 	cluster.Start()
 	nodes := cluster.Nodes
 	for i, n := range nodes {
-		fmt.Printf("  node %d at x=%4.0f  %s\n", i, float64(i)*spacing, n.Addr())
+		fmt.Fprintf(stdout, "  node %d at x=%4.0f  %s\n", i, float64(i)*spacing, n.Addr())
 	}
 
 	start := time.Now()
@@ -231,8 +279,10 @@ func runDemo() {
 		R: 1200, D: 30, Category: "grocery",
 		Text: "Fresh fruit 20% off until 6pm",
 	})
-	cli.FatalIf("adnode", err)
-	fmt.Printf("\nnode 0 issued %v: %q\n", ad.ID, ad.Text)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "\nnode 0 issued %v: %q\n", ad.ID, ad.Text)
 
 	deadline := time.Now().Add(10 * time.Second)
 	reached := make([]bool, len(nodes))
@@ -242,7 +292,7 @@ func runDemo() {
 		for i, n := range nodes {
 			if !reached[i] && n.Has(ad.ID) {
 				reached[i] = true
-				fmt.Printf("node %d received after %v (≥%d hops)\n",
+				fmt.Fprintf(stdout, "node %d received after %v (≥%d hops)\n",
 					i, time.Since(start).Round(time.Millisecond), i)
 			}
 			all = all && reached[i]
@@ -252,12 +302,12 @@ func runDemo() {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	fmt.Printf("\ntotal datagrams sent: %d\n", cluster.TotalSent())
+	fmt.Fprintf(stdout, "\ntotal datagrams sent: %d\n", cluster.TotalSent())
 	for i, ok := range reached {
 		if !ok {
-			fmt.Printf("node %d never received the ad\n", i)
-			os.Exit(1)
+			return fmt.Errorf("node %d never received the ad", i)
 		}
 	}
-	fmt.Println("every node along the chain received the ad — multi-hop gossip over real sockets.")
+	fmt.Fprintln(stdout, "every node along the chain received the ad — multi-hop gossip over real sockets.")
+	return nil
 }

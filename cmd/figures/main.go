@@ -6,8 +6,8 @@
 //	figures                 # every figure at full scale
 //	figures -fig fig7       # one figure (fig2 fig3 fig5 fig7 fig8 fig9
 //	                        #   fig10a fig10b fig10c beta fm contention
-//	                        #   popularity spread capacity comparator
-//	                        #   rsu async sensitivity)
+//	                        #   popularity spread capacity rsu async
+//	                        #   comparator sensitivity)
 //	figures -fig rsu -rsu 0,4,8,16            # coverage vs roadside units
 //	figures -fig rsu -road city.txt           # ... on an imported road graph
 //	figures -quick          # scaled-down sweeps for a fast sanity pass
@@ -16,8 +16,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -28,55 +30,159 @@ import (
 	"instantad/internal/cli"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// printer writes figures the way the output flags ask.
+type printer struct {
+	opts   instantad.RunOpts
+	out    io.Writer
+	chart  bool
+	csvDir string
+	road   string // road graph file for the rsu sweep
+	rsu    []int  // RSU counts for the rsu sweep
+}
+
+// show prints each figure, with its chart and CSV file when asked. The
+// generator's error comes first so show can take a generator's results as
+// they are.
+func (p *printer) show(err error, figs ...instantad.Figure) error {
+	if err != nil {
+		return err
+	}
+	for _, f := range figs {
+		fmt.Fprintln(p.out, f.Render())
+		if p.chart {
+			fmt.Fprintln(p.out, f.Chart(72, 18))
+		}
+		if p.csvDir != "" {
+			if err := os.WriteFile(filepath.Join(p.csvDir, f.ID+".csv"), []byte(f.CSV()), 0o644); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// generators is every -fig name, in the order -fig all prints them.
+var generators = []struct {
+	name string
+	gen  func(*printer) error
+}{
+	{"fig2", func(p *printer) error { return p.show(nil, instantad.Fig2()) }},
+	{"fig3", func(p *printer) error { return p.show(nil, instantad.Fig3()) }},
+	{"fig5", func(p *printer) error { return p.show(nil, instantad.Fig5()) }},
+	{"fig7", func(p *printer) error { a, b, c, err := instantad.Fig7(p.opts); return p.show(err, a, b, c) }},
+	{"fig8", func(p *printer) error { a, b, c, err := instantad.Fig8(p.opts); return p.show(err, a, b, c) }},
+	{"fig9", func(p *printer) error { f, err := instantad.Fig9(p.opts); return p.show(err, f) }},
+	{"fig10a", func(p *printer) error { f, err := instantad.Fig10a(p.opts); return p.show(err, f) }},
+	{"fig10b", func(p *printer) error { f, err := instantad.Fig10b(p.opts); return p.show(err, f) }},
+	{"fig10c", func(p *printer) error { f, err := instantad.Fig10c(p.opts); return p.show(err, f) }},
+	{"beta", func(p *printer) error { f, err := instantad.FigBetaSensitivity(p.opts); return p.show(err, f) }},
+	{"fm", func(p *printer) error { return p.show(nil, instantad.FigFMAccuracy()) }},
+	{"contention", func(p *printer) error { f, err := instantad.FigAdContention(p.opts); return p.show(err, f) }},
+	{"popularity", func(p *printer) error { f, err := instantad.FigPopularityDynamics(p.opts); return p.show(err, f) }},
+	{"spread", func(p *printer) error { f, err := instantad.FigSpreadCurve(p.opts); return p.show(err, f) }},
+	{"capacity", func(p *printer) error {
+		sc := instantad.DefaultScenario()
+		sc.SimTime = 900
+		base := instantad.CampaignConfig{
+			Start: 60, End: 660, R: 400, D: 120,
+			RJitter: 40, DJitter: 12, CategorySkew: 0.8,
+		}
+		f, err := instantad.FigCapacity(sc, base, []float64{1, 2, 4, 8, 12})
+		return p.show(err, f)
+	}},
+	{"rsu", func(p *printer) error {
+		// The road file only applies to the road sweep — Validate rejects it
+		// on the open-field figures — so set it on a copy of the options.
+		o := p.opts
+		o.Base.RoadFile = p.road
+		f, err := instantad.FigRSUCoverage(o, p.rsu)
+		return p.show(err, f)
+	}},
+	{"async", func(p *printer) error { a, b, err := instantad.FigAsync(p.opts); return p.show(err, a, b) }},
+	{"comparator", func(p *printer) error { f, err := instantad.FigComparator(p.opts); return p.show(err, f) }},
+	{"sensitivity", func(p *printer) error {
+		rep, err := instantad.Sensitivity(p.opts)
+		if err == nil {
+			fmt.Fprintln(p.out, rep.Render())
+		}
+		return err
+	}},
+}
+
+// run is figures on the given arguments and streams. It returns the exit
+// code: 2 for a bad invocation, 1 for a figure that failed.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		fig        = flag.String("fig", "all", "which figure to regenerate")
-		reps       = flag.Int("reps", 3, "seeds per point")
-		quick      = flag.Bool("quick", false, "shrink sweeps for a fast pass")
-		quiet      = flag.Bool("q", false, "suppress progress lines")
-		chart      = flag.Bool("chart", false, "render ASCII charts alongside the tables")
-		csvDir     = flag.String("csv", "", "also write each figure as <dir>/<id>.csv")
-		roadFile   = flag.String("road", "", "road graph file for the rsu figure (empty = synthetic grid)")
-		rsuCounts  = flag.String("rsu", "", "comma-separated RSU counts for the rsu figure (default 0,2,4,8)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
-		seed       = flag.Uint64("seed", 1, "base random seed")
+		fig        = fs.String("fig", "all", "which figure to regenerate")
+		reps       = fs.Int("reps", 3, "seeds per point")
+		quick      = fs.Bool("quick", false, "shrink sweeps for a fast pass")
+		quiet      = fs.Bool("q", false, "suppress progress lines")
+		chart      = fs.Bool("chart", false, "render ASCII charts alongside the tables")
+		csvDir     = fs.String("csv", "", "also write each figure as <dir>/<id>.csv")
+		roadFile   = fs.String("road", "", "road graph file for the rsu figure (empty = synthetic grid)")
+		rsuCounts  = fs.String("rsu", "", "comma-separated RSU counts for the rsu figure (default 0,2,4,8)")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile = fs.String("memprofile", "", "write an allocation profile to this file on exit")
+		seed       = fs.Uint64("seed", 1, "base random seed")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "figures: %v\n", err)
+		return code
+	}
+	var todo []func(*printer) error
+	var names []string
+	for _, g := range generators {
+		names = append(names, g.name)
+		if *fig == "all" || strings.EqualFold(*fig, g.name) {
+			todo = append(todo, g.gen)
+		}
+	}
+	if len(todo) == 0 {
+		return fail(2, fmt.Errorf("unknown -fig %q; want all or one of: %s", *fig, strings.Join(names, " ")))
+	}
+	counts, err := cli.Ints(*rsuCounts)
+	if err != nil {
+		return fail(2, fmt.Errorf("-rsu: %v", err))
+	}
+
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(1, err)
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+		defer pprof.StopCPUProfile()
 	}
 	if *memProfile != "" {
-		path := *memProfile
 		defer func() {
-			f, err := os.Create(path)
+			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintf(stderr, "figures: %v\n", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // settle live-heap numbers before the snapshot
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintf(stderr, "figures: %v\n", err)
 			}
 		}()
 	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 	}
 
@@ -85,7 +191,7 @@ func main() {
 	opts := instantad.RunOpts{Reps: *reps, Base: base}
 	if !*quiet {
 		opts.Progress = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "  "+format+"\n", args...)
+			fmt.Fprintf(stderr, "  "+format+"\n", args...)
 		}
 	}
 	if *quick {
@@ -97,118 +203,11 @@ func main() {
 			opts.Reps = 1
 		}
 	}
-	show := func(f instantad.Figure, err error) {
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		fmt.Println(f.Render())
-		if *chart {
-			fmt.Println(f.Chart(72, 18))
-		}
-		if *csvDir != "" {
-			path := filepath.Join(*csvDir, f.ID+".csv")
-			if err := os.WriteFile(path, []byte(f.CSV()), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+	p := &printer{opts: opts, out: stdout, chart: *chart, csvDir: *csvDir, road: *roadFile, rsu: counts}
+	for _, gen := range todo {
+		if err := gen(p); err != nil {
+			return fail(1, err)
 		}
 	}
-	want := func(name string) bool { return *fig == "all" || strings.EqualFold(*fig, name) }
-
-	if want("fig2") {
-		show(instantad.Fig2(), nil)
-	}
-	if want("fig3") {
-		show(instantad.Fig3(), nil)
-	}
-	if want("fig5") {
-		show(instantad.Fig5(), nil)
-	}
-	if want("fig7") {
-		a, b, c, err := instantad.Fig7(opts)
-		show(a, err)
-		show(b, nil)
-		show(c, nil)
-	}
-	if want("fig8") {
-		a, b, c, err := instantad.Fig8(opts)
-		show(a, err)
-		show(b, nil)
-		show(c, nil)
-	}
-	if want("fig9") {
-		f, err := instantad.Fig9(opts)
-		show(f, err)
-	}
-	if want("fig10a") {
-		f, err := instantad.Fig10a(opts)
-		show(f, err)
-	}
-	if want("fig10b") {
-		f, err := instantad.Fig10b(opts)
-		show(f, err)
-	}
-	if want("fig10c") {
-		f, err := instantad.Fig10c(opts)
-		show(f, err)
-	}
-	if want("beta") {
-		f, err := instantad.FigBetaSensitivity(opts)
-		show(f, err)
-	}
-	if want("fm") {
-		show(instantad.FigFMAccuracy(), nil)
-	}
-	if want("contention") {
-		f, err := instantad.FigAdContention(opts)
-		show(f, err)
-	}
-	if want("popularity") {
-		f, err := instantad.FigPopularityDynamics(opts)
-		show(f, err)
-	}
-	if want("spread") {
-		f, err := instantad.FigSpreadCurve(opts)
-		show(f, err)
-	}
-	if want("capacity") {
-		sc := instantad.DefaultScenario()
-		sc.SimTime = 900
-		base := instantad.CampaignConfig{
-			Start: 60, End: 660, R: 400, D: 120,
-			RJitter: 40, DJitter: 12, CategorySkew: 0.8,
-		}
-		f, err := instantad.FigCapacity(sc, base, []float64{1, 2, 4, 8, 12})
-		show(f, err)
-	}
-	if want("rsu") {
-		counts, err := cli.Ints(*rsuCounts)
-		if err != nil {
-			cli.Usage("figures", "-rsu: %v", err)
-		}
-		// The road file only applies to the road sweep — Validate rejects it
-		// on the open-field figures — so mutate a local copy of the options.
-		ropts := opts
-		ropts.Base.RoadFile = *roadFile
-		f, err := instantad.FigRSUCoverage(ropts, counts)
-		show(f, err)
-	}
-	if want("async") {
-		a, b, err := instantad.FigAsync(opts)
-		show(a, err)
-		show(b, nil)
-	}
-	if want("comparator") {
-		f, err := instantad.FigComparator(opts)
-		show(f, err)
-	}
-	if want("sensitivity") {
-		rep, err := instantad.Sensitivity(opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		fmt.Println(rep.Render())
-	}
+	return 0
 }

@@ -11,125 +11,159 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
-	"instantad/internal/cli"
 	"instantad/internal/geo"
 	"instantad/internal/mobility"
 	"instantad/internal/rng"
 	"instantad/internal/roadnet"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is mobgen on the given arguments and streams. It returns the exit
+// code: 2 for a bad invocation (flags or the models they make), 1 for a
+// file that could not be read or written.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mobgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		n        = flag.Int("n", 300, "number of nodes")
-		model    = flag.String("model", "random-waypoint", "random-waypoint | random-walk | manhattan | road")
-		fieldW   = flag.Float64("field", 1500, "square field side, meters")
-		speed    = flag.Float64("speed", 10, "mean speed, m/s")
-		delta    = flag.Float64("speed-delta", 5, "speed spread")
-		pause    = flag.Float64("pause", 10, "waypoint pause, s")
-		block    = flag.Float64("block", 150, "manhattan block size, m")
-		horizon  = flag.Float64("horizon", 2000, "trajectory length, s")
-		seed     = flag.Uint64("seed", 1, "random seed")
-		out      = flag.String("out", "-", "output file ('-' for stdout)")
-		info     = flag.String("info", "", "inspect an existing movement script instead")
-		roadFile = flag.String("road", "", "road graph file for -model road (empty = synthetic grid over the field)")
-		emitRoad = flag.String("emit-road", "", "write the synthetic grid road graph to this file and exit")
+		n        = fs.Int("n", 300, "number of nodes")
+		model    = fs.String("model", "random-waypoint", "random-waypoint | random-walk | manhattan | road")
+		fieldW   = fs.Float64("field", 1500, "square field side, meters")
+		speed    = fs.Float64("speed", 10, "mean speed, m/s")
+		delta    = fs.Float64("speed-delta", 5, "speed spread")
+		pause    = fs.Float64("pause", 10, "waypoint pause, s")
+		block    = fs.Float64("block", 150, "manhattan block size, m")
+		horizon  = fs.Float64("horizon", 2000, "trajectory length, s")
+		seed     = fs.Uint64("seed", 1, "random seed")
+		out      = fs.String("out", "-", "output file ('-' for stdout)")
+		info     = fs.String("info", "", "inspect an existing movement script instead")
+		roadFile = fs.String("road", "", "road graph file for -model road (empty = synthetic grid over the field)")
+		emitRoad = fs.String("emit-road", "", "write the synthetic grid road graph to this file and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "mobgen: %v\n", err)
+		return code
+	}
 
 	if *info != "" {
-		inspect(*info)
-		return
-	}
-	if *emitRoad != "" {
-		g, err := roadnet.Grid(int(*fieldW / *block)+1, int(*fieldW / *block)+1, *block)
-		cli.FatalIf("mobgen", err)
-		f, err := os.Create(*emitRoad)
-		cli.FatalIf("mobgen", err)
-		if err := g.Write(f); err == nil {
-			err = f.Close()
+		if err := inspect(*info, stdout); err != nil {
+			return fail(1, err)
 		}
-		cli.FatalIf("mobgen", err)
-		fmt.Fprintf(os.Stderr, "wrote %s: %d intersections, %d road segments, %.0f m total\n",
+		return 0
+	}
+	side := int(*fieldW / *block) + 1
+	if *emitRoad != "" {
+		g, err := roadnet.Grid(side, side, *block)
+		if err != nil {
+			return fail(2, err)
+		}
+		var buf bytes.Buffer
+		g.Write(&buf) // a bytes.Buffer write cannot fail
+		if err := os.WriteFile(*emitRoad, buf.Bytes(), 0o644); err != nil {
+			return fail(1, err)
+		}
+		fmt.Fprintf(stderr, "wrote %s: %d intersections, %d road segments, %.0f m total\n",
 			*emitRoad, g.N(), g.M(), g.TotalLength())
-		return
+		return 0
+	}
+	if *n <= 0 {
+		return fail(2, fmt.Errorf("-n %d must be > 0", *n))
 	}
 
 	var graph *roadnet.Graph
 	if *model == "road" {
 		var err error
 		if *roadFile != "" {
-			graph, err = roadnet.Load(*roadFile)
-		} else {
-			graph, err = roadnet.Grid(int(*fieldW / *block)+1, int(*fieldW / *block)+1, *block)
+			if graph, err = roadnet.Load(*roadFile); err != nil {
+				return fail(1, err)
+			}
+		} else if graph, err = roadnet.Grid(side, side, *block); err != nil {
+			return fail(2, err)
 		}
-		cli.FatalIf("mobgen", err)
 	}
-
 	field := geo.NewRect(*fieldW, *fieldW)
 	root := rng.New(*seed)
 	models := make([]mobility.Model, *n)
 	for i := range models {
 		s := root.SplitIndex("mobility", i)
-		var (
-			m   mobility.Model
-			err error
-		)
+		var err error
 		switch *model {
 		case "random-waypoint":
-			m, err = mobility.NewRandomWaypoint(mobility.RandomWaypointConfig{
+			models[i], err = mobility.NewRandomWaypoint(mobility.RandomWaypointConfig{
 				Field: field, SpeedMean: *speed, SpeedDelta: *delta,
 				Pause: *pause, Horizon: *horizon,
 			}, s)
 		case "random-walk":
-			m, err = mobility.NewRandomWalk(mobility.RandomWalkConfig{
+			models[i], err = mobility.NewRandomWalk(mobility.RandomWalkConfig{
 				Field: field, SpeedMean: *speed, SpeedDelta: *delta,
 				Epoch: 30, Horizon: *horizon,
 			}, s)
 		case "manhattan":
-			m, err = mobility.NewManhattan(mobility.ManhattanConfig{
+			models[i], err = mobility.NewManhattan(mobility.ManhattanConfig{
 				Field: field, BlockSize: *block,
 				SpeedMean: *speed, SpeedDelta: *delta, Horizon: *horizon,
 			}, s)
 		case "road":
-			m, err = mobility.NewRoad(mobility.RoadConfig{
+			models[i], err = mobility.NewRoad(mobility.RoadConfig{
 				Graph: graph, SpeedMean: *speed, SpeedDelta: *delta,
 				Pause: *pause, Horizon: *horizon,
 			}, s)
 		default:
 			err = fmt.Errorf("unknown model %q", *model)
 		}
-		cli.FatalIf("mobgen", err)
-		models[i] = m
+		if err != nil {
+			return fail(2, err)
+		}
 	}
 
-	w := os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		cli.FatalIf("mobgen", err)
-		defer f.Close()
-		w = f
+	var buf bytes.Buffer
+	if err := mobility.ExportNS2(&buf, models); err != nil {
+		return fail(2, err)
 	}
-	cli.FatalIf("mobgen", mobility.ExportNS2(w, models))
-	fmt.Fprintf(os.Stderr, "wrote %d %s trajectories over %.0f s\n", *n, *model, *horizon)
+	var err error
+	if *out == "-" {
+		_, err = stdout.Write(buf.Bytes())
+	} else {
+		err = os.WriteFile(*out, buf.Bytes(), 0o644)
+	}
+	if err != nil {
+		return fail(1, err)
+	}
+	fmt.Fprintf(stderr, "wrote %d %s trajectories over %.0f s\n", *n, *model, *horizon)
+	return 0
 }
 
-func inspect(path string) {
+// inspect prints a movement script's node count, leg count and last arrival.
+func inspect(path string, stdout io.Writer) error {
 	f, err := os.Open(path)
-	cli.FatalIf("mobgen", err)
+	if err != nil {
+		return err
+	}
 	defer f.Close()
 	byID, err := mobility.ParseNS2(f)
-	cli.FatalIf("mobgen", err)
+	if err != nil {
+		return err
+	}
 	ids := make([]int, 0, len(byID))
 	for id := range byID {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	fmt.Printf("%d nodes (ids %d..%d)\n", len(ids), ids[0], ids[len(ids)-1])
+	fmt.Fprintf(stdout, "%d nodes (ids %d..%d)\n", len(ids), ids[0], ids[len(ids)-1])
 	legs := 0
 	var maxT float64
 	for _, id := range ids {
@@ -139,5 +173,6 @@ func inspect(path string) {
 			maxT = t
 		}
 	}
-	fmt.Printf("%d trajectory legs, last arrival at %.1f s\n", legs, maxT)
+	fmt.Fprintf(stdout, "%d trajectory legs, last arrival at %.1f s\n", legs, maxT)
+	return nil
 }

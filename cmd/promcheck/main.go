@@ -13,6 +13,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -25,46 +26,69 @@ import (
 	"instantad/internal/obs"
 )
 
-func main() {
-	var (
-		url     = flag.String("url", "", "scrape this URL instead of reading a file")
-		in      = flag.String("in", "-", "exposition file to read ('-' for stdin)")
-		require = flag.String("require", "", "comma-separated name:type assertions (type optional), e.g. node_sent_total:counter,node_peers_live")
-		timeout = flag.Duration("timeout", 10*time.Second, "total scrape budget, retrying until the endpoint answers")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
 
+// run is promcheck on the given arguments and streams; stdin is what -in -
+// reads. It returns the exit code: 2 for a bad invocation, 1 for an
+// exposition that could not be read, does not parse or lacks a required
+// family.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("promcheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		url     = fs.String("url", "", "scrape this URL instead of reading a file")
+		in      = fs.String("in", "-", "exposition file to read ('-' for stdin)")
+		require = fs.String("require", "", "comma-separated name:type assertions (type optional), e.g. node_sent_total:counter,node_peers_live")
+		timeout = fs.Duration("timeout", 10*time.Second, "total scrape budget, retrying until the endpoint answers")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if err := check(*url, *in, *require, *timeout, stdin, stdout); err != nil {
+		fmt.Fprintf(stderr, "promcheck: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+// check parses the exposition and asserts every required family.
+func check(url, in, require string, timeout time.Duration, stdin io.Reader, stdout io.Writer) error {
 	var (
 		r   io.ReadCloser
 		err error
 	)
 	switch {
-	case *url != "":
-		r, err = scrape(*url, *timeout)
-	case *in == "-":
-		r = os.Stdin
+	case url != "":
+		r, err = scrape(url, timeout)
+	case in == "-":
+		r = io.NopCloser(stdin)
 	default:
-		r, err = os.Open(*in)
+		r, err = os.Open(in)
 	}
-	cli.FatalIf("promcheck", err)
+	if err != nil {
+		return err
+	}
 	defer r.Close()
 
 	fams, err := obs.ParsePrometheus(r)
-	cli.FatalIf("promcheck", err)
-
-	if *require != "" {
-		for _, req := range cli.Strings(*require) {
-			name, typ, _ := strings.Cut(req, ":")
-			fam, ok := fams[name]
-			if !ok {
-				cli.Fatal("promcheck", fmt.Errorf("required family %q missing", name))
-			}
-			if typ != "" && fam.Type != typ {
-				cli.Fatal("promcheck", fmt.Errorf("family %q is %s, want %s", name, fam.Type, typ))
-			}
+	if err != nil {
+		return err
+	}
+	for _, req := range cli.Strings(require) {
+		name, typ, _ := strings.Cut(req, ":")
+		fam, ok := fams[name]
+		if !ok {
+			return fmt.Errorf("required family %q missing", name)
+		}
+		if typ != "" && fam.Type != typ {
+			return fmt.Errorf("family %q is %s, want %s", name, fam.Type, typ)
 		}
 	}
-	fmt.Printf("ok: %d families\n", len(fams))
+	fmt.Fprintf(stdout, "ok: %d families\n", len(fams))
+	return nil
 }
 
 // scrape GETs the exposition, retrying until the timeout so CI can point it
@@ -81,7 +105,7 @@ func scrape(url string, budget time.Duration) (io.ReadCloser, error) {
 			err = fmt.Errorf("status %s", resp.Status)
 		}
 		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("promcheck: scraping %s: %w", url, err)
+			return nil, fmt.Errorf("scraping %s: %w", url, err)
 		}
 		time.Sleep(100 * time.Millisecond)
 	}

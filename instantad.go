@@ -156,10 +156,6 @@ type (
 // slot by hand.
 func MultiObserver(observers ...Observer) Observer { return core.MultiObserver(observers...) }
 
-// Observe is MultiObserver under the name Sim.Observe uses: compose any
-// number of observers into one for a Network-level SetObserver.
-func Observe(observers ...Observer) Observer { return MultiObserver(observers...) }
-
 // NewRegistry returns an empty metrics registry.
 func NewRegistry() *Registry { return obs.NewRegistry() }
 
@@ -247,13 +243,6 @@ func NewRand(seed uint64) *Rand { return rng.New(seed) }
 // NewSketch returns an empty FM multi-sketch with f bitmaps of l bits,
 // sharing the hash family selected by seed.
 func NewSketch(f, l int, seed uint64) *Sketch { return fm.New(f, l, seed) }
-
-// HLL is a HyperLogLog distinct-count sketch, exported as a modern
-// alternative to the paper's FM sketches (see BenchmarkSketchComparison).
-type HLL = fm.HLL
-
-// NewHLL returns an empty HyperLogLog with 2^p registers.
-func NewHLL(p int, seed uint64) *HLL { return fm.NewHLL(p, seed) }
 
 // AssignInterests gives every peer in the simulation a random interest set.
 func AssignInterests(s *Sim, cfg InterestConfig, rnd *Rand) {
@@ -377,8 +366,6 @@ type (
 	Fleet = campaign.Fleet
 	// AdmissionConfig is the control plane's backpressure policy.
 	AdmissionConfig = campaign.Admission
-	// CampaignCheckpoint is the control plane's durable on-disk state.
-	CampaignCheckpoint = campaign.Checkpoint
 )
 
 // Campaign lifecycle states.
@@ -400,9 +387,4 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) { return campaign.NewFleet(cfg) }
 // Shutdown.
 func NewCampaignServer(cfg CampaignServerConfig) (*CampaignServer, error) {
 	return campaign.NewServer(cfg)
-}
-
-// ReadCampaignCheckpoint loads and version-checks a checkpoint file.
-func ReadCampaignCheckpoint(path string) (CampaignCheckpoint, error) {
-	return campaign.ReadCheckpoint(path)
 }

@@ -116,13 +116,6 @@ func TestPublicFacadeCoverage(t *testing.T) {
 	if len(instantad.AllProtocols()) != 7 {
 		t.Errorf("AllProtocols = %v", instantad.AllProtocols())
 	}
-	h := instantad.NewHLL(6, 1)
-	for i := uint64(0); i < 200; i++ {
-		h.Add(i * 7919)
-	}
-	if est := h.Estimate(); est < 100 || est > 400 {
-		t.Errorf("HLL estimate %v far from 200", est)
-	}
 	sum, err := instantad.RunMultiAd(quickScenario(), 2)
 	if err != nil {
 		t.Fatal(err)

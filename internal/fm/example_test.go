@@ -25,16 +25,3 @@ func ExampleSketch() {
 	// union estimate in [50, 200]: true
 	// wire size: 42 bytes
 }
-
-// HyperLogLog as the modern drop-in for the same job.
-func ExampleHLL() {
-	h := fm.NewHLL(10, 1)
-	for i := uint64(0); i < 10000; i++ {
-		h.Add(i)
-		h.Add(i) // duplicates are free
-	}
-	est := h.Estimate()
-	fmt.Println("estimate within 5% of 10000:", est > 9500 && est < 10500)
-	// Output:
-	// estimate within 5% of 10000: true
-}
