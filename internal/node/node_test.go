@@ -101,6 +101,11 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.PeerFailLimit = -1 },
 		func(c *Config) { c.PeerBackoffBase = -time.Second },
 		func(c *Config) { c.PeerBackoffMax = -time.Second },
+		// Sketch shapes fm.New panics on, and non-finite Formula 7 inputs.
+		func(c *Config) { c.Popularity = core.PopularityConfig{Enabled: true, L: 65} },
+		func(c *Config) { c.Popularity = core.PopularityConfig{Enabled: true, F: -1} },
+		func(c *Config) { c.Popularity = core.PopularityConfig{Enabled: true, RInc: math.NaN()} },
+		func(c *Config) { c.Popularity = core.PopularityConfig{Enabled: true, DInc: math.Inf(1)} },
 	}
 	for i, mutate := range mutations {
 		cfg := testConfig(0, geo.Point{})
