@@ -6,9 +6,9 @@ import (
 )
 
 // Entry is one cached advertisement together with its protocol bookkeeping:
-// the forwarding probability its owner last wrote (EvictLowest's key) and,
-// under Optimized Gossiping-2, the per-entry next scheduled gossip time and
-// its timer handle.
+// the forwarding probability its owner last wrote (EvictLowest's key), the
+// live node's next due time and, under the simulator's Optimized
+// Gossiping-2, the entry's slot and timer handle.
 type Entry struct {
 	Ad *Advertisement
 	// Prob is the forwarding probability at the owner's position when the
@@ -18,13 +18,16 @@ type Entry struct {
 	// that refresh (the simulator's core usually can) leaves the survivors'
 	// values as they were.
 	Prob float64
-	// ScheduledAt is the per-entry next gossip time under Optimized
-	// Gossiping-2 (every entry gossips together each round otherwise).
+	// ScheduledAt is the live node's next due time for the entry, on its
+	// protocol clock: the node's tick steps every entry whose time has come
+	// and postpones it under Optimization Mechanism 2. The simulator keeps
+	// its timers on Slot instead.
 	ScheduledAt float64
-	// Slot is the integer index of ScheduledAt on the protocol's slotted
-	// round grid. Like Timer it is owned by the protocol: slot times are
-	// always recomputed as index×width from this counter so that entries
-	// meant to coincide land on bit-identical float64 instants.
+	// Slot is the integer index of the entry's next gossip on the
+	// simulator's slotted round grid under Optimized Gossiping-2. Like Timer
+	// it is owned by the protocol: slot times are always recomputed as
+	// index×width from this counter so that entries meant to coincide land
+	// on bit-identical float64 instants.
 	Slot int64
 	// Timer is an opaque handle owned by the protocol (a *sim.Event); the
 	// cache only carries it so eviction can hand it back for cancellation.

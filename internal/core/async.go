@@ -248,26 +248,21 @@ func (n *Network) recycleAsync(f *asyncFrame) {
 }
 
 // sampleAds walks the cache applying the paper's forwarding rule per
-// exchange: expired entries are dropped, every survivor's probability is
-// refreshed at the current position, and each is appended to the frame's ad
-// list with probability P(d,t). Included snapshots are marked Shared so later
-// local mutations copy first (the same copy-on-write contract as
-// broadcastAd).
+// exchange: each entry's step (Rules.Step) drops it when expired, else
+// appends it to the frame's ad list with probability P(d,t). Included
+// snapshots are marked Shared so later local mutations copy first (the same
+// copy-on-write contract as broadcastAd).
 func (p *Peer) sampleAds(f *asyncFrame) {
 	n := p.net
-	now := n.sim.Now()
+	now, pos := n.sim.Now(), p.Position()
 	p.cache.ForEach(func(e *ads.Entry) {
-		if e.Ad.Expired(now) {
-			p.cache.Remove(e.Ad.ID)
+		live, send := n.rules.Step(p.cache, p.rnd, e, p.isRSU, pos, now)
+		if !live {
 			n.obs.OnExpire(p.id, e.Ad.ID, now)
-			return
+		} else if send {
+			e.Shared = true
+			f.ads = append(f.ads, e.Ad)
 		}
-		e.Prob = p.forwardProb(e.Ad)
-		if !p.rnd.Bool(e.Prob) {
-			return
-		}
-		e.Shared = true
-		f.ads = append(f.ads, e.Ad)
 	})
 }
 

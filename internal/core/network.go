@@ -7,7 +7,6 @@ import (
 	"instantad/internal/ads"
 	"instantad/internal/geo"
 	"instantad/internal/mobility"
-	"instantad/internal/obs"
 	"instantad/internal/radio"
 	"instantad/internal/rng"
 	"instantad/internal/sim"
@@ -157,9 +156,8 @@ type Network struct {
 	nbrScratch []int
 	seenStamp  []uint32
 	stamp      uint32
-	// rank scores cache entries for rankOverflow; the counters tell its verdicts.
-	rank                                      scorer
-	overflows, overflowDropped, overflowExact *obs.Counter
+	// rules is the per-ad step every peer runs (see rules.go).
+	rules *Rules
 
 	started bool
 }
@@ -169,13 +167,14 @@ type Network struct {
 // and running cfg.Protocol. The rnd stream seeds all protocol randomness;
 // the channel's jitter/loss randomness is split from it too.
 func New(s *sim.Simulator, radioCfg radio.Config, models []mobility.Model, cfg Config, rnd *rng.Stream) (*Network, error) {
-	if err := cfg.Validate(); err != nil {
+	rules, err := NewRules(cfg)
+	if err != nil {
 		return nil, err
 	}
 	if len(models) == 0 {
 		return nil, fmt.Errorf("core: no peers")
 	}
-	cfg.Popularity = cfg.Popularity.withDefaults()
+	cfg = rules.cfg
 	if cfg.RoundSlots == 0 {
 		cfg.RoundSlots = DefaultRoundSlots
 	}
@@ -191,13 +190,12 @@ func New(s *sim.Simulator, radioCfg radio.Config, models []mobility.Model, cfg C
 		}
 	}
 	n := &Network{
-		cfg:       cfg,
-		sim:       s,
-		obs:       BaseObserver{},
-		rnd:       rnd,
-		slotW:     cfg.RoundTime / float64(cfg.RoundSlots),
-		rank:      newScorer(cfg),
-		overflows: new(obs.Counter), overflowDropped: new(obs.Counter), overflowExact: new(obs.Counter),
+		cfg:   cfg,
+		sim:   s,
+		obs:   BaseObserver{},
+		rnd:   rnd,
+		slotW: cfg.RoundTime / float64(cfg.RoundSlots),
+		rules: rules,
 	}
 	ch, err := radio.New(s, radioCfg, models, n.deliver, rnd.Split("radio"))
 	if err != nil {
@@ -346,22 +344,10 @@ func (n *Network) IssueAd(issuer int, spec AdSpec) (*ads.Advertisement, error) {
 		return nil, fmt.Errorf("core: unknown issuer %d", issuer)
 	}
 	p := n.peers[issuer]
-	ad := &ads.Advertisement{
-		ID:       ads.ID{Issuer: uint32(issuer), Seq: p.nextSeq},
-		Origin:   n.ch.PositionOf(issuer),
-		IssuedAt: n.sim.Now(),
-		R:        spec.R,
-		D:        spec.D,
-		Category: spec.Category,
-		Keywords: spec.Keywords,
-		Text:     spec.Text,
-	}
+	ad, err := n.rules.NewAd(ads.ID{Issuer: uint32(issuer), Seq: p.nextSeq}, n.ch.PositionOf(issuer), n.sim.Now(), spec)
 	p.nextSeq++
-	if err := ad.Validate(); err != nil {
+	if err != nil {
 		return nil, err
-	}
-	if n.cfg.Popularity.Enabled {
-		ad.Sketch = newSketch(n.cfg.Popularity)
 	}
 	n.obs.OnIssue(issuer, ad, n.sim.Now())
 	// The issuer trivially holds its own ad: record the delivery so metrics
@@ -470,12 +456,6 @@ func (p *Peer) SetInterests(keywords ...string) {
 // Interests returns the peer's interest set (shared map; do not mutate).
 func (p *Peer) Interests() map[string]bool { return p.interests }
 
-// Matches implements the paper's Match(ad, interest) predicate: the ad's
-// category — or any of its keywords — is one of the peer's interests.
-func (p *Peer) Matches(ad *ads.Advertisement) bool {
-	return ad.MatchesAny(p.interests)
-}
-
 // HasReceived reports whether the peer has ever heard the given ad.
 func (p *Peer) HasReceived(id ads.ID) bool { return p.received[id] }
 
@@ -484,34 +464,6 @@ func (p *Peer) IsRSU() bool { return p.isRSU }
 
 // Position returns the peer's current position.
 func (p *Peer) Position() geo.Point { return p.net.ch.PositionOf(p.id) }
-
-// forwardProb evaluates the protocol's probability function for ad at the
-// peer's current position and the current time.
-func (p *Peer) forwardProb(ad *ads.Advertisement) float64 {
-	return p.forwardProbAt(ad, p.Position(), p.net.sim.Now())
-}
-
-// forwardProbAt is forwardProb at an explicit position and time; it reads
-// and never writes.
-func (p *Peer) forwardProbAt(ad *ads.Advertisement, pos geo.Point, now float64) float64 {
-	n := p.net
-	rt := RadiusAt(n.cfg.Params, ad.R, ad.D, ad.Age(now))
-	d := pos.Dist(ad.Origin)
-	if p.isRSU {
-		// Infrastructure has no battery to save: a roadside unit inside the
-		// ad's current radius always relays, outside it never does. rng.Bool
-		// short-circuits 0 and 1 without consuming a draw, so RSU streams stay
-		// aligned with their mobile-peer counterparts.
-		if d <= rt {
-			return 1
-		}
-		return 0
-	}
-	if n.cfg.Protocol.usesOpt1() {
-		return forwardProbOpt1Rt(n.cfg.Params, d, ad.R, rt, n.cfg.DIS)
-	}
-	return forwardProbRt(n.cfg.Params, d, ad.R, rt)
-}
 
 // broadcastAd transmits the entry's ad to all neighbors. The frame shares
 // the cached snapshot instead of cloning it; marking the entry Shared makes
@@ -573,156 +525,52 @@ func (p *Peer) handleGossip(f gossipFrame, from int) {
 	// case, needs the cache probe only.
 	if e := p.cache.Get(ad.ID); e != nil {
 		n.obs.OnDuplicate(p.id, ad.ID, now)
-		p.mergeDuplicate(e, ad)
+		n.rules.Merge(e, ad)
 		if n.cfg.Protocol.usesOpt2() {
 			p.postpone(e, from)
 		}
 		return
 	}
 	p.markReceived(ad)
-	// Copy-on-write: adopt the frame's immutable snapshot directly; clone
-	// only when this peer is about to mutate it (a popularity update now —
-	// later merges and enlargements go through Entry.Own).
-	if p.popularityMutates(ad) {
-		p.admit(ad.Clone(), false)
-	} else {
-		p.admit(ad, true)
-	}
+	// Copy-on-write: adopt the frame's immutable snapshot; Admit clones it
+	// only when a popularity update is about to write to it, and later
+	// merges go through Entry.Own.
+	p.admit(ad, true)
 }
 
 // admit is the one way an ad the peer does not hold enters its cache —
-// Algorithm 1's insert branch for radio receptions, IssueAd and the RSU
-// backhaul alike, after the caller's markReceived: popularity update, insert,
-// overflow eviction and, under Optimization Mechanism 2, the entry's timer.
-// own must be private to this peer unless shared is set. nil means the
+// Algorithm 1's insert branch (Rules.Admit) for radio receptions, IssueAd and
+// the RSU backhaul alike, after the caller's markReceived — plus what the
+// simulator adds to it: the eviction events, the victim's timer cancelled
+// and, under Optimization Mechanism 2, the new entry's timer. nil means the
 // newcomer was its own victim: no timer then, and evicting takes no event
-// sequence number, so surviving events keep their (time, seq) order. The tail
-// is Algorithm 1 as written; rankOverflow first tries to name its victim
-// without the refresh, and a doomed newcomer, the common case, never enters.
-func (p *Peer) admit(own *ads.Advertisement, shared bool) *ads.Entry {
-	p.applyPopularity(own)
+// sequence number, so surviving events keep their (time, seq) order.
+func (p *Peer) admit(ad *ads.Advertisement, shared bool) *ads.Entry {
 	n := p.net
-	prob, certain := 0.0, false
-	if p.cache.Len() >= p.cache.K() && n.cfg.Eviction == EvictLowestProb {
-		n.overflows.Inc()
-		var victim *ads.Entry
-		if victim, prob, certain = p.rankOverflow(own); !certain {
-			n.overflowExact.Inc()
-		} else if victim != nil {
-			p.cache.Remove(victim.Ad.ID)
-			p.cancelEntryTimer(victim)
-			n.obs.OnEvict(p.id, victim.Ad.ID, n.sim.Now())
-		} else {
-			n.overflowDropped.Inc()
-			n.obs.OnEvict(p.id, own.ID, n.sim.Now())
-			return nil
-		}
+	now := n.sim.Now()
+	e, victim := n.rules.Admit(p.cache, p.rnd, ad, shared, p.userID, p.interests, p.isRSU, p.Position(), now)
+	if victim != nil {
+		p.cancelEntryTimer(victim)
+		n.obs.OnEvict(p.id, victim.Ad.ID, now)
 	}
-	if !certain {
-		prob = p.forwardProb(own)
-	}
-	e, overflow := p.cache.Insert(own, prob)
-	e.Shared = shared
-	if overflow && p.evictOne() == e {
-		return nil
-	}
-	if n.cfg.Protocol.usesOpt2() {
+	if e == nil {
+		n.obs.OnEvict(p.id, ad.ID, now)
+	} else if n.cfg.Protocol.usesOpt2() {
 		p.armEntryTimer(e)
 	}
 	return e
 }
 
-// rankOverflow names from scores the entry Algorithm 1 would evict once own
-// joined the full cache, nil for own itself whose score is s, and reports
-// whether that is certain: none is NaN and the lowest is an exact zero — the
-// first in cache order loses, as in Cache.EvictLowest — or scoreMargin (10³ ×
-// a score's error) below the runner-up. An RSU's 1/0 rule ties: never certain.
-func (p *Peer) rankOverflow(own *ads.Advertisement) (victim *ads.Entry, s float64, certain bool) {
-	pos, now := p.Position(), p.net.sim.Now()
-	lo, next := math.Inf(1), math.Inf(1) // the two lowest scores; a NaN sticks in lo
-	rank := func(ad *ads.Advertisement, e *ads.Entry) {
-		if s = p.net.rank.score(pos.Dist(ad.Origin), ad.R, ad.D, ad.Age(now)); s < lo || s != s {
-			lo, next, victim = s, lo, e
-		} else if s < next {
-			next = s
-		}
-	}
-	p.cache.ForEach(func(e *ads.Entry) { rank(e.Ad, e) })
-	rank(own, nil) // last, as the last in cache order
-	return victim, s, !p.isRSU && (lo == 0 || next > lo*(1+scoreMargin))
-}
-
-// mergeDuplicate folds a duplicate message copy into the cached entry: FM
-// sketches are OR-merged and enlarged propagation parameters adopted, the
-// duplicate-insensitive semantics Section III.E requires (see DESIGN.md).
-// When the duplicate would change nothing — no larger R or D and no sketch
-// bit the cached copy lacks, the common case with or without the popularity
-// mechanism — the shared snapshot is kept as-is.
-func (p *Peer) mergeDuplicate(e *ads.Entry, in *ads.Advertisement) {
-	if in == e.Ad {
-		return // the cached snapshot itself came back around
-	}
-	mergeSketch := e.Ad.Sketch != nil && in.Sketch != nil && !e.Ad.Sketch.Covers(in.Sketch)
-	if !mergeSketch && in.R <= e.Ad.R && in.D <= e.Ad.D {
-		return
-	}
-	ad := e.Own()
-	if mergeSketch {
-		// Seed/shape mismatches cannot happen inside one network; ignore the
-		// error to keep the hot path tight.
-		_ = ad.Sketch.Merge(in.Sketch)
-	}
-	if in.R > ad.R {
-		ad.R = in.R
-	}
-	if in.D > ad.D {
-		ad.D = in.D
-	}
-}
-
-// evictOne applies the configured overflow policy to a cache holding k+1
-// entries and returns the evicted one. Under the paper's rule every entry's
-// probability is first refreshed at the current position, as Algorithm 1 says.
-func (p *Peer) evictOne() *ads.Entry {
-	n := p.net
-	var victim *ads.Entry
-	switch n.cfg.Eviction {
-	case EvictOldestFirst:
-		victim = p.cache.EvictOldest()
-	case EvictRandomEntry:
-		k := p.rnd.Intn(p.cache.Len()) // the k-th entry in insertion order
-		p.cache.ForEach(func(e *ads.Entry) {
-			if k == 0 {
-				victim = p.cache.Remove(e.Ad.ID)
-			}
-			k--
-		})
-	default: // EvictLowestProb
-		p.cache.ForEach(func(e *ads.Entry) { e.Prob = p.forwardProb(e.Ad) })
-		victim = p.cache.EvictLowest()
-	}
-	p.cancelEntryTimer(victim)
-	n.obs.OnEvict(p.id, victim.Ad.ID, n.sim.Now())
-	return victim
-}
-
-// gossipEntry is one entry's step of Algorithm 2's round and Algorithm 4's
-// time handler, decision and effect in one pass: an expired entry leaves the
-// cache; a live one has P(d,t) refreshed at the peer's position and is
-// broadcast with that probability. The coin is flipped before broadcastAd
-// checks the radio, so the peer's stream consumption does not depend on its
-// online state. It reports whether the entry is still cached.
-func (p *Peer) gossipEntry(e *ads.Entry, now float64) bool {
-	if e.Ad.Expired(now) {
-		p.cache.Remove(e.Ad.ID)
+// gossipEntry is one entry's step (Rules.Step) with its effect: an expired
+// entry is reported, a live one broadcast when the coin says so.
+func (p *Peer) gossipEntry(e *ads.Entry, pos geo.Point, now float64) bool {
+	live, send := p.net.rules.Step(p.cache, p.rnd, e, p.isRSU, pos, now)
+	if !live {
 		p.net.obs.OnExpire(p.id, e.Ad.ID, now)
-		return false
-	}
-	e.Prob = p.forwardProbAt(e.Ad, p.Position(), now)
-	if p.rnd.Bool(e.Prob) {
+	} else if send {
 		p.broadcastAd(e)
 	}
-	return true
+	return live
 }
 
 // gossipRound is Algorithm 2: one gossip step per cached entry, in cache
@@ -730,8 +578,8 @@ func (p *Peer) gossipEntry(e *ads.Entry, now float64) bool {
 // the slot grid.
 func (p *Peer) gossipRound() {
 	n := p.net
-	now := n.sim.Now()
-	p.cache.ForEach(func(e *ads.Entry) { p.gossipEntry(e, now) })
+	now, pos := n.sim.Now(), p.Position()
+	p.cache.ForEach(func(e *ads.Entry) { p.gossipEntry(e, pos, now) })
 	p.roundSlot += int64(n.cfg.RoundSlots)
 	n.sim.RescheduleSlot(p.roundEv, p.roundSlot)
 }
@@ -742,7 +590,6 @@ func (p *Peer) gossipRound() {
 func (p *Peer) armEntryTimer(e *ads.Entry) {
 	n := p.net
 	e.Slot = n.slotAfter(n.sim.Now() + n.cfg.RoundTime)
-	e.ScheduledAt = float64(e.Slot) * n.slotW
 	e.Timer = n.sim.ScheduleSlot(e.Slot, func() { p.entryRound(e) })
 }
 
@@ -760,11 +607,10 @@ func (p *Peer) cancelEntryTimer(e *ads.Entry) {
 // cache has a timer of its own, and this one does nothing.
 func (p *Peer) entryRound(e *ads.Entry) {
 	n := p.net
-	if !e.Cached() || !p.gossipEntry(e, n.sim.Now()) {
+	if !e.Cached() || !p.gossipEntry(e, p.Position(), n.sim.Now()) {
 		return
 	}
 	e.Slot += int64(n.cfg.RoundSlots)
-	e.ScheduledAt = float64(e.Slot) * n.slotW
 	if ev, ok := e.Timer.(*sim.Event); ok {
 		n.sim.RescheduleSlot(ev, e.Slot)
 	}
@@ -786,7 +632,6 @@ func (p *Peer) postpone(e *ads.Entry, from int) {
 		n.postObs.OnPostpone(p.id, e.Ad.ID, float64(slots)*n.slotW, n.sim.Now())
 	}
 	e.Slot += slots
-	e.ScheduledAt = float64(e.Slot) * n.slotW
 	if ev, ok := e.Timer.(*sim.Event); ok {
 		n.sim.RescheduleSlot(ev, e.Slot)
 	}

@@ -488,11 +488,11 @@ func TestPeerAccessors(t *testing.T) {
 		t.Error("interest set wrong")
 	}
 	ad := &ads.Advertisement{Category: "grocery", R: 1, D: 1}
-	if !p.Matches(ad) {
+	if !ad.MatchesAny(p.Interests()) {
 		t.Error("Matches failed on matching category")
 	}
 	ad.Category = "parking"
-	if p.Matches(ad) {
+	if ad.MatchesAny(p.Interests()) {
 		t.Error("Matches succeeded on non-matching category")
 	}
 	if p.Position() != (geo.Point{X: 100, Y: 0}) {

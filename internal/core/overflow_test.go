@@ -120,7 +120,7 @@ func checkOverflow(t *testing.T, n *Network, p *Peer, held []*ads.Advertisement,
 	log := &eventLog{}
 	n.SetObserver(log)
 	p.cache = got
-	exactBefore := n.overflowExact.Value()
+	exactBefore := n.rules.overflowExact.Value()
 	now := n.sim.Now()
 	e := p.admit(newcomer, true)
 	if e != nil {
@@ -141,7 +141,7 @@ func checkOverflow(t *testing.T, n *Network, p *Peer, held []*ads.Advertisement,
 			t.Fatalf("peer %d t=%v entry %d: %v, reference %v", p.id, now, k, ge[k].Ad.ID, we[k].Ad.ID)
 		}
 	}
-	return dropped, n.overflowExact.Value() > exactBefore
+	return dropped, n.rules.overflowExact.Value() > exactBefore
 }
 
 // TestOverflowRefreshMatchesReference is the differential test for the
@@ -325,7 +325,7 @@ func TestOverflowRankingMatchesExactInMobileRun(t *testing.T) {
 			cfg.Popularity = PopularityConfig{Enabled: true, F: 8, L: 32, SketchSeed: 9, RInc: 50, DInc: 10, RMax: 800, DMax: 240}
 			s, n := waypointNet(t, cfg, 300, 900, 125, 400, 21)
 			if poison {
-				n.rank.lnAlpha = math.NaN()
+				n.rules.rank.lnAlpha = math.NaN()
 			}
 			for i, p := range n.peers {
 				p.SetInterests([]string{"fuel", "food", "books"}[i%3])
@@ -347,9 +347,9 @@ func TestOverflowRankingMatchesExactInMobileRun(t *testing.T) {
 		}
 		got, n, gotStats, gotEvents := run(false)
 		want, exactNet, wantStats, wantEvents := run(true)
-		overflows, dropped, exact := n.overflows.Value(), n.overflowDropped.Value(), n.overflowExact.Value()
+		overflows, dropped, exact := n.rules.overflows.Value(), n.rules.overflowDropped.Value(), n.rules.overflowExact.Value()
 		t.Logf("%v: %d overflows, %d newcomers dropped, %d ranked exactly", proto, overflows, dropped, exact)
-		if all := exactNet.overflowExact.Value(); all != overflows || uint64(len(want.evicts)) != overflows {
+		if all := exactNet.rules.overflowExact.Value(); all != overflows || uint64(len(want.evicts)) != overflows {
 			t.Fatalf("%v: the poisoned run ranked %d of its %d evictions exactly, the other run overflowed %d times",
 				proto, all, len(want.evicts), overflows)
 		}
@@ -517,7 +517,7 @@ func TestNewcomerEvictedGetsNoTimer(t *testing.T) {
 	if !p.HasReceived(far.ID) || obs.evicts != 1 {
 		t.Fatalf("received=%v evicts=%d, want true and 1", p.HasReceived(far.ID), obs.evicts)
 	}
-	if d, x := n.overflowDropped.Value(), n.overflowExact.Value(); d != 1 || x != 0 {
+	if d, x := n.rules.overflowDropped.Value(), n.rules.overflowExact.Value(); d != 1 || x != 0 {
 		t.Fatalf("%d newcomers dropped, %d overflows ranked exactly, want 1 and 0", d, x)
 	}
 	checkOneTimerPerEntry(t, s, n)
@@ -565,7 +565,7 @@ func BenchmarkReceiveOverflow(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p.handleGossip(gossipFrame{ad: far}, 1)
 		}
-		if got := p.net.overflowDropped.Value(); got != uint64(b.N)+1 {
+		if got := p.net.rules.overflowDropped.Value(); got != uint64(b.N)+1 {
 			b.Fatalf("%d of %d arrivals dropped", got, b.N+1)
 		}
 	})

@@ -4,13 +4,7 @@ import (
 	"math"
 
 	"instantad/internal/ads"
-	"instantad/internal/fm"
 )
-
-// newSketch allocates the FM multi-sketch attached to a freshly issued ad.
-func newSketch(cfg PopularityConfig) *fm.Sketch {
-	return fm.New(cfg.F, cfg.L, cfg.SketchSeed)
-}
 
 // Rank returns the ad's estimated popularity (Formula 5 computed via the
 // duplicate-insensitive estimator of Formula 6): the approximate number of
@@ -23,13 +17,12 @@ func Rank(ad *ads.Advertisement) int {
 	return ad.Sketch.Rank()
 }
 
-// popularityMutates reports whether applyPopularity may write to ad — the
-// copy-on-write receive path clones the shared frame snapshot first exactly
-// when this holds. Conservative: Sketch.Add can turn out to be a no-op (bits
-// already set), but predicting that would cost as much as the write.
-func (p *Peer) popularityMutates(ad *ads.Advertisement) bool {
-	cfg := p.net.cfg.Popularity
-	return cfg.Enabled && ad.Sketch != nil && p.Matches(ad)
+// popularityMutates reports whether applyPopularity may write to ad — Admit
+// clones a shared snapshot first exactly when this holds. Conservative:
+// Sketch.Add can turn out to be a no-op (bits already set), but predicting
+// that would cost as much as the write.
+func (r *Rules) popularityMutates(ad *ads.Advertisement, interests map[string]bool) bool {
+	return r.cfg.Popularity.Enabled && ad.Sketch != nil && ad.MatchesAny(interests)
 }
 
 // applyPopularity implements Algorithm 5 on a locally cached copy: if the ad
@@ -39,26 +32,23 @@ func (p *Peer) popularityMutates(ad *ads.Advertisement) bool {
 // The rank-before/rank-after comparison is what makes re-processing safe: a
 // peer whose ID is already reflected in the bitmaps (directly or via a
 // colliding hash) skips the enlargement step.
-func (p *Peer) applyPopularity(ad *ads.Advertisement) {
-	cfg := p.net.cfg.Popularity
-	if !cfg.Enabled || ad.Sketch == nil || !p.Matches(ad) {
+func (r *Rules) applyPopularity(ad *ads.Advertisement, userID uint64, interests map[string]bool) {
+	if !r.popularityMutates(ad, interests) {
 		return
 	}
 	before := ad.Sketch.Rank()
-	if !ad.Sketch.Add(p.userID) {
+	if !ad.Sketch.Add(userID) {
 		return // bits already set: contribution already reflected
 	}
-	after := ad.Sketch.Rank()
-	if after > before {
-		Enlarge(ad, after, cfg)
+	if after := ad.Sketch.Rank(); after > before {
+		enlarge(ad, after, r.cfg.Popularity)
 	}
 }
 
-// Enlarge applies Formula 7: R += RInc/log₂(rank+1), D += DInc/log₂(rank+1),
+// enlarge applies Formula 7: R += RInc/log₂(rank+1), D += DInc/log₂(rank+1),
 // clamped to the configured caps. The log factor slows growth as the ad gets
-// popular; with caps it is explicitly bounded. Exported for the live-node
-// implementation of Algorithm 5.
-func Enlarge(ad *ads.Advertisement, rank int, cfg PopularityConfig) {
+// popular; with caps it is explicitly bounded.
+func enlarge(ad *ads.Advertisement, rank int, cfg PopularityConfig) {
 	div := math.Log2(float64(rank) + 1)
 	if div <= 0 {
 		return

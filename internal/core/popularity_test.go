@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"instantad/internal/ads"
+	"instantad/internal/fm"
 	"instantad/internal/geo"
 )
 
@@ -34,16 +35,16 @@ func TestApplyPopularityOnlyWhenInterested(t *testing.T) {
 	p := n.Peer(1)
 	ad := &ads.Advertisement{
 		ID: ads.ID{Issuer: 0, Seq: 0}, R: 500, D: 600, Category: "petrol",
-		Sketch: newSketch(n.Config().Popularity),
+		Sketch: fm.New(16, 32, 1234),
 	}
 	// Not interested: nothing changes.
-	p.applyPopularity(ad)
+	n.rules.applyPopularity(ad, p.userID, p.interests)
 	if Rank(ad) != 0 || ad.R != 500 {
 		t.Error("uninterested peer modified the ad")
 	}
 	// Interested: rank rises and the ad is enlarged.
 	p.SetInterests("petrol")
-	p.applyPopularity(ad)
+	n.rules.applyPopularity(ad, p.userID, p.interests)
 	if Rank(ad) == 0 {
 		t.Error("rank did not rise for interested peer")
 	}
@@ -52,7 +53,7 @@ func TestApplyPopularityOnlyWhenInterested(t *testing.T) {
 	}
 	// Re-applying is idempotent (same user already hashed).
 	r, d := ad.R, ad.D
-	p.applyPopularity(ad)
+	n.rules.applyPopularity(ad, p.userID, p.interests)
 	if ad.R != r || ad.D != d {
 		t.Error("re-processing by the same peer enlarged the ad again")
 	}
@@ -61,7 +62,7 @@ func TestApplyPopularityOnlyWhenInterested(t *testing.T) {
 func TestEnlargeCapsRespected(t *testing.T) {
 	cfg := PopularityConfig{Enabled: true, F: 4, L: 32, RInc: 1e6, DInc: 1e6, RMax: 800, DMax: 2000}
 	ad := &ads.Advertisement{R: 500, D: 600}
-	Enlarge(ad, 1, cfg)
+	enlarge(ad, 1, cfg)
 	if ad.R != 800 || ad.D != 2000 {
 		t.Errorf("caps not applied: R=%v D=%v", ad.R, ad.D)
 	}
@@ -70,7 +71,7 @@ func TestEnlargeCapsRespected(t *testing.T) {
 func TestEnlargeNoCaps(t *testing.T) {
 	cfg := PopularityConfig{Enabled: true, F: 4, L: 32, RInc: 100, DInc: 50}
 	ad := &ads.Advertisement{R: 500, D: 600}
-	Enlarge(ad, 3, cfg) // divisor log2(4) = 2
+	enlarge(ad, 3, cfg) // divisor log2(4) = 2
 	if math.Abs(ad.R-550) > 1e-9 || math.Abs(ad.D-625) > 1e-9 {
 		t.Errorf("enlarge wrong: R=%v D=%v, want 550/625", ad.R, ad.D)
 	}
@@ -80,8 +81,8 @@ func TestEnlargeSlowsWithRank(t *testing.T) {
 	cfg := PopularityConfig{Enabled: true, F: 4, L: 32, RInc: 100, DInc: 0}
 	a := &ads.Advertisement{R: 500, D: 600}
 	b := &ads.Advertisement{R: 500, D: 600}
-	Enlarge(a, 1, cfg)
-	Enlarge(b, 100, cfg)
+	enlarge(a, 1, cfg)
+	enlarge(b, 100, cfg)
 	da, db := a.R-500, b.R-500
 	if db >= da {
 		t.Errorf("growth at rank 100 (%v) not below rank 1 (%v)", db, da)
@@ -177,12 +178,22 @@ func TestPopularityDisabledNoSketch(t *testing.T) {
 }
 
 func TestPopularityDefaults(t *testing.T) {
-	c := PopularityConfig{Enabled: true}.withDefaults()
-	if c.F != 8 || c.L != 32 {
+	withPopularity := func(pc PopularityConfig) PopularityConfig {
+		cfg := testConfig(Gossip)
+		cfg.Popularity = pc
+		r, err := NewRules(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.cfg.Popularity
+	}
+	if c := withPopularity(PopularityConfig{Enabled: true}); c.F != 8 || c.L != 32 {
 		t.Errorf("defaults F=%d L=%d, want 8×32", c.F, c.L)
 	}
-	off := PopularityConfig{}.withDefaults()
-	if off.F != 0 {
+	if c := withPopularity(PopularityConfig{Enabled: true, F: 3, L: 5}); c.F != 3 || c.L != 5 {
+		t.Errorf("explicit shape became F=%d L=%d, want 3×5", c.F, c.L)
+	}
+	if off := withPopularity(PopularityConfig{}); off.F != 0 {
 		t.Error("disabled config was defaulted")
 	}
 }
@@ -194,14 +205,14 @@ func TestDuplicateMergeIsDuplicateInsensitive(t *testing.T) {
 	p := n.Peer(1)
 	base := &ads.Advertisement{
 		ID: ads.ID{Issuer: 0, Seq: 0}, R: 500, D: 600, Category: "petrol",
-		Sketch: newSketch(n.Config().Popularity),
+		Sketch: fm.New(16, 32, 1234),
 	}
 	e, _ := p.cache.Insert(base.Clone(), 0.5)
 	in := base.Clone()
 	in.Sketch.Add(777)
 	in.R, in.D = 600, 700
 	for i := 0; i < 5; i++ {
-		p.mergeDuplicate(e, in)
+		n.rules.Merge(e, in)
 	}
 	if e.Ad.R != 600 || e.Ad.D != 700 {
 		t.Errorf("merge adopted wrong R/D: %v/%v", e.Ad.R, e.Ad.D)

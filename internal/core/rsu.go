@@ -85,9 +85,9 @@ func (n *Network) RSUDeliveries() uint64 {
 // each of the latter groups is a no-op when its feature is off.
 func (n *Network) InstrumentWith(reg *obs.Registry) {
 	n.instrumentAsync(reg)
-	n.overflows = reg.Counter("core_overflow_total", "Ads admitted to a full lowest-probability cache.")
-	n.overflowDropped = reg.Counter("core_overflow_newcomer_dropped_total", "Overflows the arriving ad lost: it never entered the cache.")
-	n.overflowExact = reg.Counter("core_overflow_exact_total", "Overflows no score could decide: Formulas 1-3 evaluated for every entry.")
+	n.rules.overflows = reg.Counter("core_overflow_total", "Ads admitted to a full lowest-probability cache.")
+	n.rules.overflowDropped = reg.Counter("core_overflow_newcomer_dropped_total", "Overflows the arriving ad lost: it never entered the cache.")
+	n.rules.overflowExact = reg.Counter("core_overflow_exact_total", "Overflows no score could decide: Formulas 1-3 evaluated for every entry.")
 	if n.rsu == nil {
 		return
 	}

@@ -1,0 +1,206 @@
+package core
+
+import (
+	"cmp"
+	"math"
+
+	"instantad/internal/ads"
+	"instantad/internal/fm"
+	"instantad/internal/geo"
+	"instantad/internal/obs"
+	"instantad/internal/rng"
+)
+
+// Rules is the paper's per-ad protocol step with no driver behind it: the
+// forwarding probability of Formulas 1–3, Algorithm 1's admission, the
+// duplicate merge of Algorithms 1 and 3, Algorithm 5's popularity update and
+// one entry's gossip step of Algorithms 2 and 4. A method takes what belongs
+// to one peer — its cache, coin stream, user ID, interests, RSU flag and
+// position — and the instant as arguments, so the simulator's Network and the
+// live node run the same code on their own clocks. Timers, the radio,
+// observers and delivery bookkeeping stay with the caller: a method returns
+// what it evicted or expired, and the caller cancels and reports.
+type Rules struct {
+	cfg Config
+	// rank scores cache entries for rankOverflow; the counters tell its verdicts.
+	rank                                      scorer
+	overflows, overflowDropped, overflowExact *obs.Counter
+}
+
+// NewRules validates cfg and builds its rules with the popularity defaults
+// filled in. Of cfg only Protocol (whether it uses Optimization Mechanism 1),
+// Params, DIS, Eviction and Popularity shape them.
+func NewRules(cfg Config) (*Rules, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if pc := &cfg.Popularity; pc.Enabled {
+		pc.F, pc.L = cmp.Or(pc.F, 8), cmp.Or(pc.L, 32)
+	}
+	return &Rules{cfg: cfg, rank: newScorer(cfg),
+		overflows: new(obs.Counter), overflowDropped: new(obs.Counter), overflowExact: new(obs.Counter)}, nil
+}
+
+// NewAd builds the ad a peer issues as id at origin and now: spec's fields,
+// validated, with an empty FM sketch when the popularity mechanism is on.
+func (r *Rules) NewAd(id ads.ID, origin geo.Point, now float64, spec AdSpec) (*ads.Advertisement, error) {
+	ad := &ads.Advertisement{
+		ID:       id,
+		Origin:   origin,
+		IssuedAt: now,
+		R:        spec.R,
+		D:        spec.D,
+		Category: spec.Category,
+		Keywords: spec.Keywords,
+		Text:     spec.Text,
+	}
+	if err := ad.Validate(); err != nil {
+		return nil, err
+	}
+	if pc := r.cfg.Popularity; pc.Enabled {
+		ad.Sketch = fm.New(pc.F, pc.L, pc.SketchSeed)
+	}
+	return ad, nil
+}
+
+// prob is ad's forwarding probability for a peer at pos at now: Formula 1,
+// or Formula 3 under Optimization Mechanism (1). It reads and never writes.
+func (r *Rules) prob(ad *ads.Advertisement, rsu bool, pos geo.Point, now float64) float64 {
+	rt := RadiusAt(r.cfg.Params, ad.R, ad.D, ad.Age(now))
+	d := pos.Dist(ad.Origin)
+	if rsu {
+		// Infrastructure has no battery to save: a roadside unit inside the
+		// ad's current radius always relays, outside it never does. rng.Bool
+		// short-circuits 0 and 1 without consuming a draw, so RSU streams stay
+		// aligned with their mobile-peer counterparts.
+		if d <= rt {
+			return 1
+		}
+		return 0
+	}
+	if r.cfg.Protocol.usesOpt1() {
+		return forwardProbOpt1Rt(r.cfg.Params, d, ad.R, rt, r.cfg.DIS)
+	}
+	return forwardProbRt(r.cfg.Params, d, ad.R, rt)
+}
+
+// Admit is Algorithm 1's insert branch for an ad c does not hold, after
+// Algorithm 5's popularity update. ad must be private to the caller unless
+// shared is set; a shared snapshot the update would write to is cloned first.
+// It returns the new entry, nil when ad ranked lowest and was dropped, and
+// the other entry evicted to make room, if any; cancelling the victim's timer
+// and reporting evictions are the caller's. The tail is Algorithm 1 as
+// written; rankOverflow first tries to name the victim without the refresh,
+// and a doomed newcomer, the common case, never enters.
+func (r *Rules) Admit(c *ads.Cache, rnd *rng.Stream, ad *ads.Advertisement, shared bool, userID uint64, interests map[string]bool, rsu bool, pos geo.Point, now float64) (e, victim *ads.Entry) {
+	if shared && r.popularityMutates(ad, interests) {
+		ad, shared = ad.Clone(), false
+	}
+	r.applyPopularity(ad, userID, interests)
+	prob, certain := 0.0, false
+	if c.Len() >= c.K() && r.cfg.Eviction == EvictLowestProb {
+		r.overflows.Inc()
+		if victim, prob, certain = r.rankOverflow(c, ad, rsu, pos, now); !certain {
+			r.overflowExact.Inc() // the cache stays full: Insert overflows and evict decides
+		} else if victim == nil {
+			r.overflowDropped.Inc()
+			return nil, nil
+		} else {
+			c.Remove(victim.Ad.ID)
+		}
+	}
+	if !certain {
+		prob = r.prob(ad, rsu, pos, now)
+	}
+	e, overflow := c.Insert(ad, prob)
+	e.Shared = shared
+	if overflow {
+		if victim = r.evict(c, rnd, rsu, pos, now); victim == e {
+			return nil, nil
+		}
+	}
+	return e, victim
+}
+
+// rankOverflow names from scores the entry Algorithm 1 would evict once own
+// joined the full cache c, nil for own itself whose score is s, and reports
+// whether that is certain: none is NaN and the lowest is an exact zero — the
+// first in cache order loses, as in Cache.EvictLowest — or scoreMargin (10³ ×
+// a score's error) below the runner-up. An RSU's 1/0 rule ties: never certain.
+func (r *Rules) rankOverflow(c *ads.Cache, own *ads.Advertisement, rsu bool, pos geo.Point, now float64) (victim *ads.Entry, s float64, certain bool) {
+	lo, next := math.Inf(1), math.Inf(1) // the two lowest scores; a NaN sticks in lo
+	rank := func(ad *ads.Advertisement, e *ads.Entry) {
+		if s = r.rank.score(pos.Dist(ad.Origin), ad.R, ad.D, ad.Age(now)); s < lo || s != s {
+			lo, next, victim = s, lo, e
+		} else if s < next {
+			next = s
+		}
+	}
+	c.ForEach(func(e *ads.Entry) { rank(e.Ad, e) })
+	rank(own, nil) // last, as the last in cache order
+	return victim, s, !rsu && (lo == 0 || next > lo*(1+scoreMargin))
+}
+
+// evict applies the configured overflow policy to a cache holding k+1
+// entries and returns the evicted one. Under the paper's rule every entry's
+// probability is first refreshed at pos, as Algorithm 1 says.
+func (r *Rules) evict(c *ads.Cache, rnd *rng.Stream, rsu bool, pos geo.Point, now float64) (victim *ads.Entry) {
+	switch r.cfg.Eviction {
+	case EvictOldestFirst:
+		return c.EvictOldest()
+	case EvictRandomEntry:
+		k := rnd.Intn(c.Len()) // the k-th entry in insertion order
+		c.ForEach(func(e *ads.Entry) {
+			if k == 0 {
+				victim = c.Remove(e.Ad.ID)
+			}
+			k--
+		})
+		return victim
+	}
+	c.ForEach(func(e *ads.Entry) { e.Prob = r.prob(e.Ad, rsu, pos, now) })
+	return c.EvictLowest()
+}
+
+// Merge folds a duplicate message copy into the cached entry: FM sketches
+// are OR-merged and enlarged propagation parameters adopted, the
+// duplicate-insensitive semantics Section III.E requires (see DESIGN.md).
+// When the duplicate would change nothing — no larger R or D and no sketch
+// bit the cached copy lacks, the common case with or without the popularity
+// mechanism — the shared snapshot is kept as-is; otherwise the entry's ad is
+// written through Entry.Own.
+func (r *Rules) Merge(e *ads.Entry, in *ads.Advertisement) {
+	if in == e.Ad {
+		return // the cached snapshot itself came back around
+	}
+	mergeSketch := e.Ad.Sketch != nil && in.Sketch != nil && !e.Ad.Sketch.Covers(in.Sketch)
+	if !mergeSketch && in.R <= e.Ad.R && in.D <= e.Ad.D {
+		return
+	}
+	ad := e.Own()
+	if mergeSketch {
+		// Seed/shape mismatches cannot happen inside one deployment; ignore
+		// the error to keep the hot path tight.
+		_ = ad.Sketch.Merge(in.Sketch)
+	}
+	if in.R > ad.R {
+		ad.R = in.R
+	}
+	if in.D > ad.D {
+		ad.D = in.D
+	}
+}
+
+// Step is one entry's step of Algorithm 2's round and Algorithm 4's time
+// handler: an expired entry leaves c and is reported dead; a live one has
+// P(d,t) refreshed at pos, and send is a coin flipped on rnd with that
+// probability. The coin is flipped whatever the caller then does, so a peer's
+// stream consumption does not depend on its radio being on.
+func (r *Rules) Step(c *ads.Cache, rnd *rng.Stream, e *ads.Entry, rsu bool, pos geo.Point, now float64) (live, send bool) {
+	if e.Ad.Expired(now) {
+		c.Remove(e.Ad.ID)
+		return false, false
+	}
+	e.Prob = r.prob(e.Ad, rsu, pos, now)
+	return true, rnd.Bool(e.Prob)
+}

@@ -1,0 +1,221 @@
+package node
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+
+	"instantad/internal/ads"
+	"instantad/internal/core"
+	"instantad/internal/fm"
+	"instantad/internal/geo"
+	"instantad/internal/node/memnet"
+	"instantad/internal/rng"
+)
+
+// idleNode builds a node on a memnet switchboard that is never started: the
+// test calling its locked methods is the only clock.
+func idleNode(t *testing.T, mutate func(*Config)) *Node {
+	t.Helper()
+	sb, err := memnet.New(memnet.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(1, geo.Point{})
+	cfg.ListenAddr, cfg.Transport = "mem:", sb.Transport()
+	mutate(&cfg)
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = n.Close() })
+	return n
+}
+
+func cachedIDs(c *ads.Cache) []ads.ID {
+	var ids []ads.ID
+	c.ForEach(func(e *ads.Entry) { ids = append(ids, e.Ad.ID) })
+	return ids
+}
+
+// TestDueWalkDropsExpiredAds drives a node's cache through random admissions
+// (with Algorithm 5 enlarging some on the way in), duplicate merges that raise
+// D and overflow evictions, and ticks the due walk at irregular instants —
+// among them exactly an ad's IssuedAt + D and one ulp either side. After every
+// tick the cache must hold every ad not Expired at that instant, nothing else,
+// and at most k: entries not yet due leave when expired too.
+func TestDueWalkDropsExpiredAds(t *testing.T) {
+	pc := core.PopularityConfig{Enabled: true, F: 8, L: 32, RInc: 50, DInc: 3, DMax: 40}
+	n := idleNode(t, func(c *Config) {
+		c.CacheK = 6
+		c.Interests = []string{"petrol"}
+		c.Popularity = pc
+	})
+	rnd := rng.New(7)
+	pos := geo.Point{}
+	now := 100.0
+	pick := func() *ads.Entry {
+		es := n.cache.Entries()
+		if len(es) == 0 {
+			return nil
+		}
+		return es[rnd.Intn(len(es))]
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	var stepped, expiredDue, expiredWaiting int
+	var seq uint32
+	for step := 0; step < 20000; step++ {
+		switch r := rnd.Float64(); {
+		case r < 0.25: // a new ad, some of them matching our interests
+			seq++
+			ad := &ads.Advertisement{
+				ID:       ads.ID{Issuer: 9, Seq: seq},
+				IssuedAt: now - rnd.Range(0, 3),
+				R:        400,
+				D:        rnd.Range(0.2, 6),
+				Category: []string{"petrol", "shoes"}[rnd.Intn(2)],
+				Sketch:   fm.New(pc.F, pc.L, pc.SketchSeed),
+			}
+			n.integrateAdLocked(now, pos, pos, geo.Vec{}, ad)
+		case r < 0.45: // a duplicate that lived longer elsewhere
+			if e := pick(); e != nil {
+				dup := e.Ad.Clone()
+				dup.D += rnd.Range(0, 4)
+				n.integrateAdLocked(now, pos, pos, geo.Vec{}, dup)
+			}
+		default: // a tick
+			next := now + rnd.Exp(20)
+			if e := pick(); e != nil && rnd.Bool(0.5) {
+				// Land on the boundary Expired decides.
+				edge := e.Ad.IssuedAt + e.Ad.D
+				switch rnd.Intn(3) {
+				case 0:
+					edge = math.Nextafter(edge, math.Inf(-1))
+				case 1:
+					edge = math.Nextafter(edge, math.Inf(1))
+				}
+				if edge >= now {
+					next = edge
+				}
+			}
+			now = next
+			var want []ads.ID
+			n.cache.ForEach(func(e *ads.Entry) {
+				switch {
+				case !e.Ad.Expired(now):
+					want = append(want, e.Ad.ID)
+					if e.ScheduledAt <= now {
+						stepped++
+					}
+				case e.ScheduledAt > now:
+					expiredWaiting++
+				default:
+					expiredDue++
+				}
+			})
+			n.stepDueLocked(now, pos)
+			if got := cachedIDs(n.cache); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d, t=%v: cache holds %v, want the live ads %v", step, now, got, want)
+			}
+		}
+		if n.cache.Len() > n.cache.K() {
+			t.Fatalf("step %d: cache holds %d > k", step, n.cache.Len())
+		}
+	}
+	// The walk must have stepped live entries and dropped expired ones on
+	// both sides of their due time.
+	if stepped < 100 || expiredDue < 100 || expiredWaiting < 100 {
+		t.Errorf("degenerate walk: %d steps, %d expired due, %d expired before due", stepped, expiredDue, expiredWaiting)
+	}
+	t.Logf("%d steps, %d expired due, %d expired before due", stepped, expiredDue, expiredWaiting)
+}
+
+// TestNodeOverflowMatchesAlgorithm1 feeds one stream of receptions — random
+// origins and ages, popularity on, duplicates that raise D — to a node and to
+// a reference cache run under Algorithm 1 as written: insert, refresh every
+// entry's P with core.ForwardProb or ForwardProbOpt1, drop the lowest. The
+// two hold the same ad objects, so enlargements and merges reach both. After
+// every admission the surviving ids and their order must be equal.
+func TestNodeOverflowMatchesAlgorithm1(t *testing.T) {
+	for _, k := range []int{1, 6, 16} {
+		for _, dis := range []float64{0, 120} {
+			t.Run(fmt.Sprintf("k=%d/DIS=%v", k, dis), func(t *testing.T) {
+				pc := core.PopularityConfig{Enabled: true, F: 8, L: 32, SketchSeed: 3, RInc: 60, DInc: 5, RMax: 900, DMax: 90}
+				n := idleNode(t, func(c *Config) {
+					c.CacheK, c.DIS = k, dis
+					c.Interests = []string{"petrol"}
+					c.Popularity = pc
+				})
+				params := core.ProbParams{Alpha: n.cfg.Alpha, Beta: n.cfg.Beta}
+				pos := geo.Point{X: 500, Y: 500}
+				ref := ads.NewCache(k)
+				refAdmit := func(ad *ads.Advertisement, now float64) {
+					if _, overflow := ref.Insert(ad, -1); !overflow {
+						return
+					}
+					ref.ForEach(func(e *ads.Entry) {
+						d, age := pos.Dist(e.Ad.Origin), e.Ad.Age(now)
+						if dis > 0 {
+							e.Prob = core.ForwardProbOpt1(params, d, e.Ad.R, e.Ad.D, age, dis)
+						} else {
+							e.Prob = core.ForwardProb(params, d, e.Ad.R, e.Ad.D, age)
+						}
+					})
+					ref.EvictLowest()
+				}
+				rnd := rng.New(uint64(k) + 11)
+				now := 50.0
+				var seq uint32
+				var pool []*ads.Advertisement
+				admitted, dropped, raised := 0, 0, 0
+				n.mu.Lock()
+				defer n.mu.Unlock()
+				for step := 0; step < 3000; step++ {
+					now += rnd.Exp(4)
+					var ad *ads.Advertisement
+					if len(pool) > 0 && rnd.Bool(0.3) {
+						ad = pool[rnd.Intn(len(pool))].Clone() // a copy from elsewhere
+						ad.D += rnd.Range(0, 20)
+					} else {
+						seq++
+						ad = &ads.Advertisement{
+							ID:       ads.ID{Issuer: 9, Seq: seq},
+							Origin:   geo.Point{X: rnd.Range(-1000, 2000), Y: rnd.Range(-1000, 2000)},
+							IssuedAt: now - rnd.Range(0, 60),
+							R:        rnd.Range(200, 800),
+							D:        rnd.Range(20, 120),
+							Category: []string{"petrol", "shoes"}[rnd.Intn(2)],
+							Sketch:   fm.New(pc.F, pc.L, pc.SketchSeed),
+						}
+						pool = append(pool, ad)
+					}
+					if ad.Expired(now) {
+						continue
+					}
+					if e := ref.Get(ad.ID); e != nil {
+						if ad.D > e.Ad.D {
+							raised++
+						}
+						n.integrateAdLocked(now, pos, pos, geo.Vec{}, ad) // merges into the shared object
+						continue
+					}
+					n.integrateAdLocked(now, pos, pos, geo.Vec{}, ad)
+					refAdmit(ad, now)
+					if n.cache.Get(ad.ID) != nil {
+						admitted++
+					} else {
+						dropped++
+					}
+					if got, want := cachedIDs(n.cache), cachedIDs(ref); !reflect.DeepEqual(got, want) {
+						t.Fatalf("step %d, t=%v, after %v: node caches %v, Algorithm 1 %v", step, now, ad.ID, got, want)
+					}
+				}
+				if dropped == 0 || admitted == 0 || raised == 0 {
+					t.Errorf("%d admitted, %d dropped on arrival, %d duplicates raised D: a path went untested", admitted, dropped, raised)
+				}
+			})
+		}
+	}
+}
