@@ -132,10 +132,9 @@ type PopularityConfig struct {
 	RInc float64 `json:"r_inc,omitempty" unit:"m" doc:"radius increment per rank step (Formula 7)"`
 	DInc float64 `json:"d_inc,omitempty" unit:"s" doc:"duration increment per rank step (Formula 7)"`
 	// RMax and DMax cap the enlarged radius and duration ("these two
-	// parameters can not be increased infinitely"). Zero means 4× the ad's
-	// initial value.
-	RMax float64 `json:"r_max,omitempty" unit:"m" doc:"cap on the enlarged radius (0 = 4×R)"`
-	DMax float64 `json:"d_max,omitempty" unit:"s" doc:"cap on the enlarged duration (0 = 4×D)"`
+	// parameters can not be increased infinitely"). Zero means no cap.
+	RMax float64 `json:"r_max,omitempty" unit:"m" doc:"cap on the enlarged radius (0 = no cap)"`
+	DMax float64 `json:"d_max,omitempty" unit:"s" doc:"cap on the enlarged duration (0 = no cap)"`
 }
 
 // validate accepts F = 0 and L = 0, which NewRules fills in.
