@@ -19,14 +19,20 @@ func run1(args ...string) (int, string, string) {
 }
 
 // TestQuickGolden pins every figure's -quick table byte for byte: a change
-// to any simulated row, or to a table's layout, fails here.
+// to any simulated row, or to a table's layout, fails here. The same run's
+// -csv set must name exactly the files committed in results/csv, which the
+// full-scale run regenerates.
 func TestQuickGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every figure at -quick scale: ≈ 4 s, ≈ 80 s under -race")
 	}
-	code, stdout, stderr := run1("-quick", "-q")
+	csvDir := t.TempDir()
+	code, stdout, stderr := run1("-quick", "-q", "-csv", csvDir)
 	if code != 0 {
 		t.Fatalf("figures -quick -q: exit %d: %s", code, stderr)
+	}
+	if got, want := csvNames(t, csvDir), csvNames(t, filepath.Join("..", "..", "results", "csv")); got != want {
+		t.Errorf("figures -csv writes\n  %s\nresults/csv holds\n  %s\n(go run ./cmd/figures -q -csv results/csv regenerates it)", got, want)
 	}
 	path := filepath.Join("testdata", "quick.golden")
 	if *update {
@@ -50,6 +56,19 @@ func TestQuickGolden(t *testing.T) {
 		}
 	}
 	t.Fatalf("figures -quick -q has %d lines, %s has %d", len(got), path, len(wantLines))
+}
+
+// csvNames lists the .csv files in dir, sorted and space-separated.
+func csvNames(t *testing.T, dir string) string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range names {
+		names[i] = filepath.Base(name)
+	}
+	return strings.Join(names, " ")
 }
 
 func TestExitCodes(t *testing.T) {

@@ -12,10 +12,10 @@ import (
 
 // The 10× soak: the fault soak gossips 40 ads; this one pushes 400 through
 // a lossy five-node memnet mesh with the batched wire layer and digests on,
-// and measures the medium's datagram bill per delivered ad. It is both the
-// acceptance test (a bounded datagram bill, digest hits non-zero, no frame
-// past the soft cap) and — as BenchmarkMemnetSoak — the source of
-// BENCH_node.json.
+// and measures the medium's datagram bill per delivered ad. It is the
+// acceptance test for the batched wire layer: a bounded datagram bill, digest
+// hits non-zero, no frame past the soft cap. The benchmark's live_fleet
+// workload reports the same bill at fleet scale as datagrams_per_ad.
 const (
 	soakNodes      = 5
 	soakAdsPerNode = 80 // × 5 nodes = 400 ads, 10× the PR-2 soak's 40
@@ -204,21 +204,4 @@ func TestMemnetSoak10x(t *testing.T) {
 	// dependent here; the deterministic digest→pull exchange is pinned by
 	// TestDigestPullServesMissingAds instead.
 	t.Logf("pulled ads: %d", batched.pulledAds)
-}
-
-// BenchmarkMemnetSoak is the same scenario as TestMemnetSoak10x exposed to
-// scripts/bench.sh: it reports the medium's datagram and byte bill per
-// delivered ad plus the digest hit rate, which bench.sh rolls into the
-// ncpu-stamped BENCH_node.json.
-func BenchmarkMemnetSoak(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := runMemnetSoak(b, 60*time.Second)
-		if !res.converged {
-			b.Fatal("soak never converged")
-		}
-		b.ReportMetric(res.datagramsPerAd(), "datagrams/ad")
-		b.ReportMetric(res.bytesPerAd(), "bytes/ad")
-		b.ReportMetric(res.digestHitRate(), "hitrate")
-		b.ReportMetric(res.avgBatchAds, "ads/batch")
-	}
 }
