@@ -6,9 +6,9 @@ import (
 )
 
 // Entry is one cached advertisement together with its protocol bookkeeping:
-// the forwarding probability its owner last wrote (EvictLowest's key), the
-// live node's next due time and, under the simulator's Optimized
-// Gossiping-2, the entry's slot and timer handle.
+// the forwarding probability its owner last wrote (EvictLowest's key) and,
+// under Optimized Gossiping-2, the entry's due slot and the simulator's timer
+// handle.
 type Entry struct {
 	Ad *Advertisement
 	// Prob is the forwarding probability at the owner's position when the
@@ -18,16 +18,9 @@ type Entry struct {
 	// that refresh (the simulator's core usually can) leaves the survivors'
 	// values as they were.
 	Prob float64
-	// ScheduledAt is the live node's next due time for the entry, on its
-	// protocol clock: the node's tick steps every entry whose time has come
-	// and postpones it under Optimization Mechanism 2. The simulator keeps
-	// its timers on Slot instead.
-	ScheduledAt float64
-	// Slot is the integer index of the entry's next gossip on the
-	// simulator's slotted round grid under Optimized Gossiping-2. Like Timer
-	// it is owned by the protocol: slot times are always recomputed as
-	// index×width from this counter so that entries meant to coincide land
-	// on bit-identical float64 instants.
+	// Slot is the entry's next gossip step under Optimized Gossiping-2, an
+	// index on the round's slot grid (core.Rules) in the simulator and on a
+	// live node alike. Like Timer it is owned by the protocol.
 	Slot int64
 	// Timer is an opaque handle owned by the protocol (a *sim.Event); the
 	// cache only carries it so eviction can hand it back for cancellation.
@@ -154,14 +147,14 @@ func (c *Cache) EvictOldest() *Entry {
 }
 
 // Entries returns the cached entries in insertion order. The slice is fresh
-// but the entries are shared; callers may mutate Prob/ScheduledAt in place.
+// but the entries are shared; callers may mutate Prob/Slot in place.
 func (c *Cache) Entries() []*Entry {
 	return slices.Clone(c.entries)
 }
 
 // ForEach calls fn for every cached entry in insertion order without
 // allocating — the hot-path alternative to Entries. fn may mutate
-// Prob/ScheduledAt in place and may remove the entry it was handed, but no
+// Prob/Slot in place and may remove the entry it was handed, but no
 // other, and must not insert.
 func (c *Cache) ForEach(fn func(*Entry)) {
 	for i := 0; i < len(c.entries); {

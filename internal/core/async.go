@@ -95,7 +95,7 @@ func (p *Peer) startAsync() {
 	n := p.net
 	st := &asyncPeerState{}
 	p.async = st
-	st.slot = n.slotAfter(p.rnd.Range(0, n.cfg.AsyncMeanDelay))
+	st.slot = n.rules.slotAfter(p.rnd.Range(0, n.cfg.AsyncMeanDelay))
 	st.scanEv = n.sim.ScheduleSlot(st.slot, p.asyncScan)
 }
 
@@ -117,7 +117,7 @@ func (st *asyncPeerState) connectedTo(j int) bool {
 func (p *Peer) asyncScan() {
 	n := p.net
 	st := p.async
-	st.slot += n.slotsFor(p.rnd.Exp(1 / n.cfg.AsyncMeanDelay))
+	st.slot += n.rules.slotsFor(p.rnd.Exp(1 / n.cfg.AsyncMeanDelay))
 	n.sim.RescheduleSlot(st.scanEv, st.slot)
 	if len(st.conns) >= n.cfg.AsyncK || !n.ch.Online(p.id) {
 		return

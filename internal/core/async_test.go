@@ -31,35 +31,46 @@ func asyncConfig(k int) Config {
 // the very batch that armed it.
 func TestSlotsForClampsToOneSlot(t *testing.T) {
 	_, n := staticNet(t, testConfig(GossipOpt2), []geo.Point{{X: 0, Y: 0}})
-	for _, delay := range []float64{0, 1e-300, n.slotW / 2} {
-		if got := n.slotsFor(delay); got != 1 {
+	for _, delay := range []float64{0, 1e-300, n.rules.slotW / 2} {
+		if got := n.rules.slotsFor(delay); got != 1 {
 			t.Errorf("slotsFor(%g) = %d, want 1 (clamped)", delay, got)
 		}
 	}
-	if got := n.slotsFor(2.5 * n.slotW); got != 3 {
+	if got := n.rules.slotsFor(2.5 * n.rules.slotW); got != 3 {
 		t.Errorf("slotsFor(2.5 slots) = %d, want 3 (ceil)", got)
 	}
 }
 
 // TestSlotAfterExactBoundary audits the slot rounding at exact boundaries:
 // an instant already on the grid maps to its own slot (no spurious bump),
-// one ULP above maps to the next, and armEntryTimer from a boundary instant
+// one ULP above maps to the next (one ULP below, for SlotAt, to the previous), and armEntryTimer from a boundary instant
 // always schedules strictly in the future.
 func TestSlotAfterExactBoundary(t *testing.T) {
 	_, n := staticNet(t, testConfig(GossipOpt2), []geo.Point{{X: 0, Y: 0}})
 	for _, k := range []int64{0, 1, 7, 64, 1000} {
-		at := float64(k) * n.slotW
-		if got := n.slotAfter(at); got != k {
+		at := float64(k) * n.rules.slotW
+		if got := n.rules.slotAfter(at); got != k {
 			t.Errorf("slotAfter(%d·slotW) = %d, want %d", k, got, k)
 		}
 	}
-	if got := n.slotAfter(3*n.slotW + 1e-12); got != 4 {
+	if got := n.rules.slotAfter(3*n.rules.slotW + 1e-12); got != 4 {
 		t.Errorf("slotAfter(just past slot 3) = %d, want 4", got)
+	}
+	// SlotAt is the last slot at or before an instant: its own on the grid,
+	// the one below just short of it.
+	for _, k := range []int64{1, 7, 64, 1000} {
+		at := float64(k) * n.rules.slotW
+		if got, below := n.rules.SlotAt(at), n.rules.SlotAt(math.Nextafter(at, 0)); got != k || below != k-1 {
+			t.Errorf("SlotAt(%d·slotW) = %d and just below %d, want %d and %d", k, got, below, k, k-1)
+		}
+	}
+	if got := n.rules.SlotAt(3*n.rules.slotW + 1e-12); got != 3 {
+		t.Errorf("SlotAt(just past slot 3) = %d, want 3", got)
 	}
 	// A timer armed at a boundary instant (now + RoundTime lands exactly on
 	// the grid because slotW divides RoundTime) must fire strictly later.
-	slot := n.slotAfter(n.sim.Now() + n.cfg.RoundTime)
-	if at := float64(slot) * n.slotW; at <= n.sim.Now() {
+	slot := n.rules.slotAfter(n.sim.Now() + n.cfg.RoundTime)
+	if at := float64(slot) * n.rules.slotW; at <= n.sim.Now() {
 		t.Errorf("entry timer instant %v not strictly after now %v", at, n.sim.Now())
 	}
 }

@@ -223,15 +223,13 @@ type Config struct {
 	// the experiments) to keep delivery high in sparse networks.
 	DIS float64
 	// RoundSlots quantizes each round into this many equal phase slots:
-	// per-peer round offsets and Optimized Gossiping-2 entry timers land on
-	// the grid k·RoundTime/RoundSlots instead of arbitrary real offsets.
+	// round phases and Optimized Gossiping-2 due times, in the simulator and
+	// on a live node, are slots of the grid k·RoundTime/RoundSlots (Rules).
 	// Same-slot timers share one bit-identical simulation instant and are
-	// dispatched as one batch (sim.ScheduleSlot): the grid refreshes once,
-	// then each timer runs in scheduling order. The slot count is therefore part of a run's definition — it
-	// fixes which peers share an instant — and every fingerprint depends on
-	// it. Zero selects DefaultRoundSlots; with the default 64 slots the phase
-	// granularity is well under the channel's jitter, so dissemination
-	// statistics are unaffected.
+	// dispatched as one batch (sim.ScheduleSlot), so the slot count fixes
+	// which peers share an instant and every fingerprint depends on it. Zero
+	// selects DefaultRoundSlots, whose phase granularity is well under the
+	// channel's jitter.
 	RoundSlots int
 	// CacheK is the Store & Forward cache capacity per peer.
 	CacheK int

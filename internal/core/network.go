@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"instantad/internal/ads"
 	"instantad/internal/geo"
@@ -144,19 +143,14 @@ type Network struct {
 	// asyncFree holds the pairwise frames awaiting reuse (see asyncFrame).
 	asyncFree []*asyncFrame
 
-	// slotW is the round-phase slot width RoundTime/RoundSlots, the
-	// simulator's slot width. Round and entry timers are scheduled by integer
-	// slot (sim.ScheduleSlot), whose instant is always slot·slotW, never
-	// accumulated in floating point, so every event meant for the same slot
-	// lands on a bit-identical instant — the precondition for batching them.
-	slotW float64
 	// nbrScratch, seenStamp and stamp serve the Relevance Exchange rounds (see
 	// senseEncounter): the shared neighbour-query buffer, one mark per peer,
 	// and the value the current call marks with.
 	nbrScratch []int
 	seenStamp  []uint32
 	stamp      uint32
-	// rules is the per-ad step every peer runs (see rules.go).
+	// rules is the per-ad step every peer runs and the slot grid its round
+	// and entry timers are scheduled on (sim.ScheduleSlot; see rules.go).
 	rules *Rules
 
 	started bool
@@ -175,9 +169,6 @@ func New(s *sim.Simulator, radioCfg radio.Config, models []mobility.Model, cfg C
 		return nil, fmt.Errorf("core: no peers")
 	}
 	cfg = rules.cfg
-	if cfg.RoundSlots == 0 {
-		cfg.RoundSlots = DefaultRoundSlots
-	}
 	if cfg.Protocol.isAsync() {
 		if cfg.AsyncK == 0 {
 			cfg.AsyncK = 1
@@ -194,7 +185,6 @@ func New(s *sim.Simulator, radioCfg radio.Config, models []mobility.Model, cfg C
 		sim:   s,
 		obs:   BaseObserver{},
 		rnd:   rnd,
-		slotW: cfg.RoundTime / float64(cfg.RoundSlots),
 		rules: rules,
 	}
 	ch, err := radio.New(s, radioCfg, models, n.deliver, rnd.Split("radio"))
@@ -202,7 +192,7 @@ func New(s *sim.Simulator, radioCfg radio.Config, models []mobility.Model, cfg C
 		return nil, err
 	}
 	n.ch = ch
-	s.SetSlotWidth(n.slotW)
+	s.SetSlotWidth(rules.slotW)
 	// Refresh the channel's spatial snapshot once before each slot-event
 	// batch, so the snapshot instant — and the receiver order it fixes, which
 	// feeds the channel's random draws — is the batch's, whatever its events
@@ -227,29 +217,6 @@ func New(s *sim.Simulator, radioCfg radio.Config, models []mobility.Model, cfg C
 		}
 	}
 	return n, nil
-}
-
-// slotAfter returns the first slot index whose instant is ≥ t. The guard
-// loop absorbs the one-ULP case where float64(k)·slotW rounds below t.
-func (n *Network) slotAfter(t float64) int64 {
-	k := int64(math.Ceil(t / n.slotW))
-	for float64(k)*n.slotW < t {
-		k++
-	}
-	return k
-}
-
-// slotsFor converts a relative timer delay into whole slots on the round
-// grid, never fewer than one. Ceil alone maps a delay smaller than the
-// float64 granularity of the grid — in particular an exact zero, which
-// uniform draws can produce — to zero slots, which would reschedule a timer
-// at its current instant and re-fire it before the clock moves.
-func (n *Network) slotsFor(delay float64) int64 {
-	slots := int64(math.Ceil(delay / n.slotW))
-	if slots < 1 {
-		slots = 1
-	}
-	return slots
 }
 
 // SetObserver installs the metrics observer. It must be called before Start;
@@ -288,12 +255,10 @@ func (n *Network) SetPeerOnline(i int, on bool) error {
 }
 
 // Start arms the per-peer gossip schedulers. For round-based variants every
-// peer's round fires at a random phase slot of [0, Δt) — the paper's peers
-// "work asynchronously"; slot quantization (Config.RoundSlots) keeps the
-// phase spread while letting same-slot peers share one batchable instant.
-// Under Optimized Gossiping-2 entries schedule themselves, so no per-peer
-// round event is needed. Start must be called exactly once, before the
-// simulation runs past 0.
+// peer's round fires at a random phase slot of [0, Δt) (Rules.Phase) — the
+// paper's peers "work asynchronously". Under Optimized Gossiping-2 entries
+// schedule themselves, so no per-peer round event is needed. Start must be
+// called exactly once, before the simulation runs past 0.
 func (n *Network) Start() {
 	if n.started {
 		panic("core: Network.Start called twice")
@@ -311,7 +276,7 @@ func (n *Network) Start() {
 	case n.cfg.Protocol.isGossip() && !n.cfg.Protocol.usesOpt2():
 		for _, p := range n.peers {
 			p := p
-			p.roundSlot = int64(p.rnd.Intn(n.cfg.RoundSlots))
+			p.roundSlot = n.rules.Phase(p.rnd)
 			p.roundEv = n.sim.ScheduleSlot(p.roundSlot, p.gossipRound)
 		}
 	}
@@ -584,12 +549,11 @@ func (p *Peer) gossipRound() {
 	n.sim.RescheduleSlot(p.roundEv, p.roundSlot)
 }
 
-// armEntryTimer schedules an entry's first gossip one round from now,
-// rounded up to the slot grid (Optimized Gossiping-2 gives every cache
-// entry its own time handler; slotting makes coinciding timers batchable).
+// armEntryTimer schedules an entry's first gossip (Rules.FirstDue):
+// Optimized Gossiping-2 gives every cache entry its own time handler.
 func (p *Peer) armEntryTimer(e *ads.Entry) {
 	n := p.net
-	e.Slot = n.slotAfter(n.sim.Now() + n.cfg.RoundTime)
+	e.Slot = n.rules.FirstDue(n.sim.Now())
 	e.Timer = n.sim.ScheduleSlot(e.Slot, func() { p.entryRound(e) })
 }
 
@@ -616,22 +580,18 @@ func (p *Peer) entryRound(e *ads.Entry) {
 	}
 }
 
-// postpone implements Algorithm 3's overhearing rule (Formula 4): push the
-// entry's next gossip back by Δt·e^(p·(1+cos θ)/2), where p is the
-// transmission-area overlap with the overheard sender and θ the angle
-// between this peer's velocity and the line toward the sender. The interval
-// is rounded up to whole slots (at least one) so the timer stays on the
-// grid.
+// postpone applies Algorithm 3's overhearing rule (Rules.Postpone) with the
+// transmission-area overlap with the overheard sender and the angle between
+// this peer's velocity and the line toward the sender, and moves the entry's
+// timer to the postponed slot.
 func (p *Peer) postpone(e *ads.Entry, from int) {
 	n := p.net
 	overlap := n.ch.OverlapWith(from, p.id)
 	toSender := n.ch.PositionOf(from).Sub(n.ch.PositionOf(p.id))
-	theta := geo.AngleBetween(n.ch.VelocityOf(p.id), toSender)
-	slots := n.slotsFor(PostponeInterval(n.cfg.RoundTime, overlap, theta))
+	slots := n.rules.Postpone(e, overlap, geo.AngleBetween(n.ch.VelocityOf(p.id), toSender))
 	if n.postObs != nil {
-		n.postObs.OnPostpone(p.id, e.Ad.ID, float64(slots)*n.slotW, n.sim.Now())
+		n.postObs.OnPostpone(p.id, e.Ad.ID, float64(slots)*n.rules.slotW, n.sim.Now())
 	}
-	e.Slot += slots
 	if ev, ok := e.Timer.(*sim.Event); ok {
 		n.sim.RescheduleSlot(ev, e.Slot)
 	}

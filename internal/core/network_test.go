@@ -707,7 +707,7 @@ func BenchmarkGossipRound(b *testing.B) {
 		}
 	}
 	p := n.peers[0]
-	p.roundSlot = n.slotAfter(s.Now())
+	p.roundSlot = n.rules.slotAfter(s.Now())
 	p.roundEv = s.ScheduleSlot(p.roundSlot, p.gossipRound)
 	s.Run(s.Now() + 10*cfg.RoundTime) // warm the delivery pools
 	sent := n.ch.Stats().Broadcasts

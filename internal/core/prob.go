@@ -203,9 +203,9 @@ func (s *scorer) score(dist, r, d, age float64) float64 {
 	return p
 }
 
-// PostponeInterval implements Formula 4's increment: the amount of time a
+// postponeInterval implements Formula 4's increment: the amount of time a
 // peer adds to an entry's scheduled gossip time after overhearing a neighbor
-// broadcast the same ad.
+// broadcast the same ad. Rules.Postpone is its one caller.
 //
 //	interval = Δt·e^(p·(1+cos θ)/2)
 //
@@ -213,7 +213,7 @@ func (s *scorer) score(dist, r, d, age float64) float64 {
 // the sender's, and θ is the angle between the listener's velocity and the
 // line from listener to sender. A closer sender (larger p) heading the same
 // way (smaller θ) postpones longer, up to Δt·e.
-func PostponeInterval(roundTime, p, theta float64) float64 {
+func postponeInterval(roundTime, p, theta float64) float64 {
 	if p < 0 {
 		p = 0
 	} else if p > 1 {

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"instantad/internal/ads"
 )
 
 // paperParams mirrors the paper's illustrative scale: R=10, D=50 on unit
@@ -336,25 +338,50 @@ func TestScoreWithinBudgetOfExactProperty(t *testing.T) {
 	t.Logf("%d answers (%d refusals), worst relative difference %.3g", answered, refused, worst)
 }
 
+// TestPostponeInterval checks Formula 4 and, for each row, the whole slots
+// Rules.Postpone advances an entry by: the interval rounded up, never down,
+// and never fewer than one slot, even at zero overlap on a one-slot round.
 func TestPostponeInterval(t *testing.T) {
-	const dt = 5.0
-	// p = 0 (or θ = π with any p): no exponent → interval = Δt.
-	if got := PostponeInterval(dt, 0, 0); math.Abs(got-dt) > 1e-9 {
-		t.Errorf("p=0: %v, want %v", got, dt)
-	}
-	if got := PostponeInterval(dt, 1, math.Pi); math.Abs(got-dt) > 1e-9 {
-		t.Errorf("θ=π: %v, want %v", got, dt)
-	}
-	// Maximum: p = 1, θ = 0 → Δt·e.
-	if got := PostponeInterval(dt, 1, 0); math.Abs(got-dt*math.E) > 1e-9 {
-		t.Errorf("max: %v, want %v", got, dt*math.E)
-	}
-	// Clamping out-of-range p.
-	if got := PostponeInterval(dt, -3, 0); math.Abs(got-dt) > 1e-9 {
-		t.Errorf("clamped low: %v", got)
-	}
-	if got := PostponeInterval(dt, 7, 0); math.Abs(got-dt*math.E) > 1e-9 {
-		t.Errorf("clamped high: %v", got)
+	for _, c := range []struct {
+		name           string
+		roundTime      float64
+		roundSlots     int
+		p, theta, want float64 // want is the interval in rounds
+		wantSlots      int64
+	}{
+		// p = 0 (or θ = π with any p): no exponent → interval = Δt.
+		{"p=0", 5, 64, 0, 0, 1, 64},
+		{"θ=π", 5, 64, 1, math.Pi, 1, 64},
+		// Maximum: p = 1, θ = 0 → Δt·e, 173.97 slots.
+		{"max", 5, 64, 1, 0, math.E, 174},
+		// Out-of-range p clamps.
+		{"clamped low", 5, 64, -3, 0, 1, 64},
+		{"clamped high", 5, 64, 7, 0, math.E, 174},
+		// One slot per round: zero overlap is one slot, and a hair over Δt
+		// is two, not one.
+		{"one slot, p=0", 5, 1, 0, 0, 1, 1},
+		{"one slot, rounds up", 5, 1, 0.01, math.Pi / 2, math.Exp(0.005), 2},
+		{"one slot, max", 5, 1, 1, 0, math.E, 3},
+		// A live node's Δt, where the slot width is not a binary fraction.
+		{"40ms, half", 0.04, 64, 0.5, math.Pi / 3, math.Exp(0.375), 94},
+	} {
+		if got := postponeInterval(c.roundTime, c.p, c.theta); math.Abs(got-c.want*c.roundTime) > 1e-9 {
+			t.Errorf("%s: interval %v, want %v", c.name, got, c.want*c.roundTime)
+		}
+		cfg := testConfig(GossipOpt2)
+		cfg.RoundTime, cfg.RoundSlots = c.roundTime, c.roundSlots
+		r, err := NewRules(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := &ads.Entry{Slot: 1000}
+		slots := r.Postpone(e, c.p, c.theta)
+		if slots != c.wantSlots || e.Slot != 1000+slots {
+			t.Errorf("%s: Postpone advanced the slot %d → %d and returned %d, want %d", c.name, 1000, e.Slot, slots, c.wantSlots)
+		}
+		if w := c.roundTime / float64(c.roundSlots); float64(slots)*w < c.want*c.roundTime-1e-12 {
+			t.Errorf("%s: %d slots of %v s round %v s down", c.name, slots, w, c.want*c.roundTime)
+		}
 	}
 }
 
@@ -367,7 +394,7 @@ func TestPostponeIntervalMonotoneProperty(t *testing.T) {
 			p1, p2 = p2, p1
 		}
 		th := float64(th1Raw) / 255 * math.Pi
-		if PostponeInterval(5, p1, th) > PostponeInterval(5, p2, th)+1e-9 {
+		if postponeInterval(5, p1, th) > postponeInterval(5, p2, th)+1e-9 {
 			return false
 		}
 		t1 := float64(th1Raw) / 255 * math.Pi
@@ -376,7 +403,7 @@ func TestPostponeIntervalMonotoneProperty(t *testing.T) {
 			t1, t2 = t2, t1
 		}
 		pp := float64(p2Raw) / 255
-		return PostponeInterval(5, pp, t1) >= PostponeInterval(5, pp, t2)-1e-9
+		return postponeInterval(5, pp, t1) >= postponeInterval(5, pp, t2)-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
@@ -385,7 +412,7 @@ func TestPostponeIntervalMonotoneProperty(t *testing.T) {
 
 func TestPostponeIntervalBoundsProperty(t *testing.T) {
 	f := func(pRaw, thRaw uint8) bool {
-		v := PostponeInterval(5, float64(pRaw)/255, float64(thRaw)/255*math.Pi)
+		v := postponeInterval(5, float64(pRaw)/255, float64(thRaw)/255*math.Pi)
 		return v >= 5-1e-9 && v <= 5*math.E+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {

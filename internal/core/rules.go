@@ -17,19 +17,25 @@ import (
 // one entry's gossip step of Algorithms 2 and 4. A method takes what belongs
 // to one peer — its cache, coin stream, user ID, interests, RSU flag and
 // position — and the instant as arguments, so the simulator's Network and the
-// live node run the same code on their own clocks. Timers, the radio,
-// observers and delivery bookkeeping stay with the caller: a method returns
-// what it evicted or expired, and the caller cancels and reports.
+// live node run the same code on their own clocks, both keeping due times as
+// slots of its grid. Timers, the radio, observers and delivery bookkeeping
+// stay with the caller: a method returns what it evicted or expired, and the
+// caller cancels and reports.
 type Rules struct {
 	cfg Config
+	// slotW is the slot width RoundTime/RoundSlots. A slot's instant is always
+	// slot·slotW, never a float sum, so due times meant to coincide are
+	// bit-identical instants, which the simulator batches.
+	slotW float64
 	// rank scores cache entries for rankOverflow; the counters tell its verdicts.
 	rank                                      scorer
 	overflows, overflowDropped, overflowExact *obs.Counter
 }
 
-// NewRules validates cfg and builds its rules with the popularity defaults
-// filled in. Of cfg only Protocol (whether it uses Optimization Mechanism 1),
-// Params, DIS, Eviction and Popularity shape them.
+// NewRules validates cfg and builds its rules with the popularity and slot
+// defaults filled in. Of cfg only Protocol (whether it uses Optimization
+// Mechanism 1), Params, RoundTime, RoundSlots, DIS, Eviction and Popularity
+// shape them.
 func NewRules(cfg Config) (*Rules, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -37,8 +43,54 @@ func NewRules(cfg Config) (*Rules, error) {
 	if pc := &cfg.Popularity; pc.Enabled {
 		pc.F, pc.L = cmp.Or(pc.F, 8), cmp.Or(pc.L, 32)
 	}
-	return &Rules{cfg: cfg, rank: newScorer(cfg),
+	cfg.RoundSlots = cmp.Or(cfg.RoundSlots, DefaultRoundSlots)
+	return &Rules{cfg: cfg, slotW: cfg.RoundTime / float64(cfg.RoundSlots), rank: newScorer(cfg),
 		overflows: new(obs.Counter), overflowDropped: new(obs.Counter), overflowExact: new(obs.Counter)}, nil
+}
+
+// slotAfter returns the first slot whose instant is ≥ t. The guard loop
+// absorbs the one-ULP case where float64(k)·slotW rounds below t.
+func (r *Rules) slotAfter(t float64) int64 {
+	k := int64(math.Ceil(t / r.slotW))
+	for float64(k)*r.slotW < t {
+		k++
+	}
+	return k
+}
+
+// slotsFor converts a relative delay into whole slots, never fewer than one:
+// ceil alone maps a delay of zero or below the grid's float64 granularity to
+// zero slots, which would fire a timer again before the clock moves.
+func (r *Rules) slotsFor(delay float64) int64 {
+	return max(int64(math.Ceil(delay/r.slotW)), 1)
+}
+
+// SlotAt returns the last slot whose instant is ≤ t: a due time at or before
+// it is due for a driver polling at t.
+func (r *Rules) SlotAt(t float64) int64 { return r.slotAfter(math.Nextafter(t, math.Inf(1))) - 1 }
+
+// Phase draws a peer's round phase, a slot in [0, RoundSlots), from rnd.
+func (r *Rules) Phase(rnd *rng.Stream) int64 { return int64(rnd.Intn(r.cfg.RoundSlots)) }
+
+// FirstDue is the first slot at least one round after now: when an entry
+// cached at now first steps under Optimization Mechanism 2.
+func (r *Rules) FirstDue(now float64) int64 { return r.slotAfter(now + r.cfg.RoundTime) }
+
+// NextDue is the first slot after cur ≥ slot on slot's round phase: slot +
+// RoundSlots for a driver on time, as the simulator always is. A driver that
+// fell further behind skips the rounds it missed instead of replaying them.
+func (r *Rules) NextDue(slot, cur int64) int64 {
+	rs := int64(r.cfg.RoundSlots)
+	return slot + ((cur-slot)/rs+1)*rs
+}
+
+// Postpone is Algorithm 3's overhearing rule: it pushes e's next step back
+// by Formula 4's interval for overlap p and angle θ (postponeInterval), in
+// whole slots rounded up, and returns the slots.
+func (r *Rules) Postpone(e *ads.Entry, p, theta float64) int64 {
+	slots := r.slotsFor(postponeInterval(r.cfg.RoundTime, p, theta))
+	e.Slot += slots
+	return slots
 }
 
 // NewAd builds the ad a peer issues as id at origin and now: spec's fields,

@@ -275,7 +275,6 @@ type Node struct {
 	mu        sync.Mutex
 	cache     *ads.Cache
 	seen      map[ads.ID]float64 // ad ID → protocol-time expiry of that ad
-	nextPrune float64            // protocol time of the next seen-set and serve-block sweep
 	peers     []*peerState
 	peerIndex map[string]*peerState // canonical key → entry of peers
 	interests map[string]bool
@@ -283,11 +282,12 @@ type Node struct {
 	nextSeq   uint32
 	epoch     time.Time // protocol time zero: ages are seconds since epoch
 
-	// Wire-layer round state, guarded by mu.
-	nextDigest  float64              // protocol time of the next digest send
-	budgetUsed  int                  // payload bytes spent this round window
-	budgetReset float64              // protocol time the budget window rolls
-	served      map[string]time.Time // addr → end of its serve block window
+	// Round state, guarded by mu. The node's round runs once per Δt on the
+	// slot grid of its rules, at a phase drawn from its seed.
+	roundSlot  int64                // slot of the node's next round
+	rounds     int                  // rounds run, for DigestEvery
+	budgetUsed int                  // payload bytes spent this round
+	served     map[string]time.Time // addr → end of its serve block window
 
 	reg         *obs.Registry
 	events      *EventRecorder
@@ -387,10 +387,7 @@ func New(cfg Config) (*Node, error) {
 		n.blockWindow = 4 * cfg.RoundTime
 	}
 	n.roundBytes = cfg.RoundBytes
-	if n.digestEvery > 0 {
-		// The first digest waits a full interval so cold caches settle.
-		n.nextDigest = float64(n.digestEvery) * cfg.RoundTime.Seconds()
-	}
+	n.roundSlot = rules.Phase(n.rnd)
 	for _, k := range cfg.Interests {
 		n.interests[k] = true
 	}
@@ -667,7 +664,7 @@ func (n *Node) Issue(spec core.AdSpec) (*ads.Advertisement, error) {
 	// gossipOut encodes outside the lock.
 	out := ad.Clone()
 	if e, _ := n.rules.Admit(n.cache, n.rnd, out, false, uint64(n.cfg.ID)+1, n.interests, false, pos, now); e != nil {
-		e.ScheduledAt, e.Shared = now+n.cfg.RoundTime.Seconds(), true
+		e.Slot, e.Shared = n.rules.FirstDue(now), true
 	}
 	n.mu.Unlock()
 	n.gossipOut([]*ads.Advertisement{out})
@@ -685,19 +682,12 @@ func (n *Node) markSeenLocked(ad *ads.Advertisement) {
 	}
 }
 
-// pruneSeenLocked sweeps expired IDs out of the dedup set at most once per
-// gossip round, keeping it O(live ads) instead of O(all ads ever heard).
-// An ID is swept the first sweep after its expiry — straggler duplicates of
-// a just-expired ad are dropped by the expiry check either way, so keeping
-// them a grace round (as an earlier revision did) only misreported them as
-// live. Lapsed serve blocks go in the same sweep: servedBlocked ignores them
-// anyway, so once a round is often enough to bound the map. Callers hold
-// n.mu.
+// pruneSeenLocked sweeps expired IDs out of the dedup set once per round,
+// keeping it O(live ads). An ID goes the first sweep after its expiry, with
+// no grace round: straggler duplicates of a just-expired ad are dropped by the
+// expiry check either way. Lapsed serve blocks go in the same sweep:
+// servedBlocked ignores them anyway. Callers hold n.mu.
 func (n *Node) pruneSeenLocked(now float64) {
-	if now < n.nextPrune {
-		return
-	}
-	n.nextPrune = now + n.cfg.RoundTime.Seconds()
 	for id, exp := range n.seen {
 		if exp < now {
 			delete(n.seen, id)
@@ -841,14 +831,12 @@ func (n *Node) integrateAdLocked(now float64, srcPos geo.Point, pos geo.Point, v
 		n.markSeenLocked(e.Ad)
 		if n.cfg.Opt2 {
 			// Formula 4 with the real overlap and approach angle.
-			p := geo.OverlapFraction(n.cfg.Range, pos.Dist(srcPos))
-			theta := geo.AngleBetween(vel, srcPos.Sub(pos))
-			e.ScheduledAt += core.PostponeInterval(n.cfg.RoundTime.Seconds(), p, theta)
+			n.rules.Postpone(e, geo.OverlapFraction(n.cfg.Range, pos.Dist(srcPos)), geo.AngleBetween(vel, srcPos.Sub(pos)))
 		}
 		return
 	}
 	if e, _ := n.rules.Admit(n.cache, n.rnd, ad, false, uint64(n.cfg.ID)+1, n.interests, false, pos, now); e != nil {
-		e.ScheduledAt = now + n.cfg.RoundTime.Seconds()
+		e.Slot = n.rules.FirstDue(now)
 	}
 }
 
@@ -963,19 +951,14 @@ func (n *Node) servedBlocked(addr string, now time.Time) bool {
 	return ok && until.After(now)
 }
 
-// takeBudget claims nb bytes of the per-round send budget, rolling the
-// window on the protocol clock. Unlimited (roundBytes == 0) always grants.
+// takeBudget claims nb bytes of the round's send budget, which each of the
+// node's rounds renews. Unlimited (roundBytes == 0) always grants.
 func (n *Node) takeBudget(nb int) bool {
 	if n.roundBytes <= 0 {
 		return true
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	now := n.now()
-	if now >= n.budgetReset {
-		n.budgetUsed = 0
-		n.budgetReset = now + n.cfg.RoundTime.Seconds()
-	}
 	if n.budgetUsed+nb > n.roundBytes {
 		return false
 	}
@@ -1073,10 +1056,9 @@ func (n *Node) beaconBack(key string) {
 	}
 }
 
-// gossipLoop fires due cache entries. With Opt2 each entry has its own
-// postponable schedule; without, entries still carry per-entry times that
-// simply advance by one round each firing — equivalent to round gossip with
-// a per-ad phase.
+// gossipLoop polls the node's slot schedule every Δt/5 (fireDue). A poll
+// fires whatever fell due since the last one: the node's round, and under
+// Opt2 each entry on its own postponable slot.
 func (n *Node) gossipLoop() {
 	defer n.wg.Done()
 	tick := n.cfg.RoundTime / 5
@@ -1169,10 +1151,9 @@ func (n *Node) sendBeacon() {
 	}
 }
 
-// fireDue broadcasts every cached ad whose scheduled time has arrived, and
-// piggybacks the periodic sweeps: the seen set and — with discovery enabled —
-// the neighbor table, whose expired entries are evicted from the peer set
-// (the membership failure detector).
+// fireDue is one poll: the discovery sweep, whose expired neighbors leave
+// the peer set (the membership failure detector), then tickLocked at the
+// protocol time it finds, then the sends tickLocked chose.
 func (n *Node) fireDue() {
 	if n.table != nil {
 		for _, nb := range n.table.Sweep(time.Now()) {
@@ -1183,13 +1164,51 @@ func (n *Node) fireDue() {
 		}
 	}
 	pos, _ := n.cfg.Position(time.Now())
-	var digest []ads.ID
 	n.mu.Lock()
-	now := n.now()
-	n.pruneSeenLocked(now)
-	toSend := n.stepDueLocked(now, pos)
-	if n.digestEvery > 0 && now >= n.nextDigest && n.cache.Len() > 0 {
-		n.nextDigest = now + float64(n.digestEvery)*n.cfg.RoundTime.Seconds()
+	toSend, digest := n.tickLocked(n.now(), pos)
+	n.mu.Unlock()
+	n.gossipOut(toSend)
+	if len(digest) > 0 {
+		n.sendDigest(digest)
+	}
+}
+
+// tickLocked advances the node's schedule to protocol time now. When the
+// slot of the node's round has come, the round sweeps the seen set, renews
+// the byte budget and, every DigestEvery-th round, picks a digest; a node
+// that fell more than a round behind runs one round and skips the rest. Then
+// one walk over the cache drops expired ads and steps the due ones: without
+// Opt2 the whole cache when the round is due (Algorithm 2), under it each
+// entry at its own slot, due again a round later on its phase (Algorithm 4).
+// It returns the snapshots the coins chose to send, marked Shared. Callers
+// hold n.mu.
+func (n *Node) tickLocked(now float64, pos geo.Point) (toSend []*ads.Advertisement, digest []ads.ID) {
+	cur := n.rules.SlotAt(now)
+	round := n.roundSlot <= cur
+	if round {
+		n.roundSlot = n.rules.NextDue(n.roundSlot, cur)
+		n.rounds++
+		n.budgetUsed = 0
+		n.pruneSeenLocked(now)
+	}
+	n.cache.ForEach(func(e *ads.Entry) {
+		due := round
+		if n.cfg.Opt2 {
+			due = e.Slot <= cur
+		}
+		if !due && !e.Ad.Expired(now) {
+			return
+		}
+		live, send := n.rules.Step(n.cache, n.rnd, e, false, pos, now)
+		if live && n.cfg.Opt2 {
+			e.Slot = n.rules.NextDue(e.Slot, cur)
+		}
+		if send {
+			e.Shared = true
+			toSend = append(toSend, e.Ad)
+		}
+	})
+	if round && n.digestEvery > 0 && n.rounds%n.digestEvery == 0 && n.cache.Len() > 0 {
 		// A digest frame honors the batch soft cap too: when the cache holds
 		// more IDs than fit, advertise a window starting at a random offset,
 		// so successive digests cover the whole cache eventually.
@@ -1203,31 +1222,7 @@ func (n *Node) fireDue() {
 			digest = append(digest, entries[(off+i)%len(entries)].Ad.ID)
 		}
 	}
-	n.mu.Unlock()
-	n.gossipOut(toSend)
-	if len(digest) > 0 {
-		n.sendDigest(digest)
-	}
-}
-
-// stepDueLocked is the tick's one walk over the cache: an expired ad leaves
-// it, and every due one takes the shared rules' gossip step and is due again
-// a round later. It returns the snapshots the coins chose to send, marked
-// Shared. Callers hold n.mu.
-func (n *Node) stepDueLocked(now float64, pos geo.Point) (toSend []*ads.Advertisement) {
-	n.cache.ForEach(func(e *ads.Entry) {
-		if e.ScheduledAt > now && !e.Ad.Expired(now) {
-			return
-		}
-		if live, send := n.rules.Step(n.cache, n.rnd, e, false, pos, now); live {
-			e.ScheduledAt = now + n.cfg.RoundTime.Seconds()
-			if send {
-				e.Shared = true
-				toSend = append(toSend, e.Ad)
-			}
-		}
-	})
-	return toSend
+	return toSend, digest
 }
 
 // liveTargets snapshots the peers currently outside backoff windows, all

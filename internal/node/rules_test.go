@@ -39,16 +39,22 @@ func cachedIDs(c *ads.Cache) []ads.ID {
 	return ids
 }
 
-// TestDueWalkDropsExpiredAds drives a node's cache through random admissions
-// (with Algorithm 5 enlarging some on the way in), duplicate merges that raise
-// D and overflow evictions, and ticks the due walk at irregular instants —
-// among them exactly an ad's IssuedAt + D and one ulp either side. After every
-// tick the cache must hold every ad not Expired at that instant, nothing else,
-// and at most k: entries not yet due leave when expired too.
+// TestDueWalkDropsExpiredAds drives a node's cache under Optimization
+// Mechanism 2 through random admissions (with Algorithm 5 enlarging some on
+// the way in), duplicate merges that raise D and postpone, and overflow
+// evictions, and ticks the node at irregular instants — among them exactly an
+// ad's IssuedAt + D and one ulp either side, and gaps of more than a round.
+// After every tick the cache must hold every ad not Expired at that instant,
+// nothing else, and at most k: entries not yet due leave when expired too.
+// Every entry left must be due after the tick's slot, and one that stepped
+// must keep its phase. Then the clock jumps a thousand rounds: each live entry
+// steps once, not once per missed round, and keeps its phase, as does the
+// node's round.
 func TestDueWalkDropsExpiredAds(t *testing.T) {
 	pc := core.PopularityConfig{Enabled: true, F: 8, L: 32, RInc: 50, DInc: 3, DMax: 40}
 	n := idleNode(t, func(c *Config) {
 		c.CacheK = 6
+		c.Opt2 = true
 		c.Interests = []string{"petrol"}
 		c.Popularity = pc
 	})
@@ -101,24 +107,32 @@ func TestDueWalkDropsExpiredAds(t *testing.T) {
 				}
 			}
 			now = next
+			cur := n.rules.SlotAt(now)
 			var want []ads.ID
+			due := make(map[ads.ID]int64)
 			n.cache.ForEach(func(e *ads.Entry) {
 				switch {
 				case !e.Ad.Expired(now):
 					want = append(want, e.Ad.ID)
-					if e.ScheduledAt <= now {
+					if e.Slot <= cur {
 						stepped++
+						due[e.Ad.ID] = e.Slot
 					}
-				case e.ScheduledAt > now:
+				case e.Slot > cur:
 					expiredWaiting++
 				default:
 					expiredDue++
 				}
 			})
-			n.stepDueLocked(now, pos)
+			n.tickLocked(now, pos)
 			if got := cachedIDs(n.cache); !reflect.DeepEqual(got, want) {
 				t.Fatalf("step %d, t=%v: cache holds %v, want the live ads %v", step, now, got, want)
 			}
+			n.cache.ForEach(func(e *ads.Entry) {
+				if was, ok := due[e.Ad.ID]; e.Slot <= cur || ok && (e.Slot-was)%core.DefaultRoundSlots != 0 {
+					t.Fatalf("step %d, slot %d: %v due at %d after the tick, %d before", step, cur, e.Ad.ID, e.Slot, was)
+				}
+			})
 		}
 		if n.cache.Len() > n.cache.K() {
 			t.Fatalf("step %d: cache holds %d > k", step, n.cache.Len())
@@ -130,6 +144,75 @@ func TestDueWalkDropsExpiredAds(t *testing.T) {
 		t.Errorf("degenerate walk: %d steps, %d expired due, %d expired before due", stepped, expiredDue, expiredWaiting)
 	}
 	t.Logf("%d steps, %d expired due, %d expired before due", stepped, expiredDue, expiredWaiting)
+
+	// The node stalls for a thousand rounds. Its long-lived ads sit at its
+	// own position with a large R, so each step is a send.
+	n.cache.ForEach(func(e *ads.Entry) { n.cache.Remove(e.Ad.ID) })
+	for seq := uint32(1); seq <= 4; seq++ {
+		now += 0.011 // admitted on different phases
+		n.integrateAdLocked(now, pos, pos, geo.Vec{}, &ads.Advertisement{ID: ads.ID{Issuer: 8, Seq: seq}, IssuedAt: now, R: 1e6, D: 1e6})
+	}
+	slots := make(map[ads.ID]int64)
+	n.cache.ForEach(func(e *ads.Entry) { slots[e.Ad.ID] = e.Slot })
+	round := n.roundSlot
+	now += 1000 * n.cfg.RoundTime.Seconds()
+	cur := n.rules.SlotAt(now)
+	sent, _ := n.tickLocked(now, pos)
+	if len(sent) != len(slots) {
+		t.Errorf("%d sends after a stall of 1000 rounds, want one per entry, %d", len(sent), len(slots))
+	}
+	n.cache.ForEach(func(e *ads.Entry) {
+		if was := slots[e.Ad.ID]; e.Slot <= cur || e.Slot > cur+core.DefaultRoundSlots || (e.Slot-was)%core.DefaultRoundSlots != 0 {
+			t.Errorf("%v: due at slot %d after the stall to slot %d, was %d: want the next on its phase", e.Ad.ID, e.Slot, cur, was)
+		}
+	})
+	if n.roundSlot <= cur || n.roundSlot > cur+core.DefaultRoundSlots || (n.roundSlot-round)%core.DefaultRoundSlots != 0 {
+		t.Errorf("node round at slot %d after the stall to slot %d, was %d: want the next on its phase", n.roundSlot, cur, round)
+	}
+}
+
+// TestNodeGossipsOncePerRound drives a node's polls directly with synthetic
+// protocol times on the Δt/5 grid, each late by a seeded jitter in
+// [0, Δt/5) as gossipLoop's ticker delivers them. Its ads sit at its own
+// position with a large R, so P = 1 and every step is a send: over N rounds
+// each must be sent N ± 1 times, with Optimization Mechanism 2 and without.
+// Without it, every cached entry steps at the node's round, one instant
+// (Algorithm 2), though the ads were admitted on different phases.
+func TestNodeGossipsOncePerRound(t *testing.T) {
+	const rounds, ticksPerRound = 200, 5
+	for _, opt2 := range []bool{false, true} {
+		t.Run(fmt.Sprintf("opt2=%v", opt2), func(t *testing.T) {
+			n := idleNode(t, func(c *Config) { c.Opt2 = opt2 })
+			dt := n.cfg.RoundTime.Seconds()
+			tick := dt / ticksPerRound
+			pos := geo.Point{}
+			n.mu.Lock()
+			defer n.mu.Unlock()
+			const k = 3
+			for seq := uint32(1); seq <= k; seq++ {
+				at := float64(seq) * 0.3 * tick
+				n.integrateAdLocked(at, pos, pos, geo.Vec{}, &ads.Advertisement{ID: ads.ID{Issuer: 8, Seq: seq}, IssuedAt: at, R: 1e6, D: 1e6})
+			}
+			jitter := rng.New(5)
+			sends := make(map[ads.ID]int)
+			for i := 1; i <= rounds*ticksPerRound; i++ {
+				sent, _ := n.tickLocked(float64(i)*tick+jitter.Range(0, tick), pos)
+				if !opt2 && len(sent) != 0 && len(sent) != k {
+					t.Fatalf("tick %d stepped %d of %d entries: Algorithm 2 steps the whole cache at once", i, len(sent), k)
+				}
+				for _, ad := range sent {
+					sends[ad.ID]++
+				}
+			}
+			for seq := uint32(1); seq <= k; seq++ {
+				id := ads.ID{Issuer: 8, Seq: seq}
+				if got := sends[id]; got < rounds-1 || got > rounds+1 {
+					t.Errorf("%v sent %d times in %d rounds of Δt = %v, want %d ± 1", id, got, rounds, n.cfg.RoundTime, rounds)
+				}
+			}
+			t.Logf("sends per ad over %d rounds: %v", rounds, sends)
+		})
+	}
 }
 
 // TestNodeOverflowMatchesAlgorithm1 feeds one stream of receptions — random
