@@ -152,6 +152,9 @@ type Network struct {
 	// rules is the per-ad step every peer runs and the slot grid its round
 	// and entry timers are scheduled on (sim.ScheduleSlot; see rules.go).
 	rules *Rules
+	// heard holds, per ad, the N-bit set of the peers that have heard it
+	// (delivery bookkeeping), made at the ad's first mark.
+	heard map[ads.ID][]uint64
 
 	started bool
 }
@@ -186,6 +189,7 @@ func New(s *sim.Simulator, radioCfg radio.Config, models []mobility.Model, cfg C
 		obs:   BaseObserver{},
 		rnd:   rnd,
 		rules: rules,
+		heard: make(map[ads.ID][]uint64),
 	}
 	ch, err := radio.New(s, radioCfg, models, n.deliver, rnd.Split("radio"))
 	if err != nil {
@@ -201,14 +205,11 @@ func New(s *sim.Simulator, radioCfg radio.Config, models []mobility.Model, cfg C
 	n.peers = make([]*Peer, len(models))
 	for i := range models {
 		n.peers[i] = &Peer{
-			id:        i,
-			net:       n,
-			userID:    rnd.SplitIndex("user", i).Uint64(),
-			interests: make(map[string]bool),
-			cache:     ads.NewCache(cfg.CacheK),
-			rnd:       rnd.SplitIndex("peer", i),
-			received:  make(map[ads.ID]bool),
-			relayed:   make(map[ads.ID]relayMark),
+			id:     i,
+			net:    n,
+			userID: rnd.SplitIndex("user", i).Uint64(),
+			cache:  ads.NewCache(cfg.CacheK),
+			rnd:    rnd.SplitIndex("peer", i),
 		}
 	}
 	if len(cfg.RSUPeers) > 0 {
@@ -387,10 +388,9 @@ type Peer struct {
 	roundEv   *sim.Event
 	roundSlot int64
 
-	// received marks ads this peer has ever heard (delivery bookkeeping).
-	received map[ads.ID]bool
-	// relayed maps ad → flooding relay bookkeeping; entries are pruned once
-	// the ad is past its advertising duration D (see pruneRelayed).
+	// relayed maps ad → flooding relay bookkeeping, nil until the first
+	// relay; entries are pruned once the ad is past its advertising duration
+	// D (see pruneRelayed).
 	relayed      map[ads.ID]relayMark
 	relayedSweep float64
 	// relevance holds the Relevance Exchange comparator's state, nil under
@@ -418,11 +418,15 @@ func (p *Peer) SetInterests(keywords ...string) {
 	}
 }
 
-// Interests returns the peer's interest set (shared map; do not mutate).
+// Interests returns the peer's interest set (shared map; do not mutate), nil
+// when no interests are set.
 func (p *Peer) Interests() map[string]bool { return p.interests }
 
 // HasReceived reports whether the peer has ever heard the given ad.
-func (p *Peer) HasReceived(id ads.ID) bool { return p.received[id] }
+func (p *Peer) HasReceived(id ads.ID) bool {
+	set := p.net.heard[id]
+	return set != nil && set[p.id>>6]&(1<<(p.id&63)) != 0
+}
 
 // IsRSU reports whether the peer is a fixed roadside unit.
 func (p *Peer) IsRSU() bool { return p.isRSU }
@@ -462,10 +466,16 @@ func (p *Peer) broadcastAdTo(e *ads.Entry, recv []int) {
 
 // markReceived records delivery and fires OnFirstReceive exactly once.
 func (p *Peer) markReceived(ad *ads.Advertisement) {
-	if p.received[ad.ID] {
+	set := p.net.heard[ad.ID]
+	if set == nil {
+		set = make([]uint64, (len(p.net.peers)+63)/64)
+		p.net.heard[ad.ID] = set
+	}
+	w, bit := p.id>>6, uint64(1)<<(p.id&63)
+	if set[w]&bit != 0 {
 		return
 	}
-	p.received[ad.ID] = true
+	set[w] |= bit
 	if p.isRSU {
 		r := p.net.rsu
 		r.deliveries++
@@ -670,6 +680,9 @@ func (p *Peer) handleFlood(f floodFrame) {
 	}
 	if p.Position().Dist(f.ad.Origin) > f.radius {
 		return
+	}
+	if p.relayed == nil {
+		p.relayed = make(map[ads.ID]relayMark)
 	}
 	p.relayed[f.ad.ID] = relayMark{cycle: f.cycle, expiry: f.ad.IssuedAt + f.ad.D}
 	p.broadcastFlood(f)

@@ -719,3 +719,105 @@ func BenchmarkGossipRound(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(n.ch.Stats().Broadcasts-sent)/float64(b.N), "broadcasts/op")
 }
+
+// firstsObserver records every OnFirstReceive per ad and every issued ad.
+type firstsObserver struct {
+	BaseObserver
+	t      *testing.T
+	issued []ads.ID
+	firsts map[ads.ID]map[int]bool
+}
+
+func (o *firstsObserver) OnIssue(_ int, ad *ads.Advertisement, _ float64) {
+	o.issued = append(o.issued, ad.ID)
+}
+
+func (o *firstsObserver) OnFirstReceive(peer int, ad *ads.Advertisement, _ float64) {
+	if o.firsts[ad.ID][peer] {
+		o.t.Errorf("peer %d: second OnFirstReceive for %v", peer, ad.ID)
+	}
+	if o.firsts[ad.ID] == nil {
+		o.firsts[ad.ID] = make(map[int]bool)
+	}
+	o.firsts[ad.ID][peer] = true
+}
+
+// TestHeardMatchesFirstReceive: for every peer and issued ad, HasReceived
+// reads exactly the first receptions the observer heard, under every
+// protocol family and with roadside units; an id never issued reads false.
+func TestHeardMatchesFirstReceive(t *testing.T) {
+	withRSU := testConfig(Gossip)
+	withRSU.RSUPeers = []int{3, 17, 33}
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"flooding", testConfig(Flooding)},
+		{"gossip", testConfig(Gossip)},
+		{"gossip-opt", testConfig(GossipOpt)},
+		{"relevance", testConfig(RelevanceExchange)},
+		{"async", asyncConfig(2)},
+		{"gossip-rsu", withRSU},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			const peers = 70 // a partial last word in every heard set
+			s := sim.New()
+			models := make([]mobility.Model, peers)
+			r := rng.New(5)
+			for i := range models {
+				m, err := mobility.NewRandomWaypoint(mobility.RandomWaypointConfig{
+					Field: geo.NewRect(1500, 1500), SpeedMean: 10, SpeedDelta: 5,
+					Pause: 5, Horizon: 300,
+				}, r.SplitIndex("m", i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				models[i] = m
+			}
+			n, err := New(s, testRadio(), models, tc.cfg, rng.New(13))
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := &firstsObserver{t: t, firsts: make(map[ads.ID]map[int]bool)}
+			n.SetObserver(o)
+			n.Start()
+			for k, issuer := range []int{0, 3, 0, 64, 69} {
+				s.Schedule(1+20*float64(k), func() {
+					if _, err := n.IssueAd(issuer, AdSpec{R: 400, D: 120, Category: "food"}); err != nil {
+						t.Error(err)
+					}
+				})
+			}
+			s.Run(300)
+			if len(o.issued) != 5 {
+				t.Fatalf("%d ads issued, want 5", len(o.issued))
+			}
+			heard, missed := 0, 0
+			for _, id := range o.issued {
+				for i := range peers {
+					got, want := n.Peer(i).HasReceived(id), o.firsts[id][i]
+					if got != want {
+						t.Errorf("peer %d, ad %v: HasReceived %v, first receptions say %v", i, id, got, want)
+					}
+					if got {
+						heard++
+					} else {
+						missed++
+					}
+				}
+			}
+			t.Logf("%d peer × ad pairs heard, %d missed", heard, missed)
+			if heard <= len(o.issued) || missed == 0 {
+				t.Errorf("%d peer × ad pairs heard, %d missed: the run exercises too little", heard, missed)
+			}
+			for _, id := range []ads.ID{{Issuer: peers}, {Issuer: peers + 9, Seq: 3}, {Issuer: 0, Seq: 2}, {Issuer: 64, Seq: 1}} {
+				for i := range peers {
+					if n.Peer(i).HasReceived(id) {
+						t.Errorf("peer %d has received %v, which was never issued", i, id)
+					}
+				}
+			}
+		})
+	}
+}

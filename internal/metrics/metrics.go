@@ -90,7 +90,10 @@ type adTrack struct {
 	origin   geo.Point
 	issuedAt float64
 	r, d     float64 // initial propagation parameters (life-cycle definition)
-	done     bool
+	// report is the ad's final report, stored at the first sample tick after
+	// its life cycle ended (R_t = 0). Nothing writes the ledger after that, so
+	// the columns, the bit sets and covDist are released then.
+	report *AdReport
 
 	// member is the N-bit set of the peers that can matter to this ad (see
 	// OnIssue), pending the members that have not entered the area yet. A
@@ -181,7 +184,15 @@ func (c *Collector) InstrumentWith(reg *obs.Registry) {
 		"wall-clock time of one collector sample tick (area entries and road coverage of every live ad)",
 		obs.ExpBuckets(1e-6, 4, 12))
 	reg.GaugeFunc("sim_tracked_ads", "advertisements under measurement",
-		func() float64 { return float64(len(c.tracked)) })
+		func() float64 {
+			live := 0
+			for _, tr := range c.tracked {
+				if tr.report == nil {
+					live++
+				}
+			}
+			return float64(live)
+		})
 }
 
 // OnIssue starts tracking an ad at the current simulation time t: peers
@@ -239,7 +250,7 @@ func (c *Collector) OnBroadcast(peer int, id ads.ID, bytes int, t float64) {
 	if peer >= 0 && peer < len(c.perPeerTx) {
 		c.perPeerTx[peer]++
 	}
-	if tr, ok := c.tracked[id]; ok && !tr.done {
+	if tr, ok := c.tracked[id]; ok && tr.report == nil {
 		tr.messages++
 		tr.bytes += uint64(bytes)
 	}
@@ -248,7 +259,7 @@ func (c *Collector) OnBroadcast(peer int, id ads.ID, bytes int, t float64) {
 // OnFirstReceive records a peer's first contact with an ad.
 func (c *Collector) OnFirstReceive(peer int, ad *ads.Advertisement, t float64) {
 	tr, ok := c.tracked[ad.ID]
-	if !ok || tr.done || !has(tr.member, peer) {
+	if !ok || tr.report != nil || !has(tr.member, peer) {
 		return
 	}
 	k := tr.slot(peer)
@@ -308,14 +319,17 @@ func (c *Collector) sample() {
 	now := c.sim.Now()
 	travel := c.ch.MaxSpeed()*(now-c.prevT) + boundEps
 	maxCov := 0.0
-	for _, tr := range c.tracked {
-		if tr.done {
+	for id, tr := range c.tracked {
+		if tr.report != nil {
 			continue
 		}
 		age := now - tr.issuedAt
 		rt := core.RadiusAt(c.params, tr.r, tr.d, age)
 		if rt <= 0 {
-			tr.done = true
+			rep := tr.measure(id)
+			tr.report = &rep
+			tr.member, tr.pending, tr.base = nil, nil, nil
+			tr.enterTime, tr.received, tr.receiveTime, tr.covDist = nil, nil, nil, nil
 			continue
 		}
 		if c.roadCov != nil {
@@ -388,6 +402,14 @@ func (c *Collector) Report(id ads.ID) (AdReport, error) {
 	if !ok {
 		return AdReport{}, fmt.Errorf("metrics: ad %v was never issued", id)
 	}
+	if tr.report != nil {
+		return *tr.report, nil
+	}
+	return tr.measure(id), nil
+}
+
+// measure computes the ad's report from its ledger.
+func (tr *adTrack) measure(id ads.ID) AdReport {
 	rep := AdReport{ID: id, Messages: tr.messages, Bytes: tr.bytes, RoadCoverage: tr.covPeak}
 	// Slots ascend by peer id, which keeps the float sum in stats.Summarize
 	// in the order it has always had.
@@ -410,7 +432,7 @@ func (c *Collector) Report(id ads.ID) (AdReport, error) {
 		rep.P50 = stats.Percentile(times, 50)
 		rep.P95 = stats.Percentile(times, 95)
 	}
-	return rep, nil
+	return rep
 }
 
 // TrackedIDs returns the ads this collector has seen issued.

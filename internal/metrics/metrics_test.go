@@ -11,6 +11,7 @@ import (
 	"instantad/internal/core"
 	"instantad/internal/geo"
 	"instantad/internal/mobility"
+	"instantad/internal/obs"
 	"instantad/internal/radio"
 	"instantad/internal/rng"
 	"instantad/internal/sim"
@@ -137,11 +138,9 @@ func TestFastCrosserNotMissed(t *testing.T) {
 	n.Start()
 	var issued *ads.Advertisement
 	s.Schedule(0, func() { issued, _ = n.IssueAd(0, core.AdSpec{R: 500, D: 60}) })
-	s.Run(100)
-	rep, _ := col.Report(issued.ID)
-	if rep.PassedThrough != 2 {
-		t.Fatalf("fast crosser missed: PassedThrough = %d, want 2", rep.PassedThrough)
-	}
+	// The dash is through by t = 5; read its entry while the ad is live and
+	// the ledger still holds it.
+	s.Run(10)
 	// At t = 3 the dash is at x = −500, a whisker outside R_3; the chord
 	// sampled over (3, 4] meets the circle of radius R_4 at x = −√(R_4² − 1).
 	r4 := core.RadiusAt(cfg.Params, 500, 60, 4)
@@ -152,6 +151,11 @@ func TestFastCrosserNotMissed(t *testing.T) {
 	}
 	if got := tr.enterTime[tr.slot(1)]; math.Abs(got-want) > 1e-9 {
 		t.Errorf("dash entered at %v, want %v", got, want)
+	}
+	s.Run(100)
+	rep, _ := col.Report(issued.ID)
+	if rep.PassedThrough != 2 {
+		t.Fatalf("fast crosser missed: PassedThrough = %d, want 2", rep.PassedThrough)
 	}
 	// It dashed through in ~2 s; it may or may not have been delivered, but
 	// it must be in the denominator, so the rate reflects the miss.
@@ -191,6 +195,43 @@ func TestTrackingStopsAtLifeCycleEnd(t *testing.T) {
 	rep, _ := col.Report(issued.ID)
 	if rep.PassedThrough != 1 {
 		t.Errorf("PassedThrough = %d, want 1 (late peer excluded)", rep.PassedThrough)
+	}
+	// The ended ad's report is folded and its ledger released; a late
+	// receipt or broadcast cannot move the report.
+	tr := col.tracked[issued.ID]
+	if tr.report == nil || tr.member != nil || tr.pending != nil || tr.base != nil ||
+		tr.enterTime != nil || tr.received != nil || tr.receiveTime != nil || tr.covDist != nil {
+		t.Fatalf("ended ad holds report %v, member %v, pending %v, base %v, columns %v/%v/%v, covDist %v; want a report and no ledger",
+			tr.report, tr.member, tr.pending, tr.base, tr.enterTime, tr.received, tr.receiveTime, tr.covDist)
+	}
+	col.OnFirstReceive(1, issued, 401)
+	col.OnBroadcast(1, issued.ID, 100, 401)
+	if again, _ := col.Report(issued.ID); again != rep {
+		t.Errorf("report after a late receipt and broadcast = %v, want %v", again, rep)
+	}
+}
+
+// TestTrackedAdsGaugeCountsLiveAds: sim_tracked_ads counts the ads still
+// under measurement, not every ad ever issued.
+func TestTrackedAdsGaugeCountsLiveAds(t *testing.T) {
+	models := []mobility.Model{
+		mobility.NewStatic(geo.Point{X: 0, Y: 0}),
+		mobility.NewStatic(geo.Point{X: 100, Y: 0}),
+	}
+	s, n, col := buildNet(t, models, coreConfig())
+	reg := obs.NewRegistry()
+	col.InstrumentWith(reg)
+	n.Start()
+	s.Schedule(0, func() { _, _ = n.IssueAd(0, core.AdSpec{R: 500, D: 30}) })
+	s.Schedule(20, func() { _, _ = n.IssueAd(1, core.AdSpec{R: 500, D: 60}) })
+	for _, c := range []struct{ at, live float64 }{{10, 1}, {25, 2}, {40, 1}, {100, 0}} {
+		s.Run(c.at)
+		if got := reg.Snapshot().Gauges["sim_tracked_ads"]; got != c.live {
+			t.Errorf("t = %v: sim_tracked_ads = %v, want %v", c.at, got, c.live)
+		}
+	}
+	if got := len(col.TrackedIDs()); got != 2 {
+		t.Errorf("TrackedIDs holds %d ads after both ended, want 2", got)
 	}
 }
 

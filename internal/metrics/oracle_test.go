@@ -126,7 +126,19 @@ func runAgainstReference(t *testing.T, sc experiment.Scenario, v int) {
 			}
 		})
 	}
+	// At t = 75 the first ad (issued at 0.25, D < 70) has ended and its
+	// report is folded, while the last (issued at 45.45, D ≥ 30) is still
+	// live: folded and live reports are compared at one instant, then every
+	// report once all have ended.
+	sm.Engine.Run(75)
+	if live := sm.Registry.Snapshot().Gauges["sim_tracked_ads"]; live < 1 || live >= float64(len(handles)) {
+		t.Fatalf("t = 75: %v of %d ads live, want some live and some ended", live, len(handles))
+	}
+	diffReports(t, sm.Metrics, ref)
 	sm.Engine.Run(sc.SimTime)
+	if live := sm.Registry.Snapshot().Gauges["sim_tracked_ads"]; live != 0 {
+		t.Fatalf("t = %v: %v ads still live, want all ended", sc.SimTime, live)
+	}
 	for k, h := range handles {
 		if h.Err != nil || h.Ad == nil {
 			t.Fatalf("ad %d not issued: %v", k, h.Err)
