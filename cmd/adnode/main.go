@@ -24,8 +24,11 @@
 // prints a final snapshot on SIGINT/SIGTERM. With -http the same snapshot
 // is served under the "adnode" key of the expvar document at /debug/vars,
 // and the node's instrument registry in the Prometheus text format at
-// /metrics. With -events the node's lifecycle trace (peer/neighbor/backoff
-// transitions) streams to a JSONL file.
+// /metrics. With -events the node's trace streams to a JSONL file in the
+// simulator's trace schema — its protocol events (issue, broadcast,
+// receive, duplicate, expire, evict) and its membership events (peer,
+// neighbor and backoff transitions) — which adtrace -summarize and -analyze
+// read.
 //
 // Demo mode — a five-node chain on loopback in one process, showing a real
 // multi-hop delivery end to end:
@@ -53,6 +56,7 @@ import (
 	"instantad/internal/geo"
 	"instantad/internal/node"
 	"instantad/internal/node/discovery"
+	"instantad/internal/trace"
 )
 
 func main() {
@@ -62,8 +66,9 @@ func main() {
 
 // run is adnode on the given arguments and streams: the demo, or the daemon
 // until ctx is done. It returns the exit code: 2 for a bad invocation (flags
-// or the node and ad they make), 1 for a failure while running.
-func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+// or the node and ad they make), 1 for a failure while running, a trace that
+// could not be written included.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("adnode", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -94,7 +99,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		adCat     = fs.String("category", "petrol", "issued ad category")
 		statsInt  = fs.Duration("stats", 10*time.Second, "interval between JSON stats snapshots (0 = quiet)")
 		httpAddr  = fs.String("http", "", "serve expvar at /debug/vars and Prometheus text at /metrics on this address (e.g. 127.0.0.1:8500)")
-		eventsOut = fs.String("events", "", "write the node lifecycle event trace (JSONL) to this file")
+		eventsOut = fs.String("events", "", "write the node's event trace (JSONL, adtrace's schema) to this file")
 		verbose   = fs.Bool("v", false, "log protocol events")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -147,11 +152,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return fail(1, err)
 		}
 		defer f.Close()
-		events := node.NewEventRecorder(f)
+		events := trace.NewRecorder(f, nil)
 		cfg.Events = events
 		defer func() {
-			if err := events.Flush(); err != nil {
-				fmt.Fprintf(stderr, "adnode: events: %v\n", err)
+			if err := events.Flush(); err != nil && code == 0 {
+				code = fail(1, fmt.Errorf("events: %w", err))
 			}
 		}()
 	}
@@ -302,7 +307,7 @@ func runDemo(stdout io.Writer) error {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	fmt.Fprintf(stdout, "\ntotal datagrams sent: %d\n", cluster.TotalSent())
+	fmt.Fprintf(stdout, "\ntotal datagrams sent: %d\n", cluster.TotalStats().Sent)
 	for i, ok := range reached {
 		if !ok {
 			return fmt.Errorf("node %d never received the ad", i)

@@ -127,6 +127,32 @@ func TestDaemon(t *testing.T) {
 	}
 }
 
+// TestDaemonEventsWriteFailure runs the daemon with its trace on a full
+// device: the events are lost, so the clean stop must exit 1, not 0.
+func TestDaemonEventsWriteFailure(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var stdout, stderr syncBuffer
+	done := make(chan int, 1)
+	go func() {
+		done <- run(ctx, []string{"-stats", "0", "-peers", "127.0.0.1:9", "-issue", "x",
+			"-events", "/dev/full"}, &stdout, &stderr)
+	}()
+	waitFor(t, &stdout, "issued ", "")
+	cancel()
+	select {
+	case code := <-done:
+		if code != 1 || !strings.Contains(stderr.String(), "events:") {
+			t.Errorf("exit %d, stderr %q; want 1 and the events error", code, stderr.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not return after cancel")
+	}
+}
+
 // waitFor polls buf until it contains prefix and returns the text between
 // prefix and the next suffix ("" means the rest of the line).
 func waitFor(t *testing.T, buf *syncBuffer, prefix, suffix string) string {

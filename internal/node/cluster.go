@@ -166,15 +166,6 @@ func (c *Cluster) WaitAll(id ads.ID, timeout time.Duration) bool {
 	}
 }
 
-// TotalSent sums the datagrams sent across the cluster.
-func (c *Cluster) TotalSent() uint64 {
-	var total uint64
-	for _, n := range c.Nodes {
-		total += n.Stats().Sent
-	}
-	return total
-}
-
 // TotalStats sums every node's counters (gauges included) — the cluster-wide
 // view the soak tests and demos assert on.
 func (c *Cluster) TotalStats() Stats {

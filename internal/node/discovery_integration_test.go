@@ -7,6 +7,7 @@ import (
 
 	"instantad/internal/core"
 	"instantad/internal/geo"
+	"instantad/internal/node/discovery"
 	"instantad/internal/node/memnet"
 )
 
@@ -208,6 +209,37 @@ func TestDiscoveryConvergenceFromSingleSeed(t *testing.T) {
 	}
 	if !c.WaitAll(ad.ID, 10*time.Second) {
 		t.Fatal("ad never reached every discovered node")
+	}
+}
+
+// TestSweepKeepsRediscoveredPeer interleaves a TTL sweep with a beacon from
+// the swept neighbor: the beacon lands between the sweep and the poll's
+// membership update, re-adding the neighbor to the table as new while its
+// peer entry is still present. The poll must not then drop the peer, or the
+// table keeps a neighbor the peer set never regains.
+func TestSweepKeepsRediscoveredPeer(t *testing.T) {
+	n := idleNode(t, func(c *Config) { c.BeaconInterval = 100 * time.Millisecond })
+	const addr = "mem:77"
+	b := discovery.Beacon{ID: 7, Addr: addr}
+	n.table.Observe(b, time.Now().Add(-time.Hour)) // silent past its TTL
+	n.mu.Lock()
+	n.addPeerLocked(addr)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		n.fireDue() // sweeps, then waits for n.mu
+	}()
+	for !n.table.Empty() {
+		time.Sleep(time.Millisecond)
+	}
+	if ev, _ := n.table.Observe(b, time.Now()); ev != discovery.New {
+		t.Errorf("re-heard neighbor observed as %v, want New", ev)
+	}
+	n.addPeerLocked(addr) // handleBeacon's add, ahead of the poll
+	n.mu.Unlock()
+	<-done
+	if _, ok := n.table.Get(7); !ok || len(n.Peers()) != 1 {
+		t.Errorf("table holds the neighbor: %v; peers %v, want it too", ok, n.Peers())
 	}
 }
 

@@ -26,7 +26,16 @@ import (
 	"instantad/internal/node/wire"
 	"instantad/internal/obs"
 	"instantad/internal/rng"
+	"instantad/internal/trace"
 )
+
+// MembershipObserver is the optional Config.Events extension that hears the
+// node's membership events: peer add/remove, neighbor
+// new/refreshed/addr-changed/expired and backoff enter/exit, each a
+// trace.Event of that kind with peer = the node's ID and t = protocol time.
+type MembershipObserver interface {
+	OnMembership(e trace.Event)
+}
 
 // PositionFunc reports the node's current position and velocity (a GPS in
 // the paper's deployment).
@@ -121,24 +130,19 @@ type Config struct {
 	// means unlimited.
 	RoundBytes int
 
-	// PeerFailLimit is the number of consecutive send failures after which
-	// a peer enters timed backoff, so one dead address cannot burn a
-	// syscall every gossip round. Zero means the default (3).
-	PeerFailLimit int
-	// PeerBackoffBase and PeerBackoffMax bound the exponential per-peer
-	// backoff window: the first backoff lasts PeerBackoffBase and doubles
-	// on each subsequent trip up to PeerBackoffMax. Zero means the
-	// defaults (500ms and 30s).
-	PeerBackoffBase, PeerBackoffMax time.Duration
-
 	// Registry receives the node's instruments (node_* and, with discovery
 	// enabled, discovery_*). Nil means the node creates a private registry,
 	// reachable via Node.Registry. Registries are per-node: sharing one
 	// between nodes would merge their counters.
 	Registry *obs.Registry
-	// Events, when non-nil, receives the node's lifecycle trace (peer
-	// membership, discovery outcomes, backoff transitions) as JSONL.
-	Events *EventRecorder
+	// Events, when non-nil, hears the node's protocol events where the
+	// simulator's peers report theirs — issue, broadcast, first receive,
+	// duplicate, expire, evict — with peer = ID and t = protocol time. When
+	// it implements MembershipObserver (trace.Recorder does), it also
+	// hears peer add/remove, neighbor new/refreshed/addr-changed/expired and
+	// backoff enter/exit. It runs under the node's lock, so its own lock
+	// must nest inside, and it must not call back into the node.
+	Events core.Observer
 	// Logf, when non-nil, receives debug lines.
 	Logf func(format string, args ...any)
 }
@@ -183,12 +187,6 @@ func (c Config) validate() error {
 	}
 	if c.RoundBytes < 0 {
 		return fmt.Errorf("node: negative round byte budget %d", c.RoundBytes)
-	}
-	if c.PeerFailLimit < 0 {
-		return fmt.Errorf("node: negative peer fail limit %d", c.PeerFailLimit)
-	}
-	if c.PeerBackoffBase < 0 || c.PeerBackoffMax < 0 {
-		return fmt.Errorf("node: negative peer backoff")
 	}
 	return nil
 }
@@ -257,6 +255,7 @@ type Node struct {
 	advertise   string   // the address our beacons claim
 	seeds       []string // canonical bootstrap contacts
 
+	// Per-peer send backoff, the default* constants (overridden by tests).
 	failLimit   int
 	backoffBase time.Duration
 	backoffMax  time.Duration
@@ -290,7 +289,8 @@ type Node struct {
 	served     map[string]time.Time // addr → end of its serve block window
 
 	reg         *obs.Registry
-	events      *EventRecorder
+	events      core.Observer      // Config.Events, or a no-op
+	member      MembershipObserver // events' membership side, or nil
 	sendLatency *obs.Histogram
 	recvLatency *obs.Histogram
 	backoffDur  *obs.Histogram
@@ -308,6 +308,10 @@ type Node struct {
 }
 
 const (
+	// defaultPeerFailLimit consecutive send failures put a peer into timed
+	// backoff, so one dead address cannot burn a syscall every gossip round.
+	// The first window lasts defaultPeerBackoffBase and each further trip
+	// doubles it, up to defaultPeerBackoffMax.
 	defaultPeerFailLimit   = 3
 	defaultPeerBackoffBase = 500 * time.Millisecond
 	defaultPeerBackoffMax  = 30 * time.Second
@@ -351,9 +355,9 @@ func New(cfg Config) (*Node, error) {
 		reg:            reg,
 		events:         cfg.Events,
 		ctr:            newCounters(reg),
-		failLimit:      cfg.PeerFailLimit,
-		backoffBase:    cfg.PeerBackoffBase,
-		backoffMax:     cfg.PeerBackoffMax,
+		failLimit:      defaultPeerFailLimit,
+		backoffBase:    defaultPeerBackoffBase,
+		backoffMax:     defaultPeerBackoffMax,
 		readBackoffMin: defaultReadBackoffMin,
 		readBackoffMax: defaultReadBackoffMax,
 		cache:          ads.NewCache(cfg.CacheK),
@@ -365,18 +369,10 @@ func New(cfg Config) (*Node, error) {
 		epoch:          time.Now(),
 		done:           make(chan struct{}),
 	}
-	if n.failLimit == 0 {
-		n.failLimit = defaultPeerFailLimit
+	if n.events == nil {
+		n.events = core.BaseObserver{}
 	}
-	if n.backoffBase == 0 {
-		n.backoffBase = defaultPeerBackoffBase
-	}
-	if n.backoffMax == 0 {
-		n.backoffMax = defaultPeerBackoffMax
-	}
-	if n.backoffMax < n.backoffBase {
-		n.backoffMax = n.backoffBase
-	}
+	n.member, _ = n.events.(MembershipObserver)
 	n.batchCap = cfg.BatchSoftCap
 	if n.batchCap == 0 {
 		n.batchCap = defaultBatchSoftCap
@@ -465,13 +461,13 @@ func (n *Node) peersLive() int {
 	return live
 }
 
-// event emits one lifecycle event when an EventRecorder is configured. Safe
-// to call with n.mu held: the recorder's lock nests strictly inside.
-func (n *Node) event(kind, peer string, id uint32, detail string) {
-	if n.events == nil {
-		return
+// memberLocked reports one membership event when Config.Events takes them.
+// Callers hold n.mu (or own the node exclusively, as New does).
+func (n *Node) memberLocked(kind trace.Kind, addr string, neighbor uint32, detail string) {
+	if n.member != nil {
+		n.member.OnMembership(trace.Event{T: n.now(), Kind: kind, Peer: int(n.cfg.ID),
+			Addr: addr, Neighbor: neighbor, Detail: detail})
 	}
-	n.events.Record(NodeEvent{Kind: kind, Peer: peer, ID: id, Detail: detail})
 }
 
 // Addr returns the bound listen address (useful with port 0).
@@ -502,7 +498,7 @@ func (n *Node) addPeerLocked(key string) *peerState {
 	p := &peerState{key: key}
 	n.peers = append(n.peers, p)
 	n.peerIndex[key] = p
-	n.event("peer_add", key, 0, "")
+	n.memberLocked(trace.KindPeerAdd, key, 0, "")
 	return p
 }
 
@@ -537,7 +533,7 @@ func (n *Node) dropPeerLocked(key string) bool {
 		}
 	}
 	n.peers = kept
-	n.event("peer_remove", key, 0, "")
+	n.memberLocked(trace.KindPeerRemove, key, 0, "")
 	return true
 }
 
@@ -658,28 +654,50 @@ func (n *Node) Issue(spec core.AdSpec) (*ads.Advertisement, error) {
 		n.mu.Unlock()
 		return nil, err
 	}
-	n.markSeenLocked(ad)
+	n.events.OnIssue(int(n.cfg.ID), ad, now)
+	if n.markSeenLocked(ad) {
+		n.events.OnFirstReceive(int(n.cfg.ID), ad, now)
+	}
 	// The cached copy is sent as a shared snapshot: a duplicate merging into
 	// the entry once mu drops writes a clone (Entry.Own), never what
 	// gossipOut encodes outside the lock.
 	out := ad.Clone()
-	if e, _ := n.rules.Admit(n.cache, n.rnd, out, false, uint64(n.cfg.ID)+1, n.interests, false, pos, now); e != nil {
-		e.Slot, e.Shared = n.rules.FirstDue(now), true
+	if e := n.admitLocked(out, pos, now); e != nil {
+		e.Shared = true
 	}
 	n.mu.Unlock()
-	n.gossipOut([]*ads.Advertisement{out})
+	n.gossipOut([]*ads.Advertisement{out}, now)
 	return ad, nil
 }
 
 // markSeenLocked records the ad in the dedup set, keyed to the ad's expiry
 // on the protocol clock so the sweep in pruneSeenLocked can bound the set by
-// the live-ad population. Duplicates may carry an enlarged D; keep the
-// latest expiry. Callers hold n.mu.
-func (n *Node) markSeenLocked(ad *ads.Advertisement) {
+// the live-ad population, and reports whether the set lacked its ID: the
+// node's first receive. Duplicates may carry an enlarged D; keep the latest
+// expiry. Callers hold n.mu.
+func (n *Node) markSeenLocked(ad *ads.Advertisement) (first bool) {
 	exp := ad.IssuedAt + ad.D
-	if old, ok := n.seen[ad.ID]; !ok || exp > old {
+	old, ok := n.seen[ad.ID]
+	if !ok || exp > old {
 		n.seen[ad.ID] = exp
 	}
+	return !ok
+}
+
+// admitLocked is the shared rules' admission with its evictions reported —
+// the victim, or the newcomer itself when it ranks last — and the admitted
+// entry's first due slot set, as core.Peer's admit does. Callers hold n.mu.
+func (n *Node) admitLocked(ad *ads.Advertisement, pos geo.Point, now float64) *ads.Entry {
+	e, victim := n.rules.Admit(n.cache, n.rnd, ad, false, uint64(n.cfg.ID)+1, n.interests, false, pos, now)
+	if victim != nil {
+		n.events.OnEvict(int(n.cfg.ID), victim.Ad.ID, now)
+	}
+	if e == nil {
+		n.events.OnEvict(int(n.cfg.ID), ad.ID, now)
+		return nil
+	}
+	e.Slot = n.rules.FirstDue(now)
+	return e
 }
 
 // pruneSeenLocked sweeps expired IDs out of the dedup set once per round,
@@ -824,9 +842,12 @@ func (n *Node) integrateAdLocked(now float64, srcPos geo.Point, pos geo.Point, v
 		return
 	}
 	n.ctr.Received.Add(1)
-	n.markSeenLocked(ad)
+	if n.markSeenLocked(ad) {
+		n.events.OnFirstReceive(int(n.cfg.ID), ad, now)
+	}
 	if e := n.cache.Get(ad.ID); e != nil {
 		n.ctr.Duplicates.Add(1)
+		n.events.OnDuplicate(int(n.cfg.ID), ad.ID, now)
 		n.rules.Merge(e, ad)
 		n.markSeenLocked(e.Ad)
 		if n.cfg.Opt2 {
@@ -835,9 +856,7 @@ func (n *Node) integrateAdLocked(now float64, srcPos geo.Point, pos geo.Point, v
 		}
 		return
 	}
-	if e, _ := n.rules.Admit(n.cache, n.rnd, ad, false, uint64(n.cfg.ID)+1, n.interests, false, pos, now); e != nil {
-		e.Slot = n.rules.FirstDue(now)
-	}
+	n.admitLocked(ad, pos, now)
 }
 
 // handleDigest answers a neighbor's cache digest: any advertised ID we have
@@ -1002,8 +1021,8 @@ func (n *Node) handleBeacon(data []byte, from string) {
 	ev, prevAddr := n.table.Observe(b, time.Now())
 	switch ev {
 	case discovery.New:
-		n.event("neighbor_new", key, b.ID, "")
 		n.mu.Lock()
+		n.memberLocked(trace.KindNeighborNew, key, b.ID, "")
 		n.addPeerLocked(key)
 		n.mu.Unlock()
 		n.logf("discovered neighbor %d at %s", b.ID, key)
@@ -1014,14 +1033,18 @@ func (n *Node) handleBeacon(data []byte, from string) {
 		}
 		n.beaconBack(key)
 	case discovery.AddrChanged:
-		n.event("neighbor_addr_changed", key, b.ID, prevAddr)
 		n.mu.Lock()
+		n.memberLocked(trace.KindNeighborAddrChanged, key, b.ID, prevAddr)
 		n.dropPeerLocked(prevAddr)
 		n.addPeerLocked(key)
 		n.mu.Unlock()
 		n.logf("neighbor %d moved %s → %s", b.ID, prevAddr, key)
 	case discovery.Refreshed:
-		n.event("neighbor_refreshed", key, b.ID, "")
+		if n.member != nil { // the common beacon takes no lock without a trace
+			n.mu.Lock()
+			n.memberLocked(trace.KindNeighborRefreshed, key, b.ID, "")
+			n.mu.Unlock()
+		}
 	}
 }
 
@@ -1158,16 +1181,23 @@ func (n *Node) fireDue() {
 	if n.table != nil {
 		for _, nb := range n.table.Sweep(time.Now()) {
 			n.ctr.NeighborsExpired.Add(1)
-			n.event("neighbor_expired", nb.Addr, nb.ID, "")
-			n.RemovePeer(nb.Addr)
+			n.mu.Lock()
+			n.memberLocked(trace.KindNeighborExpired, nb.Addr, nb.ID, "")
+			// A beacon heard since the sweep has put the neighbor back at the
+			// same address, and its handler's add is a no-op: keep the peer.
+			if cur, ok := n.table.Get(nb.ID); !ok || cur.Addr != nb.Addr {
+				n.dropPeerLocked(nb.Addr)
+			}
+			n.mu.Unlock()
 			n.logf("neighbor %d (%s) silent past the %v TTL: removed", nb.ID, nb.Addr, n.neighborTTL)
 		}
 	}
 	pos, _ := n.cfg.Position(time.Now())
 	n.mu.Lock()
-	toSend, digest := n.tickLocked(n.now(), pos)
+	now := n.now()
+	toSend, digest := n.tickLocked(now, pos)
 	n.mu.Unlock()
-	n.gossipOut(toSend)
+	n.gossipOut(toSend, now)
 	if len(digest) > 0 {
 		n.sendDigest(digest)
 	}
@@ -1200,7 +1230,9 @@ func (n *Node) tickLocked(now float64, pos geo.Point) (toSend []*ads.Advertiseme
 			return
 		}
 		live, send := n.rules.Step(n.cache, n.rnd, e, false, pos, now)
-		if live && n.cfg.Opt2 {
+		if !live {
+			n.events.OnExpire(int(n.cfg.ID), e.Ad.ID, now)
+		} else if n.cfg.Opt2 {
 			e.Slot = n.rules.NextDue(e.Slot, cur)
 		}
 		if send {
@@ -1245,8 +1277,9 @@ func (n *Node) liveTargets(except string) []*peerState {
 // firing ads, or Issue's fresh one: the list coalesces into as few
 // datagrams as the soft cap allows, each drawing on the round byte budget.
 // The ads must be snapshots no one writes to — cached entries marked Shared,
-// so merges copy first: encoding happens outside n.mu.
-func (n *Node) gossipOut(list []*ads.Advertisement) {
+// so merges copy first: encoding happens outside n.mu. now is the protocol
+// time at which the caller chose them.
+func (n *Node) gossipOut(list []*ads.Advertisement, now float64) {
 	if len(list) == 0 {
 		return
 	}
@@ -1257,6 +1290,9 @@ func (n *Node) gossipOut(list []*ads.Advertisement) {
 	}
 	// One gossip decision fired per ad, however the ads were packed.
 	n.ctr.Broadcasts.Add(uint64(len(list)))
+	for _, ad := range list {
+		n.events.OnBroadcast(int(n.cfg.ID), ad.ID, ad.WireSize(), now)
+	}
 	targets := n.liveTargets("")
 	for _, f := range frames {
 		for _, p := range targets {
@@ -1370,7 +1406,7 @@ func (n *Node) peerSendFailed(p *peerState, err error) {
 		p.inBackoff = true
 		n.ctr.PeerBackoffs.Add(1)
 		n.backoffDur.Observe(wait.Seconds())
-		n.event("backoff_enter", p.key, 0, wait.String())
+		n.memberLocked(trace.KindBackoffEnter, p.key, 0, wait.String())
 	}
 	n.mu.Unlock()
 	if tripped {
@@ -1393,7 +1429,7 @@ func (n *Node) peerSendOK(p *peerState) {
 	p.nextBackoff = 0
 	if p.inBackoff {
 		p.inBackoff = false
-		n.event("backoff_exit", p.key, 0, "")
+		n.memberLocked(trace.KindBackoffExit, p.key, 0, "")
 	}
 	n.mu.Unlock()
 }

@@ -98,9 +98,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.DIS = math.NaN() },
 		func(c *Config) { c.DIS = math.Inf(1) },
 		func(c *Config) { c.DIS = math.Inf(-1) },
-		func(c *Config) { c.PeerFailLimit = -1 },
-		func(c *Config) { c.PeerBackoffBase = -time.Second },
-		func(c *Config) { c.PeerBackoffMax = -time.Second },
 		// Sketch shapes fm.New panics on, and non-finite Formula 7 inputs.
 		func(c *Config) { c.Popularity = core.PopularityConfig{Enabled: true, L: 65} },
 		func(c *Config) { c.Popularity = core.PopularityConfig{Enabled: true, F: -1} },
@@ -455,14 +452,11 @@ var errTestSend = errors.New("injected send failure")
 // stops burning syscalls), recover for a retry after the window, and be
 // removable at runtime.
 func TestPeerBackoffAndRemovePeer(t *testing.T) {
-	cfg := testConfig(1, geo.Point{})
-	cfg.PeerFailLimit = 2
-	cfg.PeerBackoffBase = 80 * time.Millisecond
-	cfg.PeerBackoffMax = 200 * time.Millisecond
-	n, err := New(cfg)
+	n, err := New(testConfig(1, geo.Point{}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	n.failLimit, n.backoffBase, n.backoffMax = 2, 80*time.Millisecond, 200*time.Millisecond
 	t.Cleanup(func() { _ = n.Close() })
 	sink, err := New(testConfig(2, geo.Point{X: 50}))
 	if err != nil {
@@ -669,7 +663,7 @@ func TestClusterHelper(t *testing.T) {
 	if !c.WaitAll(ad.ID, 3*time.Second) {
 		t.Fatal("cluster never fully delivered")
 	}
-	if c.TotalSent() == 0 {
+	if c.TotalStats().Sent == 0 {
 		t.Error("no datagrams counted")
 	}
 	if err := c.Close(); err != nil {

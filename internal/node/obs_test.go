@@ -2,15 +2,18 @@ package node
 
 import (
 	"bytes"
-	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"instantad/internal/ads"
 	"instantad/internal/core"
 	"instantad/internal/geo"
+	"instantad/internal/node/memnet"
 	"instantad/internal/obs"
+	"instantad/internal/trace"
 )
 
 // TestStatsRegistryEquivalence walks Stats' tag rows on a four-node
@@ -116,21 +119,20 @@ func TestMetricsExpositionParses(t *testing.T) {
 	}
 }
 
-// TestNodeEventTrace asserts the lifecycle trace captures membership,
-// discovery and backoff transitions as well-formed JSONL.
+// TestNodeEventTrace asserts the node's membership events reach a
+// trace.Recorder in the trace schema: one peer_add and one peer_remove, each
+// with the node as peer and the canonical address.
 func TestNodeEventTrace(t *testing.T) {
 	var sink bytes.Buffer
-	rec := NewEventRecorder(&sink)
+	rec := trace.NewRecorder(&sink, nil)
 	cfg := testConfig(1, geo.Point{})
 	cfg.Events = rec
-	cfg.PeerFailLimit = 1
-	cfg.PeerBackoffBase = 10 * time.Millisecond
 	n, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	if err := n.AddPeer("127.0.0.1:9"); err != nil { // discard port: sends may fail
+	if err := n.AddPeer("localhost:9"); err != nil { // discard port: sends may fail
 		t.Fatal(err)
 	}
 	if !n.RemovePeer("127.0.0.1:9") {
@@ -140,56 +142,134 @@ func TestNodeEventTrace(t *testing.T) {
 	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	events, err := ReadEvents(bytes.NewReader(sink.Bytes()))
+	events, err := trace.Read(&sink)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds := make(map[string]int)
+	kinds := make(map[trace.Kind]int)
 	for _, ev := range events {
-		if ev.T == 0 {
-			t.Errorf("event %+v without a timestamp", ev)
+		if ev.Peer != 1 || ev.Addr != "127.0.0.1:9" || ev.T < 0 {
+			t.Errorf("event %+v: want peer 1, addr 127.0.0.1:9, protocol time", ev)
 		}
 		kinds[ev.Kind]++
 	}
-	if kinds["peer_add"] != 1 || kinds["peer_remove"] != 1 {
+	if len(events) != 2 || kinds[trace.KindPeerAdd] != 1 || kinds[trace.KindPeerRemove] != 1 {
 		t.Errorf("membership events = %v, want one peer_add and one peer_remove", kinds)
 	}
 }
 
-// TestEventRecorderStickyError mirrors the trace.Recorder short-write fix:
-// a failing underlying writer must surface through Flush and Err, and stop
-// the recorder.
-func TestEventRecorderStickyError(t *testing.T) {
-	w := &failingWriter{failAfter: 1}
-	rec := NewEventRecorder(w)
-	for i := 0; i < 2000; i++ { // enough to overflow the 4KiB bufio buffer
-		rec.Record(NodeEvent{Kind: "peer_add", Peer: "x"})
-	}
-	if err := rec.Flush(); err == nil {
-		t.Fatal("Flush did not surface the write error")
-	}
-	if rec.Err() == nil {
-		t.Fatal("Err lost the sticky error")
-	}
-	before := rec.Len()
-	rec.Record(NodeEvent{Kind: "peer_add"})
-	if rec.Len() != before {
-		t.Error("recorder kept accepting events after the error")
-	}
+// countingObserver tallies one node's protocol events. The node calls it
+// from its read and gossip loops and from Issue, so it locks.
+type countingObserver struct {
+	core.BaseObserver
+	mu                                          sync.Mutex
+	issues, broadcasts, duplicates, expirations int
+	firsts                                      map[ads.ID]int
 }
 
-// failingWriter accepts failAfter writes, then errors forever.
-type failingWriter struct {
-	failAfter int
-	writes    int
+func (o *countingObserver) OnIssue(int, *ads.Advertisement, float64) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.issues++
 }
 
-func (w *failingWriter) Write(p []byte) (int, error) {
-	w.writes++
-	if w.writes > w.failAfter {
-		return 0, errTestSink
+func (o *countingObserver) OnBroadcast(int, ads.ID, int, float64) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.broadcasts++
+}
+
+func (o *countingObserver) OnFirstReceive(_ int, ad *ads.Advertisement, _ float64) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.firsts[ad.ID]++
+}
+
+func (o *countingObserver) OnDuplicate(int, ads.ID, float64) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.duplicates++
+}
+
+func (o *countingObserver) OnExpire(int, ads.ID, float64) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.expirations++
+}
+
+// TestNodeObserverMatchesStats runs three ads through a six-node memnet
+// cluster, each node hearing its neighbors two hops either side, until every
+// ad has expired. Per node the events agree with the receive-side counters:
+// a live arrival is a duplicate or a first receive, Issue's own first receive
+// aside; each ad is first received once and, its cache never full, expires
+// once.
+func TestNodeObserverMatchesStats(t *testing.T) {
+	sb, err := memnet.New(memnet.Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return len(p), nil
+	cfgs := ChainConfigs(6, 100, 250, 40*time.Millisecond)
+	counts := make([]*countingObserver, len(cfgs))
+	for i := range cfgs {
+		counts[i] = &countingObserver{firsts: make(map[ads.ID]int)}
+		cfgs[i].ListenAddr, cfgs[i].Transport, cfgs[i].Events = "mem:", sb.Transport(), counts[i]
+	}
+	c, err := NewCluster(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Start()
+	var issued []ads.ID
+	for _, i := range []int{0, 2, 5} {
+		ad, err := c.Nodes[i].Issue(core.AdSpec{R: 1000, D: 3, Category: "petrol"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		issued = append(issued, ad.ID)
+	}
+	for _, id := range issued {
+		if !c.WaitAll(id, 2500*time.Millisecond) {
+			t.Fatalf("ad %v never reached every node", id)
+		}
+	}
+	cached := func() (k int) {
+		for _, n := range c.Nodes {
+			k += len(n.Cached())
+		}
+		return k
+	}
+	if !waitFor(t, 5*time.Second, func() bool { return cached() == 0 }) {
+		t.Fatal("ads still cached past their duration")
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range c.Nodes {
+		st, o := n.Stats(), counts[i]
+		firsts := 0
+		for _, id := range issued {
+			if o.firsts[id] != 1 {
+				t.Errorf("node %d: %d first receives of %v, want 1", i, o.firsts[id], id)
+			}
+			firsts += o.firsts[id]
+		}
+		if len(o.firsts) != len(issued) {
+			t.Errorf("node %d: first receives of %d ads, %d issued", i, len(o.firsts), len(issued))
+		}
+		if uint64(o.duplicates) != st.Duplicates || uint64(o.broadcasts) != st.Broadcasts {
+			t.Errorf("node %d: %d duplicate and %d broadcast events, Stats %d and %d",
+				i, o.duplicates, o.broadcasts, st.Duplicates, st.Broadcasts)
+		}
+		if got := uint64(o.duplicates + firsts - o.issues); got != st.Received {
+			t.Errorf("node %d: %d duplicates + %d first receives - %d issues = %d, Stats.Received %d",
+				i, o.duplicates, firsts, o.issues, got, st.Received)
+		}
+		if o.expirations != len(issued) {
+			t.Errorf("node %d: %d expire events, want one per ad", i, o.expirations)
+		}
+	}
+	if c.TotalStats().Duplicates == 0 {
+		t.Error("no duplicates: the duplicate path went untested")
+	}
 }
-
-var errTestSink = errors.New("sink failed")

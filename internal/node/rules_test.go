@@ -215,6 +215,14 @@ func TestNodeGossipsOncePerRound(t *testing.T) {
 	}
 }
 
+// evictLog records a node's evictions in order.
+type evictLog struct {
+	core.BaseObserver
+	ids []ads.ID
+}
+
+func (l *evictLog) OnEvict(_ int, id ads.ID, _ float64) { l.ids = append(l.ids, id) }
+
 // TestNodeOverflowMatchesAlgorithm1 feeds one stream of receptions — random
 // origins and ages, popularity on, duplicates that raise D — to a node and to
 // a reference cache run under Algorithm 1 as written: insert, refresh every
@@ -226,17 +234,20 @@ func TestNodeOverflowMatchesAlgorithm1(t *testing.T) {
 		for _, dis := range []float64{0, 120} {
 			t.Run(fmt.Sprintf("k=%d/DIS=%v", k, dis), func(t *testing.T) {
 				pc := core.PopularityConfig{Enabled: true, F: 8, L: 32, SketchSeed: 3, RInc: 60, DInc: 5, RMax: 900, DMax: 90}
+				evicted := &evictLog{}
 				n := idleNode(t, func(c *Config) {
 					c.CacheK, c.DIS = k, dis
 					c.Interests = []string{"petrol"}
 					c.Popularity = pc
+					c.Events = evicted
 				})
 				params := core.ProbParams{Alpha: n.cfg.Alpha, Beta: n.cfg.Beta}
 				pos := geo.Point{X: 500, Y: 500}
 				ref := ads.NewCache(k)
-				refAdmit := func(ad *ads.Advertisement, now float64) {
+				// refAdmit returns the entry Algorithm 1 evicts, or nil.
+				refAdmit := func(ad *ads.Advertisement, now float64) *ads.Entry {
 					if _, overflow := ref.Insert(ad, -1); !overflow {
-						return
+						return nil
 					}
 					ref.ForEach(func(e *ads.Entry) {
 						d, age := pos.Dist(e.Ad.Origin), e.Ad.Age(now)
@@ -246,7 +257,7 @@ func TestNodeOverflowMatchesAlgorithm1(t *testing.T) {
 							e.Prob = core.ForwardProb(params, d, e.Ad.R, e.Ad.D, age)
 						}
 					})
-					ref.EvictLowest()
+					return ref.EvictLowest()
 				}
 				rnd := rng.New(uint64(k) + 11)
 				now := 50.0
@@ -284,8 +295,15 @@ func TestNodeOverflowMatchesAlgorithm1(t *testing.T) {
 						n.integrateAdLocked(now, pos, pos, geo.Vec{}, ad) // merges into the shared object
 						continue
 					}
+					before := len(evicted.ids)
 					n.integrateAdLocked(now, pos, pos, geo.Vec{}, ad)
-					refAdmit(ad, now)
+					var want []ads.ID
+					if victim := refAdmit(ad, now); victim != nil {
+						want = []ads.ID{victim.Ad.ID}
+					}
+					if got := evicted.ids[before:]; len(got) != len(want) || len(got) == 1 && got[0] != want[0] {
+						t.Fatalf("step %d, after %v: node reports evictions %v, Algorithm 1 evicts %v", step, ad.ID, got, want)
+					}
 					if n.cache.Get(ad.ID) != nil {
 						admitted++
 					} else {

@@ -156,7 +156,7 @@ func TestRemovePeerDuringBroadcastRace(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 300; i++ {
-		n.gossipOut([]*ads.Advertisement{ad.Clone()})
+		n.gossipOut([]*ads.Advertisement{ad.Clone()}, 0)
 	}
 	close(done)
 	wg.Wait()
@@ -411,7 +411,7 @@ func TestRoundByteBudgetDefers(t *testing.T) {
 		ID: ads.ID{Issuer: 1, Seq: 0}, Origin: geo.Point{},
 		IssuedAt: 0, R: 500, D: 1e6, Category: "petrol", Text: "too big for 64B",
 	}
-	n.gossipOut([]*ads.Advertisement{ad})
+	n.gossipOut([]*ads.Advertisement{ad}, 0)
 	st := n.Stats()
 	if st.BudgetDeferred == 0 {
 		t.Error("no send deferred despite a 64-byte budget")
@@ -452,7 +452,7 @@ func TestFaultProxyTruncatesBatchFrames(t *testing.T) {
 		})
 	}
 	for i := 0; i < 60; i++ {
-		send.gossipOut(list)
+		send.gossipOut(list, 0)
 		time.Sleep(2 * time.Millisecond)
 	}
 	ok := waitFor(t, 3*time.Second, func() bool {

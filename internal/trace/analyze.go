@@ -30,7 +30,7 @@ type Analysis struct {
 }
 
 // Analyze reconstructs per-ad dissemination facts from a recorded event
-// stream.
+// stream. Membership events count toward Peers only.
 func Analyze(events []Event) (Analysis, error) {
 	if len(events) == 0 {
 		return Analysis{}, fmt.Errorf("trace: empty trace")
@@ -52,6 +52,9 @@ func Analyze(events []Event) (Analysis, error) {
 	}
 	for _, e := range events {
 		peers[e.Peer] = true
+		if e.Kind.membership() {
+			continue
+		}
 		st := get(e.Ad)
 		switch e.Kind {
 		case KindIssue:

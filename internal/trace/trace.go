@@ -1,8 +1,10 @@
-// Package trace records protocol-level simulation events as JSON Lines for
-// offline inspection, debugging and replay analysis. A Recorder implements
-// core.Observer; chain it after the metrics collector with
-// core.MultiObserver. The reader side parses traces back and summarizes
-// them (event counts, time span, per-ad message totals).
+// Package trace records protocol-level events as JSON Lines for offline
+// inspection, debugging and replay analysis — one schema for both drivers. A
+// Recorder implements core.Observer; chain it after the metrics collector
+// with core.MultiObserver, or hand it to live nodes as node.Config.Events,
+// where it also hears their membership events (OnMembership). The
+// reader side parses traces back and summarizes them (event counts, time
+// span, per-ad message totals).
 package trace
 
 import (
@@ -12,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
 	"instantad/internal/ads"
 	"instantad/internal/core"
@@ -28,26 +31,58 @@ const (
 	KindDuplicate Kind = "duplicate"
 	KindExpire    Kind = "expire"
 	KindEvict     Kind = "evict"
+
+	// The live node's membership kinds: its peer set, its discovery
+	// neighbor table and its per-peer send backoff. They name no ad.
+	KindPeerAdd             Kind = "peer_add"
+	KindPeerRemove          Kind = "peer_remove"
+	KindNeighborNew         Kind = "neighbor_new"
+	KindNeighborRefreshed   Kind = "neighbor_refreshed"
+	KindNeighborAddrChanged Kind = "neighbor_addr_changed"
+	KindNeighborExpired     Kind = "neighbor_expired"
+	KindBackoffEnter        Kind = "backoff_enter"
+	KindBackoffExit         Kind = "backoff_exit"
 )
 
-// Event is one line of a trace.
+// membership reports whether k is a membership kind: counted in a summary's
+// totals, kept out of every per-ad tally.
+func (k Kind) membership() bool {
+	switch k {
+	case KindPeerAdd, KindPeerRemove, KindNeighborNew, KindNeighborRefreshed,
+		KindNeighborAddrChanged, KindNeighborExpired, KindBackoffEnter, KindBackoffExit:
+		return true
+	}
+	return false
+}
+
+// Event is one line of a trace. Peer is the simulated peer's index or the
+// live node's ID; T is simulation or protocol time in seconds.
 type Event struct {
 	T     float64 `json:"t"`
 	Kind  Kind    `json:"kind"`
 	Peer  int     `json:"peer"`
-	Ad    string  `json:"ad"`
+	Ad    string  `json:"ad,omitempty"`
 	Bytes int     `json:"bytes,omitempty"`
 	X     float64 `json:"x"`
 	Y     float64 `json:"y"`
+	// Addr, Neighbor and Detail describe a membership event: the datagram
+	// address concerned, the neighbor's node ID (discovery kinds), and the
+	// previous address (neighbor_addr_changed) or the backoff wait
+	// (backoff_enter).
+	Addr     string `json:"addr,omitempty"`
+	Neighbor uint32 `json:"neighbor,omitempty"`
+	Detail   string `json:"detail,omitempty"`
 }
 
-// Recorder streams events to a writer as JSONL. It is not safe for
-// concurrent use; the simulator is single-threaded, which is the intended
-// context.
+// Recorder streams events to a writer as JSONL. It is safe for concurrent
+// use: one recorder may serve every node of a live cluster. Its lock nests
+// inside whatever lock its caller holds.
 type Recorder struct {
 	core.BaseObserver
+	ch *radio.Channel
+
+	mu  sync.Mutex // guards the fields below
 	bw  *bufio.Writer
-	ch  *radio.Channel
 	err error
 	n   int
 }
@@ -60,10 +95,18 @@ func NewRecorder(w io.Writer, ch *radio.Channel) *Recorder {
 
 // Err returns the first write error encountered, if any. Flush errors are
 // sticky too, so after any Flush the recorder's full error state is here.
-func (r *Recorder) Err() error { return r.err }
+func (r *Recorder) Err() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.err
+}
 
 // Count returns the number of events written.
-func (r *Recorder) Count() int { return r.n }
+func (r *Recorder) Count() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.n
+}
 
 // Flush flushes buffered events and reports the first write error
 // encountered. A failed flush is recorded like any other write error: the
@@ -71,6 +114,8 @@ func (r *Recorder) Count() int { return r.n }
 // reporting it, so callers that only check Err after flushing cannot lose
 // the failure.
 func (r *Recorder) Flush() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if err := r.bw.Flush(); err != nil && r.err == nil {
 		r.err = err
 	}
@@ -78,15 +123,22 @@ func (r *Recorder) Flush() error {
 }
 
 func (r *Recorder) emit(t float64, kind Kind, peer int, id ads.ID, bytes int) {
-	if r.err != nil {
-		return
-	}
 	e := Event{T: t, Kind: kind, Peer: peer, Ad: id.String(), Bytes: bytes}
 	if r.ch != nil && peer >= 0 && peer < r.ch.N() {
 		p := r.ch.PositionAt(peer, t)
 		e.X, e.Y = p.X, p.Y
 	}
+	r.write(e)
+}
+
+// write appends one line; after the first error it drops every event.
+func (r *Recorder) write(e Event) {
 	data, err := json.Marshal(e)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.err != nil {
+		return
+	}
 	if err != nil {
 		r.err = err
 		return
@@ -128,6 +180,10 @@ func (r *Recorder) OnEvict(peer int, id ads.ID, t float64) {
 	r.emit(t, KindEvict, peer, id, 0)
 }
 
+// OnMembership records one of a live node's membership events
+// (node.MembershipObserver).
+func (r *Recorder) OnMembership(e Event) { r.write(e) }
+
 // Read parses a JSONL trace. It fails on the first malformed line,
 // reporting its line number.
 func Read(rd io.Reader) ([]Event, error) {
@@ -161,7 +217,7 @@ type Summary struct {
 	ByKind     map[Kind]int
 	Start, End float64
 	Peers      int            // distinct peers appearing in the trace
-	Ads        []string       // distinct ads, sorted
+	Ads        []string       // distinct ads, sorted; membership events name none
 	MsgsPerAd  map[string]int // broadcasts per ad
 	Bytes      int
 }
@@ -190,6 +246,9 @@ func Summarize(events []Event) (Summary, error) {
 			s.End = e.T
 		}
 		peers[e.Peer] = true
+		if e.Kind.membership() {
+			continue
+		}
 		adSet[e.Ad] = true
 		if e.Kind == KindBroadcast {
 			s.MsgsPerAd[e.Ad]++

@@ -3,7 +3,11 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"os"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"instantad/internal/ads"
@@ -282,5 +286,92 @@ func TestRecorderFlushErrorIsSticky(t *testing.T) {
 	}
 	if err := rec.Flush(); err == nil {
 		t.Error("second Flush forgot the error")
+	}
+}
+
+// TestSimulatedTraceMatchesGolden pins a simulated trace byte for byte: the
+// membership fields are omitted from every simulated line.
+func TestSimulatedTraceMatchesGolden(t *testing.T) {
+	_, buf := runTraced(t)
+	want, err := os.ReadFile("testdata/static_gossip.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("simulated trace differs from testdata/static_gossip.jsonl:\n%s", buf.String())
+	}
+}
+
+// TestMembershipStaysOutOfAdTallies interleaves one of every membership kind
+// into a simulated trace: the totals count them, the per-ad views do not.
+func TestMembershipStaysOutOfAdTallies(t *testing.T) {
+	_, buf := runTraced(t)
+	sim, err := Read(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := []Kind{KindPeerAdd, KindPeerRemove, KindNeighborNew, KindNeighborRefreshed,
+		KindNeighborAddrChanged, KindNeighborExpired, KindBackoffEnter, KindBackoffExit}
+	var mixed bytes.Buffer
+	rec := NewRecorder(&mixed, nil)
+	for i, line := range bytes.SplitAfter(buf.Bytes(), []byte("\n")) {
+		if i < len(members) {
+			rec.OnMembership(Event{T: sim[i].T, Kind: members[i], Peer: 1, Addr: "mem:2", Neighbor: 2})
+			if err := rec.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mixed.Write(line)
+	}
+	all, err := Read(&mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, _ := Summarize(sim)
+	s2, _ := Summarize(all)
+	if s2.Events != s1.Events+len(members) || s2.ByKind[KindNeighborNew] != 1 {
+		t.Errorf("mixed totals: %d events, by kind %v", s2.Events, s2.ByKind)
+	}
+	if !reflect.DeepEqual(s1.Ads, s2.Ads) || !reflect.DeepEqual(s1.MsgsPerAd, s2.MsgsPerAd) || s1.Bytes != s2.Bytes {
+		t.Errorf("membership moved the per-ad tallies: ads %v → %v, msgs %v → %v", s1.Ads, s2.Ads, s1.MsgsPerAd, s2.MsgsPerAd)
+	}
+	a1, _ := Analyze(sim)
+	a2, _ := Analyze(all)
+	if !reflect.DeepEqual(a1.Ads, a2.Ads) {
+		t.Errorf("membership moved the analysis rows:\n%s\n%s", a1.Render(), a2.Render())
+	}
+}
+
+// TestRecorderConcurrentWriters drives one recorder from many goroutines, as
+// a live cluster does: every line must parse and the count must match.
+func TestRecorderConcurrentWriters(t *testing.T) {
+	const writers, each = 8, 500
+	var buf bytes.Buffer
+	rec := NewRecorder(&buf, nil)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if i%2 == 0 {
+					rec.OnBroadcast(w, ads.ID{Issuer: uint32(w), Seq: uint32(i)}, 40, float64(i))
+				} else {
+					rec.OnMembership(Event{T: float64(i), Kind: KindBackoffEnter, Peer: w, Addr: fmt.Sprintf("mem:%d", i)})
+				}
+				_ = rec.Count()
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != writers*each || rec.Count() != writers*each {
+		t.Errorf("read %d lines, Count %d, wrote %d", len(events), rec.Count(), writers*each)
 	}
 }
