@@ -44,6 +44,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	if c.reps < 1 {
+		fmt.Fprintf(stderr, "adsim: -reps %d: want at least 1\n", c.reps)
+		return 2
+	}
 	sc, err := c.scenario()
 	if err != nil {
 		fmt.Fprintln(stderr, err)

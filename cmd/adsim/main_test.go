@@ -173,6 +173,11 @@ func TestBadInvocationsExitTwo(t *testing.T) {
 			t.Errorf("adsim %v: exit %d, want 2", args, code)
 		}
 	}
+	for _, args := range [][]string{{"-reps", "0"}, {"-reps", "-4"}} {
+		if code, _, stderr := run1(args...); code != 2 || !strings.Contains(stderr, "-reps") {
+			t.Errorf("adsim %v: exit %d, stderr %q", args, code, stderr)
+		}
+	}
 	if code, _, _ := run1("-h"); code != 0 {
 		t.Errorf("-h: exit %d", code)
 	}

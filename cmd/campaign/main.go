@@ -1,8 +1,7 @@
 // Command campaign runs a continuous advertising workload — many issuers,
 // Poisson arrivals, Zipf categories — and prints the capacity curve:
-// delivery quality versus offered load. It is the batch-mode client of the
-// campaign control plane: each rate becomes one campaign in a store, run on
-// the simulation backend (the live-fleet backend is cmd/campaignd).
+// delivery quality versus offered load. Each rate runs on a fresh simulation
+// (the live-fleet backend of the campaign control plane is cmd/campaignd).
 //
 // Usage:
 //
@@ -86,11 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "%10s %6s %14s %15s %10s %10s\n",
 		"ads/min", "ads", "mean delivery", "worst delivery", "messages", "evictions")
 
-	// Thin client of the control plane's store: the sweep populates one
-	// campaign per rate, so the same ledger that backs campaignd's HTTP API
-	// answers the batch questions here.
-	store := instantad.NewCampaignStore()
-	reports, err := store.RunBatch(sc, base, apm)
+	reports, err := instantad.CampaignSweep(sc, base, apm)
 	if err != nil {
 		return fail(1, err)
 	}

@@ -37,6 +37,7 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-peers", "0"}, 2, "", "NumPeers"},
 		{append([]string{"-rates", "4,8", "-per-category", "-metrics-out", metrics}, small...), 0,
 			"per-category at 8.0 ads/min", ""},
+		{append([]string{"-rates", "4,4"}, small...), 0, "4.0", ""},
 		{append([]string{"-rates", "0.01"}, small...), 1, "", "no ads"},
 		{append([]string{"-rates", "4", "-metrics-out", filepath.Join(dir, "no", "m.json")}, small...), 1, "", "no such file"},
 	} {

@@ -10,7 +10,7 @@
 //	                        #   comparator sensitivity)
 //	figures -fig rsu -rsu 0,4,8,16            # coverage vs roadside units
 //	figures -fig rsu -road city.txt           # ... on an imported road graph
-//	figures -quick          # scaled-down sweeps for a fast sanity pass
+//	figures -quick          # scaled-down sweeps, one seed unless -reps is set
 //	figures -reps 5         # more seeds per point
 //	figures -fig fig7 -cpuprofile cpu.pprof   # profile a sweep
 package main
@@ -83,7 +83,7 @@ var generators = []struct {
 	{"popularity", func(p *printer) error { f, err := instantad.FigPopularityDynamics(p.opts); return p.show(err, f) }},
 	{"spread", func(p *printer) error { f, err := instantad.FigSpreadCurve(p.opts); return p.show(err, f) }},
 	{"capacity", func(p *printer) error {
-		sc := instantad.DefaultScenario()
+		sc := p.opts.Base
 		sc.SimTime = 900
 		base := instantad.CampaignConfig{
 			Start: 60, End: 660, R: 400, D: 120,
@@ -119,7 +119,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		fig        = fs.String("fig", "all", "which figure to regenerate")
 		reps       = fs.Int("reps", 3, "seeds per point")
-		quick      = fs.Bool("quick", false, "shrink sweeps for a fast pass")
+		quick      = fs.Bool("quick", false, "shrink sweeps for a fast pass (one seed unless -reps is set)")
 		quiet      = fs.Bool("q", false, "suppress progress lines")
 		chart      = fs.Bool("chart", false, "render ASCII charts alongside the tables")
 		csvDir     = fs.String("csv", "", "also write each figure as <dir>/<id>.csv")
@@ -149,6 +149,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if len(todo) == 0 {
 		return fail(2, fmt.Errorf("unknown -fig %q; want all or one of: %s", *fig, strings.Join(names, " ")))
+	}
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if *reps < 1 {
+		return fail(2, fmt.Errorf("-reps %d: want at least 1", *reps))
 	}
 	counts, err := cli.Ints(*rsuCounts)
 	if err != nil {
@@ -199,7 +204,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts.Base = base
 		opts.Sizes = []int{100, 300, 600, 1000}
 		opts.Speeds = []float64{5, 15, 30}
-		if *reps == 3 {
+		if !set["reps"] {
 			opts.Reps = 1
 		}
 	}

@@ -87,6 +87,8 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-bogus"}, 2, "", "flag provided but not defined"},
 		{[]string{"-fig", "nope"}, 2, "", "want all or one of: fig2 fig3 fig5 fig7"},
 		{[]string{"-fig", "rsu", "-rsu", "1,x"}, 2, "", "-rsu"},
+		{[]string{"-fig", "fig2", "-reps", "0"}, 2, "", "-reps"},
+		{[]string{"-fig", "fig2", "-quick", "-reps", "-4"}, 2, "", "-reps"},
 		{[]string{"-fig", "FIG5", "-chart", "-csv", csvDir, "-cpuprofile", filepath.Join(dir, "cpu"),
 			"-memprofile", filepath.Join(dir, "mem")}, 0, "Velocity-constrained probability", ""},
 		{[]string{"-fig", "fig2", "-csv", notDir}, 1, "", "not a directory"},
@@ -106,5 +108,42 @@ func TestExitCodes(t *testing.T) {
 		if fi, err := os.Stat(filepath.Join(dir, name)); err != nil || fi.Size() == 0 {
 			t.Errorf("-%sprofile wrote nothing: %v", name, err)
 		}
+	}
+}
+
+// csvOf runs figures with the given arguments and -q -csv, and returns the
+// CSV file it writes for figure id.
+func csvOf(t *testing.T, id string, args ...string) string {
+	t.Helper()
+	dir := t.TempDir()
+	code, _, stderr := run1(append(args, "-q", "-csv", dir)...)
+	if code != 0 {
+		t.Fatalf("figures %v: exit %d: %s", args, code, stderr)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, id+".csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// TestQuickHonoursReps checks that an explicit -reps wins over -quick's one
+// seed, also when it names the default of 3.
+func TestQuickHonoursReps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the beta sweep at -quick scale with one and three seeds")
+	}
+	if one, three := csvOf(t, "beta", "-fig", "beta", "-quick"), csvOf(t, "beta", "-fig", "beta", "-quick", "-reps", "3"); one == three {
+		t.Errorf("-quick -reps 3 wrote the one-seed table:\n%s", three)
+	}
+}
+
+// TestCapacityHonoursSeed checks that the capacity figure runs from -seed.
+func TestCapacityHonoursSeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the capacity sweep twice")
+	}
+	if a, b := csvOf(t, "capacity", "-fig", "capacity", "-seed", "1"), csvOf(t, "capacity", "-fig", "capacity", "-seed", "2"); a == b {
+		t.Errorf("-seed 2 wrote the -seed 1 table:\n%s", b)
 	}
 }

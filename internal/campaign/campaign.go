@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"instantad/internal/experiment"
 	"instantad/internal/geo"
@@ -201,60 +200,21 @@ func FigCapacity(sc experiment.Scenario, base Config, adsPerMinute []float64) (e
 }
 
 // Sweep runs the campaign at several arrival rates (ads/minute for
-// readability) and reports delivery vs load — the capacity curve. It is a
-// thin client of the store-backed batch runner: each rate becomes one
-// campaign in a throwaway Store.
+// readability), each on a fresh simulation, and reports delivery vs load —
+// the capacity curve.
 func Sweep(sc experiment.Scenario, base Config, adsPerMinute []float64) ([]Report, error) {
-	return NewStore().RunBatch(sc, base, adsPerMinute)
-}
-
-// RunBatch executes a rate sweep through the control plane's ledger: each
-// arrival rate becomes one campaign in the store, run to completion on a
-// fresh simulation (the batch backend), its Report attached so Status
-// answers with the simulator's postponement percentiles afterwards. This is
-// what makes batch sweeps and live fleets two backends of the same store
-// rather than parallel code paths.
-func (s *Store) RunBatch(sc experiment.Scenario, base Config, adsPerMinute []float64) ([]Report, error) {
 	if len(adsPerMinute) == 0 {
 		return nil, fmt.Errorf("campaign: empty sweep")
 	}
-	now := time.Now()
 	out := make([]Report, 0, len(adsPerMinute))
 	for _, apm := range adsPerMinute {
-		spec := Spec{
-			Name:       fmt.Sprintf("sweep-%g-apm", apm),
-			Area:       Area{X: sc.FieldW / 2, Y: sc.FieldH / 2, Radius: base.R},
-			Duration:   base.D,
-			Category:   "mixed",
-			RatePerMin: apm,
-			Window:     base.End - base.Start,
-		}
-		c, err := s.Create(spec, now)
-		if err != nil {
-			return nil, fmt.Errorf("at %v ads/min: %w", apm, err)
-		}
 		cfg := base
 		cfg.ArrivalRate = apm / 60
 		rep, err := Run(sc, cfg)
 		if err != nil {
-			s.finishBatch(c.ID, 0, nil, StateCancelled)
 			return nil, fmt.Errorf("at %v ads/min: %w", apm, err)
 		}
-		s.finishBatch(c.ID, rep.AdsIssued, &rep, StateDone)
 		out = append(out, rep)
 	}
 	return out, nil
-}
-
-// finishBatch records a batch run's outcome on its campaign.
-func (s *Store) finishBatch(id string, issued int, rep *Report, st State) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.byID[id]
-	if !ok {
-		return
-	}
-	c.State = st
-	c.Issued = issued
-	c.report = rep
 }

@@ -71,7 +71,6 @@ type Campaign struct {
 	acc      float64   // fractional ads owed by the rate accumulator
 	lastStep time.Time // previous scheduler step that advanced this campaign
 	lat      []float64 // probe delivery latencies, seconds (capped)
-	report   *Report   // sim-backend result (batch mode only)
 }
 
 // maxLatSamples caps the per-campaign latency sample buffer; at 32 probes
@@ -124,12 +123,9 @@ type Status struct {
 	Delivered  int     `json:"delivered"`
 	ProbeSlots int     `json:"probe_slots"`
 	Coverage   float64 `json:"coverage"`
-	// DeliveryP50/P99 are probe delivery-latency percentiles in seconds
-	// (fleet backend). PostponeP99 is the simulator's postponement-delay p99
-	// (sim backend); the two backends fill their own field.
+	// DeliveryP50/P99 are probe delivery-latency percentiles in seconds.
 	DeliveryP50 float64 `json:"delivery_p50_s"`
 	DeliveryP99 float64 `json:"delivery_p99_s"`
-	PostponeP99 float64 `json:"postpone_p99_s,omitempty"`
 }
 
 // statusLocked computes the Status view; callers hold the store lock.
@@ -151,11 +147,6 @@ func (c *Campaign) statusLocked(now time.Time) Status {
 	}
 	st.DeliveryP50 = percentile(c.lat, 0.50)
 	st.DeliveryP99 = percentile(c.lat, 0.99)
-	if c.report != nil && c.report.Metrics != nil {
-		if p, ok := c.report.Metrics.HistogramQuantile("sim_postpone_delay_seconds", 0.99); ok {
-			st.PostponeP99 = p
-		}
-	}
 	return st
 }
 

@@ -1,27 +1,34 @@
 package experiment
 
-import (
-	"fmt"
+import "instantad/internal/core"
 
-	"instantad/internal/core"
-)
-
-// asyncFigVariants is the plot order of the async comparison: the paper's
+// asyncCurves is the plot order of the async comparison: the paper's
 // broadcast gossip baseline, the pairwise family at k = 1…3, and a churned
 // flavor of each family (exponential 300 s on / 60 s off, the impaired-
 // channel determinism case) to show how each degrades when peers cycle
-// offline.
-var asyncFigVariants = []struct {
-	label string
-	k     int // 0 = broadcast Gossiping
-	churn bool
-}{
-	{"Gossiping", 0, false},
-	{"Async k=1", 1, false},
-	{"Async k=2", 2, false},
-	{"Async k=3", 3, false},
-	{"Gossiping churn", 0, true},
-	{"Async k=2 churn", 2, true},
+// offline. x is the number of peers.
+var asyncCurves = []curve{
+	{"Gossiping", asyncVariant(0, false)},
+	{"Async k=1", asyncVariant(1, false)},
+	{"Async k=2", asyncVariant(2, false)},
+	{"Async k=3", asyncVariant(3, false)},
+	{"Gossiping churn", asyncVariant(0, true)},
+	{"Async k=2 churn", asyncVariant(2, true)},
+}
+
+// asyncVariant runs the pairwise family at k, or broadcast Gossiping at
+// k = 0, with or without churn.
+func asyncVariant(k int, churn bool) func(*Scenario, float64) {
+	return func(sc *Scenario, x float64) {
+		sc.NumPeers = int(x)
+		sc.Protocol = core.Gossip
+		if k > 0 {
+			sc.Protocol, sc.AsyncK = core.AsyncGossip, k
+		}
+		if churn {
+			sc.ChurnOnMean, sc.ChurnOffMean = 300, 60
+		}
+	}
 }
 
 // FigAsync compares the asynchronous pairwise family (mobile telephone
@@ -35,6 +42,11 @@ func FigAsync(o RunOpts) (tfig, mfig Figure, err error) {
 	if len(sizes) == 0 {
 		sizes = []int{100, 300, 600}
 	}
+	xs := floats(sizes)
+	runs, err := sweepGrid(o, asyncCurves, xs)
+	if err != nil {
+		return Figure{}, Figure{}, err
+	}
 	tfig = Figure{
 		ID: "async-time", Title: "Spread time: async pairwise vs broadcast gossip",
 		XLabel: "Number of Peers", YLabel: "Delivery Time (s)",
@@ -43,35 +55,9 @@ func FigAsync(o RunOpts) (tfig, mfig Figure, err error) {
 		ID: "async-msgs", Title: "Message cost: async pairwise vs broadcast gossip",
 		XLabel: "Number of Peers", YLabel: "Number of Messages",
 	}
-	for _, v := range asyncFigVariants {
-		st := Series{Label: v.label}
-		sm := Series{Label: v.label}
-		for _, size := range sizes {
-			sc := o.Base
-			sc.NumPeers = size
-			if v.k > 0 {
-				sc.Protocol = core.AsyncGossip
-				sc.AsyncK = v.k
-			} else {
-				sc.Protocol = core.Gossip
-			}
-			if v.churn {
-				sc.ChurnOnMean, sc.ChurnOffMean = 300, 60
-			}
-			agg, rerr := RunReplicated(sc, o.Reps)
-			if rerr != nil {
-				err = fmt.Errorf("%s at %d peers: %w", v.label, size, rerr)
-				return
-			}
-			o.Progress("%-18s n=%-5d delivery=%6.2f%% time=%6.2fs msgs=%8.0f",
-				v.label, size, agg.DeliveryRate.Mean, agg.DeliveryTime.Mean, agg.Messages.Mean)
-			st.X = append(st.X, float64(size))
-			st.Y = append(st.Y, agg.DeliveryTime.Mean)
-			sm.X = append(sm.X, float64(size))
-			sm.Y = append(sm.Y, agg.Messages.Mean)
-		}
-		tfig.Series = append(tfig.Series, st)
-		mfig.Series = append(mfig.Series, sm)
+	for i, c := range asyncCurves {
+		tfig.Series = append(tfig.Series, plot(c.label, xs, runs[i], meanTime))
+		mfig.Series = append(mfig.Series, plot(c.label, xs, runs[i], meanMsgs))
 	}
 	return
 }

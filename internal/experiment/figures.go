@@ -12,14 +12,20 @@ type RunOpts struct {
 	// Base is the scenario every point starts from; zero value means
 	// DefaultScenario. Figures override the swept parameter per point.
 	Base Scenario
-	// Reps is the number of seeds per point (default 3).
+	// Reps is the number of seeds per point (0 means 3; below 0 is an
+	// error).
 	Reps int
 	// Sizes overrides the network-size sweep of Fig 7/9 (default 100…1000
 	// step 100, the paper's range).
 	Sizes []int
 	// Speeds overrides the speed sweep of Fig 8 (default 5…30 step 5 m/s).
 	Speeds []float64
-	// Progress, when non-nil, receives one line per completed point.
+	// Progress, when non-nil, receives one line per point of a sweep, in
+	// the order the figure lists its curves and x values, on the goroutine
+	// that called the generator. A figure's points and replicas run in
+	// parallel; a point's line comes as soon as that point and every earlier
+	// point have finished, so long sweeps still stream. A failing sweep
+	// returns the error of its first failing point in that order.
 	Progress func(format string, args ...any)
 }
 
@@ -27,7 +33,7 @@ func (o RunOpts) withDefaults() RunOpts {
 	if o.Base.NumPeers == 0 {
 		o.Base = DefaultScenario()
 	}
-	if o.Reps < 1 {
+	if o.Reps == 0 {
 		o.Reps = 3
 	}
 	if len(o.Sizes) == 0 {
@@ -110,31 +116,36 @@ func Fig5() Figure {
 	return f
 }
 
-// protocolSweep runs one protocol across the given scenario variants and
-// returns the three metric curves.
-func protocolSweep(o RunOpts, proto core.Protocol, xs []float64, mutate func(*Scenario, float64)) (rate, dtime, msgs Series, err error) {
-	rate = Series{Label: proto.String()}
-	dtime = Series{Label: proto.String()}
-	msgs = Series{Label: proto.String()}
-	for _, x := range xs {
-		sc := o.Base
-		sc.Protocol = proto
-		mutate(&sc, x)
-		agg, rerr := RunReplicated(sc, o.Reps)
-		if rerr != nil {
-			err = fmt.Errorf("%v at %v: %w", proto, x, rerr)
-			return
-		}
-		o.Progress("%-22s x=%-6v delivery=%6.2f%% time=%6.2fs msgs=%8.0f",
-			proto, x, agg.DeliveryRate.Mean, agg.DeliveryTime.Mean, agg.Messages.Mean)
-		rate.X = append(rate.X, x)
-		rate.Y = append(rate.Y, agg.DeliveryRate.Mean)
-		dtime.X = append(dtime.X, x)
-		dtime.Y = append(dtime.Y, agg.DeliveryTime.Mean)
-		msgs.X = append(msgs.X, x)
-		msgs.Y = append(msgs.Y, agg.Messages.Mean)
+// setPeers and setSpeed are the x of the network-size and speed sweeps.
+func setPeers(sc *Scenario, x float64) { sc.NumPeers = int(x) }
+
+func setSpeed(sc *Scenario, x float64) {
+	sc.SpeedMean = x
+	sc.SpeedDelta = x / 2
+}
+
+// floats converts a sweep's integer x values to plot coordinates.
+func floats(ns []int) []float64 {
+	xs := make([]float64, len(ns))
+	for i, n := range ns {
+		xs[i] = float64(n)
 	}
-	return
+	return xs
+}
+
+// threeMetrics sweeps one curve per protocol and plots delivery rate,
+// delivery time and message count into a, b and c.
+func threeMetrics(o RunOpts, protos []core.Protocol, xs []float64, setX func(*Scenario, float64), a, b, c *Figure) error {
+	runs, err := sweepGrid(o, protocolCurves(protos, setX), xs)
+	if err != nil {
+		return err
+	}
+	for i, proto := range protos {
+		a.Series = append(a.Series, plot(proto.String(), xs, runs[i], meanRate))
+		b.Series = append(b.Series, plot(proto.String(), xs, runs[i], meanTime))
+		c.Series = append(c.Series, plot(proto.String(), xs, runs[i], meanMsgs))
+	}
+	return nil
 }
 
 // Fig7 reproduces Figure 7(a–c): Delivery Rate, Delivery Time and Number of
@@ -144,22 +155,7 @@ func Fig7(o RunOpts) (a, b, c Figure, err error) {
 	a = Figure{ID: "fig7a", Title: "Delivery rate vs network size", XLabel: "Number of Peers", YLabel: "Delivery Rate (%)"}
 	b = Figure{ID: "fig7b", Title: "Delivery time vs network size", XLabel: "Number of Peers", YLabel: "Delivery Time (s)"}
 	c = Figure{ID: "fig7c", Title: "Number of messages vs network size", XLabel: "Number of Peers", YLabel: "Number of Messages"}
-	xs := make([]float64, len(o.Sizes))
-	for i, n := range o.Sizes {
-		xs[i] = float64(n)
-	}
-	for _, proto := range fig7Protocols {
-		rate, dtime, msgs, serr := protocolSweep(o, proto, xs, func(sc *Scenario, x float64) {
-			sc.NumPeers = int(x)
-		})
-		if serr != nil {
-			err = serr
-			return
-		}
-		a.Series = append(a.Series, rate)
-		b.Series = append(b.Series, dtime)
-		c.Series = append(c.Series, msgs)
-	}
+	err = threeMetrics(o, fig7Protocols, floats(o.Sizes), setPeers, &a, &b, &c)
 	return
 }
 
@@ -170,19 +166,7 @@ func Fig8(o RunOpts) (a, b, c Figure, err error) {
 	a = Figure{ID: "fig8a", Title: "Delivery rate vs motion speed", XLabel: "Speed (m/s)", YLabel: "Delivery Rate (%)"}
 	b = Figure{ID: "fig8b", Title: "Delivery time vs motion speed", XLabel: "Speed (m/s)", YLabel: "Delivery Time (s)"}
 	c = Figure{ID: "fig8c", Title: "Number of messages vs motion speed", XLabel: "Speed (m/s)", YLabel: "Number of Messages"}
-	for _, proto := range fig8Protocols {
-		rate, dtime, msgs, serr := protocolSweep(o, proto, o.Speeds, func(sc *Scenario, x float64) {
-			sc.SpeedMean = x
-			sc.SpeedDelta = x / 2
-		})
-		if serr != nil {
-			err = serr
-			return
-		}
-		a.Series = append(a.Series, rate)
-		b.Series = append(b.Series, dtime)
-		c.Series = append(c.Series, msgs)
-	}
+	err = threeMetrics(o, fig8Protocols, o.Speeds, setSpeed, &a, &b, &c)
 	return
 }
 
@@ -190,41 +174,27 @@ func Fig8(o RunOpts) (a, b, c Figure, err error) {
 // mechanism removes relative to pure Gossiping, versus network size.
 func Fig9(o RunOpts) (Figure, error) {
 	o = o.withDefaults()
+	xs := floats(o.Sizes)
+	protos := []core.Protocol{core.Gossip, core.GossipOpt1, core.GossipOpt2, core.GossipOpt}
+	runs, err := sweepGrid(o, protocolCurves(protos, setPeers), xs)
+	if err != nil {
+		return Figure{}, err
+	}
 	f := Figure{
 		ID: "fig9", Title: "Message reduction vs pure Gossiping",
 		XLabel: "Number of Peers", YLabel: "Percentage Reduced (%)",
 	}
-	variants := []core.Protocol{core.GossipOpt1, core.GossipOpt2, core.GossipOpt}
-	series := make([]Series, len(variants))
-	for i, v := range variants {
-		series[i] = Series{Label: v.String()}
-	}
-	for _, n := range o.Sizes {
-		base := o.Base
-		base.NumPeers = n
-		base.Protocol = core.Gossip
-		pureAgg, err := RunReplicated(base, o.Reps)
-		if err != nil {
-			return Figure{}, fmt.Errorf("pure gossip at %d: %w", n, err)
-		}
-		pure := pureAgg.Messages.Mean
-		for i, v := range variants {
-			sc := base
-			sc.Protocol = v
-			agg, err := RunReplicated(sc, o.Reps)
-			if err != nil {
-				return Figure{}, fmt.Errorf("%v at %d: %w", v, n, err)
-			}
+	for v, proto := range protos[1:] {
+		s := Series{Label: proto.String(), X: xs}
+		for i, pure := range runs[0] {
 			reduction := 0.0
-			if pure > 0 {
-				reduction = 100 * (1 - agg.Messages.Mean/pure)
+			if pure := meanMsgs(pure); pure > 0 {
+				reduction = 100 * (1 - meanMsgs(runs[v+1][i])/pure)
 			}
-			o.Progress("%-22s N=%-5d reduction=%6.2f%%", v, n, reduction)
-			series[i].X = append(series[i].X, float64(n))
-			series[i].Y = append(series[i].Y, reduction)
+			s.Y = append(s.Y, reduction)
 		}
+		f.Series = append(f.Series, s)
 	}
-	f.Series = series
 	return f, nil
 }
 
@@ -235,49 +205,21 @@ func Fig9(o RunOpts) (Figure, error) {
 // than being bounded by the probability field (Section II's critique).
 func FigComparator(o RunOpts) (Figure, error) {
 	o = o.withDefaults()
+	xs := floats(o.Sizes)
+	protos := []core.Protocol{core.GossipOpt, core.RelevanceExchange}
+	runs, err := sweepGrid(o, protocolCurves(protos, setPeers), xs)
+	if err != nil {
+		return Figure{}, err
+	}
 	f := Figure{
 		ID: "comparator", Title: "Optimized Gossiping vs Relevance Exchange",
 		XLabel: "Number of Peers", YLabel: "Delivery (%) / Messages",
 	}
-	xs := make([]float64, len(o.Sizes))
-	for i, n := range o.Sizes {
-		xs[i] = float64(n)
+	for i, proto := range protos {
+		f.Series = append(f.Series,
+			plot(proto.String()+" delivery", xs, runs[i], meanRate),
+			plot(proto.String()+" messages", xs, runs[i], meanMsgs))
 	}
-	for _, proto := range []core.Protocol{core.GossipOpt, core.RelevanceExchange} {
-		rate, _, msgs, err := protocolSweep(o, proto, xs, func(sc *Scenario, x float64) {
-			sc.NumPeers = int(x)
-		})
-		if err != nil {
-			return Figure{}, err
-		}
-		rate.Label = proto.String() + " delivery"
-		msgs.Label = proto.String() + " messages"
-		f.Series = append(f.Series, rate, msgs)
-	}
-	return f, nil
-}
-
-// tuningSweep runs Optimized Gossiping across one tuning parameter and
-// reports delivery rate and message count (Figure 10's dual-axis plots).
-func tuningSweep(o RunOpts, id, title, xlabel string, xs []float64, mutate func(*Scenario, float64)) (Figure, error) {
-	f := Figure{ID: id, Title: title, XLabel: xlabel, YLabel: "Delivery Rate (%) / Messages"}
-	rate := Series{Label: "Delivery Rate (%)"}
-	msgs := Series{Label: "Number of Messages"}
-	for _, x := range xs {
-		sc := o.Base
-		sc.Protocol = core.GossipOpt
-		mutate(&sc, x)
-		agg, err := RunReplicated(sc, o.Reps)
-		if err != nil {
-			return Figure{}, fmt.Errorf("%s at %v: %w", id, x, err)
-		}
-		o.Progress("%-8s x=%-8v delivery=%6.2f%% msgs=%8.0f", id, x, agg.DeliveryRate.Mean, agg.Messages.Mean)
-		rate.X = append(rate.X, x)
-		rate.Y = append(rate.Y, agg.DeliveryRate.Mean)
-		msgs.X = append(msgs.X, x)
-		msgs.Y = append(msgs.Y, agg.Messages.Mean)
-	}
-	f.Series = []Series{rate, msgs}
 	return f, nil
 }
 
@@ -289,53 +231,50 @@ func tuningSweep(o RunOpts, id, title, xlabel string, xs []float64, mutate func(
 // EXPERIMENTS.md).
 func Fig10a(o RunOpts) (Figure, error) {
 	o = o.withDefaults()
-	f := Figure{
+	xs := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
+	runs, err := sweepGrid(o, protocolCurves([]core.Protocol{core.GossipOpt, core.Gossip},
+		func(sc *Scenario, x float64) { sc.Alpha = x }), xs)
+	if err != nil {
+		return Figure{}, err
+	}
+	return Figure{
 		ID: "fig10a", Title: "Tuning alpha", XLabel: "alpha",
 		YLabel: "Delivery Rate (%) / Messages",
+		Series: []Series{
+			plot("Delivery Rate (%)", xs, runs[0], meanRate),
+			plot("Messages (Optimized)", xs, runs[0], meanMsgs),
+			plot("Messages (Gossiping)", xs, runs[1], meanMsgs),
+		},
+	}, nil
+}
+
+// tuning sweeps Optimized Gossiping across one knob and plots delivery rate
+// and message count (Figure 10's dual-axis plots).
+func tuning(o RunOpts, f Figure, xs []float64, set func(*Scenario, float64)) (Figure, error) {
+	o = o.withDefaults()
+	runs, err := sweepGrid(o, protocolCurves([]core.Protocol{core.GossipOpt}, set), xs)
+	if err != nil {
+		return Figure{}, err
 	}
-	rate := Series{Label: "Delivery Rate (%)"}
-	msgs := Series{Label: "Messages (Optimized)"}
-	pureMsgs := Series{Label: "Messages (Gossiping)"}
-	for _, alpha := range []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9} {
-		sc := o.Base
-		sc.Protocol = core.GossipOpt
-		sc.Alpha = alpha
-		agg, err := RunReplicated(sc, o.Reps)
-		if err != nil {
-			return Figure{}, fmt.Errorf("fig10a at %v: %w", alpha, err)
-		}
-		pure := sc
-		pure.Protocol = core.Gossip
-		pureAgg, err := RunReplicated(pure, o.Reps)
-		if err != nil {
-			return Figure{}, fmt.Errorf("fig10a pure at %v: %w", alpha, err)
-		}
-		o.Progress("fig10a  alpha=%.1f delivery=%6.2f%% msgs=%8.0f pure=%8.0f",
-			alpha, agg.DeliveryRate.Mean, agg.Messages.Mean, pureAgg.Messages.Mean)
-		rate.X = append(rate.X, alpha)
-		rate.Y = append(rate.Y, agg.DeliveryRate.Mean)
-		msgs.X = append(msgs.X, alpha)
-		msgs.Y = append(msgs.Y, agg.Messages.Mean)
-		pureMsgs.X = append(pureMsgs.X, alpha)
-		pureMsgs.Y = append(pureMsgs.Y, pureAgg.Messages.Mean)
+	f.YLabel = "Delivery Rate (%) / Messages"
+	f.Series = []Series{
+		plot("Delivery Rate (%)", xs, runs[0], meanRate),
+		plot("Number of Messages", xs, runs[0], meanMsgs),
 	}
-	f.Series = []Series{rate, msgs, pureMsgs}
 	return f, nil
 }
 
 // Fig10b reproduces Figure 10(b): tuning the gossiping round time
 // (α = 0.5, DIS = R/4).
 func Fig10b(o RunOpts) (Figure, error) {
-	o = o.withDefaults()
-	return tuningSweep(o, "fig10b", "Tuning gossiping round time", "Round Time (s)",
+	return tuning(o, Figure{ID: "fig10b", Title: "Tuning gossiping round time", XLabel: "Round Time (s)"},
 		[]float64{1, 2, 5, 10, 15, 20},
 		func(sc *Scenario, x float64) { sc.RoundTime = x })
 }
 
 // Fig10c reproduces Figure 10(c): tuning DIS (α = 0.5, Δt = 5 s).
 func Fig10c(o RunOpts) (Figure, error) {
-	o = o.withDefaults()
-	return tuningSweep(o, "fig10c", "Tuning DIS", "DIS (m)",
+	return tuning(o, Figure{ID: "fig10c", Title: "Tuning DIS", XLabel: "DIS (m)"},
 		[]float64{25, 50, 75, 100, 125, 150, 200, 250},
 		func(sc *Scenario, x float64) { sc.DIS = x })
 }
@@ -348,27 +287,17 @@ func FigBetaSensitivity(o RunOpts) (Figure, error) {
 		ID: "beta", Title: "Beta sensitivity (Optimized Gossiping)",
 		XLabel: "beta", YLabel: "metric value",
 	}
-	rate := Series{Label: "Delivery Rate (%)"}
-	dtime := Series{Label: "Delivery Time (s)"}
-	msgs := Series{Label: "Number of Messages"}
-	for _, beta := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
-		sc := o.Base
-		sc.Protocol = core.GossipOpt
-		sc.Beta = beta
-		agg, err := RunReplicated(sc, o.Reps)
-		if err != nil {
-			return Figure{}, err
-		}
-		o.Progress("beta=%.1f delivery=%6.2f%% time=%6.2fs msgs=%8.0f",
-			beta, agg.DeliveryRate.Mean, agg.DeliveryTime.Mean, agg.Messages.Mean)
-		rate.X = append(rate.X, beta)
-		rate.Y = append(rate.Y, agg.DeliveryRate.Mean)
-		dtime.X = append(dtime.X, beta)
-		dtime.Y = append(dtime.Y, agg.DeliveryTime.Mean)
-		msgs.X = append(msgs.X, beta)
-		msgs.Y = append(msgs.Y, agg.Messages.Mean)
+	xs := []float64{0.1, 0.3, 0.5, 0.7, 0.9}
+	runs, err := sweepGrid(o, protocolCurves([]core.Protocol{core.GossipOpt},
+		func(sc *Scenario, x float64) { sc.Beta = x }), xs)
+	if err != nil {
+		return Figure{}, err
 	}
-	f.Series = []Series{rate, dtime, msgs}
+	f.Series = []Series{
+		plot("Delivery Rate (%)", xs, runs[0], meanRate),
+		plot("Delivery Time (s)", xs, runs[0], meanTime),
+		plot("Number of Messages", xs, runs[0], meanMsgs),
+	}
 	return f, nil
 }
 

@@ -1,8 +1,6 @@
 package experiment
 
-import (
-	"fmt"
-)
+import "fmt"
 
 // FigRSUCoverage is the urban VANET infrastructure sweep: road coverage,
 // delivery rate and message budget versus roadside-unit count on a road
@@ -19,39 +17,25 @@ func FigRSUCoverage(o RunOpts, counts []int) (Figure, error) {
 		ID: "rsu", Title: "Road coverage vs roadside units",
 		XLabel: "Roadside Units", YLabel: "Coverage (%) / Delivery (%) / Messages (k)",
 	}
-	cov := Series{Label: "road coverage %"}
-	rate := Series{Label: "delivery rate %"}
-	msgs := Series{Label: "messages (x1000)"}
 	for _, n := range counts {
 		if n < 0 {
 			return Figure{}, fmt.Errorf("experiment: negative RSU count %d", n)
 		}
-		sc := o.Base
-		sc.Mobility = Road
-		sc.NumRSU = n
-		var sumCov, sumRate, sumMsgs float64
-		for rep := 0; rep < o.Reps; rep++ {
-			run := sc
-			run.Seed = sc.Seed + uint64(rep)
-			res, err := run.Run()
-			if err != nil {
-				return Figure{}, fmt.Errorf("rsu=%d rep %d: %w", n, rep, err)
-			}
-			sumCov += res.Coverage
-			sumRate += res.DeliveryRate
-			sumMsgs += res.Messages
-		}
-		reps := float64(o.Reps)
-		o.Progress("rsu=%-3d coverage=%6.2f%% delivery=%6.2f%% msgs=%8.0f",
-			n, 100*sumCov/reps, sumRate/reps, sumMsgs/reps)
-		x := float64(n)
-		cov.X = append(cov.X, x)
-		cov.Y = append(cov.Y, 100*sumCov/reps)
-		rate.X = append(rate.X, x)
-		rate.Y = append(rate.Y, sumRate/reps)
-		msgs.X = append(msgs.X, x)
-		msgs.Y = append(msgs.Y, sumMsgs/reps/1000)
 	}
-	f.Series = []Series{cov, rate, msgs}
+	xs := floats(counts)
+	runs, err := sweepGrid(o, []curve{{"rsu", func(sc *Scenario, x float64) {
+		sc.Mobility = Road
+		sc.NumRSU = int(x)
+	}}}, xs)
+	if err != nil {
+		return Figure{}, err
+	}
+	f.Series = []Series{
+		plot("road coverage %", xs, runs[0], func(rs []Result) float64 {
+			return 100 * sum(rs, func(r Result) float64 { return r.Coverage }) / float64(len(rs))
+		}),
+		plot("delivery rate %", xs, runs[0], meanRate),
+		plot("messages (x1000)", xs, runs[0], func(rs []Result) float64 { return meanMsgs(rs) / 1000 }),
+	}
 	return f, nil
 }

@@ -10,8 +10,6 @@ import (
 	"math"
 	"os"
 	"reflect"
-	"runtime"
-	"sync"
 
 	"instantad/internal/ads"
 	"instantad/internal/core"
@@ -174,7 +172,7 @@ type Scenario struct {
 	// Deprecated: ignored. Workers and Shards set the worker and tile-stripe
 	// counts of an intra-run parallel engine that measured no gain and is
 	// gone (see docs/PERFORMANCE.md); the fields remain until bench/ stops
-	// setting them. Parallelism lives across runs: RunReplicated. Decode
+	// setting them. Parallelism lives across runs (sweep.go). Decode
 	// reads both keys from older files; Encode never writes them.
 	Workers int `json:"workers,omitempty" range:"[0,inf)" doc:"deprecated and ignored; read, never written"`
 	// Shards is validated and otherwise unused.
@@ -728,46 +726,19 @@ type Aggregate struct {
 }
 
 // RunReplicated executes the scenario reps times with seeds Seed, Seed+1, …
-// and summarizes the three paper metrics. Replicas are independent
-// simulations, so they run on parallel workers; results are aggregated in
-// seed order, keeping the summary deterministic.
+// and summarizes the three paper metrics. It is a one-point sweep: the
+// replicas run on parallel workers and are aggregated in seed order, keeping
+// the summary deterministic.
 func RunReplicated(sc Scenario, reps int) (Aggregate, error) {
-	if reps < 1 {
-		return Aggregate{}, fmt.Errorf("experiment: reps %d < 1", reps)
+	runs, err := sweep(RunOpts{Reps: reps}, []point{{label: sc.Protocol.String(), sc: sc}}, runScenario, nil)
+	if err != nil {
+		return Aggregate{}, err
 	}
-	results := make([]Result, reps)
-	errs := make([]error, reps)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > reps {
-		workers = reps
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				run := sc
-				run.Seed = sc.Seed + uint64(i)
-				results[i], errs[i] = run.Run()
-			}
-		}()
-	}
-	for i := 0; i < reps; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-
 	var rates, times, msgs []float64
-	for i := 0; i < reps; i++ {
-		if errs[i] != nil {
-			return Aggregate{}, fmt.Errorf("rep %d: %w", i, errs[i])
-		}
-		rates = append(rates, results[i].DeliveryRate)
-		times = append(times, results[i].DeliveryTime)
-		msgs = append(msgs, results[i].Messages)
+	for _, r := range runs[0] {
+		rates = append(rates, r.DeliveryRate)
+		times = append(times, r.DeliveryTime)
+		msgs = append(msgs, r.Messages)
 	}
 	return Aggregate{
 		Scenario:     sc,
