@@ -46,7 +46,7 @@ func waypointNet(tb testing.TB, cfg Config, n int, side, txRange, horizon float6
 // reference's own per-peer memory.
 func refRelevanceRound(p *Peer, last map[int]map[int]bool) (encountered bool) {
 	now := p.net.sim.Now()
-	neighbors := p.net.ch.NeighborsOf(p.id)
+	neighbors := p.net.ch.AppendNeighborsOf(nil, p.id)
 	cur := make(map[int]bool, len(neighbors))
 	for _, j := range neighbors {
 		cur[j] = true

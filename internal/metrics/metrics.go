@@ -463,8 +463,3 @@ func (c *Collector) Expirations() uint64 { return c.expirations }
 // 0 when every peer carried an equal share of the dissemination work,
 // approaching 1 when one peer (e.g. a flooding issuer) carried it all.
 func (c *Collector) LoadGini() float64 { return stats.Gini(c.perPeerTx) }
-
-// PerPeerBroadcasts returns a copy of the per-peer transmission counts.
-func (c *Collector) PerPeerBroadcasts() []float64 {
-	return append([]float64(nil), c.perPeerTx...)
-}

@@ -214,13 +214,6 @@ func (s *Switchboard) SetPosition(addr string, p geo.Point) {
 	s.pos[addr] = p
 }
 
-// Endpoints returns the number of currently bound endpoints.
-func (s *Switchboard) Endpoints() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.eps)
-}
-
 // packet is one in-flight datagram.
 type packet struct {
 	data []byte

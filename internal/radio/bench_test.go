@@ -65,12 +65,13 @@ func BenchmarkBroadcastDenseCollisions(b *testing.B) {
 }
 
 // BenchmarkNodesWithin measures the raw spatial query against the grid
-// snapshot (exact re-filter included). The Alloc variant is the convenience
-// API returning a fresh slice; the Scratch variant appends into a reused
+// snapshot (exact re-filter included). The Alloc variant appends into a nil
+// slice, so it pays for a fresh one; the Scratch variant appends into a reused
 // buffer, Neighbors is the same through AppendNeighborsOf, the call the
-// broadcast hot path and every async scan make, and Mobile (below) is
-// Neighbors on moving peers: all three must stay at zero allocations (the CI
-// alloc guard greps their allocs/op).
+// broadcast hot path and every async scan make, Mobile (below) is Neighbors
+// on moving peers, and Stale is Mobile between grid builds, sorting its hits:
+// all but Alloc must stay at zero allocations (the CI alloc guard greps their
+// allocs/op).
 func BenchmarkNodesWithin(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Range = 125
@@ -79,7 +80,7 @@ func BenchmarkNodesWithin(b *testing.B) {
 	b.Run("Alloc", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = ch.NodesWithin(center, 125, -1)
+			_ = ch.AppendNodesWithin(nil, center, 125, -1)
 		}
 	})
 	b.Run("Scratch", func(b *testing.B) {
@@ -116,6 +117,31 @@ func BenchmarkNodesWithin(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			query(i)
+		}
+	})
+	// Stale is Mobile's query at one instant, 3.5 s after the grid was built
+	// and 0.5 s after the last refresh, which kept it (nobody can have moved
+	// a cell): every query sorts its hits into the snapshot's order.
+	b.Run("Stale", func(b *testing.B) {
+		s, ch := mobileChannel(b, cfg)
+		for k := 0; k <= 3; k++ {
+			s.SchedulePooled(float64(k), ch.RefreshGrid)
+		}
+		s.Run(3.5)
+		var buf []int
+		for i := 0; i < ch.N(); i++ { // the scratch growth
+			buf = ch.AppendNeighborsOf(buf[:0], i)
+		}
+		if ch.builtAt != 0 || ch.gridAt != 3 {
+			b.Fatalf("grid built at %v, snapshot at %v: want 0 and 3", ch.builtAt, ch.gridAt)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buf = ch.AppendNeighborsOf(buf[:0], i*7919%ch.N())
+		}
+		if ch.builtAt != 0 {
+			b.Fatalf("a query fell back to building the grid")
 		}
 	})
 }
@@ -196,9 +222,9 @@ var nearestSink int
 
 // BenchmarkRefreshGridSteady measures one grid refresh of the city_scale
 // population (cityChannel), one refresh per simulated second, once the first
-// full rebuild is behind it: the cost the kinetic refresh exists to cut, and a
-// path that must not allocate (the CI alloc guard greps this benchmark's
-// allocs/op).
+// build is behind it. No query reads the grid, so refreshes keep it until its
+// slack runs out and then build it: the mean over both, and a path that must
+// not allocate (the CI alloc guard greps this benchmark's allocs/op).
 func BenchmarkRefreshGridSteady(b *testing.B) {
 	s, ch, cfg := cityChannel(b)
 	at, fire := 0.0, ch.RefreshGrid

@@ -284,7 +284,7 @@ func TestNeighborsMatchBruteForceProperty(t *testing.T) {
 			return false
 		}
 		for i := 0; i < n; i++ {
-			got := ch.NeighborsOf(i)
+			got := ch.AppendNeighborsOf(nil, i)
 			sort.Ints(got)
 			var want []int
 			for j := 0; j < n; j++ {
@@ -327,7 +327,7 @@ func TestNeighborsExactWithMovingNodesAndStaleGrid(t *testing.T) {
 	_ = field
 	check := func(tt float64, wantConnected bool) {
 		s.Schedule(tt, func() {
-			got := len(ch.NeighborsOf(0)) > 0
+			got := len(ch.AppendNeighborsOf(nil, 0)) > 0
 			if got != wantConnected {
 				t.Errorf("t=%v: connected=%v, want %v", tt, got, wantConnected)
 			}
@@ -417,11 +417,11 @@ func (m linearModel) Velocity(t float64) geo.Vec   { return m.v }
 func TestNodesWithinExclude(t *testing.T) {
 	pts := []geo.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 2, Y: 0}}
 	_, ch := staticChannel(t, DefaultConfig(), pts, nil)
-	all := ch.NodesWithin(geo.Point{X: 0, Y: 0}, 10, -1)
+	all := ch.AppendNodesWithin(nil, geo.Point{X: 0, Y: 0}, 10, -1)
 	if len(all) != 3 {
 		t.Errorf("NodesWithin(-1) = %v, want all 3", all)
 	}
-	some := ch.NodesWithin(geo.Point{X: 0, Y: 0}, 10, 1)
+	some := ch.AppendNodesWithin(nil, geo.Point{X: 0, Y: 0}, 10, 1)
 	if len(some) != 2 {
 		t.Errorf("NodesWithin(exclude 1) = %v, want 2", some)
 	}
@@ -470,7 +470,7 @@ func BenchmarkNeighborQuery300(b *testing.B) {
 	ch, _ := New(s, DefaultConfig(), models, func(int, Frame) {}, rng.New(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ch.NeighborsOf(i % n)
+		_ = ch.AppendNeighborsOf(nil, i%n)
 	}
 }
 
@@ -566,10 +566,10 @@ func TestHeterogeneousRanges(t *testing.T) {
 	}
 	// Neighbor views are asymmetric too.
 	s.Schedule(1, func() {
-		if n := ch.NeighborsOf(0); len(n) != 1 {
+		if n := ch.AppendNeighborsOf(nil, 0); len(n) != 1 {
 			t.Errorf("vehicle neighbors = %v", n)
 		}
-		if n := ch.NeighborsOf(1); len(n) != 0 {
+		if n := ch.AppendNeighborsOf(nil, 1); len(n) != 0 {
 			t.Errorf("handset neighbors = %v", n)
 		}
 	})
