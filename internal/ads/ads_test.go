@@ -50,7 +50,7 @@ func TestCloneIndependence(t *testing.T) {
 	if a.R == 999 {
 		t.Error("clone shares scalar state")
 	}
-	if a.Sketch.Equal(c.Sketch) {
+	if reflect.DeepEqual(a.Sketch, c.Sketch) {
 		t.Error("clone shares sketch state")
 	}
 }
@@ -143,7 +143,7 @@ func TestEncodeDecodeWithSketch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Sketch == nil || !b.Sketch.Equal(a.Sketch) {
+	if b.Sketch == nil || !reflect.DeepEqual(b.Sketch, a.Sketch) {
 		t.Error("sketch did not survive roundtrip")
 	}
 }

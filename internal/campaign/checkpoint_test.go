@@ -43,23 +43,23 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	spec.RatePerMin = 600
 	spec.Budget = 5
 	spec.Window = 0 // budget-bounded
-	if _, err := srv1.Store().Create(spec, time.Now()); err != nil {
+	if _, err := srv1.store.Create(spec, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if srv1.Store().LiveAds(time.Now()) >= 5 {
+		if srv1.store.LiveAds(time.Now()) >= 5 {
 			break
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-	liveBefore := srv1.Store().LiveAds(time.Now())
+	liveBefore := srv1.store.LiveAds(time.Now())
 	if liveBefore != 5 {
 		t.Fatalf("live ads before kill = %d, want 5", liveBefore)
 	}
 
-	if err := srv1.Store().WriteCheckpoint(ck, time.Now()); err != nil {
+	if err := srv1.store.WriteCheckpoint(ck, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	// Kill: stop the scheduler and fleet without the drain path writing a
@@ -91,11 +91,11 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	if srv2.RestoredAds() != liveBefore {
 		t.Fatalf("replayed %d ads, want %d (zero live-ad loss)", srv2.RestoredAds(), liveBefore)
 	}
-	if got := srv2.Store().LiveAds(time.Now()); got != liveBefore {
+	if got := srv2.store.LiveAds(time.Now()); got != liveBefore {
 		t.Fatalf("live ads after restore = %d, want %d", got, liveBefore)
 	}
 
-	c, err := srv2.Store().Get("c-1")
+	c, err := srv2.store.Get("c-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	deadline = time.Now().Add(8 * time.Second)
 	var st Status
 	for time.Now().Before(deadline) {
-		st, err = srv2.Store().Status("c-1", time.Now())
+		st, err = srv2.store.Status("c-1", time.Now())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -182,7 +182,7 @@ func TestFleetConcurrentIngest(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for time.Now().Before(stop) {
-			_ = srv.Store().LiveAds(time.Now())
+			_ = srv.store.LiveAds(time.Now())
 			_ = srv.Scheduler().Signals(time.Now())
 			_ = fleetTotalsProbe(srv)
 			time.Sleep(15 * time.Millisecond)

@@ -107,9 +107,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	return s, nil
 }
 
-// Store exposes the underlying store (tests, embedders).
-func (s *Server) Store() *Store { return s.store }
-
 // Scheduler exposes the underlying scheduler (tests, embedders).
 func (s *Server) Scheduler() *Scheduler { return s.sched }
 

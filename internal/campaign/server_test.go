@@ -185,15 +185,15 @@ func TestServerBackpressure429(t *testing.T) {
 
 	// Prime one live ad directly so the capacity gate is at its limit.
 	now := time.Now()
-	c, err := srv.Store().Create(validSpec("primer"), now)
+	c, err := srv.store.Create(validSpec("primer"), now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Store().mu.Lock()
-	cc := srv.Store().byID[c.ID]
+	srv.store.mu.Lock()
+	cc := srv.store.byID[c.ID]
 	cc.State = StateActive
 	cc.Ads = append(cc.Ads, &AdRecord{Seq: 1, IssuedAt: now, ExpiresAt: now.Add(time.Minute)})
-	srv.Store().mu.Unlock()
+	srv.store.mu.Unlock()
 
 	resp := postJSON(t, ts.URL+"/v1/campaigns", strings.ReplaceAll(specJSON, "%s", "throttled"))
 	defer resp.Body.Close()

@@ -232,9 +232,6 @@ func (n *Network) SetObserver(obs Observer) {
 	n.postObs, _ = obs.(PostponeObserver)
 }
 
-// Sim returns the simulator driving this network.
-func (n *Network) Sim() *sim.Simulator { return n.sim }
-
 // Channel returns the wireless channel.
 func (n *Network) Channel() *radio.Channel { return n.ch }
 
@@ -401,12 +398,6 @@ type Peer struct {
 	async *asyncPeerState
 }
 
-// ID returns the peer's index.
-func (p *Peer) ID() int { return p.id }
-
-// UserID returns the stable identity hashed into FM sketches.
-func (p *Peer) UserID() uint64 { return p.userID }
-
 // Cache returns the peer's advertisement cache.
 func (p *Peer) Cache() *ads.Cache { return p.cache }
 
@@ -417,10 +408,6 @@ func (p *Peer) SetInterests(keywords ...string) {
 		p.interests[k] = true
 	}
 }
-
-// Interests returns the peer's interest set (shared map; do not mutate), nil
-// when no interests are set.
-func (p *Peer) Interests() map[string]bool { return p.interests }
 
 // HasReceived reports whether the peer has ever heard the given ad.
 func (p *Peer) HasReceived(id ads.ID) bool {
@@ -476,12 +463,8 @@ func (p *Peer) markReceived(ad *ads.Advertisement) {
 		return
 	}
 	set[w] |= bit
-	if p.isRSU {
-		r := p.net.rsu
-		r.deliveries++
-		if r.obsDeliveries != nil {
-			r.obsDeliveries.Inc()
-		}
+	if p.isRSU && p.net.rsu.obsDeliveries != nil {
+		p.net.rsu.obsDeliveries.Inc()
 	}
 	p.net.obs.OnFirstReceive(p.id, ad, p.net.sim.Now())
 }

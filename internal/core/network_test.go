@@ -477,22 +477,22 @@ func TestDeterministicRuns(t *testing.T) {
 func TestPeerAccessors(t *testing.T) {
 	_, n := staticNet(t, testConfig(Gossip), line(2, 100))
 	p := n.Peer(1)
-	if p.ID() != 1 {
-		t.Errorf("ID = %d", p.ID())
+	if p.id != 1 {
+		t.Errorf("id = %d", p.id)
 	}
-	if p.UserID() == n.Peer(0).UserID() {
+	if p.userID == n.Peer(0).userID {
 		t.Error("user IDs collide")
 	}
 	p.SetInterests("petrol", "grocery")
-	if !p.Interests()["petrol"] || p.Interests()["parking"] {
+	if !p.interests["petrol"] || p.interests["parking"] {
 		t.Error("interest set wrong")
 	}
 	ad := &ads.Advertisement{Category: "grocery", R: 1, D: 1}
-	if !ad.MatchesAny(p.Interests()) {
+	if !ad.MatchesAny(p.interests) {
 		t.Error("Matches failed on matching category")
 	}
 	ad.Category = "parking"
-	if ad.MatchesAny(p.Interests()) {
+	if ad.MatchesAny(p.interests) {
 		t.Error("Matches succeeded on non-matching category")
 	}
 	if p.Position() != (geo.Point{X: 100, Y: 0}) {
@@ -501,7 +501,7 @@ func TestPeerAccessors(t *testing.T) {
 	if n.NumPeers() != 2 {
 		t.Errorf("NumPeers = %d", n.NumPeers())
 	}
-	if n.Sim() == nil || n.Channel() == nil {
+	if n.Channel() == nil {
 		t.Error("nil accessors")
 	}
 	if n.Config().Protocol != Gossip {
@@ -573,7 +573,9 @@ func (m shuttleModel) Position(t float64) geo.Point {
 
 func (m shuttleModel) Velocity(t float64) geo.Vec {
 	p := m.period()
-	dir := m.b.Sub(m.a).Unit().Scale(m.speed)
+	d := m.b.Sub(m.a)
+	l := d.Len()
+	dir := geo.Vec{X: d.X / l, Y: d.Y / l}.Scale(m.speed)
 	if int(t/p)%2 == 1 {
 		return dir.Scale(-1)
 	}

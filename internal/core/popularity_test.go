@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"instantad/internal/ads"
@@ -217,7 +218,7 @@ func TestDuplicateMergeIsDuplicateInsensitive(t *testing.T) {
 	if e.Ad.R != 600 || e.Ad.D != 700 {
 		t.Errorf("merge adopted wrong R/D: %v/%v", e.Ad.R, e.Ad.D)
 	}
-	if !e.Ad.Sketch.Equal(in.Sketch) {
+	if !reflect.DeepEqual(e.Ad.Sketch, in.Sketch) {
 		t.Error("sketch merge lost bits")
 	}
 }

@@ -29,9 +29,6 @@ type rsuState struct {
 	seen map[ads.ID]bool
 	live []*ads.Advertisement
 
-	syncs      uint64 // ads copied between RSUs over the backhaul
-	deliveries uint64 // first receptions at RSUs (any path: radio or backhaul)
-
 	obsSyncs      *obs.Counter
 	obsDeliveries *obs.Counter
 }
@@ -61,23 +58,6 @@ func (n *Network) RSUs() []int {
 		return nil
 	}
 	return n.rsu.ids
-}
-
-// RSUSyncs returns the number of ads copied between roadside units over the
-// wired backhaul so far.
-func (n *Network) RSUSyncs() uint64 {
-	if n.rsu == nil {
-		return 0
-	}
-	return n.rsu.syncs
-}
-
-// RSUDeliveries returns the number of first ad receptions at roadside units.
-func (n *Network) RSUDeliveries() uint64 {
-	if n.rsu == nil {
-		return 0
-	}
-	return n.rsu.deliveries
 }
 
 // InstrumentWith attaches the cache-overflow counters and the infrastructure
@@ -130,7 +110,6 @@ func (n *Network) rsuBackhaul() {
 			own := ad.Clone()
 			p.markReceived(own)
 			p.admit(own, false)
-			r.syncs++
 			if r.obsSyncs != nil {
 				r.obsSyncs.Inc()
 			}

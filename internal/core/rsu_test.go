@@ -37,18 +37,12 @@ func TestRSUBackhaulSync(t *testing.T) {
 	if n.Peer(1).Cache().Get(ads.ID{Issuer: 0, Seq: 0}) == nil {
 		t.Fatal("far RSU received but did not cache the ad")
 	}
-	if n.RSUSyncs() != 1 {
-		t.Fatalf("RSUSyncs = %d, want 1", n.RSUSyncs())
-	}
-	// Both units count as deliveries: the issuer self-delivers, the far unit
-	// hears over the backhaul.
-	if n.RSUDeliveries() != 2 {
-		t.Fatalf("RSUDeliveries = %d, want 2", n.RSUDeliveries())
-	}
 	snap := reg.Snapshot()
 	if got := snap.Counters["sim_rsu_syncs_total"]; got != 1 {
 		t.Fatalf("sim_rsu_syncs_total = %v, want 1", got)
 	}
+	// Both units count as deliveries: the issuer self-delivers, the far unit
+	// hears over the backhaul.
 	if got := snap.Counters["sim_rsu_deliveries_total"]; got != 2 {
 		t.Fatalf("sim_rsu_deliveries_total = %v, want 2", got)
 	}
@@ -121,13 +115,15 @@ func TestRSUNoBackhaulUnderFlooding(t *testing.T) {
 	cfg := testConfig(Flooding)
 	cfg.RSUPeers = []int{0, 1}
 	s, n := staticNet(t, cfg, []geo.Point{{X: 0, Y: 0}, {X: 5000, Y: 0}})
+	reg := obs.NewRegistry()
+	n.InstrumentWith(reg)
 	n.Start()
 	if _, err := n.IssueAd(0, AdSpec{R: 10000, D: 500, Category: "x"}); err != nil {
 		t.Fatal(err)
 	}
 	s.Run(3 * cfg.RoundTime)
-	if n.RSUSyncs() != 0 {
-		t.Fatalf("flooding ran the backhaul: %d syncs", n.RSUSyncs())
+	if got := reg.Snapshot().Counters["sim_rsu_syncs_total"]; got != 0 {
+		t.Fatalf("flooding ran the backhaul: %v syncs", got)
 	}
 }
 

@@ -54,15 +54,6 @@ func New(f, l int, seed uint64) *Sketch {
 	return &Sketch{f: f, l: l, bm: make([]uint64, f), seed: seed}
 }
 
-// F returns the number of independent bitmaps.
-func (s *Sketch) F() int { return s.f }
-
-// L returns the length in bits of each bitmap.
-func (s *Sketch) L() int { return s.l }
-
-// Seed returns the hash-family seed.
-func (s *Sketch) Seed() uint64 { return s.seed }
-
 // splitmix64 is a strong 64-bit finalizer used to derive per-sketch hashes.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
@@ -98,19 +89,6 @@ func (s *Sketch) Add(id uint64) bool {
 		}
 	}
 	return changed
-}
-
-// Contains reports whether adding id would leave the sketch unchanged.
-// Note this is one-sided: false means id was definitely never added; true
-// means the bits id maps to happen to be set (usually because it was added,
-// possibly due to collisions with other ids).
-func (s *Sketch) Contains(id uint64) bool {
-	for i := 0; i < s.f; i++ {
-		if s.bm[i]&(uint64(1)<<s.bitFor(i, id)) == 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // MinZero returns Min(FM_i): the position of the lowest zero bit of sketch i,
@@ -185,26 +163,6 @@ func (s *Sketch) Clone() *Sketch {
 	return c
 }
 
-// Reset clears all bitmaps.
-func (s *Sketch) Reset() {
-	for i := range s.bm {
-		s.bm[i] = 0
-	}
-}
-
-// Equal reports whether two sketches have identical shape, seed and bits.
-func (s *Sketch) Equal(other *Sketch) bool {
-	if other == nil || s.f != other.f || s.l != other.l || s.seed != other.seed {
-		return false
-	}
-	for i := range s.bm {
-		if s.bm[i] != other.bm[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // WireSize returns the serialized size in bytes: 2 header bytes (F, L), an
 // 8-byte seed, then F little-endian words of ⌈L/8⌉ bytes.
 func (s *Sketch) WireSize() int {
@@ -249,10 +207,4 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		s.bm[i] = binary.LittleEndian.Uint64(buf[:])
 	}
 	return nil
-}
-
-// StdErrBound returns the approximate relative standard error of the
-// estimate, ≈ 0.78/√F, useful for sizing F against a target accuracy.
-func StdErrBound(f int) float64 {
-	return 0.78 / math.Sqrt(float64(f))
 }

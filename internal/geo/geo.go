@@ -66,16 +66,6 @@ func (v Vec) Len() float64 { return math.Hypot(v.X, v.Y) }
 // Len2 returns the squared length of v.
 func (v Vec) Len2() float64 { return v.X*v.X + v.Y*v.Y }
 
-// Unit returns v normalized to length 1. The zero vector is returned
-// unchanged.
-func (v Vec) Unit() Vec {
-	l := v.Len()
-	if l == 0 {
-		return v
-	}
-	return Vec{v.X / l, v.Y / l}
-}
-
 // AngleBetween returns the angle in [0, π] between v and w. If either vector
 // is zero the angle is undefined and AngleBetween returns π/2, a neutral
 // value for the postponement formula (cos θ = 0).
@@ -110,11 +100,6 @@ func (r Rect) W() float64 { return r.Max.X - r.Min.X }
 // H returns the rectangle height.
 func (r Rect) H() float64 { return r.Max.Y - r.Min.Y }
 
-// Contains reports whether p lies inside r (inclusive of edges).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
 // Clamp returns p moved to the nearest point inside r.
 func (r Rect) Clamp(p Point) Point {
 	if p.X < r.Min.X {
@@ -145,9 +130,6 @@ type Circle struct {
 func (c Circle) Contains(p Point) bool {
 	return c.C.Dist2(p) <= c.R*c.R
 }
-
-// Area returns the disk area πR².
-func (c Circle) Area() float64 { return math.Pi * c.R * c.R }
 
 // LensArea returns the area of the intersection of two circles with radii r1
 // and r2 whose centers are d apart. It handles the disjoint and contained
@@ -193,11 +175,6 @@ func OverlapFraction(r, d float64) float64 {
 	}
 	return LensArea(r, r, d) / (math.Pi * r * r)
 }
-
-// MinOverlapFraction is the smallest possible transmission-area overlap
-// fraction between two peers that can hear each other with equal range
-// (separation exactly r): 2/3 − √3/(2π).
-const MinOverlapFraction = 2.0/3.0 - 0.27566444771089593 // √3/(2π)
 
 // SegmentCircleHit reports whether the segment from a to b intersects circle
 // c, and if so the earliest parameter f ∈ [0,1] at which the segment is

@@ -70,13 +70,6 @@ func TestVecOps(t *testing.T) {
 	if v.Len2() != 25 {
 		t.Errorf("Len2 = %v, want 25", v.Len2())
 	}
-	u := v.Unit()
-	if !almostEq(u.Len(), 1, 1e-12) {
-		t.Errorf("Unit length = %v, want 1", u.Len())
-	}
-	if z := (Vec{}).Unit(); z != (Vec{}) {
-		t.Errorf("Unit of zero = %v, want zero", z)
-	}
 	if d := v.Dot(Vec{-4, 3}); d != 0 {
 		t.Errorf("Dot perpendicular = %v, want 0", d)
 	}
@@ -120,12 +113,6 @@ func TestRect(t *testing.T) {
 	if r.W() != 100 || r.H() != 50 {
 		t.Fatalf("W/H = %v/%v", r.W(), r.H())
 	}
-	if !r.Contains(Point{0, 0}) || !r.Contains(Point{100, 50}) {
-		t.Error("edges should be contained")
-	}
-	if r.Contains(Point{-1, 0}) || r.Contains(Point{0, 51}) {
-		t.Error("outside points should not be contained")
-	}
 	if got := r.Clamp(Point{-5, 60}); got != (Point{0, 50}) {
 		t.Errorf("Clamp = %v, want (0,50)", got)
 	}
@@ -141,9 +128,6 @@ func TestCircleContains(t *testing.T) {
 	}
 	if c.Contains(Point{10.001, 0}) {
 		t.Error("outside should not be contained")
-	}
-	if !almostEq(c.Area(), math.Pi*100, 1e-9) {
-		t.Errorf("Area = %v", c.Area())
 	}
 }
 
@@ -179,9 +163,9 @@ func TestOverlapFraction(t *testing.T) {
 		t.Errorf("d=2r: %v, want 0", got)
 	}
 	// The paper's minimum for in-range peers: 2/3 − √3/(2π) ≈ 0.391.
-	got := OverlapFraction(250, 250)
-	if !almostEq(got, MinOverlapFraction, 1e-9) {
-		t.Errorf("d=r: %v, want %v", got, MinOverlapFraction)
+	got, want := OverlapFraction(250, 250), 2.0/3-math.Sqrt(3)/(2*math.Pi)
+	if !almostEq(got, want, 1e-9) {
+		t.Errorf("d=r: %v, want %v", got, want)
 	}
 	if got := OverlapFraction(0, 1); got != 0 {
 		t.Errorf("zero radius: %v, want 0", got)

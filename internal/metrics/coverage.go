@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"instantad/internal/ads"
 	"instantad/internal/geo"
 	"instantad/internal/obs"
 	"instantad/internal/roadnet"
@@ -19,8 +18,7 @@ import (
 // flags), never the radio's spatial snapshot, so enabling it cannot perturb
 // grid rebuild order or any RNG stream — determinism is untouched.
 type RoadCoverage struct {
-	pts   []roadnet.SamplePoint
-	total float64
+	pts []roadnet.SamplePoint
 
 	// Flat uniform grid over the sample points (CSR layout).
 	minX, minY float64
@@ -44,10 +42,9 @@ func NewRoadCoverage(g *roadnet.Graph, spacing float64) *RoadCoverage {
 	}
 	pts := g.SamplePoints(spacing)
 	rc := &RoadCoverage{
-		pts:   pts,
-		total: g.TotalLength(),
-		cell:  4 * spacing,
-		mark:  make([]uint32, len(pts)),
+		pts:  pts,
+		cell: 4 * spacing,
+		mark: make([]uint32, len(pts)),
 	}
 	b := g.Bounds()
 	rc.minX, rc.minY = b.Min.X, b.Min.Y
@@ -77,12 +74,6 @@ func NewRoadCoverage(g *roadnet.Graph, spacing float64) *RoadCoverage {
 	}
 	return rc
 }
-
-// NumPoints returns the number of road sample points.
-func (rc *RoadCoverage) NumPoints() int { return len(rc.pts) }
-
-// TotalLength returns the summed road length represented by the points.
-func (rc *RoadCoverage) TotalLength() float64 { return rc.total }
 
 // DistancesFrom precomputes each sample point's distance to origin, the
 // per-ad half of the Fraction query.
@@ -147,20 +138,11 @@ func (rc *RoadCoverage) Fraction(distToOrigin []float64, rt float64) (covered, t
 	return covered, target
 }
 
-// CoveragePoint is one sample of an ad's road-coverage trajectory: the
-// covered fraction of in-area road length at time T, alongside the ad's
-// cumulative broadcast budget — the coverage-vs-cost curve the urban VANET
-// coverage literature plots.
-type CoveragePoint struct {
-	T        float64 // simulation time of the sample
-	Fraction float64 // covered / target road length, 0–1
-	Messages uint64  // ad messages broadcast up to T
-}
-
 // EnableRoadCoverage attaches a road-coverage measurer to the collector: ads
-// issued afterwards get a coverage trajectory sampled on the collector's
-// cadence. reg (optional, may be nil) gains a sim_road_coverage gauge
-// reporting the latest covered fraction across live tracked ads.
+// issued afterwards have their coverage sampled on the collector's cadence
+// and its peak reported. reg (optional, may be nil) gains a
+// sim_road_coverage gauge reporting the latest covered fraction across live
+// tracked ads.
 func (c *Collector) EnableRoadCoverage(rc *RoadCoverage, reg *obs.Registry) {
 	c.roadCov = rc
 	if reg != nil {
@@ -170,17 +152,8 @@ func (c *Collector) EnableRoadCoverage(rc *RoadCoverage, reg *obs.Registry) {
 	}
 }
 
-// Coverage returns the sampled coverage trajectory for one ad (nil when road
-// coverage is disabled or the ad is unknown).
-func (c *Collector) Coverage(id ads.ID) []CoveragePoint {
-	if tr, ok := c.tracked[id]; ok {
-		return tr.coverage
-	}
-	return nil
-}
-
 // coverAd takes one coverage measurement for a live tracked ad.
-func (c *Collector) coverAd(tr *adTrack, now, rt float64) float64 {
+func (c *Collector) coverAd(tr *adTrack, rt float64) float64 {
 	rc := c.roadCov
 	rc.BeginMark()
 	tr.each(func(k, i int) {
@@ -193,7 +166,6 @@ func (c *Collector) coverAd(tr *adTrack, now, rt float64) float64 {
 	if target > 0 {
 		frac = covered / target
 	}
-	tr.coverage = append(tr.coverage, CoveragePoint{T: now, Fraction: frac, Messages: tr.messages})
 	if frac > tr.covPeak {
 		tr.covPeak = frac
 	}

@@ -60,7 +60,6 @@ type Collector struct {
 	totalBytes    uint64
 	duplicates    uint64
 	evictions     uint64
-	expirations   uint64
 	perPeerTx     []float64
 
 	// roadCov measures the urban road-coverage metric when enabled (see
@@ -108,12 +107,10 @@ type adTrack struct {
 	messages, bytes uint64
 
 	// Road-coverage state, populated only when the collector has a measurer:
-	// covDist caches each road sample point's distance to the ad origin,
-	// coverage is the sampled coverage-vs-budget trajectory and covPeak its
-	// running maximum.
-	covDist  []float64
-	coverage []CoveragePoint
-	covPeak  float64
+	// covDist caches each road sample point's distance to the ad origin and
+	// covPeak is the largest sampled coverage.
+	covDist []float64
+	covPeak float64
 }
 
 // has reports whether peer i is in the bit set s.
@@ -301,7 +298,6 @@ func (c *Collector) OnEvict(int, ads.ID, float64) {
 
 // OnExpire counts expiry drops.
 func (c *Collector) OnExpire(int, ads.ID, float64) {
-	c.expirations++
 	if c.obsExpirations != nil {
 		c.obsExpirations.Inc()
 	}
@@ -333,7 +329,7 @@ func (c *Collector) sample() {
 			continue
 		}
 		if c.roadCov != nil {
-			if frac := c.coverAd(tr, now, rt); frac > maxCov {
+			if frac := c.coverAd(tr, rt); frac > maxCov {
 				maxCov = frac
 			}
 		}
@@ -435,15 +431,6 @@ func (tr *adTrack) measure(id ads.ID) AdReport {
 	return rep
 }
 
-// TrackedIDs returns the ads this collector has seen issued.
-func (c *Collector) TrackedIDs() []ads.ID {
-	out := make([]ads.ID, 0, len(c.tracked))
-	for id := range c.tracked {
-		out = append(out, id)
-	}
-	return out
-}
-
 // TotalMessages returns the network-wide advertisement frame count.
 func (c *Collector) TotalMessages() uint64 { return c.totalMessages }
 
@@ -455,9 +442,6 @@ func (c *Collector) Duplicates() uint64 { return c.duplicates }
 
 // Evictions returns the count of cache evictions.
 func (c *Collector) Evictions() uint64 { return c.evictions }
-
-// Expirations returns the count of expiry drops.
-func (c *Collector) Expirations() uint64 { return c.expirations }
 
 // LoadGini returns the Gini coefficient of per-peer transmission counts:
 // 0 when every peer carried an equal share of the dissemination work,

@@ -230,8 +230,8 @@ func TestTrackedAdsGaugeCountsLiveAds(t *testing.T) {
 			t.Errorf("t = %v: sim_tracked_ads = %v, want %v", c.at, got, c.live)
 		}
 	}
-	if got := len(col.TrackedIDs()); got != 2 {
-		t.Errorf("TrackedIDs holds %d ads after both ended, want 2", got)
+	if got := len(col.tracked); got != 2 {
+		t.Errorf("tracked holds %d ads after both ended, want 2", got)
 	}
 }
 
@@ -265,6 +265,8 @@ func TestCountersAndAccessors(t *testing.T) {
 		mobility.NewStatic(geo.Point{X: 200, Y: 0}),
 	}
 	s, n, col := buildNet(t, models, coreConfig())
+	reg := obs.NewRegistry()
+	col.InstrumentWith(reg)
 	n.Start()
 	var issued *ads.Advertisement
 	s.Schedule(1, func() { issued, _ = n.IssueAd(0, core.AdSpec{R: 500, D: 100}) })
@@ -275,12 +277,11 @@ func TestCountersAndAccessors(t *testing.T) {
 	if col.Duplicates() == 0 {
 		t.Error("dense clump should produce duplicates")
 	}
-	if col.Expirations() == 0 {
+	if reg.Snapshot().Counters["sim_expirations_total"] == 0 {
 		t.Error("ad should have expired from caches")
 	}
-	ids := col.TrackedIDs()
-	if len(ids) != 1 || ids[0] != issued.ID {
-		t.Errorf("TrackedIDs = %v", ids)
+	if _, ok := col.tracked[issued.ID]; !ok || len(col.tracked) != 1 {
+		t.Errorf("tracked = %v, want only %v", col.tracked, issued.ID)
 	}
 	rep, _ := col.Report(issued.ID)
 	if rep.String() == "" {
@@ -419,6 +420,8 @@ func TestDeliveryTimePercentiles(t *testing.T) {
 		mobility.NewStatic(geo.Point{X: 200, Y: 0}),
 	}
 	s, n, col := buildNet(t, models, coreConfig())
+	reg := obs.NewRegistry()
+	col.InstrumentWith(reg)
 	n.Start()
 	var issued *ads.Advertisement
 	s.Schedule(1, func() { issued, _ = n.IssueAd(0, core.AdSpec{R: 500, D: 100}) })

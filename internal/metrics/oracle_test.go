@@ -18,11 +18,12 @@ import (
 
 // TestCollectorMatchesReference is the differential oracle: the Collector
 // and the full-sweep reference observe the same generated runs, and every
-// AdReport field, every coverage point and the delivery-time histogram must
-// agree bit for bit. The runs cross every mobility model with a small field
-// (every ad's ledger spans all peers) and a large one (compact ledgers), twice
-// each, and rotate through sample cadences, churn, an issuer going offline,
-// popularity enlargement, mixed radio ranges and roadside units.
+// AdReport field (road-coverage peak included) and the delivery-time
+// histogram must agree bit for bit. The runs cross every mobility model with
+// a small field (every ad's ledger spans all peers) and a large one (compact
+// ledgers), twice each, and rotate through sample cadences, churn, an issuer
+// going offline, popularity enlargement, mixed radio ranges and roadside
+// units.
 func TestCollectorMatchesReference(t *testing.T) {
 	cadences := []float64{0.5, 1, 3}
 	variant := 0

@@ -52,9 +52,8 @@ type refTrack struct {
 
 	messages, bytes uint64
 
-	covDist  []float64
-	coverage []metrics.CoveragePoint
-	covPeak  float64
+	covDist []float64
+	covPeak float64
 }
 
 // newRefCollector starts a reference collector ticking every sampleEvery
@@ -166,7 +165,6 @@ func (c *refCollector) coverAd(tr *refTrack, now, rt float64) {
 	if target > 0 {
 		frac = covered / target
 	}
-	tr.coverage = append(tr.coverage, metrics.CoveragePoint{T: now, Fraction: frac, Messages: tr.messages})
 	if frac > tr.covPeak {
 		tr.covPeak = frac
 	}
@@ -203,14 +201,14 @@ func (c *refCollector) entryTime(id ads.ID, peer int) (float64, bool) {
 	return tr.enterTime[peer], tr.entered[peer]
 }
 
-// diffReports compares every field of the Collector's report and coverage
-// trajectory for each of the reference's ads, floats by their bits.
+// diffReports compares every field of the Collector's report for each of the
+// reference's ads, floats by their bits.
 func diffReports(t *testing.T, col *metrics.Collector, ref *refCollector) {
 	t.Helper()
 	if len(ref.tracked) == 0 {
 		t.Fatal("no ad was tracked: the comparison is empty")
 	}
-	if got, want := len(col.TrackedIDs()), len(ref.tracked); got != want {
+	if got, want := col.NumTracked(), len(ref.tracked); got != want {
 		t.Fatalf("collector tracks %d ads, reference %d", got, want)
 	}
 	for id := range ref.tracked {
@@ -221,18 +219,6 @@ func diffReports(t *testing.T, col *metrics.Collector, ref *refCollector) {
 		want := ref.report(id)
 		if g, w := reportBits(got), reportBits(want); g != w {
 			t.Errorf("%v:\n got %s\nwant %s", id, g, w)
-		}
-		gc, wc := col.Coverage(id), ref.tracked[id].coverage
-		if len(gc) != len(wc) {
-			t.Errorf("%v: %d coverage points, want %d", id, len(gc), len(wc))
-			continue
-		}
-		for k := range wc {
-			if gc[k].T != wc[k].T || gc[k].Messages != wc[k].Messages ||
-				math.Float64bits(gc[k].Fraction) != math.Float64bits(wc[k].Fraction) {
-				t.Errorf("%v: coverage point %d = %+v, want %+v", id, k, gc[k], wc[k])
-				break
-			}
 		}
 	}
 }

@@ -142,21 +142,6 @@ func (tr *trajectory) Velocity(t float64) geo.Vec {
 	return tr.legs[tr.locate(t)].velocity()
 }
 
-// Waypoints returns the corner points of the trajectory, mostly for tests
-// and trace output.
-func (tr *trajectory) Waypoints() []geo.Point {
-	if len(tr.legs) == 0 {
-		return nil
-	}
-	pts := []geo.Point{tr.legs[0].from}
-	for _, l := range tr.legs {
-		if l.to != pts[len(pts)-1] {
-			pts = append(pts, l.to)
-		}
-	}
-	return pts
-}
-
 // RandomWaypointConfig parameterizes the Random Waypoint model.
 type RandomWaypointConfig struct {
 	Field      geo.Rect // movement area

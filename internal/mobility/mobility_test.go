@@ -57,7 +57,7 @@ func TestRandomWaypointInBounds(t *testing.T) {
 		}
 		for tt := -10.0; tt < cfg.Horizon+100; tt += 3.3 {
 			p := m.Position(tt)
-			if !cfg.Field.Contains(p) {
+			if cfg.Field.Clamp(p) != p {
 				t.Fatalf("seed %d: position %v at t=%v outside field", seed, p, tt)
 			}
 		}
@@ -167,7 +167,7 @@ func TestRandomWalkInBoundsAndContinuous(t *testing.T) {
 		prev := m.Position(0)
 		for tt := 0.0; tt < cfg.Horizon; tt += 0.5 {
 			p := m.Position(tt)
-			if !cfg.Field.Contains(p) {
+			if cfg.Field.Clamp(p) != p {
 				t.Fatalf("seed %d: %v at t=%v outside field", seed, p, tt)
 			}
 			if d := p.Dist(prev); d > cfg.MaxSpeed()*0.5+1e-6 {
@@ -207,7 +207,7 @@ func TestManhattanOnGrid(t *testing.T) {
 	}
 	for tt := 0.0; tt < cfg.Horizon; tt += 0.7 {
 		p := m.Position(tt)
-		if !cfg.Field.Contains(p) {
+		if cfg.Field.Clamp(p) != p {
 			t.Fatalf("%v at t=%v outside field", p, tt)
 		}
 		// A Manhattan position must be on a horizontal or vertical street.
@@ -237,21 +237,6 @@ func TestStatic(t *testing.T) {
 		}
 		if m.Velocity(tt) != (geo.Vec{}) {
 			t.Fatalf("static has velocity at t=%v", tt)
-		}
-	}
-}
-
-func TestWaypointsAccessor(t *testing.T) {
-	cfg := rwpCfg()
-	m, _ := NewRandomWaypoint(cfg, rng.New(8))
-	tr := m.(*trajectory)
-	wps := tr.Waypoints()
-	if len(wps) < 2 {
-		t.Fatalf("only %d waypoints for a 2000 s trajectory", len(wps))
-	}
-	for _, p := range wps {
-		if !cfg.Field.Contains(p) {
-			t.Fatalf("waypoint %v outside field", p)
 		}
 	}
 }

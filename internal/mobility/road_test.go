@@ -26,15 +26,10 @@ func TestRoadLegProperties(t *testing.T) {
 	g := roadTestGraph(t)
 	cfg := RoadConfig{Graph: g, SpeedMean: 12, SpeedDelta: 4, Pause: 3, Horizon: 1200}
 
-	// onRoad reports whether (a, b) is an edge of g.
+	// onRoad reports whether (a, b) is an edge of g: two intersections of
+	// the 150 m grid one spacing apart.
 	onRoad := func(a, b geo.Point) bool {
-		for _, e := range g.Edges() {
-			pa, pb := g.Pos(e.A), g.Pos(e.B)
-			if (pa == a && pb == b) || (pa == b && pb == a) {
-				return true
-			}
-		}
-		return false
+		return g.Pos(g.NearestNode(a)) == a && g.Pos(g.NearestNode(b)) == b && a.Dist(b) == 150
 	}
 
 	for seed := uint64(1); seed <= 20; seed++ {
@@ -122,7 +117,7 @@ func TestRoadPositionsStayOnGraphBounds(t *testing.T) {
 	}
 	b := g.Bounds()
 	for tt := 0.0; tt <= 500; tt += 7.7 {
-		if p := m.Position(tt); !b.Contains(p) {
+		if p := m.Position(tt); b.Clamp(p) != p {
 			t.Fatalf("position %v at t=%v outside road bounds %+v", p, tt, b)
 		}
 	}

@@ -74,7 +74,7 @@ func TestRPGMInBoundsAndContinuous(t *testing.T) {
 		prev := m.Position(0)
 		for tt := 0.5; tt < cfg.Horizon; tt += 0.5 {
 			p := m.Position(tt)
-			if !cfg.Field.Contains(p) {
+			if cfg.Field.Clamp(p) != p {
 				t.Fatalf("position %v outside field at t=%v", p, tt)
 			}
 			if d := p.Dist(prev); d > vmax*0.5+1e-6 {

@@ -163,9 +163,10 @@ func runMemnetSoak(tb testing.TB, timeout time.Duration) soakResult {
 		res.digestHits += s.DigestHits
 		res.pulledAds += s.PulledAds
 		res.batchesSent += s.BatchesSent
-		if c := n.batchAds.Count(); c > 0 {
-			res.avgBatchAds += n.batchAds.Sum() / float64(c) / float64(soakNodes)
-			res.avgBatchBytes += n.batchBytes.Sum() / float64(n.batchBytes.Count()) / float64(soakNodes)
+		// One batch-size observation per batch frame sent.
+		if c := float64(s.BatchesSent); c > 0 {
+			res.avgBatchAds += n.batchAds.Sum() / c / float64(soakNodes)
+			res.avgBatchBytes += n.batchBytes.Sum() / c / float64(soakNodes)
 		}
 	}
 	return res

@@ -10,8 +10,8 @@
 // it can be reached at) to everyone it currently knows, seeds included while
 // it knows nobody. Receivers feed beacons into a Table; entries that stop
 // being refreshed age out after a TTL, which is the layer's failure
-// detector. The node layer (internal/node) wires Table events to AddPeer and
-// RemovePeer so the peer set tracks the live, reachable neighborhood.
+// detector. The node layer (internal/node) adds and drops peers on Table
+// events so the peer set tracks the live, reachable neighborhood.
 package discovery
 
 import (
@@ -204,9 +204,6 @@ func NewTable(ttl time.Duration) *Table {
 	return &Table{ttl: ttl, m: make(map[uint32]*Neighbor)}
 }
 
-// TTL returns the table's expiry window.
-func (t *Table) TTL() time.Duration { return t.ttl }
-
 // InstrumentWith registers the table's discovery_* instruments in reg and
 // starts feeding them: event counters, a live-neighbor gauge, and a
 // beacon-interarrival histogram (how regularly neighbors are actually heard
@@ -271,7 +268,7 @@ func (t *Table) Observe(b Beacon, now time.Time) (ev Event, prevAddr string) {
 }
 
 // Sweep removes every neighbor not heard from within the TTL and returns the
-// expired entries (for the caller to RemovePeer). Call it on the gossip
+// expired entries (for the caller to drop as peers). Call it on the gossip
 // round, like the seen-set prune.
 func (t *Table) Sweep(now time.Time) []Neighbor {
 	t.mu.Lock()
@@ -288,15 +285,6 @@ func (t *Table) Sweep(now time.Time) []Neighbor {
 	}
 	sort.Slice(expired, func(i, j int) bool { return expired[i].ID < expired[j].ID })
 	return expired
-}
-
-// Remove drops one neighbor by ID, reporting whether it existed.
-func (t *Table) Remove(id uint32) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	_, ok := t.m[id]
-	delete(t.m, id)
-	return ok
 }
 
 // Get returns a copy of the neighbor with the given ID.

@@ -241,14 +241,3 @@ func TestTableSnapshotSortedAndCopied(t *testing.T) {
 		t.Error("snapshot aliases table storage")
 	}
 }
-
-func TestTableRemove(t *testing.T) {
-	tab := NewTable(time.Second)
-	tab.Observe(sampleBeacon(), time.Now())
-	if !tab.Remove(7) {
-		t.Error("remove missed existing neighbor")
-	}
-	if tab.Remove(7) {
-		t.Error("remove reported a vanished neighbor")
-	}
-}

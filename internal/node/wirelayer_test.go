@@ -85,7 +85,7 @@ func TestPruneSweepsAtExpiry(t *testing.T) {
 }
 
 // TestDetachedPeerHealthFrozen pins the removed-peer contract: a peerState
-// detached by RemovePeer must not accumulate health, trip backoff, or emit
+// detached by removePeer must not accumulate health, trip backoff, or emit
 // events from sends that still hold a pre-removal snapshot.
 func TestDetachedPeerHealthFrozen(t *testing.T) {
 	n, err := New(testConfig(1, geo.Point{}))
@@ -99,7 +99,7 @@ func TestDetachedPeerHealthFrozen(t *testing.T) {
 	n.mu.Lock()
 	p := n.peers[0]
 	n.mu.Unlock()
-	if !n.RemovePeer("127.0.0.1:9") {
+	if !n.removePeer("127.0.0.1:9") {
 		t.Fatal("peer not removed")
 	}
 	if !p.detached.Load() {
@@ -152,7 +152,7 @@ func TestRemovePeerDuringBroadcastRace(t *testing.T) {
 			default:
 			}
 			_ = n.AddPeer("127.0.0.1:9")
-			n.RemovePeer("127.0.0.1:9")
+			n.removePeer("127.0.0.1:9")
 		}
 	}()
 	for i := 0; i < 300; i++ {
@@ -185,7 +185,7 @@ func TestBatchedGossipDelivery(t *testing.T) {
 				}
 			}
 		}
-		return nodes[0].batchAds.Sum() > float64(nodes[0].batchAds.Count()) && nodes[1].Stats().BatchesRecv > 0
+		return nodes[0].batchAds.Sum() > float64(nodes[0].Stats().BatchesSent) && nodes[1].Stats().BatchesRecv > 0
 	}) {
 		t.Fatalf("no batched convergence; stats: %+v / %+v", nodes[0].Stats(), nodes[1].Stats())
 	}

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -52,18 +51,6 @@ type Gauge struct {
 
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds delta to the gauge (a CAS loop; gauges are not contended on hot
-// paths in this codebase).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
 
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
@@ -100,9 +87,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Quantile estimates the q-quantile (0 < q ≤ 1) from the bucket counts by
 // linear interpolation inside the bucket that holds the target rank — the
@@ -152,9 +136,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
-
-// Bounds returns the histogram's upper bounds (without +Inf).
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
 
 // snapshotBuckets returns the per-bucket (non-cumulative) counts, the +Inf
 // bucket last.
@@ -331,32 +312,6 @@ func (r *Registry) instruments() []*instrument {
 	return append([]*instrument(nil), r.order...)
 }
 
-// Reset zeroes every registered instrument in place: counters and gauges go
-// back to 0, histogram buckets, counts and sums clear. Registrations — and
-// every instrument pointer wiring code holds — stay valid, so a long-lived
-// embedder sharing one registry across consecutive runs can scrub values
-// without re-wiring. GaugeFunc instruments recompute on exposition and are
-// untouched; if their closure captures per-run state the embedder must also
-// swap that state (or, better, build a fresh registry per run as
-// experiment.Scenario.Build does). Not safe concurrently with hot-path
-// writes; call it between runs.
-func (r *Registry) Reset() {
-	for _, in := range r.instruments() {
-		switch in.kind {
-		case kindCounter:
-			in.counter.v.Store(0)
-		case kindGauge:
-			in.gauge.Set(0)
-		case kindHistogram:
-			for i := range in.hist.counts {
-				in.hist.counts[i].Store(0)
-			}
-			in.hist.count.Store(0)
-			in.hist.sum.Store(0)
-		}
-	}
-}
-
 // gaugeValue evaluates a gauge instrument of either flavor.
 func (in *instrument) gaugeValue() float64 {
 	if in.kind == kindGaugeFunc && in.gaugeFunc != nil {
@@ -391,46 +346,6 @@ type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters,omitempty"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-}
-
-// HistogramQuantile estimates the q-quantile of a named histogram in the
-// snapshot, with the same interpolation as Histogram.Quantile. The second
-// result is false when the snapshot has no histogram of that name or it has
-// no observations.
-func (s Snapshot) HistogramQuantile(name string, q float64) (float64, bool) {
-	hs, ok := s.Histograms[name]
-	if !ok || hs.Count == 0 || q <= 0 {
-		return 0, false
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(hs.Count)
-	lo, lastFinite := 0.0, 0.0
-	var prevCum uint64
-	for _, b := range hs.Buckets {
-		hi, isInf := math.Inf(1), true
-		if b.Le != "+Inf" {
-			v, err := strconv.ParseFloat(b.Le, 64)
-			if err != nil {
-				return 0, false
-			}
-			hi, isInf = v, false
-			lastFinite = v
-		}
-		if float64(b.Count) >= rank && b.Count > prevCum {
-			if isInf {
-				return lastFinite, true
-			}
-			frac := (rank - float64(prevCum)) / float64(b.Count-prevCum)
-			return lo + (hi-lo)*frac, true
-		}
-		if !isInf {
-			lo = hi
-		}
-		prevCum = b.Count
-	}
-	return lastFinite, true
 }
 
 // Snapshot captures every instrument's current value.

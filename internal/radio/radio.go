@@ -1028,9 +1028,6 @@ func (c *Channel) OverlapWith(i, j int) float64 {
 	return geo.LensArea(ri, rj, d) / (math.Pi * rj * rj)
 }
 
-// Range returns the configured transmission range.
-func (c *Channel) Range() float64 { return c.cfg.Range }
-
 // MaxRange returns the largest transmission range of any node.
 func (c *Channel) MaxRange() float64 { return c.maxRange }
 

@@ -433,12 +433,13 @@ func TestOverlapWithAndDistance(t *testing.T) {
 	if d := ch.DistanceBetween(0, 1); d != 250 {
 		t.Errorf("distance = %v", d)
 	}
-	p := ch.OverlapWith(0, 1)
-	if p < geo.MinOverlapFraction-1e-9 || p > geo.MinOverlapFraction+1e-9 {
-		t.Errorf("overlap = %v, want %v", p, geo.MinOverlapFraction)
+	// Peers exactly one range apart overlap by the paper's minimum,
+	// 2/3 − √3/(2π).
+	if p, want := ch.OverlapWith(0, 1), 2.0/3-math.Sqrt(3)/(2*math.Pi); math.Abs(p-want) > 1e-9 {
+		t.Errorf("overlap = %v, want %v", p, want)
 	}
-	if ch.Range() != 250 {
-		t.Errorf("Range = %v", ch.Range())
+	if ch.cfg.Range != 250 {
+		t.Errorf("Range = %v", ch.cfg.Range)
 	}
 }
 

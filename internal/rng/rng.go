@@ -134,18 +134,6 @@ func (s *Stream) Bool(p float64) bool {
 	return s.Float64() < p
 }
 
-// Norm returns a normally distributed value with the given mean and standard
-// deviation, using the Box–Muller transform.
-func (s *Stream) Norm(mean, stddev float64) float64 {
-	u1 := s.Float64()
-	for u1 == 0 {
-		u1 = s.Float64()
-	}
-	u2 := s.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
-}
-
 // Exp returns an exponentially distributed value with the given rate λ > 0.
 func (s *Stream) Exp(rate float64) float64 {
 	u := s.Float64()

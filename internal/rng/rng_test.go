@@ -168,25 +168,6 @@ func TestBool(t *testing.T) {
 	}
 }
 
-func TestNorm(t *testing.T) {
-	s := New(19)
-	const n = 100000
-	var sum, sum2 float64
-	for i := 0; i < n; i++ {
-		v := s.Norm(10, 2)
-		sum += v
-		sum2 += v * v
-	}
-	mean := sum / n
-	variance := sum2/n - mean*mean
-	if math.Abs(mean-10) > 0.05 {
-		t.Errorf("mean = %v, want ≈10", mean)
-	}
-	if math.Abs(math.Sqrt(variance)-2) > 0.05 {
-		t.Errorf("stddev = %v, want ≈2", math.Sqrt(variance))
-	}
-}
-
 func TestExp(t *testing.T) {
 	s := New(23)
 	const n = 100000

@@ -1,8 +1,8 @@
 // Package roadnet models a road network as an undirected geometric graph:
 // nodes are intersections with coordinates in meters, edges are straight
 // road segments weighted by their euclidean length. It provides the
-// edge-list import/export format road scenarios are described in, synthetic
-// grid/ring generators for tests and default urban scenarios, deterministic
+// edge-list import/export format road scenarios are described in, a synthetic
+// grid generator for tests and default urban scenarios, deterministic
 // shortest-path routing for the graph-constrained mobility model, and the
 // roadside-unit placement strategies used by experiment scenarios.
 //
@@ -57,7 +57,7 @@ type halfEdge struct {
 }
 
 // Graph is an immutable road network. Build one with NewGraph, Parse/Load,
-// or the Grid/Ring generators.
+// or the Grid generator.
 type Graph struct {
 	pos   []geo.Point
 	edges []Edge
@@ -130,19 +130,8 @@ func (g *Graph) M() int { return len(g.edges) }
 // Pos returns node i's position.
 func (g *Graph) Pos(i int) geo.Point { return g.pos[i] }
 
-// Edges returns the edge list (shared slice; do not mutate).
-func (g *Graph) Edges() []Edge { return g.edges }
-
 // Degree returns the number of roads meeting at node i.
 func (g *Graph) Degree(i int) int { return len(g.adj[i]) }
-
-// Neighbors appends node i's neighbors (ascending id) to dst.
-func (g *Graph) Neighbors(dst []int, i int) []int {
-	for _, h := range g.adj[i] {
-		dst = append(dst, int(h.to))
-	}
-	return dst
-}
 
 // TotalLength returns the summed length of all road segments, meters.
 func (g *Graph) TotalLength() float64 { return g.total }
@@ -307,25 +296,6 @@ func Grid(cols, rows int, spacing float64) (*Graph, error) {
 				pairs = append(pairs, [2]int{id, id + cols})
 			}
 		}
-	}
-	return NewGraph(pos, pairs)
-}
-
-// Ring builds an n-node ring road of the given radius, centered at
-// (radius, radius) so all coordinates stay non-negative.
-func Ring(n int, radius float64) (*Graph, error) {
-	if n < 3 {
-		return nil, fmt.Errorf("roadnet: ring needs >= 3 nodes, got %d", n)
-	}
-	if radius <= 0 || !finite(radius) {
-		return nil, fmt.Errorf("roadnet: non-positive ring radius %v", radius)
-	}
-	pos := make([]geo.Point, n)
-	pairs := make([][2]int, n)
-	for i := 0; i < n; i++ {
-		ang := 2 * math.Pi * float64(i) / float64(n)
-		pos[i] = geo.Point{X: radius * (1 + math.Cos(ang)), Y: radius * (1 + math.Sin(ang))}
-		pairs[i] = [2]int{i, (i + 1) % n}
 	}
 	return NewGraph(pos, pairs)
 }

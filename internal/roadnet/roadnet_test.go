@@ -36,21 +36,6 @@ func TestGridShape(t *testing.T) {
 	}
 }
 
-func TestRingShape(t *testing.T) {
-	g, err := Ring(8, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N() != 8 || g.M() != 8 {
-		t.Fatalf("ring: %d nodes %d edges, want 8/8", g.N(), g.M())
-	}
-	for i := 0; i < g.N(); i++ {
-		if g.Degree(i) != 2 {
-			t.Fatalf("ring node %d degree %d, want 2", i, g.Degree(i))
-		}
-	}
-}
-
 func TestShortestPathOnGrid(t *testing.T) {
 	g, err := Grid(5, 5, 100)
 	if err != nil {
@@ -69,11 +54,9 @@ func TestShortestPathOnGrid(t *testing.T) {
 	}
 	// Consecutive path nodes must be road neighbors.
 	for i := 1; i < len(path); i++ {
-		var nbrs []int
-		nbrs = g.Neighbors(nbrs, path[i-1])
 		found := false
-		for _, nb := range nbrs {
-			if nb == path[i] {
+		for _, h := range g.adj[path[i-1]] {
+			if int(h.to) == path[i] {
 				found = true
 			}
 		}
@@ -125,8 +108,8 @@ func TestParseRoundTrip(t *testing.T) {
 			t.Fatalf("node %d moved: %v vs %v", i, back.Pos(i), g.Pos(i))
 		}
 	}
-	if !reflect.DeepEqual(back.Edges(), g.Edges()) {
-		t.Fatalf("edges changed: %v vs %v", back.Edges(), g.Edges())
+	if !reflect.DeepEqual(back.edges, g.edges) {
+		t.Fatalf("edges changed: %v vs %v", back.edges, g.edges)
 	}
 }
 
@@ -157,8 +140,8 @@ func TestParseOrderIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.N() != 2 || g.M() != 1 || g.Edges()[0].Length != 100 {
-		t.Fatalf("graph = %d nodes %d edges %v", g.N(), g.M(), g.Edges())
+	if g.N() != 2 || g.M() != 1 || g.edges[0].Length != 100 {
+		t.Fatalf("graph = %d nodes %d edges %v", g.N(), g.M(), g.edges)
 	}
 }
 
@@ -171,7 +154,7 @@ func TestSamplePointsWeights(t *testing.T) {
 	var sum float64
 	for _, sp := range pts {
 		sum += sp.W
-		if !g.Bounds().Contains(sp.P) {
+		if g.Bounds().Clamp(sp.P) != sp.P {
 			t.Fatalf("sample point %v outside bounds", sp.P)
 		}
 	}

@@ -69,7 +69,7 @@ func BenchmarkRescheduleDeep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := events[next()%depth]
-		s.Reschedule(e, e.Time()+float64(1+next()%8))
+		s.Reschedule(e, e.time+float64(1+next()%8))
 	}
 }
 

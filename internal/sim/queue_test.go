@@ -336,7 +336,7 @@ func TestRescheduleInvalidTimePanics(t *testing.T) {
 				s.Reschedule(e, at)
 			}()
 		}
-		if s.Pending() != 20 || events[3].Time() != 1+(3*7)%10 || fired.Pending() {
+		if s.Pending() != 20 || events[3].time != 1+(3*7)%10 || fired.Pending() {
 			t.Fatalf("rejected Reschedule(%v) changed the queue: pending=%d", at, s.Pending())
 		}
 		s.RunAll()

@@ -37,12 +37,6 @@ type Event struct {
 // Event.index below zero: not queued, or inBucket - b in calendar bucket b.
 const notQueued, inBucket = -1, -2
 
-// Time returns the instant the event is (or was) scheduled for.
-func (e *Event) Time() float64 { return e.time }
-
-// Cancelled reports whether the event has been cancelled.
-func (e *Event) Cancelled() bool { return e.canned }
-
 // Pending reports whether the event is still in the queue awaiting dispatch.
 func (e *Event) Pending() bool { return e.index != notQueued && !e.canned }
 
@@ -170,7 +164,6 @@ type Simulator struct {
 	seq        uint64
 	queue      eventQueue
 	dispatched uint64
-	stopped    bool
 	free       []*Event // recycled pooled events (see SchedulePooled)
 
 	// The slot calendar: bucket slot&calMask holds that slot's events in seq
@@ -295,8 +288,8 @@ func (s *Simulator) SetSlotWidth(w float64) {
 // ScheduleSlot enqueues fn at slot's instant (see SetSlotWidth). The slot
 // events that share an instant run as one batch: the prepare hook (see
 // SetBatchPrepare) once, then each event in scheduling (seq) order, exactly
-// as plain events would run. Time validation, FIFO tie-breaking, Cancel and
-// Stop behave as for Schedule; RescheduleSlot moves the event, and it stays a
+// as plain events would run. Time validation, FIFO tie-breaking and Cancel
+// behave as for Schedule; RescheduleSlot moves the event, and it stays a
 // slot event wherever it is moved.
 func (s *Simulator) ScheduleSlot(slot int64, fn func()) *Event {
 	if fn == nil {
@@ -404,20 +397,15 @@ func (s *Simulator) Reschedule(e *Event, at float64) {
 	s.enqueue(e)
 }
 
-// Stop makes the current Run return after the event being dispatched.
-func (s *Simulator) Stop() { s.stopped = true }
-
 // Run dispatches events in time order until the queue empties or the next
 // event lies strictly beyond until; then the clock is set to until, so
-// repeated Runs advance monotonically. When Stop ends the run early the clock
-// stays at the stopped event's time. A NaN until panics: no event time
+// repeated Runs advance monotonically. A NaN until panics: no event time
 // compares greater, so the run would ignore its horizon. +Inf is RunAll.
 func (s *Simulator) Run(until float64) {
 	if math.IsNaN(until) {
 		panic("sim: Run until NaN")
 	}
-	s.stopped = false
-	for !s.stopped {
+	for {
 		next := s.head(until)
 		if next == nil || next.time > until {
 			break
@@ -439,7 +427,7 @@ func (s *Simulator) Run(until float64) {
 		}
 		fn()
 	}
-	if !s.stopped && s.now < until && !math.IsInf(until, 1) {
+	if s.now < until && !math.IsInf(until, 1) {
 		s.now = until
 	}
 }
@@ -447,8 +435,8 @@ func (s *Simulator) Run(until float64) {
 // runBatch dispatches the slot events at first's instant, first included:
 // the prepare hook once, then each event as it reaches the head, in seq order.
 // One that an earlier event cancelled or moved is simply no longer there. A
-// plain event at the same instant, or Stop, ends the batch, so the global
-// dispatch order stays (time, seq).
+// plain event at the same instant ends the batch, so the global dispatch
+// order stays (time, seq).
 func (s *Simulator) runBatch(first *Event) {
 	t := first.time
 	s.now = t
@@ -466,7 +454,7 @@ func (s *Simulator) runBatch(first *Event) {
 		mark = now
 	}
 	n := 0
-	for e := first; e != nil && e.slot && e.time == t && !s.stopped; e = s.head(t) {
+	for e := first; e != nil && e.slot && e.time == t; e = s.head(t) {
 		s.unlink(e)
 		s.dispatched++
 		n++
@@ -481,8 +469,8 @@ func (s *Simulator) runBatch(first *Event) {
 	}
 }
 
-// RunAll dispatches events until the queue is empty or Stop is called; a
-// self-rescheduling timer makes it loop forever.
+// RunAll dispatches events until the queue is empty; a self-rescheduling
+// timer makes it loop forever.
 func (s *Simulator) RunAll() {
 	s.Run(math.Inf(1))
 }

@@ -113,7 +113,7 @@ func TestCancel(t *testing.T) {
 		t.Error("event not pending after schedule")
 	}
 	s.Cancel(e)
-	if e.Pending() || !e.Cancelled() {
+	if e.Pending() || !e.canned {
 		t.Error("event state wrong after cancel")
 	}
 	s.Cancel(e) // idempotent
@@ -168,22 +168,6 @@ func TestRescheduleCancelled(t *testing.T) {
 	s.RunAll()
 	if !fired {
 		t.Error("rescheduled-after-cancel event did not fire")
-	}
-}
-
-func TestStop(t *testing.T) {
-	s := New()
-	fired := 0
-	s.Schedule(1, func() { fired++; s.Stop() })
-	s.Schedule(2, func() { fired++ })
-	s.Run(10)
-	if fired != 1 {
-		t.Errorf("fired = %d, want 1 (stopped)", fired)
-	}
-	// Clock does not jump to until after Stop... it should remain at the
-	// stop point so callers can observe where the run halted.
-	if s.Now() != 10 && s.Now() != 1 {
-		t.Errorf("unexpected clock %v", s.Now())
 	}
 }
 
@@ -336,51 +320,8 @@ func TestRandomCancelConsistencyProperty(t *testing.T) {
 	}
 }
 
-// TestRunStopFreezesClock is the regression test for the Stop clock bug:
-// Run used to set now = until even when Stop() ended the run early,
-// contradicting the documented "clock finishes at min(until, last event
-// time)" contract.
-func TestRunStopFreezesClock(t *testing.T) {
-	s := New()
-	lateFired := false
-	s.Schedule(3, func() { s.Stop() })
-	s.Schedule(7, func() { lateFired = true })
-	s.Run(100)
-	if got := s.Now(); got != 3 {
-		t.Fatalf("clock after Stop = %v, want 3 (the stopped event's time)", got)
-	}
-	if lateFired {
-		t.Fatal("event past the Stop point dispatched in the stopped run")
-	}
-	if s.Pending() != 1 {
-		t.Fatalf("pending after Stop = %d, want 1", s.Pending())
-	}
-	// A later Run resumes from the frozen clock and completes normally,
-	// including the drain-to-until behavior.
-	s.Run(100)
-	if !lateFired {
-		t.Fatal("resumed run skipped the remaining event")
-	}
-	if got := s.Now(); got != 100 {
-		t.Fatalf("clock after resumed run = %v, want 100", got)
-	}
-}
-
-// TestRunStopFreezesClockInfinite checks the RunAll flavor: a stop during
-// RunAll must leave the clock at the stopping event, not at +Inf (that was
-// already true — the +Inf guard — but pin it alongside the finite case).
-func TestRunStopFreezesClockInfinite(t *testing.T) {
-	s := New()
-	s.Schedule(5, func() { s.Stop() })
-	s.RunAll()
-	if got := s.Now(); got != 5 {
-		t.Fatalf("clock after Stop in RunAll = %v, want 5", got)
-	}
-}
-
-// TestRunDrainStillAdvancesClock guards the other half of the Run contract
-// after the Stop fix: with no Stop, a drained queue still advances the
-// clock to until (and never to +Inf).
+// TestRunDrainStillAdvancesClock guards the Run contract: a drained queue
+// advances the clock to until (and never to +Inf).
 func TestRunDrainStillAdvancesClock(t *testing.T) {
 	s := New()
 	s.Schedule(2, func() {})
@@ -400,9 +341,7 @@ func TestRunDrainStillAdvancesClock(t *testing.T) {
 
 // TestBatchContract checks the batch contract on a single instant, for a
 // narrow batch and a wide one: the prepare hook runs once, before the first
-// event, and the events run in scheduling (seq) order. Stop from inside the
-// batch returns after that event, as it does for plain events; the next Run
-// resumes the rest as a new batch, behind a fresh prepare.
+// event, and the events run in scheduling (seq) order.
 func TestBatchContract(t *testing.T) {
 	for _, n := range []int{3, 300} {
 		s := New()
@@ -410,30 +349,18 @@ func TestBatchContract(t *testing.T) {
 		preps := 0
 		s.SetBatchPrepare(func() { preps++ })
 		var ran []int
-		stopAt := n / 2
 		for i := 0; i < n; i++ {
 			i := i
 			s.ScheduleSlot(1, func() {
-				want := 1 // the resumed batch has its own prepare
-				if i > stopAt {
-					want = 2
-				}
-				if preps != want {
-					t.Errorf("n=%d: event %d ran after %d prepares, want %d", n, i, preps, want)
+				if preps != 1 {
+					t.Errorf("n=%d: event %d ran after %d prepares, want 1", n, i, preps)
 				}
 				ran = append(ran, i)
-				if i == stopAt {
-					s.Stop()
-				}
 			})
 		}
 		s.RunAll()
-		if len(ran) != stopAt+1 || s.Pending() != n-stopAt-1 || s.Now() != 1 {
-			t.Fatalf("n=%d: Stop at event %d left %d run, %d pending, now %v", n, stopAt, len(ran), s.Pending(), s.Now())
-		}
-		s.RunAll()
-		if len(ran) != n || preps != 2 || s.Dispatched() != uint64(n) {
-			t.Fatalf("n=%d: %d events ran after %d prepares, dispatched %d", n, len(ran), preps, s.Dispatched())
+		if len(ran) != n || preps != 1 || s.Dispatched() != uint64(n) || s.Pending() != 0 || s.Now() != 1 {
+			t.Fatalf("n=%d: %d events ran after %d prepares, dispatched %d, %d pending, now %v", n, len(ran), preps, s.Dispatched(), s.Pending(), s.Now())
 		}
 		for i, id := range ran {
 			if id != i {

@@ -52,15 +52,6 @@ func (s Summary) String() string {
 	return fmt.Sprintf("%.3f ± %.3f (n=%d)", s.Mean, s.StdDev, s.N)
 }
 
-// CI95 returns the half-width of the normal-approximation 95 % confidence
-// interval for the mean. Zero for samples of fewer than two observations.
-func (s Summary) CI95() float64 {
-	if s.N < 2 {
-		return 0
-	}
-	return 1.96 * s.StdDev / math.Sqrt(float64(s.N))
-}
-
 // Mean returns the arithmetic mean of xs (0 for an empty sample).
 func Mean(xs []float64) float64 {
 	return Summarize(xs).Mean

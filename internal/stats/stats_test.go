@@ -25,7 +25,7 @@ func TestSummarizeEmptyAndSingle(t *testing.T) {
 		t.Errorf("empty summary %+v", s)
 	}
 	s := Summarize([]float64{3})
-	if s.N != 1 || s.Mean != 3 || s.StdDev != 0 || s.CI95() != 0 {
+	if s.N != 1 || s.Mean != 3 || s.StdDev != 0 {
 		t.Errorf("single summary %+v", s)
 	}
 }
@@ -34,14 +34,6 @@ func TestSummaryString(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3})
 	if got := s.String(); got != "2.000 ± 1.000 (n=3)" {
 		t.Errorf("String = %q", got)
-	}
-}
-
-func TestCI95ShrinksWithN(t *testing.T) {
-	small := Summarize([]float64{1, 2, 3, 4})
-	big := Summarize([]float64{1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4})
-	if big.CI95() >= small.CI95() {
-		t.Errorf("CI did not shrink: %v vs %v", big.CI95(), small.CI95())
 	}
 }
 

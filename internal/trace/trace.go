@@ -93,14 +93,6 @@ func NewRecorder(w io.Writer, ch *radio.Channel) *Recorder {
 	return &Recorder{bw: bufio.NewWriter(w), ch: ch}
 }
 
-// Err returns the first write error encountered, if any. Flush errors are
-// sticky too, so after any Flush the recorder's full error state is here.
-func (r *Recorder) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
-}
-
 // Count returns the number of events written.
 func (r *Recorder) Count() int {
 	r.mu.Lock()

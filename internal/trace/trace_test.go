@@ -264,20 +264,27 @@ func (w *shortWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// stickyErr returns the recorder's first write or flush error.
+func stickyErr(r *Recorder) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.err
+}
+
 func TestRecorderFlushErrorIsSticky(t *testing.T) {
 	rec := NewRecorder(&shortWriter{budget: 8}, nil)
 	rec.OnBroadcast(0, ads.ID{}, 64, 1)
 	// The event fits in the bufio buffer, so no error has surfaced yet.
-	if rec.Err() != nil {
-		t.Fatalf("premature error: %v", rec.Err())
+	if err := stickyErr(rec); err != nil {
+		t.Fatalf("premature error: %v", err)
 	}
 	if err := rec.Flush(); err == nil {
 		t.Fatal("Flush reported success on a failing sink")
 	}
 	// The regression this guards: the flush error must stick, not be
 	// returned once and forgotten.
-	if rec.Err() == nil {
-		t.Fatal("Err lost the flush error")
+	if stickyErr(rec) == nil {
+		t.Fatal("the recorder lost the flush error")
 	}
 	n := rec.Count()
 	rec.OnBroadcast(0, ads.ID{}, 64, 2)

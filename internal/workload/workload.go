@@ -53,18 +53,23 @@ func (c InterestConfig) withDefaults() InterestConfig {
 func AssignInterests(n *core.Network, cfg InterestConfig, rnd *rng.Stream) {
 	cfg = cfg.withDefaults()
 	for i := 0; i < n.NumPeers(); i++ {
-		k := 1 + rnd.Intn(cfg.MaxPerPeer)
-		seen := make(map[string]bool, k)
-		var picks []string
-		for len(picks) < k && len(picks) < len(cfg.Categories) {
-			c := cfg.Categories[rnd.Zipf(len(cfg.Categories), cfg.Skew)]
-			if !seen[c] {
-				seen[c] = true
-				picks = append(picks, c)
-			}
-		}
-		n.Peer(i).SetInterests(picks...)
+		n.Peer(i).SetInterests(cfg.draw(rnd)...)
 	}
+}
+
+// draw picks one peer's interests: 1..MaxPerPeer distinct categories.
+func (c InterestConfig) draw(rnd *rng.Stream) []string {
+	k := 1 + rnd.Intn(c.MaxPerPeer)
+	seen := make(map[string]bool, k)
+	var picks []string
+	for len(picks) < k && len(picks) < len(c.Categories) {
+		cat := c.Categories[rnd.Zipf(len(c.Categories), c.Skew)]
+		if !seen[cat] {
+			seen[cat] = true
+			picks = append(picks, cat)
+		}
+	}
+	return picks
 }
 
 // AdText returns a plausible payload for a category, sized like the short

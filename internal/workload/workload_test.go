@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,9 +14,50 @@ import (
 	"instantad/internal/sim"
 )
 
-func testNetwork(t *testing.T, n int) *core.Network {
-	t.Helper()
-	models := make([]mobility.Model, n)
+// drawAll draws n peers' interest sets the way AssignInterests does.
+func drawAll(n int, cfg InterestConfig, rnd *rng.Stream) [][]string {
+	cfg = cfg.withDefaults()
+	out := make([][]string, n)
+	for i := range out {
+		out[i] = cfg.draw(rnd)
+	}
+	return out
+}
+
+func TestAssignInterestsCoversAllPeers(t *testing.T) {
+	for i, in := range drawAll(50, InterestConfig{}, rng.New(2)) {
+		if len(in) < 1 || len(in) > 3 {
+			t.Errorf("peer %d has %d interests, want 1..3", i, len(in))
+		}
+		for _, k := range in {
+			if !slices.Contains(Categories, k) {
+				t.Errorf("peer %d has unknown interest %q", i, k)
+			}
+		}
+	}
+}
+
+func TestAssignInterestsSkewFavorsTopCategories(t *testing.T) {
+	counts := make(map[string]int)
+	for _, in := range drawAll(400, InterestConfig{Skew: 1.5, MaxPerPeer: 1}, rng.New(3)) {
+		for _, k := range in {
+			counts[k]++
+		}
+	}
+	if counts[Categories[0]] <= counts[Categories[len(Categories)-1]] {
+		t.Errorf("skewed assignment not skewed: %v", counts)
+	}
+}
+
+// TestAssignInterestsDeterministic checks that a seed fixes every peer's
+// draw, and that AssignInterests takes exactly one draw per peer from its
+// stream.
+func TestAssignInterestsDeterministic(t *testing.T) {
+	a := drawAll(20, InterestConfig{}, rng.New(7))
+	if b := drawAll(20, InterestConfig{}, rng.New(7)); !reflect.DeepEqual(a, b) {
+		t.Fatalf("same seed, different interests: %v vs %v", a, b)
+	}
+	models := make([]mobility.Model, 20)
 	for i := range models {
 		models[i] = mobility.NewStatic(geo.Point{X: float64(i), Y: 0})
 	}
@@ -27,69 +70,17 @@ func testNetwork(t *testing.T, n int) *core.Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return net
-}
-
-func TestAssignInterestsCoversAllPeers(t *testing.T) {
-	net := testNetwork(t, 50)
-	AssignInterests(net, InterestConfig{}, rng.New(2))
-	for i := 0; i < net.NumPeers(); i++ {
-		in := net.Peer(i).Interests()
-		if len(in) < 1 || len(in) > 3 {
-			t.Errorf("peer %d has %d interests, want 1..3", i, len(in))
-		}
-		for k := range in {
-			found := false
-			for _, c := range Categories {
-				if c == k {
-					found = true
-				}
-			}
-			if !found {
-				t.Errorf("peer %d has unknown interest %q", i, k)
-			}
-		}
-	}
-}
-
-func TestAssignInterestsSkewFavorsTopCategories(t *testing.T) {
-	net := testNetwork(t, 400)
-	AssignInterests(net, InterestConfig{Skew: 1.5, MaxPerPeer: 1}, rng.New(3))
-	counts := make(map[string]int)
-	for i := 0; i < net.NumPeers(); i++ {
-		for k := range net.Peer(i).Interests() {
-			counts[k]++
-		}
-	}
-	if counts[Categories[0]] <= counts[Categories[len(Categories)-1]] {
-		t.Errorf("skewed assignment not skewed: %v", counts)
-	}
-}
-
-func TestAssignInterestsDeterministic(t *testing.T) {
-	a := testNetwork(t, 20)
-	b := testNetwork(t, 20)
-	AssignInterests(a, InterestConfig{}, rng.New(7))
-	AssignInterests(b, InterestConfig{}, rng.New(7))
-	for i := 0; i < 20; i++ {
-		ia, ib := a.Peer(i).Interests(), b.Peer(i).Interests()
-		if len(ia) != len(ib) {
-			t.Fatalf("peer %d interest counts differ", i)
-		}
-		for k := range ia {
-			if !ib[k] {
-				t.Fatalf("peer %d interests differ: %v vs %v", i, ia, ib)
-			}
-		}
+	assigned, drawn := rng.New(7), rng.New(7)
+	AssignInterests(net, InterestConfig{}, assigned)
+	drawAll(20, InterestConfig{}, drawn)
+	if assigned.Uint64() != drawn.Uint64() {
+		t.Error("AssignInterests did not take one draw per peer")
 	}
 }
 
 func TestCustomCategories(t *testing.T) {
-	net := testNetwork(t, 10)
-	AssignInterests(net, InterestConfig{Categories: []string{"only"}, MaxPerPeer: 2}, rng.New(4))
-	for i := 0; i < 10; i++ {
-		in := net.Peer(i).Interests()
-		if len(in) != 1 || !in["only"] {
+	for i, in := range drawAll(10, InterestConfig{Categories: []string{"only"}, MaxPerPeer: 2}, rng.New(4)) {
+		if len(in) != 1 || in[0] != "only" {
 			t.Errorf("peer %d interests = %v", i, in)
 		}
 	}
