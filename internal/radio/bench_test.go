@@ -220,25 +220,18 @@ func BenchmarkNearestNode(b *testing.B) {
 // nearestSink keeps BenchmarkNearestNode's call from being optimized away.
 var nearestSink int
 
-// BenchmarkRefreshGridSteady measures one grid refresh of the city_scale
-// population (cityChannel), one refresh per simulated second, once the first
-// build is behind it. No query reads the grid, so refreshes keep it until its
-// slack runs out and then build it: the mean over both, and a path that must
-// not allocate (the CI alloc guard greps this benchmark's allocs/op).
-func BenchmarkRefreshGridSteady(b *testing.B) {
-	s, ch, cfg := cityChannel(b)
-	at, fire := 0.0, ch.RefreshGrid
-	refresh := func() {
-		s.SchedulePooled(at, fire)
-		s.RunAll()
-		at += cfg.GridRefresh
-	}
-	for k := 0; k < 30; k++ { // past the first rebuild and the certificates it hands out all at once
-		refresh()
-	}
+// BenchmarkGridBuild measures one grid build of the city_scale population
+// (cityChannel), each 8 simulated seconds after the last, which is how far
+// apart city_scale's builds come once the slack decides them. It must not
+// allocate (the CI alloc guard greps this benchmark's allocs/op).
+func BenchmarkGridBuild(b *testing.B) {
+	_, ch, _ := cityChannel(b)
+	const spacing = 8.0
+	ch.rebuildGrid(0) // sizes every buffer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		refresh()
+		// Wrap before the trajectories' 1e4 s horizon.
+		ch.rebuildGrid(spacing * float64(i%1200+1))
 	}
 }

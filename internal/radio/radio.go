@@ -61,11 +61,13 @@ type Config struct {
 	Collisions bool
 	// Energy configures radio energy accounting (disabled by default).
 	Energy EnergyConfig
-	// GridRefresh is how often the spatial snapshot is rebuilt, seconds.
-	// Queries between rebuilds widen the candidate search by the distance
-	// nodes can travel in the interim, so results remain exact.
+	// GridRefresh is how often, in seconds, the snapshot instant moves: the
+	// instant that fixes the order queries return hits in. The grid itself is
+	// built only when a refresh cannot keep the last one (see RefreshGrid).
 	GridRefresh float64
-	// MaxSpeed bounds node speed; it sizes the grid-staleness slack.
+	// MaxSpeed bounds node speed. Queries widen the candidate search by the
+	// distance nodes can travel at it since the grid was last built, so
+	// results remain exact.
 	MaxSpeed float64
 	// Shards is validated and otherwise unused.
 	//
@@ -176,14 +178,13 @@ type Channel struct {
 	cellStart          []int32 // len gridNX*gridNY+1; bucket bounds in cellNodes
 	cellNodes          []int32 // node ids bucketed by cell, ascending per cell
 
-	// What a build keeps per node, so that the next one costs what moved
-	// (see rebuildGrid): the constant-velocity piece in force, which every
-	// position query reads and only a build writes, and the snapshot cell
-	// with the instant up to which it is proven. steady says the geometry in
-	// force permits skipping proven nodes at all.
-	pieces []mobility.Piece
-	cells  []nodeCell
-	steady bool
+	// pieces holds each node's constant-velocity piece in force, which every
+	// position query reads and only a build writes; buildPos is a build's
+	// scratch, every node's position at builtAt. steady says the geometry
+	// built permits keeping the grid (see keepIndex).
+	pieces   []mobility.Piece
+	buildPos []geo.Point
+	steady   bool
 
 	// Broadcast scratch, the query's hit and sort-key scratch (see
 	// appendWithin) and the pooled per-frame delivery batches.
@@ -338,68 +339,41 @@ func (c *Channel) VelocityOf(i int) geo.Vec {
 // until the array fits, trading a wider candidate window for bounded memory.
 const maxGridCells = 1 << 20
 
-// nodeCell is the snapshot's view of one node: the cell tuple its position
-// maps to, and until when that is proven.
-type nodeCell struct {
-	cellTuple
-	// until is the last instant of the certificate "same tuple": a refresh at
-	// or before it need not look at the node. Anything below the refresh
-	// instant means due.
-	until float64
-}
-
-// cellTuple is every integer a rebuild derives from a position p: the lattice
-// coordinates floor(p/cell), whose minima fix the grid origin, and the dense
-// cell int((p−origin)/cell), whose maxima fix the grid's extent. (The two
-// agree up to rounding; the snapshot is defined by both, so both are kept.)
-type cellTuple struct {
-	lx, ly int32
-	cx, cy int32
-}
-
-// latticeInt converts a cell coordinate, saturating: a node absurdly far out
-// must read as outside every box, not wrap around into it.
+// latticeInt converts a lattice coordinate, saturating rather than wrapping
+// for an origin absurdly far out (such a grid is not steady; see
+// chooseGeometry).
 func latticeInt(f float64) int32 {
 	return int32(max(math.MinInt32, min(int64(f), math.MaxInt32)))
 }
 
-func (c *Channel) tupleOf(p geo.Point) cellTuple {
-	cs := c.gridCell
-	return cellTuple{
-		lx: latticeInt(math.Floor(p.X / cs)),
-		ly: latticeInt(math.Floor(p.Y / cs)),
-		cx: latticeInt((p.X - c.gridMinX) / cs),
-		cy: latticeInt((p.Y - c.gridMinY) / cs),
-	}
-}
-
-// rebuildGrid builds the CSR snapshot in full at instant at (the refresh
-// instant or, from a query's fallback, the last one): a counting sort of node
-// ids into dense cells over the bounding box of the positions then, the same
-// arrays whichever way it gets there. All buffers are reused, so a rebuild is
+// rebuildGrid builds the CSR snapshot at instant at (the refresh instant or,
+// from a query's fallback, the last one): a counting sort of node ids into
+// dense cells over the bounding box of the positions then. It evaluates every
+// node once, into buildPos, folding the box; chooses the geometry from the
+// box; then counts each node into its dense cell int((p−origin)/cell),
+// prefix-sums and places. All buffers are reused, so a build is
 // allocation-free after the first.
-//
-// It is a kinetic refresh. A node keeps its cell tuple with a certificate
-// "same tuple until t" (see reevaluate), and a refresh evaluates only the nodes
-// whose certificate has run out. If every one of them is still inside the box
-// and the extreme rows and columns are still occupied, the geometry a rebuild
-// from scratch would choose is the one in force, every cached tuple is the
-// one it would compute, and the sort runs from the cache. Otherwise — a node
-// left the box, an edge emptied, the first call, or a field so sparse that
-// the cell was doubled (steady is false) — the geometry is chosen afresh and
-// the same pass runs with every node due.
 func (c *Channel) rebuildGrid(at float64) {
 	var start time.Time
 	if c.ins != nil {
 		start = time.Now()
 	}
-	due, inForce := 0, false
-	if c.steady {
-		due, inForce = c.countCells(at)
+	if c.buildPos == nil {
+		c.buildPos = make([]geo.Point, len(c.models))
+		c.cellNodes = make([]int32, len(c.models))
 	}
-	if !inForce {
-		c.chooseGeometry(at)
-		due, _ = c.countCells(at)
+	minX, minY := math.Inf(1), math.Inf(1)
+	maxX, maxY := math.Inf(-1), math.Inf(-1)
+	for i := range c.buildPos {
+		p := c.pieceAt(i, at)
+		c.buildPos[i] = p
+		minX, minY = min(minX, p.X), min(minY, p.Y)
+		maxX, maxY = max(maxX, p.X), max(maxY, p.Y)
+	}
+	c.chooseGeometry(minX, minY, maxX, maxY)
+	clear(c.cellStart)
+	for _, p := range c.buildPos {
+		c.cellStart[c.denseCell(p)+1]++
 	}
 	ncells := c.gridNX * c.gridNY
 	for i := 1; i <= ncells; i++ {
@@ -409,9 +383,8 @@ func (c *Channel) rebuildGrid(at float64) {
 	// cellStart[cell] is where it begins; place with that as the running
 	// cursor (ascending node id within each cell, matching the insertion
 	// order of the old map grid).
-	for i := range c.cells {
-		nc := &c.cells[i]
-		cell := int(nc.cx)*c.gridNY + int(nc.cy)
+	for i, p := range c.buildPos {
+		cell := c.denseCell(p)
 		c.cellNodes[c.cellStart[cell]] = int32(i)
 		c.cellStart[cell]++
 	}
@@ -424,30 +397,24 @@ func (c *Channel) rebuildGrid(at float64) {
 
 	if c.ins != nil {
 		c.ins.rebuilds.Inc()
-		c.ins.reevaluated.Add(uint64(due))
 		c.ins.rebuildSec.Observe(time.Since(start).Seconds())
 	}
 }
 
-// chooseGeometry picks cell size, origin and extent from every node's
-// position at now, sizes the arrays for them, and marks every node due.
-func (c *Channel) chooseGeometry(now float64) {
-	n := len(c.models)
-	if c.cells == nil {
-		c.cells = make([]nodeCell, n)
-		c.cellNodes = make([]int32, n)
-	}
-	minX, minY := math.Inf(1), math.Inf(1)
-	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	for i := range c.cells {
-		p, _ := c.pieceAt(i, now)
-		minX, minY = min(minX, p.X), min(minY, p.Y)
-		maxX, maxY = max(maxX, p.X), max(maxY, p.Y)
-		c.cells[i].until = math.Inf(-1)
-	}
+// denseCell is the x-major index of the snapshot cell holding p, a position
+// inside the bounding box the geometry was chosen from.
+func (c *Channel) denseCell(p geo.Point) int {
+	cs := c.gridCell
+	return int((p.X-c.gridMinX)/cs)*c.gridNY + int((p.Y-c.gridMinY)/cs)
+}
+
+// chooseGeometry picks cell size, origin and extent for the bounding box
+// [minX, maxX] × [minY, maxY] and sizes cellStart for them.
+func (c *Channel) chooseGeometry(minX, minY, maxX, maxY float64) {
 	// Align the origin to cell-size multiples so bucket boundaries are
 	// independent of the bounding box (queries then visit nodes in the same
 	// order regardless of how the population drifts).
+	n := len(c.models)
 	cs := c.cellSize
 	var lx, ly float64
 	var nx, ny int
@@ -464,8 +431,8 @@ func (c *Channel) chooseGeometry(now float64) {
 	c.gridMinX, c.gridMinY = cs*lx, cs*ly
 	c.gridLX, c.gridLY = latticeInt(lx), latticeInt(ly)
 	c.gridNX, c.gridNY = nx, ny
-	// Certificates compare int32 lattice coordinates against this origin, so
-	// they are only good where those cannot saturate.
+	// sortByCell ranks hits by int32 lattice coordinates against this
+	// origin, so a kept grid is only good where those cannot saturate.
 	const far = 1 << 30
 	c.steady = cs == c.cellSize && math.Abs(lx) < far && math.Abs(ly) < far
 	// Everyone a later query can hit lies within boxPad cells of this box
@@ -479,88 +446,20 @@ func (c *Channel) chooseGeometry(now float64) {
 	c.cellStart = c.cellStart[:ncells+1]
 }
 
-// countCells evaluates every due node and counts all nodes into cellStart
-// (cellStart[cell+1] holds cell's population on return). inForce reports
-// whether the geometry in force is the one these positions would choose; when
-// it is not, the counts are void.
-func (c *Channel) countCells(now float64) (due int, inForce bool) {
-	clear(c.cellStart)
-	nx, ny := int32(c.gridNX), int32(c.gridNY)
-	minLX, minLY := int32(math.MaxInt32), int32(math.MaxInt32)
-	maxCX, maxCY := int32(-1), int32(-1)
-	for i := range c.cells {
-		nc := &c.cells[i]
-		if nc.until < now {
-			due++
-			c.reevaluate(i, nc, now)
-			if uint32(nc.cx) >= uint32(nx) || uint32(nc.cy) >= uint32(ny) {
-				return due, false
-			}
-		}
-		minLX, minLY = min(minLX, nc.lx), min(minLY, nc.ly)
-		maxCX, maxCY = max(maxCX, nc.cx), max(maxCY, nc.cy)
-		c.cellStart[int(nc.cx)*int(ny)+int(nc.cy)+1]++
-	}
-	return due, minLX == c.gridLX && minLY == c.gridLY && maxCX == nx-1 && maxCY == ny-1
-}
-
-// pieceAt returns node i's position at now and the piece that gave it,
-// first replacing a piece that no longer covers now; nil when the model has
-// none there. Only a refresh may call it: it is the one writer of the table.
-func (c *Channel) pieceAt(i int, now float64) (geo.Point, *mobility.Piece) {
+// pieceAt returns node i's position at now, first replacing a piece that no
+// longer covers now. Only a build may call it: it is the one writer of the
+// piece table.
+func (c *Channel) pieceAt(i int, now float64) geo.Point {
 	pc := &c.pieces[i]
 	if !pc.Covers(now) {
 		if src, ok := c.models[i].(mobility.PieceSource); ok {
 			*pc = src.PieceAt(now)
 		}
 		if !pc.Covers(now) {
-			return c.models[i].Position(now), nil
+			return c.models[i].Position(now)
 		}
 	}
-	return pc.At(now), pc
-}
-
-// reevaluate recomputes node i's cell tuple at now and certifies it for as
-// long as it can show. Every floating-point step from t to a coordinate on a
-// piece (mobility.Piece) and from a coordinate to a tuple component (divide
-// by a positive constant, subtract a constant, floor, truncate, saturate) is
-// monotone, so a tuple that is equal at both ends of [now, th] on one piece
-// is that tuple on all of it: no tolerance enters, and a badly aimed th costs
-// time, never correctness. th is aimed a hair short of where the piece's
-// velocity says the node leaves its lattice cell (the estimate is good to
-// rounding, so the crossing instant itself lands on the far side half the
-// time), kept inside the piece, and halved a few times if the tuple there
-// differs all the same. A node without a piece (an RPGM member) is due at
-// every build, as is everyone while the snapshot is not steady.
-func (c *Channel) reevaluate(i int, nc *nodeCell, now float64) {
-	p, pc := c.pieceAt(i, now)
-	nc.cellTuple = c.tupleOf(p)
-	nc.until = now
-	if pc == nil || !c.steady {
-		return
-	}
-	cs := c.gridCell
-	dt := min(exitAfter(p.X, pc.Vel.X, float64(nc.lx)*cs, cs), exitAfter(p.Y, pc.Vel.Y, float64(nc.ly)*cs, cs))
-	dt *= 1 - 1.0/(1<<20)
-	last := math.Nextafter(pc.T1, math.Inf(-1))
-	for try := 0; try < 3 && dt > 0; try++ {
-		if th := min(now+dt, last); c.tupleOf(pc.At(th)) == nc.cellTuple {
-			nc.until = th
-			return
-		}
-		dt /= 2
-	}
-}
-
-// exitAfter estimates how long x, moving at v, stays inside [lo, lo+size).
-func exitAfter(x, v, lo, size float64) float64 {
-	switch {
-	case v > 0:
-		return (lo + size - x) / v
-	case v < 0:
-		return (lo - x) / v
-	}
-	return math.Inf(1)
+	return pc.At(now)
 }
 
 // AppendNeighborsOf appends every node j ≠ i within node i's transmission
@@ -806,9 +705,8 @@ func (c *Channel) keepIndex(slack float64) bool {
 
 // radioInstruments are the channel's registry instruments.
 type radioInstruments struct {
-	rebuilds    *obs.Counter
-	reevaluated *obs.Counter
-	rebuildSec  *obs.Histogram
+	rebuilds   *obs.Counter
+	rebuildSec *obs.Histogram
 }
 
 // InstrumentWith attaches radio_* metrics to reg: grid build counts and
@@ -822,8 +720,6 @@ func (c *Channel) InstrumentWith(reg *obs.Registry) {
 	c.ins = &radioInstruments{
 		rebuilds: reg.Counter("radio_grid_rebuilds_total",
 			"spatial grid builds (a refresh that keeps the last grid is none)"),
-		reevaluated: reg.Counter("radio_grid_nodes_reevaluated_total",
-			"nodes whose position a grid build evaluated (the rest were certified to be in their cell still)"),
 		rebuildSec: reg.Histogram("radio_grid_rebuild_seconds",
 			"wall-clock time of one grid build",
 			obs.ExpBuckets(1e-6, 4, 12)),
