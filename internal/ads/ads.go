@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"instantad/internal/fm"
 	"instantad/internal/geo"
@@ -47,12 +48,15 @@ type Advertisement struct {
 }
 
 // Age returns how long the ad has existed at time now, ≥ 0.
-func (a *Advertisement) Age(now float64) float64 {
-	age := now - a.IssuedAt
-	if age < 0 {
+func (a *Advertisement) Age(now float64) float64 { return age(now, a.IssuedAt) }
+
+// age is now − issuedAt, floored at 0.
+func age(now, issuedAt float64) float64 {
+	a := now - issuedAt
+	if a < 0 {
 		return 0
 	}
-	return age
+	return a
 }
 
 // Expired reports whether the ad's age exceeds its (possibly enlarged)
@@ -75,15 +79,27 @@ func (a *Advertisement) Clone() *Advertisement {
 	return &c
 }
 
+// InterestSet returns keywords as an interest set: sorted, without
+// duplicates, in a fresh slice (nil for none).
+func InterestSet(keywords []string) []string {
+	if len(keywords) == 0 {
+		return nil
+	}
+	set := slices.Clone(keywords)
+	slices.Sort(set)
+	return slices.Compact(set)
+}
+
 // MatchesAny reports whether the ad's category or any of its keywords is in
 // the given interest set — the paper's Match(ad, interest) predicate with
-// multi-keyword ads.
-func (a *Advertisement) MatchesAny(interests map[string]bool) bool {
-	if interests[a.Category] {
+// multi-keyword ads. A peer has a handful of interests, so a scan beats a
+// search.
+func (a *Advertisement) MatchesAny(interests []string) bool {
+	if slices.Contains(interests, a.Category) {
 		return true
 	}
 	for _, k := range a.Keywords {
-		if interests[k] {
+		if slices.Contains(interests, k) {
 			return true
 		}
 	}

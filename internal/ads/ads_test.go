@@ -256,15 +256,38 @@ func TestKeywordsRoundtripAndMatch(t *testing.T) {
 	if !reflect.DeepEqual(b.Keywords, a.Keywords) {
 		t.Errorf("keywords roundtrip: %v", b.Keywords)
 	}
-	// Matching: category or any keyword.
-	if !b.MatchesAny(map[string]bool{"petrol": true}) {
-		t.Error("category match failed")
+	// Matching: category or any keyword, whatever the order and duplicates
+	// the interest set was given with.
+	for _, c := range []struct {
+		interests []string
+		want      bool
+	}{
+		{[]string{"petrol"}, true},
+		{[]string{"discount"}, true},
+		{[]string{"parking"}, false},
+		{[]string{"zoo", "parking", "discount", "parking"}, true},
+		{[]string{"parking", "parking", "aisle"}, false},
+		{nil, false},
+	} {
+		if got := b.MatchesAny(InterestSet(c.interests)); got != c.want {
+			t.Errorf("MatchesAny(InterestSet(%q)) = %v, want %v", c.interests, got, c.want)
+		}
 	}
-	if !b.MatchesAny(map[string]bool{"discount": true}) {
-		t.Error("keyword match failed")
+}
+
+// TestInterestSetSortsAndDedups checks that InterestSet returns a sorted,
+// duplicate-free set and leaves its argument alone.
+func TestInterestSetSortsAndDedups(t *testing.T) {
+	in := []string{"petrol", "food", "petrol", "books", "food"}
+	got := InterestSet(in)
+	if want := []string{"books", "food", "petrol"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("InterestSet(%q) = %q, want %q", in, got, want)
 	}
-	if b.MatchesAny(map[string]bool{"parking": true}) {
-		t.Error("non-match matched")
+	if in[0] != "petrol" || in[4] != "food" {
+		t.Errorf("InterestSet reordered its argument: %q", in)
+	}
+	if InterestSet(nil) != nil || InterestSet([]string{}) != nil {
+		t.Error("an empty interest set is not nil")
 	}
 }
 

@@ -17,6 +17,16 @@ func adWith(issuer, seq uint32) *Advertisement {
 	}
 }
 
+// EvictOldest removes and returns the earliest-inserted entry (FIFO), or nil
+// when empty: removal at the front, which the tests drive. The eviction-policy
+// ablation names its FIFO victim from Slots instead (core.Rules.evict).
+func (c *Cache) EvictOldest() *Entry {
+	if len(c.slots) == 0 {
+		return nil
+	}
+	return c.removeAt(0)
+}
+
 func TestNewCachePanicsOnBadK(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -62,6 +72,20 @@ func TestDuplicateInsertPanics(t *testing.T) {
 		}
 	}()
 	c.Insert(adWith(1, 1), 0.7)
+}
+
+func TestInsertPastKPlusOnePanics(t *testing.T) {
+	c := NewCache(1)
+	c.Insert(adWith(1, 1), 0.5)
+	if _, overflow := c.Insert(adWith(1, 2), 0.5); !overflow {
+		t.Fatal("the second insert into a k = 1 cache did not overflow")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("an insert into a cache holding k+1 ads did not panic")
+		}
+	}()
+	c.Insert(adWith(1, 3), 0.5)
 }
 
 func TestOverflowAndEvictLowest(t *testing.T) {
@@ -119,7 +143,9 @@ func TestEntriesInsertionOrder(t *testing.T) {
 
 func TestCacheNeverExceedsKPlusOneProperty(t *testing.T) {
 	// Driving the cache the way protocols do (insert, then evict on
-	// overflow) keeps Len ≤ k at rest.
+	// overflow) keeps Len ≤ k at rest, and neither backing array ever holds
+	// more than k+1 slots: the heap a full cache costs is what its k+1 keys
+	// cost, not append's doubling.
 	f := func(ops []uint16, kRaw uint8) bool {
 		k := int(kRaw%8) + 1
 		c := NewCache(k)
@@ -129,6 +155,9 @@ func TestCacheNeverExceedsKPlusOneProperty(t *testing.T) {
 				continue
 			}
 			_, overflow := c.Insert(adWith(id.Issuer, id.Seq), float64(i%10)/10)
+			if cap(c.ids) > k+1 || cap(c.slots) > k+1 {
+				return false
+			}
 			if overflow {
 				if c.EvictLowest() == nil {
 					return false

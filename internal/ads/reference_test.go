@@ -126,18 +126,21 @@ func (c *refCache) ForEach(fn func(*refEntry)) {
 
 // TestCacheMatchesReference drives a Cache and the reference through the same
 // random sequences of Insert (with overflow), Get, Remove, EvictLowest,
-// EvictOldest, Entries and ForEach walks whose callback refreshes Prob and
-// removes the entry it was handed, over a small id pool so hits, misses and
-// re-insertions of a removed id are common, and probabilities from a small set
-// (NaN included) so EvictLowest meets ties. After every step both must hold the
-// same entries in the same order, every entry either ever handed out must agree
-// on Cached and Prob, and every returned entry must be the twin of the
-// reference's.
+// EvictOldest, Entries, ForEach walks whose callback refreshes Prob and
+// removes the entry it was handed, and Enlarge, the one write to a cached
+// ad's R or D (half of them on a shared snapshot, which Own clones first),
+// over a small id pool so hits, misses and re-insertions of a removed id are
+// common, and probabilities from a small set (NaN included) so EvictLowest
+// meets ties. After every step both must hold the same entries in the same
+// order, every entry either ever handed out must agree on Cached and Prob,
+// every returned entry must be the twin of the reference's, every slot's
+// ranking key must be its entry's ad's, and neither backing array may pass
+// k+1 slots.
 func TestCacheMatchesReference(t *testing.T) {
 	probs := []float64{0, 0.25, 0.5, 0.5, 1, math.NaN()}
 	for _, k := range []int{1, 2, 10, 16} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-			var ops [7]int
+			var ops [8]int
 			overflows := 0
 			for seq := 0; seq < 200; seq++ {
 				rnd := rng.New(uint64(1000*k + seq))
@@ -212,6 +215,33 @@ func TestCacheMatchesReference(t *testing.T) {
 						if i != len(visited) {
 							t.Fatalf("seq %d step %d ForEach: %d visits, reference %d", seq, step, len(visited), i)
 						}
+					case 7: // a duplicate with a larger R, D or both
+						e := c.Get(ad.ID)
+						if e == nil {
+							break
+						}
+						e.Shared = rnd.Bool(0.5)
+						r, d := e.Ad.R, e.Ad.D
+						switch rnd.Intn(3) {
+						case 0:
+							r += 10
+						case 1:
+							d += 10
+						default:
+							r, d = r+10, d+10
+						}
+						c.Enlarge(e, r, d)
+						if e.Ad.R != r || e.Ad.D != d || e.Shared {
+							t.Fatalf("seq %d step %d Enlarge %v: R %v D %v shared %v, want %v %v false", seq, step, ad.ID, e.Ad.R, e.Ad.D, e.Shared, r, d)
+						}
+					}
+					for i, s := range c.Slots() {
+						if s.Key != s.Entry.Ad.Key() {
+							t.Fatalf("seq %d step %d: slot %d (%v) holds key %+v, its ad %+v", seq, step, i, s.Entry.Ad.ID, s.Key, s.Entry.Ad.Key())
+						}
+					}
+					if cap(c.ids) > k+1 || cap(c.slots) > k+1 {
+						t.Fatalf("seq %d step %d: backing arrays hold %d ids and %d slots, k+1 = %d", seq, step, cap(c.ids), cap(c.slots), k+1)
 					}
 					got, want := c.Entries(), ref.Entries()
 					if len(got) != len(want) || c.Len() != ref.Len() {
@@ -229,7 +259,7 @@ func TestCacheMatchesReference(t *testing.T) {
 					}
 				}
 			}
-			t.Logf("ops Insert/Get/Remove/EvictLowest/EvictOldest/Entries/ForEach: %v, %d overflowing inserts", ops, overflows)
+			t.Logf("ops Insert/Get/Remove/EvictLowest/EvictOldest/Entries/ForEach/Enlarge: %v, %d overflowing inserts", ops, overflows)
 			if overflows == 0 {
 				t.Error("no insert overflowed the cache")
 			}

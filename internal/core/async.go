@@ -256,7 +256,7 @@ func (p *Peer) sampleAds(f *asyncFrame) {
 	n := p.net
 	now, pos := n.sim.Now(), p.Position()
 	p.cache.ForEach(func(e *ads.Entry) {
-		live, send := n.rules.Step(p.cache, p.rnd, e, p.isRSU, pos, now)
+		live, send := n.rules.Step(&p.cache, p.rnd, e, p.isRSU, pos, now)
 		if !live {
 			n.obs.OnExpire(p.id, e.Ad.ID, now)
 		} else if send {

@@ -204,13 +204,14 @@ func New(s *sim.Simulator, radioCfg radio.Config, models []mobility.Model, cfg C
 	s.SetBatchPrepare(ch.RefreshGrid)
 	n.peers = make([]*Peer, len(models))
 	for i := range models {
-		n.peers[i] = &Peer{
+		p := &Peer{
 			id:     i,
 			net:    n,
 			userID: rnd.SplitIndex("user", i).Uint64(),
-			cache:  ads.NewCache(cfg.CacheK),
 			rnd:    rnd.SplitIndex("peer", i),
 		}
+		p.cache.Init(cfg.CacheK)
+		n.peers[i] = p
 	}
 	if len(cfg.RSUPeers) > 0 {
 		if err := n.initRSUs(cfg.RSUPeers); err != nil {
@@ -368,16 +369,19 @@ func (n *Network) deliver(to int, f radio.Frame) {
 
 // Peer is one mobile device participating in the network.
 type Peer struct {
-	id        int
-	net       *Network
-	userID    uint64
-	interests map[string]bool
-	cache     *ads.Cache
-	rnd       *rng.Stream
-	nextSeq   uint32
-	ticker    *sim.Ticker
+	id     int
+	net    *Network
+	userID uint64
+	// interests is the peer's interest set, sorted without duplicates
+	// (ads.InterestSet); nil until SetInterests.
+	interests []string
+	// cache is held by value: a peer always has one.
+	cache   ads.Cache
+	rnd     *rng.Stream
+	nextSeq uint32
 	// isRSU marks fixed roadside-unit peers (see rsu.go).
-	isRSU bool
+	isRSU  bool
+	ticker *sim.Ticker
 
 	// roundEv and roundSlot drive the round-based gossip variants: one slot
 	// event per peer, rescheduled a whole round (RoundSlots slots) ahead
@@ -399,15 +403,11 @@ type Peer struct {
 }
 
 // Cache returns the peer's advertisement cache.
-func (p *Peer) Cache() *ads.Cache { return p.cache }
+func (p *Peer) Cache() *ads.Cache { return &p.cache }
 
-// SetInterests replaces the peer's interest keywords.
-func (p *Peer) SetInterests(keywords ...string) {
-	p.interests = make(map[string]bool, len(keywords))
-	for _, k := range keywords {
-		p.interests[k] = true
-	}
-}
+// SetInterests replaces the peer's interest keywords. Order and duplicates
+// do not matter.
+func (p *Peer) SetInterests(keywords ...string) { p.interests = ads.InterestSet(keywords) }
 
 // HasReceived reports whether the peer has ever heard the given ad.
 func (p *Peer) HasReceived(id ads.ID) bool {
@@ -483,7 +483,7 @@ func (p *Peer) handleGossip(f gossipFrame, from int) {
 	// case, needs the cache probe only.
 	if e := p.cache.Get(ad.ID); e != nil {
 		n.obs.OnDuplicate(p.id, ad.ID, now)
-		n.rules.Merge(e, ad)
+		n.rules.Merge(&p.cache, e, ad)
 		if n.cfg.Protocol.usesOpt2() {
 			p.postpone(e, from)
 		}
@@ -506,7 +506,7 @@ func (p *Peer) handleGossip(f gossipFrame, from int) {
 func (p *Peer) admit(ad *ads.Advertisement, shared bool) *ads.Entry {
 	n := p.net
 	now := n.sim.Now()
-	e, victim := n.rules.Admit(p.cache, p.rnd, ad, shared, p.userID, p.interests, p.isRSU, p.Position(), now)
+	e, victim := n.rules.Admit(&p.cache, p.rnd, ad, shared, p.userID, p.interests, p.isRSU, p.Position(), now)
 	if victim != nil {
 		p.cancelEntryTimer(victim)
 		n.obs.OnEvict(p.id, victim.Ad.ID, now)
@@ -522,7 +522,7 @@ func (p *Peer) admit(ad *ads.Advertisement, shared bool) *ads.Entry {
 // gossipEntry is one entry's step (Rules.Step) with its effect: an expired
 // entry is reported, a live one broadcast when the coin says so.
 func (p *Peer) gossipEntry(e *ads.Entry, pos geo.Point, now float64) bool {
-	live, send := p.net.rules.Step(p.cache, p.rnd, e, p.isRSU, pos, now)
+	live, send := p.net.rules.Step(&p.cache, p.rnd, e, p.isRSU, pos, now)
 	if !live {
 		p.net.obs.OnExpire(p.id, e.Ad.ID, now)
 	} else if send {

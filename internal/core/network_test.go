@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"instantad/internal/ads"
@@ -484,8 +485,8 @@ func TestPeerAccessors(t *testing.T) {
 		t.Error("user IDs collide")
 	}
 	p.SetInterests("petrol", "grocery")
-	if !p.interests["petrol"] || p.interests["parking"] {
-		t.Error("interest set wrong")
+	if want := []string{"grocery", "petrol"}; !slices.Equal(p.interests, want) {
+		t.Errorf("interest set %q, want %q", p.interests, want)
 	}
 	ad := &ads.Advertisement{Category: "grocery", R: 1, D: 1}
 	if !ad.MatchesAny(p.interests) {

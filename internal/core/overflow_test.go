@@ -109,7 +109,8 @@ func overflowCases() []overflowCase {
 // took the exact path (the scores certified nothing).
 func checkOverflow(t *testing.T, n *Network, p *Peer, held []*ads.Advertisement, newcomer *ads.Advertisement) (dropped, exact bool) {
 	t.Helper()
-	got, want := ads.NewCache(n.cfg.CacheK), ads.NewCache(n.cfg.CacheK)
+	p.cache.Init(n.cfg.CacheK)
+	got, want := &p.cache, ads.NewCache(n.cfg.CacheK)
 	for _, ad := range held {
 		got.Insert(ad, -1)
 		want.Insert(ad, -1)
@@ -119,7 +120,6 @@ func checkOverflow(t *testing.T, n *Network, p *Peer, held []*ads.Advertisement,
 
 	log := &eventLog{}
 	n.SetObserver(log)
-	p.cache = got
 	exactBefore := n.rules.overflowExact.Value()
 	now := n.sim.Now()
 	e := p.admit(newcomer, true)
@@ -395,8 +395,8 @@ func checkOneTimerPerEntry(t *testing.T, s *sim.Simulator, n *Network) {
 	entries := 0
 	seen := map[*sim.Event]bool{}
 	for _, p := range n.peers {
-		if p.cache.Len() > p.cache.K() {
-			t.Fatalf("peer %d holds %d entries, k = %d", p.id, p.cache.Len(), p.cache.K())
+		if p.cache.Len() > p.cache.K() || cap(p.cache.Slots()) > p.cache.K() {
+			t.Fatalf("peer %d holds %d entries in %d slots, k = %d", p.id, p.cache.Len(), cap(p.cache.Slots()), p.cache.K())
 		}
 		p.cache.ForEach(func(e *ads.Entry) {
 			entries++
@@ -582,6 +582,49 @@ func BenchmarkReceiveOverflow(b *testing.B) {
 			if p.cache.Get(pool[10+i%fresh].ID) == nil {
 				b.Fatalf("arrival %d was not admitted", i)
 			}
+		}
+	})
+	b.Run("scattered", func(b *testing.B) {
+		// dropped, but on 1000 full caches whose ads and entries were made
+		// round-robin over the peers, so one peer's are spread across the
+		// heap, and arrivals visit the peers in turn: the one-peer cases keep
+		// every ad in L1 and cannot show what ranking a full cache loads.
+		const peers, k = 1000, 10
+		s := sim.New()
+		models := make([]mobility.Model, peers)
+		for i := range models {
+			models[i] = mobility.NewStatic(geo.Point{X: float64(i%40) * 40, Y: float64(i/40) * 60})
+		}
+		cfg := testConfig(GossipOpt)
+		cfg.CacheK = k
+		n, err := New(s, testRadio(), models, cfg, rng.New(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := 0; j < k; j++ {
+			for i, p := range n.peers {
+				at := models[i].Position(0)
+				p.handleGossip(gossipFrame{ad: &ads.Advertisement{
+					ID:     ads.ID{Issuer: uint32(i), Seq: uint32(j)},
+					Origin: geo.Point{X: at.X + 20*float64(j), Y: at.Y},
+					R:      500, D: 120,
+				}}, 0)
+			}
+		}
+		far := &ads.Advertisement{ID: ads.ID{Issuer: peers}, Origin: geo.Point{X: 9000, Y: 9000}, R: 500, D: 120}
+		for _, p := range n.peers { // marked received here, once per peer
+			if p.cache.Len() != k {
+				b.Fatalf("peer %d holds %d ads, want %d", p.id, p.cache.Len(), k)
+			}
+			p.handleGossip(gossipFrame{ad: far}, 0)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			n.peers[i%peers].handleGossip(gossipFrame{ad: far}, 0)
+		}
+		if got := n.rules.overflowDropped.Value(); got != uint64(b.N)+peers {
+			b.Fatalf("%d of %d arrivals dropped", got, b.N+peers)
 		}
 	})
 }

@@ -21,7 +21,7 @@ func Rank(ad *ads.Advertisement) int {
 // clones a shared snapshot first exactly when this holds. Conservative:
 // Sketch.Add can turn out to be a no-op (bits already set), but predicting
 // that would cost as much as the write.
-func (r *Rules) popularityMutates(ad *ads.Advertisement, interests map[string]bool) bool {
+func (r *Rules) popularityMutates(ad *ads.Advertisement, interests []string) bool {
 	return r.cfg.Popularity.Enabled && ad.Sketch != nil && ad.MatchesAny(interests)
 }
 
@@ -32,7 +32,7 @@ func (r *Rules) popularityMutates(ad *ads.Advertisement, interests map[string]bo
 // The rank-before/rank-after comparison is what makes re-processing safe: a
 // peer whose ID is already reflected in the bitmaps (directly or via a
 // colliding hash) skips the enlargement step.
-func (r *Rules) applyPopularity(ad *ads.Advertisement, userID uint64, interests map[string]bool) {
+func (r *Rules) applyPopularity(ad *ads.Advertisement, userID uint64, interests []string) {
 	if !r.popularityMutates(ad, interests) {
 		return
 	}

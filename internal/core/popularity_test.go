@@ -213,12 +213,57 @@ func TestDuplicateMergeIsDuplicateInsensitive(t *testing.T) {
 	in.Sketch.Add(777)
 	in.R, in.D = 600, 700
 	for i := 0; i < 5; i++ {
-		n.rules.Merge(e, in)
+		n.rules.Merge(&p.cache, e, in)
 	}
 	if e.Ad.R != 600 || e.Ad.D != 700 {
 		t.Errorf("merge adopted wrong R/D: %v/%v", e.Ad.R, e.Ad.D)
 	}
+	if k := p.cache.Slots()[0].Key; k != e.Ad.Key() {
+		t.Errorf("slot key %+v after the merge, ad's %+v", k, e.Ad.Key())
+	}
 	if !reflect.DeepEqual(e.Ad.Sketch, in.Sketch) {
 		t.Error("sketch merge lost bits")
+	}
+}
+
+// TestInterestOrderAndDuplicatesDoNotMatter sets one interest set in several
+// orders and with repeats: each must store the same sorted set and give the
+// same MatchesAny answers and the same popularity update, bit for bit.
+func TestInterestOrderAndDuplicatesDoNotMatter(t *testing.T) {
+	variants := [][]string{
+		{"grocery", "petrol"},
+		{"petrol", "grocery"},
+		{"petrol", "grocery", "petrol", "grocery"},
+		{"grocery", "grocery", "petrol"},
+	}
+	type outcome struct {
+		interests []string
+		matches   [3]bool
+		r, d      uint64
+		rank      int
+	}
+	var first outcome
+	for i, v := range variants {
+		_, n := staticNet(t, popConfig(), line(2, 100))
+		p := n.Peer(1)
+		p.SetInterests(v...)
+		var o outcome
+		o.interests = p.interests
+		for j, cat := range []string{"petrol", "grocery", "parking"} {
+			o.matches[j] = (&ads.Advertisement{Category: cat}).MatchesAny(p.interests)
+		}
+		ad := &ads.Advertisement{R: 500, D: 600, Category: "parking", Keywords: []string{"grocery"}, Sketch: fm.New(16, 32, 1234)}
+		n.rules.applyPopularity(ad, p.userID, p.interests)
+		o.r, o.d, o.rank = math.Float64bits(ad.R), math.Float64bits(ad.D), Rank(ad)
+		if i == 0 {
+			first = o
+			if o.rank == 0 || o.matches != [3]bool{true, true, false} {
+				t.Fatalf("interests %q: matches %v, rank %d: the reference case tests nothing", v, o.matches, o.rank)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(o, first) {
+			t.Errorf("interests %q: %+v, want %+v as for %q", v, o, first, variants[0])
+		}
 	}
 }

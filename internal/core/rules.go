@@ -141,36 +141,39 @@ func (r *Rules) prob(ad *ads.Advertisement, rsu bool, pos geo.Point, now float64
 // shared is set; a shared snapshot the update would write to is cloned first.
 // It returns the new entry, nil when ad ranked lowest and was dropped, and
 // the other entry evicted to make room, if any; cancelling the victim's timer
-// and reporting evictions are the caller's. The tail is Algorithm 1 as
-// written; rankOverflow first tries to name the victim without the refresh,
-// and a doomed newcomer, the common case, never enters.
-func (r *Rules) Admit(c *ads.Cache, rnd *rng.Stream, ad *ads.Advertisement, shared bool, userID uint64, interests map[string]bool, rsu bool, pos geo.Point, now float64) (e, victim *ads.Entry) {
+// and reporting evictions are the caller's. The victim is chosen among the
+// k cached entries and ad before ad enters, so c never holds k+1. The tail,
+// evict, is Algorithm 1 as written; rankOverflow first tries to name the
+// victim without the refresh, and a doomed newcomer, the common case, never
+// enters.
+func (r *Rules) Admit(c *ads.Cache, rnd *rng.Stream, ad *ads.Advertisement, shared bool, userID uint64, interests []string, rsu bool, pos geo.Point, now float64) (e, victim *ads.Entry) {
 	if shared && r.popularityMutates(ad, interests) {
 		ad, shared = ad.Clone(), false
 	}
 	r.applyPopularity(ad, userID, interests)
 	prob, certain := 0.0, false
-	if c.Len() >= c.K() && r.cfg.Eviction == EvictLowestProb {
-		r.overflows.Inc()
-		if victim, prob, certain = r.rankOverflow(c, ad, rsu, pos, now); !certain {
-			r.overflowExact.Inc() // the cache stays full: Insert overflows and evict decides
-		} else if victim == nil {
-			r.overflowDropped.Inc()
-			return nil, nil
-		} else {
-			c.Remove(victim.Ad.ID)
+	if c.Len() >= c.K() {
+		if r.cfg.Eviction == EvictLowestProb {
+			r.overflows.Inc()
+			if victim, prob, certain = r.rankOverflow(c, ad, rsu, pos, now); !certain {
+				r.overflowExact.Inc() // evict decides
+			} else if victim == nil {
+				r.overflowDropped.Inc()
+			}
 		}
-	}
-	if !certain {
+		if !certain {
+			prob = r.prob(ad, rsu, pos, now)
+			victim = r.evict(c, rnd, prob, rsu, pos, now)
+		}
+		if victim == nil {
+			return nil, nil
+		}
+		c.Remove(victim.Ad.ID)
+	} else {
 		prob = r.prob(ad, rsu, pos, now)
 	}
-	e, overflow := c.Insert(ad, prob)
+	e, _ = c.Insert(ad, prob)
 	e.Shared = shared
-	if overflow {
-		if victim = r.evict(c, rnd, rsu, pos, now); victim == e {
-			return nil, nil
-		}
-	}
 	return e, victim
 }
 
@@ -181,37 +184,52 @@ func (r *Rules) Admit(c *ads.Cache, rnd *rng.Stream, ad *ads.Advertisement, shar
 // a score's error) below the runner-up. An RSU's 1/0 rule ties: never certain.
 func (r *Rules) rankOverflow(c *ads.Cache, own *ads.Advertisement, rsu bool, pos geo.Point, now float64) (victim *ads.Entry, s float64, certain bool) {
 	lo, next := math.Inf(1), math.Inf(1) // the two lowest scores; a NaN sticks in lo
-	rank := func(ad *ads.Advertisement, e *ads.Entry) {
-		if s = r.rank.score(pos.Dist(ad.Origin), ad.R, ad.D, ad.Age(now)); s < lo || s != s {
+	rank := func(k *ads.Key, e *ads.Entry) {
+		if s = r.rank.score(pos.Dist(k.Origin), k.R, k.D, k.Age(now)); s < lo || s != s {
 			lo, next, victim = s, lo, e
 		} else if s < next {
 			next = s
 		}
 	}
-	c.ForEach(func(e *ads.Entry) { rank(e.Ad, e) })
-	rank(own, nil) // last, as the last in cache order
+	// The keys sit inline in the slots, one contiguous block: no hop to an
+	// entry or its ad.
+	slots := c.Slots()
+	for i := range slots {
+		rank(&slots[i].Key, slots[i].Entry)
+	}
+	ownKey := own.Key()
+	rank(&ownKey, nil) // last, as the last in cache order
 	return victim, s, !rsu && (lo == 0 || next > lo*(1+scoreMargin))
 }
 
-// evict applies the configured overflow policy to a cache holding k+1
-// entries and returns the evicted one. Under the paper's rule every entry's
-// probability is first refreshed at pos, as Algorithm 1 says.
-func (r *Rules) evict(c *ads.Cache, rnd *rng.Stream, rsu bool, pos geo.Point, now float64) (victim *ads.Entry) {
+// evict applies the configured overflow policy to the full cache c and an
+// arrival of probability own that would follow its entries in insertion
+// order, and returns the entry to evict, nil for the arrival; it removes
+// nothing. Under the paper's rule every entry's probability is first
+// refreshed at pos, as Algorithm 1 says, and the lowest of the k+1 loses,
+// ties to the oldest as in Cache.EvictLowest.
+func (r *Rules) evict(c *ads.Cache, rnd *rng.Stream, own float64, rsu bool, pos geo.Point, now float64) *ads.Entry {
+	slots := c.Slots()
 	switch r.cfg.Eviction {
 	case EvictOldestFirst:
-		return c.EvictOldest()
+		return slots[0].Entry
 	case EvictRandomEntry:
-		k := rnd.Intn(c.Len()) // the k-th entry in insertion order
-		c.ForEach(func(e *ads.Entry) {
-			if k == 0 {
-				victim = c.Remove(e.Ad.ID)
-			}
-			k--
-		})
-		return victim
+		if i := rnd.Intn(len(slots) + 1); i < len(slots) { // the i-th of the k+1 in insertion order
+			return slots[i].Entry
+		}
+		return nil
 	}
 	c.ForEach(func(e *ads.Entry) { e.Prob = r.prob(e.Ad, rsu, pos, now) })
-	return c.EvictLowest()
+	v := slots[0].Entry
+	for _, s := range slots[1:] {
+		if s.Entry.Prob < v.Prob {
+			v = s.Entry
+		}
+	}
+	if own < v.Prob {
+		return nil
+	}
+	return v
 }
 
 // Merge folds a duplicate message copy into the cached entry: FM sketches
@@ -220,8 +238,9 @@ func (r *Rules) evict(c *ads.Cache, rnd *rng.Stream, rsu bool, pos geo.Point, no
 // When the duplicate would change nothing — no larger R or D and no sketch
 // bit the cached copy lacks, the common case with or without the popularity
 // mechanism — the shared snapshot is kept as-is; otherwise the entry's ad is
-// written through Entry.Own.
-func (r *Rules) Merge(e *ads.Entry, in *ads.Advertisement) {
+// written through Entry.Own, its R and D through Cache.Enlarge, which keeps
+// the entry's ranking key in c current.
+func (r *Rules) Merge(c *ads.Cache, e *ads.Entry, in *ads.Advertisement) {
 	if in == e.Ad {
 		return // the cached snapshot itself came back around
 	}
@@ -235,11 +254,8 @@ func (r *Rules) Merge(e *ads.Entry, in *ads.Advertisement) {
 		// the error to keep the hot path tight.
 		_ = ad.Sketch.Merge(in.Sketch)
 	}
-	if in.R > ad.R {
-		ad.R = in.R
-	}
-	if in.D > ad.D {
-		ad.D = in.D
+	if in.R > ad.R || in.D > ad.D {
+		c.Enlarge(e, in.R, in.D)
 	}
 }
 

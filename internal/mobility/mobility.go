@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"instantad/internal/geo"
 	"instantad/internal/rng"
@@ -221,7 +222,8 @@ func NewRandomWaypoint(cfg RandomWaypointConfig, s *rng.Stream) (Model, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	tr := &trajectory{}
+	buf := legScratch.Get().(*[]leg)
+	legs := (*buf)[:0]
 	pos := uniformPoint(cfg.Field, s)
 	t := 0.0
 	for t < cfg.Horizon {
@@ -232,16 +234,27 @@ func NewRandomWaypoint(cfg RandomWaypointConfig, s *rng.Stream) (Model, error) {
 			continue // degenerate waypoint, redraw
 		}
 		dur := dist / speed
-		tr.legs = append(tr.legs, leg{t0: t, t1: t + dur, from: pos, to: dst})
+		legs = append(legs, leg{t0: t, t1: t + dur, from: pos, to: dst})
 		t += dur
 		pos = dst
 		if cfg.Pause > 0 && t < cfg.Horizon {
-			tr.legs = append(tr.legs, leg{t0: t, t1: t + cfg.Pause, from: pos, to: pos})
+			legs = append(legs, leg{t0: t, t1: t + cfg.Pause, from: pos, to: pos})
 			t += cfg.Pause
 		}
 	}
+	tr := &trajectory{legs: make([]leg, len(legs))}
+	copy(tr.legs, legs)
+	*buf = legs
+	legScratch.Put(buf)
 	return tr, nil
 }
+
+// legScratch holds the buffers Random Waypoint trajectories are drawn into.
+// The leg count is known only once the horizon is reached, so a trajectory
+// drawn straight into its own slice would keep append's slack for the whole
+// run; drawn into a reused buffer, it costs one exact allocation and one
+// copy, fewer bytes than append's growth copies.
+var legScratch = sync.Pool{New: func() any { return new([]leg) }}
 
 // RandomWalkConfig parameterizes the Random Walk model: the node repeatedly
 // picks a uniformly random direction and speed and follows it for Epoch

@@ -83,7 +83,8 @@ type Config struct {
 	// Popularity enables FM-sketch interest ranking (Section III.E); the
 	// node's user ID for sketch hashing derives from ID.
 	Popularity core.PopularityConfig
-	// Interests are the node's interest keywords for ad matching.
+	// Interests are the node's interest keywords for ad matching; order and
+	// duplicates do not matter.
 	Interests []string
 
 	// BeaconInterval, when positive, enables neighbor discovery: the node
@@ -272,11 +273,10 @@ type Node struct {
 	readBackoffMax time.Duration
 
 	mu        sync.Mutex
-	cache     *ads.Cache
+	cache     ads.Cache
 	seen      map[ads.ID]float64 // ad ID → protocol-time expiry of that ad
 	peers     []*peerState
 	peerIndex map[string]*peerState // canonical key → entry of peers
-	interests map[string]bool
 	rnd       *rng.Stream
 	nextSeq   uint32
 	epoch     time.Time // protocol time zero: ages are seconds since epoch
@@ -325,12 +325,24 @@ const (
 	epochSkewSlack = 1.0
 )
 
+// The bucket bounds of the node's histograms, shared by every node: a
+// histogram keeps its bounds, so a fleet holds one copy of each, not one a
+// node.
+var (
+	latencyBuckets = obs.ExpBuckets(1e-6, 4, 12)
+	backoffBuckets = obs.ExpBuckets(0.05, 2, 12)
+	adCountBuckets = obs.ExpBuckets(1, 2, 10)
+	byteBuckets    = obs.ExpBuckets(64, 2, 11)
+	idCountBuckets = obs.ExpBuckets(1, 2, 12)
+)
+
 // New binds the node's socket. Call Start to begin gossiping and Close to
 // shut down.
 func New(cfg Config) (*Node, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	cfg.Interests = ads.InterestSet(cfg.Interests)
 	rules, err := core.NewRules(cfg.protocol())
 	if err != nil {
 		return nil, err
@@ -360,11 +372,9 @@ func New(cfg Config) (*Node, error) {
 		backoffMax:     defaultPeerBackoffMax,
 		readBackoffMin: defaultReadBackoffMin,
 		readBackoffMax: defaultReadBackoffMax,
-		cache:          ads.NewCache(cfg.CacheK),
 		seen:           make(map[ads.ID]float64),
 		served:         make(map[string]time.Time),
 		peerIndex:      make(map[string]*peerState),
-		interests:      make(map[string]bool, len(cfg.Interests)),
 		rnd:            rng.New(cfg.Seed),
 		epoch:          time.Now(),
 		done:           make(chan struct{}),
@@ -373,6 +383,7 @@ func New(cfg Config) (*Node, error) {
 		n.events = core.BaseObserver{}
 	}
 	n.member, _ = n.events.(MembershipObserver)
+	n.cache.Init(cfg.CacheK)
 	n.batchCap = cfg.BatchSoftCap
 	if n.batchCap == 0 {
 		n.batchCap = defaultBatchSoftCap
@@ -384,9 +395,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	n.roundBytes = cfg.RoundBytes
 	n.roundSlot = rules.Phase(n.rnd)
-	for _, k := range cfg.Interests {
-		n.interests[k] = true
-	}
 	if cfg.BeaconInterval > 0 {
 		n.neighborTTL = cfg.NeighborTTL
 		if n.neighborTTL == 0 {
@@ -415,26 +423,19 @@ func New(cfg Config) (*Node, error) {
 		n.addPeerLocked(key)
 	}
 	n.sendLatency = reg.Histogram("node_send_latency_seconds",
-		"time one datagram transmission spent in the socket write",
-		obs.ExpBuckets(1e-6, 4, 12))
+		"time one datagram transmission spent in the socket write", latencyBuckets)
 	n.recvLatency = reg.Histogram("node_receive_latency_seconds",
-		"time from datagram arrival to full protocol integration",
-		obs.ExpBuckets(1e-6, 4, 12))
+		"time from datagram arrival to full protocol integration", latencyBuckets)
 	n.backoffDur = reg.Histogram("node_peer_backoff_seconds",
-		"duration of each peer backoff window entered",
-		obs.ExpBuckets(0.05, 2, 12))
+		"duration of each peer backoff window entered", backoffBuckets)
 	n.batchAds = reg.Histogram("node_batch_ads",
-		"ads packed into each transmitted batch frame",
-		obs.ExpBuckets(1, 2, 10))
+		"ads packed into each transmitted batch frame", adCountBuckets)
 	n.batchBytes = reg.Histogram("node_batch_bytes",
-		"payload bytes of each transmitted batch frame",
-		obs.ExpBuckets(64, 2, 11))
+		"payload bytes of each transmitted batch frame", byteBuckets)
 	n.recvBatch = reg.Histogram("node_recv_batch_ads",
-		"ads carried by each accepted batch frame",
-		obs.ExpBuckets(1, 2, 10))
+		"ads carried by each accepted batch frame", adCountBuckets)
 	n.digestIDs = reg.Histogram("node_digest_ids",
-		"ad IDs carried by each transmitted digest frame",
-		obs.ExpBuckets(1, 2, 12))
+		"ad IDs carried by each transmitted digest frame", idCountBuckets)
 	n.registerGauges(reg)
 	if n.table != nil {
 		n.table.InstrumentWith(reg)
@@ -673,7 +674,7 @@ func (n *Node) markSeenLocked(ad *ads.Advertisement) (first bool) {
 // the victim, or the newcomer itself when it ranks last — and the admitted
 // entry's first due slot set, as core.Peer's admit does. Callers hold n.mu.
 func (n *Node) admitLocked(ad *ads.Advertisement, pos geo.Point, now float64) *ads.Entry {
-	e, victim := n.rules.Admit(n.cache, n.rnd, ad, false, uint64(n.cfg.ID)+1, n.interests, false, pos, now)
+	e, victim := n.rules.Admit(&n.cache, n.rnd, ad, false, uint64(n.cfg.ID)+1, n.cfg.Interests, false, pos, now)
 	if victim != nil {
 		n.events.OnEvict(int(n.cfg.ID), victim.Ad.ID, now)
 	}
@@ -833,7 +834,7 @@ func (n *Node) integrateAdLocked(now float64, srcPos geo.Point, pos geo.Point, v
 	if e := n.cache.Get(ad.ID); e != nil {
 		n.ctr.Duplicates.Add(1)
 		n.events.OnDuplicate(int(n.cfg.ID), ad.ID, now)
-		n.rules.Merge(e, ad)
+		n.rules.Merge(&n.cache, e, ad)
 		n.markSeenLocked(e.Ad)
 		if n.cfg.Opt2 {
 			// Formula 4 with the real overlap and approach angle.
@@ -1214,7 +1215,7 @@ func (n *Node) tickLocked(now float64, pos geo.Point) (toSend []*ads.Advertiseme
 		if !due && !e.Ad.Expired(now) {
 			return
 		}
-		live, send := n.rules.Step(n.cache, n.rnd, e, false, pos, now)
+		live, send := n.rules.Step(&n.cache, n.rnd, e, false, pos, now)
 		if !live {
 			n.events.OnExpire(int(n.cfg.ID), e.Ad.ID, now)
 		} else if n.cfg.Opt2 {

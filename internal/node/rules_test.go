@@ -125,7 +125,7 @@ func TestDueWalkDropsExpiredAds(t *testing.T) {
 				}
 			})
 			n.tickLocked(now, pos)
-			if got := cachedIDs(n.cache); !reflect.DeepEqual(got, want) {
+			if got := cachedIDs(&n.cache); !reflect.DeepEqual(got, want) {
 				t.Fatalf("step %d, t=%v: cache holds %v, want the live ads %v", step, now, got, want)
 			}
 			n.cache.ForEach(func(e *ads.Entry) {
@@ -309,14 +309,49 @@ func TestNodeOverflowMatchesAlgorithm1(t *testing.T) {
 					} else {
 						dropped++
 					}
-					if got, want := cachedIDs(n.cache), cachedIDs(ref); !reflect.DeepEqual(got, want) {
+					if got, want := cachedIDs(&n.cache), cachedIDs(ref); !reflect.DeepEqual(got, want) {
 						t.Fatalf("step %d, t=%v, after %v: node caches %v, Algorithm 1 %v", step, now, ad.ID, got, want)
+					}
+					if c := cap(n.cache.Slots()); c > k {
+						t.Fatalf("step %d: the node's cache has %d slots, k = %d: it held k+1", step, c, k)
 					}
 				}
 				if dropped == 0 || admitted == 0 || raised == 0 {
 					t.Errorf("%d admitted, %d dropped on arrival, %d duplicates raised D: a path went untested", admitted, dropped, raised)
 				}
 			})
+		}
+	}
+}
+
+// TestNodeInterestOrderAndDuplicatesDoNotMatter gives Config.Interests one
+// set in several orders and with repeats: each node must hold the same sorted
+// set and admit a matching ad with the same popularity update, bit for bit.
+func TestNodeInterestOrderAndDuplicatesDoNotMatter(t *testing.T) {
+	pc := core.PopularityConfig{Enabled: true, F: 8, L: 32, RInc: 50, DInc: 3}
+	var want *ads.Advertisement
+	for i, v := range [][]string{{"food", "petrol"}, {"petrol", "food"}, {"petrol", "petrol", "food", "food"}} {
+		n := idleNode(t, func(c *Config) {
+			c.Interests = v
+			c.Popularity = pc
+		})
+		if !reflect.DeepEqual(n.cfg.Interests, []string{"food", "petrol"}) {
+			t.Errorf("Interests %q: the node holds %q", v, n.cfg.Interests)
+		}
+		ad := &ads.Advertisement{ID: ads.ID{Issuer: 9}, R: 400, D: 30, Category: "petrol", Sketch: fm.New(pc.F, pc.L, pc.SketchSeed)}
+		n.mu.Lock()
+		e := n.admitLocked(ad, geo.Point{}, 1)
+		n.mu.Unlock()
+		if e == nil {
+			t.Fatalf("Interests %q: the ad was not admitted", v)
+		}
+		if i == 0 {
+			if e.Ad.R == 400 {
+				t.Fatalf("Interests %q: a matching ad was not enlarged", v)
+			}
+			want = e.Ad
+		} else if e.Ad.R != want.R || e.Ad.D != want.D || !reflect.DeepEqual(e.Ad.Sketch, want.Sketch) {
+			t.Errorf("Interests %q: admitted R %v D %v, want %v %v", v, e.Ad.R, e.Ad.D, want.R, want.D)
 		}
 	}
 }

@@ -288,7 +288,9 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 
 // Histogram returns the named histogram, creating it with the given upper
 // bounds on first use. Bounds must be sorted ascending and non-empty; they
-// are fixed for the histogram's lifetime (deterministic exposition).
+// are fixed for the histogram's lifetime (deterministic exposition). The
+// histogram keeps the slice, not a copy, so histograms on the same bounds
+// share them: the caller must not modify it afterwards.
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	in, fresh := r.register(name, help, kindHistogram)
 	if fresh {
@@ -298,7 +300,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 		if !sort.Float64sAreSorted(bounds) {
 			panic(fmt.Sprintf("obs: histogram %q buckets not sorted", name))
 		}
-		h := &Histogram{bounds: append([]float64(nil), bounds...)}
+		h := &Histogram{bounds: bounds}
 		h.counts = make([]atomic.Uint64, len(h.bounds)+1)
 		in.hist = h
 	}
