@@ -56,6 +56,7 @@ import (
 	"instantad/internal/geo"
 	"instantad/internal/node"
 	"instantad/internal/node/discovery"
+	"instantad/internal/obs"
 	"instantad/internal/trace"
 )
 
@@ -140,6 +141,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		RoundBytes:     *roundB,
 		Peers:          cli.Strings(*peers),
 		Seeds:          cli.Strings(*seeds),
+	}
+	if *httpAddr != "" {
+		cfg.Registry = obs.NewRegistry() // served at /metrics
 	}
 	if *verbose {
 		cfg.Logf = func(format string, args ...any) {

@@ -25,15 +25,17 @@ func heapAfterGC() int64 {
 }
 
 // TestFleetNodeFootprint guards what an idle fleet node retains. A node that
-// has received nothing holds its registry, its maps and its peer list —
-// 12 KB when this test was written. It held 236 KB while memnet pre-sized a
-// 4096-slot channel per endpoint and every read loop kept a 64 KB buffer; the
-// next pre-sized per-node buffer should fail here, not wait for a benchmark.
+// has received nothing holds its plain counters, its maps and its peer list,
+// and no registry: 4.4 KB on linux/amd64 with go1.24. It held 11.4 KB while
+// every node built a registry and seven histograms nobody served, and 236 KB
+// while memnet pre-sized a 4096-slot channel per endpoint and every read loop
+// kept a 64 KB buffer. The next per-node allocation of that kind should fail
+// here, not wait for a benchmark.
 func TestFleetNodeFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's runtime inflates the heap")
 	}
-	const nodes, limit = 500, 32 << 10
+	const nodes, limit = 500, 6 << 10
 	before := heapAfterGC()
 	fl, err := NewFleet(footprintConfig(nodes))
 	if err != nil {
@@ -47,6 +49,11 @@ func TestFleetNodeFootprint(t *testing.T) {
 	}
 	if st := fl.MediumStats(); st.MaxQueue != 0 || st.Delivered != 0 {
 		t.Errorf("the fleet was not idle while measured: %+v", st)
+	}
+	for i, n := range fl.nodes {
+		if n.Registry() != nil {
+			t.Fatalf("fleet node %d has a registry", i)
+		}
 	}
 }
 

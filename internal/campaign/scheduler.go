@@ -19,8 +19,8 @@ type SchedulerConfig struct {
 	Admission Admission
 	// Tick is the control-loop period. Zero means 100ms.
 	Tick time.Duration
-	// Registry receives the campaignd_* instruments and the fleet_* gauges.
-	// Nil means a private registry.
+	// Registry receives the campaignd_* instruments, the fleet_* gauges and
+	// the fleet's node_* totals. Nil means a private registry.
 	Registry *obs.Registry
 	Logf     func(format string, args ...any)
 }
@@ -80,14 +80,12 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		func() float64 { return float64(s.fl.NodeCount()) })
 	reg.GaugeFunc("fleet_neighbors_live", "fleet-wide live peer links",
 		func() float64 { return float64(s.fl.Totals().PeersLive) })
-	reg.GaugeFunc("fleet_backoffs_total", "fleet-wide peer backoff trips",
-		func() float64 { return float64(s.fl.Totals().PeerBackoffs) })
-	reg.GaugeFunc("fleet_budget_deferred_total", "fleet-wide sends deferred by round byte budgets",
-		func() float64 { return float64(s.fl.Totals().BudgetDeferred) })
+	node.RegisterStats(reg, s.fl.Totals)
 	return s, nil
 }
 
-// Registry returns the registry holding the campaignd_*/fleet_* instruments.
+// Registry returns the registry holding the campaignd_*, fleet_* and node_*
+// instruments.
 func (s *Scheduler) Registry() *obs.Registry { return s.reg }
 
 // Start launches the control loop.

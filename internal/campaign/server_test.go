@@ -4,9 +4,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"instantad/internal/core"
+	"instantad/internal/obs"
 )
 
 // testServer boots a small fleet + server for handler tests. The scheduler
@@ -228,5 +232,49 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %s", want)
 		}
+	}
+}
+
+// TestServerMetricsCarryFleetTotals checks campaignd's node_* families
+// against Fleet.Totals field by field after real gossip: every Stats field
+// exposes, with its type, the fleet-wide sum.
+func TestServerMetricsCarryFleetTotals(t *testing.T) {
+	srv, ts := testServer(t, Admission{}, "")
+	fl := srv.sched.fl
+	if _, _, err := fl.Inject(fl.Position(12), core.AdSpec{R: 400, D: 10, Category: "food", Text: "totals"}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); fl.Totals().Received == 0; time.Sleep(50 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the injected ad reached no other node")
+		}
+	}
+	srv.Shutdown() // freezes every node's counters
+	fl.mu.Lock()
+	fl.totalsAt = time.Time{} // the scrape sums the frozen fleet afresh
+	fl.mu.Unlock()
+	r, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	fams, err := obs.ParsePrometheus(r.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := reflect.ValueOf(fl.Totals())
+	for i := 0; i < want.NumField(); i++ {
+		metric := want.Type().Field(i).Tag.Get("metric")
+		typ := "counter"
+		if !strings.HasSuffix(metric, "_total") {
+			typ = "gauge"
+		}
+		f, ok := fams[metric]
+		if v := float64(want.Field(i).Uint()); !ok || f.Type != typ || f.Samples[metric] != v {
+			t.Errorf("%s: /metrics has %+v, want %s %v", metric, f, typ, v)
+		}
+	}
+	if tot := fl.Totals(); tot.Sent == 0 || tot.Received == 0 || tot.PeersLive == 0 {
+		t.Errorf("totals %+v: the fields compared were mostly zero", tot)
 	}
 }

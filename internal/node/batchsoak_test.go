@@ -8,6 +8,7 @@ import (
 	"instantad/internal/core"
 	"instantad/internal/geo"
 	"instantad/internal/node/memnet"
+	"instantad/internal/obs"
 )
 
 // The 10× soak: the fault soak gossips 40 ads; this one pushes 400 through
@@ -84,6 +85,7 @@ func runMemnetSoak(tb testing.TB, timeout time.Duration) soakResult {
 		cfg.RoundTime = soakRound
 		cfg.CacheK = soakCacheK
 		cfg.DigestEvery = 2
+		cfg.Registry = obs.NewRegistry() // for the batch-size histograms
 		n, err := New(cfg)
 		if err != nil {
 			tb.Fatal(err)
@@ -165,8 +167,8 @@ func runMemnetSoak(tb testing.TB, timeout time.Duration) soakResult {
 		res.batchesSent += s.BatchesSent
 		// One batch-size observation per batch frame sent.
 		if c := float64(s.BatchesSent); c > 0 {
-			res.avgBatchAds += n.batchAds.Sum() / c / float64(soakNodes)
-			res.avgBatchBytes += n.batchBytes.Sum() / c / float64(soakNodes)
+			res.avgBatchAds += n.hist.batchAds.Sum() / c / float64(soakNodes)
+			res.avgBatchBytes += n.hist.batchBytes.Sum() / c / float64(soakNodes)
 		}
 	}
 	return res

@@ -131,10 +131,12 @@ type Config struct {
 	// means unlimited.
 	RoundBytes int
 
-	// Registry receives the node's instruments (node_* and, with discovery
-	// enabled, discovery_*). Nil means the node creates a private registry,
-	// reachable via Node.Registry. Registries are per-node: sharing one
-	// between nodes would merge their counters.
+	// Registry, when non-nil, serves the node's instruments: a view over its
+	// node_* counters and gauges, its seven histograms and, with discovery
+	// enabled, discovery_*. Nil — a fleet's nodes — means no registry and no
+	// histograms: the node keeps only its plain counters, which Stats reads,
+	// and Node.Registry returns nil. Registries are per-node: sharing one
+	// between nodes would merge their instruments.
 	Registry *obs.Registry
 	// Events, when non-nil, hears the node's protocol events where the
 	// simulator's peers report theirs — issue, broadcast, first receive,
@@ -288,16 +290,9 @@ type Node struct {
 	budgetUsed int                  // payload bytes spent this round
 	served     map[string]time.Time // addr → end of its serve block window
 
-	reg         *obs.Registry
-	events      core.Observer      // Config.Events, or a no-op
-	member      MembershipObserver // events' membership side, or nil
-	sendLatency *obs.Histogram
-	recvLatency *obs.Histogram
-	backoffDur  *obs.Histogram
-	batchAds    *obs.Histogram // ads per sent batch frame
-	batchBytes  *obs.Histogram // bytes per sent batch frame
-	recvBatch   *obs.Histogram // ads per received batch frame
-	digestIDs   *obs.Histogram // IDs per sent digest
+	events core.Observer      // Config.Events, or a no-op
+	member MembershipObserver // events' membership side, or nil
+	hist   *histograms        // nil without Config.Registry
 
 	ctr       counters
 	done      chan struct{}
@@ -325,9 +320,25 @@ const (
 	epochSkewSlack = 1.0
 )
 
-// The bucket bounds of the node's histograms, shared by every node: a
-// histogram keeps its bounds, so a fleet holds one copy of each, not one a
-// node.
+// histograms are a served node's distributions, registered in
+// Config.Registry.
+type histograms struct {
+	sendLatency, recvLatency, backoffDur *obs.Histogram
+	batchAds, batchBytes                 *obs.Histogram // per sent batch frame
+	recvBatch                            *obs.Histogram // ads per received batch frame
+	digestIDs                            *obs.Histogram // IDs per sent digest
+}
+
+// sentBatch records one transmitted batch frame; a nil h records nothing.
+func (h *histograms) sentBatch(f packedBatch) {
+	if h != nil {
+		h.batchAds.Observe(float64(f.ads))
+		h.batchBytes.Observe(float64(len(f.data)))
+	}
+}
+
+// The bucket bounds of the node's histograms, shared by every served node: a
+// histogram keeps its bounds, so a process holds one copy of each.
 var (
 	latencyBuckets = obs.ExpBuckets(1e-6, 4, 12)
 	backoffBuckets = obs.ExpBuckets(0.05, 2, 12)
@@ -355,18 +366,12 @@ func New(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("node: %w", err)
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	n := &Node{
 		cfg:            cfg,
 		rules:          rules,
 		transport:      tr,
 		conn:           conn,
-		reg:            reg,
 		events:         cfg.Events,
-		ctr:            newCounters(reg),
 		failLimit:      defaultPeerFailLimit,
 		backoffBase:    defaultPeerBackoffBase,
 		backoffMax:     defaultPeerBackoffMax,
@@ -422,45 +427,34 @@ func New(cfg Config) (*Node, error) {
 		}
 		n.addPeerLocked(key)
 	}
-	n.sendLatency = reg.Histogram("node_send_latency_seconds",
-		"time one datagram transmission spent in the socket write", latencyBuckets)
-	n.recvLatency = reg.Histogram("node_receive_latency_seconds",
-		"time from datagram arrival to full protocol integration", latencyBuckets)
-	n.backoffDur = reg.Histogram("node_peer_backoff_seconds",
-		"duration of each peer backoff window entered", backoffBuckets)
-	n.batchAds = reg.Histogram("node_batch_ads",
-		"ads packed into each transmitted batch frame", adCountBuckets)
-	n.batchBytes = reg.Histogram("node_batch_bytes",
-		"payload bytes of each transmitted batch frame", byteBuckets)
-	n.recvBatch = reg.Histogram("node_recv_batch_ads",
-		"ads carried by each accepted batch frame", adCountBuckets)
-	n.digestIDs = reg.Histogram("node_digest_ids",
-		"ad IDs carried by each transmitted digest frame", idCountBuckets)
-	n.registerGauges(reg)
-	if n.table != nil {
-		n.table.InstrumentWith(reg)
+	if reg := cfg.Registry; reg != nil {
+		RegisterStats(reg, n.Stats)
+		n.hist = &histograms{
+			sendLatency: reg.Histogram("node_send_latency_seconds",
+				"time one datagram transmission spent in the socket write", latencyBuckets),
+			recvLatency: reg.Histogram("node_receive_latency_seconds",
+				"time from datagram arrival to full protocol integration", latencyBuckets),
+			backoffDur: reg.Histogram("node_peer_backoff_seconds",
+				"duration of each peer backoff window entered", backoffBuckets),
+			batchAds: reg.Histogram("node_batch_ads",
+				"ads packed into each transmitted batch frame", adCountBuckets),
+			batchBytes: reg.Histogram("node_batch_bytes",
+				"payload bytes of each transmitted batch frame", byteBuckets),
+			recvBatch: reg.Histogram("node_recv_batch_ads",
+				"ads carried by each accepted batch frame", adCountBuckets),
+			digestIDs: reg.Histogram("node_digest_ids",
+				"ad IDs carried by each transmitted digest frame", idCountBuckets),
+		}
+		if n.table != nil {
+			n.table.InstrumentWith(reg)
+		}
 	}
 	return n, nil
 }
 
-// Registry returns the node's instrument registry — the Config.Registry it
-// was given, or the private one it built.
-func (n *Node) Registry() *obs.Registry { return n.reg }
-
-// peersLive counts peers currently outside a backoff window (the
-// node_peers_live gauge and Stats.PeersLive).
-func (n *Node) peersLive() int {
-	now := time.Now()
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	live := 0
-	for _, p := range n.peers {
-		if !p.backoffUntil.After(now) {
-			live++
-		}
-	}
-	return live
-}
+// Registry returns Config.Registry, which serves the node's instruments, or
+// nil when the node has none.
+func (n *Node) Registry() *obs.Registry { return n.cfg.Registry }
 
 // memberLocked reports one membership event when Config.Events takes them.
 // Callers hold n.mu (or own the node exclusively, as New does).
@@ -716,13 +710,6 @@ func (n *Node) Has(id ads.ID) bool {
 	return ok && n.now() <= exp
 }
 
-// SeenSize returns the current size of the dedup set (the SeenLive gauge).
-func (n *Node) SeenSize() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.seen)
-}
-
 // Cached returns copies of the currently cached ads.
 func (n *Node) Cached() []*ads.Advertisement {
 	n.mu.Lock()
@@ -781,9 +768,13 @@ func (n *Node) dispatch(data []byte, from string) {
 	case discovery.BeaconMagic:
 		n.handleBeacon(data, from)
 	case batchMagic:
+		if n.hist == nil {
+			n.handleBatch(data)
+			return
+		}
 		start := time.Now()
 		n.handleBatch(data)
-		n.recvLatency.Observe(time.Since(start).Seconds())
+		n.hist.recvLatency.Observe(time.Since(start).Seconds())
 	case digestMagic:
 		n.handleDigest(data, from)
 	case pullMagic:
@@ -808,7 +799,9 @@ func (n *Node) handleBatch(data []byte) {
 		return
 	}
 	n.ctr.BatchesRecv.Add(1)
-	n.recvBatch.Observe(float64(len(f.Ads)))
+	if n.hist != nil {
+		n.hist.recvBatch.Observe(float64(len(f.Ads)))
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	now := n.now()
@@ -942,8 +935,7 @@ func (n *Node) handlePull(data []byte, from string) {
 			n.ctr.Sent.Add(1)
 			n.ctr.BatchesSent.Add(1)
 			n.ctr.PulledAds.Add(uint64(fr.ads))
-			n.batchAds.Observe(float64(fr.ads))
-			n.batchBytes.Observe(float64(len(fr.data)))
+			n.hist.sentBatch(fr)
 		}
 	}
 }
@@ -1289,8 +1281,7 @@ func (n *Node) gossipOut(list []*ads.Advertisement, now float64) {
 			if n.sendTo(f.data, p) {
 				n.ctr.Sent.Add(1)
 				n.ctr.BatchesSent.Add(1)
-				n.batchAds.Observe(float64(f.ads))
-				n.batchBytes.Observe(float64(len(f.data)))
+				n.hist.sentBatch(f)
 			}
 		}
 	}
@@ -1318,7 +1309,9 @@ func (n *Node) sendDigest(ids []ads.ID) {
 		}
 		if n.sendTo(data, p) {
 			n.ctr.DigestsSent.Add(1)
-			n.digestIDs.Observe(float64(len(ids)))
+			if n.hist != nil {
+				n.hist.digestIDs.Observe(float64(len(ids)))
+			}
 		}
 	}
 }
@@ -1352,9 +1345,14 @@ func (n *Node) sendTo(data []byte, p *peerState) bool {
 		// dead and must not accumulate health or trip backoff.
 		return false
 	}
-	start := time.Now()
-	_, err := n.conn.WriteTo(data, p.key)
-	n.sendLatency.Observe(time.Since(start).Seconds())
+	var err error
+	if n.hist == nil {
+		_, err = n.conn.WriteTo(data, p.key)
+	} else {
+		start := time.Now()
+		_, err = n.conn.WriteTo(data, p.key)
+		n.hist.sendLatency.Observe(time.Since(start).Seconds())
+	}
 	if err != nil {
 		n.ctr.SendErrors.Add(1)
 		n.peerSendFailed(p, err)
@@ -1391,7 +1389,9 @@ func (n *Node) peerSendFailed(p *peerState, err error) {
 		p.consecFails = 0
 		p.inBackoff = true
 		n.ctr.PeerBackoffs.Add(1)
-		n.backoffDur.Observe(wait.Seconds())
+		if n.hist != nil {
+			n.hist.backoffDur.Observe(wait.Seconds())
+		}
 		n.memberLocked(trace.KindBackoffEnter, p.key, 0, wait.String())
 	}
 	n.mu.Unlock()

@@ -413,11 +413,11 @@ func TestSeenSetPruned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.SeenSize() != 1 || !n.Has(ad.ID) {
-		t.Fatalf("seen size %d after issue", n.SeenSize())
+	if n.Stats().SeenLive != 1 || !n.Has(ad.ID) {
+		t.Fatalf("seen size %d after issue", n.Stats().SeenLive)
 	}
-	if !waitFor(t, 2*time.Second, func() bool { return n.SeenSize() == 0 }) {
-		t.Fatalf("seen set never pruned: size %d", n.SeenSize())
+	if !waitFor(t, 2*time.Second, func() bool { return n.Stats().SeenLive == 0 }) {
+		t.Fatalf("seen set never pruned: size %d", n.Stats().SeenLive)
 	}
 	if n.Has(ad.ID) {
 		t.Error("expired ad still reported by Has")

@@ -17,13 +17,14 @@ import (
 )
 
 // TestStatsRegistryEquivalence walks Stats' tag rows on a four-node
-// soak-shaped cluster: every field, counter or gauge, must read back exactly
-// the registry instrument its row names.
+// soak-shaped cluster of served nodes: every field, counter or gauge, must
+// read back exactly the registry instrument its row names.
 func TestStatsRegistryEquivalence(t *testing.T) {
 	nodes := cluster(t, []geo.Point{
 		{X: 0}, {X: 200}, {X: 400}, {X: 600},
 	}, func(i int, c *Config) {
 		c.CacheK = 16
+		c.Registry = obs.NewRegistry()
 	})
 	for k := 0; k < 5; k++ {
 		if _, err := nodes[0].Issue(core.AdSpec{R: 1500, D: 2, Category: "petrol", Text: "equiv"}); err != nil {
@@ -45,7 +46,7 @@ func TestStatsRegistryEquivalence(t *testing.T) {
 		sv := reflect.ValueOf(st)
 		for j, r := range statRows {
 			want := sv.Field(j).Uint()
-			if r.gauge != nil {
+			if r.gauge {
 				if g, ok := snap.Gauges[r.metric]; !ok || uint64(g) != want {
 					t.Errorf("node %d: gauge %s = %v, Stats says %d", i, r.metric, g, want)
 				}
@@ -72,6 +73,7 @@ func TestStatsRegistryEquivalence(t *testing.T) {
 func TestMetricsExpositionParses(t *testing.T) {
 	nodes := cluster(t, []geo.Point{{X: 0}, {X: 100}}, func(i int, c *Config) {
 		c.BeaconInterval = 20 * time.Millisecond
+		c.Registry = obs.NewRegistry()
 	})
 	waitFor(t, 3*time.Second, func() bool {
 		return nodes[0].NeighborCount() > 0 && nodes[0].Stats().BeaconsRecv > 1

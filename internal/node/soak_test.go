@@ -116,7 +116,7 @@ func TestSoakUnderFaultInjection(t *testing.T) {
 			}
 			mu.Unlock()
 			for i, n := range cluster {
-				if s := n.SeenSize(); s > maxSeen[i] {
+				if s := int(n.Stats().SeenLive); s > maxSeen[i] {
 					maxSeen[i] = s
 				}
 			}

@@ -3,15 +3,16 @@ package node
 import (
 	"fmt"
 	"reflect"
+	"strings"
+	"time"
 
 	"instantad/internal/obs"
 )
 
 // Stats is a snapshot of a live node's activity. Each field is one node_*
-// instrument, declared once: its tags carry the JSON key, the registry name
-// (metric) and the help string, and the registry, Node.Stats and Stats.Add
-// are all built from those rows. The last three fields are gauges, read on
-// demand; every other field counts.
+// instrument, declared once: its tags carry the JSON key, the metric name and
+// the help string, and RegisterStats and Stats.Add are built from those rows.
+// The last three fields are gauges, read on demand; every other field counts.
 type Stats struct {
 	Sent             uint64 `json:"sent" metric:"node_sent_total" help:"ad datagrams transmitted (per peer destination)"`
 	Broadcasts       uint64 `json:"broadcasts" metric:"node_broadcasts_total" help:"gossip decisions that fired (one per ad broadcast)"`
@@ -45,88 +46,85 @@ type Stats struct {
 	NeighborsLive    uint64 `json:"neighbors_live" metric:"node_neighbors_live" help:"current neighbor-table size"`
 }
 
-// gauges reads the Stats fields that are levels rather than counts; each
-// backs both its Stats field and its registry gauge.
-var gauges = map[string]func(*Node) uint64{
-	"SeenLive":      func(n *Node) uint64 { return uint64(n.SeenSize()) },
-	"PeersLive":     func(n *Node) uint64 { return uint64(n.peersLive()) },
-	"NeighborsLive": func(n *Node) uint64 { return uint64(n.NeighborCount()) },
-}
-
-// counters are the node_* counters as typed fields, so hot paths increment
-// them without a lookup. Each is named after its Stats field; newCounters
-// registers them from the tag rows.
+// counters are the node_* counters as plain atomics, so hot paths increment
+// them without a lookup and a node that nobody serves keeps no registry. Each
+// is named after its Stats field.
 type counters struct {
-	Sent, Broadcasts, Received, OutOfRange, Malformed, Duplicates, Expired *obs.Counter
-	ReadErrors, SendErrors, SeenPruned, PeerBackoffs                       *obs.Counter
-	BeaconsSent, BeaconsRecv, BeaconRelays, NeighborsExpired, EpochSkew    *obs.Counter
-	BatchesSent, BatchesRecv, BatchOversize                                *obs.Counter
-	DigestsSent, DigestsRecv, DigestHits                                   *obs.Counter
-	PullsSent, PullsRecv, PulledAds, BlockedServes, BudgetDeferred         *obs.Counter
+	Sent, Broadcasts, Received, OutOfRange, Malformed, Duplicates, Expired obs.Counter
+	ReadErrors, SendErrors, SeenPruned, PeerBackoffs                       obs.Counter
+	BeaconsSent, BeaconsRecv, BeaconRelays, NeighborsExpired, EpochSkew    obs.Counter
+	BatchesSent, BatchesRecv, BatchOversize                                obs.Counter
+	DigestsSent, DigestsRecv, DigestHits                                   obs.Counter
+	PullsSent, PullsRecv, PulledAds, BlockedServes, BudgetDeferred         obs.Counter
 }
 
-// statRow is one Stats field's instrument; rows are in Stats field order.
+// statRow is one Stats field's instrument; rows are in Stats field order. A
+// metric named *_total counts; any other is a level, exposed as a gauge.
 type statRow struct {
 	metric, help string
-	counter      int                // field index in counters, or -1
-	gauge        func(*Node) uint64 // nil for a counter
+	gauge        bool
 }
 
-// statRows is Stats' tag table, read once at init. A field without a metric
-// tag, or with neither or both of a counters namesake and a gauge reader,
-// panics here rather than going missing from the registry.
+// statRows is Stats' tag table, read once at init. A field without metric
+// and help tags panics here rather than going missing from a registry.
 var statRows = func() []statRow {
-	st, ct := reflect.TypeOf(Stats{}), reflect.TypeOf(counters{})
+	st := reflect.TypeOf(Stats{})
 	rows := make([]statRow, st.NumField())
-	nctr := 0
 	for i := range rows {
 		f := st.Field(i)
-		r := statRow{metric: f.Tag.Get("metric"), help: f.Tag.Get("help"), counter: -1, gauge: gauges[f.Name]}
-		if c, ok := ct.FieldByName(f.Name); ok {
-			r.counter = c.Index[0]
-			nctr++
+		r := statRow{metric: f.Tag.Get("metric"), help: f.Tag.Get("help")}
+		if r.metric == "" || r.help == "" {
+			panic(fmt.Sprintf("node: Stats.%s needs metric and help tags", f.Name))
 		}
-		if r.metric == "" || r.help == "" || (r.counter < 0) == (r.gauge == nil) {
-			panic(fmt.Sprintf("node: Stats.%s needs metric and help tags and exactly one counter or gauge", f.Name))
-		}
+		r.gauge = !strings.HasSuffix(r.metric, "_total")
 		rows[i] = r
-	}
-	if nctr != ct.NumField() {
-		panic("node: a counters field has no Stats namesake")
 	}
 	return rows
 }()
 
-// newCounters registers every node_* counter in reg, in Stats order.
-func newCounters(reg *obs.Registry) counters {
-	var c counters
-	cv := reflect.ValueOf(&c).Elem()
-	for _, r := range statRows {
-		if r.gauge == nil {
-			cv.Field(r.counter).Set(reflect.ValueOf(reg.Counter(r.metric, r.help)))
+// RegisterStats registers one instrument per Stats field in reg, read from
+// read at exposition time: a counter per count, a gauge per level. A served
+// node registers its own Stats; a multi-node owner registers its totals.
+func RegisterStats(reg *obs.Registry, read func() Stats) {
+	for i, r := range statRows {
+		get := func() uint64 {
+			s := read()
+			return reflect.ValueOf(&s).Elem().Field(i).Uint()
 		}
-	}
-	return c
-}
-
-// registerGauges registers the node_* gauges in reg.
-func (n *Node) registerGauges(reg *obs.Registry) {
-	for _, r := range statRows {
-		if get := r.gauge; get != nil {
-			reg.GaugeFunc(r.metric, r.help, func() float64 { return float64(get(n)) })
+		if r.gauge {
+			reg.GaugeFunc(r.metric, r.help, func() float64 { return float64(get()) })
+		} else {
+			reg.CounterFunc(r.metric, r.help, get)
 		}
 	}
 }
 
 // Stats returns a snapshot of the node's counters and gauges.
 func (n *Node) Stats() Stats {
-	var s Stats
-	sv, cv := reflect.ValueOf(&s).Elem(), reflect.ValueOf(n.ctr)
-	for i, r := range statRows {
-		if r.gauge != nil {
-			sv.Field(i).SetUint(r.gauge(n))
-		} else {
-			sv.Field(i).SetUint(cv.Field(r.counter).Interface().(*obs.Counter).Value())
+	c := &n.ctr
+	s := Stats{
+		Sent: c.Sent.Value(), Broadcasts: c.Broadcasts.Value(), Received: c.Received.Value(),
+		OutOfRange: c.OutOfRange.Value(), Malformed: c.Malformed.Value(),
+		Duplicates: c.Duplicates.Value(), Expired: c.Expired.Value(),
+		ReadErrors: c.ReadErrors.Value(), SendErrors: c.SendErrors.Value(),
+		SeenPruned: c.SeenPruned.Value(), PeerBackoffs: c.PeerBackoffs.Value(),
+		BeaconsSent: c.BeaconsSent.Value(), BeaconsRecv: c.BeaconsRecv.Value(),
+		BeaconRelays: c.BeaconRelays.Value(), NeighborsExpired: c.NeighborsExpired.Value(),
+		EpochSkew: c.EpochSkew.Value(), BatchesSent: c.BatchesSent.Value(),
+		BatchesRecv: c.BatchesRecv.Value(), BatchOversize: c.BatchOversize.Value(),
+		DigestsSent: c.DigestsSent.Value(), DigestsRecv: c.DigestsRecv.Value(),
+		DigestHits: c.DigestHits.Value(), PullsSent: c.PullsSent.Value(),
+		PullsRecv: c.PullsRecv.Value(), PulledAds: c.PulledAds.Value(),
+		BlockedServes: c.BlockedServes.Value(), BudgetDeferred: c.BudgetDeferred.Value(),
+		NeighborsLive: uint64(n.NeighborCount()),
+	}
+	now := time.Now()
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	s.SeenLive = uint64(len(n.seen))
+	for _, p := range n.peers {
+		if !p.backoffUntil.After(now) { // outside a backoff window
+			s.PeersLive++
 		}
 	}
 	return s

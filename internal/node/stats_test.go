@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"instantad/internal/geo"
+	"instantad/internal/obs"
 )
 
 // TestStatsTableGolden pins the node's observable counter surface: every
@@ -15,7 +16,9 @@ import (
 // instrument's help string as the registry exposes it, one tab-separated row
 // per field in Stats order.
 func TestStatsTableGolden(t *testing.T) {
-	n, err := New(testConfig(1, geo.Point{}))
+	cfg := testConfig(1, geo.Point{})
+	cfg.Registry = obs.NewRegistry()
+	n, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,6 +67,40 @@ func TestStatsAddSumsEveryField(t *testing.T) {
 	for i := 0; i < av.NumField(); i++ {
 		if got, want := av.Field(i).Uint(), uint64(1001*(i+1)); got != want {
 			t.Errorf("Stats.%s = %d after Add, want %d", av.Type().Field(i).Name, got, want)
+		}
+	}
+}
+
+// TestStatsReadsEveryCounter gives each counter a distinct count and checks
+// Stats reports it in its namesake field, so a counter the Stats literal
+// skips, or one without a Stats field, fails here. The node is built without
+// a registry, as a fleet builds it: it has no registry and no histograms.
+func TestStatsReadsEveryCounter(t *testing.T) {
+	n, err := New(testConfig(1, geo.Point{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if n.Registry() != nil || n.hist != nil {
+		t.Errorf("a node without Config.Registry has registry %p, histograms %p", n.Registry(), n.hist)
+	}
+	cv := reflect.ValueOf(&n.ctr).Elem()
+	for i := 0; i < cv.NumField(); i++ {
+		cv.Field(i).Addr().Interface().(*obs.Counter).Add(uint64(i + 1))
+	}
+	sv := reflect.ValueOf(n.Stats())
+	for i := 0; i < cv.NumField(); i++ {
+		name := cv.Type().Field(i).Name
+		if f := sv.FieldByName(name); !f.IsValid() {
+			t.Errorf("counters.%s has no Stats field", name)
+		} else if f.Uint() != uint64(i+1) {
+			t.Errorf("Stats.%s = %d, its counter holds %d", name, f.Uint(), i+1)
+		}
+	}
+	for i, r := range statRows {
+		name := sv.Type().Field(i).Name
+		if _, ok := cv.Type().FieldByName(name); ok == r.gauge {
+			t.Errorf("Stats.%s (%s): gauge %v, but a counter of that name exists: %v", name, r.metric, r.gauge, ok)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"instantad/internal/geo"
 	"instantad/internal/node/memnet"
 	"instantad/internal/node/wire"
+	"instantad/internal/obs"
 )
 
 // TestConfigValidationWireLayer extends the validation matrix to the
@@ -54,8 +55,8 @@ func TestHasChecksStoredExpiry(t *testing.T) {
 	if n.Has(ad.ID) {
 		t.Error("expired ad still reported live")
 	}
-	if n.SeenSize() != 1 {
-		t.Fatalf("seen set is %d entries, want 1 (no sweep should have run)", n.SeenSize())
+	if n.Stats().SeenLive != 1 {
+		t.Fatalf("seen set is %d entries, want 1 (no sweep should have run)", n.Stats().SeenLive)
 	}
 }
 
@@ -166,7 +167,9 @@ func TestRemovePeerDuringBroadcastRace(t *testing.T) {
 // with batching at its default soft cap, a multi-ad cache converges across
 // nodes and the round gossip actually travels as multi-ad batch frames.
 func TestBatchedGossipDelivery(t *testing.T) {
-	nodes := cluster(t, []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 200, Y: 0}}, nil)
+	nodes := cluster(t, []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 200, Y: 0}}, func(i int, c *Config) {
+		c.Registry = obs.NewRegistry() // for the batch-size histogram
+	})
 	var issued []ads.ID
 	for i := 0; i < 6; i++ {
 		ad, err := nodes[0].Issue(core.AdSpec{R: 800, D: 30, Category: "petrol", Text: "batched"})
@@ -185,7 +188,7 @@ func TestBatchedGossipDelivery(t *testing.T) {
 				}
 			}
 		}
-		return nodes[0].batchAds.Sum() > float64(nodes[0].Stats().BatchesSent) && nodes[1].Stats().BatchesRecv > 0
+		return nodes[0].hist.batchAds.Sum() > float64(nodes[0].Stats().BatchesSent) && nodes[1].Stats().BatchesRecv > 0
 	}) {
 		t.Fatalf("no batched convergence; stats: %+v / %+v", nodes[0].Stats(), nodes[1].Stats())
 	}

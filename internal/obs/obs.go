@@ -15,11 +15,14 @@
 //   - No dependencies. Everything is stdlib; the Prometheus text format is
 //     small enough to emit (and parse, for tests) by hand.
 //
-// One Registry serves one unit of observation — a live node, a simulation —
-// and every layer registers its instruments under a layer prefix
-// (node_*, discovery_*, sim_*). Instrument constructors are idempotent:
-// asking for an existing name returns the existing instrument, so wiring
-// code does not need to coordinate registration order.
+// One Registry serves one endpoint — an adnode's /metrics, campaignd's, a
+// simulation's exit dump — and every layer registers its instruments under a
+// layer prefix (node_*, discovery_*, sim_*). A layer that keeps its own
+// counters (a live node's plain atomics) registers a view over them with
+// CounterFunc and GaugeFunc, and only when something serves it. Instrument
+// constructors are idempotent: asking for an existing name returns the
+// existing instrument, so wiring code does not need to coordinate
+// registration order.
 package obs
 
 import (
@@ -180,6 +183,7 @@ type kind uint8
 
 const (
 	kindCounter kind = iota
+	kindCounterFunc
 	kindGauge
 	kindGaugeFunc
 	kindHistogram
@@ -187,7 +191,7 @@ const (
 
 func (k kind) String() string {
 	switch k {
-	case kindCounter:
+	case kindCounter, kindCounterFunc:
 		return "counter"
 	case kindHistogram:
 		return "histogram"
@@ -202,10 +206,11 @@ type instrument struct {
 	help string
 	kind kind
 
-	counter   *Counter
-	gauge     *Gauge
-	gaugeFunc func() float64
-	hist      *Histogram
+	counter     *Counter
+	counterFunc func() uint64
+	gauge       *Gauge
+	gaugeFunc   func() float64
+	hist        *Histogram
 }
 
 // Registry holds a set of named instruments. Instrument lookups and
@@ -275,6 +280,15 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return in.gauge
 }
 
+// CounterFunc registers a counter whose value is read from fn at exposition
+// time — for counts another structure already keeps. fn must be safe to call
+// from any goroutine and must never decrease.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
+	if in, fresh := r.register(name, help, kindCounterFunc); fresh {
+		in.counterFunc = fn
+	}
+}
+
 // GaugeFunc registers a gauge whose value is computed by fn at exposition
 // time — for values another structure already maintains (table sizes, map
 // lengths). fn must be safe to call from any goroutine.
@@ -312,6 +326,14 @@ func (r *Registry) instruments() []*instrument {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]*instrument(nil), r.order...)
+}
+
+// counterValue evaluates a counter instrument of either flavor.
+func (in *instrument) counterValue() uint64 {
+	if in.kind == kindCounterFunc {
+		return in.counterFunc()
+	}
+	return in.counter.Value()
 }
 
 // gaugeValue evaluates a gauge instrument of either flavor.
@@ -362,8 +384,8 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, in := range ins {
 		s.Names = append(s.Names, in.name)
 		switch in.kind {
-		case kindCounter:
-			s.Counters[in.name] = in.counter.Value()
+		case kindCounter, kindCounterFunc:
+			s.Counters[in.name] = in.counterValue()
 		case kindGauge, kindGaugeFunc:
 			s.Gauges[in.name] = in.gaugeValue()
 		case kindHistogram:

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -51,6 +52,46 @@ func TestRegistryIdempotentAndValidation(t *testing.T) {
 	mustPanic(t, func() { r.Counter("9starts_with_digit", "") })
 	mustPanic(t, func() { r.Histogram("h", "", nil) })
 	mustPanic(t, func() { r.Histogram("h2", "", []float64{2, 1}) })
+}
+
+// TestCounterFuncRoundTrips registers a counter read from a function and
+// checks it exposes as a counter with the function's current value, in both
+// the text format and the snapshot, and that its name cannot come back as
+// another kind.
+func TestCounterFuncRoundTrips(t *testing.T) {
+	r := NewRegistry()
+	var n atomic.Uint64
+	r.CounterFunc("view_total", "counted elsewhere", n.Load)
+	r.CounterFunc("view_total", "second registration", func() uint64 { return 99 })
+	n.Store(41)
+	n.Add(1)
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := ParsePrometheus(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v\n%s", err, sb.String())
+	}
+	if f := fams["view_total"]; f.Type != "counter" || f.Samples["view_total"] != 42 {
+		t.Errorf("view_total exposes as %+v, want counter 42", f)
+	}
+	if !strings.Contains(sb.String(), "# HELP view_total counted elsewhere\n") {
+		t.Errorf("help string lost:\n%s", sb.String())
+	}
+	snap := r.Snapshot()
+	if got, ok := snap.Counters["view_total"]; !ok || got != 42 {
+		t.Errorf("snapshot counter = %d (present %v), want 42", got, ok)
+	}
+	if len(snap.Gauges) != 0 || len(snap.Names) != 1 {
+		t.Errorf("snapshot = %+v, want one counter", snap)
+	}
+	mustPanic(t, func() { r.Counter("view_total", "") })
+	mustPanic(t, func() { r.Gauge("view_total", "") })
+	mustPanic(t, func() { r.GaugeFunc("view_total", "", func() float64 { return 0 }) })
+	mustPanic(t, func() { r.Histogram("view_total", "", []float64{1}) })
+	r.Counter("plain_total", "")
+	mustPanic(t, func() { r.CounterFunc("plain_total", "", n.Load) })
 }
 
 func mustPanic(t *testing.T, fn func()) {

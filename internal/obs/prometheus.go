@@ -42,8 +42,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		fmt.Fprintf(bw, "# TYPE %s %s\n", in.name, in.kind)
 		switch in.kind {
-		case kindCounter:
-			fmt.Fprintf(bw, "%s %d\n", in.name, in.counter.Value())
+		case kindCounter, kindCounterFunc:
+			fmt.Fprintf(bw, "%s %d\n", in.name, in.counterValue())
 		case kindGauge, kindGaugeFunc:
 			fmt.Fprintf(bw, "%s %s\n", in.name, formatFloat(in.gaugeValue()))
 		case kindHistogram:

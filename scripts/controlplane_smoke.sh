@@ -55,9 +55,10 @@ until curl -fsS "$BASE/v1/campaigns/c-1/status" | grep -q '"delivered": *[1-9]';
     sleep 0.5
 done
 
-# The metrics surface carries the control-plane and fleet families.
+# The metrics surface carries the control-plane and fleet families, and the
+# fleet's node_* totals as counters.
 "$BIN/promcheck" -url "$BASE/metrics" -timeout 20s -require \
-    campaignd_campaigns_created_total:counter,campaignd_ads_injected_total:counter,campaignd_delivery_seconds:histogram,campaignd_live_ads:gauge,fleet_nodes:gauge,fleet_budget_deferred_total:gauge
+    campaignd_campaigns_created_total:counter,campaignd_ads_injected_total:counter,campaignd_delivery_seconds:histogram,campaignd_live_ads:gauge,fleet_nodes:gauge,node_budget_deferred_total:counter,node_sent_total:counter
 
 # Drain: SIGTERM must stop the API and write a final checkpoint.
 kill -TERM "$CPD"
