@@ -3,8 +3,8 @@ package campaign
 import "instantad/internal/obs"
 
 // instruments is the control plane's own metric surface (campaignd_*),
-// shared by the scheduler and the HTTP layer. Fleet-level gauges
-// (fleet_*) are registered separately because they need the Fleet.
+// shared by the scheduler and the HTTP layer. The fleet-level gauge
+// (fleet_nodes) is registered separately because it needs the Fleet.
 type instruments struct {
 	created         *obs.Counter
 	rejected        *obs.Counter // campaigns refused by admission (HTTP 429)

@@ -19,7 +19,7 @@ type SchedulerConfig struct {
 	Admission Admission
 	// Tick is the control-loop period. Zero means 100ms.
 	Tick time.Duration
-	// Registry receives the campaignd_* instruments, the fleet_* gauges and
+	// Registry receives the campaignd_* instruments, the fleet_nodes gauge and
 	// the fleet's node_* totals. Nil means a private registry.
 	Registry *obs.Registry
 	Logf     func(format string, args ...any)
@@ -78,14 +78,12 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		func() float64 { return float64(s.st.CountByState()[StateActive]) })
 	reg.GaugeFunc("fleet_nodes", "live nodes in the captive fleet",
 		func() float64 { return float64(s.fl.NodeCount()) })
-	reg.GaugeFunc("fleet_neighbors_live", "fleet-wide live peer links",
-		func() float64 { return float64(s.fl.Totals().PeersLive) })
 	node.RegisterStats(reg, s.fl.Totals)
 	return s, nil
 }
 
-// Registry returns the registry holding the campaignd_*, fleet_* and node_*
-// instruments.
+// Registry returns the registry holding the campaignd_*, fleet_nodes and
+// node_* instruments.
 func (s *Scheduler) Registry() *obs.Registry { return s.reg }
 
 // Start launches the control loop.

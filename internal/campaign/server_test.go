@@ -277,4 +277,8 @@ func TestServerMetricsCarryFleetTotals(t *testing.T) {
 	if tot := fl.Totals(); tot.Sent == 0 || tot.Received == 0 || tot.PeersLive == 0 {
 		t.Errorf("totals %+v: the fields compared were mostly zero", tot)
 	}
+	// One name for one value: the live peer links are node_peers_live only.
+	if _, ok := fams["fleet_neighbors_live"]; ok {
+		t.Error("/metrics still serves fleet_neighbors_live beside node_peers_live")
+	}
 }

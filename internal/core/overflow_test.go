@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"instantad/internal/ads"
+	"instantad/internal/fm"
 	"instantad/internal/geo"
 	"instantad/internal/mobility"
 	"instantad/internal/radio"
@@ -542,10 +543,10 @@ func BenchmarkReceiveOverflow(b *testing.B) {
 		}
 	}
 	var p *Peer
-	reset := func() { // a fresh peer: its received set must not grow with b.N
+	reset := func(cfg Config) { // a fresh peer: its received set must not grow with b.N
 		s := sim.New()
 		models := []mobility.Model{mobility.NewStatic(at), mobility.NewStatic(geo.Point{X: 800, Y: 750})}
-		n, err := New(s, testRadio(), models, testConfig(GossipOpt), rng.New(1))
+		n, err := New(s, testRadio(), models, cfg, rng.New(1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -557,7 +558,7 @@ func BenchmarkReceiveOverflow(b *testing.B) {
 		}
 	}
 	b.Run("dropped", func(b *testing.B) {
-		reset()
+		reset(testConfig(GossipOpt))
 		far := &ads.Advertisement{ID: ads.ID{Issuer: 2}, Origin: geo.Point{X: 9000, Y: 9000}, R: 500, D: 120}
 		p.handleGossip(gossipFrame{ad: far}, 1) // marked received here, once
 		b.ReportAllocs()
@@ -575,13 +576,36 @@ func BenchmarkReceiveOverflow(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if i%fresh == 0 {
 				b.StopTimer()
-				reset()
+				reset(testConfig(GossipOpt))
 				b.StartTimer()
 			}
 			p.handleGossip(gossipFrame{ad: pool[10+i%fresh]}, 1)
 			if p.cache.Get(pool[10+i%fresh].ID) == nil {
 				b.Fatalf("arrival %d was not admitted", i)
 			}
+		}
+	})
+	b.Run("popular", func(b *testing.B) {
+		// dropped, with the popularity mechanism on and the peer interested:
+		// Algorithm 5 would write to the frame's snapshot, so the newcomer is
+		// ranked by the key the update would give it and never copied.
+		cfg := testConfig(GossipOpt)
+		cfg.Popularity = PopularityConfig{Enabled: true, F: 8, L: 32, SketchSeed: 3, RInc: 50, DInc: 10, RMax: 800, DMax: 240}
+		reset(cfg)
+		p.SetInterests("petrol")
+		far := &ads.Advertisement{ID: ads.ID{Issuer: 2}, Origin: geo.Point{X: 9000, Y: 9000}, R: 500, D: 120,
+			Category: "petrol", Sketch: fm.New(8, 32, 3)}
+		p.handleGossip(gossipFrame{ad: far}, 1) // marked received here, once
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.handleGossip(gossipFrame{ad: far}, 1)
+		}
+		if got := p.net.rules.overflowDropped.Value(); got != uint64(b.N)+1 {
+			b.Fatalf("%d of %d arrivals dropped", got, b.N+1)
+		}
+		if far.Sketch.Estimate() != 0 || far.R != 500 || far.D != 120 {
+			b.Fatalf("the dropped snapshot was written: rank %d, R %v, D %v", far.Sketch.Rank(), far.R, far.D)
 		}
 	})
 	b.Run("scattered", func(b *testing.B) {

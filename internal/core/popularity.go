@@ -17,10 +17,10 @@ func Rank(ad *ads.Advertisement) int {
 	return ad.Sketch.Rank()
 }
 
-// popularityMutates reports whether applyPopularity may write to ad — Admit
-// clones a shared snapshot first exactly when this holds. Conservative:
-// Sketch.Add can turn out to be a no-op (bits already set), but predicting
-// that would cost as much as the write.
+// popularityMutates reports whether applyPopularity may write to ad: the
+// mechanism is on and ad carries a sketch and matches one of interests. It
+// still writes nothing when the user's ID sets no new sketch bit, which
+// popularityKey tells without writing.
 func (r *Rules) popularityMutates(ad *ads.Advertisement, interests []string) bool {
 	return r.cfg.Popularity.Enabled && ad.Sketch != nil && ad.MatchesAny(interests)
 }
@@ -41,24 +41,38 @@ func (r *Rules) applyPopularity(ad *ads.Advertisement, userID uint64, interests 
 		return // bits already set: contribution already reflected
 	}
 	if after := ad.Sketch.Rank(); after > before {
-		enlarge(ad, after, r.cfg.Popularity)
+		ad.R, ad.D = enlarged(ad.R, ad.D, after, r.cfg.Popularity)
 	}
 }
 
-// enlarge applies Formula 7: R += RInc/log₂(rank+1), D += DInc/log₂(rank+1),
-// clamped to the configured caps. The log factor slows growth as the ad gets
-// popular; with caps it is explicitly bounded.
-func enlarge(ad *ads.Advertisement, rank int, cfg PopularityConfig) {
+// popularityKey is applyPopularity's outcome for an ad popularityMutates
+// holds for, without the write: the ranking key ad would have after the
+// update, and whether the update writes to ad at all. It writes when userID
+// sets a sketch bit: the sketch takes userID and R and D become the key's.
+func (r *Rules) popularityKey(ad *ads.Advertisement, userID uint64) (k ads.Key, writes bool) {
+	k = ad.Key()
+	after, writes := ad.Sketch.RankWith(userID)
+	if writes && after > ad.Sketch.Rank() {
+		k.R, k.D = enlarged(k.R, k.D, after, r.cfg.Popularity)
+	}
+	return k, writes
+}
+
+// enlarged applies Formula 7 to an ad's R and D: R += RInc/log₂(rank+1),
+// D += DInc/log₂(rank+1), clamped to the configured caps. The log factor
+// slows growth as the ad gets popular; with caps it is explicitly bounded.
+func enlarged(r, d float64, rank int, cfg PopularityConfig) (float64, float64) {
 	div := math.Log2(float64(rank) + 1)
 	if div <= 0 {
-		return
+		return r, d
 	}
-	ad.R += cfg.RInc / div
-	if cfg.RMax > 0 && ad.R > cfg.RMax {
-		ad.R = cfg.RMax
+	r += cfg.RInc / div
+	if cfg.RMax > 0 && r > cfg.RMax {
+		r = cfg.RMax
 	}
-	ad.D += cfg.DInc / div
-	if cfg.DMax > 0 && ad.D > cfg.DMax {
-		ad.D = cfg.DMax
+	d += cfg.DInc / div
+	if cfg.DMax > 0 && d > cfg.DMax {
+		d = cfg.DMax
 	}
+	return r, d
 }

@@ -2,12 +2,14 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"instantad/internal/ads"
 	"instantad/internal/fm"
 	"instantad/internal/geo"
+	"instantad/internal/rng"
 )
 
 func popConfig() Config {
@@ -63,7 +65,7 @@ func TestApplyPopularityOnlyWhenInterested(t *testing.T) {
 func TestEnlargeCapsRespected(t *testing.T) {
 	cfg := PopularityConfig{Enabled: true, F: 4, L: 32, RInc: 1e6, DInc: 1e6, RMax: 800, DMax: 2000}
 	ad := &ads.Advertisement{R: 500, D: 600}
-	enlarge(ad, 1, cfg)
+	ad.R, ad.D = enlarged(ad.R, ad.D, 1, cfg)
 	if ad.R != 800 || ad.D != 2000 {
 		t.Errorf("caps not applied: R=%v D=%v", ad.R, ad.D)
 	}
@@ -72,7 +74,7 @@ func TestEnlargeCapsRespected(t *testing.T) {
 func TestEnlargeNoCaps(t *testing.T) {
 	cfg := PopularityConfig{Enabled: true, F: 4, L: 32, RInc: 100, DInc: 50}
 	ad := &ads.Advertisement{R: 500, D: 600}
-	enlarge(ad, 3, cfg) // divisor log2(4) = 2
+	ad.R, ad.D = enlarged(ad.R, ad.D, 3, cfg) // divisor log2(4) = 2
 	if math.Abs(ad.R-550) > 1e-9 || math.Abs(ad.D-625) > 1e-9 {
 		t.Errorf("enlarge wrong: R=%v D=%v, want 550/625", ad.R, ad.D)
 	}
@@ -82,8 +84,8 @@ func TestEnlargeSlowsWithRank(t *testing.T) {
 	cfg := PopularityConfig{Enabled: true, F: 4, L: 32, RInc: 100, DInc: 0}
 	a := &ads.Advertisement{R: 500, D: 600}
 	b := &ads.Advertisement{R: 500, D: 600}
-	enlarge(a, 1, cfg)
-	enlarge(b, 100, cfg)
+	a.R, a.D = enlarged(a.R, a.D, 1, cfg)
+	b.R, b.D = enlarged(b.R, b.D, 100, cfg)
 	da, db := a.R-500, b.R-500
 	if db >= da {
 		t.Errorf("growth at rank 100 (%v) not below rank 1 (%v)", db, da)
@@ -265,5 +267,83 @@ func TestInterestOrderAndDuplicatesDoNotMatter(t *testing.T) {
 		if !reflect.DeepEqual(o, first) {
 			t.Errorf("interests %q: %+v, want %+v as for %q", v, o, first, variants[0])
 		}
+	}
+}
+
+// TestAdmitSharedMatchesPrivate checks Admit's deferred copy against the
+// private path, which applies Algorithm 5 before ranking: on the same cache,
+// a shared snapshot and a private copy of it make the same victim and entry
+// (R, D, sketch bits, probability), the snapshot itself is never written, and
+// it is copied exactly when it enters and the update writes to it. A third
+// of the arrivals already carry the peer's sketch bits, so the update writes
+// nothing and the entry keeps the snapshot.
+func TestAdmitSharedMatchesPrivate(t *testing.T) {
+	cfg := popConfig()
+	rules, err := NewRules(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := rules.cfg.Popularity
+	src := rand.New(rand.NewSource(5))
+	interests := ads.InterestSet([]string{"petrol"})
+	dropped, kept, copied := 0, 0, 0
+	for trial := range 2000 {
+		const k = 4
+		shared, private := ads.NewCache(k), ads.NewCache(k)
+		pos := geo.Point{X: src.Float64() * 1000, Y: src.Float64() * 1000}
+		now := 100 + src.Float64()*100
+		for i := range src.Intn(k + 1) {
+			ad := &ads.Advertisement{ID: ads.ID{Issuer: 1, Seq: uint32(i)},
+				Origin: geo.Point{X: src.Float64() * 1000, Y: src.Float64() * 1000}, IssuedAt: src.Float64() * 100,
+				R: 300 + src.Float64()*400, D: 150 + src.Float64()*100}
+			shared.Insert(ad, 0)
+			private.Insert(ad, 0)
+		}
+		userID := src.Uint64()
+		snap := &ads.Advertisement{ID: ads.ID{Issuer: 2, Seq: uint32(trial)},
+			Origin: geo.Point{X: src.Float64() * 1000, Y: src.Float64() * 1000}, IssuedAt: src.Float64() * 100,
+			R: 300 + src.Float64()*400, D: 150 + src.Float64()*100, Category: "petrol",
+			Sketch: fm.New(pc.F, pc.L, pc.SketchSeed)}
+		for range src.Intn(40) {
+			snap.Sketch.Add(src.Uint64())
+		}
+		if src.Intn(3) == 0 {
+			snap.Sketch.Add(userID)
+		}
+		before := snap.Clone()
+		own := snap.Clone()
+		es, vs := rules.Admit(shared, rng.New(1), snap, true, userID, interests, false, pos, now)
+		ep, vp := rules.Admit(private, rng.New(1), own, false, userID, interests, false, pos, now)
+		if !reflect.DeepEqual(snap, before) {
+			t.Fatalf("trial %d: the shared snapshot was written", trial)
+		}
+		if (vs == nil) != (vp == nil) || vs != nil && vs.Ad.ID != vp.Ad.ID {
+			t.Fatalf("trial %d: victims %v and %v", trial, vs, vp)
+		}
+		if (es == nil) != (ep == nil) {
+			t.Fatalf("trial %d: shared entered %v, private entered %v", trial, es != nil, ep != nil)
+		}
+		if es == nil {
+			dropped++
+			continue
+		}
+		cloned := es.Ad != snap
+		if writes := !before.Sketch.Covers(own.Sketch); cloned != writes || es.Shared == cloned {
+			t.Fatalf("trial %d: copied %v, shared %v, the update writes %v", trial, cloned, es.Shared, writes)
+		}
+		if cloned {
+			copied++
+		} else {
+			kept++
+		}
+		if math.Float64bits(es.Ad.R) != math.Float64bits(ep.Ad.R) || math.Float64bits(es.Ad.D) != math.Float64bits(ep.Ad.D) ||
+			math.Float64bits(es.Prob) != math.Float64bits(ep.Prob) || !es.Ad.Sketch.Covers(ep.Ad.Sketch) || !ep.Ad.Sketch.Covers(es.Ad.Sketch) {
+			t.Fatalf("trial %d: shared entry R %v D %v P %v, private R %v D %v P %v",
+				trial, es.Ad.R, es.Ad.D, es.Prob, ep.Ad.R, ep.Ad.D, ep.Prob)
+		}
+	}
+	t.Logf("dropped %d, entered as the snapshot %d, entered as a copy %d", dropped, kept, copied)
+	if dropped == 0 || kept == 0 || copied == 0 {
+		t.Error("a path was never taken")
 	}
 }

@@ -92,13 +92,13 @@ func TestRSUForwardProb(t *testing.T) {
 		t.Fatal(err)
 	}
 	rsu, mobile := n.Peer(1), n.Peer(2)
-	if got := n.rules.prob(ad, rsu.IsRSU(), geo.Point{X: 100, Y: 0}, 0); got != 1 {
+	if got := n.rules.prob(ad.Key(), rsu.IsRSU(), geo.Point{X: 100, Y: 0}, 0); got != 1 {
 		t.Fatalf("RSU inside radius: prob %v, want 1", got)
 	}
-	if got := n.rules.prob(ad, rsu.IsRSU(), geo.Point{X: 400, Y: 0}, 0); got != 0 {
+	if got := n.rules.prob(ad.Key(), rsu.IsRSU(), geo.Point{X: 400, Y: 0}, 0); got != 0 {
 		t.Fatalf("RSU outside radius: prob %v, want 0", got)
 	}
-	if got := n.rules.prob(ad, mobile.IsRSU(), geo.Point{X: 100, Y: 0}, 0); got <= 0 || got >= 1 {
+	if got := n.rules.prob(ad.Key(), mobile.IsRSU(), geo.Point{X: 100, Y: 0}, 0); got <= 0 || got >= 1 {
 		t.Fatalf("mobile peer prob %v, want strictly between 0 and 1", got)
 	}
 	if !n.Peer(1).IsRSU() || n.Peer(0).IsRSU() || n.Peer(2).IsRSU() {

@@ -115,11 +115,11 @@ func (r *Rules) NewAd(id ads.ID, origin geo.Point, now float64, spec AdSpec) (*a
 	return ad, nil
 }
 
-// prob is ad's forwarding probability for a peer at pos at now: Formula 1,
-// or Formula 3 under Optimization Mechanism (1). It reads and never writes.
-func (r *Rules) prob(ad *ads.Advertisement, rsu bool, pos geo.Point, now float64) float64 {
-	rt := RadiusAt(r.cfg.Params, ad.R, ad.D, ad.Age(now))
-	d := pos.Dist(ad.Origin)
+// prob is the forwarding probability of the ad with ranking key k for a peer
+// at pos at now: Formula 1, or Formula 3 under Optimization Mechanism (1).
+func (r *Rules) prob(k ads.Key, rsu bool, pos geo.Point, now float64) float64 {
+	rt := RadiusAt(r.cfg.Params, k.R, k.D, k.Age(now))
+	d := pos.Dist(k.Origin)
 	if rsu {
 		// Infrastructure has no battery to save: a roadside unit inside the
 		// ad's current radius always relays, outside it never does. rng.Bool
@@ -131,14 +131,17 @@ func (r *Rules) prob(ad *ads.Advertisement, rsu bool, pos geo.Point, now float64
 		return 0
 	}
 	if r.cfg.Protocol.usesOpt1() {
-		return forwardProbOpt1Rt(r.cfg.Params, d, ad.R, rt, r.cfg.DIS)
+		return forwardProbOpt1Rt(r.cfg.Params, d, k.R, rt, r.cfg.DIS)
 	}
-	return forwardProbRt(r.cfg.Params, d, ad.R, rt)
+	return forwardProbRt(r.cfg.Params, d, k.R, rt)
 }
 
 // Admit is Algorithm 1's insert branch for an ad c does not hold, after
 // Algorithm 5's popularity update. ad must be private to the caller unless
-// shared is set; a shared snapshot the update would write to is cloned first.
+// shared is set. A private ad takes the update at once: IssueAd broadcasts
+// its own ad updated even when its full cache drops it. A shared snapshot is
+// ranked by the key the update would give it (popularityKey) and, only if it
+// enters, cloned and updated; a dropped one costs no copy.
 // It returns the new entry, nil when ad ranked lowest and was dropped, and
 // the other entry evicted to make room, if any; cancelling the victim's timer
 // and reporting evictions are the caller's. The victim is chosen among the
@@ -147,22 +150,27 @@ func (r *Rules) prob(ad *ads.Advertisement, rsu bool, pos geo.Point, now float64
 // victim without the refresh, and a doomed newcomer, the common case, never
 // enters.
 func (r *Rules) Admit(c *ads.Cache, rnd *rng.Stream, ad *ads.Advertisement, shared bool, userID uint64, interests []string, rsu bool, pos geo.Point, now float64) (e, victim *ads.Entry) {
-	if shared && r.popularityMutates(ad, interests) {
-		ad, shared = ad.Clone(), false
+	key, writes := ad.Key(), false
+	if r.popularityMutates(ad, interests) {
+		if shared {
+			key, writes = r.popularityKey(ad, userID)
+		} else {
+			r.applyPopularity(ad, userID, interests)
+			key = ad.Key()
+		}
 	}
-	r.applyPopularity(ad, userID, interests)
 	prob, certain := 0.0, false
 	if c.Len() >= c.K() {
 		if r.cfg.Eviction == EvictLowestProb {
 			r.overflows.Inc()
-			if victim, prob, certain = r.rankOverflow(c, ad, rsu, pos, now); !certain {
+			if victim, prob, certain = r.rankOverflow(c, &key, rsu, pos, now); !certain {
 				r.overflowExact.Inc() // evict decides
 			} else if victim == nil {
 				r.overflowDropped.Inc()
 			}
 		}
 		if !certain {
-			prob = r.prob(ad, rsu, pos, now)
+			prob = r.prob(key, rsu, pos, now)
 			victim = r.evict(c, rnd, prob, rsu, pos, now)
 		}
 		if victim == nil {
@@ -170,19 +178,25 @@ func (r *Rules) Admit(c *ads.Cache, rnd *rng.Stream, ad *ads.Advertisement, shar
 		}
 		c.Remove(victim.Ad.ID)
 	} else {
-		prob = r.prob(ad, rsu, pos, now)
+		prob = r.prob(key, rsu, pos, now)
+	}
+	if writes {
+		ad, shared = ad.Clone(), false
+		ad.Sketch.Add(userID)
+		ad.R, ad.D = key.R, key.D
 	}
 	e, _ = c.Insert(ad, prob)
 	e.Shared = shared
 	return e, victim
 }
 
-// rankOverflow names from scores the entry Algorithm 1 would evict once own
-// joined the full cache c, nil for own itself whose score is s, and reports
-// whether that is certain: none is NaN and the lowest is an exact zero — the
-// first in cache order loses, as in Cache.EvictLowest — or scoreMargin (10³ ×
-// a score's error) below the runner-up. An RSU's 1/0 rule ties: never certain.
-func (r *Rules) rankOverflow(c *ads.Cache, own *ads.Advertisement, rsu bool, pos geo.Point, now float64) (victim *ads.Entry, s float64, certain bool) {
+// rankOverflow names from scores the entry Algorithm 1 would evict once the
+// ad with key own joined the full cache c, nil for that ad whose score is s,
+// and reports whether that is certain: none is NaN and the lowest is an exact
+// zero — the first in cache order loses, as in Cache.EvictLowest — or
+// scoreMargin (10³ × a score's error) below the runner-up. An RSU's 1/0 rule
+// ties: never certain.
+func (r *Rules) rankOverflow(c *ads.Cache, own *ads.Key, rsu bool, pos geo.Point, now float64) (victim *ads.Entry, s float64, certain bool) {
 	lo, next := math.Inf(1), math.Inf(1) // the two lowest scores; a NaN sticks in lo
 	rank := func(k *ads.Key, e *ads.Entry) {
 		if s = r.rank.score(pos.Dist(k.Origin), k.R, k.D, k.Age(now)); s < lo || s != s {
@@ -197,8 +211,7 @@ func (r *Rules) rankOverflow(c *ads.Cache, own *ads.Advertisement, rsu bool, pos
 	for i := range slots {
 		rank(&slots[i].Key, slots[i].Entry)
 	}
-	ownKey := own.Key()
-	rank(&ownKey, nil) // last, as the last in cache order
+	rank(own, nil) // last, as the last in cache order
 	return victim, s, !rsu && (lo == 0 || next > lo*(1+scoreMargin))
 }
 
@@ -219,7 +232,7 @@ func (r *Rules) evict(c *ads.Cache, rnd *rng.Stream, own float64, rsu bool, pos 
 		}
 		return nil
 	}
-	c.ForEach(func(e *ads.Entry) { e.Prob = r.prob(e.Ad, rsu, pos, now) })
+	c.ForEach(func(e *ads.Entry) { e.Prob = r.prob(e.Ad.Key(), rsu, pos, now) })
 	v := slots[0].Entry
 	for _, s := range slots[1:] {
 		if s.Entry.Prob < v.Prob {
@@ -269,6 +282,6 @@ func (r *Rules) Step(c *ads.Cache, rnd *rng.Stream, e *ads.Entry, rsu bool, pos 
 		c.Remove(e.Ad.ID)
 		return false, false
 	}
-	e.Prob = r.prob(e.Ad, rsu, pos, now)
+	e.Prob = r.prob(e.Ad.Key(), rsu, pos, now)
 	return true, rnd.Bool(e.Prob)
 }

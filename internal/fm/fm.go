@@ -91,37 +91,52 @@ func (s *Sketch) Add(id uint64) bool {
 	return changed
 }
 
-// MinZero returns Min(FM_i): the position of the lowest zero bit of sketch i,
-// or L when every bit is set.
-func (s *Sketch) MinZero(i int) int {
-	m := bits.TrailingZeros64(^s.bm[i])
-	if m > s.l {
-		m = s.l
-	}
-	return m
-}
+// minZero returns Min(FM_i) of a bitmap w of the sketch: the position of its
+// lowest zero bit, or L when every bit is set.
+func (s *Sketch) minZero(w uint64) int { return min(bits.TrailingZeros64(^w), s.l) }
 
 // Estimate returns the approximate number of distinct elements added
-// (Formula 6): (1/φ)·2^(Σ MinZero(i)/F). An empty sketch estimates 0.
+// (Formula 6): (1/φ)·2^(Σ Min(FM_i)/F). An empty sketch estimates 0.
 func (s *Sketch) Estimate() float64 {
+	est, _ := s.estimate(0, false)
+	return est
+}
+
+// estimate is Estimate of the sketch as it is, or, when with is set, as it
+// would be once id were added; changed reports whether adding id would set
+// a bit. It writes nothing.
+func (s *Sketch) estimate(id uint64, with bool) (est float64, changed bool) {
 	sum := 0
 	empty := true
 	for i := 0; i < s.f; i++ {
-		if s.bm[i] != 0 {
+		w := s.bm[i]
+		if with {
+			bit := uint64(1) << s.bitFor(i, id)
+			changed = changed || w&bit == 0
+			w |= bit
+		}
+		if w != 0 {
 			empty = false
 		}
-		sum += s.MinZero(i)
+		sum += s.minZero(w)
 	}
 	if empty {
-		return 0
+		return 0, changed
 	}
-	return math.Exp2(float64(sum)/float64(s.f)) / Phi
+	return math.Exp2(float64(sum)/float64(s.f)) / Phi, changed
 }
 
 // Rank returns the estimate rounded to the nearest non-negative integer,
 // which is how the protocol consumes it.
 func (s *Sketch) Rank() int {
 	return int(math.Round(s.Estimate()))
+}
+
+// RankWith returns, without writing, the rank the sketch would have once id
+// were added, and whether Add(id) would change the sketch at all.
+func (s *Sketch) RankWith(id uint64) (rank int, changed bool) {
+	est, changed := s.estimate(id, true)
+	return int(math.Round(est)), changed
 }
 
 // Merge ORs other into s. Both sketches must have identical shape and seed;

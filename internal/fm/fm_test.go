@@ -151,6 +151,40 @@ func TestCoversIffMergeChangesNothingProperty(t *testing.T) {
 	}
 }
 
+// TestRankWithMatchesAddProperty: RankWith predicts, without writing, the
+// rank a copy has after Add and whether Add changed it, on small sketches
+// (where an ID often sets no new bit) and on a sketch that is still empty.
+func TestRankWithMatchesAddProperty(t *testing.T) {
+	changed, unchanged := 0, 0
+	f := func(xs []uint64, id uint64, small bool) bool {
+		s := New(4, 32, 5)
+		if small {
+			s = New(1, 3, 5)
+		}
+		for _, x := range xs {
+			s.Add(x)
+		}
+		before := s.Clone()
+		rank, ch := s.RankWith(id)
+		added := s.Clone()
+		if added.Add(id) != ch {
+			return false
+		}
+		if ch {
+			changed++
+		} else {
+			unchanged++
+		}
+		return s.equal(before) && rank == added.Rank()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+	if changed == 0 || unchanged == 0 {
+		t.Errorf("one-sided sample: %d IDs set a bit, %d did not", changed, unchanged)
+	}
+}
+
 // TestCoversIncompatible: a sketch Merge would reject is never covered, even
 // when it is empty.
 func TestCoversIncompatible(t *testing.T) {
@@ -222,6 +256,9 @@ func TestEstimateMonotoneGrowth(t *testing.T) {
 		}
 	}
 }
+
+// MinZero returns Min(FM_i) of sketch i.
+func (s *Sketch) MinZero(i int) int { return s.minZero(s.bm[i]) }
 
 func TestMinZero(t *testing.T) {
 	s := New(1, 8, 0)

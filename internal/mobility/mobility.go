@@ -8,7 +8,10 @@
 //
 // All models precompute a piecewise-linear trajectory up to a time horizon,
 // so Position and Velocity are exact analytic queries at any instant — there
-// is no tick quantization, and querying is O(log legs). A caller that asks
+// is no tick quantization, and querying is O(log legs). A trajectory is
+// stored as its stops, the instants and positions where one leg ends and the
+// next begins: every builder appends its legs through one add, and a query
+// rebuilds the leg it needs from two adjacent stops. A caller that asks
 // about the same node at many nearby instants can fetch the constant-velocity
 // Piece in force once (PieceSource) and evaluate that instead: it answers
 // bit for bit what Position and Velocity would.
@@ -37,18 +40,20 @@ type Model interface {
 	Velocity(t float64) geo.Vec
 }
 
-// leg is one constant-velocity (or pausing) piece of a trajectory.
-type leg struct {
-	t0, t1   float64
-	from, to geo.Point
+// stop is where a trajectory is at instant t.
+type stop struct {
+	t float64
+	p geo.Point
 }
 
-func (l leg) velocity() geo.Vec {
-	dt := l.t1 - l.t0
+// velocity is the constant velocity of the leg from a to b: zero for a pause
+// or an instantaneous leg.
+func velocity(a, b stop) geo.Vec {
+	dt := b.t - a.t
 	if dt <= 0 {
 		return geo.Vec{}
 	}
-	return l.to.Sub(l.from).Scale(1 / dt)
+	return b.p.Sub(a.p).Scale(1 / dt)
 }
 
 // Piece is one constant-velocity stretch of a model's motion: for every t
@@ -80,67 +85,81 @@ type PieceSource interface {
 }
 
 // trajectory is the shared piecewise-linear implementation behind every
-// model in this package.
+// model in this package: its stops in time order, leg i running from
+// stops[i] to stops[i+1]. Every leg starts where the one before it ends, bit
+// for bit, so a stop (24 B) holds all a leg adds to the trajectory.
 type trajectory struct {
-	legs []leg
+	stops []stop
 }
 
+// add appends the leg from `from` at t0 to `to` at t1; every builder writes
+// through it. The first leg also records its start, and every later one must
+// start where the last one ended.
+func (tr *trajectory) add(t0, t1 float64, from, to geo.Point) {
+	if len(tr.stops) == 0 {
+		tr.stops = append(tr.stops, stop{t: t0, p: from})
+	} else if end := tr.stops[len(tr.stops)-1]; end.t != t0 || end.p != from {
+		panic(fmt.Sprintf("mobility: leg from %v at %v does not start at the trajectory's end %v at %v", from, t0, end.p, end.t))
+	}
+	tr.stops = append(tr.stops, stop{t: t1, p: to})
+}
+
+// locate returns the first leg that ends after t, or the last leg if none
+// does.
 func (tr *trajectory) locate(t float64) int {
-	// Binary search for the leg containing t.
-	i := sort.Search(len(tr.legs), func(i int) bool { return tr.legs[i].t1 > t })
-	if i >= len(tr.legs) {
-		return len(tr.legs) - 1
+	legs := len(tr.stops) - 1
+	i := sort.Search(legs, func(i int) bool { return tr.stops[i+1].t > t })
+	if i >= legs {
+		return legs - 1
 	}
 	return i
 }
 
 // Position implements Model.
 func (tr *trajectory) Position(t float64) geo.Point {
-	if len(tr.legs) == 0 {
+	if len(tr.stops) == 0 {
 		return geo.Point{}
 	}
-	// Strictly before: at t == first.t0 the leg's own expression yields
-	// first.from, and a leg then answers for all of [t0, t1), which is the
+	// Strictly before: at t == first.t the first leg's own expression yields
+	// first.p, and a leg then answers for all of [t0, t1), which is the
 	// interval PieceAt promises.
-	first := tr.legs[0]
-	if t < first.t0 {
-		return first.from
+	if first := tr.stops[0]; t < first.t {
+		return first.p
 	}
-	last := tr.legs[len(tr.legs)-1]
-	if t >= last.t1 {
-		return last.to
+	if last := tr.stops[len(tr.stops)-1]; t >= last.t {
+		return last.p
 	}
-	l := tr.legs[tr.locate(t)]
-	if l.t1 == l.t0 {
-		return l.to
+	i := tr.locate(t)
+	a, b := tr.stops[i], tr.stops[i+1]
+	if b.t == a.t {
+		return b.p
 	}
-	f := (t - l.t0) / (l.t1 - l.t0)
-	return l.from.Lerp(l.to, f)
+	f := (t - a.t) / (b.t - a.t)
+	return a.p.Lerp(b.p, f)
 }
 
 // PieceAt implements PieceSource: the leg locate picks for t, as long as t
-// lies inside it. Legs are appended end to start, so they neither overlap
-// nor leave the gaps for which locate would pick the following leg.
+// lies inside it. Legs run stop to stop, so they neither overlap nor leave
+// the gaps for which locate would pick the following leg.
 func (tr *trajectory) PieceAt(t float64) Piece {
-	if len(tr.legs) == 0 || t >= tr.legs[len(tr.legs)-1].t1 {
+	if len(tr.stops) == 0 || t >= tr.stops[len(tr.stops)-1].t {
 		return Piece{}
 	}
-	l := tr.legs[tr.locate(t)]
-	if t < l.t0 {
+	i := tr.locate(t)
+	a, b := tr.stops[i], tr.stops[i+1]
+	if t < a.t {
 		return Piece{}
 	}
-	return Piece{T0: l.t0, T1: l.t1, From: l.from, To: l.to, Vel: l.velocity()}
+	return Piece{T0: a.t, T1: b.t, From: a.p, To: b.p, Vel: velocity(a, b)}
 }
 
 // Velocity implements Model.
 func (tr *trajectory) Velocity(t float64) geo.Vec {
-	if len(tr.legs) == 0 {
+	if len(tr.stops) == 0 || t < tr.stops[0].t || t >= tr.stops[len(tr.stops)-1].t {
 		return geo.Vec{}
 	}
-	if t < tr.legs[0].t0 || t >= tr.legs[len(tr.legs)-1].t1 {
-		return geo.Vec{}
-	}
-	return tr.legs[tr.locate(t)].velocity()
+	i := tr.locate(t)
+	return velocity(tr.stops[i], tr.stops[i+1])
 }
 
 // RandomWaypointConfig parameterizes the Random Waypoint model.
@@ -222,8 +241,8 @@ func NewRandomWaypoint(cfg RandomWaypointConfig, s *rng.Stream) (Model, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	buf := legScratch.Get().(*[]leg)
-	legs := (*buf)[:0]
+	buf := stopScratch.Get().(*[]stop)
+	draw := trajectory{stops: (*buf)[:0]}
 	pos := uniformPoint(cfg.Field, s)
 	t := 0.0
 	for t < cfg.Horizon {
@@ -234,27 +253,27 @@ func NewRandomWaypoint(cfg RandomWaypointConfig, s *rng.Stream) (Model, error) {
 			continue // degenerate waypoint, redraw
 		}
 		dur := dist / speed
-		legs = append(legs, leg{t0: t, t1: t + dur, from: pos, to: dst})
+		draw.add(t, t+dur, pos, dst)
 		t += dur
 		pos = dst
 		if cfg.Pause > 0 && t < cfg.Horizon {
-			legs = append(legs, leg{t0: t, t1: t + cfg.Pause, from: pos, to: pos})
+			draw.add(t, t+cfg.Pause, pos, pos)
 			t += cfg.Pause
 		}
 	}
-	tr := &trajectory{legs: make([]leg, len(legs))}
-	copy(tr.legs, legs)
-	*buf = legs
-	legScratch.Put(buf)
+	tr := &trajectory{stops: make([]stop, len(draw.stops))}
+	copy(tr.stops, draw.stops)
+	*buf = draw.stops
+	stopScratch.Put(buf)
 	return tr, nil
 }
 
-// legScratch holds the buffers Random Waypoint trajectories are drawn into.
-// The leg count is known only once the horizon is reached, so a trajectory
+// stopScratch holds the buffers Random Waypoint trajectories are drawn into.
+// The stop count is known only once the horizon is reached, so a trajectory
 // drawn straight into its own slice would keep append's slack for the whole
 // run; drawn into a reused buffer, it costs one exact allocation and one
 // copy, fewer bytes than append's growth copies.
-var legScratch = sync.Pool{New: func() any { return new([]leg) }}
+var stopScratch = sync.Pool{New: func() any { return new([]stop) }}
 
 // RandomWalkConfig parameterizes the Random Walk model: the node repeatedly
 // picks a uniformly random direction and speed and follows it for Epoch
@@ -305,7 +324,7 @@ func NewRandomWalk(cfg RandomWalkConfig, s *rng.Stream) (Model, error) {
 			}
 			end := pos.Add(dir.Scale(dur))
 			end = cfg.Field.Clamp(end) // guard fp drift
-			tr.legs = append(tr.legs, leg{t0: t, t1: t + dur, from: pos, to: end})
+			tr.add(t, t+dur, pos, end)
 			t += dur
 			remaining -= dur
 			pos = end
@@ -421,7 +440,7 @@ func NewManhattan(cfg ManhattanConfig, s *rng.Stream) (Model, error) {
 		speed := s.Range(cfg.SpeedMean-cfg.SpeedDelta, cfg.SpeedMean+cfg.SpeedDelta)
 		from, to := point(ix, iy), point(jx, jy)
 		dur := from.Dist(to) / speed
-		tr.legs = append(tr.legs, leg{t0: t, t1: t + dur, from: from, to: to})
+		tr.add(t, t+dur, from, to)
 		t += dur
 		ix, iy = jx, jy
 		// Heading choice for the next block.
@@ -440,5 +459,7 @@ func NewManhattan(cfg ManhattanConfig, s *rng.Stream) (Model, error) {
 
 // NewStatic returns a model that never moves from p.
 func NewStatic(p geo.Point) Model {
-	return &trajectory{legs: []leg{{t0: 0, t1: 1e18, from: p, to: p}}}
+	tr := &trajectory{}
+	tr.add(0, 1e18, p, p)
+	return tr
 }

@@ -41,14 +41,16 @@ func (l Leg) Speed() float64 {
 	return math.Hypot(l.To[0]-l.From[0], l.To[1]-l.From[1]) / dur
 }
 
-// Legs exposes the trajectory's pieces for export and inspection.
+// Legs exposes the trajectory's pieces for export and inspection, one per
+// pair of adjacent stops.
 func (tr *trajectory) Legs() []Leg {
-	out := make([]Leg, len(tr.legs))
-	for i, l := range tr.legs {
+	out := make([]Leg, max(len(tr.stops)-1, 0))
+	for i := range out {
+		a, b := tr.stops[i], tr.stops[i+1]
 		out[i] = Leg{
-			T0: l.t0, T1: l.t1,
-			From: [2]float64{l.from.X, l.from.Y},
-			To:   [2]float64{l.to.X, l.to.Y},
+			T0: a.t, T1: b.t,
+			From: [2]float64{a.p.X, a.p.Y},
+			To:   [2]float64{b.p.X, b.p.Y},
 		}
 	}
 	return out
@@ -189,7 +191,7 @@ func ParseNS2(r io.Reader) (map[int]Model, error) {
 	for id, st := range nodes {
 		sort.SliceStable(st.moves, func(i, j int) bool { return st.moves[i].at < st.moves[j].at })
 		tr := &trajectory{}
-		cur := [2]float64{st.x, st.y}
+		cur := geo.Point{X: st.x, Y: st.y}
 		t := 0.0
 		for k, mv := range st.moves {
 			// Arrival times are reconstructed from rounded coordinates and
@@ -200,35 +202,27 @@ func ParseNS2(r io.Reader) (map[int]Model, error) {
 			}
 			if mv.at > t {
 				// Pause at the current position until the command fires.
-				tr.legs = append(tr.legs, newLeg(t, mv.at, cur, cur))
+				tr.add(t, mv.at, cur, cur)
 				t = mv.at
 			}
 			if mv.speed <= 0 {
 				return nil, fmt.Errorf("mobility: node %d: non-positive speed %v", id, mv.speed)
 			}
-			dst := [2]float64{mv.x, mv.y}
-			dist := math.Hypot(dst[0]-cur[0], dst[1]-cur[1])
+			dst := geo.Point{X: mv.x, Y: mv.y}
+			dist := math.Hypot(dst.X-cur.X, dst.Y-cur.Y)
 			if dist == 0 {
 				continue
 			}
 			dur := dist / mv.speed
-			tr.legs = append(tr.legs, newLeg(t, t+dur, cur, dst))
+			tr.add(t, t+dur, cur, dst)
 			t += dur
 			cur = dst
 		}
-		if len(tr.legs) == 0 {
+		if len(tr.stops) == 0 {
 			// A node that never moves: a static trajectory at its position.
-			tr.legs = append(tr.legs, newLeg(0, 1e18, cur, cur))
+			tr.add(0, 1e18, cur, cur)
 		}
 		out[id] = tr
 	}
 	return out, nil
-}
-
-func newLeg(t0, t1 float64, from, to [2]float64) leg {
-	return leg{
-		t0: t0, t1: t1,
-		from: geo.Point{X: from[0], Y: from[1]},
-		to:   geo.Point{X: to[0], Y: to[1]},
-	}
 }

@@ -12,6 +12,17 @@ import (
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
+// cornerTrajectory is built by hand: the zero-length legs a walk leaves
+// behind when it reflects off a corner, twice over.
+func cornerTrajectory() *trajectory {
+	tr := &trajectory{}
+	tr.add(0, 2, geo.Point{X: 1, Y: 1}, geo.Point{X: 5, Y: 1})
+	tr.add(2, 2, geo.Point{X: 5, Y: 1}, geo.Point{X: 5, Y: 1})
+	tr.add(2, 2, geo.Point{X: 5, Y: 1}, geo.Point{X: 5, Y: 1})
+	tr.add(2, 7, geo.Point{X: 5, Y: 1}, geo.Point{X: 5, Y: 9})
+	return tr
+}
+
 // TestPieceAnswersForTheModel is the contract the radio's piece table leans
 // on: a Piece fetched at any instant answers Position and Velocity, bit for
 // bit, at every instant it claims to cover — fetched once and asked about
@@ -29,16 +40,9 @@ func TestPieceAnswersForTheModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	models := map[string]Model{
-		"static": NewStatic(geo.Point{X: 3, Y: -4}),
-		"ns2":    parsed[0],
-		// Built by hand: the zero-length legs a walk leaves behind when it
-		// reflects off a corner, twice over.
-		"zero-length-legs": &trajectory{legs: []leg{
-			{t0: 0, t1: 2, from: geo.Point{X: 1, Y: 1}, to: geo.Point{X: 5, Y: 1}},
-			{t0: 2, t1: 2, from: geo.Point{X: 5, Y: 1}, to: geo.Point{X: 5, Y: 1}},
-			{t0: 2, t1: 2, from: geo.Point{X: 5, Y: 1}, to: geo.Point{X: 5, Y: 1}},
-			{t0: 2, t1: 7, from: geo.Point{X: 5, Y: 1}, to: geo.Point{X: 5, Y: 9}},
-		}},
+		"static":           NewStatic(geo.Point{X: 3, Y: -4}),
+		"ns2":              parsed[0],
+		"zero-length-legs": cornerTrajectory(),
 	}
 	must := func(m Model, err error) Model {
 		t.Helper()
@@ -58,13 +62,7 @@ func TestPieceAnswersForTheModel(t *testing.T) {
 	for name, m := range models {
 		legs := m.(LegLister).Legs()
 		first, last := legs[0].T0, legs[len(legs)-1].T1
-		times := []float64{first - 1, math.Nextafter(first, math.Inf(-1)), last + 1, last + 1e6}
-		for _, l := range legs {
-			for _, b := range []float64{l.T0, l.T1} {
-				times = append(times, math.Nextafter(b, math.Inf(-1)), b, math.Nextafter(b, math.Inf(1)))
-			}
-			times = append(times, l.T0+(l.T1-l.T0)/3)
-		}
+		times := probeTimes(legs, 1)
 		rand.New(rand.NewSource(1)).Shuffle(len(times), func(i, j int) { times[i], times[j] = times[j], times[i] })
 
 		src := m.(PieceSource)

@@ -73,13 +73,13 @@ func NewRoad(cfg RoadConfig, s *rng.Stream) (Model, error) {
 		for i := 1; i < len(path); i++ {
 			from, to := g.Pos(path[i-1]), g.Pos(path[i])
 			dur := from.Dist(to) / speed
-			tr.legs = append(tr.legs, leg{t0: t, t1: t + dur, from: from, to: to})
+			tr.add(t, t+dur, from, to)
 			t += dur
 		}
 		cur = dst
 		if cfg.Pause > 0 && t < cfg.Horizon {
 			p := g.Pos(cur)
-			tr.legs = append(tr.legs, leg{t0: t, t1: t + cfg.Pause, from: p, to: p})
+			tr.add(t, t+cfg.Pause, p, p)
 			t += cfg.Pause
 		}
 	}
