@@ -62,13 +62,13 @@ const asyncHeaderBytes = 16
 // connection id — it reclaims whatever connection the slot holds when it
 // fires, and closeConn cancels it before the slot can be handed out again.
 type asyncConn struct {
-	id       uint64
-	peer     int
-	proposer bool
-	timer    *sim.Event
+	id    uint64
+	peer  int
+	timer *sim.Event
 }
 
-// asyncPeerState is the per-peer connection manager.
+// asyncPeerState is one peer's connection manager, its row of the family's
+// table (Network.async).
 type asyncPeerState struct {
 	// scanEv is the peer's wake-up timer (a slot event); slot is its integer
 	// position on the slot grid.
@@ -93,8 +93,7 @@ type asyncPeerState struct {
 // structure — the slot grid is retained purely as batching granularity.
 func (p *Peer) startAsync() {
 	n := p.net
-	st := &asyncPeerState{}
-	p.async = st
+	st := &n.async[p.id]
 	st.slot = n.rules.slotAfter(p.rnd.Range(0, n.cfg.AsyncMeanDelay))
 	st.scanEv = n.sim.ScheduleSlot(st.slot, p.asyncScan)
 }
@@ -116,7 +115,7 @@ func (st *asyncPeerState) connectedTo(j int) bool {
 // not already connected.
 func (p *Peer) asyncScan() {
 	n := p.net
-	st := p.async
+	st := &n.async[p.id]
 	st.slot += n.rules.slotsFor(p.rnd.Exp(1 / n.cfg.AsyncMeanDelay))
 	n.sim.RescheduleSlot(st.scanEv, st.slot)
 	if len(st.conns) >= n.cfg.AsyncK || !n.ch.Online(p.id) {
@@ -136,7 +135,7 @@ func (p *Peer) asyncScan() {
 	target := st.cand[p.rnd.Intn(w)]
 	id := uint64(uint32(p.id))<<32 | uint64(st.nextConn)
 	st.nextConn++
-	p.openConn(id, target, true)
+	p.openConn(id, target)
 	if ao := n.asyncObs; ao != nil {
 		ao.proposals.Inc()
 	}
@@ -147,9 +146,9 @@ func (p *Peer) asyncScan() {
 // an idle slot's fired or cancelled timer enqueues it with a fresh sequence
 // number, exactly as scheduling a new event does, so the event order does not
 // depend on whether the slot is new.
-func (p *Peer) openConn(id uint64, peer int, proposer bool) {
+func (p *Peer) openConn(id uint64, peer int) {
 	n := p.net
-	st := p.async
+	st := &n.async[p.id]
 	var c *asyncConn
 	if k := len(st.idle); k > 0 {
 		c = st.idle[k-1]
@@ -159,7 +158,7 @@ func (p *Peer) openConn(id uint64, peer int, proposer bool) {
 		c = new(asyncConn)
 		c.timer = n.sim.After(n.cfg.AsyncTimeout, func() { p.asyncTimeout(c) })
 	}
-	c.id, c.peer, c.proposer = id, peer, proposer
+	c.id, c.peer = id, peer
 	st.conns = append(st.conns, c)
 	if ao := n.asyncObs; ao != nil {
 		ao.concurrent.Observe(float64(len(st.conns)))
@@ -176,7 +175,7 @@ func (st *asyncPeerState) release(i int) {
 // It reports whether the slot was still held (false: the timeout already
 // reclaimed it, so the arriving frame is a straggler).
 func (p *Peer) closeConn(id uint64) bool {
-	st := p.async
+	st := &p.net.async[p.id]
 	for i, c := range st.conns {
 		if c.id == id {
 			p.net.sim.Cancel(c.timer)
@@ -192,7 +191,7 @@ func (p *Peer) closeConn(id uint64) bool {
 // a transfer dropped by the channel. A pending timer means an occupied slot
 // (closeConn cancels before it releases).
 func (p *Peer) asyncTimeout(c *asyncConn) {
-	st := p.async
+	st := &p.net.async[p.id]
 	for i := range st.conns {
 		if st.conns[i] == c {
 			st.release(i)
@@ -234,7 +233,7 @@ func (p *Peer) sendAsync(kind asyncKind, conn uint64, to int) {
 	if ao := n.asyncObs; ao != nil && kind.carriesAds() {
 		ao.bytes.Observe(float64(bytes))
 	}
-	st := p.async
+	st := &n.async[p.id]
 	st.one[0] = to
 	n.ch.BroadcastTo(radio.Frame{From: p.id, Payload: f, Bytes: bytes}, st.one[:])
 }
@@ -256,7 +255,7 @@ func (p *Peer) sampleAds(f *asyncFrame) {
 	n := p.net
 	now, pos := n.sim.Now(), p.Position()
 	p.cache.ForEach(func(e *ads.Entry) {
-		live, send := n.rules.Step(&p.cache, p.rnd, e, p.isRSU, pos, now)
+		live, send := n.rules.Step(&p.cache, &p.rnd, e, p.isRSU, pos, now)
 		if !live {
 			n.obs.OnExpire(p.id, e.Ad.ID, now)
 		} else if send {
@@ -278,7 +277,7 @@ func (p *Peer) receiveAds(list []*ads.Advertisement, from int) {
 // handleAsync routes one arriving pairwise frame.
 func (p *Peer) handleAsync(f *asyncFrame, from int) {
 	n := p.net
-	st := p.async
+	st := &n.async[p.id]
 	switch f.kind {
 	case asyncPropose:
 		if len(st.conns) >= n.cfg.AsyncK || st.connectedTo(from) {
@@ -288,7 +287,7 @@ func (p *Peer) handleAsync(f *asyncFrame, from int) {
 			p.sendAsync(asyncBusy, f.conn, from)
 			return
 		}
-		p.openConn(f.conn, from, false)
+		p.openConn(f.conn, from)
 		p.sendAsync(asyncAccept, f.conn, from)
 	case asyncAccept:
 		// A straggler accept (our proposal already timed out) still carries

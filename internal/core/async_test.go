@@ -120,7 +120,7 @@ func TestAsyncConnectionBound(t *testing.T) {
 	}
 	s.Every(0.25, 0.25, func() {
 		for i := 0; i < n.NumPeers(); i++ {
-			if got := len(n.Peer(i).async.conns); got > 1 {
+			if got := len(n.async[i].conns); got > 1 {
 				t.Fatalf("peer %d holds %d connections, bound is 1", i, got)
 			}
 		}
@@ -171,10 +171,10 @@ func TestAsyncChurnTimeouts(t *testing.T) {
 	}
 	// The survivor must not be wedged: its slot count is 0 or 1, and its scan
 	// timer is still armed.
-	if got := len(n.Peer(0).async.conns); got > 1 {
+	if got := len(n.async[0].conns); got > 1 {
 		t.Errorf("proposer holds %d slots after churn run, bound is 1", got)
 	}
-	if !n.Peer(0).async.scanEv.Pending() {
+	if !n.async[0].scanEv.Pending() {
 		t.Error("scan timer dead after churn run")
 	}
 }
@@ -241,9 +241,7 @@ func idleAsyncNet(t *testing.T, k int, rcfg radio.Config) (*sim.Simulator, *Netw
 	}
 	reg := obs.NewRegistry()
 	n.InstrumentWith(reg)
-	for _, p := range n.peers {
-		p.async = &asyncPeerState{}
-	}
+	n.async = make([]asyncPeerState, len(n.peers))
 	return s, n, reg
 }
 
@@ -254,8 +252,8 @@ func idleAsyncNet(t *testing.T, k int, rcfg radio.Config) (*sim.Simulator, *Netw
 // had fired; a cancelled timer is never dispatched.
 func TestAsyncSlotTimerRearm(t *testing.T) {
 	s, n, reg := idleAsyncNet(t, 2, testRadio())
-	p := n.peers[0]
-	st := p.async
+	p := &n.peers[0]
+	st := &n.async[0]
 	timeouts := func() uint64 { return reg.Snapshot().Counters["sim_async_timeouts_total"] }
 	held := func() []uint64 {
 		var ids []uint64
@@ -272,14 +270,14 @@ func TestAsyncSlotTimerRearm(t *testing.T) {
 	}
 	const a, b, c, d, e, f, g = 1, 2, 3, 4, 5, 6, 7 // timeout is 2 s
 
-	p.openConn(a, 1, true) // t=0, deadline 2
+	p.openConn(a, 1) // t=0, deadline 2
 	slot := st.conns[0]
 	s.Run(1)
 	if !p.closeConn(a) || slot.timer.Pending() {
 		t.Fatal("closing a held connection did not cancel its timer")
 	}
 	s.Run(1.5)
-	p.openConn(b, 1, false) // the cancelled timer, re-armed: deadline 3.5
+	p.openConn(b, 1) // the cancelled timer, re-armed: deadline 3.5
 	if st.conns[0] != slot || len(st.idle) != 0 {
 		t.Fatal("the idle slot was not reused")
 	}
@@ -288,10 +286,10 @@ func TestAsyncSlotTimerRearm(t *testing.T) {
 	s.Run(3.6)
 	expect("past b's deadline", 1)
 
-	p.openConn(c, 1, true) // t=3.6, deadline 5.6: the fired timer, re-armed
+	p.openConn(c, 1) // t=3.6, deadline 5.6: the fired timer, re-armed
 	s.Run(5.7)
 	expect("past c's deadline", 2)
-	p.openConn(d, 1, true) // deadline 7.7
+	p.openConn(d, 1) // deadline 7.7
 	if st.conns[0] != slot {
 		t.Fatal("the slot was not reused after its timer fired")
 	}
@@ -300,15 +298,15 @@ func TestAsyncSlotTimerRearm(t *testing.T) {
 	}
 	expect("after c's straggler", 2, d)
 
-	p.openConn(e, 1, true) // a second slot, deadline 7.7
+	p.openConn(e, 1) // a second slot, deadline 7.7
 	if p.closeConn(d); len(st.idle) != 1 {
 		t.Fatal("d's slot not idle")
 	}
 	s.Run(7)
-	p.openConn(f, 1, true) // d's slot again, deadline 9
+	p.openConn(f, 1) // d's slot again, deadline 9
 	s.Run(8)
 	expect("past e's deadline", 3, f)
-	p.openConn(g, 1, true) // e's slot, deadline 10
+	p.openConn(g, 1) // e's slot, deadline 10
 	s.Run(9.5)
 	expect("past f's deadline", 4, g)
 	s.Run(11)
@@ -327,7 +325,7 @@ func TestAsyncSlotTimerRearm(t *testing.T) {
 func TestAsyncStragglerAcceptAbsorbsAds(t *testing.T) {
 	_, n, reg := idleAsyncNet(t, 1, testRadio())
 	ad := &ads.Advertisement{ID: ads.ID{Issuer: 1, Seq: 9}, Origin: geo.Point{X: 50}, R: 500, D: 400}
-	p := n.peers[0]
+	p := &n.peers[0]
 	p.handleAsync(&asyncFrame{kind: asyncAccept, conn: 77, ads: []*ads.Advertisement{ad}}, 1)
 	if p.cache.Get(ad.ID) == nil || !p.HasReceived(ad.ID) {
 		t.Error("straggler accept's ad was not absorbed")
@@ -457,7 +455,8 @@ func BenchmarkAsyncExchange(b *testing.B) {
 		}
 	}
 	s.Run(300)
-	for _, p := range n.peers {
+	for i := range n.peers {
+		p := &n.peers[i]
 		if p.cache.Len() != 5 {
 			b.Fatalf("peer %d holds %d ads after the warm-up, want 5", p.id, p.cache.Len())
 		}

@@ -126,15 +126,29 @@ const floodHeaderBytes = 12
 // Network wires peers, the wireless channel and a protocol configuration
 // into one runnable mobile P2P advertising system.
 type Network struct {
-	cfg   Config
-	sim   *sim.Simulator
-	ch    *radio.Channel
-	peers []*Peer
+	cfg Config
+	sim *sim.Simulator
+	ch  *radio.Channel
+	// peers is one slab of rows, allocated once in New and never grown, so a
+	// *Peer into it (timer callbacks hold them) stays valid for the run.
+	peers []Peer
 	obs   Observer
 	// postObs is obs's PostponeObserver side, resolved once at SetObserver
 	// so the postpone hot path pays no per-call type assertion.
 	postObs PostponeObserver
-	rnd     *rng.Stream
+
+	// The per-family peer state, indexed by peer id. Start makes the table of
+	// the family that runs; the others stay nil.
+	//
+	// rounds drives the round-based gossip variants (gossipRound), flood
+	// holds Restricted Flooding's relay marks (handleFlood), relevance the
+	// Relevance Exchange comparator's last neighbourhoods (senseEncounter)
+	// and async the pairwise family's connection managers (async.go).
+	rounds    []roundTimer
+	flood     []floodPeerState
+	relevance []relevancePeerState
+	async     []asyncPeerState
+
 	// rsu is the roadside-unit backhaul state, nil without RSUs (see rsu.go).
 	rsu *rsuState
 	// asyncObs holds the pairwise-family connection instruments, nil until
@@ -187,7 +201,6 @@ func New(s *sim.Simulator, radioCfg radio.Config, models []mobility.Model, cfg C
 		cfg:   cfg,
 		sim:   s,
 		obs:   BaseObserver{},
-		rnd:   rnd,
 		rules: rules,
 		heard: make(map[ads.ID][]uint64),
 	}
@@ -202,16 +215,13 @@ func New(s *sim.Simulator, radioCfg radio.Config, models []mobility.Model, cfg C
 	// feeds the channel's random draws — is the batch's, whatever its events
 	// query. The goldens move without it.
 	s.SetBatchPrepare(ch.RefreshGrid)
-	n.peers = make([]*Peer, len(models))
-	for i := range models {
-		p := &Peer{
-			id:     i,
-			net:    n,
-			userID: rnd.SplitIndex("user", i).Uint64(),
-			rnd:    rnd.SplitIndex("peer", i),
-		}
+	n.peers = make([]Peer, len(models))
+	for i := range n.peers {
+		p := &n.peers[i]
+		p.id, p.net = i, n
+		p.userID = rnd.SplitIndex("user", i).Uint64()
+		p.rnd = *rnd.SplitIndex("peer", i)
 		p.cache.Init(cfg.CacheK)
-		n.peers[i] = p
 	}
 	if len(cfg.RSUPeers) > 0 {
 		if err := n.initRSUs(cfg.RSUPeers); err != nil {
@@ -243,7 +253,7 @@ func (n *Network) Config() Config { return n.cfg }
 func (n *Network) NumPeers() int { return len(n.peers) }
 
 // Peer returns peer i.
-func (n *Network) Peer(i int) *Peer { return n.peers[i] }
+func (n *Network) Peer(i int) *Peer { return &n.peers[i] }
 
 // SetPeerOnline powers peer i's radio on or off. Offline peers keep their
 // caches (the device is pocketed, not wiped) but neither send nor receive —
@@ -253,30 +263,37 @@ func (n *Network) SetPeerOnline(i int, on bool) error {
 	return n.ch.SetOnline(i, on)
 }
 
-// Start arms the per-peer gossip schedulers. For round-based variants every
-// peer's round fires at a random phase slot of [0, Δt) (Rules.Phase) — the
-// paper's peers "work asynchronously". Under Optimized Gossiping-2 entries
-// schedule themselves, so no per-peer round event is needed. Start must be
-// called exactly once, before the simulation runs past 0.
+// Start makes the peer table of the protocol family that runs and arms the
+// per-peer gossip schedulers. For round-based variants every peer's round
+// fires at a random phase slot of [0, Δt) (Rules.Phase) — the paper's peers
+// "work asynchronously". Under Optimized Gossiping-2 entries schedule
+// themselves, so no per-peer round event and no table are needed. Start must
+// be called exactly once, before the simulation runs past 0.
 func (n *Network) Start() {
 	if n.started {
 		panic("core: Network.Start called twice")
 	}
 	n.started = true
 	switch {
+	case n.cfg.Protocol == Flooding:
+		n.flood = make([]floodPeerState, len(n.peers))
 	case n.cfg.Protocol == RelevanceExchange:
-		for _, p := range n.peers {
-			p.startRelevance()
+		n.relevance = make([]relevancePeerState, len(n.peers))
+		n.seenStamp = make([]uint32, len(n.peers))
+		for i := range n.peers {
+			n.peers[i].startRelevance()
 		}
 	case n.cfg.Protocol.isAsync():
-		for _, p := range n.peers {
-			p.startAsync()
+		n.async = make([]asyncPeerState, len(n.peers))
+		for i := range n.peers {
+			n.peers[i].startAsync()
 		}
 	case n.cfg.Protocol.isGossip() && !n.cfg.Protocol.usesOpt2():
-		for _, p := range n.peers {
-			p := p
-			p.roundSlot = n.rules.Phase(p.rnd)
-			p.roundEv = n.sim.ScheduleSlot(p.roundSlot, p.gossipRound)
+		n.rounds = make([]roundTimer, len(n.peers))
+		for i := range n.peers {
+			p, rt := &n.peers[i], &n.rounds[i]
+			rt.slot = n.rules.Phase(&p.rnd)
+			rt.ev = n.sim.ScheduleSlot(rt.slot, p.gossipRound)
 		}
 	}
 	// The RSU backhaul syncs once per round under the gossip variants and the
@@ -307,7 +324,7 @@ func (n *Network) IssueAd(issuer int, spec AdSpec) (*ads.Advertisement, error) {
 	if issuer < 0 || issuer >= len(n.peers) {
 		return nil, fmt.Errorf("core: unknown issuer %d", issuer)
 	}
-	p := n.peers[issuer]
+	p := &n.peers[issuer]
 	ad, err := n.rules.NewAd(ads.ID{Issuer: uint32(issuer), Seq: p.nextSeq}, n.ch.PositionOf(issuer), n.sim.Now(), spec)
 	p.nextSeq++
 	if err != nil {
@@ -349,7 +366,7 @@ func (n *Network) IssueAd(issuer int, spec AdSpec) (*ads.Advertisement, error) {
 
 // deliver routes an arriving frame to the receiving peer's protocol handler.
 func (n *Network) deliver(to int, f radio.Frame) {
-	p := n.peers[to]
+	p := &n.peers[to]
 	switch payload := f.Payload.(type) {
 	case gossipFrame:
 		if n.cfg.Protocol == RelevanceExchange {
@@ -367,8 +384,13 @@ func (n *Network) deliver(to int, f radio.Frame) {
 	}
 }
 
-// Peer is one mobile device participating in the network.
+// Peer is one mobile device participating in the network: a row of the
+// network's peer slab, holding only what every protocol uses. The state one
+// protocol family adds lives in that family's table on the Network.
 type Peer struct {
+	// noCopy makes go vet reject a by-value copy of a row: a copy's cache
+	// writes and coin draws would be lost to the slab.
+	_      noCopy
 	id     int
 	net    *Network
 	userID uint64
@@ -376,30 +398,35 @@ type Peer struct {
 	// (ads.InterestSet); nil until SetInterests.
 	interests []string
 	// cache is held by value: a peer always has one.
-	cache   ads.Cache
-	rnd     *rng.Stream
+	cache ads.Cache
+	// rnd is the peer's coin stream, held by value.
+	rnd     rng.Stream
 	nextSeq uint32
 	// isRSU marks fixed roadside-unit peers (see rsu.go).
-	isRSU  bool
-	ticker *sim.Ticker
+	isRSU bool
+}
 
-	// roundEv and roundSlot drive the round-based gossip variants: one slot
-	// event per peer, rescheduled a whole round (RoundSlots slots) ahead
-	// after each round.
-	roundEv   *sim.Event
-	roundSlot int64
+// noCopy is the zero-size marker go vet's copylocks check looks for: a type
+// with Lock and Unlock methods that must not be copied after first use.
+type noCopy struct{}
 
-	// relayed maps ad → flooding relay bookkeeping, nil until the first
-	// relay; entries are pruned once the ad is past its advertising duration
-	// D (see pruneRelayed).
-	relayed      map[ads.ID]relayMark
-	relayedSweep float64
-	// relevance holds the Relevance Exchange comparator's state, nil under
-	// the paper's own protocols.
-	relevance *relevancePeerState
-	// async holds the pairwise-family connection manager state, nil under
-	// every round-based protocol.
-	async *asyncPeerState
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
+// roundTimer drives one peer's rounds under the round-based gossip variants:
+// one slot event, rescheduled a whole round (RoundSlots slots) ahead after
+// each round.
+type roundTimer struct {
+	ev   *sim.Event
+	slot int64
+}
+
+// floodPeerState is one peer's Restricted Flooding relay bookkeeping.
+// relayed maps ad → relay mark, nil until the first relay; marks are pruned
+// once the ad is past its advertising duration D (see pruneRelayed).
+type floodPeerState struct {
+	relayed map[ads.ID]relayMark
+	sweep   float64
 }
 
 // Cache returns the peer's advertisement cache.
@@ -506,7 +533,7 @@ func (p *Peer) handleGossip(f gossipFrame, from int) {
 func (p *Peer) admit(ad *ads.Advertisement, shared bool) *ads.Entry {
 	n := p.net
 	now := n.sim.Now()
-	e, victim := n.rules.Admit(&p.cache, p.rnd, ad, shared, p.userID, p.interests, p.isRSU, p.Position(), now)
+	e, victim := n.rules.Admit(&p.cache, &p.rnd, ad, shared, p.userID, p.interests, p.isRSU, p.Position(), now)
 	if victim != nil {
 		p.cancelEntryTimer(victim)
 		n.obs.OnEvict(p.id, victim.Ad.ID, now)
@@ -522,7 +549,7 @@ func (p *Peer) admit(ad *ads.Advertisement, shared bool) *ads.Entry {
 // gossipEntry is one entry's step (Rules.Step) with its effect: an expired
 // entry is reported, a live one broadcast when the coin says so.
 func (p *Peer) gossipEntry(e *ads.Entry, pos geo.Point, now float64) bool {
-	live, send := p.net.rules.Step(&p.cache, p.rnd, e, p.isRSU, pos, now)
+	live, send := p.net.rules.Step(&p.cache, &p.rnd, e, p.isRSU, pos, now)
 	if !live {
 		p.net.obs.OnExpire(p.id, e.Ad.ID, now)
 	} else if send {
@@ -538,8 +565,9 @@ func (p *Peer) gossipRound() {
 	n := p.net
 	now, pos := n.sim.Now(), p.Position()
 	p.cache.ForEach(func(e *ads.Entry) { p.gossipEntry(e, pos, now) })
-	p.roundSlot += int64(n.cfg.RoundSlots)
-	n.sim.RescheduleSlot(p.roundEv, p.roundSlot)
+	rt := &n.rounds[p.id]
+	rt.slot += int64(n.cfg.RoundSlots)
+	n.sim.RescheduleSlot(rt.ev, rt.slot)
 }
 
 // armEntryTimer schedules an entry's first gossip (Rules.FirstDue):
@@ -634,14 +662,14 @@ type relayMark struct {
 
 // pruneRelayed sweeps expired relay marks, at most once per round so the
 // sweep cost amortizes to O(1) per received frame.
-func (p *Peer) pruneRelayed(now float64) {
-	if now < p.relayedSweep {
+func (st *floodPeerState) pruneRelayed(now, round float64) {
+	if now < st.sweep {
 		return
 	}
-	p.relayedSweep = now + p.net.cfg.RoundTime
-	for id, m := range p.relayed {
+	st.sweep = now + round
+	for id, m := range st.relayed {
 		if now >= m.expiry {
-			delete(p.relayed, id)
+			delete(st.relayed, id)
 		}
 	}
 }
@@ -656,17 +684,18 @@ func (p *Peer) handleFlood(f floodFrame) {
 		return
 	}
 	p.markReceived(f.ad)
-	p.pruneRelayed(now)
-	if last, ok := p.relayed[f.ad.ID]; ok && last.cycle >= f.cycle {
+	st := &n.flood[p.id]
+	st.pruneRelayed(now, n.cfg.RoundTime)
+	if last, ok := st.relayed[f.ad.ID]; ok && last.cycle >= f.cycle {
 		n.obs.OnDuplicate(p.id, f.ad.ID, now)
 		return
 	}
 	if p.Position().Dist(f.ad.Origin) > f.radius {
 		return
 	}
-	if p.relayed == nil {
-		p.relayed = make(map[ads.ID]relayMark)
+	if st.relayed == nil {
+		st.relayed = make(map[ads.ID]relayMark)
 	}
-	p.relayed[f.ad.ID] = relayMark{cycle: f.cycle, expiry: f.ad.IssuedAt + f.ad.D}
+	st.relayed[f.ad.ID] = relayMark{cycle: f.cycle, expiry: f.ad.IssuedAt + f.ad.D}
 	p.broadcastFlood(f)
 }

@@ -704,14 +704,17 @@ func BenchmarkGossipRound(b *testing.B) {
 		}
 	}
 	s.Run(1)
-	for _, p := range n.peers {
+	for i := range n.peers {
+		p := &n.peers[i]
 		if p.cache.Len() != cfg.CacheK {
 			b.Fatalf("peer %d holds %d ads after the warm-up, want %d", p.id, p.cache.Len(), cfg.CacheK)
 		}
 	}
-	p := n.peers[0]
-	p.roundSlot = n.rules.slotAfter(s.Now())
-	p.roundEv = s.ScheduleSlot(p.roundSlot, p.gossipRound)
+	p := &n.peers[0]
+	n.rounds = make([]roundTimer, len(n.peers))
+	rt := &n.rounds[0]
+	rt.slot = n.rules.slotAfter(s.Now())
+	rt.ev = s.ScheduleSlot(rt.slot, p.gossipRound)
 	s.Run(s.Now() + 10*cfg.RoundTime) // warm the delivery pools
 	sent := n.ch.Stats().Broadcasts
 	b.ReportAllocs()

@@ -187,7 +187,8 @@ func TestOverflowRefreshMatchesReference(t *testing.T) {
 			newcomerIn, newcomerOut, certified := 0, 0, 0
 			for _, now := range []float64{40, 40.5, 97} {
 				s.Run(now)
-				for _, p := range n.peers {
+				for i := range n.peers {
+					p := &n.peers[i]
 					// This peer's draw of k+1 live ads, every third copy enlarged
 					// as Formula 7 would; the last arrives the way a reception does.
 					var draw []*ads.Advertisement
@@ -284,7 +285,7 @@ func TestOverflowAdversarialCaches(t *testing.T) {
 					IssuedAt: a.issuedAt, R: a.r, D: a.d,
 				})
 			}
-			if _, exact := checkOverflow(t, n, n.peers[0], all[:cfg.CacheK], all[cfg.CacheK]); exact != tc.exact {
+			if _, exact := checkOverflow(t, n, &n.peers[0], all[:cfg.CacheK], all[cfg.CacheK]); exact != tc.exact {
 				t.Errorf("exact path taken = %v, want %v", exact, tc.exact)
 			}
 		})
@@ -328,7 +329,8 @@ func TestOverflowRankingMatchesExactInMobileRun(t *testing.T) {
 			if poison {
 				n.rules.rank.lnAlpha = math.NaN()
 			}
-			for i, p := range n.peers {
+			for i := range n.peers {
+				p := &n.peers[i]
 				p.SetInterests([]string{"fuel", "food", "books"}[i%3])
 			}
 			log := &evictionLog{}
@@ -395,7 +397,8 @@ func checkOneTimerPerEntry(t *testing.T, s *sim.Simulator, n *Network) {
 	t.Helper()
 	entries := 0
 	seen := map[*sim.Event]bool{}
-	for _, p := range n.peers {
+	for i := range n.peers {
+		p := &n.peers[i]
 		if p.cache.Len() > p.cache.K() || cap(p.cache.Slots()) > p.cache.K() {
 			t.Fatalf("peer %d holds %d entries in %d slots, k = %d", p.id, p.cache.Len(), cap(p.cache.Slots()), p.cache.K())
 		}
@@ -452,7 +455,7 @@ func TestOpt2OneTimerPerCachedEntry(t *testing.T) {
 	// Evict, then admit the same ID again: the timer belongs to the entry,
 	// so the evicted entry's round must find itself gone rather than find
 	// the new entry under its old ID, and do nothing.
-	p := n.peers[0]
+	p := &n.peers[0]
 	adAt := func(seq uint32, x, d float64) *ads.Advertisement {
 		return &ads.Advertisement{ID: ads.ID{Issuer: 7, Seq: seq}, Origin: geo.Point{X: x}, IssuedAt: s.Now(), R: 500, D: d}
 	}
@@ -473,9 +476,9 @@ func TestOpt2OneTimerPerCachedEntry(t *testing.T) {
 		t.Fatal("the evicted ad was not admitted again as a new entry")
 	}
 	checkOneTimerPerEntry(t, s, n)
-	was, seq, draws := *fresh, simSeq(s), *p.rnd
+	was, seq, draws := *fresh, simSeq(s), p.rnd
 	p.entryRound(old)
-	if simSeq(s) != seq || *p.rnd != draws {
+	if simSeq(s) != seq || p.rnd != draws {
 		t.Fatal("the evicted entry's timer took an event sequence number or a draw")
 	}
 	if *fresh != was {
@@ -498,7 +501,7 @@ func TestNewcomerEvictedGetsNoTimer(t *testing.T) {
 	s, n := isolatedOpt2Net(t, 3)
 	obs := newCountingObserver()
 	n.SetObserver(obs)
-	p := n.peers[0]
+	p := &n.peers[0]
 	for i := 0; i < 3; i++ { // fill the cache with ads centred on the peer
 		p.handleGossip(gossipFrame{ad: &ads.Advertisement{
 			ID: ads.ID{Issuer: 9, Seq: uint32(i)}, R: 500, D: 100,
@@ -552,7 +555,7 @@ func BenchmarkReceiveOverflow(b *testing.B) {
 		}
 		n.Start()
 		s.Run(10)
-		p = n.peers[0]
+		p = &n.peers[0]
 		for _, ad := range pool[:10] {
 			p.handleGossip(gossipFrame{ad: ad}, 1)
 		}
@@ -626,7 +629,8 @@ func BenchmarkReceiveOverflow(b *testing.B) {
 			b.Fatal(err)
 		}
 		for j := 0; j < k; j++ {
-			for i, p := range n.peers {
+			for i := range n.peers {
+				p := &n.peers[i]
 				at := models[i].Position(0)
 				p.handleGossip(gossipFrame{ad: &ads.Advertisement{
 					ID:     ads.ID{Issuer: uint32(i), Seq: uint32(j)},
@@ -636,7 +640,8 @@ func BenchmarkReceiveOverflow(b *testing.B) {
 			}
 		}
 		far := &ads.Advertisement{ID: ads.ID{Issuer: peers}, Origin: geo.Point{X: 9000, Y: 9000}, R: 500, D: 120}
-		for _, p := range n.peers { // marked received here, once per peer
+		for i := range n.peers { // marked received here, once per peer
+			p := &n.peers[i]
 			if p.cache.Len() != k {
 				b.Fatalf("peer %d holds %d ads, want %d", p.id, p.cache.Len(), k)
 			}

@@ -120,12 +120,13 @@ func TestRelevanceRoundMatchesReference(t *testing.T) {
 		n.SetObserver(log)
 		// Network.Start for this protocol, with the round under test.
 		n.started = true
-		for _, p := range n.peers {
-			p := p
-			p.startRelevance()
-			p.ticker.Stop()
+		n.relevance = make([]relevancePeerState, len(n.peers))
+		n.seenStamp = make([]uint32, len(n.peers))
+		for i := range n.peers {
+			p := &n.peers[i]
+			p.startRelevance().Stop()
 			offset := p.rnd.Range(0, n.cfg.RoundTime)
-			p.ticker = s.Every(offset, n.cfg.RoundTime, func() {
+			s.Every(offset, n.cfg.RoundTime, func() {
 				kind := "quiet-round"
 				if round(p) {
 					kind = "encounter-round"

@@ -2,6 +2,7 @@ package core
 
 import (
 	"instantad/internal/ads"
+	"instantad/internal/sim"
 )
 
 // This file implements the Opportunistic Resource Exchange comparator from
@@ -32,7 +33,7 @@ func Relevance(ad *ads.Advertisement, dist, now float64) float64 {
 	return ageFactor * distFactor
 }
 
-// relevancePeerState is the per-peer state of the comparator protocol: the
+// relevancePeerState is one peer's row of the comparator's table: the
 // ids sensed in range at the previous round, in query order. Its capacity
 // follows the largest neighbourhood the peer has had, with a quarter of
 // headroom so that a peer outgrows it two or three times in a run, not at
@@ -45,15 +46,12 @@ type relevancePeerState struct {
 // its neighborhood; the appearance of any peer it did not see last round is
 // an encounter, and triggers one broadcast of every positive-relevance
 // cached resource. The per-round trigger bounds traffic at cache-size
-// frames per round per peer.
-func (p *Peer) startRelevance() {
+// frames per round per peer. The caller has made the comparator's tables
+// (Network.relevance, Network.seenStamp); the returned ticker is the round's.
+func (p *Peer) startRelevance() *sim.Ticker {
 	n := p.net
-	p.relevance = &relevancePeerState{}
-	if n.seenStamp == nil {
-		n.seenStamp = make([]uint32, len(n.peers))
-	}
 	offset := p.rnd.Range(0, n.cfg.RoundTime)
-	p.ticker = n.sim.Every(offset, n.cfg.RoundTime, p.relevanceRound)
+	return n.sim.Every(offset, n.cfg.RoundTime, p.relevanceRound)
 }
 
 // senseEncounter samples the neighbourhood into the network's query scratch,
@@ -70,7 +68,7 @@ func (p *Peer) startRelevance() {
 // encounter, even the peers it sat beside all along.
 func (p *Peer) senseEncounter() bool {
 	n := p.net
-	st := p.relevance
+	st := &n.relevance[p.id]
 	n.nbrScratch = n.nbrScratch[:0]
 	if n.ch.Online(p.id) {
 		n.nbrScratch = n.ch.AppendNeighborsOf(n.nbrScratch, p.id)

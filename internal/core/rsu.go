@@ -103,7 +103,7 @@ func (n *Network) rsuBackhaul() {
 	}
 	for _, ad := range r.live {
 		for _, id := range r.ids {
-			p := n.peers[id]
+			p := &n.peers[id]
 			if p.cache.Get(ad.ID) != nil {
 				continue
 			}

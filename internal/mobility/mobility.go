@@ -56,15 +56,14 @@ func velocity(a, b stop) geo.Vec {
 	return b.p.Sub(a.p).Scale(1 / dt)
 }
 
-// Piece is one constant-velocity stretch of a model's motion: for every t
-// with T0 <= t < T1, At(t) and Vel are bit for bit what the model's Position
-// and Velocity return. Coordinates are therefore monotone in t across a
+// Piece is one constant-velocity stretch of a model's motion, held as its
+// two endpoints: for every t with T0 <= t < T1, At(t) and Vel() are bit for
+// bit what the model's Position and Velocity return. Coordinates are therefore monotone in t across a
 // piece, rounding included: t ↦ (t−T0)/(T1−T0) ↦ From + (To−From)·f is a
 // chain of monotone floating-point steps. The zero Piece covers no instant.
 type Piece struct {
 	T0, T1   float64
 	From, To geo.Point
-	Vel      geo.Vec
 }
 
 // Covers reports whether the piece answers for time t.
@@ -73,6 +72,12 @@ func (p *Piece) Covers(t float64) bool { return t >= p.T0 && t < p.T1 }
 // At returns the position at a time the piece covers.
 func (p *Piece) At(t float64) geo.Point {
 	return p.From.Lerp(p.To, (t-p.T0)/(p.T1-p.T0))
+}
+
+// Vel returns the piece's velocity: the expression Velocity evaluates on the
+// leg's two stops, so its bits are the model's.
+func (p *Piece) Vel() geo.Vec {
+	return velocity(stop{t: p.T0, p: p.From}, stop{t: p.T1, p: p.To})
 }
 
 // PieceSource is implemented by models whose motion is piecewise linear.
@@ -150,7 +155,7 @@ func (tr *trajectory) PieceAt(t float64) Piece {
 	if t < a.t {
 		return Piece{}
 	}
-	return Piece{T0: a.t, T1: b.t, From: a.p, To: b.p, Vel: velocity(a, b)}
+	return Piece{T0: a.t, T1: b.t, From: a.p, To: b.p}
 }
 
 // Velocity implements Model.

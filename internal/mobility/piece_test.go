@@ -25,7 +25,8 @@ func cornerTrajectory() *trajectory {
 
 // TestPieceAnswersForTheModel is the contract the radio's piece table leans
 // on: a Piece fetched at any instant answers Position and Velocity, bit for
-// bit, at every instant it claims to cover — fetched once and asked about
+// bit, at every instant it claims to cover, and Vel() is also what the leg
+// reference (reference_test.go) computes there — fetched once and asked about
 // earlier and later times in no particular order, which is how the channel
 // uses it. The instants are the ones where an interval's end could be off by
 // one: each leg boundary and its two neighbouring floats, before the first
@@ -61,6 +62,7 @@ func TestPieceAnswersForTheModel(t *testing.T) {
 
 	for name, m := range models {
 		legs := m.(LegLister).Legs()
+		ref := refFromLegs(legs)
 		first, last := legs[0].T0, legs[len(legs)-1].T1
 		times := probeTimes(legs, 1)
 		rand.New(rand.NewSource(1)).Shuffle(len(times), func(i, j int) { times[i], times[j] = times[j], times[i] })
@@ -85,8 +87,11 @@ func TestPieceAnswersForTheModel(t *testing.T) {
 				if got, want := pc.At(at), m.Position(at); !sameBits(got.X, want.X) || !sameBits(got.Y, want.Y) {
 					t.Fatalf("%s: piece [%v, %v) at %v = %v, Position = %v", name, pc.T0, pc.T1, at, got, want)
 				}
-				if got, want := pc.Vel, m.Velocity(at); !sameBits(got.X, want.X) || !sameBits(got.Y, want.Y) {
+				if got, want := pc.Vel(), m.Velocity(at); !sameBits(got.X, want.X) || !sameBits(got.Y, want.Y) {
 					t.Fatalf("%s: piece [%v, %v) velocity %v, Velocity(%v) = %v", name, pc.T0, pc.T1, got, at, want)
+				}
+				if got, want := pc.Vel(), ref.Velocity(at); !sameBits(got.X, want.X) || !sameBits(got.Y, want.Y) {
+					t.Fatalf("%s: piece [%v, %v) velocity %v, leg reference's Velocity(%v) = %v", name, pc.T0, pc.T1, got, at, want)
 				}
 			}
 		}

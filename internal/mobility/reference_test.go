@@ -83,7 +83,7 @@ func (tr *refTrajectory) PieceAt(t float64) Piece {
 	if t < l.t0 {
 		return Piece{}
 	}
-	return Piece{T0: l.t0, T1: l.t1, From: l.from, To: l.to, Vel: l.velocity()}
+	return Piece{T0: l.t0, T1: l.t1, From: l.from, To: l.to}
 }
 
 func (tr *refTrajectory) Velocity(t float64) geo.Vec {
@@ -236,8 +236,7 @@ func probeTimes(legs []Leg, seed int64) []float64 {
 // samePiece compares two pieces by the bits of every field.
 func samePiece(a, b Piece) bool {
 	return sameBits(a.T0, b.T0) && sameBits(a.T1, b.T1) &&
-		samePoint(a.From, b.From) && samePoint(a.To, b.To) &&
-		sameBits(a.Vel.X, b.Vel.X) && sameBits(a.Vel.Y, b.Vel.Y)
+		samePoint(a.From, b.From) && samePoint(a.To, b.To)
 }
 
 func samePoint(a, b geo.Point) bool { return sameBits(a.X, b.X) && sameBits(a.Y, b.Y) }
@@ -259,8 +258,10 @@ func compareModels(t *testing.T, name string, got, want Model, times []float64) 
 // TestStopsMatchLegReference checks the stop layout against the leg layout
 // it replaced. Every builder stores the legs the leg layout stored (pinned by
 // legLayoutDigests), Position, Velocity and PieceAt answer what the leg
-// layout's queries answer at every probe instant, bit for bit, and Legs
-// round-trips: adding its legs back through add rebuilds the same stops.
+// layout's queries answer at every probe instant, bit for bit, a piece's
+// Vel() is its reference leg's stored velocity wherever the piece covers the
+// instant, and Legs round-trips: adding its legs back through add rebuilds
+// the same stops.
 func TestStopsMatchLegReference(t *testing.T) {
 	built := builtTrajectories(t)
 	if len(built) != len(legLayoutDigests) {
@@ -291,7 +292,7 @@ func TestStopsMatchLegReference(t *testing.T) {
 		}
 		pairs[name] = pair{tr, refFromLegs(legs)}
 	}
-	instants := 0
+	instants, velChecked := 0, 0
 	for name, p := range pairs {
 		legs := p.tr.Legs()
 		if len(legs) != len(p.ref.legs) || len(p.tr.stops) != len(legs)+1 {
@@ -300,9 +301,17 @@ func TestStopsMatchLegReference(t *testing.T) {
 		times := probeTimes(legs, int64(len(name)))
 		compareModels(t, name, p.tr, p.ref, times)
 		for _, at := range times {
-			if g, w := p.tr.PieceAt(at), p.ref.PieceAt(at); !samePiece(g, w) {
+			g, w := p.tr.PieceAt(at), p.ref.PieceAt(at)
+			if !samePiece(g, w) {
 				t.Fatalf("%s: PieceAt(%v) = %+v, reference %+v", name, at, g, w)
 			}
+			if !g.Covers(at) {
+				continue
+			}
+			if gv, wv := g.Vel(), p.ref.legs[p.ref.locate(at)].velocity(); !sameBits(gv.X, wv.X) || !sameBits(gv.Y, wv.Y) {
+				t.Fatalf("%s: PieceAt(%v).Vel() = (%.17g, %.17g), reference leg (%.17g, %.17g)", name, at, gv.X, gv.Y, wv.X, wv.Y)
+			}
+			velChecked++
 		}
 		instants += len(times)
 
@@ -316,7 +325,10 @@ func TestStopsMatchLegReference(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d trajectories, %d instants compared", len(pairs), instants)
+	if velChecked == 0 {
+		t.Fatal("no probe instant lay inside a piece: Vel() went unchecked")
+	}
+	t.Logf("%d trajectories, %d instants compared, %d piece velocities", len(pairs), instants, velChecked)
 }
 
 // TestRPGMMembersMatchLegReference composes each RPGM member from reference

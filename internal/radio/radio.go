@@ -329,7 +329,7 @@ func (c *Channel) PositionAt(i int, t float64) geo.Point {
 func (c *Channel) VelocityOf(i int) geo.Vec {
 	now := c.sim.Now()
 	if pc := &c.pieces[i]; pc.Covers(now) {
-		return pc.Vel
+		return pc.Vel()
 	}
 	return c.models[i].Velocity(now)
 }
