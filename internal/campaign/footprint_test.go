@@ -1,9 +1,10 @@
 package campaign
 
 import (
-	"runtime"
 	"testing"
 	"time"
+
+	"instantad/internal/testutil"
 )
 
 // footprintConfig is the fleet shape the repository benchmark's live_fleet
@@ -15,15 +16,6 @@ func footprintConfig(nodes int) FleetConfig {
 	}
 }
 
-// heapAfterGC returns the live heap once garbage is gone.
-func heapAfterGC() int64 {
-	runtime.GC()
-	runtime.GC() // the first cycle's finalizers and sweep debt
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return int64(m.HeapAlloc)
-}
-
 // TestFleetNodeFootprint guards what an idle fleet node retains. A node that
 // has received nothing holds its plain counters, its maps and its peer list,
 // and no registry: 4.4 KB on linux/amd64 with go1.24. It held 11.4 KB while
@@ -32,17 +24,17 @@ func heapAfterGC() int64 {
 // kept a 64 KB buffer. The next per-node allocation of that kind should fail
 // here, not wait for a benchmark.
 func TestFleetNodeFootprint(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("the race detector's runtime inflates the heap")
 	}
 	const nodes, limit = 500, 6 << 10
-	before := heapAfterGC()
+	before := testutil.HeapAfterGC()
 	fl, err := NewFleet(footprintConfig(nodes))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fl.Close()
-	perNode := (heapAfterGC() - before) / nodes
+	perNode := (testutil.HeapAfterGC() - before) / nodes
 	t.Logf("idle heap per node: %d bytes", perNode)
 	if perNode >= limit {
 		t.Errorf("an idle fleet node retains %d bytes, limit %d", perNode, limit)

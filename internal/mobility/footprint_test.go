@@ -6,16 +6,8 @@ import (
 
 	"instantad/internal/geo"
 	"instantad/internal/rng"
+	"instantad/internal/testutil"
 )
-
-// heapAfterGC returns the live heap once garbage is gone.
-func heapAfterGC() int64 {
-	runtime.GC()
-	runtime.GC() // the first cycle's finalizers and sweep debt
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return int64(m.HeapAlloc)
-}
 
 // TestTrajectoryFootprint guards what a Random Waypoint trajectory retains
 // on the shape of the repository benchmark's fig7_sweep: 1 000 peers on the
@@ -25,14 +17,14 @@ func heapAfterGC() int64 {
 // the stop list's reading. The next per-trajectory field or slack of that
 // kind should fail here, not wait for a benchmark.
 func TestTrajectoryFootprint(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("the race detector's runtime inflates the heap")
 	}
 	const nodes, limit = 1000, 310
 	cfg := RandomWaypointConfig{Field: geo.NewRect(1500, 1500), SpeedMean: 10, SpeedDelta: 5, Pause: 10, Horizon: 300}
 	root := rng.New(7)
 	models := make([]Model, nodes)
-	before := heapAfterGC()
+	before := testutil.HeapAfterGC()
 	for i := range models {
 		m, err := NewRandomWaypoint(cfg, root.SplitIndex("mobility", i))
 		if err != nil {
@@ -40,7 +32,7 @@ func TestTrajectoryFootprint(t *testing.T) {
 		}
 		models[i] = m
 	}
-	perNode := (heapAfterGC() - before) / nodes
+	perNode := (testutil.HeapAfterGC() - before) / nodes
 	runtime.KeepAlive(models)
 	t.Logf("heap per trajectory: %d bytes", perNode)
 	if perNode >= limit {
