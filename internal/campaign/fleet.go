@@ -3,7 +3,6 @@ package campaign
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"time"
 
@@ -44,8 +43,10 @@ type FleetConfig struct {
 	// Beacon, when positive, is the nodes' BeaconInterval: HELLO beacons on
 	// top of the static geometric wiring (neighbor tables, position
 	// refresh). Zero — the default — keeps the fleet silent between gossip
-	// rounds: an idle node then costs about 4.4 KB of heap and two parked
-	// goroutines, so 10^4 nodes hold about 44 MB of heap, stacks aside.
+	// rounds: an idle node then costs about 3.7 KB of heap and one parked
+	// goroutine, its reader (node's poll driver runs every node's polls from
+	// a few shared goroutines), so 10^4 nodes hold about 37 MB of heap,
+	// stacks aside.
 	Beacon time.Duration
 	// Probes caps the per-ad delivery probe set. Zero means 32.
 	Probes int
@@ -210,25 +211,15 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	return f, nil
 }
 
-// closeNodes shuts down whatever nodes exist, in parallel (Close joins each
-// node's goroutines; serial shutdown of 10^4 nodes would take minutes).
+// closeNodes shuts down whatever nodes exist, one after another: a Close
+// takes the node off the poll driver and joins its reader, so 1 000 nodes
+// close in about 3 ms on 2 vCPUs.
 func (f *Fleet) closeNodes() {
-	workers := runtime.GOMAXPROCS(0) * 4
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
 	for _, n := range f.nodes {
-		if n == nil {
-			continue
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(n *node.Node) {
-			defer wg.Done()
+		if n != nil {
 			n.Close()
-			<-sem
-		}(n)
+		}
 	}
-	wg.Wait()
 }
 
 // Close shuts the whole fleet down.

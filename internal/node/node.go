@@ -297,11 +297,18 @@ type Node struct {
 	member MembershipObserver // events' membership side, or nil
 	hist   *histograms        // nil without Config.Registry
 
+	// The node's poll driver jobs (driver.go), set by Start under mu. pollMu
+	// is held while a job runs and guards unscheduled.
+	jobs        []pollJob
+	shard       *shard
+	pollMu      sync.Mutex
+	unscheduled bool
+
 	ctr       counters
 	done      chan struct{}
 	closeOnce sync.Once
 	closeErr  error
-	wg        sync.WaitGroup
+	wg        sync.WaitGroup // the readLoop
 	started   bool
 }
 
@@ -568,31 +575,39 @@ func (n *Node) NeighborCount() int {
 	return n.table.Len()
 }
 
-// Start launches the receive loop, the gossip scheduler, and (with
-// discovery enabled) the beacon announcer.
+// Start launches the receive loop and puts the node's poll and (with
+// discovery enabled) its beacon on the poll driver.
 func (n *Node) Start() {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.started {
-		n.mu.Unlock()
 		panic("node: Start called twice")
 	}
 	n.started = true
-	n.mu.Unlock()
-	n.wg.Add(2)
-	go n.readLoop()
-	go n.gossipLoop()
-	if n.table != nil {
-		n.wg.Add(1)
-		go n.beaconLoop()
+	if n.closed() {
+		return
 	}
+	n.wg.Add(1)
+	go n.readLoop()
+	n.schedule()
 }
 
 // Close stops the node and releases the socket. It is idempotent and safe to
 // call from any number of goroutines concurrently; every call returns the
-// same result.
+// same result. It takes the node's jobs off the poll driver and waits for a
+// poll already running, never for one to come: no observer call and no send
+// follow its return.
 func (n *Node) Close() error {
 	n.closeOnce.Do(func() {
 		close(n.done)
+		n.mu.Lock()
+		if n.shard != nil {
+			n.shard.remove(n.jobs)
+		}
+		n.mu.Unlock()
+		n.pollMu.Lock()
+		n.unscheduled = true
+		n.pollMu.Unlock()
 		n.closeErr = n.conn.Close()
 		n.wg.Wait()
 	})
@@ -1141,45 +1156,6 @@ func (n *Node) beaconBack(key string) {
 	}
 	if n.sendTo(data, p) {
 		n.ctr.BeaconsSent.Add(1)
-	}
-}
-
-// gossipLoop polls the node's slot schedule every Δt/5 (fireDue). A poll
-// fires whatever fell due since the last one: the node's round, and under
-// Opt2 each entry on its own postponable slot.
-func (n *Node) gossipLoop() {
-	defer n.wg.Done()
-	tick := n.cfg.RoundTime / 5
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-n.done:
-			return
-		case <-ticker.C:
-			n.fireDue()
-		}
-	}
-}
-
-// beaconLoop announces the node every BeaconInterval, starting immediately
-// so a cold-started node reaches its seeds without waiting a full interval.
-func (n *Node) beaconLoop() {
-	defer n.wg.Done()
-	n.sendBeacon()
-	ticker := time.NewTicker(n.cfg.BeaconInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-n.done:
-			return
-		case now := <-ticker.C:
-			n.sendBeacon()
-			n.relayOwedIntroductions(now)
-		}
 	}
 }
 

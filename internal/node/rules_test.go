@@ -173,7 +173,7 @@ func TestDueWalkDropsExpiredAds(t *testing.T) {
 
 // TestNodeGossipsOncePerRound drives a node's polls directly with synthetic
 // protocol times on the Δt/5 grid, each late by a seeded jitter in
-// [0, Δt/5) as gossipLoop's ticker delivers them. Its ads sit at its own
+// [0, Δt/5), later than the poll driver runs them. Its ads sit at its own
 // position with a large R, so P = 1 and every step is a send: over N rounds
 // each must be sent N ± 1 times, with Optimization Mechanism 2 and without.
 // Without it, every cached entry steps at the node's round, one instant
