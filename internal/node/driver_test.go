@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -70,11 +71,22 @@ func watchedNode(t *testing.T, sb *memnet.Switchboard, id uint32, rt time.Durati
 	return n, w
 }
 
+// drainedNode is watchedNode without the write counter, so that its conn
+// is a memnet endpoint its shard drains.
+func drainedNode(t *testing.T, sb *memnet.Switchboard, id uint32, rt time.Duration, sink string) (*Node, *lateWatch) {
+	t.Helper()
+	n, w := watchedNode(t, sb, id, rt, sink)
+	n.conn = n.conn.(watchConn).PacketConn
+	return n, w
+}
+
 // TestCloseNeverWaitsOutAPoll pins Close's contract with the poll driver:
-// it takes the node's jobs off its shard and waits only for a poll already
-// running, so it returns within 50 ms at a round time of an hour as at
-// 100 ms, started or not, and no observer call and no send follow it. Then
-// 200 nodes polling every 4 ms close concurrently (run it under -race).
+// it takes the node's jobs off its shard and waits only for a poll or drain
+// already running, so it returns within 50 ms at a round time of an hour as
+// at 100 ms, started or not, and no observer call and no send follow it. A
+// node off the driver dispatches nothing, and drained nodes closed under a
+// stream of frames dispatch nothing after Close. Then 200 nodes polling
+// every 4 ms close concurrently (run it under -race).
 func TestCloseNeverWaitsOutAPoll(t *testing.T) {
 	sb, err := memnet.New(memnet.Config{})
 	if err != nil {
@@ -111,6 +123,90 @@ func TestCloseNeverWaitsOutAPoll(t *testing.T) {
 			})
 		}
 	}
+	t.Run("left the driver", func(t *testing.T) {
+		// Close's middle state: the node is off the driver but its conn is
+		// still open. A frame that arrives then is never dispatched.
+		n, w := drainedNode(t, sb, 1, 20*time.Millisecond, sink.LocalAddr())
+		n.Start()
+		defer n.Close()
+		n.pollMu.Lock()
+		n.unscheduled = true
+		n.pollMu.Unlock()
+		if _, err := sink.WriteTo([]byte{0xFF}, n.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(after)
+		if m := n.Stats().Malformed; m != 0 || w.late.Load() != 0 {
+			t.Errorf("a node off the driver dispatched %d frames", m)
+		}
+	})
+	t.Run("under traffic", func(t *testing.T) {
+		// 40 drained nodes close while two feeders keep sending each of them
+		// an ad batch and a malformed frame: nothing is dispatched after a
+		// node's Close returned.
+		const nodes = 40
+		ns := make([]*Node, nodes)
+		ws := make([]*lateWatch, nodes)
+		for i := range ns {
+			ns[i], ws[i] = drainedNode(t, sb, uint32(i+300), 20*time.Millisecond, sink.LocalAddr())
+			ns[i].Start()
+		}
+		stop := make(chan struct{})
+		var feeders sync.WaitGroup
+		for f := 0; f < 2; f++ {
+			feeder, err := sb.Listen("mem:")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer feeder.Close()
+			feeders.Add(1)
+			go func(f int) {
+				defer feeders.Done()
+				for seq := uint32(0); ; seq++ {
+					ad := &ads.Advertisement{ID: ads.ID{Issuer: uint32(900 + f), Seq: seq % 64}, R: 1000, D: 60}
+					frames, _ := packBatches(uint32(900+f), geo.Point{}, geo.Vec{}, []*ads.Advertisement{ad}, 0)
+					for _, n := range ns {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						_, _ = feeder.WriteTo(frames[0].data, n.Addr())
+						_, _ = feeder.WriteTo([]byte{0xFF}, n.Addr())
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}(f)
+		}
+		time.Sleep(after)
+		dispatched := func(n *Node) uint64 {
+			st := n.Stats()
+			return st.BatchesRecv + st.Malformed
+		}
+		at := make([]uint64, nodes)
+		var wg sync.WaitGroup
+		for i := range ns {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				_ = ns[i].Close()
+				ws[i].closed.Store(true)
+				at[i] = dispatched(ns[i])
+			}(i)
+		}
+		wg.Wait()
+		time.Sleep(after)
+		close(stop)
+		feeders.Wait()
+		for i, n := range ns {
+			if at[i] == 0 {
+				t.Errorf("node %d dispatched nothing before it closed: the feeders did not reach it", i)
+			}
+			if d := dispatched(n) - at[i]; d != 0 || ws[i].late.Load() != 0 {
+				t.Errorf("node %d: %d frames dispatched and %d observer calls after Close returned", i, d, ws[i].late.Load())
+			}
+		}
+	})
 	t.Run("concurrent", func(t *testing.T) {
 		const nodes = 200
 		ns := make([]*Node, nodes)
@@ -139,18 +235,31 @@ func TestCloseNeverWaitsOutAPoll(t *testing.T) {
 	})
 }
 
-// TestDriverGoroutines counts what a started node costs in goroutines: its
-// reader, plus at most GOMAXPROCS shard goroutines for the whole fleet —
-// not a ticker goroutine for its poll and another for its beacon. Once every
-// node has closed, no shard holds one of their jobs and the count settles
-// back: a shard left running is a leak.
+// readers counts the goroutines running a node's readLoop.
+func readers() int {
+	buf := make([]byte, 1<<20)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return strings.Count(string(buf[:n]), ".(*Node).readLoop(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestDriverGoroutines counts what a started node costs in goroutines. A
+// memnet node costs none: its shard runs its polls and beacons and
+// dispatches its datagrams, so a fleet adds at most its shard goroutines —
+// not a reader per node, nor a ticker goroutine for its poll and another for
+// its beacon. A UDP node still adds its reader. Once every node has closed,
+// no shard holds one of their jobs and the count settles back: a shard left
+// running is a leak.
 func TestDriverGoroutines(t *testing.T) {
 	sb, err := memnet.New(memnet.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const nodes = 100
-	base := runtime.NumGoroutine()
+	base, baseReaders := runtime.NumGoroutine(), readers()
 	ns := make([]*Node, nodes)
 	for i := range ns {
 		cfg := discoveryConfig(sb, uint32(i+1), geo.Point{})
@@ -162,11 +271,23 @@ func TestDriverGoroutines(t *testing.T) {
 		ns[i].Start()
 	}
 	time.Sleep(20 * time.Millisecond)
-	added, limit := runtime.NumGoroutine()-base, nodes+runtime.GOMAXPROCS(0)
-	t.Logf("%d started nodes with beacons added %d goroutines (limit %d)", nodes, added, limit)
+	added, limit := runtime.NumGoroutine()-base, len(shards)
+	t.Logf("%d started memnet nodes with beacons added %d goroutines (limit %d)", nodes, added, limit)
 	if added > limit {
-		t.Errorf("%d started nodes added %d goroutines, want at most %d readers and shards", nodes, added, limit)
+		t.Errorf("%d started memnet nodes added %d goroutines, want at most its %d shards", nodes, added, limit)
 	}
+	if r := readers() - baseReaders; r != 0 {
+		t.Errorf("%d started memnet nodes run %d readers, want none", nodes, r)
+	}
+	udp, err := New(testConfig(nodes+1, geo.Point{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	udp.Start()
+	if !waitFor(t, time.Second, func() bool { return readers()-baseReaders == 1 }) {
+		t.Errorf("a started UDP node runs %d readers, want 1", readers()-baseReaders)
+	}
+	_ = udp.Close()
 	for _, n := range ns {
 		_ = n.Close()
 	}
@@ -186,6 +307,141 @@ func TestDriverGoroutines(t *testing.T) {
 	}
 	if !waitFor(t, 2*time.Second, func() bool { return runtime.NumGoroutine() <= base }) {
 		t.Errorf("%d goroutines after every node closed, %d before any started", runtime.NumGoroutine(), base)
+	}
+}
+
+// oneShard runs the test's nodes on a poll driver of one shard.
+func oneShard(t *testing.T) {
+	saved := shards
+	shards = make([]shard, 1)
+	t.Cleanup(func() { shards = saved })
+}
+
+// TestShardNeverWaitsOnANode holds node 0's lock for five rounds on a shard
+// of 20 idle memnet nodes at Δt = 100 ms: every other node runs 5 ± 1 rounds
+// in the hold, and of two frames sent halfway through it, an ad batch to
+// node 0 (its handler takes the lock) and then a frame to node 1, node 1's
+// is dispatched before the hold ends and node 0's soon after. A shard that
+// waited for the lock would run no round and dispatch nothing in the hold.
+func TestShardNeverWaitsOnANode(t *testing.T) {
+	oneShard(t)
+	sb, err := memnet.New(memnet.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sender, err := sb.Listen("mem:")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
+	const nodes, rt, hold = 20, 100 * time.Millisecond, 500 * time.Millisecond
+	ns := make([]*Node, nodes)
+	for i := range ns {
+		cfg := testConfig(uint32(i+1), geo.Point{})
+		cfg.ListenAddr, cfg.Transport, cfg.RoundTime = "mem:", sb.Transport(), rt
+		if ns[i], err = New(cfg); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = ns[i].Close() })
+		ns[i].Start()
+	}
+	rounds := func(n *Node) int {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return n.rounds
+	}
+	time.Sleep(rt) // past every node's first round
+	before := make([]int, nodes)
+	ns[0].mu.Lock()
+	began := time.Now()
+	for i, n := range ns[1:] {
+		before[i+1] = rounds(n)
+	}
+	time.Sleep(hold / 2)
+	ad := &ads.Advertisement{ID: ads.ID{Issuer: 99}, R: 1000, D: 60}
+	batch, _ := packBatches(99, geo.Point{}, geo.Vec{}, []*ads.Advertisement{ad}, 0)
+	if _, err := sender.WriteTo(batch[0].data, ns[0].Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sender.WriteTo([]byte{0xFF}, ns[1].Addr()); err != nil {
+		t.Fatal(err)
+	}
+	for ns[1].Stats().Malformed == 0 && time.Since(began) < hold {
+		time.Sleep(time.Millisecond)
+	}
+	dispatched := ns[1].Stats().Malformed != 0
+	time.Sleep(hold - time.Since(began))
+	got := make([]int, nodes)
+	for i, n := range ns[1:] {
+		got[i+1] = rounds(n) - before[i+1]
+	}
+	ns[0].mu.Unlock()
+	if !dispatched {
+		t.Error("the frame sent to node 1 during the hold was not dispatched before the hold ended")
+	}
+	if !waitFor(t, rt, func() bool { return ns[0].Has(ad.ID) }) {
+		t.Error("the frame sent to node 0 during the hold was not dispatched after it")
+	}
+	want := int(hold / rt)
+	for i := 1; i < nodes; i++ {
+		if got[i] < want-1 || got[i] > want+1 {
+			t.Errorf("node %d ran %d rounds while node 0's lock was held for %v, want %d ± 1", i, got[i], hold, want)
+		}
+	}
+}
+
+// TestShardDrainsWithoutSleeping runs a digest exchange between two memnet
+// nodes on one shard at Δt = 1 h, where the shard otherwise naps 50 ms at a
+// time: B hears a digest from A, pulls the ad from A, and A serves it. The
+// pull and the batch each reach their node while the shard is awake, so a
+// shard that slept with them on its ready list would take 100 ms; the
+// fastest of five exchanges must take under 30 ms.
+func TestShardDrainsWithoutSleeping(t *testing.T) {
+	oneShard(t)
+	sb, err := memnet.New(memnet.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func(id uint32) *Node {
+		cfg := testConfig(id, geo.Point{})
+		cfg.ListenAddr, cfg.Transport, cfg.RoundTime = "mem:", sb.Transport(), time.Hour
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = n.Close() })
+		return n
+	}
+	a, b := mk(1), mk(2)
+	a.Start()
+	b.Start()
+	fastest := time.Hour
+	for i := 0; i < 5; i++ {
+		ad, err := a.Issue(core.AdSpec{R: 1000, D: 60})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := idFrame{Sender: a.cfg.ID, IDs: []ads.ID{ad.ID}}
+		digest, err := f.encode(digestMagic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(10 * time.Millisecond) // the shard naps
+		began := time.Now()
+		if _, err := a.conn.WriteTo(digest, b.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		for !b.Has(ad.ID) && time.Since(began) < time.Second {
+			time.Sleep(100 * time.Microsecond)
+		}
+		if !b.Has(ad.ID) {
+			t.Fatal("B never pulled the ad")
+		}
+		fastest = min(fastest, time.Since(began))
+	}
+	t.Logf("fastest digest, pull and serve on one shard: %v", fastest)
+	if fastest >= 30*time.Millisecond {
+		t.Errorf("the fastest exchange took %v: the shard slept with nodes ready", fastest)
 	}
 }
 

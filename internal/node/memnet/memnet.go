@@ -6,6 +6,12 @@
 // ports, and no kernel buffering nondeterminism. An idle endpoint costs a few
 // hundred bytes: its receive queue starts empty and grows with its backlog.
 //
+// An endpoint is read one of two ways. ReadFrom blocks, as on a socket. Or
+// the owner registers an arrival callback (SetArrival), which the medium
+// calls whenever the endpoint's queue goes from empty to non-empty, and then
+// empties the queue with the non-blocking TryRead: the live node's poll
+// driver reads memnet endpoints this way, with no goroutine per endpoint.
+//
 // The switchboard models the physical medium, not a router: datagrams are
 // delivered whole or not at all, loss is drawn from one seeded stream,
 // latency is a fixed configurable delay, and — the radio part — delivery can
@@ -214,21 +220,26 @@ type packet struct {
 type Conn struct {
 	sb   *Switchboard
 	addr string
-	// wake holds at most one token: "the queue went from empty to non-empty,
-	// or a read left datagrams behind". It is only ever sent to with no lock
-	// held. done is closed by Close and releases every blocked reader.
+	// wake holds at most one token for a blocked ReadFrom: "the queue went
+	// from empty to non-empty, or a read left datagrams behind". It is only
+	// ever sent to with no lock held, and not at all once an arrival
+	// callback is set. done is closed by Close and releases every blocked
+	// reader.
 	wake chan struct{}
 	done chan struct{}
 
 	// Guarded by sb.mu. The receive queue is a ring: count datagrams starting
 	// at ring[head], wrapping. It is nil until the first datagram arrives and
-	// doubles when full, never beyond Config.QueueLen.
-	pos    geo.Point // last position set or snooped; meaningful when placed
-	placed bool
-	closed bool
-	ring   []packet
-	head   int
-	count  int
+	// doubles when full, never beyond Config.QueueLen. arrival, when set,
+	// replaces the wake token: it is called with no lock held each time the
+	// queue goes from empty to non-empty.
+	pos     geo.Point // last position set or snooped; meaningful when placed
+	placed  bool
+	closed  bool
+	ring    []packet
+	head    int
+	count   int
+	arrival func()
 }
 
 // minRing is the first allocation of a receive ring, in datagrams.
@@ -245,11 +256,55 @@ func (c *Conn) signal() {
 	}
 }
 
+// SetArrival registers fn as the conn's arrival callback. The medium calls
+// fn with no lock held each time the receive
+// queue goes from empty to non-empty, in the sending goroutine (or the
+// latency timer's), so fn must not block; the owner then empties the queue
+// with TryRead, and a queue left non-empty calls fn no more. If datagrams
+// are already queued, fn is called once before SetArrival returns.
+func (c *Conn) SetArrival(fn func()) {
+	s := c.sb
+	s.mu.Lock()
+	c.arrival = fn
+	queued := c.count > 0
+	s.mu.Unlock()
+	if queued {
+		fn()
+	}
+}
+
+// TryRead takes the next queued datagram without blocking; ok is false when
+// the queue is empty or the conn has closed. The slice is the private copy
+// WriteTo made, as with ReadFrom.
+func (c *Conn) TryRead() (data []byte, from string, ok bool) {
+	s := c.sb
+	s.mu.Lock()
+	p, ok := c.popLocked()
+	s.mu.Unlock()
+	return p.data, p.from, ok
+}
+
+// popLocked takes the head of the receive queue; ok is false when the queue
+// is empty or the conn has closed. Callers hold sb.mu.
+func (c *Conn) popLocked() (p packet, ok bool) {
+	if c.closed || c.count == 0 {
+		return packet{}, false
+	}
+	p = c.ring[c.head]
+	c.ring[c.head] = packet{} // the reader owns the bytes now
+	if c.head++; c.head == len(c.ring) {
+		c.head = 0
+	}
+	c.count--
+	return p, true
+}
+
 // ReadFrom blocks until a datagram arrives or the conn closes. The returned
 // slice is the private copy WriteTo made, so it stays intact after the next
 // call — more than the PacketConn contract asks. A closed conn always
 // reports net.ErrClosed: what was still queued went with the Close, as on a
-// closed UDP socket.
+// closed UDP socket. A conn with an arrival callback is read with TryRead:
+// ReadFrom on it would wait for a wake token that never comes.
 func (c *Conn) ReadFrom() ([]byte, string, error) {
 	s := c.sb
 	for {
@@ -258,13 +313,7 @@ func (c *Conn) ReadFrom() ([]byte, string, error) {
 			s.mu.Unlock()
 			return nil, "", net.ErrClosed
 		}
-		if c.count > 0 {
-			p := c.ring[c.head]
-			c.ring[c.head] = packet{} // the reader owns the bytes now
-			if c.head++; c.head == len(c.ring) {
-				c.head = 0
-			}
-			c.count--
+		if p, ok := c.popLocked(); ok {
 			more := c.count > 0
 			s.mu.Unlock()
 			if more {
@@ -356,11 +405,17 @@ func (c *Conn) WriteTo(b []byte, to string) (int, error) {
 }
 
 // pushAndUnlock queues p for dst, releases s.mu, which the caller holds, and
-// then — never under the lock — wakes dst's reader if the queue was empty.
+// then — never under the lock — calls dst's arrival callback, or wakes its
+// reader, if the queue was empty.
 func (s *Switchboard) pushAndUnlock(dst *Conn, p packet) {
 	wake := s.pushLocked(dst, p)
+	arrival := dst.arrival
 	s.mu.Unlock()
-	if wake {
+	switch {
+	case !wake:
+	case arrival != nil:
+		arrival()
+	default:
 		dst.signal()
 	}
 }
@@ -369,7 +424,7 @@ func (s *Switchboard) pushAndUnlock(dst *Conn, p packet) {
 // datagram was in flight (the Latency path; a closed conn is never bound
 // again, a rebind is a new Conn) or its queue is full. It reports whether
 // the queue went from empty to non-empty, in which case the caller signals
-// dst after releasing s.mu.
+// dst, or calls its arrival callback, after releasing s.mu.
 func (s *Switchboard) pushLocked(dst *Conn, p packet) (wake bool) {
 	if dst.closed {
 		s.stats.NoEndpoint++
@@ -417,7 +472,8 @@ func (c *Conn) grow(limit int) {
 
 // Close unbinds the endpoint; blocked and future reads return net.ErrClosed,
 // and datagrams queued for or in flight toward it are dropped like packets
-// to a dead port.
+// to a dead port. Close drops the arrival callback, though a push that
+// queued its datagram before Close may still be calling it.
 func (c *Conn) Close() error {
 	s := c.sb
 	s.mu.Lock()
@@ -426,7 +482,7 @@ func (c *Conn) Close() error {
 		return nil
 	}
 	c.closed = true
-	c.ring, c.head, c.count = nil, 0, 0
+	c.ring, c.head, c.count, c.arrival = nil, 0, 0, nil
 	delete(s.eps, c.addr)
 	s.mu.Unlock()
 	close(c.done)

@@ -335,3 +335,128 @@ func TestCloseReleasesEveryBlockedReader(t *testing.T) {
 		}
 	}
 }
+
+// TestArrivalCallback pins the drained reading mode: the callback runs once
+// at SetArrival when datagrams wait, then once per empty-to-non-empty edge,
+// never while the queue stays non-empty; TryRead keeps the order and reports
+// an empty or closed queue; a closed conn calls it no more, and the Latency
+// path calls it too.
+func TestArrivalCallback(t *testing.T) {
+	s, _ := New(Config{})
+	a := mustListen(t, s, "")
+	b := mustListen(t, s, "")
+	send := func(v byte) {
+		t.Helper()
+		if _, err := a.WriteTo([]byte{v}, b.LocalAddr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var calls atomic.Int64
+	send(0)
+	send(1)
+	b.SetArrival(func() { calls.Add(1) })
+	if c := calls.Load(); c != 1 {
+		t.Fatalf("SetArrival over a backlog of 2 called back %d times, want 1", c)
+	}
+	send(2)
+	if c := calls.Load(); c != 1 {
+		t.Fatalf("a push onto a non-empty queue called back (%d calls)", c)
+	}
+	for want := byte(0); want < 3; want++ {
+		got, from, ok := b.TryRead()
+		if !ok || from != a.LocalAddr() || len(got) != 1 || got[0] != want {
+			t.Fatalf("TryRead = %v, %q, %v; want [%d] from %s", got, from, ok, want, a.LocalAddr())
+		}
+	}
+	if _, _, ok := b.TryRead(); ok {
+		t.Fatal("TryRead on an empty queue reported a datagram")
+	}
+	send(3)
+	send(4)
+	if c := calls.Load(); c != 2 {
+		t.Fatalf("%d calls after the queue went non-empty again, want 2", c)
+	}
+	_ = b.Close()
+	if _, _, ok := b.TryRead(); ok {
+		t.Fatal("TryRead on a closed conn reported a datagram")
+	}
+	send(5)
+	if c := calls.Load(); c != 2 {
+		t.Fatalf("a push to a closed conn called back (%d calls)", c)
+	}
+
+	slow, _ := New(Config{Latency: 5 * time.Millisecond})
+	src, dst := mustListen(t, slow, ""), mustListen(t, slow, "")
+	arrived := make(chan struct{}, 1)
+	dst.SetArrival(func() { arrived <- struct{}{} })
+	if _, err := src.WriteTo([]byte{6}, dst.LocalAddr()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-arrived:
+	case <-time.After(time.Second):
+		t.Fatal("a delayed delivery never called back")
+	}
+	if got, _, ok := dst.TryRead(); !ok || got[0] != 6 {
+		t.Fatalf("TryRead after a delayed delivery = %v, %v", got, ok)
+	}
+}
+
+// TestArrivalConcurrentWriters is TestQueueConcurrentWritersOneReader for a
+// reader that sleeps until its callback fires and then empties the queue
+// with TryRead: no wake-up is lost.
+func TestArrivalConcurrentWriters(t *testing.T) {
+	const writers, each = 8, 2000
+	s, _ := New(Config{QueueLen: 64})
+	dst := mustListen(t, s, "mem:sink")
+	kick := make(chan struct{}, 1)
+	dst.SetArrival(func() {
+		select {
+		case kick <- struct{}{}:
+		default:
+		}
+	})
+	var read atomic.Uint64
+	stop := make(chan struct{})
+	go func() {
+		for {
+			select {
+			case <-kick:
+			case <-stop:
+				return
+			}
+			for {
+				if _, _, ok := dst.TryRead(); !ok {
+					break
+				}
+				read.Add(1)
+			}
+		}
+	}()
+	defer close(stop)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		src := mustListen(t, s, "")
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if _, err := src.WriteTo([]byte{byte(i)}, "mem:sink"); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	deadline := time.Now().Add(5 * time.Second)
+	for read.Load() != s.Stats().Delivered {
+		if time.Now().After(deadline) {
+			t.Fatalf("reader stopped at %d of %d delivered: lost arrival", read.Load(), s.Stats().Delivered)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := s.Stats(); st.Delivered+st.QueueOverflow != writers*each {
+		t.Errorf("%+v", st)
+	}
+}

@@ -292,23 +292,29 @@ type Node struct {
 	rounds     int                  // rounds run, for DigestEvery
 	budgetUsed int                  // payload bytes spent this round
 	served     map[string]time.Time // addr → end of its serve block window
+	// No entry of seen expires before seenNext, nor of served before
+	// servedNext (zero: not known); pruneSeenLocked skips a map until then.
+	seenNext   float64
+	servedNext time.Time
 
 	events core.Observer      // Config.Events, or a no-op
 	member MembershipObserver // events' membership side, or nil
 	hist   *histograms        // nil without Config.Registry
 
 	// The node's poll driver jobs (driver.go), set by Start under mu. pollMu
-	// is held while a job runs and guards unscheduled.
+	// is held while a job or a drain runs and guards unscheduled. ready, set
+	// while the node is on its shard's ready list, is guarded by shard.mu.
 	jobs        []pollJob
 	shard       *shard
 	pollMu      sync.Mutex
 	unscheduled bool
+	ready       bool
 
 	ctr       counters
 	done      chan struct{}
 	closeOnce sync.Once
 	closeErr  error
-	wg        sync.WaitGroup // the readLoop
+	wg        sync.WaitGroup // the readLoop, if any
 	started   bool
 }
 
@@ -575,8 +581,9 @@ func (n *Node) NeighborCount() int {
 	return n.table.Len()
 }
 
-// Start launches the receive loop and puts the node's poll and (with
-// discovery enabled) its beacon on the poll driver.
+// Start puts the node's poll and (with discovery enabled) its beacon on the
+// poll driver. A conn the driver can drain (drainableConn) has its
+// datagrams dispatched there too; any other conn gets a receive loop.
 func (n *Node) Start() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -587,16 +594,20 @@ func (n *Node) Start() {
 	if n.closed() {
 		return
 	}
+	n.schedule()
+	if c, ok := n.conn.(drainableConn); ok {
+		c.SetArrival(n.arrived)
+		return
+	}
 	n.wg.Add(1)
 	go n.readLoop()
-	n.schedule()
 }
 
 // Close stops the node and releases the socket. It is idempotent and safe to
 // call from any number of goroutines concurrently; every call returns the
 // same result. It takes the node's jobs off the poll driver and waits for a
-// poll already running, never for one to come: no observer call and no send
-// follow its return.
+// poll or drain already running, never for one to come: no observer call, no
+// dispatch and no send follow its return.
 func (n *Node) Close() error {
 	n.closeOnce.Do(func() {
 		close(n.done)
@@ -690,8 +701,18 @@ func (n *Node) markSeenLocked(ad *ads.Advertisement) (first bool) {
 	old, ok := n.seen[ad.ID]
 	if !ok || exp > old {
 		n.seen[ad.ID] = exp
+		n.seenNext = min(n.seenNext, exp)
 	}
 	return !ok
+}
+
+// blockServeLocked opens addr's serve block window, which lasts until until.
+// Callers hold n.mu.
+func (n *Node) blockServeLocked(addr string, until time.Time) {
+	n.served[addr] = until
+	if n.servedNext.IsZero() || until.Before(n.servedNext) {
+		n.servedNext = until
+	}
 }
 
 // admitLocked is the shared rules' admission with its evictions reported —
@@ -713,20 +734,32 @@ func (n *Node) admitLocked(ad *ads.Advertisement, pos geo.Point, now float64) *a
 // pruneSeenLocked sweeps expired IDs out of the dedup set once per round,
 // keeping it O(live ads). An ID goes the first sweep after its expiry, with
 // no grace round: straggler duplicates of a just-expired ad are dropped by the
-// expiry check either way. Lapsed serve blocks go in the same sweep:
-// servedBlocked ignores them anyway. Callers hold n.mu.
-func (n *Node) pruneSeenLocked(now float64) {
-	for id, exp := range n.seen {
-		if exp < now {
-			delete(n.seen, id)
-			n.ctr.SeenPruned.Add(1)
+// expiry check either way. Serve blocks lapsed at wall go in the same sweep:
+// servedBlocked ignores them anyway. A map is walked only once its earliest
+// expiry has passed, and the walk finds the next one. Callers hold n.mu.
+func (n *Node) pruneSeenLocked(now float64, wall time.Time) {
+	if n.seenNext < now {
+		next := math.Inf(1)
+		for id, exp := range n.seen {
+			if exp < now {
+				delete(n.seen, id)
+				n.ctr.SeenPruned.Add(1)
+			} else {
+				next = min(next, exp)
+			}
 		}
+		n.seenNext = next
 	}
-	wall := time.Now()
-	for addr, until := range n.served {
-		if !until.After(wall) {
-			delete(n.served, addr)
+	if len(n.served) > 0 && !n.servedNext.After(wall) {
+		var next time.Time
+		for addr, until := range n.served {
+			if !until.After(wall) {
+				delete(n.served, addr)
+			} else if next.IsZero() || until.Before(next) {
+				next = until
+			}
 		}
+		n.servedNext = next
 	}
 }
 
@@ -945,7 +978,7 @@ func (n *Node) handlePull(data []byte, from string) {
 		}
 	}
 	if len(serve) > 0 && n.blockWindow > 0 {
-		n.served[from] = now.Add(n.blockWindow)
+		n.blockServeLocked(from, now.Add(n.blockWindow))
 	}
 	n.mu.Unlock()
 	n.ctr.PullsRecv.Add(1)
@@ -1261,7 +1294,7 @@ func (n *Node) tickLocked(now float64, pos geo.Point) (toSend []*ads.Advertiseme
 		n.roundSlot = n.rules.NextDue(n.roundSlot, cur)
 		n.rounds++
 		n.budgetUsed = 0
-		n.pruneSeenLocked(now)
+		n.pruneSeenLocked(now, time.Now())
 	}
 	n.cache.ForEach(func(e *ads.Entry) {
 		due := round

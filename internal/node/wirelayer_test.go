@@ -74,7 +74,7 @@ func TestPruneSweepsAtExpiry(t *testing.T) {
 	n.seen[id] = 1.0 // expires at protocol t = 1s
 	// t = 1.02s: past expiry but within one 40ms round of it — the old
 	// exp+round < now condition would have kept the ID here.
-	n.pruneSeenLocked(1.02)
+	n.pruneSeenLocked(1.02, time.Now())
 	_, ok := n.seen[id]
 	n.mu.Unlock()
 	if ok {
