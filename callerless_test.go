@@ -22,9 +22,11 @@ import (
 // but that stay, each with its reason. Keep it short: a name that only a
 // test calls belongs in a _test.go file.
 var callerlessAllow = map[string]string{
-	"instantad/internal/sim.Event.Pending":    "core's timer-invariant tests ask whether a cache entry's or a scan's timer is still queued, and sim shows that to other packages no other way",
-	"instantad/internal/testutil.HeapAfterGC": "testutil is the helper package the footprint tests of core, mobility and campaign share; only _test.go files import it",
-	"instantad/internal/testutil.RaceEnabled": "testutil is the helper package the footprint tests of core, mobility and campaign share; only _test.go files import it",
+	"instantad/internal/sim.Event.Pending":      "core's timer-invariant tests ask whether a cache entry's or a scan's timer is still queued, and sim shows that to other packages no other way",
+	"instantad/internal/testutil.HeapAfterGC":   "testutil is the helper package the footprint tests of core, mobility and campaign share; only _test.go files import it",
+	"instantad/internal/testutil.RaceEnabled":   "testutil is the helper package the footprint tests of core, mobility and campaign share; only _test.go files import it",
+	"instantad/internal/testutil.NewReceiver":   "testutil is the helper package the node, memnet and transport tests share for a blocking read over SetArrival and TryRead; only _test.go files import it",
+	"instantad/internal/testutil.Receiver.Next": "testutil is the helper package the node, memnet and transport tests share for a blocking read over SetArrival and TryRead; only _test.go files import it",
 }
 
 // TestNoCallerlessInternalNames fails when a package-level func, method,

@@ -18,8 +18,9 @@ func footprintConfig(nodes int) FleetConfig {
 
 // TestFleetNodeFootprint guards what an idle fleet node retains. A node that
 // has received nothing holds its plain counters, its maps and its peer list,
-// no registry, no timer and no goroutine: 3.1 KB on linux/amd64 with go1.24.
-// It held 3.7 KB while every node parked a reader goroutine on its conn,
+// no registry, no timer and no goroutine: 2.9 KB on linux/amd64 with go1.24.
+// It held 3.1 KB while every memnet conn kept two channels for a blocking
+// read, 3.7 KB while every node parked a reader goroutine on its conn,
 // 4.4 KB while every node also ran its polls from a ticker of its own,
 // 11.4 KB while every node built a registry and seven histograms nobody
 // served, and 236 KB while memnet pre-sized a 4096-slot channel per endpoint
@@ -29,7 +30,7 @@ func TestFleetNodeFootprint(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector's runtime inflates the heap")
 	}
-	const nodes, limit = 500, 4608
+	const nodes, limit = 500, 4288
 	before := testutil.HeapAfterGC()
 	fl, err := NewFleet(footprintConfig(nodes))
 	if err != nil {

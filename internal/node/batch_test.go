@@ -1,8 +1,11 @@
 package node
 
 import (
+	"errors"
+	"net/netip"
 	"reflect"
 	"testing"
+	"time"
 
 	"instantad/internal/ads"
 	"instantad/internal/fm"
@@ -301,15 +304,15 @@ func oversizedAdFrame() []byte {
 	return append(frame, ad...)
 }
 
-// FuzzReadDispatch hardens the datagram parsers behind the node's socket.
-// Its switch mirrors the read loop's dispatch exactly — beacon, batch,
-// digest and pull magics, everything else malformed — so the fuzzer
-// explores every wire format and proves a garbage frame of one family can
-// never be misparsed as another (the magics differ) nor crash the shared
-// read path. Accepted frames must re-encode: beacons byte for byte, ad-layer
-// frames back to a deeply equal value (batch counts and ad lengths are
-// uvarints, so byte-for-byte canonicality is not promised there — semantic
-// identity is).
+// FuzzReadDispatch hardens the receive path behind the node's socket. Every
+// input goes through Node.dispatch on one node with discovery on, over a
+// scripted conn, so the range check, integration, digest answers, pull
+// serves and beacon handling run on fuzzed frames; a frame that its codec
+// rejects must count as malformed, as must one of no known family. The
+// codecs are checked too: accepted frames must re-encode, beacons byte for
+// byte, ad-layer frames back to a deeply equal value (batch counts and ad
+// lengths are uvarints, so byte-for-byte canonicality is not promised there
+// — semantic identity is).
 func FuzzReadDispatch(f *testing.F) {
 	good, _ := sampleBatch(3).encode()
 	one, _ := sampleBatch(1).encode()
@@ -342,14 +345,33 @@ func FuzzReadDispatch(f *testing.F) {
 	f.Add(beacon[:len(beacon)-1])
 	f.Add(append(append([]byte(nil), beacon...), 0xFF))
 	f.Add([]byte{discovery.BeaconMagic})
+	cfg := testConfig(1, geo.Point{})
+	cfg.Transport = literalTransport{}
+	cfg.BeaconInterval, cfg.NeighborTTL = time.Second, 3*time.Second
+	cfg.DigestEvery = 1
+	n, _ := newFakeNode(f, cfg)
 	f.Fuzz(func(t *testing.T, in []byte) {
+		before := n.Stats().Malformed
+		n.dispatch(in, fakeAddr.String())
+		malformed := n.Stats().Malformed - before
+		if malformed > 1 {
+			t.Fatalf("one datagram counted malformed %d times", malformed)
+		}
+		rejected := func(err error) {
+			t.Helper()
+			if (err != nil) != (malformed == 1) {
+				t.Fatalf("codec error %v, but the handler counted %d malformed", err, malformed)
+			}
+		}
 		if len(in) == 0 {
+			rejected(errors.New("empty datagram"))
 			return
 		}
 		switch in[0] {
 		case discovery.BeaconMagic:
 			b, err := discovery.DecodeBeacon(in)
 			if err != nil {
+				rejected(err) // an accepted beacon may still name an unroutable address
 				return
 			}
 			out, err := b.Encode()
@@ -361,6 +383,7 @@ func FuzzReadDispatch(f *testing.F) {
 			}
 		case batchMagic:
 			b, err := decodeBatch(in)
+			rejected(err)
 			if err != nil {
 				return
 			}
@@ -377,6 +400,7 @@ func FuzzReadDispatch(f *testing.F) {
 			}
 		case digestMagic, pullMagic:
 			d, err := decodeIDFrame(in, in[0])
+			rejected(err)
 			if err != nil {
 				return
 			}
@@ -391,6 +415,20 @@ func FuzzReadDispatch(f *testing.F) {
 			if !reflect.DeepEqual(d, again) {
 				t.Fatal("ID frame not stable across encode/decode")
 			}
+		default:
+			rejected(errors.New("no known magic"))
 		}
 	})
+}
+
+// literalTransport resolves literal addresses only, so a fuzzed beacon's
+// address never reaches a name resolver.
+type literalTransport struct{ UDPTransport }
+
+func (literalTransport) Resolve(addr string) (string, error) {
+	ap, err := netip.ParseAddrPort(addr)
+	if err != nil {
+		return "", err
+	}
+	return ap.String(), nil
 }

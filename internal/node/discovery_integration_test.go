@@ -11,6 +11,7 @@ import (
 	"instantad/internal/geo"
 	"instantad/internal/node/discovery"
 	"instantad/internal/node/memnet"
+	"instantad/internal/testutil"
 )
 
 // discoveryConfig returns a fast-beacon memnet node config at the given
@@ -262,6 +263,7 @@ func TestRediscoveryIntroducedOncePerWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = hood.Close() })
+	rx := testutil.NewReceiver(hood)
 	n.mu.Lock()
 	n.addPeerLocked("mem:88")
 	n.mu.Unlock()
@@ -304,18 +306,10 @@ func TestRediscoveryIntroducedOncePerWindow(t *testing.T) {
 	if r, _ := record(); r.owed != nil || r.again || !r.at.Equal(t0.Add(window)) || relays() != 1 {
 		t.Fatalf("at the window's end: record %+v, %d relays; want it paid at %v with one relay", r, relays(), t0.Add(window))
 	}
-	got := make(chan []byte, 1)
-	go func() {
-		data, _, _ := hood.ReadFrom()
-		got <- data
-	}()
-	select {
-	case data := <-got:
-		if !bytes.Equal(data, beacon(4)) {
-			t.Fatal("the owed introduction was not the neighbor's last first-hand beacon")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("the owed introduction never arrived")
+	if data, _, err := rx.Next(5 * time.Second); err != nil {
+		t.Fatalf("the owed introduction never arrived: %v", err)
+	} else if !bytes.Equal(data, beacon(4)) {
+		t.Fatal("the owed introduction was not the neighbor's last first-hand beacon")
 	}
 	n.relayOwedIntroductions(t0.Add(2 * window))
 	if _, ok := record(); ok {

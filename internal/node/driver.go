@@ -15,12 +15,11 @@ import (
 // fleet's polls stay spread over the period, not fired in one burst; a job
 // found late skips the instants it missed, as a ticker drops ticks.
 //
-// A node whose conn can be read without blocking (drainableConn, as a
-// memnet endpoint is) has no reader goroutine either: its conn's arrival
-// callback puts it on its shard's ready list, and the shard dispatches what
-// it queued. A shard never sleeps while that list holds a node, and an
-// arrival wakes a sleeping shard. A UDP socket read blocks, so a UDP node
-// keeps its readLoop.
+// The shard dispatches the node's datagrams too: its conn's arrival callback
+// puts it on its shard's ready list, and the shard takes what the conn
+// queued with TryRead. A shard never sleeps while that list holds a node,
+// and an arrival wakes a sleeping shard. A memnet endpoint costs no
+// goroutine of its own; a UDP conn runs one reader that feeds its queue.
 //
 // A shard never waits on one node's lock: it probes n.mu first, and a node
 // whose lock is held elsewhere has its poll skipped to the job's next grid
@@ -84,14 +83,6 @@ var (
 	nextShard atomic.Uint32
 )
 
-// drainableConn is a conn read without blocking: it calls the arrival
-// callback when its receive queue goes from empty to non-empty, and TryRead
-// takes one datagram off the queue (memnet.Conn is one).
-type drainableConn interface {
-	SetArrival(func())
-	TryRead() (data []byte, from string, ok bool)
-}
-
 // add puts jobs on the heap and starts the goroutine if it is not running.
 func (s *shard) add(jobs []pollJob) {
 	s.mu.Lock()
@@ -118,10 +109,10 @@ func (s *shard) remove(jobs []pollJob) {
 	}
 }
 
-// arrived is a drained node's arrival callback: it puts the node on its
-// shard's ready list, unless it is there already, and wakes the shard. A
-// shard that is not running holds no job, so its nodes are closing and
-// their datagrams go unread.
+// arrived is a node's arrival callback: it puts the node on its shard's
+// ready list, unless it is there already, and wakes the shard. A shard that
+// is not running holds no job, so its nodes are closing and their datagrams
+// go unread.
 func (n *Node) arrived() {
 	s := n.shard
 	s.mu.Lock()
@@ -268,9 +259,10 @@ func (n *Node) poll(beacon bool) {
 
 // drain dispatches the datagrams queued on the node's conn, on its shard's
 // goroutine, unless the node has left the driver. It reports false, having
-// read nothing, when the node's lock is held elsewhere. After maxDrain
-// datagrams it puts the node back on the ready list, so a flooded node
-// delays its shard's other nodes by one turn, not by its whole backlog.
+// read nothing, when the node's lock is held elsewhere. A read fault the
+// conn survived is counted and logged. After maxDrain entries it puts the
+// node back on the ready list, so a flooded node delays its shard's other
+// nodes by one turn, not by its whole backlog.
 func (n *Node) drain() bool {
 	n.pollMu.Lock()
 	defer n.pollMu.Unlock()
@@ -280,13 +272,17 @@ func (n *Node) drain() bool {
 	if !n.lockFree() {
 		return false
 	}
-	in := n.conn.(drainableConn) // Start drains no other conn
 	for range maxDrain {
-		data, from, ok := in.TryRead()
-		if !ok {
+		data, from, ok, err := n.conn.TryRead()
+		switch {
+		case !ok:
 			return true
+		case err != nil:
+			n.ctr.ReadErrors.Add(1)
+			n.logf("read error: %v", err)
+		default:
+			n.dispatch(data, from)
 		}
-		n.dispatch(data, from)
 	}
 	n.arrived() // more are queued, and no arrival will say so
 	return true

@@ -235,12 +235,12 @@ func TestCloseNeverWaitsOutAPoll(t *testing.T) {
 	})
 }
 
-// readers counts the goroutines running a node's readLoop.
-func readers() int {
+// frames counts the goroutines whose stack holds a call of fn.
+func frames(fn string) int {
 	buf := make([]byte, 1<<20)
 	for {
 		if n := runtime.Stack(buf, true); n < len(buf) {
-			return strings.Count(string(buf[:n]), ".(*Node).readLoop(")
+			return strings.Count(string(buf[:n]), fn+"(")
 		}
 		buf = make([]byte, 2*len(buf))
 	}
@@ -250,16 +250,16 @@ func readers() int {
 // memnet node costs none: its shard runs its polls and beacons and
 // dispatches its datagrams, so a fleet adds at most its shard goroutines —
 // not a reader per node, nor a ticker goroutine for its poll and another for
-// its beacon. A UDP node still adds its reader. Once every node has closed,
-// no shard holds one of their jobs and the count settles back: a shard left
-// running is a leak.
+// its beacon. A UDP node adds one, its conn's reader, and no node runs a
+// receive loop of its own. Once every node has closed, no shard holds one
+// of their jobs and the count settles back: a shard left running is a leak.
 func TestDriverGoroutines(t *testing.T) {
 	sb, err := memnet.New(memnet.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const nodes = 100
-	base, baseReaders := runtime.NumGoroutine(), readers()
+	base := runtime.NumGoroutine()
 	ns := make([]*Node, nodes)
 	for i := range ns {
 		cfg := discoveryConfig(sb, uint32(i+1), geo.Point{})
@@ -276,18 +276,27 @@ func TestDriverGoroutines(t *testing.T) {
 	if added > limit {
 		t.Errorf("%d started memnet nodes added %d goroutines, want at most its %d shards", nodes, added, limit)
 	}
-	if r := readers() - baseReaders; r != 0 {
-		t.Errorf("%d started memnet nodes run %d readers, want none", nodes, r)
-	}
 	udp, err := New(testConfig(nodes+1, geo.Point{}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every shard runs already, so the UDP node's poll costs no goroutine.
+	before := runtime.NumGoroutine()
 	udp.Start()
-	if !waitFor(t, time.Second, func() bool { return readers()-baseReaders == 1 }) {
-		t.Errorf("a started UDP node runs %d readers, want 1", readers()-baseReaders)
+	const reader = "transport.(*udpConn).read"
+	if !waitFor(t, time.Second, func() bool { return frames(reader) == 1 }) {
+		t.Errorf("a started UDP node runs %d conn readers, want 1", frames(reader))
+	}
+	if added := runtime.NumGoroutine() - before; added != 1 {
+		t.Errorf("a started UDP node added %d goroutines, want 1", added)
+	}
+	if r := frames(".(*Node).readLoop"); r != 0 {
+		t.Errorf("%d goroutines run a node receive loop", r)
 	}
 	_ = udp.Close()
+	if !waitFor(t, time.Second, func() bool { return frames(reader) == 0 }) {
+		t.Errorf("a closed UDP node left %d conn readers", frames(reader))
+	}
 	for _, n := range ns {
 		_ = n.Close()
 	}

@@ -35,7 +35,7 @@ type FaultConfig struct {
 	// datagram (a random cut point, at least one byte).
 	Truncate float64
 	// Garbage is the probability of injecting a random junk datagram;
-	// roughly half the junk starts with one of the read loop's frame magics
+	// roughly half the junk starts with one of the receive path's frame magics
 	// (beacon, batch, digest, or pull) so it penetrates one decoder layer
 	// before failing.
 	Garbage float64

@@ -6,11 +6,11 @@
 // ports, and no kernel buffering nondeterminism. An idle endpoint costs a few
 // hundred bytes: its receive queue starts empty and grows with its backlog.
 //
-// An endpoint is read one of two ways. ReadFrom blocks, as on a socket. Or
-// the owner registers an arrival callback (SetArrival), which the medium
-// calls whenever the endpoint's queue goes from empty to non-empty, and then
-// empties the queue with the non-blocking TryRead: the live node's poll
-// driver reads memnet endpoints this way, with no goroutine per endpoint.
+// An endpoint is read as every PacketConn is: the owner registers an arrival
+// callback (SetArrival), which the medium calls whenever the endpoint's queue
+// goes from empty to non-empty, and then empties the queue with the
+// non-blocking TryRead. The live node's poll driver reads memnet endpoints
+// so, with no goroutine per endpoint.
 //
 // The switchboard models the physical medium, not a router: datagrams are
 // delivered whole or not at all, loss is drawn from one seeded stream,
@@ -153,12 +153,7 @@ func (s *Switchboard) Listen(addr string) (*Conn, error) {
 			return nil, fmt.Errorf("memnet: address %q already bound", addr)
 		}
 	}
-	c := &Conn{
-		sb:   s,
-		addr: addr,
-		wake: make(chan struct{}, 1),
-		done: make(chan struct{}),
-	}
+	c := &Conn{sb: s, addr: addr}
 	if p, ok := s.pos[addr]; ok {
 		c.pos, c.placed = p, true
 		delete(s.pos, addr)
@@ -220,19 +215,12 @@ type packet struct {
 type Conn struct {
 	sb   *Switchboard
 	addr string
-	// wake holds at most one token for a blocked ReadFrom: "the queue went
-	// from empty to non-empty, or a read left datagrams behind". It is only
-	// ever sent to with no lock held, and not at all once an arrival
-	// callback is set. done is closed by Close and releases every blocked
-	// reader.
-	wake chan struct{}
-	done chan struct{}
 
 	// Guarded by sb.mu. The receive queue is a ring: count datagrams starting
 	// at ring[head], wrapping. It is nil until the first datagram arrives and
-	// doubles when full, never beyond Config.QueueLen. arrival, when set,
-	// replaces the wake token: it is called with no lock held each time the
-	// queue goes from empty to non-empty.
+	// doubles when full, never beyond Config.QueueLen. arrival, when set, is
+	// called with no lock held each time the queue goes from empty to
+	// non-empty.
 	pos     geo.Point // last position set or snooped; meaningful when placed
 	placed  bool
 	closed  bool
@@ -248,20 +236,12 @@ const minRing = 4
 // LocalAddr returns the endpoint's bound address.
 func (c *Conn) LocalAddr() string { return c.addr }
 
-// signal leaves the wake token for a reader. Callers hold no lock.
-func (c *Conn) signal() {
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
-}
-
 // SetArrival registers fn as the conn's arrival callback. The medium calls
-// fn with no lock held each time the receive
-// queue goes from empty to non-empty, in the sending goroutine (or the
-// latency timer's), so fn must not block; the owner then empties the queue
-// with TryRead, and a queue left non-empty calls fn no more. If datagrams
-// are already queued, fn is called once before SetArrival returns.
+// fn with no lock held each time the receive queue goes from empty to
+// non-empty, in the sending goroutine (or the latency timer's), so fn must
+// not block; the owner then empties the queue with TryRead, and a queue left
+// non-empty calls fn no more. If datagrams are already queued, fn is called
+// once before SetArrival returns.
 func (c *Conn) SetArrival(fn func()) {
 	s := c.sb
 	s.mu.Lock()
@@ -274,61 +254,22 @@ func (c *Conn) SetArrival(fn func()) {
 }
 
 // TryRead takes the next queued datagram without blocking; ok is false when
-// the queue is empty or the conn has closed. The slice is the private copy
-// WriteTo made, as with ReadFrom.
-func (c *Conn) TryRead() (data []byte, from string, ok bool) {
+// the queue is empty or the conn has closed, and err is always nil: the
+// medium has no read faults. The slice is the private copy WriteTo made.
+func (c *Conn) TryRead() (data []byte, from string, ok bool, err error) {
 	s := c.sb
 	s.mu.Lock()
-	p, ok := c.popLocked()
-	s.mu.Unlock()
-	return p.data, p.from, ok
-}
-
-// popLocked takes the head of the receive queue; ok is false when the queue
-// is empty or the conn has closed. Callers hold sb.mu.
-func (c *Conn) popLocked() (p packet, ok bool) {
+	defer s.mu.Unlock()
 	if c.closed || c.count == 0 {
-		return packet{}, false
+		return nil, "", false, nil
 	}
-	p = c.ring[c.head]
+	p := c.ring[c.head]
 	c.ring[c.head] = packet{} // the reader owns the bytes now
 	if c.head++; c.head == len(c.ring) {
 		c.head = 0
 	}
 	c.count--
-	return p, true
-}
-
-// ReadFrom blocks until a datagram arrives or the conn closes. The returned
-// slice is the private copy WriteTo made, so it stays intact after the next
-// call — more than the PacketConn contract asks. A closed conn always
-// reports net.ErrClosed: what was still queued went with the Close, as on a
-// closed UDP socket. A conn with an arrival callback is read with TryRead:
-// ReadFrom on it would wait for a wake token that never comes.
-func (c *Conn) ReadFrom() ([]byte, string, error) {
-	s := c.sb
-	for {
-		s.mu.Lock()
-		if c.closed {
-			s.mu.Unlock()
-			return nil, "", net.ErrClosed
-		}
-		if p, ok := c.popLocked(); ok {
-			more := c.count > 0
-			s.mu.Unlock()
-			if more {
-				// The push that made the queue non-empty left one token and
-				// this read consumed it; another reader may be asleep.
-				c.signal()
-			}
-			return p.data, p.from, nil
-		}
-		s.mu.Unlock()
-		select {
-		case <-c.wake:
-		case <-c.done:
-		}
-	}
+	return p.data, p.from, true, nil
 }
 
 // WriteTo routes one datagram through the switchboard. Like UDP, a send to
@@ -405,26 +346,22 @@ func (c *Conn) WriteTo(b []byte, to string) (int, error) {
 }
 
 // pushAndUnlock queues p for dst, releases s.mu, which the caller holds, and
-// then — never under the lock — calls dst's arrival callback, or wakes its
-// reader, if the queue was empty.
+// then — never under the lock — calls dst's arrival callback if the queue
+// was empty.
 func (s *Switchboard) pushAndUnlock(dst *Conn, p packet) {
 	wake := s.pushLocked(dst, p)
 	arrival := dst.arrival
 	s.mu.Unlock()
-	switch {
-	case !wake:
-	case arrival != nil:
+	if wake && arrival != nil {
 		arrival()
-	default:
-		dst.signal()
 	}
 }
 
 // pushLocked appends p to dst's receive queue unless dst closed while the
 // datagram was in flight (the Latency path; a closed conn is never bound
 // again, a rebind is a new Conn) or its queue is full. It reports whether
-// the queue went from empty to non-empty, in which case the caller signals
-// dst, or calls its arrival callback, after releasing s.mu.
+// the queue went from empty to non-empty, in which case the caller calls
+// dst's arrival callback after releasing s.mu.
 func (s *Switchboard) pushLocked(dst *Conn, p packet) (wake bool) {
 	if dst.closed {
 		s.stats.NoEndpoint++
@@ -470,10 +407,10 @@ func (c *Conn) grow(limit int) {
 	c.ring, c.head = ring, 0
 }
 
-// Close unbinds the endpoint; blocked and future reads return net.ErrClosed,
-// and datagrams queued for or in flight toward it are dropped like packets
-// to a dead port. Close drops the arrival callback, though a push that
-// queued its datagram before Close may still be calling it.
+// Close unbinds the endpoint; later reads find nothing, and datagrams queued
+// for or in flight toward it are dropped like packets to a dead port. Close
+// drops the arrival callback, though a push that queued its datagram before
+// Close may still be calling it.
 func (c *Conn) Close() error {
 	s := c.sb
 	s.mu.Lock()
@@ -485,6 +422,5 @@ func (c *Conn) Close() error {
 	c.ring, c.head, c.count, c.arrival = nil, 0, 0, nil
 	delete(s.eps, c.addr)
 	s.mu.Unlock()
-	close(c.done)
 	return nil
 }

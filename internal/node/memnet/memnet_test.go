@@ -9,6 +9,7 @@ import (
 
 	"instantad/internal/geo"
 	"instantad/internal/node/discovery"
+	"instantad/internal/testutil"
 )
 
 func mustListen(t *testing.T, s *Switchboard, addr string) *Conn {
@@ -71,7 +72,7 @@ func TestDeliveryAndAddresses(t *testing.T) {
 	if _, err := a.WriteTo(msg, b.LocalAddr()); err != nil {
 		t.Fatal(err)
 	}
-	got, from, err := b.ReadFrom()
+	got, from, err := testutil.NewReceiver(b).Next(time.Second)
 	if err != nil || string(got) != "hello" || from != a.LocalAddr() {
 		t.Fatalf("read %q from %q, err %v", got, from, err)
 	}
@@ -106,25 +107,11 @@ func TestCloseSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	readErr := make(chan error, 1)
-	go func() {
-		_, _, err := b.ReadFrom()
-		readErr <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Close(); err != nil {
 		t.Errorf("second close: %v", err)
-	}
-	select {
-	case err := <-readErr:
-		if !errors.Is(err, net.ErrClosed) {
-			t.Errorf("blocked read returned %v, want net.ErrClosed", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("blocked read never released")
 	}
 	if _, err := b.WriteTo([]byte("x"), a.LocalAddr()); !errors.Is(err, net.ErrClosed) {
 		t.Errorf("write on closed conn: %v", err)
@@ -176,7 +163,11 @@ func TestLatencyDelaysDelivery(t *testing.T) {
 	if _, err := a.WriteTo([]byte("slow"), b.LocalAddr()); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := b.ReadFrom(); err != nil {
+	rx := testutil.NewReceiver(b)
+	if _, _, ok, _ := b.TryRead(); ok {
+		t.Fatal("a delayed datagram was queued at once")
+	}
+	if _, _, err := rx.Next(time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {

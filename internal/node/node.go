@@ -11,10 +11,8 @@
 package node
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -272,11 +270,6 @@ type Node struct {
 	blockWindow time.Duration // per-peer serve block
 	roundBytes  int           // per-round byte budget; 0 = unlimited
 
-	// readBackoffMin/Max bound the delay applied after transient socket
-	// read errors (overridden by tests for speed).
-	readBackoffMin time.Duration
-	readBackoffMax time.Duration
-
 	mu        sync.Mutex
 	cache     ads.Cache
 	seen      map[ads.ID]float64 // ad ID → protocol-time expiry of that ad
@@ -314,7 +307,6 @@ type Node struct {
 	done      chan struct{}
 	closeOnce sync.Once
 	closeErr  error
-	wg        sync.WaitGroup // the readLoop, if any
 	started   bool
 }
 
@@ -326,8 +318,6 @@ const (
 	defaultPeerFailLimit   = 3
 	defaultPeerBackoffBase = 500 * time.Millisecond
 	defaultPeerBackoffMax  = 30 * time.Second
-	defaultReadBackoffMin  = 5 * time.Millisecond
-	defaultReadBackoffMax  = time.Second
 	// defaultTTLIntervals is the neighbor TTL in beacon intervals when
 	// Config.NeighborTTL is zero: three missed beacons mean gone.
 	defaultTTLIntervals = 3
@@ -394,22 +384,20 @@ func New(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("node: %w", err)
 	}
 	n := &Node{
-		cfg:            cfg,
-		rules:          rules,
-		transport:      tr,
-		conn:           conn,
-		events:         cfg.Events,
-		failLimit:      defaultPeerFailLimit,
-		backoffBase:    defaultPeerBackoffBase,
-		backoffMax:     defaultPeerBackoffMax,
-		readBackoffMin: defaultReadBackoffMin,
-		readBackoffMax: defaultReadBackoffMax,
-		seen:           make(map[ads.ID]float64),
-		served:         make(map[string]time.Time),
-		peerIndex:      make(map[string]*peerState),
-		rnd:            rng.New(cfg.Seed),
-		epoch:          time.Now(),
-		done:           make(chan struct{}),
+		cfg:         cfg,
+		rules:       rules,
+		transport:   tr,
+		conn:        conn,
+		events:      cfg.Events,
+		failLimit:   defaultPeerFailLimit,
+		backoffBase: defaultPeerBackoffBase,
+		backoffMax:  defaultPeerBackoffMax,
+		seen:        make(map[ads.ID]float64),
+		served:      make(map[string]time.Time),
+		peerIndex:   make(map[string]*peerState),
+		rnd:         rng.New(cfg.Seed),
+		epoch:       time.Now(),
+		done:        make(chan struct{}),
 	}
 	if n.events == nil {
 		n.events = core.BaseObserver{}
@@ -582,8 +570,7 @@ func (n *Node) NeighborCount() int {
 }
 
 // Start puts the node's poll and (with discovery enabled) its beacon on the
-// poll driver. A conn the driver can drain (drainableConn) has its
-// datagrams dispatched there too; any other conn gets a receive loop.
+// poll driver, which also dispatches the datagrams its conn receives.
 func (n *Node) Start() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -595,12 +582,7 @@ func (n *Node) Start() {
 		return
 	}
 	n.schedule()
-	if c, ok := n.conn.(drainableConn); ok {
-		c.SetArrival(n.arrived)
-		return
-	}
-	n.wg.Add(1)
-	go n.readLoop()
+	n.conn.SetArrival(n.arrived)
 }
 
 // Close stops the node and releases the socket. It is idempotent and safe to
@@ -620,7 +602,6 @@ func (n *Node) Close() error {
 		n.unscheduled = true
 		n.pollMu.Unlock()
 		n.closeErr = n.conn.Close()
-		n.wg.Wait()
 	})
 	return n.closeErr
 }
@@ -782,42 +763,6 @@ func (n *Node) Cached() []*ads.Advertisement {
 		out = append(out, e.Ad.Clone())
 	}
 	return out
-}
-
-// readLoop receives, filters and integrates datagrams — ad-layer frames
-// and HELLO beacons share the socket and are dispatched on their leading
-// magic byte. Read errors are classified: a closed socket ends the loop, anything
-// else is treated as transient and retried under capped exponential backoff
-// so a persistent socket fault cannot hot-spin a core or flood the log.
-func (n *Node) readLoop() {
-	defer n.wg.Done()
-	var backoff time.Duration
-	for {
-		data, from, err := n.conn.ReadFrom()
-		if err != nil {
-			if n.closed() || errors.Is(err, net.ErrClosed) {
-				return
-			}
-			n.ctr.ReadErrors.Add(1)
-			if backoff == 0 {
-				backoff = n.readBackoffMin
-			} else {
-				backoff *= 2
-				if backoff > n.readBackoffMax {
-					backoff = n.readBackoffMax
-				}
-			}
-			n.logf("read error (retry in %v): %v", backoff, err)
-			select {
-			case <-n.done:
-				return
-			case <-time.After(backoff):
-			}
-			continue
-		}
-		backoff = 0
-		n.dispatch(data, from)
-	}
 }
 
 // dispatch routes one datagram on its leading magic byte. Anything else —

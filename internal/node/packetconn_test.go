@@ -2,12 +2,12 @@ package node
 
 import (
 	"bytes"
-	"errors"
-	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"instantad/internal/node/memnet"
+	"instantad/internal/node/transport"
 	"instantad/internal/node/wire"
 )
 
@@ -19,8 +19,8 @@ type connHarness struct {
 }
 
 // connHarnesses builds a fresh receiver over every PacketConn the node can
-// run on: real UDP on loopback, the in-memory network, and the scripted fake
-// the read-loop tests inject.
+// run on: real UDP on loopback, the in-memory network, and the scripted
+// socket the read-fault tests inject.
 func connHarnesses(t *testing.T) map[string]func(*testing.T) connHarness {
 	overTransport := func(tr Transport, addr string) func(*testing.T) connHarness {
 		return func(t *testing.T) connHarness {
@@ -49,41 +49,76 @@ func connHarnesses(t *testing.T) map[string]func(*testing.T) connHarness {
 		"udp":    overTransport(UDPTransport{}, "127.0.0.1:0"),
 		"memnet": overTransport(sb.Transport(), "mem:"),
 		"fake": func(t *testing.T) connHarness {
-			fc := newFakeConn()
-			t.Cleanup(func() { _ = fc.Close() })
-			return connHarness{recv: fc, send: fc.inject}
+			fs := newFakeSocket()
+			recv := transport.NewConn(fs, time.Millisecond, time.Millisecond)
+			t.Cleanup(func() { _ = recv.Close() })
+			return connHarness{recv: recv, send: fs.inject}
 		},
 	}
 }
 
-// TestPacketConnReadContract holds every PacketConn to the hand-over read:
-// the slice is the receiver's until its next ReadFrom whatever arrives or
+// TestPacketConnReadContract holds every PacketConn to the one read model:
+// the arrival callback fires when the receive queue goes from empty to
+// non-empty, TryRead hands over slices that stay intact whatever arrives or
 // the sender does meanwhile, a datagram of the maximum size arrives whole,
-// and Close releases a blocked read with net.ErrClosed.
+// and after Close returns nothing is read and no arrival fires.
 func TestPacketConnReadContract(t *testing.T) {
 	for name, build := range connHarnesses(t) {
 		t.Run(name, func(t *testing.T) {
 			h := build(t)
+			var arrivals atomic.Int64
+			kick := make(chan struct{}, 1)
+			h.recv.SetArrival(func() {
+				arrivals.Add(1)
+				select {
+				case kick <- struct{}{}:
+				default:
+				}
+			})
+			arrived := func(want int64) {
+				t.Helper()
+				deadline := time.After(2 * time.Second)
+				for arrivals.Load() < want {
+					select {
+					case <-kick:
+					case <-deadline:
+						t.Fatalf("%d arrivals, want at least %d", arrivals.Load(), want)
+					}
+				}
+			}
 			read := func() []byte {
 				t.Helper()
-				data, from, err := h.recv.ReadFrom()
-				if err != nil || from == "" {
-					t.Fatalf("ReadFrom: %d bytes from %q, err %v", len(data), from, err)
+				data, from, ok, err := h.recv.TryRead()
+				if !ok || err != nil || from == "" {
+					t.Fatalf("TryRead: %d bytes from %q, ok %v, err %v", len(data), from, ok, err)
 				}
 				return data
 			}
+			empty := func(when string) {
+				t.Helper()
+				if data, _, ok, err := h.recv.TryRead(); ok {
+					t.Fatalf("%s: TryRead took %d bytes, err %v", when, len(data), err)
+				}
+			}
 
+			empty("before any send")
+			if a := arrivals.Load(); a != 0 {
+				t.Fatalf("%d arrivals before any send", a)
+			}
 			// The sender reuses its buffer the moment WriteTo returns.
 			buf := []byte("first datagram")
 			h.send(buf)
 			for i := range buf {
 				buf[i] = 'X'
 			}
+			arrived(1)
+			first := read()
+			empty("after the first datagram")
+			// More traffic queues behind the slice we hold, and the queue
+			// goes from empty to non-empty again.
 			h.send([]byte("second"))
 			h.send([]byte("third"))
-			first := read()
-			// More traffic queues up behind the slice we hold; it must not
-			// move until we read again.
+			arrived(2)
 			time.Sleep(20 * time.Millisecond)
 			if string(first) != "first datagram" {
 				t.Fatalf("held slice reads %q", first)
@@ -94,35 +129,35 @@ func TestPacketConnReadContract(t *testing.T) {
 			if got := read(); string(got) != "third" {
 				t.Fatalf("third read %q", got)
 			}
+			if string(first) != "first datagram" {
+				t.Fatalf("held slice reads %q after two more reads", first)
+			}
 
 			big := make([]byte, wire.MaxPayload)
 			for i := range big {
 				big[i] = byte(i * 7)
 			}
+			at := arrivals.Load()
 			h.send(big)
+			arrived(at + 1)
 			if got := read(); !bytes.Equal(got, big) {
 				t.Fatalf("maximum-size datagram arrived as %d bytes (equal: %v)", len(got), bytes.Equal(got, big))
 			}
 
-			blocked := make(chan error, 1)
-			go func() {
-				_, _, err := h.recv.ReadFrom()
-				blocked <- err
-			}()
-			time.Sleep(20 * time.Millisecond)
+			// A datagram left queued goes with the Close, and so does all
+			// that comes after it.
+			at = arrivals.Load()
+			h.send([]byte("unread"))
+			arrived(at + 1)
 			if err := h.recv.Close(); err != nil {
 				t.Fatal(err)
 			}
-			select {
-			case err := <-blocked:
-				if !errors.Is(err, net.ErrClosed) {
-					t.Errorf("blocked read returned %v, want net.ErrClosed", err)
-				}
-			case <-time.After(2 * time.Second):
-				t.Fatal("Close did not release the blocked read")
-			}
-			if _, _, err := h.recv.ReadFrom(); !errors.Is(err, net.ErrClosed) {
-				t.Errorf("read after Close returned %v, want net.ErrClosed", err)
+			at = arrivals.Load()
+			h.send([]byte("late"))
+			time.Sleep(50 * time.Millisecond)
+			empty("after Close")
+			if a := arrivals.Load(); a != at {
+				t.Errorf("%d arrivals after Close returned", a-at)
 			}
 		})
 	}

@@ -234,14 +234,15 @@ func peerUp(t *testing.T, a, b *Node) {
 	}
 }
 
-// readFrame pops one datagram from an unstarted node's socket.
+// readFrame takes one datagram off an unstarted memnet node's conn, where a
+// send to it queued the datagram before it returned.
 func readFrame(t *testing.T, n *Node) ([]byte, string) {
 	t.Helper()
-	data, from, err := n.conn.ReadFrom()
-	if err != nil {
-		t.Fatal(err)
+	data, from, ok, err := n.conn.TryRead()
+	if !ok || err != nil {
+		t.Fatalf("no datagram queued (err %v)", err)
 	}
-	return append([]byte(nil), data...), from
+	return data, from
 }
 
 // TestIssueAnnouncesOneAdBatch pins the one ad frame: Issue's announcement
