@@ -21,8 +21,9 @@ type FleetConfig struct {
 	// Spacing is the grid pitch in meters (nodes sit on a jittered square
 	// grid). Zero means 150.
 	Spacing float64
-	// Range is the radio range in meters, enforced both by each node and by
-	// the in-memory medium. Zero means 220 — about 8 radio neighbors at the
+	// Range is the radio range in meters: the static wiring peers each node
+	// with every node within it, and each node's virtual radio drops frames
+	// from senders beyond it. Zero means 220 — about 8 radio neighbors at the
 	// default spacing.
 	Range float64
 	// RoundTime is the gossip round Δt. Zero means 200ms.
@@ -118,17 +119,13 @@ const totalsTTL = time.Second
 // when it returns. Node i sits at grid cell (i mod side, i div side) with
 // ±Spacing/4 jitter, binds "mem:n<i>", and is statically peered with every
 // node within radio range — so there are no beacon storms to pay at 10^4
-// nodes, and the medium's Range partition (pre-seeded via SetPosition)
-// enforces the same geometry the nodes assume.
+// nodes. The medium carries every datagram; each node's virtual radio
+// applies the range, as over UDP.
 func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if err := cfg.norm(); err != nil {
 		return nil, err
 	}
-	sb, err := memnet.New(memnet.Config{
-		Loss:  cfg.Loss,
-		Seed:  cfg.Seed,
-		Range: cfg.Range,
-	})
+	sb, err := memnet.New(memnet.Config{Loss: cfg.Loss, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -148,11 +145,9 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	epoch := time.Now()
 	f.nodes = make([]*node.Node, cfg.Nodes)
 	for i := range f.nodes {
-		addr := fmt.Sprintf("mem:n%d", i)
-		sb.SetPosition(addr, f.pos[i])
 		ncfg := node.Config{
 			ID:             uint32(i),
-			ListenAddr:     addr,
+			ListenAddr:     fmt.Sprintf("mem:n%d", i),
 			Transport:      sb.Transport(),
 			Range:          cfg.Range,
 			Position:       node.StaticPosition(f.pos[i]),

@@ -124,6 +124,58 @@ func TestFleetProbeSetGeometry(t *testing.T) {
 	}
 }
 
+// TestFleetWithBeaconsMatchesWiring runs a fleet with HELLO beacons on top
+// of its static wiring: every node's neighbor table settles on exactly the
+// nodes it was wired to, and the relayed introductions of neighbors beyond a
+// node's range die at that node's virtual radio, where they are counted —
+// the medium carries them.
+func TestFleetWithBeaconsMatchesWiring(t *testing.T) {
+	fl, err := NewFleet(FleetConfig{
+		Nodes: 64, Spacing: 150, Range: 230,
+		RoundTime: time.Hour, Beacon: 50 * time.Millisecond, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	degree := make([]int, fl.NodeCount())
+	for i := range degree {
+		for j := range degree {
+			if j != i && fl.Position(i).Dist(fl.Position(j)) <= fl.cfg.Range {
+				degree[i]++
+			}
+		}
+	}
+	matched := func() int {
+		k := 0
+		for i, n := range fl.nodes {
+			if n.NeighborCount() == degree[i] {
+				k++
+			}
+		}
+		return k
+	}
+	deadline := time.Now().Add(1500 * time.Millisecond)
+	for matched() < len(degree) && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if k := matched(); k != len(degree) {
+		for i, n := range fl.nodes {
+			if got := n.NeighborCount(); got != degree[i] {
+				t.Errorf("node %d has %d neighbors, wired to %d", i, got, degree[i])
+			}
+		}
+		t.Fatalf("%d of %d nodes hear exactly their wiring", k, len(degree))
+	}
+	var refused uint64
+	for _, n := range fl.nodes {
+		refused += n.Stats().OutOfRange
+	}
+	if refused == 0 {
+		t.Errorf("no node refused a relayed introduction from beyond its range; medium %+v", fl.MediumStats())
+	}
+}
+
 // TestFleetConcurrentIngest is the race-detector smoke: a live scheduler
 // stepping the fleet while HTTP clients hammer create/status/list/cancel
 // and a reader walks fleet totals. Run under -race in CI.

@@ -8,7 +8,7 @@ import (
 
 	"instantad/internal/ads"
 	"instantad/internal/geo"
-	"instantad/internal/node/wire"
+	"instantad/internal/node/transport"
 )
 
 // The wire layer: every ad travels in a batch frame — Issue's announcement
@@ -17,12 +17,20 @@ import (
 // serves likewise — and a periodic digest/pull exchange lets converged
 // neighborhoods trade 8-byte ad IDs instead of full payloads. All three
 // frame families share one header prefix (magic, version, sender, position)
-// so the virtual radio and any snooping medium treat them uniformly.
+// so the virtual radio reads every one the same way (decodeHeader).
 
 const (
-	batchMagic   = wire.BatchMagic
-	digestMagic  = wire.DigestMagic
-	pullMagic    = wire.PullMagic
+	// batchMagic leads a batch frame, the one frame that carries ads. Each
+	// frame magic is distinct from discovery.BeaconMagic, so beacons and ad
+	// frames share one socket: receivers dispatch on the leading byte.
+	batchMagic = 0xB1
+	// digestMagic leads a cache digest: the sender's live ad-ID list, sent
+	// once per digest round so converged neighbors stop re-hearing payloads.
+	digestMagic = 0xB2
+	// pullMagic leads a pull request: the ad IDs a digest receiver is
+	// missing and wants served back as batch frames.
+	pullMagic = 0xB3
+	// batchVersion is the only wire version of every ad-layer frame so far.
 	batchVersion = 1
 
 	// batchHeaderLen is magic+version+sender(4)+pos(16)+vel(16).
@@ -112,8 +120,8 @@ func (f *batchFrame) encode() ([]byte, error) {
 		out = binary.AppendUvarint(out, uint64(len(adBytes)))
 		out = append(out, adBytes...)
 	}
-	if len(out) > wire.MaxPayload {
-		return nil, fmt.Errorf("node: batch of %d bytes exceeds the %d-byte datagram limit", len(out), wire.MaxPayload)
+	if len(out) > transport.MaxPayload {
+		return nil, fmt.Errorf("node: batch of %d bytes exceeds the %d-byte datagram limit", len(out), transport.MaxPayload)
 	}
 	return out, nil
 }
@@ -123,7 +131,7 @@ func (f *batchFrame) encode() ([]byte, error) {
 // malformed as a whole, mirroring how UDP delivers datagrams whole or not
 // at all.
 func decodeBatch(data []byte) (*batchFrame, error) {
-	if len(data) > wire.MaxPayload {
+	if len(data) > transport.MaxPayload {
 		return nil, errors.New("node: datagram too long")
 	}
 	sender, vals, err := decodeHeader(data, batchMagic, 4)
@@ -184,8 +192,8 @@ func (f *idFrame) encode(magic byte) ([]byte, error) {
 		out = binary.LittleEndian.AppendUint32(out, id.Issuer)
 		out = binary.LittleEndian.AppendUint32(out, id.Seq)
 	}
-	if len(out) > wire.MaxPayload {
-		return nil, fmt.Errorf("node: ID frame of %d bytes exceeds the %d-byte datagram limit", len(out), wire.MaxPayload)
+	if len(out) > transport.MaxPayload {
+		return nil, fmt.Errorf("node: ID frame of %d bytes exceeds the %d-byte datagram limit", len(out), transport.MaxPayload)
 	}
 	return out, nil
 }
@@ -193,7 +201,7 @@ func (f *idFrame) encode(magic byte) ([]byte, error) {
 // decodeIDFrame parses a digest or pull datagram (the caller picks the
 // expected magic from the leading byte it dispatched on).
 func decodeIDFrame(data []byte, magic byte) (*idFrame, error) {
-	if len(data) > wire.MaxPayload {
+	if len(data) > transport.MaxPayload {
 		return nil, errors.New("node: datagram too long")
 	}
 	sender, vals, err := decodeHeader(data, magic, 2)
@@ -234,8 +242,8 @@ type packedBatch struct {
 // Ads that fail to encode are skipped (they were validated at admission, so
 // this is defensive only).
 func packBatches(sender uint32, pos geo.Point, vel geo.Vec, list []*ads.Advertisement, softCap int) (frames []packedBatch, oversize int) {
-	if softCap <= 0 || softCap > wire.MaxPayload {
-		softCap = wire.MaxPayload
+	if softCap <= 0 || softCap > transport.MaxPayload {
+		softCap = transport.MaxPayload
 	}
 	var cur *batchFrame
 	curLen := 0

@@ -11,7 +11,7 @@ import (
 	"instantad/internal/fm"
 	"instantad/internal/geo"
 	"instantad/internal/node/discovery"
-	"instantad/internal/node/wire"
+	"instantad/internal/node/transport"
 	"instantad/internal/rng"
 )
 
@@ -67,9 +67,9 @@ func TestBatchRoundtrip(t *testing.T) {
 	if !reflect.DeepEqual(d.Ads, f.Ads) {
 		t.Errorf("ads mismatch: %+v vs %+v", d.Ads, f.Ads)
 	}
-	// The medium can snoop the sender position from the shared prefix.
-	if p, ok := wire.SenderPos(data); !ok || p != f.Pos {
-		t.Errorf("SenderPos = %v, %v; want %v, true", p, ok, f.Pos)
+	// The virtual radio reads the sender position from the shared prefix.
+	if _, v, err := decodeHeader(data, batchMagic, 2); err != nil || (geo.Point{X: v[0], Y: v[1]}) != f.Pos {
+		t.Errorf("decodeHeader = %v, %v; want %v", v, err, f.Pos)
 	}
 }
 
@@ -90,8 +90,8 @@ func TestIDFrameRoundtrip(t *testing.T) {
 		if d.Sender != f.Sender || d.Pos != f.Pos || !reflect.DeepEqual(d.IDs, f.IDs) {
 			t.Errorf("mismatch: %+v vs %+v", d, f)
 		}
-		if p, ok := wire.SenderPos(data); !ok || p != f.Pos {
-			t.Errorf("SenderPos = %v, %v; want %v, true", p, ok, f.Pos)
+		if _, v, err := decodeHeader(data, magic, 2); err != nil || (geo.Point{X: v[0], Y: v[1]}) != f.Pos {
+			t.Errorf("decodeHeader = %v, %v; want %v", v, err, f.Pos)
 		}
 		// The other magic must refuse it: digests cannot masquerade as pulls.
 		var other byte = digestMagic
@@ -351,15 +351,26 @@ func FuzzReadDispatch(f *testing.F) {
 	cfg.DigestEvery = 1
 	n, _ := newFakeNode(f, cfg)
 	f.Fuzz(func(t *testing.T, in []byte) {
-		before := n.Stats().Malformed
+		before := n.Stats()
 		n.dispatch(in, fakeAddr.String())
-		malformed := n.Stats().Malformed - before
+		malformed := n.Stats().Malformed - before.Malformed
 		if malformed > 1 {
 			t.Fatalf("one datagram counted malformed %d times", malformed)
 		}
+		// An ad frame whose header names a sender out of range is refused
+		// before its body is read, so its codec's verdict goes uncounted.
+		far := false
+		if len(in) > 0 && (in[0] == batchMagic || in[0] == digestMagic || in[0] == pullMagic) {
+			if _, v, err := decodeHeader(in, in[0], 2); err == nil {
+				far = geo.Point{X: v[0], Y: v[1]}.Dist(geo.Point{}) > cfg.Range
+			}
+			if got := n.Stats().OutOfRange - before.OutOfRange; far != (got == 1) {
+				t.Fatalf("sender out of range %v, but the node counted %d out of range", far, got)
+			}
+		}
 		rejected := func(err error) {
 			t.Helper()
-			if (err != nil) != (malformed == 1) {
+			if (err != nil && !far) != (malformed == 1) {
 				t.Fatalf("codec error %v, but the handler counted %d malformed", err, malformed)
 			}
 		}
@@ -423,7 +434,7 @@ func FuzzReadDispatch(f *testing.F) {
 
 // literalTransport resolves literal addresses only, so a fuzzed beacon's
 // address never reaches a name resolver.
-type literalTransport struct{ UDPTransport }
+type literalTransport struct{ transport.UDP }
 
 func (literalTransport) Resolve(addr string) (string, error) {
 	ap, err := netip.ParseAddrPort(addr)

@@ -14,6 +14,7 @@ import (
 	"instantad/internal/core"
 	"instantad/internal/geo"
 	"instantad/internal/node/memnet"
+	"instantad/internal/node/transport"
 	"instantad/internal/trace"
 )
 
@@ -41,7 +42,7 @@ func (w *lateWatch) OnMembership(trace.Event)                        { w.hit() }
 
 // watchConn counts the node's writes on its lateWatch.
 type watchConn struct {
-	PacketConn
+	transport.PacketConn
 	w *lateWatch
 }
 

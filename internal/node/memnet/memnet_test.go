@@ -9,6 +9,7 @@ import (
 
 	"instantad/internal/geo"
 	"instantad/internal/node/discovery"
+	"instantad/internal/node/transport"
 	"instantad/internal/testutil"
 )
 
@@ -29,12 +30,6 @@ func TestConfigValidation(t *testing.T) {
 		{Loss: math.NaN()},
 		{Loss: math.Inf(1)},
 		{Loss: math.Inf(-1)},
-		{Latency: -time.Second},
-		{Range: -1},
-		{Range: math.NaN()},
-		{Range: math.Inf(1)},
-		{Range: math.Inf(-1)},
-		{QueueLen: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -95,7 +90,7 @@ func TestWriteFaults(t *testing.T) {
 	if _, err := a.WriteTo([]byte("x"), "127.0.0.1:1"); err == nil {
 		t.Error("foreign destination accepted")
 	}
-	if _, err := a.WriteTo(make([]byte, maxPayload+1), "mem:ghost"); err == nil {
+	if _, err := a.WriteTo(make([]byte, transport.MaxPayload+1), "mem:ghost"); err == nil {
 		t.Error("oversized datagram accepted")
 	}
 }
@@ -155,82 +150,8 @@ func TestSeededLossIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestLatencyDelaysDelivery(t *testing.T) {
-	s, _ := New(Config{Latency: 60 * time.Millisecond})
-	a := mustListen(t, s, "")
-	b := mustListen(t, s, "")
-	start := time.Now()
-	if _, err := a.WriteTo([]byte("slow"), b.LocalAddr()); err != nil {
-		t.Fatal(err)
-	}
-	rx := testutil.NewReceiver(b)
-	if _, _, ok, _ := b.TryRead(); ok {
-		t.Fatal("a delayed datagram was queued at once")
-	}
-	if _, _, err := rx.Next(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {
-		t.Errorf("delivered after %v despite 60ms latency", elapsed)
-	}
-}
-
-// beaconFrom encodes a beacon claiming the given position for the endpoint.
-func beaconFrom(t *testing.T, id uint32, addr string, pos geo.Point) []byte {
-	t.Helper()
-	data, err := discovery.Beacon{ID: id, Addr: addr, Pos: pos, Range: 250}.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-func TestRangePartitionFromBeaconPositions(t *testing.T) {
-	s, _ := New(Config{Range: 100})
-	a := mustListen(t, s, "mem:a")
-	b := mustListen(t, s, "mem:b")
-
-	// Before any beacon the medium cannot place the endpoints: it carries.
-	if _, err := a.WriteTo([]byte("blind"), b.LocalAddr()); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.Delivered != 1 || st.OutOfRange != 0 {
-		t.Fatalf("pre-beacon stats %+v", st)
-	}
-
-	// Beacons place a at (0,0) and b at (500,0) — beyond the 100m medium.
-	if _, err := a.WriteTo(beaconFrom(t, 1, "mem:a", geo.Point{}), b.LocalAddr()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.WriteTo(beaconFrom(t, 2, "mem:b", geo.Point{X: 500}), a.LocalAddr()); err != nil {
-		t.Fatal(err)
-	}
-	if p, ok := s.position("mem:b"); !ok || p.X != 500 {
-		t.Fatalf("snooped position %v %v", p, ok)
-	}
-	before := s.Stats().OutOfRange
-	if _, err := a.WriteTo([]byte("far"), b.LocalAddr()); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Stats().OutOfRange; got != before+1 {
-		t.Errorf("OutOfRange %d → %d: far datagram carried", before, got)
-	}
-
-	// b moves into range; the next beacon re-places it and traffic flows.
-	if _, err := b.WriteTo(beaconFrom(t, 2, "mem:b", geo.Point{X: 50}), a.LocalAddr()); err != nil {
-		t.Fatal(err)
-	}
-	delivered := s.Stats().Delivered
-	if _, err := a.WriteTo([]byte("near"), b.LocalAddr()); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Stats().Delivered; got != delivered+1 {
-		t.Errorf("Delivered %d → %d: near datagram dropped", delivered, got)
-	}
-}
-
 func TestQueueOverflowDrops(t *testing.T) {
-	s, _ := New(Config{QueueLen: 4})
+	s := newBoard(t, 4)
 	a := mustListen(t, s, "")
 	b := mustListen(t, s, "")
 	for i := 0; i < 10; i++ {
@@ -244,13 +165,42 @@ func TestQueueOverflowDrops(t *testing.T) {
 	}
 }
 
-// position returns the last position snooped from addr's beacons.
-func (s *Switchboard) position(addr string) (geo.Point, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c := s.eps[addr]; c != nil {
-		return c.pos, c.placed
+// newBoard builds a lossless switchboard whose receive queues hold at most
+// limit datagrams.
+func newBoard(t *testing.T, limit int) *Switchboard {
+	t.Helper()
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	p, ok := s.pos[addr]
-	return p, ok
+	s.queueLen = limit
+	return s
+}
+
+// TestBeaconCostsOneAllocation pins that the medium reads no byte of what it
+// carries: once the receiver's ring has grown, a HELLO beacon's WriteTo plus
+// TryRead allocates only the receiver's private copy of the datagram.
+func TestBeaconCostsOneAllocation(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := mustListen(t, s, "mem:a")
+	b := mustListen(t, s, "mem:b")
+	beacon, err := discovery.Beacon{ID: 1, Addr: "mem:a", Pos: geo.Point{X: 5}, Range: 250}.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func() {
+		if _, err := a.WriteTo(beacon, "mem:b"); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok, _ := b.TryRead(); !ok {
+			t.Fatal("beacon not delivered")
+		}
+	}
+	send() // grows the ring
+	if got := testing.AllocsPerRun(100, send); got != 1 {
+		t.Errorf("a beacon through the medium costs %v allocations, want 1 (the receiver's copy)", got)
+	}
 }

@@ -21,7 +21,7 @@ import (
 	"instantad/internal/core"
 	"instantad/internal/geo"
 	"instantad/internal/node/discovery"
-	"instantad/internal/node/wire"
+	"instantad/internal/node/transport"
 	"instantad/internal/obs"
 	"instantad/internal/rng"
 	"instantad/internal/trace"
@@ -54,7 +54,7 @@ type Config struct {
 	// Transport binds the socket and canonicalizes addresses; nil means
 	// real UDP. The in-memory switchboard (internal/node/memnet) satisfies
 	// the interface for many-node single-process tests.
-	Transport Transport
+	Transport transport.Transport
 	// Peers are static datagram destinations standing in for the broadcast
 	// medium. With discovery enabled they are merely the initial peer set;
 	// prefer Seeds there.
@@ -177,8 +177,8 @@ func (c Config) validate() error {
 	if len(c.AdvertiseAddr) > discovery.MaxAddrLen {
 		return fmt.Errorf("node: advertise address longer than %d bytes", discovery.MaxAddrLen)
 	}
-	if c.BatchSoftCap != 0 && (c.BatchSoftCap < minBatchSoftCap || c.BatchSoftCap > wire.MaxPayload) {
-		return fmt.Errorf("node: batch soft cap %d outside [%d, %d] (0 = default)", c.BatchSoftCap, minBatchSoftCap, wire.MaxPayload)
+	if c.BatchSoftCap != 0 && (c.BatchSoftCap < minBatchSoftCap || c.BatchSoftCap > transport.MaxPayload) {
+		return fmt.Errorf("node: batch soft cap %d outside [%d, %d] (0 = default)", c.BatchSoftCap, minBatchSoftCap, transport.MaxPayload)
 	}
 	if c.DigestEvery < 0 {
 		return fmt.Errorf("node: negative digest interval %d", c.DigestEvery)
@@ -247,8 +247,8 @@ type PeerHealth struct {
 type Node struct {
 	cfg       Config
 	rules     *core.Rules // the per-ad step the simulator's peers run too
-	transport Transport
-	conn      PacketConn
+	transport transport.Transport
+	conn      transport.PacketConn
 
 	// Discovery state: nil table means the legacy static-peer mode.
 	table       *discovery.Table
@@ -377,7 +377,7 @@ func New(cfg Config) (*Node, error) {
 	}
 	tr := cfg.Transport
 	if tr == nil {
-		tr = UDPTransport{}
+		tr = transport.UDP{}
 	}
 	conn, err := tr.Listen(cfg.ListenAddr)
 	if err != nil {
@@ -766,7 +766,9 @@ func (n *Node) Cached() []*ads.Advertisement {
 }
 
 // dispatch routes one datagram on its leading magic byte. Anything else —
-// including the retired 0xAE single-ad envelope — is malformed.
+// including the retired 0xAE single-ad envelope — is malformed. Batch,
+// digest and pull frames share a header that carries the sender's position,
+// so the virtual radio reads it there, once, before any ad or ID is decoded.
 func (n *Node) dispatch(data []byte, from string) {
 	if len(data) == 0 {
 		n.ctr.Malformed.Add(1)
@@ -775,35 +777,43 @@ func (n *Node) dispatch(data []byte, from string) {
 	switch data[0] {
 	case discovery.BeaconMagic:
 		n.handleBeacon(data, from)
-	case batchMagic:
-		if n.hist == nil {
-			n.handleBatch(data)
-			return
-		}
-		start := time.Now()
-		n.handleBatch(data)
-		n.hist.recvLatency.Observe(time.Since(start).Seconds())
-	case digestMagic:
-		n.handleDigest(data, from)
-	case pullMagic:
-		n.handlePull(data, from)
+		return
+	case batchMagic, digestMagic, pullMagic:
 	default:
 		n.ctr.Malformed.Add(1)
+		return
 	}
-}
-
-// handleBatch decodes a multi-ad batch frame, applies the virtual radio once
-// for the whole frame (all ads share the sender's position), and integrates
-// every carried ad under one lock acquisition.
-func (n *Node) handleBatch(data []byte) {
-	f, err := decodeBatch(data)
+	_, src, err := decodeHeader(data, data[0], 2)
 	if err != nil {
 		n.ctr.Malformed.Add(1)
 		return
 	}
-	pos, vel := n.cfg.Position(time.Now())
-	if n.cfg.Range > 0 && pos.Dist(f.Pos) > n.cfg.Range {
+	start := time.Now()
+	pos, vel := n.cfg.Position(start)
+	if n.cfg.Range > 0 && pos.Dist(geo.Point{X: src[0], Y: src[1]}) > n.cfg.Range {
 		n.ctr.OutOfRange.Add(1)
+		return
+	}
+	switch data[0] {
+	case batchMagic:
+		n.handleBatch(data, pos, vel)
+		if n.hist != nil {
+			n.hist.recvLatency.Observe(time.Since(start).Seconds())
+		}
+	case digestMagic:
+		n.handleDigest(data, from, pos)
+	case pullMagic:
+		n.handlePull(data, from, pos, vel)
+	}
+}
+
+// handleBatch decodes a multi-ad batch frame from a sender in range and
+// integrates every carried ad under one lock acquisition; pos and vel are
+// the receiver's own kinematics.
+func (n *Node) handleBatch(data []byte, pos geo.Point, vel geo.Vec) {
+	f, err := decodeBatch(data)
+	if err != nil {
+		n.ctr.Malformed.Add(1)
 		return
 	}
 	n.ctr.BatchesRecv.Add(1)
@@ -851,15 +861,10 @@ func (n *Node) integrateAdLocked(now float64, srcPos geo.Point, pos geo.Point, v
 // back to the sender. A digest we fully cover is a digest hit — the
 // anti-entropy steady state where neighbors trade 8-byte IDs instead of
 // payloads.
-func (n *Node) handleDigest(data []byte, from string) {
+func (n *Node) handleDigest(data []byte, from string, pos geo.Point) {
 	f, err := decodeIDFrame(data, digestMagic)
 	if err != nil {
 		n.ctr.Malformed.Add(1)
-		return
-	}
-	pos, _ := n.cfg.Position(time.Now())
-	if n.cfg.Range > 0 && pos.Dist(f.Pos) > n.cfg.Range {
-		n.ctr.OutOfRange.Add(1)
 		return
 	}
 	n.ctr.DigestsRecv.Add(1)
@@ -898,15 +903,10 @@ func (n *Node) handleDigest(data []byte, from string) {
 // handlePull serves a neighbor's pull request with the requested ads from
 // our cache, packed into batch frames, then blocks that neighbor for the
 // serve window (BuddyCast-style) so one hungry peer cannot monopolize us.
-func (n *Node) handlePull(data []byte, from string) {
+func (n *Node) handlePull(data []byte, from string, pos geo.Point, vel geo.Vec) {
 	f, err := decodeIDFrame(data, pullMagic)
 	if err != nil {
 		n.ctr.Malformed.Add(1)
-		return
-	}
-	pos, vel := n.cfg.Position(time.Now())
-	if n.cfg.Range > 0 && pos.Dist(f.Pos) > n.cfg.Range {
-		n.ctr.OutOfRange.Add(1)
 		return
 	}
 	now := time.Now()

@@ -13,6 +13,7 @@ import (
 	"instantad/internal/ads"
 	"instantad/internal/core"
 	"instantad/internal/geo"
+	"instantad/internal/node/transport"
 )
 
 // testConfig returns a fast-gossip node config at the given virtual
@@ -358,7 +359,7 @@ func TestIssueDuplicateRaceRegression(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			n.handleBatch(data)
+			n.dispatch(data, "")
 		}
 	}()
 	// A fat payload stretches the encode of each broadcast, widening the
@@ -383,10 +384,10 @@ func TestIssueSkipsForgedIDs(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = n.Close() })
 	for seq := uint32(0); seq < 3; seq++ {
-		n.handleBatch(batchDatagram(t, 99, geo.Point{X: 10}, &ads.Advertisement{
+		n.dispatch(batchDatagram(t, 99, geo.Point{X: 10}, &ads.Advertisement{
 			ID: ads.ID{Issuer: 7, Seq: seq}, Origin: geo.Point{X: 10},
 			IssuedAt: 0, R: 400, D: 9000, Category: "forged",
-		}))
+		}), "")
 	}
 	ad, err := n.Issue(core.AdSpec{R: 500, D: 60, Category: "petrol"})
 	if err != nil {
@@ -430,7 +431,7 @@ func TestSeenSetPruned(t *testing.T) {
 // writeFilterConn wraps the node's real socket and fails writes to selected
 // destinations, so tests can exercise the per-peer send-health path.
 type writeFilterConn struct {
-	PacketConn
+	transport.PacketConn
 	mu      sync.Mutex
 	failFor map[string]bool
 }

@@ -8,13 +8,12 @@ import (
 
 	"instantad/internal/node/memnet"
 	"instantad/internal/node/transport"
-	"instantad/internal/node/wire"
 )
 
 // connHarness is one PacketConn under the read-contract test: the receiving
 // conn and a way to get a datagram to it from somewhere else.
 type connHarness struct {
-	recv PacketConn
+	recv transport.PacketConn
 	send func(b []byte)
 }
 
@@ -22,7 +21,7 @@ type connHarness struct {
 // run on: real UDP on loopback, the in-memory network, and the scripted
 // socket the read-fault tests inject.
 func connHarnesses(t *testing.T) map[string]func(*testing.T) connHarness {
-	overTransport := func(tr Transport, addr string) func(*testing.T) connHarness {
+	overTransport := func(tr transport.Transport, addr string) func(*testing.T) connHarness {
 		return func(t *testing.T) connHarness {
 			recv, err := tr.Listen(addr)
 			if err != nil {
@@ -46,7 +45,7 @@ func connHarnesses(t *testing.T) map[string]func(*testing.T) connHarness {
 		t.Fatal(err)
 	}
 	return map[string]func(*testing.T) connHarness{
-		"udp":    overTransport(UDPTransport{}, "127.0.0.1:0"),
+		"udp":    overTransport(transport.UDP{}, "127.0.0.1:0"),
 		"memnet": overTransport(sb.Transport(), "mem:"),
 		"fake": func(t *testing.T) connHarness {
 			fs := newFakeSocket()
@@ -133,7 +132,7 @@ func TestPacketConnReadContract(t *testing.T) {
 				t.Fatalf("held slice reads %q after two more reads", first)
 			}
 
-			big := make([]byte, wire.MaxPayload)
+			big := make([]byte, transport.MaxPayload)
 			for i := range big {
 				big[i] = byte(i * 7)
 			}

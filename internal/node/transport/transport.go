@@ -15,8 +15,13 @@ import (
 )
 
 const (
-	// recvBufLen sizes a UDP conn's receive buffer: above the 65507-byte
-	// payload bound, so no datagram is ever truncated.
+	// MaxPayload is the largest UDP payload: 65535 minus the 8-byte UDP and
+	// 20-byte IPv4 headers. Frames beyond it cannot traverse a real socket,
+	// so the node's encoders refuse to build them and memnet refuses to
+	// carry them.
+	MaxPayload = 65507
+	// recvBufLen sizes a UDP conn's receive buffer: above MaxPayload, so no
+	// datagram is ever truncated.
 	recvBufLen = 64 * 1024
 	// queueLen is how many datagrams a UDP conn's reader hands over ahead
 	// of TryRead. When they all wait, the reader waits too, and the

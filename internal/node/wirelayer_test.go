@@ -9,7 +9,7 @@ import (
 	"instantad/internal/core"
 	"instantad/internal/geo"
 	"instantad/internal/node/memnet"
-	"instantad/internal/node/wire"
+	"instantad/internal/node/transport"
 	"instantad/internal/obs"
 )
 
@@ -19,7 +19,7 @@ func TestConfigValidationWireLayer(t *testing.T) {
 	mutations := []func(*Config){
 		func(c *Config) { c.BatchSoftCap = -1 },
 		func(c *Config) { c.BatchSoftCap = minBatchSoftCap - 1 },
-		func(c *Config) { c.BatchSoftCap = wire.MaxPayload + 1 },
+		func(c *Config) { c.BatchSoftCap = transport.MaxPayload + 1 },
 		func(c *Config) { c.DigestEvery = -1 },
 		func(c *Config) { c.BlockWindow = -time.Second },
 		func(c *Config) { c.RoundBytes = -1 },
@@ -322,7 +322,7 @@ func TestDigestPullServesMissingAds(t *testing.T) {
 	if frame[0] != digestMagic {
 		t.Fatalf("A heard 0x%02X, want a digest", frame[0])
 	}
-	a.handleDigest(frame, from)
+	a.dispatch(frame, from)
 	if got := a.Stats().PullsSent; got != 1 {
 		t.Fatalf("PullsSent = %d, want 1", got)
 	}
@@ -331,7 +331,7 @@ func TestDigestPullServesMissingAds(t *testing.T) {
 	if frame[0] != pullMagic {
 		t.Fatalf("B heard 0x%02X, want a pull", frame[0])
 	}
-	b.handlePull(frame, from)
+	b.dispatch(frame, from)
 	bst := b.Stats()
 	if bst.PullsRecv != 1 || bst.PulledAds != 3 {
 		t.Fatalf("PullsRecv/PulledAds = %d/%d, want 1/3", bst.PullsRecv, bst.PulledAds)
@@ -343,7 +343,7 @@ func TestDigestPullServesMissingAds(t *testing.T) {
 			t.Fatalf("A heard 0x%02X, want a batch", frame[0])
 		}
 		before := a.Stats().Received
-		a.handleBatch(frame)
+		a.dispatch(frame, "")
 		got += int(a.Stats().Received - before)
 	}
 	for _, id := range ids {
@@ -357,7 +357,7 @@ func TestDigestPullServesMissingAds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.handleDigest(data, b.Addr())
+	a.dispatch(data, b.Addr())
 	ast := a.Stats()
 	if ast.DigestHits != 1 {
 		t.Errorf("DigestHits = %d, want 1", ast.DigestHits)
@@ -372,7 +372,7 @@ func TestDigestPullServesMissingAds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.handlePull(pull, a.Addr())
+	b.dispatch(pull, a.Addr())
 	bst = b.Stats()
 	if bst.BlockedServes == 0 {
 		t.Error("repeated pull inside the block window was served")
@@ -383,6 +383,31 @@ func TestDigestPullServesMissingAds(t *testing.T) {
 	b.sendDigest(ids)
 	if got := b.Stats().DigestsSent; got != 1 {
 		t.Errorf("DigestsSent = %d, want still 1 (A is inside the block window)", got)
+	}
+}
+
+// TestOutOfRangeFrameIsRefusedUnread pins the one range check for ad
+// frames: dispatch reads the sender's position from the header and refuses a
+// far batch before decoding a single ad, so the refusal allocates nothing,
+// and a far frame with a corrupt body counts out of range, not malformed.
+func TestOutOfRangeFrameIsRefusedUnread(t *testing.T) {
+	n, err := New(testConfig(1, geo.Point{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	far := batchDatagram(t, 2, geo.Point{X: 1000}, &ads.Advertisement{
+		ID: ads.ID{Issuer: 2, Seq: 0}, Origin: geo.Point{X: 1000},
+		IssuedAt: 0, R: 400, D: 9000, Category: "petrol", Text: "far away",
+	})
+	if allocs := testing.AllocsPerRun(100, func() { n.dispatch(far, "") }); allocs != 0 {
+		t.Errorf("refusing an out-of-range batch allocates %v times, want 0", allocs)
+	}
+	n.dispatch(far[:len(far)-1], "")
+	st := n.Stats()
+	if st.OutOfRange != 102 || st.Malformed != 0 || st.BatchesRecv != 0 || st.Received != 0 {
+		t.Errorf("after 102 far frames: OutOfRange %d, Malformed %d, BatchesRecv %d, Received %d; want 102/0/0/0",
+			st.OutOfRange, st.Malformed, st.BatchesRecv, st.Received)
 	}
 }
 
