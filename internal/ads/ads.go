@@ -149,7 +149,29 @@ func (a *Advertisement) Encode() ([]byte, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 0, 64+len(a.Category)+len(a.Text))
+	buf, err := a.appendWire(make([]byte, 0, a.WireSize()))
+	if err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// AppendEncode appends the ad's wire form, byte for byte what Encode
+// returns, to buf. A caller that sizes buf from WireSize encodes with no
+// allocation. On error buf comes back unchanged.
+func (a *Advertisement) AppendEncode(buf []byte) ([]byte, error) {
+	if err := a.Validate(); err != nil {
+		return buf, err
+	}
+	out, err := a.appendWire(buf)
+	if err != nil {
+		return buf, err
+	}
+	return out, nil
+}
+
+// appendWire appends the encoding of a validated ad.
+func (a *Advertisement) appendWire(buf []byte) ([]byte, error) {
 	buf = append(buf, wireMagic, wireVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, a.ID.Issuer)
 	buf = binary.LittleEndian.AppendUint32(buf, a.ID.Seq)
@@ -168,17 +190,11 @@ func (a *Advertisement) Encode() ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(len(a.Text)))
 	buf = append(buf, a.Text...)
 	if a.Sketch == nil {
-		buf = append(buf, 0)
-	} else {
-		buf = append(buf, 1)
-		sk, err := a.Sketch.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(sk)))
-		buf = append(buf, sk...)
+		return append(buf, 0), nil
 	}
-	return buf, nil
+	buf = append(buf, 1)
+	buf = binary.AppendUvarint(buf, uint64(a.Sketch.WireSize()))
+	return a.Sketch.AppendBinary(buf)
 }
 
 // WireSize returns the encoded length in bytes without allocating the full
@@ -208,86 +224,136 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
+// The decoder's fixed errors.
+var (
+	errBadMagic      = errors.New("ads: bad magic")
+	errTruncated     = errors.New("ads: truncated message")
+	errTruncString   = errors.New("ads: truncated string")
+	errKeywordCount  = errors.New("ads: bad keyword count")
+	errTruncSketch   = errors.New("ads: truncated sketch")
+	errTrailingBytes = errors.New("ads: trailing garbage")
+)
+
+// fixedLen is the length of an encoding's fixed prefix: magic, version, ID,
+// origin, issue time, R and D.
+const fixedLen = 2 + 4 + 4 + 8*5
+
 // Decode parses an ad from its wire form.
 func Decode(data []byte) (*Advertisement, error) {
+	a := &Advertisement{}
+	if err := DecodeInto(a, data); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// DecodeInto parses an ad from its wire form into a, overwriting every
+// field: a ends up equal to what Decode returns, and the error is Decode's.
+// What a holds is reused where it can be, so decoding over a copy of the
+// same ad allocates nothing: a string field (Category, Text, each keyword)
+// whose bytes equal a's current value keeps that value, the keyword list
+// is written into a's slice, and a sketch into a.Sketch, which must then be
+// a's own. An ad without keywords or a sketch decodes with nil ones, as
+// Decode gives them. On error a holds a partial decode.
+func DecodeInto(a *Advertisement, data []byte) error {
 	if len(data) < 2 || data[0] != wireMagic {
-		return nil, errors.New("ads: bad magic")
+		return errBadMagic
 	}
 	if data[1] != wireVersion {
-		return nil, fmt.Errorf("ads: unsupported version %d", data[1])
+		return fmt.Errorf("ads: unsupported version %d", data[1])
 	}
-	p := data[2:]
-	need := func(n int) error {
-		if len(p) < n {
-			return errors.New("ads: truncated message")
-		}
-		return nil
+	if len(data) < fixedLen {
+		return errTruncated
 	}
-	if err := need(4 + 4 + 8*5); err != nil {
-		return nil, err
-	}
-	a := &Advertisement{}
-	a.ID.Issuer = binary.LittleEndian.Uint32(p)
-	a.ID.Seq = binary.LittleEndian.Uint32(p[4:])
-	a.Origin.X = math.Float64frombits(binary.LittleEndian.Uint64(p[8:]))
-	a.Origin.Y = math.Float64frombits(binary.LittleEndian.Uint64(p[16:]))
-	a.IssuedAt = math.Float64frombits(binary.LittleEndian.Uint64(p[24:]))
-	a.R = math.Float64frombits(binary.LittleEndian.Uint64(p[32:]))
-	a.D = math.Float64frombits(binary.LittleEndian.Uint64(p[40:]))
-	p = p[48:]
-	readStr := func() (string, error) {
-		l, n := binary.Uvarint(p)
-		if n <= 0 || uint64(len(p)-n) < l {
-			return "", errors.New("ads: truncated string")
-		}
-		s := string(p[n : n+int(l)])
-		p = p[n+int(l):]
-		return s, nil
-	}
+	a.ID = peekID(data)
+	p := data[10:]
+	a.Origin.X = math.Float64frombits(binary.LittleEndian.Uint64(p))
+	a.Origin.Y = math.Float64frombits(binary.LittleEndian.Uint64(p[8:]))
+	a.IssuedAt = math.Float64frombits(binary.LittleEndian.Uint64(p[16:]))
+	a.R = math.Float64frombits(binary.LittleEndian.Uint64(p[24:]))
+	a.D = math.Float64frombits(binary.LittleEndian.Uint64(p[32:]))
+	p = p[40:]
 	var err error
-	if a.Category, err = readStr(); err != nil {
-		return nil, err
+	if a.Category, p, err = readString(p, a.Category); err != nil {
+		return err
 	}
 	nk, n := binary.Uvarint(p)
 	if n <= 0 || nk > 16 {
-		return nil, errors.New("ads: bad keyword count")
+		return errKeywordCount
 	}
 	p = p[n:]
-	for i := uint64(0); i < nk; i++ {
-		k, err := readStr()
-		if err != nil {
-			return nil, err
+	old := a.Keywords
+	if nk == 0 {
+		a.Keywords = nil
+	} else {
+		a.Keywords = old[:0]
+	}
+	for i := range int(nk) {
+		var k string
+		if i < len(old) {
+			k = old[i] // read before the append below overwrites it
+		}
+		if k, p, err = readString(p, k); err != nil {
+			return err
 		}
 		a.Keywords = append(a.Keywords, k)
 	}
-	if a.Text, err = readStr(); err != nil {
-		return nil, err
+	if a.Text, p, err = readString(p, a.Text); err != nil {
+		return err
 	}
-	if err := need(1); err != nil {
-		return nil, err
+	if len(p) < 1 {
+		return errTruncated
 	}
 	hasSketch := p[0]
 	p = p[1:]
 	switch hasSketch {
 	case 0:
+		a.Sketch = nil
 	case 1:
 		l, n := binary.Uvarint(p)
 		if n <= 0 || uint64(len(p)-n) < l {
-			return nil, errors.New("ads: truncated sketch")
+			return errTruncSketch
 		}
-		a.Sketch = &fm.Sketch{}
+		if a.Sketch == nil {
+			a.Sketch = &fm.Sketch{}
+		}
 		if err := a.Sketch.UnmarshalBinary(p[n : n+int(l)]); err != nil {
-			return nil, err
+			return err
 		}
 		p = p[n+int(l):]
 	default:
-		return nil, fmt.Errorf("ads: bad sketch flag %d", hasSketch)
+		return fmt.Errorf("ads: bad sketch flag %d", hasSketch)
 	}
 	if len(p) != 0 {
-		return nil, errors.New("ads: trailing garbage")
+		return errTrailingBytes
 	}
-	if err := a.Validate(); err != nil {
-		return nil, err
+	return a.Validate()
+}
+
+// readString reads one length-prefixed string off p, returning keep instead
+// of a new string when the bytes equal it.
+func readString(p []byte, keep string) (string, []byte, error) {
+	l, n := binary.Uvarint(p)
+	if n <= 0 || uint64(len(p)-n) < l {
+		return "", p, errTruncString
 	}
-	return a, nil
+	if b := p[n : n+int(l)]; string(b) != keep {
+		keep = string(b)
+	}
+	return keep, p[n+int(l):], nil
+}
+
+// PeekID reads the ID of an encoded ad without decoding the rest; ok is
+// false when data cannot be an ad's encoding. A decoder that keeps a copy
+// of some ads looks the ID up first, to decode over the copy it holds.
+func PeekID(data []byte) (id ID, ok bool) {
+	if len(data) < fixedLen || data[0] != wireMagic || data[1] != wireVersion {
+		return ID{}, false
+	}
+	return peekID(data), true
+}
+
+// peekID reads the ID of an encoding at least fixedLen long.
+func peekID(data []byte) ID {
+	return ID{Issuer: binary.LittleEndian.Uint32(data[2:]), Seq: binary.LittleEndian.Uint32(data[6:])}
 }

@@ -186,8 +186,13 @@ func (s *Sketch) WireSize() int {
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (s *Sketch) MarshalBinary() ([]byte, error) {
+	return s.AppendBinary(make([]byte, 0, s.WireSize()))
+}
+
+// AppendBinary appends the serialized sketch, as MarshalBinary returns it, to
+// out.
+func (s *Sketch) AppendBinary(out []byte) ([]byte, error) {
 	wordLen := (s.l + 7) / 8
-	out := make([]byte, 0, s.WireSize())
 	out = append(out, byte(s.f), byte(s.l))
 	out = binary.LittleEndian.AppendUint64(out, s.seed)
 	var buf [8]byte
@@ -198,7 +203,8 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 	return out, nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. It decodes into
+// the bitmap s already holds when that has room.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if len(data) < 10 {
 		return errors.New("fm: sketch data too short")
@@ -214,7 +220,11 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("fm: sketch data length %d, want %d", len(data), want)
 	}
 	s.f, s.l, s.seed = f, l, seed
-	s.bm = make([]uint64, f)
+	if cap(s.bm) >= f {
+		s.bm = s.bm[:f]
+	} else {
+		s.bm = make([]uint64, f)
+	}
 	var buf [8]byte
 	for i := 0; i < f; i++ {
 		clear(buf[:])

@@ -5,8 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"instantad/internal/ads"
+	"instantad/internal/fm"
 	"instantad/internal/geo"
 	"instantad/internal/node/transport"
 )
@@ -98,9 +101,10 @@ func decodeHeader(data []byte, magic byte, nvals int) (sender uint32, vals [4]fl
 	return sender, vals, nil
 }
 
-// encode serializes the batch frame. It refuses empty batches and frames no
-// real socket could carry; the soft cap is the packer's business, not the
-// codec's.
+// encode serializes the batch frame into one buffer sized from the ads'
+// WireSize, with each ad appended straight into it. It refuses empty batches
+// and frames no real socket could carry; the soft cap is the packer's
+// business, not the codec's.
 func (f *batchFrame) encode() ([]byte, error) {
 	if len(f.Ads) == 0 {
 		return nil, errors.New("node: empty batch")
@@ -108,29 +112,69 @@ func (f *batchFrame) encode() ([]byte, error) {
 	if len(f.Ads) > maxBatchAds {
 		return nil, fmt.Errorf("node: batch of %d ads exceeds %d", len(f.Ads), maxBatchAds)
 	}
-	out := make([]byte, 0, batchHeaderLen+len(f.Ads)*96)
+	size := batchHeaderLen + uvarintLen(uint64(len(f.Ads)))
+	for _, ad := range f.Ads {
+		sz := ad.WireSize()
+		size += uvarintLen(uint64(sz)) + sz
+	}
+	if size > transport.MaxPayload {
+		return nil, fmt.Errorf("node: batch of %d bytes exceeds the %d-byte datagram limit", size, transport.MaxPayload)
+	}
+	out := make([]byte, 0, size)
 	out = appendHeader(out, batchMagic, f.Sender,
 		[]float64{f.Pos.X, f.Pos.Y, f.Vel.X, f.Vel.Y})
 	out = binary.AppendUvarint(out, uint64(len(f.Ads)))
 	for _, ad := range f.Ads {
-		adBytes, err := ad.Encode()
-		if err != nil {
+		out = binary.AppendUvarint(out, uint64(ad.WireSize()))
+		var err error
+		if out, err = ad.AppendEncode(out); err != nil {
 			return nil, err
 		}
-		out = binary.AppendUvarint(out, uint64(len(adBytes)))
-		out = append(out, adBytes...)
-	}
-	if len(out) > transport.MaxPayload {
-		return nil, fmt.Errorf("node: batch of %d bytes exceeds the %d-byte datagram limit", len(out), transport.MaxPayload)
 	}
 	return out, nil
 }
 
-// decodeBatch parses a batch datagram. Every claimed ad must decode and the
-// frame must end exactly at the last ad — a truncated or padded batch is
-// malformed as a whole, mirroring how UDP delivers datagrams whole or not
-// at all.
-func decodeBatch(data []byte) (*batchFrame, error) {
+// rxScratch is the receive path's decode memory, reused from datagram to
+// datagram: a batch frame's ads and a digest's or pull's ID list. rxPool
+// lends one to each dispatch, so no node holds any.
+type rxScratch struct {
+	batch batchFrame // Ads point at items' ads
+	items []*scratchAd
+	ids   idFrame
+}
+
+var rxPool = sync.Pool{New: func() any { return new(rxScratch) }}
+
+// scratchAd is one ad's decode memory: the ad, and the keyword and sketch
+// storage that decoding an ad without them leaves out of it.
+type scratchAd struct {
+	ad       ads.Advertisement
+	keywords []string
+	sketch   fm.Sketch
+}
+
+// decode decodes data into s.ad, over like's strings when like is not nil.
+func (s *scratchAd) decode(data []byte, like *ads.Advertisement) error {
+	s.ad.Keywords, s.ad.Sketch = s.keywords, &s.sketch
+	if like != nil {
+		s.ad.Category, s.ad.Text = like.Category, like.Text
+		s.ad.Keywords = append(s.keywords[:0], like.Keywords...)
+	}
+	err := ads.DecodeInto(&s.ad, data)
+	if s.ad.Keywords != nil {
+		s.keywords = s.ad.Keywords
+	}
+	return err
+}
+
+// decodeBatch parses a batch datagram into sc. Every claimed ad must decode
+// and the frame must end exactly at the last ad — a truncated or padded
+// batch is malformed as a whole, mirroring how UDP delivers datagrams whole
+// or not at all. The frame and its ads are sc's until sc decodes again, so
+// an ad kept past the datagram is cloned. An ad that known caches is decoded
+// over the cached copy's strings: a duplicate decodes with no allocation.
+// known may be nil.
+func (sc *rxScratch) decodeBatch(data []byte, known *ads.Cache) (*batchFrame, error) {
 	if len(data) > transport.MaxPayload {
 		return nil, errors.New("node: datagram too long")
 	}
@@ -138,10 +182,12 @@ func decodeBatch(data []byte) (*batchFrame, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &batchFrame{
+	f := &sc.batch
+	*f = batchFrame{
 		Sender: sender,
 		Pos:    geo.Point{X: vals[0], Y: vals[1]},
 		Vel:    geo.Vec{X: vals[2], Y: vals[3]},
+		Ads:    f.Ads[:0],
 	}
 	p := data[batchHeaderLen:]
 	count, n := binary.Uvarint(p)
@@ -149,16 +195,26 @@ func decodeBatch(data []byte) (*batchFrame, error) {
 		return nil, errors.New("node: bad batch count")
 	}
 	p = p[n:]
-	for i := uint64(0); i < count; i++ {
+	for i := range int(count) {
 		l, n := binary.Uvarint(p)
 		if n <= 0 || uint64(len(p)-n) < l {
 			return nil, errors.New("node: truncated batch entry")
 		}
-		ad, err := ads.Decode(p[n : n+int(l)])
-		if err != nil {
+		item := p[n : n+int(l)]
+		if i == len(sc.items) {
+			sc.items = append(sc.items, new(scratchAd))
+		}
+		var like *ads.Advertisement
+		if id, ok := ads.PeekID(item); ok && known != nil {
+			if e := known.Get(id); e != nil {
+				like = e.Ad
+			}
+		}
+		s := sc.items[i]
+		if err := s.decode(item, like); err != nil {
 			return nil, err
 		}
-		f.Ads = append(f.Ads, ad)
+		f.Ads = append(f.Ads, &s.ad)
 		p = p[n+int(l):]
 	}
 	if len(p) != 0 {
@@ -198,27 +254,28 @@ func (f *idFrame) encode(magic byte) ([]byte, error) {
 	return out, nil
 }
 
-// decodeIDFrame parses a digest or pull datagram (the caller picks the
-// expected magic from the leading byte it dispatched on).
-func decodeIDFrame(data []byte, magic byte) (*idFrame, error) {
+// decode parses a digest or pull datagram into f, reusing the storage of
+// f.IDs (the caller picks the expected magic from the leading byte it
+// dispatched on).
+func (f *idFrame) decode(data []byte, magic byte) error {
 	if len(data) > transport.MaxPayload {
-		return nil, errors.New("node: datagram too long")
+		return errors.New("node: datagram too long")
 	}
 	sender, vals, err := decodeHeader(data, magic, 2)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	f := &idFrame{Sender: sender, Pos: geo.Point{X: vals[0], Y: vals[1]}}
 	p := data[idHeaderLen:]
 	count, n := binary.Uvarint(p)
 	if n <= 0 || count == 0 || count > maxIDsPerFrame {
-		return nil, errors.New("node: bad ID count")
+		return errors.New("node: bad ID count")
 	}
 	p = p[n:]
 	if uint64(len(p)) != 8*count {
-		return nil, errors.New("node: ID list length mismatch")
+		return errors.New("node: ID list length mismatch")
 	}
-	f.IDs = make([]ads.ID, count)
+	f.Sender, f.Pos = sender, geo.Point{X: vals[0], Y: vals[1]}
+	f.IDs = slices.Grow(f.IDs[:0], int(count))[:count]
 	for i := range f.IDs {
 		f.IDs[i] = ads.ID{
 			Issuer: binary.LittleEndian.Uint32(p),
@@ -226,7 +283,7 @@ func decodeIDFrame(data []byte, magic byte) (*idFrame, error) {
 		}
 		p = p[8:]
 	}
-	return f, nil
+	return nil
 }
 
 // packedBatch is one ready-to-send batch datagram plus its ad count (for
@@ -237,49 +294,46 @@ type packedBatch struct {
 }
 
 // packBatches greedily packs the ads into batch frames no larger than the
-// soft cap. An ad whose own frame exceeds the cap is emitted alone anyway —
-// a datagram cannot be fragmented at this layer — and counted in oversize.
-// Ads that fail to encode are skipped (they were validated at admission, so
-// this is defensive only).
+// soft cap, each frame a run of list. An ad whose own frame exceeds the cap
+// is emitted alone anyway — a datagram cannot be fragmented at this layer —
+// and counted in oversize. Ads that fail to encode are skipped (they were
+// validated at admission, so this is defensive only).
 func packBatches(sender uint32, pos geo.Point, vel geo.Vec, list []*ads.Advertisement, softCap int) (frames []packedBatch, oversize int) {
 	if softCap <= 0 || softCap > transport.MaxPayload {
 		softCap = transport.MaxPayload
 	}
-	var cur *batchFrame
-	curLen := 0
-	flush := func() {
-		if cur == nil {
+	start, curLen := 0, 0 // the frame being packed is list[start:i]
+	flush := func(end int) {
+		if end == start {
 			return
 		}
-		data, err := cur.encode()
-		if err == nil {
-			frames = append(frames, packedBatch{data: data, ads: len(cur.Ads)})
+		f := batchFrame{Sender: sender, Pos: pos, Vel: vel, Ads: list[start:end]}
+		if data, err := f.encode(); err == nil {
+			frames = append(frames, packedBatch{data: data, ads: end - start})
 		}
-		cur, curLen = nil, 0
+		start = end
 	}
-	for _, ad := range list {
+	for i, ad := range list {
 		// Cost of this ad in a frame: uvarint length prefix + encoding.
 		sz := ad.WireSize()
 		cost := uvarintLen(uint64(sz)) + sz
-		// A fresh frame costs header + count varint (≤ 2 bytes at our caps).
-		if cur != nil && (curLen+cost > softCap || len(cur.Ads) >= maxBatchAds) {
-			flush()
+		if i > start && (curLen+cost > softCap || i-start >= maxBatchAds) {
+			flush(i)
 		}
-		if cur == nil {
-			cur = &batchFrame{Sender: sender, Pos: pos, Vel: vel}
+		if i == start {
+			// A fresh frame costs header + count varint (≤ 2 bytes at our caps).
 			curLen = batchHeaderLen + 2
 			if curLen+cost > softCap {
 				oversize++
 			}
 		}
-		cur.Ads = append(cur.Ads, ad)
 		curLen += cost
 		if curLen > softCap {
 			// The oversize single-ad case: ship it alone immediately.
-			flush()
+			flush(i + 1)
 		}
 	}
-	flush()
+	flush(len(list))
 	return frames, oversize
 }
 

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bytes"
 	"errors"
 	"net/netip"
 	"reflect"
@@ -38,6 +39,21 @@ func batchDatagram(tb testing.TB, sender uint32, pos geo.Point, list ...*ads.Adv
 		tb.Fatal(err)
 	}
 	return data
+}
+
+// decodeBatch decodes a batch datagram into scratch of its own, so the
+// frame and its ads are the caller's to keep.
+func decodeBatch(data []byte) (*batchFrame, error) {
+	return new(rxScratch).decodeBatch(data, nil)
+}
+
+// decodeIDFrame decodes a digest or pull datagram into a frame of its own.
+func decodeIDFrame(data []byte, magic byte) (*idFrame, error) {
+	f := &idFrame{}
+	if err := f.decode(data, magic); err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 func sampleDigest(nids int) *idFrame {
@@ -312,7 +328,8 @@ func oversizedAdFrame() []byte {
 // codecs are checked too: accepted frames must re-encode, beacons byte for
 // byte, ad-layer frames back to a deeply equal value (batch counts and ad
 // lengths are uvarints, so byte-for-byte canonicality is not promised there
-// — semantic identity is).
+// — semantic identity is). A datagram is shared and read-only, so dispatch
+// must leave every byte of its input as it was.
 func FuzzReadDispatch(f *testing.F) {
 	good, _ := sampleBatch(3).encode()
 	one, _ := sampleBatch(1).encode()
@@ -352,7 +369,11 @@ func FuzzReadDispatch(f *testing.F) {
 	n, _ := newFakeNode(f, cfg)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		before := n.Stats()
+		orig := bytes.Clone(in)
 		n.dispatch(in, fakeAddr.String())
+		if !bytes.Equal(in, orig) {
+			t.Fatalf("dispatch wrote into the datagram it read:\n before %x\n after  %x", orig, in)
+		}
 		malformed := n.Stats().Malformed - before.Malformed
 		if malformed > 1 {
 			t.Fatalf("one datagram counted malformed %d times", malformed)

@@ -13,8 +13,10 @@
 // so, with no goroutine per endpoint.
 //
 // The switchboard carries datagrams, not frames: it reads no byte of what it
-// carries. A datagram is delivered whole, at once and in the sender's
-// goroutine, or not at all: it is lost by one seeded stream, sent to an
+// carries, and copies none. A datagram is the buffer its sender handed to
+// WriteTo, shared read-only by every endpoint it is sent to, as one radio
+// transmission is heard by every peer in range. It is delivered whole, at
+// once and in the sender's goroutine, or not at all: it is lost by one seeded stream, sent to an
 // address nobody has bound, or refused by a full receive queue. Who hears
 // whom is the receiving node's business: its virtual radio (node.Config.Range)
 // drops frames from senders out of range, as it does over UDP.
@@ -198,7 +200,9 @@ func (c *Conn) SetArrival(fn func()) {
 
 // TryRead takes the next queued datagram without blocking; ok is false when
 // the queue is empty or the conn has closed, and err is always nil: the
-// medium has no read faults. The slice is the private copy WriteTo made.
+// medium has no read faults. The slice is the very buffer the sender handed
+// to WriteTo, which every receiver of that frame shares: read it, never
+// write it.
 func (c *Conn) TryRead() (data []byte, from string, ok bool, err error) {
 	s := c.sb
 	s.mu.Lock()
@@ -215,9 +219,11 @@ func (c *Conn) TryRead() (data []byte, from string, ok bool, err error) {
 	return p.data, p.from, true, nil
 }
 
-// WriteTo routes one datagram through the switchboard. Like UDP, a send to
-// nobody succeeds silently; only local faults (closed conn, oversized
-// payload, unroutable address) error.
+// WriteTo routes one datagram through the switchboard. The receiver's queue
+// takes b itself, not a copy, so the caller must not write to b after the
+// call; sending one frame to many addresses queues one buffer for all of
+// them. Like UDP, a send to nobody succeeds silently; only local faults
+// (closed conn, oversized payload, unroutable address) error.
 func (c *Conn) WriteTo(b []byte, to string) (int, error) {
 	if len(b) > transport.MaxPayload {
 		return 0, fmt.Errorf("memnet: message of %d bytes too long", len(b))
@@ -225,10 +231,7 @@ func (c *Conn) WriteTo(b []byte, to string) (int, error) {
 	if !strings.HasPrefix(to, addrPrefix) {
 		return 0, fmt.Errorf("memnet: bad destination %q", to)
 	}
-	// The receiver's private copy is made before the lock: an allocation can
-	// stall on the garbage collector, and the lock is the whole medium's.
-	p := packet{data: append([]byte(nil), b...), from: c.addr}
-
+	p := packet{data: b, from: c.addr} // the frame itself: every receiver reads the one buffer
 	s := c.sb
 	s.mu.Lock()
 	if c.closed {

@@ -177,10 +177,14 @@ func newBoard(t *testing.T, limit int) *Switchboard {
 	return s
 }
 
-// TestBeaconCostsOneAllocation pins that the medium reads no byte of what it
-// carries: once the receiver's ring has grown, a HELLO beacon's WriteTo plus
-// TryRead allocates only the receiver's private copy of the datagram.
-func TestBeaconCostsOneAllocation(t *testing.T) {
+// TestHandedOverFrameCostsNoAllocation pins that the medium reads no byte of
+// what it carries and copies none: once the receiver's ring has grown, a
+// HELLO beacon's WriteTo plus TryRead allocates nothing, and the receiver
+// reads the very buffer the sender handed over.
+func TestHandedOverFrameCostsNoAllocation(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector's runtime allocates on its own")
+	}
 	s, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -195,12 +199,44 @@ func TestBeaconCostsOneAllocation(t *testing.T) {
 		if _, err := a.WriteTo(beacon, "mem:b"); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, ok, _ := b.TryRead(); !ok {
+		got, _, ok, _ := b.TryRead()
+		if !ok {
 			t.Fatal("beacon not delivered")
+		}
+		if &got[0] != &beacon[0] || len(got) != len(beacon) {
+			t.Fatal("the receiver read a copy, not the frame handed over")
 		}
 	}
 	send() // grows the ring
-	if got := testing.AllocsPerRun(100, send); got != 1 {
-		t.Errorf("a beacon through the medium costs %v allocations, want 1 (the receiver's copy)", got)
+	if got := testing.AllocsPerRun(100, send); got != 0 {
+		t.Errorf("a beacon through the medium costs %v allocations, want 0", got)
+	}
+}
+
+// BenchmarkHandedOverFrame is TestHandedOverFrameCostsNoAllocation's
+// WriteTo plus TryRead, for the allocation guard.
+func BenchmarkHandedOverFrame(b *testing.B) {
+	s, err := New(Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, _ := s.Listen("mem:a")
+	dst, _ := s.Listen("mem:b")
+	defer src.Close()
+	defer dst.Close()
+	frame := make([]byte, 1400)
+	send := func() {
+		if _, err := src.WriteTo(frame, "mem:b"); err != nil {
+			b.Fatal(err)
+		}
+		if _, _, ok, _ := dst.TryRead(); !ok {
+			b.Fatal("frame not delivered")
+		}
+	}
+	send() // grows the ring
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		send()
 	}
 }

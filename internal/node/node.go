@@ -794,24 +794,32 @@ func (n *Node) dispatch(data []byte, from string) {
 		n.ctr.OutOfRange.Add(1)
 		return
 	}
+	// The data is shared and read-only, and what is decoded from it lands in
+	// pooled scratch, which every handler leaves for the next datagram.
+	sc := rxPool.Get().(*rxScratch)
 	switch data[0] {
 	case batchMagic:
-		n.handleBatch(data, pos, vel)
+		n.handleBatch(sc, data, pos, vel)
 		if n.hist != nil {
 			n.hist.recvLatency.Observe(time.Since(start).Seconds())
 		}
 	case digestMagic:
-		n.handleDigest(data, from, pos)
+		n.handleDigest(sc, data, from, pos)
 	case pullMagic:
-		n.handlePull(data, from, pos, vel)
+		n.handlePull(sc, data, from, pos, vel)
 	}
+	rxPool.Put(sc)
 }
 
-// handleBatch decodes a multi-ad batch frame from a sender in range and
-// integrates every carried ad under one lock acquisition; pos and vel are
-// the receiver's own kinematics.
-func (n *Node) handleBatch(data []byte, pos geo.Point, vel geo.Vec) {
-	f, err := decodeBatch(data)
+// handleBatch decodes a multi-ad batch frame from a sender in range into
+// scratch and integrates every carried ad, all under one lock acquisition:
+// the whole frame decodes before any ad is integrated, and an ad the cache
+// holds decodes over the cached copy. pos and vel are the receiver's own
+// kinematics.
+func (n *Node) handleBatch(sc *rxScratch, data []byte, pos geo.Point, vel geo.Vec) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	f, err := sc.decodeBatch(data, &n.cache)
 	if err != nil {
 		n.ctr.Malformed.Add(1)
 		return
@@ -820,10 +828,11 @@ func (n *Node) handleBatch(data []byte, pos geo.Point, vel geo.Vec) {
 	if n.hist != nil {
 		n.hist.recvBatch.Observe(float64(len(f.Ads)))
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	now := n.now()
 	for _, ad := range f.Ads {
+		if !ad.Expired(now) && n.cache.Get(ad.ID) == nil {
+			ad = ad.Clone() // it may be admitted, and so outlive the scratch
+		}
 		n.integrateAdLocked(now, f.Pos, pos, vel, ad)
 	}
 }
@@ -831,18 +840,27 @@ func (n *Node) handleBatch(data []byte, pos geo.Point, vel geo.Vec) {
 // integrateAdLocked is the paper's receive algorithm for one ad heard at
 // protocol time now from a sender at srcPos: expiry check, dedup-set mark,
 // then the shared rules' merge (plus the Opt2 postponement) or admission of
-// the decoded ad, which is private. Callers hold n.mu and have applied the
-// virtual radio.
+// ad. An ad whose ID the cache holds may be scratch that the next datagram
+// overwrites: the merge keeps no pointer into it, and no observer is handed
+// it. Any other ad must be private, and is admitted as it is. Callers hold
+// n.mu and have applied the virtual radio.
 func (n *Node) integrateAdLocked(now float64, srcPos geo.Point, pos geo.Point, vel geo.Vec, ad *ads.Advertisement) {
 	if ad.Expired(now) {
 		n.ctr.Expired.Add(1)
 		return
 	}
 	n.ctr.Received.Add(1)
+	e := n.cache.Get(ad.ID)
 	if n.markSeenLocked(ad) {
-		n.events.OnFirstReceive(int(n.cfg.ID), ad, now)
+		first := ad
+		if e != nil {
+			// The dedup set swept an ID the cache still holds: hand the
+			// observer a copy, never scratch.
+			first = ad.Clone()
+		}
+		n.events.OnFirstReceive(int(n.cfg.ID), first, now)
 	}
-	if e := n.cache.Get(ad.ID); e != nil {
+	if e != nil {
 		n.ctr.Duplicates.Add(1)
 		n.events.OnDuplicate(int(n.cfg.ID), ad.ID, now)
 		n.rules.Merge(&n.cache, e, ad)
@@ -861,9 +879,9 @@ func (n *Node) integrateAdLocked(now float64, srcPos geo.Point, pos geo.Point, v
 // back to the sender. A digest we fully cover is a digest hit — the
 // anti-entropy steady state where neighbors trade 8-byte IDs instead of
 // payloads.
-func (n *Node) handleDigest(data []byte, from string, pos geo.Point) {
-	f, err := decodeIDFrame(data, digestMagic)
-	if err != nil {
+func (n *Node) handleDigest(sc *rxScratch, data []byte, from string, pos geo.Point) {
+	f := &sc.ids
+	if err := f.decode(data, digestMagic); err != nil {
 		n.ctr.Malformed.Add(1)
 		return
 	}
@@ -903,9 +921,9 @@ func (n *Node) handleDigest(data []byte, from string, pos geo.Point) {
 // handlePull serves a neighbor's pull request with the requested ads from
 // our cache, packed into batch frames, then blocks that neighbor for the
 // serve window (BuddyCast-style) so one hungry peer cannot monopolize us.
-func (n *Node) handlePull(data []byte, from string, pos geo.Point, vel geo.Vec) {
-	f, err := decodeIDFrame(data, pullMagic)
-	if err != nil {
+func (n *Node) handlePull(sc *rxScratch, data []byte, from string, pos geo.Point, vel geo.Vec) {
+	f := &sc.ids
+	if err := f.decode(data, pullMagic); err != nil {
 		n.ctr.Malformed.Add(1)
 		return
 	}
@@ -1069,7 +1087,7 @@ func (n *Node) introduceLocked(id uint32, origin string, data []byte, now time.T
 		n.introduced[id] = r
 		return true
 	}
-	r.owed = append(r.owed[:0], data...)
+	r.owed = data // a received datagram is read-only: keep it, not a copy
 	r.origin = origin
 	n.introduced[id] = r
 	return false

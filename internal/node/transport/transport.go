@@ -46,11 +46,14 @@ type PacketConn interface {
 	SetArrival(fn func())
 	// TryRead takes the next entry of the receive queue without blocking;
 	// ok is false when the queue is empty or the conn has closed. An entry
-	// is a datagram, whose bytes are the caller's to keep, with its source
-	// address, or else a transient read fault in err, which the conn
-	// survives and retries after a backoff. A closed conn reads nothing.
+	// is a datagram with its source address, or else a transient read fault
+	// in err, which the conn survives and retries after a backoff. A
+	// datagram's bytes are shared and read-only: the caller may keep the
+	// slice, but never writes to it. A closed conn reads nothing.
 	TryRead() (data []byte, from string, ok bool, err error)
-	// WriteTo sends one datagram toward the address.
+	// WriteTo sends one datagram toward the address. The conn may keep b;
+	// the caller does not write to it after the call, so one frame can go
+	// to many addresses, and to their readers, as one buffer.
 	WriteTo(b []byte, to string) (int, error)
 	Close() error
 	// LocalAddr returns the bound address in the transport's canonical form.
